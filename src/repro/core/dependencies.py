@@ -168,15 +168,19 @@ def analyze_dependencies(
         tgts.append(uoe[all_eids])
     src = np.concatenate(srcs)
     tgt = np.concatenate(tgts)
-    keep = src != tgt
-    src, tgt = src[keep], tgt[keep]
     n_units = partition.num_units
-    key = np.unique(src * np.int64(n_units) + tgt)
+    key = src * np.int64(n_units) + tgt
+    # Updates are enumerated column by column, so consecutive reads very
+    # often repeat an edge: dropping self-pairs and adjacent duplicates
+    # first leaves the sort a fraction of the keys.
+    keep = src != tgt
+    keep[1:] &= key[1:] != key[:-1]
+    key = np.unique(key[keep])
     edges = np.stack([key // n_units, key % n_units], axis=1)
 
     cats = classify_pair_updates(partition, updates)
-    vals, counts = np.unique(cats, return_counts=True)
-    category_counts = dict(zip(vals.tolist(), counts.tolist()))
+    counts = np.bincount(cats, minlength=len(CATEGORY_NAMES)).tolist()
+    category_counts = {cat: n for cat, n in enumerate(counts) if n}
     if obs.is_enabled():
         obs.counter("deps.edges", len(edges))
         for cat, count in category_counts.items():

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..machine.metrics import LoadBalance, load_balance
 from ..obs import trace as obs
-from ..machine.traffic import TrafficResult, data_traffic
+from ..machine.traffic import TrafficResult, data_traffic, read_index_of
 from ..machine.work import processor_work, unit_work
 from ..ordering import order as order_graph
 from ..sparse.pattern import LowerPattern, SymmetricGraph
@@ -64,17 +64,12 @@ class PreparedMatrix:
         obs.counter("pipeline.pair_updates", len(out.target))
         return out
 
-    @cached_property
+    @property
     def read_index(self):
         """Source-sorted read list of the factorization (assignment
-        invariant; lets :mod:`repro.machine.batched` measure many owner
-        arrays in one pass)."""
-        from ..machine.batched import build_read_index
-
-        with obs.span("pipeline.read_index", matrix=self.name):
-            out = build_read_index(self.updates)
-        obs.counter("pipeline.stage.read_index")
-        return out
+        invariant): the one memoised on :attr:`updates`, which every
+        per-cell and batched traffic measurement shares."""
+        return read_index_of(self.updates)
 
     @property
     def factor_nnz(self) -> int:
@@ -303,16 +298,13 @@ def _batched_results(
     :class:`MappingResult` rows (value-identical to the per-cell path)."""
     from ..machine.batched import batched_metrics
 
-    updates = prepared.updates
-    read_index = prepared.read_index if include_scale_traffic else None
     with obs.span(
         "pipeline.metrics", matrix=prepared.name, cells=len(assignments)
     ):
+        # The read index is the one memoised on the updates, for either
+        # value of the flag.
         metrics = batched_metrics(
-            updates,
-            assignments,
-            read_index=read_index,
-            include_scale=include_scale_traffic,
+            prepared.updates, assignments, include_scale=include_scale_traffic
         )
     obs.counter("pipeline.stage.metrics", len(assignments))
     out = []

@@ -1,15 +1,6 @@
 """Distributed-memory machine model: work, traffic, balance, timing."""
 
-from .batched import (
-    DEFAULT_CHUNK_READS,
-    ReadIndex,
-    batched_load_balance,
-    batched_metrics,
-    batched_traffic,
-    batched_traffic_oneshot,
-    read_chunk_bounds,
-    build_read_index,
-)
+from .batched import batched_load_balance, batched_metrics, batched_traffic
 from .hotspot import HotspotProfile, hotspot_profile
 from .metrics import LoadBalance, imbalance_factor, load_balance
 from .simulate import (
@@ -25,11 +16,14 @@ from .simulate import (
 from .scorecard import scorecard, sim_scorecard
 from .solve_metrics import solve_balance, solve_traffic, solve_work
 from .traffic import (
+    DEFAULT_CHUNK_READS,
+    ReadIndex,
     TrafficResult,
-    access_pairs,
+    build_read_index,
     communication_matrix,
     data_traffic,
-    data_traffic_reference,
+    read_chunk_bounds,
+    read_index_of,
 )
 from .work import processor_work, processor_work_reference, total_work, unit_work
 
@@ -38,10 +32,10 @@ __all__ = [
     "batched_load_balance",
     "batched_metrics",
     "batched_traffic",
-    "batched_traffic_oneshot",
     "read_chunk_bounds",
     "DEFAULT_CHUNK_READS",
     "build_read_index",
+    "read_index_of",
     "HotspotProfile",
     "hotspot_profile",
     "LoadBalance",
@@ -61,10 +55,8 @@ __all__ = [
     "solve_traffic",
     "solve_work",
     "TrafficResult",
-    "access_pairs",
     "communication_matrix",
     "data_traffic",
-    "data_traffic_reference",
     "processor_work",
     "processor_work_reference",
     "total_work",

@@ -1,240 +1,67 @@
-"""Batched multi-assignment metrics kernel.
+"""Batched multi-assignment metrics.
 
 The paper's experimental grid measures one fixed structure under many
-processor counts and mapping schemes.  Traffic accounting is the
-per-cell bottleneck: :func:`repro.machine.traffic.data_traffic` dedups
-the (processor, source element) read pairs with one ``np.unique`` over
-int64 keys of magnitude ``nprocs * nnz`` — and a K-cell sweep pays that
-sort K times even though the *source side* of every read is identical
-across cells.
+processor counts and mapping schemes.  The *source side* of every read
+is identical across those cells, so the K evaluations share one
+source-sorted :class:`~repro.machine.traffic.ReadIndex` and each cell is
+one pass of the sort-free kernel of :mod:`repro.machine.traffic`
+(:func:`~repro.machine.traffic.fetch_counts`) over it — the same call
+:func:`~repro.machine.traffic.data_traffic` makes for a single
+assignment, so the two paths cannot disagree.  Working memory is one
+cell's chunk at a time, bounded by ``chunk_reads`` whatever K is.
 
-This module batches the K evaluations into one pass:
-
-1. the read list (source element, reading element) is materialized once
-   per :class:`~repro.symbolic.updates.UpdateSet` and **pre-sorted by
-   source** (:class:`ReadIndex`, cached on ``PreparedMatrix``);
-2. the K owner arrays, stacked ``(K, nnz)``, are gathered to per-read
-   processor ids and offset into disjoint ranges (assignment k occupies
-   processors ``offset[k] .. offset[k] + nprocs[k]``), so one stable
-   sort on that single small-range key orders all K cells by
-   (cell, processor, source) at once — and the key fits ``int16`` for
-   any realistic grid, where numpy's stable sort is a radix sort;
-3. duplicates are adjacent after the sort, so distinct non-local
-   fetches fall out of one segmented-dedup mask and a single
-   ``np.bincount``.
-
-At big-tier sizes (nnz(L) and read counts in the millions) the flat
-``(K * reads)``-sized sort intermediates dominate peak RSS, so the
-kernel streams: the read list is processed in fixed-size chunks whose
-boundaries are snapped to *source-run* boundaries
-(:func:`read_chunk_bounds`).  ``src`` is ascending, so all reads of one
-source element are contiguous — no (processor, source) pair can ever
-span two chunks, which makes the per-chunk dedup + bincount accumulation
-**bit-identical** to the one-shot pass (kept as
-:func:`batched_traffic_oneshot`; the test suite asserts equality on
-every bundled matrix).  The chunk size defaults to
-:data:`DEFAULT_CHUNK_READS` and can be tuned per call or via
-``$REPRO_BATCH_CHUNK_READS``.
-
-The per-assignment paths (:func:`~repro.machine.traffic.data_traffic`,
-:func:`~repro.machine.work.processor_work`) are kept as the reference
-implementations; the test suite asserts array-for-array identity.
+This module adds what a batch needs on top: validation of raw owner
+arrays (the kernel trusts its owners), and the matching per-cell
+load-balance pass.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..obs import trace as obs
-from ..sparse.dtypes import index_dtype
 from ..symbolic.updates import UpdateSet
 from .metrics import LoadBalance, load_balance
-from .traffic import TrafficResult
+from .traffic import ReadIndex, TrafficResult, fetch_counts, read_index_of
 
 __all__ = [
-    "DEFAULT_CHUNK_READS",
-    "ReadIndex",
-    "build_read_index",
-    "read_chunk_bounds",
     "batched_traffic",
-    "batched_traffic_oneshot",
     "batched_load_balance",
     "batched_metrics",
 ]
 
-#: Reads per chunk of the streaming traffic kernel.  At the default the
-#: transient sort arrays stay ~100 MB for K ~ 4 cells regardless of
-#: problem size; override per call or with ``$REPRO_BATCH_CHUNK_READS``
-#: (0 disables chunking entirely).
-DEFAULT_CHUNK_READS = 4_000_000
-
-
-def _chunk_reads_setting(chunk_reads: int | None) -> int:
-    if chunk_reads is not None:
-        return int(chunk_reads)
-    env = os.environ.get("REPRO_BATCH_CHUNK_READS", "")
-    try:
-        return int(env)
-    except ValueError:
-        return DEFAULT_CHUNK_READS
-
-
-@dataclass(frozen=True)
-class ReadIndex:
-    """The assignment-invariant read list of a factorization, sorted by
-    source element.
-
-    ``src[r]`` is the element id read by the r-th access and
-    ``reader[r]`` the element id whose owner performs it (the update's
-    target, or the element itself for diagonal/scale reads).  ``src`` is
-    ascending, which is what lets the batched kernel finish with a
-    stable sort on the processor key alone.
-    """
-
-    include_scale: bool
-    src: np.ndarray
-    reader: np.ndarray
-
-    @property
-    def num_reads(self) -> int:
-        return len(self.src)
-
-
-def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
-    """Materialize and source-sort the read list of ``updates``.
-
-    Every pair update reads two off-diagonal sources on behalf of its
-    target; ``include_scale`` adds one diagonal read per element,
-    matching the flag of :func:`~repro.machine.traffic.data_traffic`.
-    """
-    edt = index_dtype(updates.pattern.nnz)
-    srcs = [updates.source_i, updates.source_j]
-    readers = [updates.target, updates.target]
-    if include_scale:
-        srcs.append(updates.scale_source)
-        readers.append(np.arange(updates.pattern.nnz, dtype=edt))
-    src = np.concatenate(srcs).astype(edt, copy=False)
-    reader = np.concatenate(readers).astype(edt, copy=False)
-    order = np.argsort(src, kind="stable")
-    return ReadIndex(
-        include_scale=include_scale,
-        src=np.ascontiguousarray(src[order]),
-        reader=np.ascontiguousarray(reader[order]),
-    )
-
-
-def read_chunk_bounds(src: np.ndarray, chunk_reads: int) -> list[int]:
-    """Chunk boundaries over a source-sorted read list.
-
-    Returns ascending offsets ``[0, ..., len(src)]`` where every chunk
-    is at most ``chunk_reads`` long *except* when a single source's run
-    of reads is itself longer — runs are never split, because the
-    per-chunk dedup is only correct while all reads of one source stay
-    in one chunk.  ``chunk_reads <= 0`` means one chunk (the one-shot
-    pass).
-    """
-    reads = len(src)
-    if chunk_reads <= 0 or reads <= chunk_reads:
-        return [0, reads] if reads else [0]
-    bounds = [0]
-    while bounds[-1] < reads:
-        cut = min(bounds[-1] + chunk_reads, reads)
-        if cut < reads:
-            # Snap back to the start of the source run straddling the
-            # cut; if that run began at (or before) the chunk start,
-            # the run is longer than the budget — take it whole.
-            run_start = int(np.searchsorted(src, src[cut], side="left"))
-            if run_start > bounds[-1]:
-                cut = run_start
-            else:
-                cut = int(np.searchsorted(src, src[bounds[-1]], side="right"))
-        bounds.append(int(cut))
-    return bounds
-
-
-def _stack_owners(owners) -> np.ndarray:
-    owners = list(owners)
-    if not owners:
-        return np.empty((0, 0), dtype=np.int32)
-    # Owner values are processor ids — far below 2^31 — so the stacked
-    # (K, nnz) array is kept at int32 regardless of the input dtypes.
-    arr = np.stack([np.asarray(o, dtype=np.int32) for o in owners])
-    if arr.ndim != 2:
-        raise ValueError("owners must stack to a (K, nnz) array")
-    return arr
-
-
-def _proc_key_dtype(total_procs: int):
-    """Smallest signed dtype holding the offset processor key; int16
-    keeps numpy's stable sort on the radix path."""
-    if total_procs <= np.iinfo(np.int16).max:
-        return np.int16
-    if total_procs <= np.iinfo(np.int32).max:
-        return np.int32
-    return np.int64
-
 
 def _validated_inputs(
-    updates: UpdateSet,
-    owners,
-    nprocs: Sequence[int],
-    read_index: ReadIndex | None,
-    include_scale: bool,
-):
-    owners = _stack_owners(owners)
-    nprocs = np.asarray(nprocs, dtype=np.int64)
+    updates: UpdateSet, owners, nprocs: Sequence[int]
+) -> tuple[list[np.ndarray], list[int]]:
+    """K owner arrays narrowed to int32 (processor ids are far below
+    2^31), each checked against its own processor count."""
+    owners = [np.asarray(o) for o in owners]
+    nprocs = [int(p) for p in nprocs]
     if len(nprocs) != len(owners):
         raise ValueError("need one processor count per owner array")
-    if read_index is None:
-        read_index = build_read_index(updates, include_scale)
-    elif read_index.include_scale != include_scale:
-        raise ValueError(
-            "read index was built with include_scale="
-            f"{read_index.include_scale}, requested {include_scale}"
-        )
-    return owners, nprocs, read_index
-
-
-def _chunk_counts(
-    shifted: np.ndarray,
-    owners: np.ndarray,
-    offsets: np.ndarray,
-    read_index: ReadIndex,
-    lo: int,
-    hi: int,
-    total_procs: int,
-) -> np.ndarray:
-    """Distinct non-local fetch counts contributed by reads ``lo:hi``.
-
-    One small-range key per read per cell: cell k's processors occupy
-    the disjoint range [offsets[k], offsets[k+1]), so sorting the flat
-    key groups by (cell, processor) — and the stable sort keeps the
-    pre-sorted sources ascending inside every group.  Offsetting and
-    narrowing before the (K, reads) gather keeps the big intermediate
-    at the key dtype instead of int64.
-    """
-    k_count = len(shifted)
-    flat = shifted[:, read_index.reader[lo:hi]].ravel()
-    order = np.argsort(flat, kind="stable")
-    p = flat[order]
-    s = np.tile(read_index.src[lo:hi], k_count)[order]
-
-    first = np.empty(len(p), dtype=bool)
-    first[0] = True
-    first[1:] = (p[1:] != p[:-1]) | (s[1:] != s[:-1])
-
-    # Only distinct (processor, source) pairs can count, so the cell
-    # recovery (ranges are disjoint) and the local-read test — fetches
-    # of elements the reader owns — run on the deduped rows alone.
-    p_f = p[first].astype(np.int64)
-    s_f = s[first]
-    k_of = np.searchsorted(offsets[1:], p_f, side="right")
-    nonlocal_mask = owners[k_of, s_f] != (p_f - offsets[k_of])
-    return np.bincount(p_f[nonlocal_mask], minlength=total_procs)
+    nnz = updates.pattern.nnz
+    for k, (owner, p) in enumerate(zip(owners, nprocs)):
+        if owner.shape != (nnz,):
+            raise ValueError(
+                f"owner array {k} has shape {owner.shape}, updates cover "
+                f"{nnz} elements"
+            )
+        if p < 1:
+            raise ValueError(f"owner array {k}: nprocs must be positive, got {p}")
+        if nnz:
+            # Checked before narrowing: an id past 2^31 would wrap into
+            # range, and an id out of range would alias another source's
+            # stamp-table slots and return a silently wrong count.
+            lo, hi = owner.min(), owner.max()
+            if lo < 0 or hi >= p:
+                raise ValueError(
+                    f"owner array {k} holds processor id "
+                    f"{lo if lo < 0 else hi}, outside [0, {p})"
+                )
+    return [o.astype(np.int32, copy=False) for o in owners], nprocs
 
 
 def batched_traffic(
@@ -245,80 +72,31 @@ def batched_traffic(
     include_scale: bool = True,
     chunk_reads: int | None = None,
 ) -> list[TrafficResult]:
-    """Distinct non-local fetches per processor for K owner arrays at
-    once; value-identical to K :func:`data_traffic` calls.
+    """Distinct non-local fetches per processor for K owner arrays;
+    value-identical to K :func:`~repro.machine.traffic.data_traffic`
+    calls.
 
-    ``owners`` stacks to ``(K, nnz)`` and ``nprocs[k]`` is the processor
-    count of assignment k (the counts may differ across k).  The read
-    list is streamed in source-aligned chunks of at most ``chunk_reads``
-    reads (default :data:`DEFAULT_CHUNK_READS`, overridable via
-    ``$REPRO_BATCH_CHUNK_READS``; 0 forces one chunk).  Chunk boundaries
-    never split a source run, so the accumulated counts are bit-identical
-    to :func:`batched_traffic_oneshot` at every chunk size.
+    ``owners`` holds K arrays of ``nnz`` processor ids and ``nprocs[k]``
+    is the processor count of assignment k (the counts may differ across
+    k).  ``read_index`` defaults to the one memoised on ``updates``.
+    The read list is streamed in source-aligned chunks of at most
+    ``chunk_reads`` reads and stamp-table slots (default
+    :data:`~repro.machine.traffic.DEFAULT_CHUNK_READS`, overridable via
+    ``$REPRO_BATCH_CHUNK_READS``); results are bit-identical at every
+    chunk size.
     """
-    owners, nprocs, read_index = _validated_inputs(
-        updates, owners, nprocs, read_index, include_scale
-    )
-    k_count = len(owners)
-    offsets = np.concatenate([[0], np.cumsum(nprocs)])
-    total_procs = int(offsets[-1])
-    if read_index.num_reads == 0 or k_count == 0:
-        return [
-            TrafficResult(np.zeros(int(p), dtype=np.int64)) for p in nprocs
-        ]
-    shifted = (owners + offsets[:-1, None]).astype(
-        _proc_key_dtype(total_procs), copy=False
-    )
-    bounds = read_chunk_bounds(
-        read_index.src, _chunk_reads_setting(chunk_reads)
-    )
-    counts = np.zeros(total_procs, dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        counts += _chunk_counts(
-            shifted, owners, offsets, read_index, lo, hi, total_procs
+    owners, nprocs = _validated_inputs(updates, owners, nprocs)
+    if read_index is None:
+        read_index = read_index_of(updates, include_scale)
+    elif read_index.include_scale != include_scale:
+        raise ValueError(
+            "read index was built with include_scale="
+            f"{read_index.include_scale}, requested {include_scale}"
         )
-    obs.counter("machine.batched.cells", k_count)
-    obs.counter("machine.batched.chunks", max(0, len(bounds) - 1))
+    obs.counter("machine.batched.cells", len(owners))
     return [
-        TrafficResult(counts[offsets[k] : offsets[k + 1]].astype(np.int64))
-        for k in range(k_count)
-    ]
-
-
-def batched_traffic_oneshot(
-    updates: UpdateSet,
-    owners,
-    nprocs: Sequence[int],
-    read_index: ReadIndex | None = None,
-    include_scale: bool = True,
-) -> list[TrafficResult]:
-    """The unchunked reference pass: one sort over the whole read list.
-
-    Kept as the identity baseline the chunked kernel is asserted
-    against (and the fastest choice when the flat ``K * reads``
-    intermediates comfortably fit in memory).
-    """
-    owners, nprocs, read_index = _validated_inputs(
-        updates, owners, nprocs, read_index, include_scale
-    )
-    k_count = len(owners)
-    offsets = np.concatenate([[0], np.cumsum(nprocs)])
-    total_procs = int(offsets[-1])
-    reads = read_index.num_reads
-    if reads == 0 or k_count == 0:
-        return [
-            TrafficResult(np.zeros(int(p), dtype=np.int64)) for p in nprocs
-        ]
-    shifted = (owners + offsets[:-1, None]).astype(
-        _proc_key_dtype(total_procs), copy=False
-    )
-    counts = _chunk_counts(
-        shifted, owners, offsets, read_index, 0, reads, total_procs
-    )
-    obs.counter("machine.batched.cells", k_count)
-    return [
-        TrafficResult(counts[offsets[k] : offsets[k + 1]].astype(np.int64))
-        for k in range(k_count)
+        TrafficResult(fetch_counts(owner, p, read_index, chunk_reads))
+        for owner, p in zip(owners, nprocs)
     ]
 
 
@@ -334,20 +112,13 @@ def batched_load_balance(
     doubles instead of ``K * nnz`` — the summation order within each
     cell is unchanged, so the results are bit-identical.
     """
-    owners = _stack_owners(owners)
-    nprocs = np.asarray(nprocs, dtype=np.int64)
-    if len(nprocs) != len(owners):
-        raise ValueError("need one processor count per owner array")
-    if len(owners) == 0:
-        return []
+    owners, nprocs = _validated_inputs(updates, owners, nprocs)
     ew = updates.element_work().astype(np.float64)
     return [
         load_balance(
-            np.bincount(
-                owners[k], weights=ew, minlength=int(nprocs[k])
-            ).astype(np.int64)
+            np.bincount(owner, weights=ew, minlength=p).astype(np.int64)
         )
-        for k in range(len(owners))
+        for owner, p in zip(owners, nprocs)
     ]
 
 
@@ -366,13 +137,6 @@ def batched_metrics(
     :func:`batched_traffic`).
     """
     assignments = list(assignments)
-    nnz = updates.pattern.nnz
-    for a in assignments:
-        if len(a.owner_of_element) != nnz:
-            raise ValueError(
-                f"assignment {a.scheme!r} maps {len(a.owner_of_element)} "
-                f"elements, updates cover {nnz}"
-            )
     owners = [a.owner_of_element for a in assignments]
     nprocs = [a.nprocs for a in assignments]
     with obs.span("machine.batched_metrics", cells=len(assignments)):

@@ -15,10 +15,11 @@ Every simulation also emits into the sim-clock telemetry layer
 :class:`~repro.obs.simtime.SimRun` carrying per-unit records, start
 reasons (for critical-path extraction) and the message ledger, whose
 total bytes bit-match :func:`repro.machine.traffic.data_traffic` for
-the same assignment (both dedup distinct non-local (processor, source
-element) reads).  Block assignments simulate at unit-block granularity;
-wrap/column assignments (no partition, but a per-column processor map)
-simulate at column granularity over the column dependency DAG.
+the same assignment (both aggregate the distinct non-local (processor,
+source element) fetches of :func:`repro.machine.traffic.fetch_pairs`).
+Block assignments simulate at unit-block granularity; wrap/column
+assignments (no partition, but a per-column processor map) simulate at
+column granularity over the column dependency DAG.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..core.dependencies import DependencyInfo
 from ..obs import simtime
 from ..obs import trace as obs
 from ..symbolic.updates import UpdateSet
-from .traffic import access_pairs
+from .traffic import fetch_pairs
 
 __all__ = [
     "MachineModel",
@@ -303,25 +304,19 @@ def simulation_messages(
 
     One ledger entry per (cause unit, destination processor): its bytes
     are the *distinct* non-local source elements of that unit the
-    destination reads — exactly the dedup rule of
-    :func:`repro.machine.traffic.data_traffic`, so total ledger bytes
-    bit-match the paper's traffic figure, per-destination sums match
-    ``per_processor`` and the P×P aggregation matches
+    destination reads — the very pairs
+    :func:`repro.machine.traffic.data_traffic` counts, so total ledger
+    bytes bit-match the paper's traffic figure, per-destination sums
+    match ``per_processor`` and the P×P aggregation matches
     ``communication_matrix``.  The send time is the cause unit's finish;
     the receive time adds the α + β·bytes message delay.
     """
-    nnz = assignment.pattern.nnz
-    owner = assignment.owner_of_element
     nprocs = assignment.nprocs
-    procs, srcs = access_pairs(assignment, updates, include_scale)
-    key = np.unique(procs.astype(np.int64) * np.int64(nnz) + srcs)
-    proc = key // nnz
-    src = key % nnz
-    keep = owner[src] != proc
-    proc, src = proc[keep], src[keep]
+    proc, src = fetch_pairs(assignment, updates, include_scale)
     uoe = np.asarray(unit_of_element, dtype=np.int64)
-    cause = uoe[src]
-    gkey, counts = np.unique(cause * np.int64(nprocs) + proc, return_counts=True)
+    # Group the (already distinct) fetches into one message per (cause
+    # unit, destination), ordered by that key.
+    gkey, counts = np.unique(uoe[src] * np.int64(nprocs) + proc, return_counts=True)
     cause_unit = gkey // nprocs
     dst_proc = gkey % nprocs
     src_proc = np.asarray(assignment.proc_of_unit, dtype=np.int64)[cause_unit]

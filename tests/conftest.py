@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core import prepare
-from repro.sparse import grid5, grid9, spd_from_graph
+from repro.sparse import generators, grid5, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
 
 # ----------------------------------------------------------------------
@@ -83,6 +84,59 @@ def brute_force_traffic(owner: np.ndarray, pattern: LowerPattern,
             if int(owner[d]) != p:
                 fetched[p].add(d)
     return np.asarray([len(s) for s in fetched], dtype=np.int64)
+
+
+def traffic_oracle(owner, nprocs: int, updates, include_scale: bool = True) -> np.ndarray:
+    """Distinct non-local fetches per processor, straight from the
+    paper's definition: the set {(owner[reader], source)} over every
+    read, minus the pairs whose processor owns the source.
+
+    The set is a dense ``nprocs x nnz`` membership bitmap — no sort, no
+    read index, no chunking: nothing shared with the kernel under test.
+    """
+    owner = np.asarray(owner)
+    nnz = updates.pattern.nnz
+    fetched = np.zeros((nprocs, nnz), dtype=bool)
+    reader_proc = owner[updates.target]
+    fetched[reader_proc, updates.source_i] = True
+    fetched[reader_proc, updates.source_j] = True
+    if include_scale:
+        fetched[owner, updates.scale_source] = True
+    fetched[owner, np.arange(nnz)] = False
+    return fetched.sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Generated structures (Hypothesis)
+# ----------------------------------------------------------------------
+
+#: The seeded families of ``repro.sparse.generators`` at n <= 200, as
+#: ``family -> (size, seed) -> graph``; ``size`` runs 2..14.
+_FAMILIES = {
+    "grid5": lambda k, seed: generators.grid5(k, 1 + seed % k),
+    "grid9": lambda k, seed: generators.grid9(k, 1 + seed % k),
+    "lshape": lambda k, seed: generators.lshape_mesh(k + 2, 8, 1 + seed % k, 1 + seed % 3),
+    "band": lambda k, seed: generators.band_graph(4 * k, 1 + seed % 6),
+    "path": lambda k, seed: generators.path_graph(5 * k),
+    "star": lambda k, seed: generators.star_graph(3 * k),
+    "random": lambda k, seed: generators.random_symmetric_graph(4 * k, 0.15, seed),
+    "power": lambda k, seed: generators.power_network(8 * k, 2 * k, seed),
+    "knn": lambda k, seed: generators.knn_mesh(6 * k, 18 * k, seed),
+    "hex": lambda k, seed: generators.hex_mesh(k, 2, 1 + seed % 3),
+    "tet": lambda k, seed: generators.tet_mesh(k, 2, 1 + seed % 3),
+    "aniso": lambda k, seed: generators.aniso_grid(k, 1 + seed % k, 2),
+    "social": lambda k, seed: generators.social_graph(12 * k, 0.8, max_len=16, seed=seed),
+    "powlaw": lambda k, seed: generators.powlaw_graph(6 * k, seed=seed),
+}
+
+
+@st.composite
+def generated_graphs(draw) -> SymmetricGraph:
+    """One structure from a seeded generator family, n <= 200."""
+    family = draw(st.sampled_from(sorted(_FAMILIES)))
+    size = draw(st.integers(2, 14))
+    seed = draw(st.integers(0, 2**16))
+    return _FAMILIES[family](size, seed)
 
 
 # ----------------------------------------------------------------------

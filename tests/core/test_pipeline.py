@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import block_mapping, prepare, wrap_mapping
+from repro.core import (
+    block_mapping,
+    block_mappings,
+    partition_prepared,
+    prepare,
+    wrap_mapping,
+    wrap_mappings,
+)
+from repro.obs import trace as obs
 from repro.sparse import grid9
 
 
@@ -80,3 +88,29 @@ class TestWrapMapping:
     def test_traffic_grows_with_procs(self, prepared_grid):
         t = [wrap_mapping(prepared_grid, p).traffic.total for p in (1, 2, 4, 8)]
         assert t == sorted(t)
+
+
+class TestMultiP:
+    def test_no_scale_read_index_built_once_and_cells_match(self):
+        """The multi-P entry points take their read index from the memo
+        on the updates for either value of the flag: two batched calls
+        without scale reads sort the read list once, and each cell
+        equals the per-cell path."""
+        prep = prepare(grid9(8, 8), name="grid9(8,8)")  # fresh: empty memo
+        part = partition_prepared(prep, grain=4)
+        with obs.enabled() as rec:
+            blocks = block_mappings(part, (2, 4), include_scale_traffic=False)
+            wraps = wrap_mappings(prep, (2, 4), include_scale_traffic=False)
+        assert rec.counters["pipeline.stage.read_index"] == 1
+        for got in blocks:
+            want = block_mapping(
+                prep, got.nprocs, grain=4, include_scale_traffic=False
+            )
+            np.testing.assert_array_equal(
+                got.traffic.per_processor, want.traffic.per_processor
+            )
+        for got in wraps:
+            want = wrap_mapping(prep, got.nprocs, include_scale_traffic=False)
+            np.testing.assert_array_equal(
+                got.traffic.per_processor, want.traffic.per_processor
+            )

@@ -1,9 +1,11 @@
-"""Batched multi-assignment metrics vs the per-assignment references.
+"""Batched multi-assignment metrics vs the independent traffic oracle
+and the per-assignment work path.
 
-The batched kernel's contract is array-for-array value identity with
-:func:`data_traffic_reference` / :func:`processor_work_reference` — on
-every bundled matrix, every mapping scheme, and mixed processor counts
-inside one batch.
+The batched path's contract is array-for-array value identity with
+:func:`tests.conftest.traffic_oracle` (and hence with
+:func:`data_traffic`, pinned to agree here too) and
+:func:`processor_work_reference` — on every bundled matrix, every
+mapping scheme, and mixed processor counts inside one batch.
 """
 
 import numpy as np
@@ -22,11 +24,15 @@ from repro.machine import (
     batched_metrics,
     batched_traffic,
     build_read_index,
-    data_traffic_reference,
+    data_traffic,
     load_balance,
     processor_work_reference,
+    read_index_of,
 )
+from repro.obs import trace as obs
 from repro.sparse import harwell_boeing as hb
+
+from ..conftest import traffic_oracle
 
 PROCS = (3, 16, 64)
 
@@ -55,15 +61,16 @@ def _assert_identical(updates, assignments, read_index=None):
     batched = batched_metrics(updates, assignments, read_index=read_index)
     assert len(batched) == len(assignments)
     for a, (traffic, balance) in zip(assignments, batched):
-        ref_traffic = data_traffic_reference(a, updates)
+        ref_traffic = traffic_oracle(a.owner_of_element, a.nprocs, updates)
         ref_balance = load_balance(processor_work_reference(a, updates))
+        np.testing.assert_array_equal(traffic.per_processor, ref_traffic)
         np.testing.assert_array_equal(
-            traffic.per_processor, ref_traffic.per_processor
+            data_traffic(a, updates).per_processor, ref_traffic
         )
         np.testing.assert_array_equal(
             balance.per_processor, ref_balance.per_processor
         )
-        assert traffic.total == ref_traffic.total
+        assert traffic.total == int(ref_traffic.sum())
         assert balance.imbalance == ref_balance.imbalance
 
 
@@ -106,10 +113,10 @@ class TestBatchShapes:
             updates, owners, list(PROCS), include_scale=False
         )
         for a, traffic in zip(assignments, batched):
-            ref = data_traffic_reference(a, updates, include_scale=False)
-            np.testing.assert_array_equal(
-                traffic.per_processor, ref.per_processor
+            ref = traffic_oracle(
+                a.owner_of_element, a.nprocs, updates, include_scale=False
             )
+            np.testing.assert_array_equal(traffic.per_processor, ref)
 
     def test_random_owner_arrays(self, lap30):
         rng = np.random.default_rng(7)
@@ -155,6 +162,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="one processor count"):
             batched_load_balance(lap30.updates, owners, [4, 8])
 
+    @pytest.mark.parametrize("bad", [-1, 4, 2**32, 2**32 + 1])
+    def test_owner_out_of_range_rejected(self, lap30, bad):
+        """An owner outside [0, nprocs) would alias another source's
+        stamp-table slots (and one past 2^31 would wrap into range when
+        narrowed): refused, naming the cell and the value."""
+        good = wrap_assignment(lap30.pattern, 4).owner_of_element
+        hostile = good.astype(np.int64)
+        hostile[len(hostile) // 2] = bad
+        with pytest.raises(ValueError, match=rf"owner array 1 .* {bad}, outside \[0, 4\)"):
+            batched_traffic(lap30.updates, [good, hostile], [4, 4])
+        with pytest.raises(ValueError, match="owner array 0"):
+            batched_load_balance(lap30.updates, [hostile], [4])
+
+    def test_owner_in_range_for_another_cell_rejected(self, lap30):
+        """Each array is checked against its own processor count."""
+        owners = [wrap_assignment(lap30.pattern, p).owner_of_element for p in (8, 8)]
+        with pytest.raises(ValueError, match=r"owner array 1 .* 7, outside \[0, 4\)"):
+            batched_traffic(lap30.updates, owners, [8, 4])
+
+    def test_nonpositive_nprocs_rejected(self, lap30):
+        owners = [np.zeros(lap30.pattern.nnz, dtype=np.int64)]
+        with pytest.raises(ValueError, match="nprocs must be positive"):
+            batched_traffic(lap30.updates, owners, [0])
+
 
 class TestReadIndex:
     def test_sorted_by_source_and_complete(self):
@@ -166,3 +197,25 @@ class TestReadIndex:
         assert index.num_reads == 2 * updates.num_pair_updates + prep.pattern.nnz
         no_scale = build_read_index(updates, include_scale=False)
         assert no_scale.num_reads == 2 * updates.num_pair_updates
+
+    def test_memoised_per_update_set_and_flag(self):
+        """Per-cell, batched and ``PreparedMatrix.read_index`` callers
+        share one index per (UpdateSet, include_scale): each flag value
+        is built exactly once however the structure is measured."""
+        prep = prepare(hb.load("LAP30"), name="LAP30")
+        updates = prep.updates
+        a = wrap_assignment(prep.pattern, 4)
+        with obs.enabled() as rec:
+            for _ in range(2):
+                data_traffic(a, updates)
+                batched_metrics(updates, [a, a])
+                data_traffic(a, updates, include_scale=False)
+                batched_metrics(updates, [a], include_scale=False)
+            assert prep.read_index is read_index_of(updates)
+        assert rec.counters["pipeline.stage.read_index"] == 2
+        assert read_index_of(updates).include_scale
+        assert not read_index_of(updates, include_scale=False).include_scale
+        assert read_index_of(updates) is not read_index_of(updates, False)
+        # A fresh UpdateSet starts a fresh memo.
+        other = prepare(hb.load("LAP30"), name="LAP30").updates
+        assert read_index_of(other) is not read_index_of(updates)

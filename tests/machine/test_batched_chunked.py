@@ -1,12 +1,13 @@
-"""Chunked batched-traffic kernel vs the one-shot reference.
+"""The chunked traffic kernel vs the independent oracle.
 
-The contract the streaming rework must keep: for ANY chunk size the
-accumulated counts are bit-identical to :func:`batched_traffic_oneshot`
-(and hence to the per-assignment references) — on every bundled matrix.
-Chunk boundaries are snapped to source-run starts, so no (processor,
-source) pair can be double-counted across chunks; these tests drive the
-kernel at adversarially tiny chunk sizes where any snapping bug shows
-up immediately.
+The contract the streaming kernel must keep: for ANY chunk size the
+accumulated counts equal :func:`tests.conftest.traffic_oracle` — the
+paper's definition, sharing nothing with the kernel — on every bundled
+matrix.  Chunk boundaries are snapped to source-run starts, so no
+(processor, source) pair can be double-counted across chunks, and a
+chunk's sources are kept within one stamp table; these tests drive the
+kernel at adversarially tiny chunk sizes where any snapping or
+table-bound bug shows up immediately.
 """
 
 import numpy as np
@@ -18,13 +19,10 @@ from repro.core import (
     schedule_blocks,
     wrap_assignment,
 )
-from repro.machine import (
-    batched_traffic,
-    batched_traffic_oneshot,
-    build_read_index,
-    read_chunk_bounds,
-)
+from repro.machine import batched_traffic, build_read_index, read_chunk_bounds
 from repro.sparse import harwell_boeing as hb
+
+from ..conftest import traffic_oracle
 
 PROCS = (3, 16, 64)
 
@@ -34,7 +32,10 @@ def prepped(request):
     return prepare(hb.load(request.param), name=request.param)
 
 
-def _mixed_batch(prepped):
+@pytest.fixture(scope="module")
+def mixed_batch(prepped):
+    """Block and wrap owner arrays at three processor counts, with the
+    oracle's answer for each."""
     pm = partition_prepared(prepped, grain=25, min_width=4)
     block = [
         schedule_blocks(pm.partition, pm.dependencies, p, unit_work=pm.unit_work)
@@ -44,32 +45,31 @@ def _mixed_batch(prepped):
     assignments = block + wrap
     owners = [a.owner_of_element for a in assignments]
     nprocs = [a.nprocs for a in assignments]
-    return owners, nprocs
+    expected = [
+        traffic_oracle(o, p, prepped.updates) for o, p in zip(owners, nprocs)
+    ]
+    return owners, nprocs, expected
 
 
 class TestChunkedBitIdentity:
-    @pytest.mark.parametrize("chunk_reads", [1, 7, 1000, 10**9])
-    def test_every_bundled_matrix(self, prepped, chunk_reads):
-        owners, nprocs = _mixed_batch(prepped)
+    @pytest.mark.parametrize("chunk_reads", [1, 7, 1000, 10**9, 0])
+    def test_every_bundled_matrix(self, prepped, mixed_batch, chunk_reads):
+        owners, nprocs, expected = mixed_batch
         index = build_read_index(prepped.updates)
-        reference = batched_traffic_oneshot(
-            prepped.updates, owners, nprocs, read_index=index
-        )
         chunked = batched_traffic(
             prepped.updates, owners, nprocs, read_index=index,
             chunk_reads=chunk_reads,
         )
-        assert len(chunked) == len(reference)
-        for got, want in zip(chunked, reference):
-            np.testing.assert_array_equal(got.per_processor, want.per_processor)
+        assert len(chunked) == len(expected)
+        for got, want in zip(chunked, expected):
+            np.testing.assert_array_equal(got.per_processor, want)
 
-    def test_env_override(self, prepped, monkeypatch):
-        owners, nprocs = _mixed_batch(prepped)
-        reference = batched_traffic_oneshot(prepped.updates, owners, nprocs)
+    def test_env_override(self, prepped, mixed_batch, monkeypatch):
+        owners, nprocs, expected = mixed_batch
         monkeypatch.setenv("REPRO_BATCH_CHUNK_READS", "13")
         chunked = batched_traffic(prepped.updates, owners, nprocs)
-        for got, want in zip(chunked, reference):
-            np.testing.assert_array_equal(got.per_processor, want.per_processor)
+        for got, want in zip(chunked, expected):
+            np.testing.assert_array_equal(got.per_processor, want)
 
 
 class TestReadChunkBounds:
@@ -101,3 +101,18 @@ class TestReadChunkBounds:
         spans = list(zip(bounds, bounds[1:]))
         assert sum(hi - lo for lo, hi in spans) == len(src)
         assert all(hi > lo for lo, hi in spans)
+
+    def test_max_span_bounds_the_source_range_of_a_chunk(self):
+        """What keeps a chunk's keys inside one stamp table: its source
+        ids lie less than ``max_span`` apart, gaps in the ids included."""
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            ids = np.cumsum(rng.integers(1, 6, size=rng.integers(1, 40)))
+            src = np.repeat(ids, rng.integers(1, 5, size=len(ids))).astype(np.int32)
+            chunk, span = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            bounds = read_chunk_bounds(src, chunk, span)
+            assert bounds[0] == 0 and bounds[-1] == len(src)
+            assert bounds == sorted(set(bounds))
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert src[hi - 1] - src[lo] < span
+                assert hi == len(src) or src[hi] != src[hi - 1]
