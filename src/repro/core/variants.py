@@ -17,37 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..machine.simulate import unit_edge_volumes
 from ..symbolic.updates import UpdateSet
 from .assignment import Assignment
 from .dependencies import DependencyInfo
 from .partitioner import Partition
 
 __all__ = ["schedule_lpt", "schedule_affinity", "unit_edge_volumes"]
-
-
-def unit_edge_volumes(
-    partition: Partition, deps: DependencyInfo, updates: UpdateSet
-) -> dict[tuple[int, int], int]:
-    """Distinct source elements per unit-dependency edge (assignment-free
-    version of :func:`repro.machine.edge_volumes`)."""
-    uoe = partition.unit_of_element
-    tgt_unit = uoe[updates.target]
-    pairs_src = np.concatenate([updates.source_i, updates.source_j])
-    pairs_tgt = np.concatenate([tgt_unit, tgt_unit])
-    if deps.include_scale:
-        all_eids = np.arange(partition.pattern.nnz, dtype=np.int64)
-        pairs_src = np.concatenate([pairs_src, updates.scale_source])
-        pairs_tgt = np.concatenate([pairs_tgt, uoe[all_eids]])
-    src_unit = uoe[pairs_src]
-    keep = src_unit != pairs_tgt
-    nnz = partition.pattern.nnz
-    key = np.unique(pairs_tgt[keep] * np.int64(nnz) + pairs_src[keep])
-    t = key // nnz
-    s_unit = uoe[key % nnz]
-    out: dict[tuple[int, int], int] = {}
-    for su, tu in zip(s_unit.tolist(), t.tolist()):
-        out[(su, tu)] = out.get((su, tu), 0) + 1
-    return out
 
 
 def _finish(partition: Partition, proc_of_unit: np.ndarray, nprocs: int,

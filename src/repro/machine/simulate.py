@@ -17,6 +17,9 @@ reasons (for critical-path extraction) and the message ledger, whose
 total bytes bit-match :func:`repro.machine.traffic.data_traffic` for
 the same assignment (both aggregate the distinct non-local (processor,
 source element) fetches of :func:`repro.machine.traffic.fetch_pairs`).
+The unit DAG comes from the same kernel with the element→unit map as
+the owner array (:func:`unit_graph`): sorted edges with an aligned
+volume array, from which the event loop's per-edge delays are one pass.
 Block assignments simulate at unit-block granularity; wrap/column
 assignments (no partition, but a per-column processor map) simulate at
 column granularity over the column dependency DAG.
@@ -24,16 +27,18 @@ column granularity over the column dependency DAG.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.dependencies import DependencyInfo
+from ..core.partitioner import Partition
 from ..obs import simtime
 from ..obs import trace as obs
 from ..symbolic.updates import UpdateSet
-from .traffic import fetch_pairs
+from .traffic import fetch_pairs, read_index_of
 
 __all__ = [
     "MachineModel",
@@ -42,6 +47,7 @@ __all__ = [
     "simulate_assignment",
     "simulation_messages",
     "edge_volumes",
+    "unit_edge_volumes",
     "unit_graph",
     "topological_order",
 ]
@@ -65,19 +71,11 @@ def topological_order(n_units: int, edges: np.ndarray) -> np.ndarray:
     later diagonal triangles.  Raises if a cycle is found.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges):
-        indeg = np.bincount(edges[:, 1], minlength=n_units)
-        # CSR-style adjacency: sort edges by source, slice per unit.
-        order = np.argsort(edges[:, 0], kind="stable")
-        src_sorted = edges[order, 0]
-        dst_sorted = np.ascontiguousarray(edges[order, 1])
-        bounds = np.searchsorted(src_sorted, np.arange(n_units + 1, dtype=np.int64))
-    else:
-        indeg = np.zeros(n_units, dtype=np.int64)
-        dst_sorted = np.zeros(0, dtype=np.int64)
-        bounds = np.zeros(n_units + 1, dtype=np.int64)
-    import heapq
-
+    indeg = np.bincount(edges[:, 1], minlength=n_units)
+    # CSR-style adjacency: sort edges by source, slice per unit.
+    order = np.argsort(edges[:, 0], kind="stable")
+    dst_sorted = np.ascontiguousarray(edges[order, 1])
+    bounds = np.searchsorted(edges[order, 0], np.arange(n_units + 1, dtype=np.int64))
     heap = np.flatnonzero(indeg == 0).tolist()
     heapq.heapify(heap)
     out = np.empty(n_units, dtype=np.int64)
@@ -117,98 +115,94 @@ def unit_graph(
     unit_of_element: np.ndarray,
     updates: UpdateSet,
     n_units: int,
-    nnz: int,
     include_scale: bool = True,
-) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
-    """Unit DAG edges and per-edge distinct-element volumes, for any
-    element→unit map (block partitions and column granularity alike).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit DAG edges — (m, 2) [source, target] rows in lexicographic
+    order, the layout of ``DependencyInfo.edges`` — and the aligned
+    per-edge distinct-element volumes, for any element→unit map.
 
-    Volume of edge (s, t) = number of distinct elements owned by unit s
+    With the unit map as the owner array, the traffic kernel's distinct
+    non-local fetches are the distinct (target unit, source element)
+    pairs across unit boundaries; they are counted per unit pair.
+    """
+    if n_units == 0:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    uoe = np.asarray(unit_of_element, dtype=np.int64)
+    target, src = fetch_pairs(uoe, n_units, read_index_of(updates, include_scale))
+    key, volume = np.unique(uoe[src] * np.int64(n_units) + target, return_counts=True)
+    return np.stack([key // n_units, key % n_units], axis=1), volume
+
+
+def _require_same_edges(edges: np.ndarray, deps: DependencyInfo) -> None:
+    """Refuse a ``deps`` analyzed for something else: simulating along an
+    edge the unit graph lacks would charge it a zero-volume message."""
+    if not np.array_equal(edges, deps.edges):
+        stray = set(map(tuple, edges.tolist())) ^ set(map(tuple, deps.edges.tolist()))
+        raise ValueError(
+            "the supplied DependencyInfo was not analyzed for this partition "
+            f"and include_scale setting: unit edges {sorted(stray)[:3]} are in "
+            "only one of it and the unit DAG"
+        )
+
+
+def unit_edge_volumes(
+    partition: Partition, deps: DependencyInfo, updates: UpdateSet
+) -> dict[tuple[int, int], int]:
+    """Distinct elements transferred along each unit-dependency edge:
+    volume of edge (s, t) = number of distinct elements owned by unit s
     that updates targeting unit t read.
     """
-    uoe = np.asarray(unit_of_element, dtype=np.int64)
-    tgt_unit = uoe[updates.target]
-    pairs_src = np.concatenate([updates.source_i, updates.source_j])
-    pairs_tgt = np.concatenate([tgt_unit, tgt_unit])
-    if include_scale:
-        pairs_src = np.concatenate([pairs_src, updates.scale_source])
-        pairs_tgt = np.concatenate([pairs_tgt, uoe])
-    src_unit = uoe[pairs_src]
-    keep = src_unit != pairs_tgt
-    # Distinct (target unit, source element) pairs, then count per edge.
-    key = np.unique(pairs_tgt[keep] * np.int64(nnz) + pairs_src[keep])
-    t = key // nnz
-    s_elem = key % nnz
-    s_unit = uoe[s_elem]
-    # Grouped count per (source unit, target unit) edge via np.unique.
-    edge_key, counts = np.unique(s_unit * np.int64(n_units) + t, return_counts=True)
-    edges = np.stack([edge_key // n_units, edge_key % n_units], axis=1)
-    volumes = {
-        (int(k // n_units), int(k % n_units)): int(c)
-        for k, c in zip(edge_key.tolist(), counts.tolist())
-    }
-    return edges, volumes
+    edges, volume = unit_graph(
+        partition.unit_of_element, updates, partition.num_units, deps.include_scale
+    )
+    _require_same_edges(edges, deps)
+    return dict(zip(map(tuple, edges.tolist()), volume.tolist()))
 
 
 def edge_volumes(
     assignment: Assignment, deps: DependencyInfo, updates: UpdateSet
 ) -> dict[tuple[int, int], int]:
-    """Distinct elements transferred along each unit-dependency edge.
-
-    Volume of edge (s, t) = number of distinct elements owned by unit s
-    that updates targeting unit t read.
-    """
-    partition = assignment.partition
-    if partition is None:
+    """:func:`unit_edge_volumes` of a block assignment's partition."""
+    if assignment.partition is None:
         raise ValueError("edge volumes require a block assignment")
-    return unit_graph(
-        partition.unit_of_element,
-        updates,
-        partition.num_units,
-        partition.pattern.nnz,
-        deps.include_scale,
-    )[1]
-
-
-def _adjacency(n_units: int, edges: np.ndarray) -> tuple[list, list]:
-    """CSR-style predecessor/successor lists from sorted unique edges."""
-    order = np.argsort(edges[:, 1], kind="stable")
-    src = np.ascontiguousarray(edges[order, 0])
-    tgt = edges[order, 1]
-    bounds = np.searchsorted(tgt, np.arange(n_units + 1, dtype=np.int64))
-    preds = [src[bounds[u] : bounds[u + 1]] for u in range(n_units)]
-    src2 = edges[:, 0]
-    tgt2 = np.ascontiguousarray(edges[:, 1])
-    bounds2 = np.searchsorted(src2, np.arange(n_units + 1, dtype=np.int64))
-    succs = [tgt2[bounds2[u] : bounds2[u + 1]] for u in range(n_units)]
-    return preds, succs
+    return unit_edge_volumes(assignment.partition, deps, updates)
 
 
 def _simulate_units(
-    n_units: int,
     nprocs: int,
     proc_of_unit: np.ndarray,
     work: np.ndarray,
-    preds: list,
-    succs: list,
-    volumes: dict[tuple[int, int], int],
+    edges: np.ndarray,
+    volume: np.ndarray,
     model: MachineModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The event loop: greedy list scheduling with message delays.
+    """The event loop: greedy list scheduling with message delays over
+    the unit DAG of :func:`unit_graph`.
 
     Besides start/finish/busy it records *why* each unit started when it
     did (``reason``: the releasing unit, ``reason_kind``: a
     :mod:`repro.obs.simtime` REASON_* code) — every link is tight, so a
     backwards walk over the reasons is the critical path.
     """
-    proc_free = np.zeros(nprocs, dtype=np.float64)
-    proc_busy = np.zeros(nprocs, dtype=np.float64)
-    start = np.zeros(n_units, dtype=np.float64)
-    finish = np.zeros(n_units, dtype=np.float64)
-    reason = np.full(n_units, -1, dtype=np.int64)
-    reason_kind = np.zeros(n_units, dtype=np.int64)
+    n_units = len(work)
+    source, target = edges[:, 0], edges[:, 1]
+    proc_arr = np.asarray(proc_of_unit, dtype=np.int64)
+    # Everything an edge contributes is known before the first event:
+    # whether it crosses processors and, if so, its α + β·volume delay.
+    crosses = proc_arr[source] != proc_arr[target]
+    delay = np.where(crosses, model.alpha + model.beta * volume, 0.0).tolist()
+    # The loop touches one scalar at a time, so it runs on plain lists.
+    is_msg, succ, proc = crosses.tolist(), target.tolist(), proc_arr.tolist()
+    indptr = np.searchsorted(source, np.arange(n_units + 1)).tolist()
+    indeg = np.bincount(target, minlength=n_units).tolist()
+    duration = (model.compute * work).tolist()
 
-    indeg = np.asarray([len(p) for p in preds], dtype=np.int64)
+    proc_free = [0.0] * nprocs
+    proc_busy = [0.0] * nprocs
+    start = [0.0] * n_units
+    finish = [0.0] * n_units
+    reason = [-1] * n_units
+    reason_kind = [simtime.REASON_NONE] * n_units
     # Incremental data-arrival times: arrival[u] is the max, over the
     # predecessors of u that have finished so far, of the time their data
     # reaches u's (fixed) processor.  It is updated once per dependency
@@ -216,34 +210,24 @@ def _simulate_units(
     # indeg[u] hits zero — so dispatch never rescans predecessors.
     # arrival_from/arrival_msg track the argmax predecessor and whether
     # it released u via a message (cross-processor) or locally.
-    arrival = np.zeros(n_units, dtype=np.float64)
-    arrival_from = np.full(n_units, -1, dtype=np.int64)
-    arrival_msg = np.zeros(n_units, dtype=bool)
-    last_on_proc = np.full(nprocs, -1, dtype=np.int64)
+    arrival = [0.0] * n_units
+    arrival_from = [-1] * n_units
+    arrival_msg = [False] * n_units
+    last_on_proc = [-1] * nprocs
     ready: list[set[int]] = [set() for _ in range(nprocs)]
     for u in range(n_units):
         if indeg[u] == 0:
-            ready[int(proc_of_unit[u])].add(u)
-    running: list[bool] = [False] * nprocs
+            ready[proc[u]].add(u)
+    running = [False] * nprocs
     done = 0
-
-    import heapq
-
     events: list[tuple[float, int, int]] = []  # (finish time, unit, proc)
 
     def try_start(p: int) -> None:
         if running[p] or not ready[p]:
             return
-        best = None
-        best_key = None
         free = proc_free[p]
-        for u in ready[p]:
-            key = (max(arrival[u], free), u)
-            if best_key is None or key < best_key:
-                best, best_key = u, key
-        assert best is not None and best_key is not None
+        t0, best = min((max(arrival[u], free), u) for u in ready[p])
         ready[p].remove(best)
-        t0 = best_key[0]
         if arrival[best] > free:
             # Data-bound: the unit started the instant its slowest
             # predecessor's data arrived.
@@ -257,9 +241,8 @@ def _simulate_units(
             reason[best] = last_on_proc[p]
             reason_kind[best] = simtime.REASON_PROC
         start[best] = t0
-        dur = model.compute * work[best]
-        finish[best] = t0 + dur
-        proc_busy[p] += dur
+        finish[best] = t0 + duration[best]
+        proc_busy[p] += duration[best]
         running[p] = True
         heapq.heappush(events, (finish[best], best, p))
 
@@ -271,25 +254,23 @@ def _simulate_units(
         running[p] = False
         last_on_proc[p] = u
         done += 1
-        for v in succs[u].tolist():
-            a = t
-            is_msg = p != int(proc_of_unit[v])
-            if is_msg:
-                a += model.alpha + model.beta * volumes.get((u, v), 0)
+        for e in range(indptr[u], indptr[u + 1]):
+            v = succ[e]
+            a = t + delay[e]
             if a > arrival[v]:
                 arrival[v] = a
                 arrival_from[v] = u
-                arrival_msg[v] = is_msg
+                arrival_msg[v] = is_msg[e]
             indeg[v] -= 1
             if indeg[v] == 0:
-                q = int(proc_of_unit[v])
-                ready[q].add(v)
-                try_start(q)
+                ready[proc[v]].add(v)
+                try_start(proc[v])
         try_start(p)
 
     if done != n_units:
         raise ValueError("unit dependency graph has a cycle")
-    return start, finish, proc_busy, reason, reason_kind
+    times = [np.asarray(x, dtype=np.float64) for x in (start, finish, proc_busy)]
+    return *times, *(np.asarray(x, dtype=np.int64) for x in (reason, reason_kind))
 
 
 def simulation_messages(
@@ -299,7 +280,7 @@ def simulation_messages(
     finish: np.ndarray,
     model: MachineModel,
     include_scale: bool = True,
-) -> list[simtime.SimMessage]:
+) -> simtime.MessageTable:
     """The message ledger of a simulated schedule.
 
     One ledger entry per (cause unit, destination processor): its bytes
@@ -312,24 +293,23 @@ def simulation_messages(
     the receive time adds the α + β·bytes message delay.
     """
     nprocs = assignment.nprocs
-    proc, src = fetch_pairs(assignment, updates, include_scale)
+    proc, src = fetch_pairs(
+        assignment.owner_of_element, nprocs, read_index_of(updates, include_scale)
+    )
     uoe = np.asarray(unit_of_element, dtype=np.int64)
     # Group the (already distinct) fetches into one message per (cause
     # unit, destination), ordered by that key.
     gkey, counts = np.unique(uoe[src] * np.int64(nprocs) + proc, return_counts=True)
     cause_unit = gkey // nprocs
-    dst_proc = gkey % nprocs
-    src_proc = np.asarray(assignment.proc_of_unit, dtype=np.int64)[cause_unit]
     send = finish[cause_unit]
-    recv = send + model.alpha + model.beta * counts
-    return [
-        simtime.SimMessage(src=int(s), dst=int(d), nbytes=int(n), cause=int(c),
-                           send=float(t0), recv=float(t1))
-        for s, d, n, c, t0, t1 in zip(
-            src_proc.tolist(), dst_proc.tolist(), counts.tolist(),
-            cause_unit.tolist(), send.tolist(), recv.tolist(),
-        )
-    ]
+    return simtime.MessageTable(
+        src=np.asarray(assignment.proc_of_unit, dtype=np.int64)[cause_unit],
+        dst=gkey % nprocs,
+        nbytes=counts,
+        cause=cause_unit,
+        send=send,
+        recv=send + model.alpha + model.beta * counts,
+    )
 
 
 def simulate_assignment(
@@ -344,34 +324,29 @@ def simulate_assignment(
     """Simulate any assignment with a unit-level view; returns the
     timeline plus the full sim-clock record.
 
-    Block assignments run at unit-block granularity over the analyzed
-    dependency DAG (``deps`` is computed when not supplied); wrap and
-    block-cyclic column assignments run at column granularity over the
-    column dependency DAG, with elimination stages defined as up-to-32
-    equal column strips.  ``with_messages=False`` skips the ledger
-    (timeline values are unaffected).
+    Block assignments run at unit-block granularity (a supplied ``deps``
+    sets ``include_scale`` and must describe the same unit DAG); wrap
+    and block-cyclic column assignments run at column granularity over
+    the column dependency DAG, with elimination stages defined as
+    up-to-32 equal column strips.  ``with_messages=False`` skips the
+    ledger (timeline values are unaffected).
     """
     model = model or MachineModel()
     partition = assignment.partition
     if partition is not None:
-        if deps is None:
-            from ..core.dependencies import analyze_dependencies
-
-            deps = analyze_dependencies(partition, updates, include_scale)
-        include_scale = deps.include_scale
+        if deps is not None:
+            include_scale = deps.include_scale
         n_units = partition.num_units
         uoe = partition.unit_of_element
-        volumes = edge_volumes(assignment, deps, updates)
-        preds, succs = deps.predecessors, deps.successors
+        edges, volume = unit_graph(uoe, updates, n_units, include_scale)
+        if deps is not None:
+            _require_same_edges(edges, deps)
         stage = partition.cluster_of_unit
         kinds = tuple(u.kind.value for u in partition.units)
     elif assignment.proc_of_unit is not None:
         n_units = assignment.pattern.n
         uoe = np.asarray(updates.element_cols, dtype=np.int64)
-        _edges, volumes = unit_graph(
-            uoe, updates, n_units, assignment.pattern.nnz, include_scale
-        )
-        preds, succs = _adjacency(n_units, _edges)
+        edges, volume = unit_graph(uoe, updates, n_units, include_scale)
         n_stages = min(32, n_units) if n_units else 1
         stage = (np.arange(n_units, dtype=np.int64) * n_stages) // max(n_units, 1)
         kinds = ("column",) * n_units
@@ -380,17 +355,15 @@ def simulate_assignment(
             f"{assignment.scheme}: simulation needs a unit-level view "
             "(a block partition or a per-column processor map)"
         )
-    work = np.zeros(n_units, dtype=np.float64)
-    np.add.at(work, uoe, updates.element_work().astype(np.float64))
+    work = np.bincount(uoe, weights=updates.element_work(), minlength=n_units)
     start, finish, proc_busy, reason, reason_kind = _simulate_units(
-        n_units, assignment.nprocs, assignment.proc_of_unit, work,
-        preds, succs, volumes, model,
+        assignment.nprocs, assignment.proc_of_unit, work, edges, volume, model
     )
     makespan = float(finish.max()) if n_units else 0.0
     timeline = ScheduleTimeline(start, finish, proc_busy, makespan)
     messages = (
         simulation_messages(assignment, updates, uoe, finish, model, include_scale)
-        if with_messages else []
+        if with_messages else simtime.MessageTable()
     )
     run = simtime.SimRun(
         name=name or assignment.scheme,
@@ -430,7 +403,7 @@ def simulate_assignment(
         obs.gauge("sim.makespan", makespan)
         obs.gauge("sim.idle_fraction", timeline.idle_fraction)
         obs.gauge("sim.proc_busy", proc_busy.tolist())
-        if messages:
+        if len(messages):
             obs.counter("sim.messages", len(messages))
             obs.counter("sim.message_bytes", run.total_message_bytes())
         simtime.record_sim_run(run)

@@ -11,9 +11,11 @@ Implemented exactly: for each processor, the number of *distinct*
 non-local elements read by any update it computes.  One kernel,
 :func:`distinct_fetches`, finds those (processor, source element) pairs
 for every consumer — :func:`data_traffic`, :func:`communication_matrix`,
-the K-cell loop of :mod:`repro.machine.batched` and the message ledger
-of :func:`repro.machine.simulate.simulation_messages` — in O(reads) and
-without a sort:
+the K-cell loop of :mod:`repro.machine.batched`, the message ledger of
+:func:`repro.machine.simulate.simulation_messages` and (with units in
+the place of processors) the unit DAG of
+:func:`repro.machine.simulate.unit_graph` — in O(reads) and without a
+sort:
 
 1. the read list (source element, reading element) is assignment
    invariant, so it is materialized and **sorted by source** once per
@@ -256,19 +258,15 @@ def fetch_counts(
 
 
 def fetch_pairs(
-    assignment: Assignment, updates: UpdateSet, include_scale: bool = True
+    owner: np.ndarray, nprocs: int, read_index: ReadIndex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct non-local fetch of ``assignment`` as parallel int64
-    arrays ``(proc, src)`` — what :func:`communication_matrix` and the
-    simulated message ledger aggregate, so both bit-match
+    """Every distinct non-local fetch of one owner array as parallel
+    int64 arrays ``(proc, src)``, sources ascending — what
+    :func:`communication_matrix`, the simulated message ledger and the
+    unit DAG of :func:`repro.machine.simulate.unit_graph` (owner = the
+    element→unit map) aggregate, so all of them bit-match
     :func:`data_traffic`."""
-    chunks = list(
-        distinct_fetches(
-            assignment.owner_of_element,
-            assignment.nprocs,
-            read_index_of(updates, include_scale),
-        )
-    )
+    chunks = list(distinct_fetches(owner, nprocs, read_index))
     if not chunks:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     proc, src = (np.concatenate(part).astype(np.int64) for part in zip(*chunks))
@@ -302,6 +300,8 @@ def communication_matrix(
     block mappings confine traffic to small processor groups.
     """
     n = assignment.nprocs
-    proc, src = fetch_pairs(assignment, updates, include_scale)
+    proc, src = fetch_pairs(
+        assignment.owner_of_element, n, read_index_of(updates, include_scale)
+    )
     link = proc * n + assignment.owner_of_element[src]
     return np.bincount(link, minlength=n * n).reshape(n, n)

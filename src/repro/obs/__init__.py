@@ -24,6 +24,7 @@ from .simtime import (
     CriticalPath,
     ImbalanceAttribution,
     MessageLedger,
+    MessageTable,
     ProcTimes,
     SimMessage,
     SimRun,
@@ -69,6 +70,7 @@ __all__ = [
     "CriticalPath",
     "ImbalanceAttribution",
     "MessageLedger",
+    "MessageTable",
     "ProcTimes",
     "SimMessage",
     "SimRun",

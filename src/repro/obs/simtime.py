@@ -10,8 +10,9 @@ domain, in abstract machine time units:
   answer the paper's questions (P×P communication matrices, per-link
   volumes, busy/wait/idle decomposition, critical-path extraction, λ
   attribution to stage × processor with top-k culprit blocks);
-* :class:`SimMessage` — one ledger entry: (src, dst, bytes,
-  cause-block, send/recv sim-time);
+* :class:`MessageTable` — the message ledger as one struct-of-arrays
+  table (src, dst, bytes, cause-block, send/recv sim-time), whose rows
+  read back as :class:`SimMessage`;
 * :class:`MessageLedger` — a Lamport-clock ledger for the executable
   :mod:`repro.mpsim` ranks, whose "simulated time" is logical (event
   counting) rather than the machine model's α/β cost model.
@@ -29,6 +30,7 @@ path, imbalance waterfall).  See ``docs/observability.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -38,6 +40,7 @@ from . import trace as obs_trace
 
 __all__ = [
     "SimMessage",
+    "MessageTable",
     "SimRun",
     "ProcTimes",
     "CriticalPath",
@@ -85,6 +88,49 @@ class SimMessage:
     send: float
     recv: float | None
     channel: str = "machine"
+
+
+class MessageTable:
+    """A message ledger as parallel columns, one entry per message:
+    int64 ``src``, ``dst``, ``nbytes``, ``cause`` and float64 ``send``,
+    ``recv`` (NaN = never delivered), which :class:`SimRun` reduces
+    directly.  ``len()``, indexing and iteration read rows back as
+    :class:`SimMessage` (``recv=None`` when undelivered)."""
+
+    def __init__(self, src=(), dst=(), nbytes=(), cause=(), send=(), recv=(),
+                 channel: str = "machine"):
+        self.channel = channel
+        self.src, self.dst, self.nbytes, self.cause = (
+            np.asarray(col, dtype=np.int64) for col in (src, dst, nbytes, cause)
+        )
+        self.send, self.recv = (
+            np.asarray(col, dtype=np.float64) for col in (send, recv)
+        )
+        if len({len(col) for col in self._columns()}) != 1:
+            raise ValueError("message table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows) -> "MessageTable":
+        """The table of a sequence of :class:`SimMessage` of one channel."""
+        columns = zip(*((m.src, m.dst, m.nbytes, m.cause, m.send,
+                         math.nan if m.recv is None else m.recv) for m in rows))
+        return cls(*columns, channel=rows[0].channel if rows else "machine")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.src, self.dst, self.nbytes, self.cause, self.send, self.recv)
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def _row(self, src, dst, nbytes, cause, send, recv) -> SimMessage:
+        return SimMessage(src, dst, nbytes, cause, send,
+                          None if math.isnan(recv) else recv, self.channel)
+
+    def __getitem__(self, i: int) -> SimMessage:
+        return self._row(*(col[i].item() for col in self._columns()))
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self._columns()))
 
 
 @dataclass(frozen=True)
@@ -155,7 +201,7 @@ class SimRun:
     kind: tuple[str, ...]
     reason: np.ndarray
     reason_kind: np.ndarray
-    messages: list[SimMessage] = field(default_factory=list)
+    messages: MessageTable = field(default_factory=MessageTable)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -173,43 +219,43 @@ class SimRun:
     def total_message_bytes(self) -> int:
         """Total ledger volume; for a machine-model run this bit-matches
         ``machine.traffic.data_traffic(...).total`` (same dedup rule)."""
-        return int(sum(m.nbytes for m in self.messages))
+        return int(self.messages.nbytes.sum())
 
     def comm_matrix(self) -> np.ndarray:
         """C[p, q] = ledger bytes received by p from q, matching the
         orientation of :func:`repro.machine.traffic.communication_matrix`."""
         out = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        for m in self.messages:
-            out[m.dst, m.src] += m.nbytes
+        np.add.at(out, (self.messages.dst, self.messages.src), self.messages.nbytes)
         return out
 
     def link_volumes(self, top: int | None = None) -> list[tuple[int, int, int]]:
         """(src, dst, bytes) per used link, heaviest first."""
-        totals: dict[tuple[int, int], int] = {}
-        for m in self.messages:
-            key = (m.src, m.dst)
-            totals[key] = totals.get(key, 0) + m.nbytes
-        links = sorted(
-            ((s, d, v) for (s, d), v in totals.items()),
-            key=lambda e: (-e[2], e[0], e[1]),
-        )
-        return links if top is None else links[:top]
+        m, n = self.messages, self.nprocs
+        link, inverse = np.unique(m.src * n + m.dst, return_inverse=True)
+        volume = np.zeros(len(link), dtype=np.int64)
+        np.add.at(volume, inverse, m.nbytes)
+        order = np.lexsort((link, -volume))[:top]
+        link, volume = link[order], volume[order]
+        return list(zip((link // n).tolist(), (link % n).tolist(), volume.tolist()))
 
     # -- timeline analyses ---------------------------------------------
     def proc_times(self) -> ProcTimes:
         """busy/wait/idle per processor; the three sum to the makespan."""
         self._require_units("proc_times")
-        busy = np.zeros(self.nprocs, dtype=np.float64)
-        wait = np.zeros(self.nprocs, dtype=np.float64)
-        last = np.zeros(self.nprocs, dtype=np.float64)
+        n = self.nprocs
         order = np.lexsort((self.finish, self.start, self.proc))
-        for u in order.tolist():
-            p = int(self.proc[u])
-            gap = float(self.start[u]) - last[p]
-            if gap > 0:
-                wait[p] += gap
-            busy[p] += float(self.finish[u] - self.start[u])
-            last[p] = float(self.finish[u])
+        proc, start, finish = self.proc[order], self.start[order], self.finish[order]
+        first = np.append(True, proc[1:] != proc[:-1])
+        # Gap before each unit: since the previous finish on its
+        # processor, or since t=0 for the processor's first unit.
+        gap = start - np.where(first, 0.0, np.concatenate(([0.0], finish[:-1])))
+        # bincount adds in array order, i.e. in schedule order per
+        # processor, so the float sums equal a sequential accumulation.
+        wait = np.bincount(proc, weights=np.maximum(gap, 0.0), minlength=n)
+        busy = np.bincount(proc, weights=finish - start, minlength=n)
+        last = np.zeros(n, dtype=np.float64)
+        ends = np.flatnonzero(np.append(first[1:], True))
+        last[proc[ends]] = finish[ends]
         # Trailing idle is measured from the last finish, not derived
         # from busy+wait, so busy+wait+idle == makespan is a genuine
         # invariant of the simulation (pinned by tests).
@@ -219,9 +265,8 @@ class SimRun:
     def stage_work(self) -> tuple[np.ndarray, np.ndarray]:
         """(stage ids, W) with W[s, p] = work of stage s on processor p."""
         self._require_units("stage_work")
-        stages = np.unique(self.stage)
+        stages, row = np.unique(self.stage, return_inverse=True)
         w = np.zeros((len(stages), self.nprocs), dtype=np.float64)
-        row = np.searchsorted(stages, self.stage)
         np.add.at(w, (row, self.proc), self.work)
         return stages, w
 
@@ -255,24 +300,22 @@ class SimRun:
     def imbalance(self, top_k: int = 5) -> ImbalanceAttribution:
         """Attribute λ to stage × processor, with top-k culprit blocks."""
         self._require_units("imbalance")
-        w = np.zeros(self.nprocs, dtype=np.float64)
-        np.add.at(w, self.proc, self.work)
+        w = np.bincount(self.proc, weights=self.work, minlength=self.nprocs)
         mean = float(w.mean()) if self.nprocs else 0.0
         lam = float(w.max() / mean - 1.0) if mean > 0 else 0.0
         p_star = int(np.argmax(w))
         stages, sw = self.stage_work()
-        rows = []
-        for i, s in enumerate(stages.tolist()):
-            stage_mean = float(sw[i].mean())
-            rows.append({
-                "stage": int(s),
-                "excess": float(sw[i, p_star] - stage_mean),
-                "peak_work": float(sw[i, p_star]),
-                "mean_work": stage_mean,
-                "max_work": float(sw[i].max()),
-                "lambda_s": (float(sw[i].max() / stage_mean - 1.0)
-                             if stage_mean > 0 else 0.0),
-            })
+        stage_mean, stage_max, peak = sw.mean(axis=1), sw.max(axis=1), sw[:, p_star]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lambda_s = np.where(stage_mean > 0, stage_max / stage_mean - 1.0, 0.0)
+        rows = [
+            {"stage": s, "excess": x, "peak_work": pk, "mean_work": mn,
+             "max_work": mx, "lambda_s": ls}
+            for s, x, pk, mn, mx, ls in zip(
+                stages.tolist(), (peak - stage_mean).tolist(), peak.tolist(),
+                stage_mean.tolist(), stage_max.tolist(), lambda_s.tolist(),
+            )
+        ]
         on_peak = np.flatnonzero(self.proc == p_star)
         heavy = on_peak[np.argsort(-self.work[on_peak], kind="stable")][:top_k]
         culprits = [{
@@ -366,28 +409,34 @@ def busy_grid(start, finish, proc, nprocs: int, width: int,
     start = np.asarray(start, dtype=np.float64)
     finish = np.asarray(finish, dtype=np.float64)
     proc = np.asarray(proc, dtype=np.int64)
-    busy = np.zeros((nprocs, width), dtype=bool)
     if makespan <= 0:
-        return busy
+        return np.zeros((nprocs, width), dtype=bool)
     scale = width / makespan
-    for u in range(len(start)):
-        a = int(start[u] * scale)
-        b = int(np.ceil(finish[u] * scale))
-        busy[proc[u], a: max(b, a + (finish[u] > start[u]))] = True
-    return busy
+    lo = (start * scale).astype(np.int64)
+    hi = np.maximum(np.ceil(finish * scale).astype(np.int64), lo + (finish > start))
+    # Difference array per processor row: +1 where a unit's cells begin,
+    # -1 just past where they end; cells with a positive running sum are
+    # busy.  Column ``width`` absorbs the intervals that run off the end.
+    row, cells = proc * (width + 1), nprocs * (width + 1)
+    edge = np.bincount(row + np.minimum(lo, width), minlength=cells)
+    edge -= np.bincount(row + np.minimum(hi, width), minlength=cells)
+    return np.cumsum(edge.reshape(nprocs, width + 1), axis=1)[:, :width] > 0
 
 
 def ledger_run(name: str, scheme: str, nprocs: int, makespan: float,
-               messages: list[SimMessage], clock: str = "lamport",
+               messages, clock: str = "lamport",
                meta: dict | None = None) -> SimRun:
-    """A :class:`SimRun` carrying only a message ledger (no unit records)."""
+    """A :class:`SimRun` carrying only a message ledger (no unit records),
+    given as a :class:`MessageTable` or a sequence of :class:`SimMessage`."""
     empty_f = np.zeros(0, dtype=np.float64)
     empty_i = np.zeros(0, dtype=np.int64)
     return SimRun(
         name=name, scheme=scheme, nprocs=nprocs, makespan=float(makespan),
         clock=clock, proc=empty_i, stage=empty_i, start=empty_f,
         finish=empty_f, work=empty_f, kind=(), reason=empty_i,
-        reason_kind=empty_i, messages=messages, meta=dict(meta or {}),
+        reason_kind=empty_i, meta=dict(meta or {}),
+        messages=(messages if isinstance(messages, MessageTable)
+                  else MessageTable.from_rows(messages)),
     )
 
 
@@ -404,7 +453,8 @@ class MessageLedger:
         self.nprocs = nprocs
         self.channel = channel
         self.clock = [0] * nprocs
-        self._msgs: list[list] = []  # [src, dst, nbytes, cause, send, recv]
+        # [src, dst, nbytes, cause, send, recv]; recv is NaN until delivered.
+        self._msgs: list[list] = []
         self._lock = threading.Lock()
 
     def on_send(self, src: int, dst: int, nbytes: int, cause: int = -1) -> int:
@@ -412,7 +462,7 @@ class MessageLedger:
         with self._lock:
             self.clock[src] += 1
             mid = len(self._msgs)
-            self._msgs.append([src, dst, nbytes, cause, self.clock[src], None])
+            self._msgs.append([src, dst, nbytes, cause, self.clock[src], math.nan])
             return mid
 
     def on_recv(self, mid: int) -> None:
@@ -424,19 +474,14 @@ class MessageLedger:
             m[5] = t
 
     @property
-    def messages(self) -> list[SimMessage]:
+    def messages(self) -> MessageTable:
         with self._lock:
-            return [
-                SimMessage(src=s, dst=d, nbytes=n, cause=c, send=float(t0),
-                           recv=None if t1 is None else float(t1),
-                           channel=self.channel)
-                for s, d, n, c, t0, t1 in self._msgs
-            ]
+            return MessageTable(*zip(*self._msgs), channel=self.channel)
 
     def undelivered(self) -> int:
         """Messages sent but never received (dropped or still in flight)."""
         with self._lock:
-            return sum(1 for m in self._msgs if m[5] is None)
+            return sum(math.isnan(m[5]) for m in self._msgs)
 
     def to_sim_run(self, name: str, scheme: str = "mpsim") -> SimRun:
         with self._lock:

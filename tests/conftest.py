@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core import prepare
 from repro.sparse import generators, grid5, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
+
+# Properties that set no ``max_examples`` of their own run the active
+# profile's count: Hypothesis' default in tier-1, five times that under
+# ``--hypothesis-profile=full`` (the CI kernel-identity step).
+settings.register_profile("full", max_examples=500, deadline=None)
 
 # ----------------------------------------------------------------------
 # Brute-force references (kept deliberately naive)

@@ -224,3 +224,28 @@ def test_ledger_run_empty_units():
     assert run.n_units == 0
     assert run.total_message_bytes() == 0
     assert run.comm_matrix().shape == (2, 2)
+
+
+def test_busy_grid_matches_the_per_unit_slice_fill():
+    """The difference-array raster against the loop it replaced, on
+    intervals that include zero durations, shared cells, exact cell
+    boundaries and finishes past the makespan (clipped like a slice)."""
+    from repro.obs.simtime import busy_grid
+
+    rng = np.random.default_rng(5)
+    for nprocs, width, n in [(1, 10, 0), (3, 40, 60), (16, 72, 500), (5, 7, 90)]:
+        makespan = 100.0
+        start = rng.integers(0, 100, size=n).astype(np.float64)
+        start[::3] += rng.random(len(start[::3]))
+        finish = start + rng.integers(0, 30, size=n) * rng.integers(0, 2, size=n)
+        proc = rng.integers(0, nprocs, size=n)
+        want = np.zeros((nprocs, width), dtype=bool)
+        scale = width / makespan
+        for u in range(n):
+            a = int(start[u] * scale)
+            b = int(np.ceil(finish[u] * scale))
+            want[proc[u], a: max(b, a + (finish[u] > start[u]))] = True
+        got = busy_grid(start, finish, proc, nprocs, width, makespan)
+        assert got.dtype == np.bool_ and got.shape == (nprocs, width)
+        assert np.array_equal(got, want)
+    assert not busy_grid([0.0], [1.0], [0], 2, 8, 0.0).any()
