@@ -92,7 +92,7 @@ def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
     }
     totals = {w: r.traffic.total for w, r in widths.items()}
     n_multi = {
-        w: sum(1 for c in r.partition.clusters if not c.is_column)
+        w: int((~r.partition.clusters.is_column).sum())
         for w, r in widths.items()
     }
     c4 = len(set(totals.values())) > 1 and n_multi[8] <= n_multi[2]

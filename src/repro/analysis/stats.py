@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.blocks import BlockKind
+from ..core.blocks import KINDS
 from ..core.partitioner import Partition
 from .tables import render_table
 
@@ -15,19 +15,17 @@ def partition_statistics(partition: Partition) -> dict:
     """Summary numbers describing a partition: cluster census, unit-kind
     census, unit-size distribution and padding."""
     clusters = partition.clusters
-    multi = [c for c in clusters if not c.is_column]
-    widths = [c.width for c in multi]
-    sizes = np.asarray([u.nnz for u in partition.units], dtype=np.int64)
-    kind_counts = {k.value: 0 for k in BlockKind}
-    for u in partition.units:
-        kind_counts[u.kind.value] += 1
+    widths = (clusters.col_hi - clusters.col_lo + 1)[~clusters.is_column]
+    sizes = partition.unit_work
+    counts = np.bincount(partition.kind, minlength=len(KINDS)).tolist()
+    kind_counts = {k.value: n for k, n in zip(KINDS, counts)}
     return {
         "n": partition.pattern.n,
         "nnz": partition.pattern.nnz,
         "clusters": len(clusters),
-        "multi_column_clusters": len(multi),
-        "max_cluster_width": max(widths) if widths else 1,
-        "mean_cluster_width": float(np.mean(widths)) if widths else 1.0,
+        "multi_column_clusters": len(widths),
+        "max_cluster_width": int(widths.max()) if len(widths) else 1,
+        "mean_cluster_width": float(np.mean(widths)) if len(widths) else 1.0,
         "units": partition.num_units,
         "units_by_kind": kind_counts,
         "unit_nnz_min": int(sizes.min()) if len(sizes) else 0,

@@ -17,9 +17,16 @@ import numpy as np
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
 from .assignment import Assignment
-from .blocks import BlockKind, UnitBlock
+from .blocks import UnitBlock
 from .clusters import find_clusters
-from .partitioner import Partition, _partition_rectangle, _partition_triangle
+from .partitioner import (
+    _COLUMN,
+    Partition,
+    _elements_in_region,
+    _rectangle_rows,
+    _row_elements,
+    _triangle_rows,
+)
 from .scheduler import SchedulerOptions
 
 __all__ = ["adaptive_schedule"]
@@ -67,6 +74,8 @@ def adaptive_schedule(
     index = _UpdateIndex(updates)
 
     ew = updates.element_work()
+    # Ownership so far (-1 = not yet allocated) and the unit rows, which
+    # become the partition through ``Partition.from_rows``.
     unit_of_element = np.full(pattern.nnz, -1, dtype=np.int64)
     units: list[UnitBlock] = []
     proc_of_unit: list[int] = []
@@ -114,26 +123,21 @@ def adaptive_schedule(
                 seen.append(p)
         return seen
 
-    next_uid = 0
+    def add_units(rows: list[tuple[int, ...]]) -> list[UnitBlock]:
+        new = [
+            UnitBlock.from_row(len(units) + k, row, _row_elements(pattern, row, cols))
+            for k, row in enumerate(rows)
+        ]
+        units.extend(new)
+        return new
+
     for cluster in clusters:
+        c, s, e = cluster.index, cluster.col_lo, cluster.col_hi
         if cluster.is_column:
-            j = cluster.col_lo
-            lo, hi = pattern.indptr[j], pattern.indptr[j + 1]
-            u = UnitBlock(
-                uid=next_uid,
-                kind=BlockKind.COLUMN,
-                cluster=cluster.index,
-                col_lo=j,
-                col_hi=j,
-                row_lo=j,
-                row_hi=int(pattern.rowidx[hi - 1]),
-                elements=np.arange(lo, hi, dtype=np.int64),
-                parent_kind=BlockKind.COLUMN,
-                order_key=(cluster.index, 0, 0, 0, 0),
+            (u,) = add_units(
+                [(_COLUMN, _COLUMN, c, s, s, s, cluster.column.row_hi, 0, 0, 0, 0)]
             )
-            next_uid += 1
-            units.append(u)
-            if incoming[j] == 0:
+            if incoming[s] == 0:
                 assign(u, wrap_counter % nprocs)
                 wrap_counter += 1
             else:
@@ -149,27 +153,18 @@ def adaptive_schedule(
             continue
 
         # --- parameter (a): predecessors of the whole triangle ---------
-        tri = cluster.triangle
-        tri_elements = []
-        for c in range(tri.col_lo, tri.col_hi + 1):
-            lo = pattern.indptr[c]
-            hi = lo + np.searchsorted(pattern.col(c), tri.row_hi, side="right")
-            tri_elements.append(np.arange(lo, hi, dtype=np.int64))
-        tri_elems = np.concatenate(tri_elements)
+        tri_elems = _elements_in_region(pattern, s, e, s, e, True, cols)
         tri_pred_procs = predecessor_procs(tri_elems)
         max_parts = max(1, len(tri_pred_procs)) if tri_pred_procs else None
 
-        tri_units, next_uid = _partition_triangle(
-            pattern, tri, grain, max_parts, next_uid
+        tri_units = add_units(_triangle_rows(c, s, e, grain, max_parts))
+        rect_units_all = add_units(
+            [
+                row
+                for k, rect in enumerate(cluster.rectangles)
+                for row in _rectangle_rows(c, k, s, e, rect.row_lo, rect.row_hi, grain, None)
+            ]
         )
-        rect_units_all: list[UnitBlock] = []
-        for ri, rect in enumerate(cluster.rectangles):
-            rus, next_uid = _partition_rectangle(
-                pattern, rect, ri, grain, None, next_uid
-            )
-            rect_units_all.extend(rus)
-        units.extend(tri_units)
-        units.extend(rect_units_all)
 
         # --- §3.4 allocation for this cluster --------------------------
         p_a: set[int] = set()
@@ -195,19 +190,12 @@ def adaptive_schedule(
             ):
                 assign(u, ordered[slot % len(ordered)])
 
-    partition = Partition(
-        pattern=pattern,
-        clusters=clusters,
-        units=units,
-        unit_of_element=unit_of_element,
-        grain_triangle=grain,
-        grain_rectangle=grain,
-    )
+    partition = Partition.from_rows(pattern, clusters, units, grain, grain)
     assignment = Assignment(
         scheme="block-adaptive",
         nprocs=nprocs,
         pattern=pattern,
-        owner_of_element=np.asarray(proc_of_unit, dtype=np.int64)[unit_of_element],
+        owner_of_element=np.asarray(proc_of_unit, dtype=np.int64)[partition.unit_of_element],
         proc_of_unit=np.asarray(proc_of_unit, dtype=np.int64),
         partition=partition,
     )

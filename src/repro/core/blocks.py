@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BlockKind", "DenseBlock", "UnitBlock"]
+__all__ = ["BlockKind", "DenseBlock", "UnitBlock", "KINDS", "KIND_CODE", "UNIT_COLUMNS"]
 
 
 class BlockKind(enum.Enum):
@@ -28,6 +28,21 @@ class BlockKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Integer code of each kind in the columnar unit table, and its inverse.
+KINDS = (BlockKind.COLUMN, BlockKind.TRIANGLE, BlockKind.RECTANGLE)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+#: Row layout of the unit table (:class:`repro.core.partitioner.Partition`
+#: stores one int64 column per name).  The last four are the fields of
+#: ``order_key`` that vary beyond the cluster id: dense-block index
+#: within the cluster (0 = triangle, 1 + k = k-th rectangle), order
+#: group within the block, and the row / column chunk indices.
+UNIT_COLUMNS = (
+    "kind", "parent_kind", "cluster", "col_lo", "col_hi", "row_lo", "row_hi",
+    "block", "group", "ri", "ci",
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,8 @@ class UnitBlock:
     ``elements`` holds the factor element ids the unit owns (actual
     nonzeros only — padding zeros carry no work).  ``order_key`` encodes
     the paper's allocation order within the cluster; units are allocated
-    in increasing ``order_key``.
+    in increasing ``order_key``.  A partition stores units as rows of
+    :data:`UNIT_COLUMNS`; this class is the row view of one of them.
     """
 
     uid: int
@@ -120,6 +136,22 @@ class UnitBlock:
     @property
     def nnz(self) -> int:
         return len(self.elements)
+
+    @classmethod
+    def from_row(cls, uid: int, row, elements: np.ndarray) -> "UnitBlock":
+        """The unit whose :data:`UNIT_COLUMNS` values are ``row``."""
+        kind, parent, cluster, col_lo, col_hi, row_lo, row_hi, *order = row
+        return cls(
+            uid, KINDS[kind], cluster, col_lo, col_hi, row_lo, row_hi, elements,
+            KINDS[parent], (cluster, *order),
+        )
+
+    def as_row(self) -> tuple[int, ...]:
+        """This unit's :data:`UNIT_COLUMNS` values."""
+        return (
+            KIND_CODE[self.kind], KIND_CODE[self.parent_kind], self.cluster,
+            self.col_lo, self.col_hi, self.row_lo, self.row_hi, *self.order_key[1:],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..obs import trace as obs
 from ..symbolic.updates import UpdateSet
-from .blocks import BlockKind
 from .interval_tree import Interval, IntervalTree
 from .partitioner import Partition
 
@@ -65,21 +64,14 @@ CATEGORY_NAMES = {
     10: "two rectangles update a rectangle",
 }
 
-_KIND_CODE = {BlockKind.COLUMN: 0, BlockKind.TRIANGLE: 1, BlockKind.RECTANGLE: 2}
-
-
-def _unit_kind_codes(partition: Partition) -> np.ndarray:
-    return np.asarray([_KIND_CODE[u.kind] for u in partition.units], dtype=np.int64)
-
-
 def classify_pair_updates(partition: Partition, updates: UpdateSet) -> np.ndarray:
     """Category code (0..10) for every pair update, vectorized."""
     uoe = partition.unit_of_element
     uj = uoe[updates.source_j]
     ui = uoe[updates.source_i]
     ut = uoe[updates.target]
-    kinds = _unit_kind_codes(partition)
-    kj, kt = kinds[uj], kinds[ut]
+    # Kind codes (blocks.KIND_CODE): 0 column, 1 triangle, 2 rectangle.
+    kj, kt = partition.kind[uj], partition.kind[ut]
 
     cat = np.zeros(len(ut), dtype=np.int64)
     internal = (uj == ut) & (ui == ut)
@@ -116,16 +108,26 @@ class DependencyInfo:
     include_scale: bool
 
     @cached_property
-    def predecessors(self) -> list[np.ndarray]:
+    def predecessor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ptr, src, first)``: unit ``u`` depends on the units
+        ``src[ptr[u]:ptr[u + 1]]``, ascending, the first of which is
+        ``first[u]`` (-1 for an independent unit)."""
         # ``edges`` is unique and sorted by (source, target), so a stable
         # sort on target groups each unit's predecessors in ascending
-        # source order: CSR-style slicing replaces the per-edge loop.
+        # source order.
         n_units = self.partition.num_units
-        order = np.argsort(self.edges[:, 1], kind="stable")
-        src = np.ascontiguousarray(self.edges[order, 0])
-        tgt = self.edges[order, 1]
-        bounds = np.searchsorted(tgt, np.arange(n_units + 1, dtype=np.int64))
-        return [src[bounds[u] : bounds[u + 1]] for u in range(n_units)]
+        tgt = self.edges[:, 1]
+        src = np.ascontiguousarray(self.edges[np.argsort(tgt, kind="stable"), 0])
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_units))])
+        first = np.full(n_units, -1, dtype=np.int64)
+        dependent = np.flatnonzero(ptr[:-1] < ptr[1:])
+        first[dependent] = src[ptr[dependent]]
+        return ptr, src, first
+
+    @cached_property
+    def predecessors(self) -> list[np.ndarray]:
+        ptr, src, _ = self.predecessor_csr
+        return [src[ptr[u] : ptr[u + 1]] for u in range(self.partition.num_units)]
 
     @cached_property
     def successors(self) -> list[np.ndarray]:
@@ -200,15 +202,12 @@ class UnitLocator:
     def __init__(self, partition: Partition):
         self.partition = partition
         n = partition.pattern.n
-        units = partition.units
-        n_units = len(units)
+        n_units = partition.num_units
         # Expand every unit's column extent with repeat/cumsum, then group
         # the (column, unit) incidences by column — no per-(unit, column)
         # Python append.
-        col_lo = np.fromiter((u.col_lo for u in units), dtype=np.int64, count=n_units)
-        widths = np.fromiter(
-            (u.col_hi - u.col_lo + 1 for u in units), dtype=np.int64, count=n_units
-        )
+        col_lo = partition.col_lo
+        widths = partition.col_hi - col_lo + 1
         unit_of_inc = np.repeat(np.arange(n_units, dtype=np.int64), widths)
         cum = np.cumsum(widths)
         cols = np.arange(int(cum[-1]) if n_units else 0, dtype=np.int64)
@@ -216,7 +215,10 @@ class UnitLocator:
         order = np.argsort(cols, kind="stable")  # keeps unit order per column
         sorted_units = unit_of_inc[order]
         bounds = np.searchsorted(cols[order], np.arange(n + 1, dtype=np.int64))
-        intervals = [Interval(u.row_lo, u.row_hi, u.uid) for u in units]
+        intervals = [
+            Interval(lo, hi, u)
+            for u, (lo, hi) in enumerate(zip(partition.row_lo.tolist(), partition.row_hi.tolist()))
+        ]
         self._trees = [
             IntervalTree([intervals[k] for k in sorted_units[bounds[c] : bounds[c + 1]]])
             for c in range(n)
@@ -229,15 +231,10 @@ class UnitLocator:
         """
         if row < col:
             raise ValueError("position above the diagonal")
+        # Triangle units only own the lower-triangular part of their
+        # bounding square, which (row >= col) guarantees.
         hits = self._trees[col].stab(row)
-        units = self.partition.units
-        for iv in hits:
-            u = units[iv.data]
-            if u.kind is not BlockKind.TRIANGLE or row >= col:
-                # Triangle units only own the lower-triangular part of
-                # their bounding square, which (row >= col) guarantees.
-                return u.uid
-        return -1
+        return hits[0].data if hits else -1
 
     def units_overlapping_rows(self, col: int, row_lo: int, row_hi: int) -> list[int]:
         """Units covering ``col`` whose row extents intersect [row_lo, row_hi]."""

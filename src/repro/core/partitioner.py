@@ -11,18 +11,22 @@ roughly equal units:
 * a **rectangle** is split into an nr x nc grid with nr*nc <= P_d,
   chosen to maximize the unit count with near-square units;
 * a **column** is a single unit and is never split.
+
+A :class:`Partition` stores its units as one int64 table — a row per
+:data:`~repro.core.blocks.UNIT_COLUMNS` name, a column per unit, units in
+allocation order — and :class:`~repro.core.blocks.UnitBlock` is the row
+view of one unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.pattern import LowerPattern
-from .blocks import BlockKind, DenseBlock, UnitBlock
+from .blocks import KIND_CODE, KINDS, UNIT_COLUMNS, UnitBlock
 from .clusters import ClusterSet, find_clusters
 
 __all__ = [
@@ -93,51 +97,159 @@ def rectangle_grid(
     return best
 
 
-@dataclass
-class Partition:
-    """A complete partition of a factor pattern into unit blocks."""
+_COLUMN, _TRIANGLE, _RECTANGLE = (KIND_CODE[kind] for kind in KINDS)
 
-    pattern: LowerPattern
-    clusters: ClusterSet
-    units: list[UnitBlock]
-    unit_of_element: np.ndarray
-    grain_triangle: int
-    grain_rectangle: int
+
+class Partition:
+    """A complete partition of a factor pattern into unit blocks.
+
+    ``table`` is the storage: int64, one row per name in
+    :data:`~repro.core.blocks.UNIT_COLUMNS`, one column per unit, units
+    grouped by cluster left to right and, inside a cluster, already in
+    the paper's allocation order (increasing ``order_key``; the
+    constructor checks it, so the scheduler never sorts).  ``kind``,
+    ``parent_kind``, ``cluster_of_unit``, ``col_lo``, ``col_hi``,
+    ``row_lo``, ``row_hi`` and ``block`` are its first eight rows by
+    name; ``unit_of_element`` maps every factor element to its unit.
+    The per-unit element lists (a CSR over the units) and the
+    :class:`~repro.core.blocks.UnitBlock` row views ``units`` are built
+    on first use.
+    """
+
+    def __init__(
+        self,
+        pattern: LowerPattern,
+        clusters: ClusterSet,
+        table: np.ndarray,
+        unit_of_element: np.ndarray,
+        grain_triangle: int,
+        grain_rectangle: int,
+    ):
+        self.pattern = pattern
+        self.clusters = clusters
+        self.table = np.ascontiguousarray(table, dtype=np.int64).reshape(len(UNIT_COLUMNS), -1)
+        self.unit_of_element = unit_of_element
+        self.grain_triangle = grain_triangle
+        self.grain_rectangle = grain_rectangle
+        (self.kind, self.parent_kind, self.cluster_of_unit, self.col_lo, self.col_hi,
+         self.row_lo, self.row_hi, self.block) = self.table[:8]
+        self._check_columns()
+
+    def _check_columns(self) -> None:
+        n, n_units = self.pattern.n, self.num_units
+        owner = self.unit_of_element
+        if len(owner) != self.pattern.nnz:
+            raise ValueError("unit_of_element must have one entry per element")
+        if owner.size and (owner.min() < 0 or owner.max() >= n_units):
+            raise ValueError("unit_of_element names a unit outside the table")
+        if n_units == 0:
+            if len(self.clusters):
+                raise ValueError("clusters without units")
+            return
+        codes = self.table[:2]
+        if codes.min() < 0 or codes.max() >= len(KINDS):
+            raise ValueError("unknown unit kind")
+        inside = (
+            (0 <= self.col_lo) & (self.col_lo <= self.col_hi) & (self.col_hi < n)
+            & (0 <= self.row_lo) & (self.row_lo <= self.row_hi) & (self.row_hi < n)
+        )
+        if not inside.all():
+            raise ValueError("unit extent outside the pattern")
+        # Allocation order: (cluster, block, group, ri, ci) strictly
+        # increases from unit to unit and no cluster is skipped.
+        step = np.diff(self.table[[2, 7, 8, 9, 10]], axis=1)
+        lead = step[(step != 0).argmax(axis=0), np.arange(n_units - 1)]
+        cluster = self.cluster_of_unit
+        if not (
+            cluster[0] == 0 and cluster[-1] == len(self.clusters) - 1
+            and (lead > 0).all() and (step[0] <= 1).all()
+        ):
+            raise ValueError("units are not in cluster and allocation order")
+
+    @classmethod
+    def from_rows(
+        cls,
+        pattern: LowerPattern,
+        clusters: ClusterSet,
+        units: list[UnitBlock],
+        grain_triangle: int,
+        grain_rectangle: int,
+    ) -> "Partition":
+        """The partition whose units are the given row views, in order;
+        their element lists must cover every factor element once."""
+        table = np.array([u.as_row() for u in units], dtype=np.int64)
+        elements = np.concatenate([u.elements for u in units]) if units else np.zeros(0, np.int64)
+        covered = np.bincount(elements, minlength=pattern.nnz)
+        if len(covered) != pattern.nnz or (covered != 1).any():
+            raise ValueError("unit rows do not cover every element exactly once")
+        unit_of_element = np.empty(pattern.nnz, dtype=np.int64)
+        unit_of_element[elements] = np.repeat(
+            np.arange(len(units), dtype=np.int64), [u.nnz for u in units]
+        )
+        return cls(
+            pattern, clusters, table.reshape(-1, len(UNIT_COLUMNS)).T,
+            unit_of_element, grain_triangle, grain_rectangle,
+        )
 
     @property
     def num_units(self) -> int:
-        return len(self.units)
+        return self.table.shape[1]
 
     @cached_property
-    def cluster_of_unit(self) -> np.ndarray:
-        return np.asarray([u.cluster for u in self.units], dtype=np.int64)
+    def unit_ptr(self) -> np.ndarray:
+        """Cluster ``c`` owns units ``unit_ptr[c]:unit_ptr[c + 1]``."""
+        return np.searchsorted(
+            self.cluster_of_unit, np.arange(len(self.clusters) + 1, dtype=np.int64)
+        )
 
     @cached_property
     def unit_work(self) -> np.ndarray:
         """Element count per unit (upgraded to true work by the machine
         layer; kept here for quick size-based diagnostics)."""
-        return np.asarray([u.nnz for u in self.units], dtype=np.int64)
+        return np.bincount(self.unit_of_element, minlength=self.num_units)
 
     @cached_property
-    def _units_by_cluster(self) -> list[list[UnitBlock]]:
-        groups: list[list[UnitBlock]] = [[] for _ in range(len(self.clusters))]
-        for u in self.units:
-            groups[u.cluster].append(u)
-        return groups
+    def unit_area(self) -> np.ndarray:
+        """Geometric element count per unit (padding zeros included)."""
+        width = self.col_hi - self.col_lo + 1
+        height = self.row_hi - self.row_lo + 1
+        return np.where(self.kind == _TRIANGLE, width * (width + 1) // 2, width * height)
+
+    @cached_property
+    def element_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, ids)``: unit ``u`` owns elements ``ids[ptr[u]:ptr[u + 1]]``,
+        ascending."""
+        ids = np.argsort(self.unit_of_element, kind="stable")
+        return np.concatenate([[0], np.cumsum(self.unit_work)]), ids
+
+    def unit_elements(self, u: int) -> np.ndarray:
+        """Factor element ids owned by unit ``u``, ascending."""
+        ptr, ids = self.element_csr
+        return ids[ptr[u] : ptr[u + 1]]
+
+    @cached_property
+    def units(self) -> list[UnitBlock]:
+        return [
+            UnitBlock.from_row(u, row, self.unit_elements(u))
+            for u, row in enumerate(self.table.T.tolist())
+        ]
 
     def units_of_cluster(self, cluster_index: int) -> list[UnitBlock]:
-        return list(self._units_by_cluster[cluster_index])
+        lo, hi = self.unit_ptr[cluster_index : cluster_index + 2]
+        return self.units[lo:hi]
 
     def check_exact_cover(self) -> None:
-        """Raise if the units do not partition the elements exactly."""
-        counts = np.zeros(self.pattern.nnz, dtype=np.int64)
-        for u in self.units:
-            counts[u.elements] += 1
-        if not (counts == 1).all():
-            bad = int((counts != 1).sum())
-            raise AssertionError(f"{bad} elements not covered exactly once")
-        if not (self.unit_of_element >= 0).all():
-            raise AssertionError("unit_of_element has unassigned entries")
+        """Raise unless every element lies inside the extents of the unit
+        that owns it (ownership itself is a map, so no element can be
+        owned twice or not at all)."""
+        u = self.unit_of_element
+        r, c = self.pattern.rowidx, self.pattern.element_cols()
+        outside = (
+            (r < self.row_lo[u]) | (r > self.row_hi[u])
+            | (c < self.col_lo[u]) | (c > self.col_hi[u])
+        )
+        if outside.any():
+            raise AssertionError(f"{int(outside.sum())} elements outside their unit's extent")
 
 
 def _elements_in_region(
@@ -147,121 +259,64 @@ def _elements_in_region(
     row_lo: int,
     row_hi: int,
     triangular: bool,
-    ecol: np.ndarray | None = None,
+    ecol: np.ndarray,
 ) -> np.ndarray:
     """Element ids of pattern entries inside an inclusive region.
 
     Element ids of a column range are contiguous in CSC order, so the
     region is one slice plus one boolean row filter; ``ecol`` (column of
-    every element id) is precomputed once per partition call for the
-    triangular lower bound ``row >= column``.
+    every element id) gives the triangular lower bound ``row >= column``.
     """
     lo = int(pattern.indptr[col_lo])
     hi = int(pattern.indptr[col_hi + 1])
     rows = pattern.rowidx[lo:hi]
     floor = np.int64(row_lo)
     if triangular:
-        cols = (
-            ecol[lo:hi]
-            if ecol is not None
-            else np.repeat(
-                np.arange(col_lo, col_hi + 1, dtype=np.int64),
-                np.diff(pattern.indptr[col_lo : col_hi + 2]),
-            )
-        )
-        floor = np.maximum(floor, cols)
+        floor = np.maximum(floor, ecol[lo:hi])
     return lo + np.flatnonzero((rows >= floor) & (rows <= row_hi))
 
 
-def _partition_triangle(
-    pattern: LowerPattern,
-    tri: DenseBlock,
-    grain: int,
-    max_parts: int | None,
-    next_uid: int,
-    ecol: np.ndarray | None = None,
-) -> tuple[list[UnitBlock], int]:
-    """Split a cluster's diagonal triangle into unit triangles and unit
-    rectangles, emitted in the paper's allocation order: diagonal unit
-    triangles top to bottom, then unit rectangles row-major."""
-    b = triangle_split_count(tri.area, grain, max_parts)
-    b = min(b, tri.width)
-    chunks = chunk_bounds(tri.col_lo, tri.col_hi, b)
-    units: list[UnitBlock] = []
-    # Diagonal unit triangles, top to bottom: order group 0.
-    for ci, (lo, hi) in enumerate(chunks):
-        units.append(
-            UnitBlock(
-                uid=next_uid,
-                kind=BlockKind.TRIANGLE,
-                cluster=tri.cluster,
-                col_lo=lo,
-                col_hi=hi,
-                row_lo=lo,
-                row_hi=hi,
-                elements=_elements_in_region(pattern, lo, hi, lo, hi, True, ecol),
-                parent_kind=BlockKind.TRIANGLE,
-                order_key=(tri.cluster, 0, 0, ci, 0),
-            )
-        )
-        next_uid += 1
-    # Off-diagonal unit rectangles, top to bottom then left to right
-    # (row-major over the chunk grid): order group 1.
-    for ri in range(1, b):
-        r_lo, r_hi = chunks[ri]
-        for ci in range(ri):
-            c_lo, c_hi = chunks[ci]
-            units.append(
-                UnitBlock(
-                    uid=next_uid,
-                    kind=BlockKind.RECTANGLE,
-                    cluster=tri.cluster,
-                    col_lo=c_lo,
-                    col_hi=c_hi,
-                    row_lo=r_lo,
-                    row_hi=r_hi,
-                    elements=_elements_in_region(pattern, c_lo, c_hi, r_lo, r_hi, False, ecol),
-                    parent_kind=BlockKind.TRIANGLE,
-                    order_key=(tri.cluster, 0, 1, ri, ci),
-                )
-            )
-            next_uid += 1
-    return units, next_uid
+def _triangle_rows(
+    cluster: int, s: int, e: int, grain: int, max_parts: int | None
+) -> list[tuple[int, ...]]:
+    """Unit rows of the diagonal triangle of strip [s, e], in the paper's
+    allocation order: diagonal unit triangles top to bottom (order group
+    0), then unit rectangles row-major over the chunk grid (group 1)."""
+    width = e - s + 1
+    b = min(triangle_split_count(width * (width + 1) // 2, grain, max_parts), width)
+    chunks = chunk_bounds(s, e, b)
+    rows = [
+        (_TRIANGLE, _TRIANGLE, cluster, lo, hi, lo, hi, 0, 0, ci, 0)
+        for ci, (lo, hi) in enumerate(chunks)
+    ]
+    rows += [
+        (_RECTANGLE, _TRIANGLE, cluster, *chunks[ci], *chunks[ri], 0, 1, ri, ci)
+        for ri in range(1, b)
+        for ci in range(ri)
+    ]
+    return rows
 
 
-def _partition_rectangle(
-    pattern: LowerPattern,
-    rect: DenseBlock,
-    rect_index: int,
-    grain: int,
-    max_parts: int | None,
-    next_uid: int,
-    ecol: np.ndarray | None = None,
-) -> tuple[list[UnitBlock], int]:
-    """Split an off-diagonal dense rectangle into a grid of unit
-    rectangles, emitted row-major (top to bottom, left to right)."""
-    nr, nc = rectangle_grid(rect.height, rect.width, rect.area, grain, max_parts)
-    row_chunks = chunk_bounds(rect.row_lo, rect.row_hi, nr)
-    col_chunks = chunk_bounds(rect.col_lo, rect.col_hi, nc)
-    units: list[UnitBlock] = []
-    for ri, (r_lo, r_hi) in enumerate(row_chunks):
-        for ci, (c_lo, c_hi) in enumerate(col_chunks):
-            units.append(
-                UnitBlock(
-                    uid=next_uid,
-                    kind=BlockKind.RECTANGLE,
-                    cluster=rect.cluster,
-                    col_lo=c_lo,
-                    col_hi=c_hi,
-                    row_lo=r_lo,
-                    row_hi=r_hi,
-                    elements=_elements_in_region(pattern, c_lo, c_hi, r_lo, r_hi, False, ecol),
-                    parent_kind=BlockKind.RECTANGLE,
-                    order_key=(rect.cluster, 1 + rect_index, 0, ri, ci),
-                )
-            )
-            next_uid += 1
-    return units, next_uid
+def _rectangle_rows(
+    cluster: int, rect_index: int, s: int, e: int, r_lo: int, r_hi: int,
+    grain: int, max_parts: int | None,
+) -> list[tuple[int, ...]]:
+    """Unit rows of the ``rect_index``-th dense rectangle (rows
+    [r_lo, r_hi]) of strip [s, e]: a grid of unit rectangles, row-major
+    (top to bottom, left to right)."""
+    height, width = r_hi - r_lo + 1, e - s + 1
+    nr, nc = rectangle_grid(height, width, height * width, grain, max_parts)
+    col_chunks = chunk_bounds(s, e, nc)
+    return [
+        (_RECTANGLE, _RECTANGLE, cluster, c_lo, c_hi, u_lo, u_hi, 1 + rect_index, 0, ri, ci)
+        for ri, (u_lo, u_hi) in enumerate(chunk_bounds(r_lo, r_hi, nr))
+        for ci, (c_lo, c_hi) in enumerate(col_chunks)
+    ]
+
+
+def _row_elements(pattern: LowerPattern, row: tuple[int, ...], ecol: np.ndarray) -> np.ndarray:
+    """Element ids inside the extents of one unit row."""
+    return _elements_in_region(pattern, *row[3:7], row[0] == _TRIANGLE, ecol)
 
 
 def partition_clusters(
@@ -280,65 +335,63 @@ def partition_clusters(
     """
     if grain_rectangle is None:
         grain_rectangle = grain_triangle
-    units: list[UnitBlock] = []
-    next_uid = 0
     ecol = pattern.element_cols()
-    for cluster in clusters:
-        if cluster.is_column:
-            col_block = cluster.column
-            j = col_block.col_lo
-            lo, hi = pattern.indptr[j], pattern.indptr[j + 1]
-            units.append(
-                UnitBlock(
-                    uid=next_uid,
-                    kind=BlockKind.COLUMN,
-                    cluster=cluster.index,
-                    col_lo=j,
-                    col_hi=j,
-                    row_lo=j,
-                    row_hi=int(pattern.rowidx[hi - 1]),
-                    elements=np.arange(lo, hi, dtype=np.int64),
-                    parent_kind=BlockKind.COLUMN,
-                    order_key=(cluster.index, 0, 0, 0, 0),
-                )
-            )
-            next_uid += 1
-            continue
-        tri_units, next_uid = _partition_triangle(
-            pattern, cluster.triangle, grain_triangle, max_parts, next_uid, ecol
-        )
-        units.extend(tri_units)
-        for ri, rect in enumerate(cluster.rectangles):
-            rect_units, next_uid = _partition_rectangle(
-                pattern, rect, ri, grain_rectangle, max_parts, next_uid, ecol
-            )
-            units.extend(rect_units)
+    n_clusters = len(clusters)
+    strips = np.flatnonzero(~clusters.is_column)
+    rect_rows = clusters.rect_rows.tolist()
+    rows: list[tuple[int, ...]] = []
+    units_per_cluster = np.ones(n_clusters, dtype=np.int64)
+    for c, s, e, a, b in zip(
+        strips.tolist(),
+        clusters.col_lo[strips].tolist(),
+        clusters.col_hi[strips].tolist(),
+        clusters.rect_indptr[strips].tolist(),
+        clusters.rect_indptr[strips + 1].tolist(),
+    ):
+        before = len(rows)
+        rows += _triangle_rows(c, s, e, grain_triangle, max_parts)
+        for k, (r_lo, r_hi) in enumerate(rect_rows[a:b]):
+            rows += _rectangle_rows(c, k, s, e, r_lo, r_hi, grain_rectangle, max_parts)
+        units_per_cluster[c] = len(rows) - before
+    unit_ptr = np.concatenate([[0], np.cumsum(units_per_cluster)])
+    n_units = int(unit_ptr[-1])
 
-    unit_of_element = np.full(pattern.nnz, -1, dtype=np.int64)
-    for u in units:
-        unit_of_element[u.elements] = u.uid
+    # Single-column clusters, all at once: one COLUMN unit each (kind
+    # codes and order fields 0), owning its whole column.
+    table = np.zeros((len(UNIT_COLUMNS), n_units), dtype=np.int64)
+    single = np.flatnonzero(clusters.is_column)
+    at = unit_ptr[single]
+    table[2, at] = single  # cluster
+    table[3:6, at] = clusters.col_lo[single]  # col_lo = col_hi = row_lo
+    table[6, at] = clusters.column_row_hi[single]  # row_hi
+    cluster_of_element = clusters.cluster_of_column[ecol]
+    unit_of_element = np.where(
+        clusters.is_column[cluster_of_element], unit_ptr[cluster_of_element], -1
+    )
+    # Strip units: the emitted rows, each claiming the elements inside
+    # its extents (an element left at -1 fails the Partition's checks).
+    in_strip = np.ones(n_units, dtype=bool)
+    in_strip[at] = False
+    table[:, in_strip] = np.array(rows, dtype=np.int64).reshape(-1, len(UNIT_COLUMNS)).T
+    for uid, row in zip(np.flatnonzero(in_strip).tolist(), rows):
+        unit_of_element[_row_elements(pattern, row, ecol)] = uid
+
+    partition = Partition(
+        pattern, clusters, table, unit_of_element, grain_triangle, grain_rectangle
+    )
     if obs.is_enabled():
-        obs.counter("partition.clusters", len(clusters))
-        obs.counter("partition.units", len(units))
-        for kind in BlockKind:
-            obs.counter(
-                f"partition.units.{kind.value}",
-                sum(1 for u in units if u.kind is kind),
-            )
+        obs.counter("partition.clusters", n_clusters)
+        obs.counter("partition.units", n_units)
+        for kind, count in zip(KINDS, np.bincount(partition.kind, minlength=len(KINDS)).tolist()):
+            obs.counter(f"partition.units.{kind.value}", count)
         # Columns own exactly their nonzeros; only triangle/rectangle
         # units treat their geometric region as dense (paper §3.1).
+        dense = partition.kind != _COLUMN
         obs.counter(
             "partition.padded_zeros",
-            sum(u.area - u.nnz for u in units if u.kind is not BlockKind.COLUMN),
+            int((partition.unit_area - partition.unit_work)[dense].sum()),
         )
-    return Partition(
-        pattern=pattern,
-        clusters=clusters,
-        units=units,
-        unit_of_element=unit_of_element,
-        grain_triangle=grain_triangle,
-        grain_rectangle=grain_rectangle,
-    )
+    return partition
 
 
 def partition_factor(

@@ -26,11 +26,11 @@ import numpy as np
 
 from ..obs import trace as obs
 from .assignment import Assignment
-from .blocks import BlockKind
+from .blocks import KIND_CODE, BlockKind
 from .dependencies import DependencyInfo
 from .partitioner import Partition
 
-__all__ = ["SchedulerOptions", "schedule_blocks", "schedule_blocks_reference"]
+__all__ = ["SchedulerOptions", "schedule_blocks"]
 
 _POLICIES = ("first", "least_loaded", "round_robin")
 
@@ -68,244 +68,127 @@ def schedule_blocks(
     ``unit_work`` (work units per unit block) drives the increasing-work
     ordering of P_t; it defaults to the units' element counts.
 
-    Fast path of :func:`schedule_blocks_reference` (assignment-identical,
-    asserted by the tests): units come pre-grouped per cluster from the
-    partition instead of a per-cluster scan over all units, and the
-    per-triangle P_a / P_t processor sets are flat arrays — P_a a
-    membership bitmap over the processor ids, P_t the sorted unique
-    triangle processors via ``np.unique`` — instead of Python sets.
+    The pass runs over the partition's unit table as flat lists.  Units
+    are stored in allocation order, so a cluster is a ``unit_ptr`` slice,
+    its triangle the leading run of ``block == 0`` and each dense
+    rectangle below a run of one ``block`` index — nothing is sorted.
     """
     if nprocs < 1:
         raise ValueError("nprocs must be positive")
-    options = options or SchedulerOptions()
-    units = partition.units
-    n_units = len(units)
+    policy = (options or SchedulerOptions()).dependent_column_policy
+    n_units = partition.num_units
     if unit_work is None:
         unit_work = partition.unit_work
     unit_work = np.asarray(unit_work, dtype=np.float64)
     if len(unit_work) != n_units:
         raise ValueError("unit_work must have one entry per unit")
 
-    proc_of_unit = np.full(n_units, -1, dtype=np.int64)
-    proc_work = np.zeros(nprocs, dtype=np.float64)
-    marker = 0  # the "currently available" processor in P_g
-
-    unit_work_l = unit_work.tolist()
-    proc_of_unit_l = proc_of_unit.tolist()
-    proc_work_l = proc_work.tolist()
-
-    independent = deps.independent_units
-    preds = deps.predecessors
-    policy = options.dependent_column_policy
-
     # --- step 1: independent columns, wrap-around ---------------------
-    wrap_counter = 0
-    is_independent_column = [False] * n_units
-    for u in units:  # units are in left-to-right cluster order
-        if u.kind is BlockKind.COLUMN and independent[u.uid]:
-            p = wrap_counter % nprocs
-            proc_of_unit_l[u.uid] = p
-            proc_work_l[p] += unit_work_l[u.uid]
-            wrap_counter += 1
-            is_independent_column[u.uid] = True
-    obs.counter("scheduler.independent_columns", wrap_counter)
-
-    # --- steps 2-4: scan remaining clusters left to right -------------
-    in_pa = np.zeros(nprocs, dtype=bool)
-    for cluster in partition.clusters:
-        cunits = sorted(
-            partition._units_by_cluster[cluster.index], key=lambda u: u.order_key
-        )
-        if cluster.is_column:
-            u = cunits[0]
-            if is_independent_column[u.uid]:
-                continue
-            pred_procs = [proc_of_unit_l[p] for p in preds[u.uid].tolist()]
-            pred_procs = [p for p in pred_procs if p >= 0]
-            if not pred_procs:
-                chosen = marker
-                marker = (marker + 1) % nprocs
-                obs.counter("scheduler.dependent_column.round_robin")
-            elif policy == "first":
-                chosen = pred_procs[0]
-                obs.counter("scheduler.dependent_column.predecessor")
-            elif policy == "least_loaded":
-                chosen = min(set(pred_procs), key=lambda p: (proc_work_l[p], p))
-                obs.counter("scheduler.dependent_column.predecessor")
-            else:  # round_robin
-                chosen = marker
-                marker = (marker + 1) % nprocs
-                obs.counter("scheduler.dependent_column.round_robin")
-            proc_of_unit_l[u.uid] = chosen
-            proc_work_l[chosen] += unit_work_l[u.uid]
-            continue
-
-        # Multi-column cluster: triangle units first, in order.
-        tri_units = [u for u in cunits if u.parent_kind is BlockKind.TRIANGLE]
-        rect_units = [u for u in cunits if u.parent_kind is BlockKind.RECTANGLE]
-        in_pa[:] = False  # P_a: processors already used in this triangle
-        for u in tri_units:
-            chosen = -1
-            for p_unit in preds[u.uid].tolist():
-                proc = proc_of_unit_l[p_unit]
-                if proc >= 0 and not in_pa[proc]:
-                    chosen = proc
-                    break
-            if chosen < 0:
-                chosen = marker
-                marker = (marker + 1) % nprocs
-                obs.counter("scheduler.triangle.round_robin_fallback")
-            else:
-                obs.counter("scheduler.triangle.pa_hit")
-            in_pa[chosen] = True
-            proc_of_unit_l[u.uid] = chosen
-            proc_work_l[chosen] += unit_work_l[u.uid]
-
-        # Rectangles below: restricted to P_t, in increasing-work order,
-        # re-sorted before each dense rectangle.
-        p_t = np.unique(
-            np.asarray([proc_of_unit_l[u.uid] for u in tri_units], dtype=np.int64)
-        ).tolist()
-        by_rect: dict[int, list] = {}
-        for u in rect_units:
-            by_rect.setdefault(u.order_key[1], []).append(u)
-        for rect_index in sorted(by_rect):
-            ordered_procs = sorted(p_t, key=lambda p: (proc_work_l[p], p))
-            npt = len(ordered_procs)
-            for slot, u in enumerate(sorted(by_rect[rect_index], key=lambda x: x.order_key)):
-                chosen = ordered_procs[slot % npt]
-                proc_of_unit_l[u.uid] = chosen
-                proc_work_l[chosen] += unit_work_l[u.uid]
-        obs.counter("scheduler.rectangle.pt_assigned", len(rect_units))
-
-    proc_of_unit = np.asarray(proc_of_unit_l, dtype=np.int64)
-    proc_work = np.asarray(proc_work_l, dtype=np.float64)
-    if (proc_of_unit < 0).any():  # pragma: no cover - internal invariant
-        raise AssertionError("scheduler left a unit unassigned")
-
-    if obs.is_enabled():
-        obs.counter("scheduler.units_assigned", n_units)
-        obs.gauge("scheduler.proc_work", proc_work.tolist())
-
-    owner = proc_of_unit[partition.unit_of_element]
-    return Assignment(
-        scheme="block",
-        nprocs=nprocs,
-        pattern=partition.pattern,
-        owner_of_element=owner,
-        proc_of_unit=proc_of_unit,
-        partition=partition,
-    )
-
-
-def schedule_blocks_reference(
-    partition: Partition,
-    deps: DependencyInfo,
-    nprocs: int,
-    unit_work: np.ndarray | None = None,
-    options: SchedulerOptions | None = None,
-) -> Assignment:
-    """Reference allocator, kept bit-identical to the pre-vectorization
-    implementation (see :func:`schedule_blocks`)."""
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
-    options = options or SchedulerOptions()
-    units = partition.units
-    n_units = len(units)
-    if unit_work is None:
-        unit_work = partition.unit_work
-    unit_work = np.asarray(unit_work, dtype=np.float64)
-    if len(unit_work) != n_units:
-        raise ValueError("unit_work must have one entry per unit")
-
+    is_column = partition.kind == KIND_CODE[BlockKind.COLUMN]
+    wrapped = np.flatnonzero(is_column & deps.independent_units)
     proc_of_unit = np.full(n_units, -1, dtype=np.int64)
-    proc_work = np.zeros(nprocs, dtype=np.float64)
+    proc_of_unit[wrapped] = np.arange(len(wrapped), dtype=np.int64) % nprocs
+    # bincount accumulates in unit order, as a scan over the units would.
+    work = np.bincount(
+        proc_of_unit[wrapped], weights=unit_work[wrapped], minlength=nprocs
+    ).tolist()
+    proc = proc_of_unit.tolist()
+    weight = unit_work.tolist()
+    pred_ptr, pred_src, first_pred = deps.predecessor_csr
+    ptr = pred_ptr.tolist()
     marker = 0  # the "currently available" processor in P_g
+    column_marker = triangle_marker = triangle_units = rectangle_units = 0
 
-    def assign(uid: int, proc: int) -> None:
-        proc_of_unit[uid] = proc
-        proc_work[proc] += unit_work[uid]
+    # --- step 2: dependent columns ------------------------------------
+    strips = np.flatnonzero(~partition.clusters.is_column)
+    strip_lo = partition.unit_ptr[strips]
+    dependent = np.flatnonzero(is_column & ~deps.independent_units)
+    left_of_strip = np.searchsorted(dependent, strip_lo).tolist()
+    first_of = first_pred[dependent].tolist()
+    dependent = dependent.tolist()
 
-    def take_marker() -> int:
-        nonlocal marker
-        p = marker
-        marker = (marker + 1) % nprocs
-        return p
+    take_first = policy == "first"
 
-    independent = deps.independent_units
-    preds = deps.predecessors
-
-    # --- step 1: independent columns, wrap-around ---------------------
-    wrap_counter = 0
-    independent_column_uids = set()
-    for u in units:  # units are in left-to-right cluster order
-        if u.kind is BlockKind.COLUMN and independent[u.uid]:
-            assign(u.uid, wrap_counter % nprocs)
-            wrap_counter += 1
-            independent_column_uids.add(u.uid)
-    obs.counter("scheduler.independent_columns", wrap_counter)
-
-    # --- steps 2-4: scan remaining clusters left to right -------------
-    for cluster in partition.clusters:
-        cunits = sorted(partition.units_of_cluster(cluster.index), key=lambda u: u.order_key)
-        if cluster.is_column:
-            u = cunits[0]
-            if u.uid in independent_column_uids:
-                continue
-            pred_procs = [int(proc_of_unit[p]) for p in preds[u.uid]]
-            pred_procs = [p for p in pred_procs if p >= 0]
-            if not pred_procs:
-                assign(u.uid, take_marker())
-                obs.counter("scheduler.dependent_column.round_robin")
-            elif options.dependent_column_policy == "first":
-                assign(u.uid, pred_procs[0])
-                obs.counter("scheduler.dependent_column.predecessor")
-            elif options.dependent_column_policy == "least_loaded":
-                best = min(set(pred_procs), key=lambda p: (proc_work[p], p))
-                assign(u.uid, best)
-                obs.counter("scheduler.dependent_column.predecessor")
-            else:  # round_robin
-                assign(u.uid, take_marker())
-                obs.counter("scheduler.dependent_column.round_robin")
-            continue
-
-        # Multi-column cluster: triangle units first, in order.
-        tri_units = [u for u in cunits if u.parent_kind is BlockKind.TRIANGLE]
-        rect_units = [u for u in cunits if u.parent_kind is BlockKind.RECTANGLE]
-        p_a: set[int] = set()  # processors already used in this triangle
-        for u in tri_units:
-            chosen = -1
-            for p_unit in preds[u.uid]:
-                proc = int(proc_of_unit[p_unit])
-                if proc >= 0 and proc not in p_a:
-                    chosen = proc
-                    break
+    def place_columns(lo: int, hi: int) -> None:
+        """Each of ``dependent[lo:hi]`` goes to a processor that worked
+        on one of its predecessors, picked by ``policy``."""
+        nonlocal marker, column_marker
+        for u, first in zip(dependent[lo:hi], first_of[lo:hi]):
+            # Columns to the left are all placed, so the first placed
+            # predecessor is normally simply the first one.
+            chosen = proc[first] if take_first else -1
             if chosen < 0:
-                chosen = take_marker()
-                obs.counter("scheduler.triangle.round_robin_fallback")
+                on = [proc[p] for p in pred_src[ptr[u] : ptr[u + 1]].tolist() if proc[p] >= 0]
+                if not on or policy == "round_robin":
+                    chosen = marker
+                    marker = (marker + 1) % nprocs
+                    column_marker += 1
+                elif policy == "first":
+                    chosen = on[0]
+                else:  # least_loaded
+                    chosen = min(set(on), key=lambda p: (work[p], p))
+            proc[u] = chosen
+            work[chosen] += weight[u]
+
+    # --- steps 2-4: scan the multi-column clusters left to right ------
+    block = partition.block.tolist()
+    placed = 0  # dependent columns placed so far
+    for lo, hi, left_of in zip(
+        strip_lo.tolist(), partition.unit_ptr[strips + 1].tolist(), left_of_strip
+    ):
+        place_columns(placed, left_of)
+        placed = left_of
+        # Step 3, the triangle's units: the first predecessor processor
+        # not yet in P_a, else the available processor.
+        p_a: set[int] = set()
+        u = lo
+        while u < hi and block[u] == 0:
+            for p in pred_src[ptr[u] : ptr[u + 1]].tolist():
+                chosen = proc[p]
+                if chosen >= 0 and chosen not in p_a:
+                    break
             else:
-                obs.counter("scheduler.triangle.pa_hit")
+                chosen = marker
+                marker = (marker + 1) % nprocs
+                triangle_marker += 1
             p_a.add(chosen)
-            assign(u.uid, chosen)
+            proc[u] = chosen
+            work[chosen] += weight[u]
+            u += 1
+        triangle_units += u - lo
+        rectangle_units += hi - u
+        # Step 4, the rectangles below: restricted to P_t (= P_a once
+        # the triangle is done), in increasing-work order (ties to the
+        # lower processor), re-sorted before each dense rectangle.
+        p_t = sorted(p_a)
+        while u < hi:
+            ordered = sorted(p_t, key=work.__getitem__)
+            rect, slot = block[u], 0
+            while u < hi and block[u] == rect:
+                chosen = ordered[slot % len(ordered)]
+                proc[u] = chosen
+                work[chosen] += weight[u]
+                slot += 1
+                u += 1
+    place_columns(placed, len(dependent))
 
-        # Rectangles below: restricted to P_t, in increasing-work order,
-        # re-sorted before each dense rectangle.
-        p_t = sorted({int(proc_of_unit[u.uid]) for u in tri_units})
-        by_rect: dict[int, list] = {}
-        for u in rect_units:
-            by_rect.setdefault(u.order_key[1], []).append(u)
-        for rect_index in sorted(by_rect):
-            ordered_procs = sorted(p_t, key=lambda p: (proc_work[p], p))
-            for slot, u in enumerate(sorted(by_rect[rect_index], key=lambda x: x.order_key)):
-                assign(u.uid, ordered_procs[slot % len(ordered_procs)])
-        obs.counter("scheduler.rectangle.pt_assigned", len(rect_units))
-
+    proc_of_unit = np.asarray(proc, dtype=np.int64)
     if (proc_of_unit < 0).any():  # pragma: no cover - internal invariant
         raise AssertionError("scheduler left a unit unassigned")
 
     if obs.is_enabled():
+        obs.counter("scheduler.independent_columns", len(wrapped))
+        for name, count in (
+            ("dependent_column.predecessor", len(dependent) - column_marker),
+            ("dependent_column.round_robin", column_marker),
+            ("triangle.pa_hit", triangle_units - triangle_marker),
+            ("triangle.round_robin_fallback", triangle_marker),
+            ("rectangle.pt_assigned", rectangle_units),
+        ):
+            if count:
+                obs.counter(f"scheduler.{name}", count)
         obs.counter("scheduler.units_assigned", n_units)
-        obs.gauge("scheduler.proc_work", proc_work.tolist())
+        obs.gauge("scheduler.proc_work", work)
 
     owner = proc_of_unit[partition.unit_of_element]
     return Assignment(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import Assignment
-from .blocks import BlockKind
 from .dependencies import DependencyInfo
 from .partitioner import Partition
 
@@ -25,48 +24,37 @@ class ValidationError(AssertionError):
 def validate_partition(partition: Partition) -> None:
     """Check a partition's structural invariants.
 
-    * every factor element belongs to exactly one unit;
-    * every unit's elements lie inside its extents (and below the
-      diagonal for triangles);
+    * every factor element lies inside the extents of the one unit
+      that owns it;
     * units stay within their cluster's column range;
     * with zero tolerance 0, cluster triangles are fully dense.
     """
     pattern = partition.pattern
-    counts = np.zeros(pattern.nnz, dtype=np.int64)
-    for u in partition.units:
-        counts[u.elements] += 1
-    if (counts != 1).any():
-        bad = int((counts != 1).sum())
-        raise ValidationError(f"{bad} elements not covered exactly once")
-
-    cols = pattern.element_cols()
+    try:
+        partition.check_exact_cover()
+    except AssertionError as exc:
+        raise ValidationError(str(exc)) from exc
     cmap = partition.clusters.cluster_of_column
-    for u in partition.units:
-        if cmap[u.col_lo] != u.cluster or cmap[u.col_hi] != u.cluster:
-            raise ValidationError(
-                f"unit {u.uid} columns [{u.col_lo},{u.col_hi}] leave "
-                f"cluster {u.cluster}"
-            )
-        for e in u.elements.tolist():
-            r, c = int(pattern.rowidx[e]), int(cols[e])
-            if not (u.row_lo <= r <= u.row_hi and u.col_lo <= c <= u.col_hi):
-                raise ValidationError(
-                    f"element ({r},{c}) outside unit {u.uid} extent"
-                )
-            if u.kind is BlockKind.TRIANGLE and r < c:
-                raise ValidationError(
-                    f"triangle unit {u.uid} owns super-diagonal ({r},{c})"
-                )
+    cluster = partition.cluster_of_unit
+    strays = np.flatnonzero(
+        (cmap[partition.col_lo] != cluster) | (cmap[partition.col_hi] != cluster)
+    )
+    if len(strays):
+        u = int(strays[0])
+        raise ValidationError(
+            f"unit {u} columns [{partition.col_lo[u]},{partition.col_hi[u]}] leave "
+            f"cluster {cluster[u]}"
+        )
 
-    if partition.clusters.zero_tolerance == 0.0:
-        for cluster in partition.clusters:
-            if cluster.is_column:
-                continue
-            for c in range(cluster.col_lo, cluster.col_hi + 1):
-                for r in range(c, cluster.col_hi + 1):
+    clusters = partition.clusters
+    if clusters.zero_tolerance == 0.0:
+        for i in np.flatnonzero(~clusters.is_column).tolist():
+            lo, hi = int(clusters.col_lo[i]), int(clusters.col_hi[i])
+            for c in range(lo, hi + 1):
+                for r in range(c, hi + 1):
                     if not pattern.has(r, c):
                         raise ValidationError(
-                            f"cluster {cluster.index} triangle has a hole "
+                            f"cluster {i} triangle has a hole "
                             f"at ({r},{c}) despite zero tolerance 0"
                         )
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.assignment import Assignment
+from ..core.blocks import KINDS
 from ..core.dependencies import DependencyInfo
 from ..core.partitioner import Partition
 from ..obs import simtime
@@ -51,6 +52,9 @@ __all__ = [
     "unit_graph",
     "topological_order",
 ]
+
+#: Kind name of each unit-table kind code.
+_KIND_NAMES = np.array([kind.value for kind in KINDS])
 
 
 @dataclass(frozen=True)
@@ -342,7 +346,7 @@ def simulate_assignment(
         if deps is not None:
             _require_same_edges(edges, deps)
         stage = partition.cluster_of_unit
-        kinds = tuple(u.kind.value for u in partition.units)
+        kinds = tuple(_KIND_NAMES[partition.kind].tolist())
     elif assignment.proc_of_unit is not None:
         n_units = assignment.pattern.n
         uoe = np.asarray(updates.element_cols, dtype=np.int64)

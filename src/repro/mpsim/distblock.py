@@ -96,7 +96,7 @@ def _block_rank(
     available = np.zeros(pattern.nnz, dtype=bool)
     finalized = np.zeros(pattern.nnz, dtype=bool)
 
-    unit_remaining = {int(u): len(partition.units[int(u)].elements) for u in my_units}
+    unit_remaining = {int(u): int(partition.unit_work[u]) for u in my_units}
     # Consumers of my units: processors owning a successor unit.
     consumers: dict[int, set[int]] = {
         int(u): {
@@ -153,7 +153,7 @@ def _block_rank(
             u = int(uoe[e])
             unit_remaining[u] -= 1
             if unit_remaining[u] == 0:
-                elems = partition.units[u].elements
+                elems = partition.unit_elements(u)
                 for dest in sorted(consumers[u]):
                     comm.send((u, elems, vals[elems]), dest, _TAG_UNIT)
             on_available(e)

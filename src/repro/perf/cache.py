@@ -38,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.blocks import BlockKind, DenseBlock, UnitBlock
-from ..core.clusters import Cluster, ClusterSet
+from ..core.clusters import ClusterSet
 from ..core.dependencies import DependencyInfo
 from ..core.partitioner import PARTITION_IMPL_VERSION, Partition
 from ..core.pipeline import (
@@ -74,7 +73,8 @@ __all__ = [
 #: Bump whenever the on-disk payload layout or the semantics of any
 #: cached stage change; old entries then miss on both key and payload.
 #: v2: index arrays stored at their narrow (int32-capable) dtypes.
-CACHE_VERSION = 2
+#: v3: partition entries hold the unit table and the cluster columns.
+CACHE_VERSION = 3
 
 
 def parse_bytes(text: str) -> int:
@@ -279,19 +279,20 @@ def partition_key(
     return h.hexdigest()
 
 
-_KIND_CODES = {BlockKind.COLUMN: 0, BlockKind.TRIANGLE: 1, BlockKind.RECTANGLE: 2}
-_KIND_OF_CODE = {code: kind for kind, code in _KIND_CODES.items()}
+#: The stored :class:`ClusterSet` columns, in constructor order.
+_CLUSTER_COLUMNS = (
+    "col_lo", "col_hi", "triangle_padding", "rectangle_padding", "rect_indptr", "rect_rows",
+)
 
 
 class PartitionCache:
     """Disk cache for the nprocs-invariant partition/dependency stage.
 
     Maps (structure, ordering, grain, min_width) to the
-    :class:`~repro.core.pipeline.PartitionedMatrix` payload: unit
-    blocks, cluster geometry, dependency edges and per-unit work.  Unit
-    element lists are *not* stored — they are regrouped from
-    ``unit_of_element`` on load (element ids are ascending within every
-    unit, so the regrouping is exact).  Only the default
+    :class:`~repro.core.pipeline.PartitionedMatrix` payload: the unit
+    table and cluster columns exactly as :class:`Partition` and
+    :class:`ClusterSet` hold them, dependency edges and per-unit work.
+    Only the default
     ``zero_tolerance == 0`` / ``grain_rectangle is None`` configuration
     is cacheable; anything else bypasses this cache.
     """
@@ -344,91 +345,33 @@ class PartitionCache:
         min_width: int,
         data: dict,
     ) -> PartitionedMatrix:
+        """The payload as a partition stage.  The :class:`ClusterSet` and
+        :class:`Partition` constructors validate their columns; what
+        only this layer knows (edges, unit work) is checked here."""
         pattern = prepared.pattern
-        unit_of_element = data["unit_of_element"].astype(np.int64)
-        if len(unit_of_element) != pattern.nnz:
-            raise ValueError("cache payload covers a different element count")
-        u_kind = data["u_kind"].astype(np.int64)
-        u_cluster = data["u_cluster"].astype(np.int64)
-        u_extents = data["u_extents"].astype(np.int64)
-        u_parent = data["u_parent"].astype(np.int64)
-        u_order = data["u_order"].astype(np.int64)
-        n_units = len(u_kind)
-        if unit_of_element.size and (
-            unit_of_element.min() < 0 or unit_of_element.max() >= n_units
-        ):
-            raise ValueError("cache payload has out-of-range unit ids")
-
-        # Element lists regrouped from the ownership array: a stable
-        # argsort keeps ids ascending inside every unit, exactly as the
-        # partitioner emitted them.
-        order = np.argsort(unit_of_element, kind="stable")
-        bounds = np.searchsorted(
-            unit_of_element[order], np.arange(n_units + 1, dtype=np.int64)
+        cluster_set = ClusterSet(
+            pattern,
+            *(data[name] for name in _CLUSTER_COLUMNS),
+            min_width,
+            0.0,
         )
-        units = [
-            UnitBlock(
-                uid=u,
-                kind=_KIND_OF_CODE[int(u_kind[u])],
-                cluster=int(u_cluster[u]),
-                col_lo=int(u_extents[u, 0]),
-                col_hi=int(u_extents[u, 1]),
-                row_lo=int(u_extents[u, 2]),
-                row_hi=int(u_extents[u, 3]),
-                elements=order[bounds[u] : bounds[u + 1]],
-                parent_kind=_KIND_OF_CODE[int(u_parent[u])],
-                order_key=tuple(int(x) for x in u_order[u]),
-            )
-            for u in range(n_units)
-        ]
-
-        c_col_lo = data["c_col_lo"].astype(np.int64)
-        c_col_hi = data["c_col_hi"].astype(np.int64)
-        c_is_col = data["c_is_col"].astype(bool)
-        c_tri_pad = data["c_tri_pad"].astype(np.int64)
-        c_rect_pad = data["c_rect_pad"].astype(np.int64)
-        c_col_row_hi = data["c_col_row_hi"].astype(np.int64)
-        rect_indptr = data["rect_indptr"].astype(np.int64)
-        rect_rows = data["rect_rows"].astype(np.int64).reshape(-1, 2)
-        clusters = []
-        for i in range(len(c_col_lo)):
-            lo, hi = int(c_col_lo[i]), int(c_col_hi[i])
-            if c_is_col[i]:
-                clusters.append(
-                    Cluster(
-                        i, lo, hi, None, (),
-                        column=DenseBlock(
-                            BlockKind.COLUMN, i, lo, hi, lo, int(c_col_row_hi[i])
-                        ),
-                        triangle_padding=int(c_tri_pad[i]),
-                        rectangle_padding=int(c_rect_pad[i]),
-                    )
-                )
-                continue
-            rects = tuple(
-                DenseBlock(BlockKind.RECTANGLE, i, lo, hi, int(r0), int(r1))
-                for r0, r1 in rect_rows[rect_indptr[i] : rect_indptr[i + 1]]
-            )
-            clusters.append(
-                Cluster(
-                    i, lo, hi,
-                    DenseBlock(BlockKind.TRIANGLE, i, lo, hi, lo, hi),
-                    rects,
-                    triangle_padding=int(c_tri_pad[i]),
-                    rectangle_padding=int(c_rect_pad[i]),
-                )
-            )
-        cluster_set = ClusterSet(pattern, tuple(clusters), min_width, 0.0)
-
         partition = Partition(
-            pattern=pattern,
-            clusters=cluster_set,
-            units=units,
-            unit_of_element=unit_of_element,
-            grain_triangle=grain,
-            grain_rectangle=int(data["grain_rectangle"]),
+            pattern,
+            cluster_set,
+            data["units"],
+            data["unit_of_element"].astype(np.int64),
+            grain,
+            int(data["grain_rectangle"]),
         )
+        n_units = partition.num_units
         edges = data["edges"].astype(np.int64).reshape(-1, 2)
+        if edges.size and (
+            edges.min() < 0 or edges.max() >= n_units or (edges[:, 0] == edges[:, 1]).any()
+        ):
+            raise ValueError("cache payload has a malformed dependency edge")
+        unit_work = data["unit_work"].astype(np.int64)
+        if unit_work.shape != (n_units,):
+            raise ValueError("cache payload has the wrong unit_work length")
         category_counts = dict(
             zip(
                 data["cat_keys"].astype(np.int64).tolist(),
@@ -442,7 +385,7 @@ class PartitionCache:
             prepared=prepared,
             partition=partition,
             dependencies=dependencies,
-            unit_work=data["unit_work"].astype(np.int64),
+            unit_work=unit_work,
             grain=grain,
             min_width=min_width,
         )
@@ -459,20 +402,7 @@ class PartitionCache:
         )
         path = self.path_for(key, prepared.graph.n)
         partition = partitioned.partition
-        units = partition.units
         clusters = partition.clusters
-        rect_counts = [
-            0 if c.is_column else len(c.rectangles) for c in clusters
-        ]
-        rect_rows = np.asarray(
-            [
-                (r.row_lo, r.row_hi)
-                for c in clusters
-                if not c.is_column
-                for r in c.rectangles
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
         with obs.span(
             "perf.cache.partition.store", key=key[:12], matrix=prepared.name
         ):
@@ -491,54 +421,10 @@ class PartitionCache:
                         # nnz does); loads widen back to the partition
                         # stage's native int64.
                         unit_of_element=partition.unit_of_element.astype(
-                            index_dtype(max(len(units), 1)), copy=False
+                            index_dtype(max(partition.num_units, 1)), copy=False
                         ),
-                        u_kind=np.asarray(
-                            [_KIND_CODES[u.kind] for u in units], dtype=np.int64
-                        ),
-                        u_cluster=np.asarray(
-                            [u.cluster for u in units], dtype=np.int64
-                        ),
-                        u_extents=np.asarray(
-                            [
-                                (u.col_lo, u.col_hi, u.row_lo, u.row_hi)
-                                for u in units
-                            ],
-                            dtype=np.int64,
-                        ).reshape(-1, 4),
-                        u_parent=np.asarray(
-                            [_KIND_CODES[u.parent_kind] for u in units],
-                            dtype=np.int64,
-                        ),
-                        u_order=np.asarray(
-                            [u.order_key for u in units], dtype=np.int64
-                        ).reshape(-1, 5),
-                        c_col_lo=np.asarray(
-                            [c.col_lo for c in clusters], dtype=np.int64
-                        ),
-                        c_col_hi=np.asarray(
-                            [c.col_hi for c in clusters], dtype=np.int64
-                        ),
-                        c_is_col=np.asarray(
-                            [c.is_column for c in clusters], dtype=bool
-                        ),
-                        c_tri_pad=np.asarray(
-                            [c.triangle_padding for c in clusters], dtype=np.int64
-                        ),
-                        c_rect_pad=np.asarray(
-                            [c.rectangle_padding for c in clusters], dtype=np.int64
-                        ),
-                        c_col_row_hi=np.asarray(
-                            [
-                                c.column.row_hi if c.is_column else -1
-                                for c in clusters
-                            ],
-                            dtype=np.int64,
-                        ),
-                        rect_indptr=np.concatenate(
-                            [[0], np.cumsum(rect_counts)]
-                        ).astype(np.int64),
-                        rect_rows=rect_rows,
+                        units=partition.table,
+                        **{name: getattr(clusters, name) for name in _CLUSTER_COLUMNS},
                         edges=partitioned.dependencies.edges,
                         cat_keys=np.asarray(
                             list(partitioned.dependencies.category_counts),

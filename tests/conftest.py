@@ -8,6 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core import prepare
+from repro.core.blocks import BlockKind
 from repro.sparse import generators, grid5, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
 
@@ -110,6 +111,89 @@ def traffic_oracle(owner, nprocs: int, updates, include_scale: bool = True) -> n
         fetched[owner, updates.scale_source] = True
     fetched[owner, np.arange(nnz)] = False
     return fetched.sum(axis=1)
+
+
+def schedule_oracle(partition, deps, nprocs: int, unit_work=None,
+                    policy: str = "first") -> np.ndarray:
+    """``proc_of_unit`` of the paper's §3.4 allocation, read off the
+    partition's row views (``units``, ``clusters``, ``order_key``) with
+    Python sets and a sort per cluster — the pre-columnar allocator,
+    kept as the audited oracle for ``schedule_blocks``.
+    """
+    units = partition.units
+    if unit_work is None:
+        unit_work = partition.unit_work
+    unit_work = np.asarray(unit_work, dtype=np.float64)
+    proc_of_unit = np.full(len(units), -1, dtype=np.int64)
+    proc_work = np.zeros(nprocs, dtype=np.float64)
+    marker = 0  # the "currently available" processor in P_g
+
+    def assign(uid: int, proc: int) -> None:
+        proc_of_unit[uid] = proc
+        proc_work[proc] += unit_work[uid]
+
+    def take_marker() -> int:
+        nonlocal marker
+        p = marker
+        marker = (marker + 1) % nprocs
+        return p
+
+    independent = deps.independent_units
+    preds = deps.predecessors
+
+    # step 1: independent columns, wrap-around
+    wrap_counter = 0
+    independent_column_uids = set()
+    for u in units:  # units are in left-to-right cluster order
+        if u.kind is BlockKind.COLUMN and independent[u.uid]:
+            assign(u.uid, wrap_counter % nprocs)
+            wrap_counter += 1
+            independent_column_uids.add(u.uid)
+
+    # steps 2-4: scan remaining clusters left to right
+    for cluster in partition.clusters:
+        cunits = sorted(partition.units_of_cluster(cluster.index), key=lambda u: u.order_key)
+        if cluster.is_column:
+            u = cunits[0]
+            if u.uid in independent_column_uids:
+                continue
+            pred_procs = [int(proc_of_unit[p]) for p in preds[u.uid]]
+            pred_procs = [p for p in pred_procs if p >= 0]
+            if not pred_procs or policy == "round_robin":
+                assign(u.uid, take_marker())
+            elif policy == "first":
+                assign(u.uid, pred_procs[0])
+            else:  # least_loaded
+                assign(u.uid, min(set(pred_procs), key=lambda p: (proc_work[p], p)))
+            continue
+
+        # Multi-column cluster: triangle units first, in order.
+        tri_units = [u for u in cunits if u.parent_kind is BlockKind.TRIANGLE]
+        rect_units = [u for u in cunits if u.parent_kind is BlockKind.RECTANGLE]
+        p_a: set[int] = set()  # processors already used in this triangle
+        for u in tri_units:
+            chosen = -1
+            for p_unit in preds[u.uid]:
+                proc = int(proc_of_unit[p_unit])
+                if proc >= 0 and proc not in p_a:
+                    chosen = proc
+                    break
+            if chosen < 0:
+                chosen = take_marker()
+            p_a.add(chosen)
+            assign(u.uid, chosen)
+
+        # Rectangles below: restricted to P_t, in increasing-work order,
+        # re-sorted before each dense rectangle.
+        p_t = sorted({int(proc_of_unit[u.uid]) for u in tri_units})
+        by_rect: dict[int, list] = {}
+        for u in rect_units:
+            by_rect.setdefault(u.order_key[1], []).append(u)
+        for rect_index in sorted(by_rect):
+            ordered_procs = sorted(p_t, key=lambda p: (proc_work[p], p))
+            for slot, u in enumerate(sorted(by_rect[rect_index], key=lambda x: x.order_key)):
+                assign(u.uid, ordered_procs[slot % len(ordered_procs)])
+    return proc_of_unit
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Vectorized cluster scan and scheduler vs their reference paths.
 
-The fast :func:`find_clusters` (run-length reach scan) and
-:func:`schedule_blocks` (array P_a/P_t bookkeeping) must produce results
-identical to the original per-entry / per-set implementations on every
-matrix; nonzero ``zero_tolerance`` must dispatch to the reference and
-agree with calling it directly.
+The fast :func:`find_clusters` (run-length reach scan) must produce
+results identical to the original per-entry implementation on every
+matrix, and nonzero ``zero_tolerance`` must dispatch to the reference
+and agree with calling it directly; :func:`schedule_blocks` (flat lists
+over the unit table) must allocate exactly as ``schedule_oracle``, the
+per-set allocator over row views kept in ``tests/conftest.py``.
 """
 
 import numpy as np
@@ -15,17 +16,13 @@ from hypothesis import strategies as st
 from repro.core.clusters import find_clusters, find_clusters_reference
 from repro.core.dependencies import analyze_dependencies
 from repro.core.partitioner import partition_clusters
-from repro.core.scheduler import (
-    SchedulerOptions,
-    schedule_blocks,
-    schedule_blocks_reference,
-)
+from repro.core.scheduler import SchedulerOptions, schedule_blocks
 from repro.ordering import multiple_minimum_degree
 from repro.sparse import band_lower_pattern, grid9
 from repro.sparse import harwell_boeing as hb
 from repro.symbolic import enumerate_updates, symbolic_cholesky
 
-from ..conftest import random_connected_graph
+from ..conftest import random_connected_graph, schedule_oracle
 
 
 def pattern_of(graph, ordered=True):
@@ -85,9 +82,9 @@ def assert_schedule_identical(pattern, nprocs, policy, grain=4):
     deps = analyze_dependencies(partition, enumerate_updates(pattern))
     options = SchedulerOptions(dependent_column_policy=policy)
     fast = schedule_blocks(partition, deps, nprocs, options=options)
-    ref = schedule_blocks_reference(partition, deps, nprocs, options=options)
-    np.testing.assert_array_equal(fast.proc_of_unit, ref.proc_of_unit)
-    np.testing.assert_array_equal(fast.owner_of_element, ref.owner_of_element)
+    ref = schedule_oracle(partition, deps, nprocs, policy=policy)
+    np.testing.assert_array_equal(fast.proc_of_unit, ref)
+    np.testing.assert_array_equal(fast.owner_of_element, ref[partition.unit_of_element])
 
 
 class TestSchedulerIdentity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Partition,
     ValidationError,
     analyze_dependencies,
     block_mapping,
@@ -21,27 +22,31 @@ class TestValidatePartition:
         validate_partition(part)
 
     def test_detects_double_cover(self, prepared_grid):
+        """The unit table maps every element to one unit, so a double
+        cover can only arrive as rows — and is refused there."""
         part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)
+        rows = list(part.units)
         # Corrupt: give unit 1 an element of unit 0.
-        part.units[1].elements = np.concatenate(
-            [part.units[1].elements, part.units[0].elements[:1]]
-        )
-        with pytest.raises(ValidationError, match="exactly once"):
-            validate_partition(part)
+        rows[1].elements = np.concatenate([rows[1].elements, rows[0].elements[:1]])
+        with pytest.raises(ValueError, match="exactly once"):
+            Partition.from_rows(part.pattern, part.clusters, rows, 4, 4)
 
     def test_detects_extent_violation(self, prepared_grid):
         part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)
-        u = part.units[0]
-        u.row_hi = u.row_lo - 0  # keep valid...
-        # ...then shrink so an owned element falls outside.
-        if u.nnz > 1:
-            u.row_hi = int(prepared_grid.pattern.rowidx[u.elements[0]])
-            if any(
-                int(prepared_grid.pattern.rowidx[e]) > u.row_hi
-                for e in u.elements.tolist()
-            ):
-                with pytest.raises(ValidationError):
-                    validate_partition(part)
+        u = int(np.argmax(part.unit_work))
+        assert part.unit_work[u] > 1
+        # Shrink the unit so an owned element falls outside.
+        rows_owned = prepared_grid.pattern.rowidx[part.unit_elements(u)]
+        part.row_hi[u] = rows_owned.max() - 1
+        with pytest.raises(ValidationError, match="outside"):
+            validate_partition(part)
+
+    def test_detects_unit_leaving_its_cluster(self, prepared_grid):
+        part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)
+        u = int(part.unit_ptr[1])  # first unit of the second cluster
+        part.col_lo[u] -= 1
+        with pytest.raises(ValidationError):
+            validate_partition(part)
 
 
 class TestValidateDependencies:

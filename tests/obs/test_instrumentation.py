@@ -1,10 +1,13 @@
 """Instrumented call sites: pipeline spans/counters, simulator timeline
 consistency, message counters, and the cached-stage regression pin."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import block_mapping, prepare, wrap_mapping
+from repro.core import SchedulerOptions, block_mapping, prepare, wrap_mapping
 from repro.machine.simulate import simulate_schedule
 from repro.obs import trace
 from repro.sparse import grid9
@@ -85,6 +88,42 @@ class TestPipelineInstrumentation:
         prep = prepare(grid9(8, 8), name="LAP8")
         block_mapping(prep, 4, grain=9)
         assert rec.is_empty()
+
+
+class TestBlockCounterContract:
+    """``partition.*`` / ``scheduler.*`` are reported once per call; their
+    totals are those of the per-unit increments they replaced (taken at
+    the last object-per-unit commit), and an untraced call reports
+    nothing at all."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "golden_block_counters.json").read_text()
+    )
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_totals_unchanged(self, case):
+        from repro.sparse import load
+
+        name, policy = case.split("/")
+        prep = prepare(load(name), name=name)
+        prep.updates
+        with trace.enabled() as rec:
+            block_mapping(
+                prep, 16, grain=4, options=SchedulerOptions(dependent_column_policy=policy)
+            )
+        mine = {
+            k: v for k, v in rec.counters.items() if k.startswith(("scheduler.", "partition."))
+        }
+        assert mine == self.GOLDEN[case]
+
+    def test_untraced_scheduler_makes_no_counter_calls(self, lap10, monkeypatch):
+        from repro.core import scheduler
+
+        r = block_mapping(lap10, 8, grain=4)
+        calls = []
+        monkeypatch.setattr(scheduler.obs, "counter", lambda *a, **k: calls.append(a))
+        scheduler.schedule_blocks(r.partition, r.dependencies, 8)
+        assert r.partition.num_units > 100 and calls == []
 
 
 class TestCachedStagesComputedOnce:

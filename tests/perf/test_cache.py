@@ -155,6 +155,42 @@ class TestPartitionKey:
         assert partition_key(graph, "mmd", 4, 4) != before
 
 
+def _set(name, index, value):
+    def corrupt(payload):
+        column = payload[name].copy()
+        column[index] = value
+        payload[name] = column
+    return corrupt
+
+# Well-formed .npz files whose columns lie: each must be refused at
+# load, not returned as a hit that fails later inside the scheduler.
+CORRUPTIONS = {
+    "unit table one unit short": lambda p: p.update(units=p["units"][:, :-1]),
+    "unit table one column short": lambda p: p.update(units=p["units"][:-1]),
+    "unknown kind code": _set("units", (0, 0), 7),
+    "cluster ids decrease": _set("units", (2, -1), 0),
+    "cluster id skipped": lambda p: p.update(
+        units=np.vstack([p["units"][:2], p["units"][2:3] * 2, p["units"][3:]])
+    ),
+    "units out of allocation order": lambda p: p.update(units=p["units"][:, ::-1]),
+    "unit extent outside the pattern": _set("units", (4, -1), 10**6),
+    "empty unit extent": _set("units", (6, 0), -1),
+    "clusters do not tile the columns": _set("col_hi", 0, 10**6),
+    "cluster columns differ in length": lambda p: p.update(
+        triangle_padding=p["triangle_padding"][:-1]
+    ),
+    "rectangle index past its rows": _set("rect_indptr", -1, 10**6),
+    "rectangle above its strip": lambda p: p.update(rect_rows=p["rect_rows"] * 0),
+    "edge names a missing unit": _set("edges", (0, 1), 10**6),
+    "negative edge endpoint": _set("edges", (0, 0), -1),
+    "self edge": lambda p: p.update(edges=np.vstack([p["edges"], [[3, 3]]])),
+    "unit_work one unit short": lambda p: p.update(unit_work=p["unit_work"][:-1]),
+    "unit_of_element one element short": lambda p: p.update(
+        unit_of_element=p["unit_of_element"][:-1]
+    ),
+}
+
+
 class TestPartitionCache:
     def _fresh(self, prepared):
         from repro.core import partition_prepared
@@ -251,6 +287,26 @@ class TestPartitionCache:
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
         assert cache.load(prepared, 4, 4) is None
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_column_is_a_miss(self, tmp_path, graph, prepared, case):
+        cache = PartitionCache(tmp_path)
+        cache.store(prepared, self._fresh(prepared))
+        path = cache.path_for(partition_key(graph, "mmd", 4, 4))
+        with np.load(path) as data:
+            payload = dict(data)
+        assert len(payload["rect_rows"]) and len(payload["edges"])
+        CORRUPTIONS[case](payload)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with obs.enabled(obs.Recorder()) as rec:
+            assert cache.load(prepared, 4, 4) is None
+        assert rec.counters.get("perf.cache.partition.invalid") == 1
+        assert rec.counters.get("perf.cache.partition.miss") == 1
+        # The caller recovers by recomputing and overwriting.
+        fresh = cached_partition(prepared, 4, 4, cache_dir=tmp_path)
+        np.testing.assert_array_equal(fresh.partition.table, self._fresh(prepared).partition.table)
+        assert cache.load(prepared, 4, 4) is not None
 
 
 class TestDefaultDir:
