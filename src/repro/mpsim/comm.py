@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -34,6 +35,10 @@ class MPSimError(RuntimeError):
     """Raised for communicator misuse or timeouts (likely deadlock)."""
 
 
+class _Aborted(MPSimError):
+    """Raised in a waiting rank when another rank has failed the run."""
+
+
 @dataclass
 class CommStats:
     """Per-rank communication counters."""
@@ -54,7 +59,8 @@ class CommStats:
     def record_recv(self) -> None:
         with self.lock:
             self.messages_received += 1
-        obs.counter("mpsim.messages_received")
+        if obs.is_enabled():
+            obs.counter("mpsim.messages_received")
 
 
 class Request:
@@ -86,16 +92,17 @@ class Request:
 class _Mailbox:
     """Unbounded mailbox with (source, tag) matched receives."""
 
-    def __init__(self) -> None:
+    def __init__(self, aborted: threading.Event) -> None:
         self._pending: deque = deque()
         self._cond = threading.Condition()
+        self._aborted = aborted  # the world's abort flag
 
     def put(self, source: int, tag: int, payload, msg_id: int | None = None) -> None:
         # msg_id threads the ledger entry (simtime.MessageLedger) through
         # the mailbox so the receive side can stamp the delivery.
         with self._cond:
             self._pending.append((source, tag, payload, msg_id))
-            self._cond.notify_all()
+            self._cond.notify()  # one reader: the owning rank
 
     def peek(self, source: int, tag: int):
         """Non-destructive match check; returns (source, tag) or None."""
@@ -122,9 +129,9 @@ class _Mailbox:
                     if (source in (ANY_SOURCE, s)) and (tag in (ANY_TAG, t)):
                         del self._pending[idx]
                         return s, t, payload, mid
+                if self._aborted.is_set():
+                    raise _Aborted(f"recv(source={source}, tag={tag}) aborted")
                 if timeout is not None:
-                    import time
-
                     if deadline is None:
                         deadline = time.monotonic() + timeout
                     remaining = deadline - time.monotonic()
@@ -161,7 +168,8 @@ class CommWorld:
         self.default_timeout = default_timeout
         self.drop_filter = drop_filter
         self.messages_dropped = 0
-        self.mailboxes = [_Mailbox() for _ in range(size)]
+        self._aborted = threading.Event()
+        self.mailboxes = [_Mailbox(self._aborted) for _ in range(size)]
         self.stats = [CommStats() for _ in range(size)]
         self._barrier = threading.Barrier(size)
         self._drop_lock = threading.Lock()
@@ -172,6 +180,16 @@ class CommWorld:
 
     def comm(self, rank: int) -> "Comm":
         return Comm(self, rank)
+
+    def abort(self) -> None:
+        """Fail the run: every rank blocked in (or later entering) a
+        receive, probe or barrier raises instead of waiting for its
+        timeout.  Called by the launcher when a rank dies."""
+        self._aborted.set()
+        self._barrier.abort()
+        for box in self.mailboxes:
+            with box._cond:
+                box._cond.notify_all()
 
 
 class Comm:
@@ -260,8 +278,6 @@ class Comm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> dict:
         """Block until a matching message is available; returns its
         (source, tag) without consuming it."""
-        import time
-
         deadline = (
             None
             if self._world.default_timeout is None
@@ -271,6 +287,8 @@ class Comm:
             hit = self._world.mailboxes[self.rank].peek(source, tag)
             if hit is not None:
                 return {"source": hit[0], "tag": hit[1]}
+            if self._world._aborted.is_set():
+                raise _Aborted(f"probe(source={source}, tag={tag}) aborted")
             if deadline is not None and time.monotonic() > deadline:
                 raise MPSimError(
                     f"probe(source={source}, tag={tag}) timed out"
@@ -286,7 +304,12 @@ class Comm:
     _COLL_TAG_BASE = 1 << 20  # reserved tag space for collectives
 
     def barrier(self) -> None:
-        self._world._barrier.wait(timeout=self._world.default_timeout)
+        try:
+            self._world._barrier.wait(timeout=self._world.default_timeout)
+        except threading.BrokenBarrierError:
+            if self._world._aborted.is_set():
+                raise _Aborted("barrier aborted") from None
+            raise
 
     def bcast(self, obj, root: int = 0):
         tag = self._COLL_TAG_BASE + 1

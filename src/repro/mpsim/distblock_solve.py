@@ -23,7 +23,7 @@ import numpy as np
 
 from ..sparse.csc import LowerCSC
 from .comm import ANY_SOURCE, Comm
-from .launcher import run_parallel
+from .engine import gather_on_ranks
 
 __all__ = ["distributed_block_forward_solve", "distributed_block_backward_solve"]
 
@@ -155,19 +155,9 @@ def distributed_block_forward_solve(
                     if pending[i] == 0:
                         ready.append(i)
             ready.sort()
-        gathered = comm.gather(x, root=0)
-        if comm.rank == 0:
-            merged: dict[int, float] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged
-        return None
+        return x, None
 
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    out = np.zeros(n, dtype=np.float64)
-    for j, v in results[0].items():
-        out[j] = v
-    return out
+    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]
 
 
 def distributed_block_backward_solve(
@@ -286,16 +276,6 @@ def distributed_block_backward_solve(
                 if pending_procs[j] == 0:
                     ready.append(j)
             ready.sort(reverse=True)
-        gathered = comm.gather(x, root=0)
-        if comm.rank == 0:
-            merged: dict[int, float] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged
-        return None
+        return x, None
 
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    out = np.zeros(n, dtype=np.float64)
-    for j, v in results[0].items():
-        out[j] = v
-    return out
+    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]

@@ -12,12 +12,24 @@ column that the completed column modifies (cmod).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
+from ..symbolic.updates import UpdateSet
 from .comm import ANY_SOURCE, Comm
-from .launcher import run_parallel
+from .engine import (
+    Countdown,
+    cdiv,
+    column_setup,
+    gather_on_ranks,
+    place_columns,
+    remote_peers,
+    run_tasks,
+    updates_by_source_column,
+)
 
 __all__ = [
     "distributed_cholesky",
@@ -31,104 +43,52 @@ _TAG_FSOLVE = 2
 _TAG_BSOLVE = 3
 
 
-def _consumers(pattern: LowerPattern, proc_of_col: np.ndarray) -> list[set[int]]:
-    """consumers[k] = processors owning a column j > k with L[j, k] != 0."""
-    out: list[set[int]] = [set() for _ in range(pattern.n)]
-    for k in range(pattern.n):
-        rows = pattern.col(k)[1:]
-        out[k] = {int(proc_of_col[j]) for j in rows}
-    return out
-
-
 def _nmod(pattern: LowerPattern) -> np.ndarray:
     """nmod[j] = number of columns k < j with L[j, k] != 0."""
-    counts = np.zeros(pattern.n, dtype=np.int64)
-    cols = pattern.element_cols()
-    off = pattern.rowidx != cols
-    np.add.at(counts, pattern.rowidx[off], 1)
-    return counts
+    off = pattern.rowidx != pattern.element_cols()
+    return np.bincount(pattern.rowidx[off], minlength=pattern.n)
 
 
-def _factor_rank(
-    comm: Comm,
-    a: SymmetricCSC,
-    pattern: LowerPattern,
-    proc_of_col: np.ndarray,
-) -> dict[int, np.ndarray]:
+def _factor_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndarray,
+                 off_col: np.ndarray, off_row: np.ndarray, consumers) -> dict[int, np.ndarray]:
     """One rank of the fan-out factorization; returns its column values."""
     me = comm.rank
-    n = pattern.n
-    consumers = _consumers(pattern, proc_of_col)
-    nmod = _nmod(pattern)
-    mine = [j for j in range(n) if proc_of_col[j] == me]
-    mine_set = set(mine)
-
-    # Local accumulators: column j's values over struct(j), seeded from A.
-    colvals: dict[int, np.ndarray] = {}
-    apat = a.pattern
-    for j in mine:
-        struct = pattern.col(j)
-        vals = np.zeros(len(struct), dtype=np.float64)
-        alo, ahi = apat.indptr[j], apat.indptr[j + 1]
-        arows = apat.rowidx[alo:ahi]
-        vals[np.searchsorted(struct, arows)] = a.values[alo:ahi]
-        colvals[j] = vals
-
-    pending = {j: int(nmod[j]) for j in mine}
-    done: dict[int, np.ndarray] = {}
-    # Messages expected: one per foreign column whose consumers include me.
-    expected = sum(
-        1 for k in range(n) if proc_of_col[k] != me and me in consumers[k]
+    pattern = updates.pattern
+    indptr = pattern.indptr.tolist()
+    acc = seed.copy()
+    vals = np.full(pattern.nnz, np.nan)
+    # My slice of the UpdateSet: the updates into my columns, applied
+    # source column by source column as each is finished or received.
+    tgt, si, sj, uptr = updates_by_source_column(
+        updates, owner[updates.element_cols[updates.target]] == me
     )
+    # pending.count[j] = columns still to be applied to my column j.
+    local = owner[off_row] == me
+    pending = Countdown(off_col[local], off_row[local], pattern.n)
+    cons_ptr, cons_proc = consumers
+    mine = np.flatnonzero(owner == me)
 
-    def cmod(j: int, k: int, k_struct: np.ndarray, k_vals: np.ndarray) -> None:
-        """Apply column k's outer-product update to local column j."""
-        pos = int(np.searchsorted(k_struct, j))
-        ljk = k_vals[pos]
-        rows = k_struct[pos:]
-        tgt = colvals[j]
-        struct_j = pattern.col(j)
-        idx = np.searchsorted(struct_j, rows)
-        tgt[idx] -= ljk * k_vals[pos:]
-        pending[j] -= 1
+    def cmod(k: int) -> list[int]:
+        lo, hi = uptr[k], uptr[k + 1]
+        acc[tgt[lo:hi]] -= vals[si[lo:hi]] * vals[sj[lo:hi]]
+        return pending.fire(k)
 
-    def apply_everywhere(k: int, k_struct: np.ndarray, k_vals: np.ndarray) -> list[int]:
-        """cmod every local column that k updates; return newly-ready columns."""
-        newly_ready = []
-        for j in k_struct[1:].tolist():
-            if j in mine_set and j not in done:
-                cmod(j, k, k_struct, k_vals)
-                if pending[j] == 0:
-                    newly_ready.append(j)
-        return newly_ready
+    def finish(j: int) -> list[int]:
+        lo, hi = indptr[j], indptr[j + 1]
+        cdiv(acc, vals, lo, hi, j)
+        for dest in cons_proc[cons_ptr[j] : cons_ptr[j + 1]].tolist():
+            comm.send((j, vals[lo:hi]), dest, _TAG_COLUMN)
+        return cmod(j)
 
-    def cdiv(j: int) -> None:
-        vals = colvals[j]
-        pivot = vals[0]
-        if pivot <= 0.0:
-            raise ValueError(f"non-positive pivot {pivot:g} in column {j}")
-        d = np.sqrt(pivot)
-        vals[0] = d
-        vals[1:] /= d
-        done[j] = vals
+    def receive(k: int, column: np.ndarray) -> list[int]:
+        vals[indptr[k] : indptr[k + 1]] = column
+        return cmod(k)
 
-    ready = sorted(j for j in mine if pending[j] == 0)
-    received = 0
-    while len(done) < len(mine) or received < expected:
-        while ready:
-            j = ready.pop(0)
-            cdiv(j)
-            struct_j = pattern.col(j)
-            for dest in sorted(consumers[j] - {me}):
-                comm.send((j, done[j]), dest, _TAG_COLUMN)
-            ready.extend(apply_everywhere(j, struct_j, done[j]))
-            ready.sort()
-        if received < expected:
-            k, k_vals = comm.recv(ANY_SOURCE, _TAG_COLUMN)
-            received += 1
-            ready.extend(apply_everywhere(k, pattern.col(k), k_vals))
-            ready.sort()
-    return done
+    run_tasks(
+        comm, _TAG_COLUMN, mine[pending.count[mine] == 0].tolist(), len(mine),
+        int(np.count_nonzero(cons_proc == me)), finish, receive,
+    )
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}
 
 
 def distributed_cholesky(
@@ -140,32 +100,17 @@ def distributed_cholesky(
 ) -> tuple[LowerCSC, list]:
     """Factor ``a`` (already permuted; ``pattern`` is its symbolic factor)
     with ``nprocs`` simulated ranks.  Returns (L, per-rank CommStats)."""
-    proc_of_col = np.asarray(proc_of_col, dtype=np.int64)
-    if len(proc_of_col) != a.n:
-        raise ValueError("proc_of_col must map every column")
-    if len(proc_of_col) and (proc_of_col.min() < 0 or proc_of_col.max() >= nprocs):
-        raise ValueError("column owner out of range")
-
-    world_stats: list = []
-
-    def rank_fn(comm: Comm):
-        cols = _factor_rank(comm, a, pattern, proc_of_col)
-        gathered = comm.gather(cols, root=0)
-        stats = comm.stats
-        if comm.rank == 0:
-            merged: dict[int, np.ndarray] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged, stats
-        return None, stats
-
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    world_stats = [r[1] for r in results]
-    merged = results[0][0]
-    values = np.zeros(pattern.nnz, dtype=np.float64)
-    for j, vals in merged.items():
-        values[pattern.indptr[j] : pattern.indptr[j + 1]] = vals
-    return LowerCSC(pattern, values), world_stats
+    owner, seed, updates, off_col, off_row = column_setup(a, pattern, proc_of_col, nprocs)
+    # consumers of column k: the other owners of a column k modifies.
+    consumers = remote_peers(off_col, owner[off_row], owner, nprocs)
+    values, stats = gather_on_ranks(
+        lambda comm: (
+            _factor_rank(comm, seed, updates, owner, off_col, off_row, consumers),
+            comm.stats,
+        ),
+        pattern.nnz, nprocs, timeout, partial(place_columns, pattern.indptr),
+    )
+    return LowerCSC(pattern, values), stats
 
 
 def distributed_forward_solve(
@@ -230,19 +175,9 @@ def distributed_forward_solve(
                     if pending[i] == 0:
                         ready.append(i)
                 ready.sort()
-        gathered = comm.gather(x, root=0)
-        if comm.rank == 0:
-            merged: dict[int, float] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged
-        return None
+        return x, None
 
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    out = np.zeros(n, dtype=np.float64)
-    for j, v in results[0].items():
-        out[j] = v
-    return out
+    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]
 
 
 def distributed_backward_solve(
@@ -313,19 +248,9 @@ def distributed_backward_solve(
                 received += 1
                 ready.extend(_apply(i, xi))
                 ready.sort(reverse=True)
-        gathered = comm.gather(x, root=0)
-        if comm.rank == 0:
-            merged: dict[int, float] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged
-        return None
+        return x, None
 
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    out = np.zeros(n, dtype=np.float64)
-    for j, v in results[0].items():
-        out[j] = v
-    return out
+    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]
 
 
 def distributed_solve_spd(

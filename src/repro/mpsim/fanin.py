@@ -11,151 +11,85 @@ locality-versus-volume trade the paper studies at the mapping level.
 
 The update for target column j from source column k (both restricted to
 rows >= j) is  u_j += L[j,k] * L[j:,k];  the owner of k computes it as
-soon as k is complete, accumulating into a local bucket for j.  A bucket
-is shipped once every local contribution to it has been folded in.
+soon as k is complete — one array operation over the rank's slice of
+the UpdateSet (:mod:`.engine`) — and the aggregate for j is shipped,
+reduced to its nonzero rows, once every local contribution to it has
+been folded in.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
-from .comm import ANY_SOURCE, Comm
-from .launcher import run_parallel
+from ..symbolic.updates import UpdateSet
+from .comm import Comm
+from .engine import (
+    Countdown,
+    cdiv,
+    column_setup,
+    gather_on_ranks,
+    place_columns,
+    remote_peers,
+    run_tasks,
+    updates_by_source_column,
+)
 
 __all__ = ["distributed_cholesky_fanin"]
 
 _TAG_AGG = 4
 
 
-def _row_structure(pattern: LowerPattern) -> list[list[int]]:
-    """rows[j] = columns k < j with L[j, k] != 0."""
-    out: list[list[int]] = [[] for _ in range(pattern.n)]
-    cols = pattern.element_cols()
-    for e in range(pattern.nnz):
-        i = int(pattern.rowidx[e])
-        j = int(cols[e])
-        if i != j:
-            out[i].append(j)
-    return out
-
-
-def _fanin_rank(
-    comm: Comm,
-    a: SymmetricCSC,
-    pattern: LowerPattern,
-    proc_of_col: np.ndarray,
-) -> dict[int, np.ndarray]:
+def _fanin_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndarray,
+                off_col: np.ndarray, off_row: np.ndarray, n_remote: np.ndarray) -> dict[int, np.ndarray]:
     me = comm.rank
-    n = pattern.n
-    row_cols = _row_structure(pattern)  # k-columns updating each row/column j
-    mine = [j for j in range(n) if proc_of_col[j] == me]
-    mine_set = set(mine)
+    pattern = updates.pattern
+    indptr = pattern.indptr.tolist()
+    rowidx = pattern.rowidx
+    owner_of = owner.tolist()
+    # acc holds A minus the updates so far on my columns and, on every
+    # other column, minus the aggregate I owe its owner (it starts at
+    # zero there), so one subtraction serves both kinds of target.
+    acc = np.where(owner[updates.element_cols] == me, seed, 0.0)
+    vals = np.full(pattern.nnz, np.nan)
+    # My slice of the UpdateSet: the updates out of my columns.
+    tgt, si, sj, uptr = updates_by_source_column(updates, owner[updates.source_col] == me)
+    # waiting.count[j] = my columns still to be folded into column j,
+    # plus, for a column of mine, the aggregates still to arrive.
+    local = owner[off_col] == me
+    waiting = Countdown(off_col[local], off_row[local], pattern.n)
+    mine = np.flatnonzero(owner == me)
+    waiting.count[mine] += n_remote[mine]
 
-    # For each target column j, the local source columns k (mine) and the
-    # contributing processors (for the owner's bookkeeping).
-    local_sources: dict[int, list[int]] = {}
-    contributors: dict[int, set[int]] = {}
-    for j in range(n):
-        procs = {int(proc_of_col[k]) for k in row_cols[j]}
-        contributors[j] = procs
-        local_sources[j] = [k for k in row_cols[j] if proc_of_col[k] == me]
-
-    apat = a.pattern
-
-    def seed_column(j: int) -> np.ndarray:
-        struct = pattern.col(j)
-        vals = np.zeros(len(struct), dtype=np.float64)
-        alo, ahi = apat.indptr[j], apat.indptr[j + 1]
-        vals[np.searchsorted(struct, apat.rowidx[alo:ahi])] = a.values[alo:ahi]
-        return vals
-
-    colvals = {j: seed_column(j) for j in mine}
-    done: dict[int, np.ndarray] = {}
-    # Aggregation buckets this rank owes to remote target columns.
-    bucket: dict[int, np.ndarray] = {}
-    bucket_remaining: dict[int, int] = {}
-
-    # Owner-side bookkeeping: how many aggregate messages each of my
-    # columns expects (one per remote contributing processor), plus my
-    # own local contributions folded in directly.
-    expected_aggs = {j: len(contributors[j] - {me}) for j in mine}
-    local_remaining = {j: len(local_sources[j]) for j in mine}
-
-    def apply_aggregate(j: int, rows: np.ndarray, vals: np.ndarray) -> None:
-        struct = pattern.col(j)
-        idx = np.searchsorted(struct, rows)
-        colvals[j][idx] -= vals
-
-    def fold_source_into_targets(k: int, k_vals: np.ndarray) -> list[int]:
-        """Column k is complete: compute its update for every target j it
-        modifies, folding into local columns or outgoing buckets."""
-        newly_ready = []
-        struct_k = pattern.col(k)
-        for pos in range(1, len(struct_k)):
-            j = int(struct_k[pos])
-            ljk = k_vals[pos]
-            rows = struct_k[pos:]
-            contribution = ljk * k_vals[pos:]
-            if j in mine_set:
-                struct_j = pattern.col(j)
-                colvals[j][np.searchsorted(struct_j, rows)] -= contribution
-                local_remaining[j] -= 1
-                if _ready(j):
-                    newly_ready.append(j)
-            else:
-                if j not in bucket:
-                    bucket[j] = np.zeros(len(pattern.col(j)), dtype=np.float64)
-                    bucket_remaining[j] = len(local_sources[j])
-                struct_j = pattern.col(j)
-                bucket[j][np.searchsorted(struct_j, rows)] += contribution
-                bucket_remaining[j] -= 1
-                if bucket_remaining[j] == 0:
-                    owner = int(proc_of_col[j])
-                    nz = np.nonzero(bucket[j])[0]
-                    comm.send(
-                        (j, pattern.col(j)[nz], bucket[j][nz]), owner, _TAG_AGG
-                    )
-                    del bucket[j], bucket_remaining[j]
-        return newly_ready
-
-    def _ready(j: int) -> bool:
-        return (
-            j not in done
-            and local_remaining[j] == 0
-            and expected_aggs[j] == 0
-        )
-
-    def cdiv(j: int) -> np.ndarray:
-        vals = colvals[j]
-        pivot = vals[0]
-        if pivot <= 0.0:
-            raise ValueError(f"non-positive pivot {pivot:g} in column {j}")
-        d = np.sqrt(pivot)
-        vals[0] = d
-        vals[1:] /= d
-        done[j] = vals
-        return vals
-
-    total_expected = sum(expected_aggs.values())
-    received = 0
-    ready = sorted(j for j in mine if _ready(j))
-    while len(done) < len(mine) or received < total_expected:
-        while ready:
-            j = ready.pop(0)
-            vals = cdiv(j)
-            ready.extend(fold_source_into_targets(j, vals))
-            ready.sort()
-        if received < total_expected:
-            j, rows, vals = comm.recv(ANY_SOURCE, _TAG_AGG)
-            received += 1
-            apply_aggregate(j, rows, vals)
-            expected_aggs[j] -= 1
-            if _ready(j):
+    def finish(k: int) -> list[int]:
+        cdiv(acc, vals, indptr[k], indptr[k + 1], k)
+        lo, hi = uptr[k], uptr[k + 1]
+        acc[tgt[lo:hi]] -= vals[si[lo:hi]] * vals[sj[lo:hi]]
+        ready = []
+        for j in waiting.fire(k):
+            if owner_of[j] == me:
                 ready.append(j)
-                ready.sort()
-    return done
+                continue
+            lo, hi = indptr[j], indptr[j + 1]
+            aggregate = -acc[lo:hi]
+            nz = np.nonzero(aggregate)[0]
+            comm.send((j, rowidx[lo:hi][nz], aggregate[nz]), owner_of[j], _TAG_AGG)
+        return ready
+
+    def receive(j: int, rows: np.ndarray, aggregate: np.ndarray) -> list[int]:
+        lo, hi = indptr[j], indptr[j + 1]
+        acc[lo + np.searchsorted(rowidx[lo:hi], rows)] -= aggregate
+        waiting.count[j] -= 1
+        return [] if waiting.count[j] else [j]
+
+    run_tasks(
+        comm, _TAG_AGG, mine[waiting.count[mine] == 0].tolist(), len(mine),
+        int(n_remote[mine].sum()), finish, receive,
+    )
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}
 
 
 def distributed_cholesky_fanin(
@@ -170,25 +104,14 @@ def distributed_cholesky_fanin(
     Same contract as :func:`repro.mpsim.distributed_cholesky`: returns
     the assembled factor (gathered on rank 0) and per-rank CommStats.
     """
-    proc_of_col = np.asarray(proc_of_col, dtype=np.int64)
-    if len(proc_of_col) != a.n:
-        raise ValueError("proc_of_col must map every column")
-    if len(proc_of_col) and (proc_of_col.min() < 0 or proc_of_col.max() >= nprocs):
-        raise ValueError("column owner out of range")
-
-    def rank_fn(comm: Comm):
-        cols = _fanin_rank(comm, a, pattern, proc_of_col)
-        gathered = comm.gather(cols, root=0)
-        if comm.rank == 0:
-            merged: dict[int, np.ndarray] = {}
-            for part in gathered:
-                merged.update(part)
-            return merged, comm.stats
-        return None, comm.stats
-
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
-    merged = results[0][0]
-    values = np.zeros(pattern.nnz, dtype=np.float64)
-    for j, vals in merged.items():
-        values[pattern.indptr[j] : pattern.indptr[j + 1]] = vals
-    return LowerCSC(pattern, values), [r[1] for r in results]
+    owner, seed, updates, off_col, off_row = column_setup(a, pattern, proc_of_col, nprocs)
+    # n_remote[j] = other processors owning a column that updates column j.
+    n_remote = np.diff(remote_peers(off_row, owner[off_col], owner, nprocs)[0])
+    values, stats = gather_on_ranks(
+        lambda comm: (
+            _fanin_rank(comm, seed, updates, owner, off_col, off_row, n_remote),
+            comm.stats,
+        ),
+        pattern.nnz, nprocs, timeout, partial(place_columns, pattern.indptr),
+    )
+    return LowerCSC(pattern, values), stats

@@ -6,7 +6,7 @@ import threading
 
 from ..obs import simtime
 from ..obs import trace as obs
-from .comm import CommWorld, MPSimError
+from .comm import CommWorld, MPSimError, _Aborted
 
 __all__ = ["run_parallel"]
 
@@ -22,8 +22,10 @@ def run_parallel(
     """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks.
 
     Returns the per-rank return values in rank order.  Any rank raising
-    an exception fails the whole run (the first exception, by rank, is
-    re-raised with rank context).  ``timeout`` bounds both individual
+    an exception fails the whole run at once: the world is aborted, ranks
+    blocked in a receive, probe or barrier wake up, and the root cause
+    (the first exception, by rank, that is not such a wake-up) is
+    re-raised with rank context.  ``timeout`` bounds both individual
     receives and the total join, converting deadlocks into errors.
     ``drop_filter`` injects message loss (see :class:`CommWorld`).
 
@@ -44,6 +46,7 @@ def run_parallel(
             results[rank] = fn(world.comm(rank), *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - propagated below
             errors[rank] = exc
+            world.abort()
 
     threads = [
         threading.Thread(target=runner, args=(rank,), name=f"mpsim-rank-{rank}", daemon=True)
@@ -55,9 +58,11 @@ def run_parallel(
         t.join(timeout)
         if t.is_alive():
             raise MPSimError(f"{t.name} did not finish within {timeout}s (deadlock?)")
-    for rank, exc in enumerate(errors):
-        if exc is not None:
-            raise MPSimError(f"rank {rank} failed: {exc!r}") from exc
+    failed = [(rank, exc) for rank, exc in enumerate(errors) if exc is not None]
+    if failed:
+        causes = [f for f in failed if not isinstance(f[1], _Aborted)]
+        rank, exc = (causes or failed)[0]
+        raise MPSimError(f"rank {rank} failed: {exc!r}") from exc
     if world.ledger is not None and world.ledger.messages:
         name = getattr(fn, "__name__", "mpsim")
         simtime.record_sim_run(world.ledger.to_sim_run(name=name))
