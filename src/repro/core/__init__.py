@@ -7,11 +7,10 @@ from .execution import critical_path_priority, execution_order
 from .dependencies import (
     CATEGORY_NAMES,
     DependencyInfo,
-    UnitLocator,
     analyze_dependencies,
     classify_pair_updates,
+    unit_edge_volumes,
 )
-from .interval_tree import Interval, IntervalTree
 from .partitioner import Partition, chunk_bounds, partition_clusters, partition_factor
 from .adaptive import adaptive_schedule
 from .pipeline import (
@@ -28,7 +27,7 @@ from .pipeline import (
     wrap_mappings,
 )
 from .scheduler import SchedulerOptions, schedule_blocks
-from .variants import schedule_affinity, schedule_lpt, unit_edge_volumes
+from .variants import schedule_affinity, schedule_lpt
 from .validation import (
     ValidationError,
     validate_assignment,
@@ -49,11 +48,8 @@ __all__ = [
     "execution_order",
     "CATEGORY_NAMES",
     "DependencyInfo",
-    "UnitLocator",
     "analyze_dependencies",
     "classify_pair_updates",
-    "Interval",
-    "IntervalTree",
     "Partition",
     "chunk_bounds",
     "partition_clusters",

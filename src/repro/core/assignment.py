@@ -17,8 +17,10 @@ class Assignment:
     """An owner-computes mapping of every factor element to a processor.
 
     ``owner_of_element[e]`` is the processor owning element id ``e`` (and
-    therefore performing all updates targeting it).  For block mappings,
-    ``proc_of_unit`` and ``partition`` describe the unit-level view.
+    therefore performing all updates targeting it).  ``proc_of_unit`` is
+    the unit-level view the owners must follow — over the unit blocks of
+    ``partition``, or over the columns without one — and the granularity
+    the traffic layer counts at.
     """
 
     scheme: str
@@ -36,6 +38,16 @@ class Assignment:
         owners = self.owner_of_element
         if len(owners) and (owners.min() < 0 or owners.max() >= self.nprocs):
             raise ValueError("element owner out of processor range")
+        if self.proc_of_unit is not None:
+            if self.partition is not None:
+                unit_of_element = self.partition.unit_of_element
+                n_units = self.partition.num_units
+            else:
+                unit_of_element, n_units = self.pattern.element_cols(), self.pattern.n
+            if len(self.proc_of_unit) != n_units or not np.array_equal(
+                owners, np.asarray(self.proc_of_unit)[unit_of_element]
+            ):
+                raise ValueError("owner_of_element must follow proc_of_unit")
 
     def elements_of(self, proc: int) -> np.ndarray:
         """Element ids owned by ``proc``."""

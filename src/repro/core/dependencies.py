@@ -25,9 +25,16 @@ up):
 Category 0 is internal: all three elements in one unit (no dependency).
 Scale updates (by the column's diagonal element) are tracked separately.
 
-Two implementations are provided: a vectorized element-ownership path
-(the default) and a geometric path using the interval tree of §3.3,
-retained for cross-validation and for the paper-faithful query API.
+Everything here is read off one assignment-invariant structure, the
+**unit read index** (:func:`unit_read_index`): the distinct cross-unit
+(reader unit, source element) pairs of the factorization, built once per
+partition.  Grouping it by (source unit, reader unit) gives the
+dependency edges *and* the distinct-element volume of each edge
+(:attr:`UnitReadIndex.dag`); :mod:`repro.machine.traffic` runs its
+kernel over the same index for every block-scheme traffic figure.  The
+paper's geometric mechanism (an interval tree per column) lives in
+``tests/core/interval_oracle.py`` as the oracle the ownership arrays are
+checked against.
 """
 
 from __future__ import annotations
@@ -38,16 +45,20 @@ from functools import cached_property
 import numpy as np
 
 from ..obs import trace as obs
-from ..symbolic.updates import UpdateSet
-from .interval_tree import Interval, IntervalTree
+from ..sparse.dtypes import index_dtype
+from ..symbolic.updates import UpdateSet, read_index_of
 from .partitioner import Partition
 
 __all__ = [
     "CATEGORY_NAMES",
     "DependencyInfo",
+    "UnitReadIndex",
+    "unit_read_index",
+    "group_unit_edges",
+    "unit_edge_volumes",
+    "require_same_edges",
     "classify_pair_updates",
     "analyze_dependencies",
-    "UnitLocator",
 ]
 
 CATEGORY_NAMES = {
@@ -64,33 +75,100 @@ CATEGORY_NAMES = {
     10: "two rectangles update a rectangle",
 }
 
+
+def _category_of_code() -> np.ndarray:
+    """Category of every value of the per-update code
+    ``kind[uj] + 3 kind[ut] + 9 [ui = ut] + 18 [ui = uj] + 36 [uj = ut]``
+    (kind codes of :data:`~repro.core.blocks.KIND_CODE`: 0 column,
+    1 triangle, 2 rectangle)."""
+    j_is_t, i_is_j, i_is_t, kt, kj = np.unravel_index(np.arange(72), (2, 2, 2, 3, 3))
+    from_rectangle = np.where(kt == 2, 10, 6 + 2 * kt + (1 - i_is_j))
+    cat = np.select([kj == 0, kj == 1], [1 + kt, 5 - i_is_t], from_rectangle)
+    return np.where(i_is_t & j_is_t, 0, cat)
+
+
+_CATEGORY_OF_CODE = _category_of_code()
+
+
+def _update_codes(partition: Partition, updates: UpdateSet) -> np.ndarray:
+    """The code of :func:`_category_of_code` for every pair update."""
+    # Unit id and kind of every element in one word: a single gather per
+    # role, and units are equal iff the words are.
+    unit = partition.unit_of_element
+    word = (unit * 4 + partition.kind[unit]).astype(index_dtype(4 * partition.num_units))
+    wj, wi, wt = word[updates.source_j], word[updates.source_i], word[updates.target]
+    code = (wj & 3).astype(np.uint8)
+    code += (wt & 3).astype(np.uint8) * np.uint8(3)
+    for weight, same in ((9, wi == wt), (18, wi == wj), (36, wj == wt)):
+        code += same.view(np.uint8) * np.uint8(weight)
+    return code
+
+
 def classify_pair_updates(partition: Partition, updates: UpdateSet) -> np.ndarray:
-    """Category code (0..10) for every pair update, vectorized."""
-    uoe = partition.unit_of_element
-    uj = uoe[updates.source_j]
-    ui = uoe[updates.source_i]
-    ut = uoe[updates.target]
-    # Kind codes (blocks.KIND_CODE): 0 column, 1 triangle, 2 rectangle.
-    kj, kt = partition.kind[uj], partition.kind[ut]
+    """Category code (0..10) for every pair update."""
+    return _CATEGORY_OF_CODE[_update_codes(partition, updates)]
 
-    cat = np.zeros(len(ut), dtype=np.int64)
-    internal = (uj == ut) & (ui == ut)
 
-    is_col = kj == 0
-    cat = np.where(~internal & is_col, 1 + kt, cat)
+@dataclass(frozen=True)
+class UnitReadIndex:
+    """The distinct cross-unit reads of a partition, source-ascending:
+    unit ``reader[r]`` reads element ``src[r]`` of another unit, and every
+    such (unit, element) pair appears exactly once.  It stands in for the
+    element-level :class:`~repro.symbolic.updates.ReadIndex` wherever
+    ownership is per unit: a processor fetches what its units do.
+    """
 
-    is_tri = kj == 1
-    cat = np.where(~internal & is_tri & (ui == ut), 4, cat)
-    cat = np.where(~internal & is_tri & (ui != ut), 5, cat)
+    include_scale: bool
+    src: np.ndarray
+    reader: np.ndarray
+    unit_of_element: np.ndarray
+    num_units: int
 
-    is_rect = kj == 2
-    same_rect = ui == uj
-    cat = np.where(~internal & is_rect & (kt == 0) & same_rect, 6, cat)
-    cat = np.where(~internal & is_rect & (kt == 0) & ~same_rect, 7, cat)
-    cat = np.where(~internal & is_rect & (kt == 1) & same_rect, 8, cat)
-    cat = np.where(~internal & is_rect & (kt == 1) & ~same_rect, 9, cat)
-    cat = np.where(~internal & is_rect & (kt == 2), 10, cat)
-    return cat
+    @cached_property
+    def dag(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(edges, volumes)`` of the unit DAG, as
+        :func:`group_unit_edges` lays them out."""
+        return group_unit_edges(
+            self.unit_of_element[self.src], self.reader, self.num_units
+        )
+
+
+def unit_read_index(
+    partition: Partition, updates: UpdateSet, include_scale: bool = True
+) -> UnitReadIndex:
+    """The unit read index of ``partition``, built on first use and kept
+    on the instance, one per ``include_scale``: the source-sorted read
+    list minus own-unit reads and repeats of the predecessor.  That this
+    removes *every* duplicate — no table, no sort — is the convexity
+    lemma proved in :mod:`repro.machine.traffic`.
+    """
+    memo = vars(partition).setdefault("_unit_read_indexes", {})
+    index = memo.get(include_scale)
+    if index is None:
+        reads = read_index_of(updates, include_scale)
+        uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
+        src, reader = reads.src, uoe[reads.reader]
+        keep = reader != uoe[src]
+        keep[1:] &= (reader[1:] != reader[:-1]) | (src[1:] != src[:-1])
+        kept = np.flatnonzero(keep)
+        index = memo[include_scale] = UnitReadIndex(
+            include_scale, src[kept], reader[kept], uoe, partition.num_units
+        )
+    return index
+
+
+def group_unit_edges(
+    src_unit: np.ndarray, reader_unit: np.ndarray, n_units: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (reader unit, source element) pairs, given as the
+    source's unit and the reader, counted per unit pair: ``(m, 2)``
+    [source, target] rows in lexicographic order and the aligned
+    distinct-element volumes."""
+    kdt = index_dtype(n_units * n_units)  # a narrow key sorts twice as fast
+    key = src_unit.astype(kdt) * kdt.type(n_units) + reader_unit.astype(kdt)
+    key, volumes = np.unique(key, return_counts=True)
+    key = key.astype(np.int64)
+    return np.stack([key // n_units, key % n_units], axis=1), volumes
 
 
 @dataclass
@@ -106,6 +184,9 @@ class DependencyInfo:
     edges: np.ndarray  # (m, 2) int64, unique, lexicographically sorted
     category_counts: dict[int, int]
     include_scale: bool
+    #: Distinct elements read along each edge; ``None`` when rebuilt from
+    #: edges alone (partition cache) — :func:`unit_edge_volumes` serves both.
+    volumes: np.ndarray | None = None
 
     @cached_property
     def predecessor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,82 +241,39 @@ def analyze_dependencies(
     updates (an element's unit depends on the unit owning its column's
     diagonal element).
     """
-    uoe = partition.unit_of_element
-    ut = uoe[updates.target]
-    srcs = [uoe[updates.source_i], uoe[updates.source_j]]
-    tgts = [ut, ut]
-    if include_scale:
-        all_eids = np.arange(partition.pattern.nnz, dtype=np.int64)
-        srcs.append(uoe[updates.scale_source])
-        tgts.append(uoe[all_eids])
-    src = np.concatenate(srcs)
-    tgt = np.concatenate(tgts)
-    n_units = partition.num_units
-    key = src * np.int64(n_units) + tgt
-    # Updates are enumerated column by column, so consecutive reads very
-    # often repeat an edge: dropping self-pairs and adjacent duplicates
-    # first leaves the sort a fraction of the keys.
-    keep = src != tgt
-    keep[1:] &= key[1:] != key[:-1]
-    key = np.unique(key[keep])
-    edges = np.stack([key // n_units, key % n_units], axis=1)
-
-    cats = classify_pair_updates(partition, updates)
-    counts = np.bincount(cats, minlength=len(CATEGORY_NAMES)).tolist()
+    edges, volumes = unit_read_index(partition, updates, include_scale).dag
+    counts = np.bincount(
+        _CATEGORY_OF_CODE,
+        weights=np.bincount(_update_codes(partition, updates), minlength=72),
+        minlength=len(CATEGORY_NAMES),
+    ).astype(np.int64).tolist()
     category_counts = {cat: n for cat, n in enumerate(counts) if n}
     if obs.is_enabled():
         obs.counter("deps.edges", len(edges))
         for cat, count in category_counts.items():
             obs.counter(f"deps.category.{cat:02d}", count)
-    return DependencyInfo(partition, edges, category_counts, include_scale)
+    return DependencyInfo(partition, edges, category_counts, include_scale, volumes)
 
 
-class UnitLocator:
-    """Geometric (row, col) -> unit lookup via interval trees (§3.3).
+def require_same_edges(edges: np.ndarray, deps: DependencyInfo) -> None:
+    """Refuse a ``deps`` analyzed for something else: simulating along an
+    edge the unit graph lacks would charge it a zero-volume message."""
+    if not np.array_equal(edges, deps.edges):
+        stray = set(map(tuple, edges.tolist())) ^ set(map(tuple, deps.edges.tolist()))
+        raise ValueError(
+            "the supplied DependencyInfo was not analyzed for this partition "
+            f"and include_scale setting: unit edges {sorted(stray)[:3]} are in "
+            "only one of it and the unit DAG"
+        )
 
-    One interval tree per column holds the row extents of the units
-    covering that column; locating an element is a stabbing query.  This
-    is the paper-faithful mechanism; the vectorized ownership arrays are
-    validated against it in the test suite.
+
+def unit_edge_volumes(
+    partition: Partition, deps: DependencyInfo, updates: UpdateSet
+) -> dict[tuple[int, int], int]:
+    """Distinct elements transferred along each unit-dependency edge:
+    volume of edge (s, t) = number of distinct elements owned by unit s
+    that updates targeting unit t read.
     """
-
-    def __init__(self, partition: Partition):
-        self.partition = partition
-        n = partition.pattern.n
-        n_units = partition.num_units
-        # Expand every unit's column extent with repeat/cumsum, then group
-        # the (column, unit) incidences by column — no per-(unit, column)
-        # Python append.
-        col_lo = partition.col_lo
-        widths = partition.col_hi - col_lo + 1
-        unit_of_inc = np.repeat(np.arange(n_units, dtype=np.int64), widths)
-        cum = np.cumsum(widths)
-        cols = np.arange(int(cum[-1]) if n_units else 0, dtype=np.int64)
-        cols += (col_lo - (cum - widths))[unit_of_inc]
-        order = np.argsort(cols, kind="stable")  # keeps unit order per column
-        sorted_units = unit_of_inc[order]
-        bounds = np.searchsorted(cols[order], np.arange(n + 1, dtype=np.int64))
-        intervals = [
-            Interval(lo, hi, u)
-            for u, (lo, hi) in enumerate(zip(partition.row_lo.tolist(), partition.row_hi.tolist()))
-        ]
-        self._trees = [
-            IntervalTree([intervals[k] for k in sorted_units[bounds[c] : bounds[c + 1]]])
-            for c in range(n)
-        ]
-
-    def locate(self, row: int, col: int) -> int:
-        """Unit id owning position (row, col); -1 if no unit covers it.
-
-        For triangle units, positions above the diagonal are rejected.
-        """
-        if row < col:
-            raise ValueError("position above the diagonal")
-        # Triangle units only own the lower-triangular part of their
-        # bounding square, which (row >= col) guarantees.
-        hits = self._trees[col].stab(row)
-        return hits[0].data if hits else -1
-
-    def units_overlapping_rows(self, col: int, row_lo: int, row_hi: int) -> list[int]:
-        """Units covering ``col`` whose row extents intersect [row_lo, row_hi]."""
-        return sorted({iv.data for iv in self._trees[col].overlapping(row_lo, row_hi)})
+    edges, volumes = unit_read_index(partition, updates, deps.include_scale).dag
+    require_same_edges(edges, deps)
+    return dict(zip(map(tuple, edges.tolist()), volumes.tolist()))

@@ -15,12 +15,12 @@ import numpy as np
 
 from ..machine.metrics import LoadBalance, load_balance
 from ..obs import trace as obs
-from ..machine.traffic import TrafficResult, data_traffic, read_index_of
+from ..machine.traffic import TrafficResult, data_traffic
 from ..machine.work import processor_work, unit_work
 from ..ordering import order as order_graph
 from ..sparse.pattern import LowerPattern, SymmetricGraph
 from ..symbolic.fill import SymbolicFactor, symbolic_cholesky
-from ..symbolic.updates import UpdateSet, enumerate_updates
+from ..symbolic.updates import UpdateSet, enumerate_updates, read_index_of
 from .assignment import Assignment
 from .dependencies import DependencyInfo, analyze_dependencies
 from .partitioner import Partition, partition_factor
@@ -298,13 +298,19 @@ def _batched_results(
     :class:`MappingResult` rows (value-identical to the per-cell path)."""
     from ..machine.batched import batched_metrics
 
+    measured = assignments
+    if partitions is not None:
+        # One partition per cell: a unit read index costs an element-kernel
+        # pass to build and would serve one cell, so these go in bare.
+        measured = [
+            Assignment(a.scheme, a.nprocs, a.pattern, a.owner_of_element)
+            for a in assignments
+        ]
     with obs.span(
         "pipeline.metrics", matrix=prepared.name, cells=len(assignments)
     ):
-        # The read index is the one memoised on the updates, for either
-        # value of the flag.
         metrics = batched_metrics(
-            prepared.updates, assignments, include_scale=include_scale_traffic
+            prepared.updates, measured, include_scale=include_scale_traffic
         )
     obs.counter("pipeline.stage.metrics", len(assignments))
     out = []

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine.simulate import unit_edge_volumes
 from ..symbolic.updates import UpdateSet
 from .assignment import Assignment
-from .dependencies import DependencyInfo
+from .dependencies import DependencyInfo, unit_edge_volumes
 from .partitioner import Partition
 
-__all__ = ["schedule_lpt", "schedule_affinity", "unit_edge_volumes"]
+__all__ = ["schedule_lpt", "schedule_affinity"]
 
 
 def _finish(partition: Partition, proc_of_unit: np.ndarray, nprocs: int,

@@ -2,13 +2,13 @@
 
 The paper's experimental grid measures one fixed structure under many
 processor counts and mapping schemes.  The *source side* of every read
-is identical across those cells, so the K evaluations share one
-source-sorted :class:`~repro.machine.traffic.ReadIndex` and each cell is
-one pass of the sort-free kernel of :mod:`repro.machine.traffic`
-(:func:`~repro.machine.traffic.fetch_counts`) over it — the same call
-:func:`~repro.machine.traffic.data_traffic` makes for a single
-assignment, so the two paths cannot disagree.  Working memory is one
-cell's chunk at a time, bounded by ``chunk_reads`` whatever K is.
+is identical across those cells, so the K evaluations share the
+memoised read structures of :mod:`repro.machine.traffic` (a partition's
+unit read index, the source-sorted read list) and each cell *is* a
+:func:`~repro.machine.traffic.data_traffic` call, so the two paths
+cannot disagree.  :func:`batched_traffic` takes raw owner arrays, which
+carry no unit-level view: always the element kernel.  Working memory is
+one cell's chunk at a time, bounded by ``chunk_reads`` whatever K is.
 
 This module adds what a batch needs on top: validation of raw owner
 arrays (the kernel trusts its owners), and the matching per-cell
@@ -24,7 +24,7 @@ import numpy as np
 from ..obs import trace as obs
 from ..symbolic.updates import UpdateSet
 from .metrics import LoadBalance, load_balance
-from .traffic import ReadIndex, TrafficResult, fetch_counts, read_index_of
+from .traffic import ReadIndex, TrafficResult, data_traffic, element_read_index, fetch_counts
 
 __all__ = [
     "batched_traffic",
@@ -86,16 +86,10 @@ def batched_traffic(
     chunk size.
     """
     owners, nprocs = _validated_inputs(updates, owners, nprocs)
-    if read_index is None:
-        read_index = read_index_of(updates, include_scale)
-    elif read_index.include_scale != include_scale:
-        raise ValueError(
-            "read index was built with include_scale="
-            f"{read_index.include_scale}, requested {include_scale}"
-        )
+    read_index = element_read_index(updates, include_scale, read_index)
     obs.counter("machine.batched.cells", len(owners))
     return [
-        TrafficResult(fetch_counts(owner, p, read_index, chunk_reads))
+        TrafficResult(fetch_counts(owner, p, read_index, chunk_reads=chunk_reads))
         for owner, p in zip(owners, nprocs)
     ]
 
@@ -132,17 +126,19 @@ def batched_metrics(
     """Traffic and load balance for K assignments of one structure.
 
     All assignments must map the same pattern the updates were
-    enumerated on; their processor counts may differ.  ``chunk_reads``
-    bounds the traffic kernel's per-chunk working set (see
-    :func:`batched_traffic`).
+    enumerated on; their processor counts may differ.  Each cell is a
+    :func:`~repro.machine.traffic.data_traffic` call (``read_index``
+    serves those on the element kernel, ``chunk_reads`` bounds the
+    kernel's per-chunk working set, see :func:`batched_traffic`).
     """
     assignments = list(assignments)
     owners = [a.owner_of_element for a in assignments]
     nprocs = [a.nprocs for a in assignments]
     with obs.span("machine.batched_metrics", cells=len(assignments)):
-        traffic = batched_traffic(
-            updates, owners, nprocs, read_index, include_scale,
-            chunk_reads=chunk_reads,
-        )
-        balance = batched_load_balance(updates, owners, nprocs)
+        balance = batched_load_balance(updates, owners, nprocs)  # validates
+        obs.counter("machine.batched.cells", len(assignments))
+        traffic = [
+            data_traffic(a, updates, include_scale, read_index, chunk_reads)
+            for a in assignments
+        ]
     return list(zip(traffic, balance))

@@ -17,9 +17,11 @@ reasons (for critical-path extraction) and the message ledger, whose
 total bytes bit-match :func:`repro.machine.traffic.data_traffic` for
 the same assignment (both aggregate the distinct non-local (processor,
 source element) fetches of :func:`repro.machine.traffic.fetch_pairs`).
-The unit DAG comes from the same kernel with the element→unit map as
-the owner array (:func:`unit_graph`): sorted edges with an aligned
-volume array, from which the event loop's per-edge delays are one pass.
+The unit DAG — sorted edges with an aligned volume array, from which
+the event loop's per-edge delays are one pass — is the one memoised on a
+block partition's :class:`~repro.core.dependencies.UnitReadIndex`; for
+any other element→unit map it comes from the traffic kernel with the
+map as the owner array (:func:`unit_graph`).
 Block assignments simulate at unit-block granularity; wrap/column
 assignments (no partition, but a per-column processor map) simulate at
 column granularity over the column dependency DAG.
@@ -34,12 +36,13 @@ import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.blocks import KINDS
-from ..core.dependencies import DependencyInfo
-from ..core.partitioner import Partition
+from ..core.dependencies import (
+    DependencyInfo, group_unit_edges, require_same_edges, unit_edge_volumes, unit_read_index,
+)
 from ..obs import simtime
 from ..obs import trace as obs
-from ..symbolic.updates import UpdateSet
-from .traffic import fetch_pairs, read_index_of
+from ..symbolic.updates import UpdateSet, read_index_of
+from .traffic import fetch_pairs, kernel_inputs
 
 __all__ = [
     "MachineModel",
@@ -127,40 +130,14 @@ def unit_graph(
 
     With the unit map as the owner array, the traffic kernel's distinct
     non-local fetches are the distinct (target unit, source element)
-    pairs across unit boundaries; they are counted per unit pair.
+    pairs across unit boundaries; they are counted per unit pair.  Any
+    labelling of the elements will do: the map need not be unit-convex.
     """
     if n_units == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     uoe = np.asarray(unit_of_element, dtype=np.int64)
     target, src = fetch_pairs(uoe, n_units, read_index_of(updates, include_scale))
-    key, volume = np.unique(uoe[src] * np.int64(n_units) + target, return_counts=True)
-    return np.stack([key // n_units, key % n_units], axis=1), volume
-
-
-def _require_same_edges(edges: np.ndarray, deps: DependencyInfo) -> None:
-    """Refuse a ``deps`` analyzed for something else: simulating along an
-    edge the unit graph lacks would charge it a zero-volume message."""
-    if not np.array_equal(edges, deps.edges):
-        stray = set(map(tuple, edges.tolist())) ^ set(map(tuple, deps.edges.tolist()))
-        raise ValueError(
-            "the supplied DependencyInfo was not analyzed for this partition "
-            f"and include_scale setting: unit edges {sorted(stray)[:3]} are in "
-            "only one of it and the unit DAG"
-        )
-
-
-def unit_edge_volumes(
-    partition: Partition, deps: DependencyInfo, updates: UpdateSet
-) -> dict[tuple[int, int], int]:
-    """Distinct elements transferred along each unit-dependency edge:
-    volume of edge (s, t) = number of distinct elements owned by unit s
-    that updates targeting unit t read.
-    """
-    edges, volume = unit_graph(
-        partition.unit_of_element, updates, partition.num_units, deps.include_scale
-    )
-    _require_same_edges(edges, deps)
-    return dict(zip(map(tuple, edges.tolist()), volume.tolist()))
+    return group_unit_edges(uoe[src], target, n_units)
 
 
 def edge_volumes(
@@ -297,9 +274,7 @@ def simulation_messages(
     the receive time adds the α + β·bytes message delay.
     """
     nprocs = assignment.nprocs
-    proc, src = fetch_pairs(
-        assignment.owner_of_element, nprocs, read_index_of(updates, include_scale)
-    )
+    proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
     uoe = np.asarray(unit_of_element, dtype=np.int64)
     # Group the (already distinct) fetches into one message per (cause
     # unit, destination), ordered by that key.
@@ -342,9 +317,9 @@ def simulate_assignment(
             include_scale = deps.include_scale
         n_units = partition.num_units
         uoe = partition.unit_of_element
-        edges, volume = unit_graph(uoe, updates, n_units, include_scale)
+        edges, volume = unit_read_index(partition, updates, include_scale).dag
         if deps is not None:
-            _require_same_edges(edges, deps)
+            require_same_edges(edges, deps)
         stage = partition.cluster_of_unit
         kinds = tuple(_KIND_NAMES[partition.kind].tolist())
     elif assignment.proc_of_unit is not None:

@@ -8,35 +8,63 @@ usage of that element in the local computations does not add to the
 data traffic."
 
 Implemented exactly: for each processor, the number of *distinct*
-non-local elements read by any update it computes.  One kernel,
-:func:`distinct_fetches`, finds those (processor, source element) pairs
-for every consumer — :func:`data_traffic`, :func:`communication_matrix`,
-the K-cell loop of :mod:`repro.machine.batched`, the message ledger of
-:func:`repro.machine.simulate.simulation_messages` and (with units in
-the place of processors) the unit DAG of
-:func:`repro.machine.simulate.unit_graph` — in O(reads) and without a
-sort:
+non-local elements read by any update it computes.  Both of the paper's
+mappings own data in *units* (unit blocks; whole columns for wrap), and
+the count is taken at the granularity ownership is defined at.  Three
+paths, selected by what the :class:`~repro.core.assignment.Assignment`
+carries — there is no switch:
 
-1. the read list (source element, reading element) is assignment
-   invariant, so it is materialized and **sorted by source** once per
-   :class:`~repro.symbolic.updates.UpdateSet` (:class:`ReadIndex`,
-   memoised by :func:`read_index_of`);
-2. per assignment, ``proc = owner[reader]`` is one gather; reads of
-   elements the reader owns, and reads that repeat their predecessor's
-   (source, processor), are dropped by two comparisons;
-3. what is left is deduplicated through a *stamp table*: read ``r``
-   writes ``r`` into slot ``(source - base) * nprocs + proc`` of an
-   uninitialised int32 array, and is the representative of its pair iff
-   it reads its own stamp back.  Whichever duplicate's write lands
-   last, exactly one read per pair survives, so the count is
-   deterministic.
+**Unit index** (``partition`` set: every block scheme).  A processor
+fetches an element iff one of its units reads it, so the stamp kernel
+below runs over the partition's
+:class:`~repro.core.dependencies.UnitReadIndex` — the distinct
+cross-unit (reader unit, source element) pairs — with ``proc_of_unit``
+as the reader's owner: the same (processor, source) set from 2-4x fewer
+entries than the element read list.  *Lemma:* in the source-sorted read
+list, the reads of one source by one unit are adjacent, so the index is
+the read list minus own-unit reads and repeats of the predecessor.
+*Proof:* element (r, k) is read in its row role by the targets (r, j),
+j running up the rows of column k to r; then in its column role by the
+targets (i, r), i running from r down the rest of column k; then, if it
+is a diagonal, by every element of column k.  A unit block is the part
+of the factor inside a rectangle of consecutive rows and columns (or,
+for a triangle, that rectangle's lower half), so it meets a row, and a
+column, in one run of consecutive entries; and a unit holding targets
+of both the row and the column run holds (r, r), where the first ends
+and the second begins.  Scale reads belong to diagonal sources, which
+no pair update reads.
 
-The table is bounded by streaming the read list in source-aligned
-chunks (:func:`read_chunk_bounds`): ``src`` is ascending, so a chunk is
-a slice, no (processor, source) pair can span two chunks, and the
-per-chunk results simply accumulate — bit-identical at every chunk
-size.  One setting, ``chunk_reads`` (default
-:data:`DEFAULT_CHUNK_READS`, ``$REPRO_BATCH_CHUNK_READS``), bounds both
+**Column prefix** (``proc_of_unit`` over columns, no partition: wrap
+and block-cyclic).  Let column k have off-diagonal rows r_1 < ... < r_m
+and pc[j] be the owner of column j.  Element (r_t, k) is read by the
+targets (r_t, r_b), b <= t, and (r_a, r_t), a >= t — columns r_1..r_t —
+so processor q fetches it iff q != pc[k] and q is among pc[r_1..r_t], a
+prefix; the diagonal is read only inside its own column.  Hence
+``fetches[q] = sum over k with pc[k] != q of (m_k - first_k(q) + 1)``,
+first_k(q) the first t with pc[r_t] = q: one pass over the nonzeros of
+L and no read list at all (:func:`column_fetch_counts`).
+
+**Element kernel** (neither: 2-D cyclic, arbitrary owners, and raw
+arrays through :func:`repro.machine.batched.batched_traffic`).
+:func:`distinct_fetches` finds the distinct (processor, source element)
+pairs in O(reads) without a sort; the unit index path runs it too, and
+it hands :func:`communication_matrix`, the message ledger of
+:func:`repro.machine.simulate.simulation_messages` and (units in the
+place of processors) :func:`repro.machine.simulate.unit_graph` the pairs
+themselves.  The read list (source, reading element) is assignment
+invariant, so it is **sorted by source** once per ``UpdateSet``
+(:func:`~repro.symbolic.updates.read_index_of`).  Per assignment,
+``proc = owner[reader]`` is one gather; reads of elements the reader
+owns, and repeats of the predecessor's (source, processor), go in two
+comparisons; the rest is deduplicated through a *stamp table*: read
+``r`` writes ``r`` into slot ``(source - base) * nprocs + proc`` of an
+uninitialised int32 array and represents its pair iff it reads its own
+stamp back — whichever duplicate's write lands last, exactly one read
+per pair survives.  The table is bounded by streaming the list in
+source-aligned chunks (:func:`read_chunk_bounds`): ``src`` ascends, so a
+chunk is a slice, no pair spans two chunks and the per-chunk results
+accumulate, bit-identical at every chunk size.  ``chunk_reads`` (default
+:data:`DEFAULT_CHUNK_READS`, ``$REPRO_BATCH_CHUNK_READS``) bounds both
 the reads and the table slots of a chunk.
 """
 
@@ -49,9 +77,10 @@ from typing import Iterator
 import numpy as np
 
 from ..core.assignment import Assignment
-from ..obs import trace as obs
-from ..sparse.dtypes import index_dtype
-from ..symbolic.updates import UpdateSet
+from ..core.dependencies import UnitReadIndex, unit_read_index
+from ..sparse.dtypes import linear_index
+from ..sparse.pattern import LowerPattern
+from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index, read_index_of
 
 __all__ = [
     "DEFAULT_CHUNK_READS",
@@ -61,8 +90,11 @@ __all__ = [
     "read_index_of",
     "read_chunk_bounds",
     "distinct_fetches",
+    "column_fetch_counts",
     "fetch_counts",
     "fetch_pairs",
+    "element_read_index",
+    "kernel_inputs",
     "data_traffic",
     "communication_matrix",
 ]
@@ -106,63 +138,6 @@ class TrafficResult:
     @property
     def max(self) -> int:
         return int(self.per_processor.max())
-
-
-@dataclass(frozen=True)
-class ReadIndex:
-    """The assignment-invariant read list of a factorization, sorted by
-    source element.
-
-    ``src[r]`` is the element id read by the r-th access and
-    ``reader[r]`` the element id whose owner performs it (the update's
-    target, or the element itself for diagonal/scale reads).  ``src`` is
-    ascending, which is what lets :func:`distinct_fetches` stream it in
-    slices that never split a source.
-    """
-
-    include_scale: bool
-    src: np.ndarray
-    reader: np.ndarray
-
-    @property
-    def num_reads(self) -> int:
-        return len(self.src)
-
-
-def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
-    """Materialize and source-sort the read list of ``updates``.
-
-    Every pair update reads two off-diagonal sources on behalf of its
-    target; ``include_scale`` adds one diagonal read per element,
-    matching the flag of :func:`data_traffic`.
-    """
-    edt = index_dtype(updates.pattern.nnz)
-    srcs = [updates.source_i, updates.source_j]
-    readers = [updates.target, updates.target]
-    if include_scale:
-        srcs.append(updates.scale_source)
-        readers.append(np.arange(updates.pattern.nnz, dtype=edt))
-    src = np.concatenate(srcs).astype(edt, copy=False)
-    reader = np.concatenate(readers).astype(edt, copy=False)
-    order = np.argsort(src, kind="stable")
-    return ReadIndex(
-        include_scale=include_scale,
-        src=np.ascontiguousarray(src[order]),
-        reader=np.ascontiguousarray(reader[order]),
-    )
-
-
-def read_index_of(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
-    """The read index of ``updates``, built on first use and kept on the
-    instance beside its cached properties — one per ``include_scale``,
-    shared by every per-cell and batched measurement of the structure."""
-    memo = vars(updates).setdefault("_read_indexes", {})
-    index = memo.get(include_scale)
-    if index is None:
-        with obs.span("pipeline.read_index", include_scale=include_scale):
-            index = memo[include_scale] = build_read_index(updates, include_scale)
-        obs.counter("pipeline.stage.read_index")
-    return index
 
 
 def read_chunk_bounds(
@@ -210,7 +185,8 @@ def read_chunk_bounds(
 def distinct_fetches(
     owner: np.ndarray,
     nprocs: int,
-    read_index: ReadIndex,
+    read_index: ReadIndex | UnitReadIndex,
+    reader_owner: np.ndarray | None = None,
     chunk_reads: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The distinct non-local (processor, source element) fetches of one
@@ -218,12 +194,17 @@ def distinct_fetches(
 
     Yields parallel arrays ``(proc, src)`` holding every pair exactly
     once over the whole iteration (sources ascend from chunk to chunk).
-    ``owner[e]`` must lie in ``[0, nprocs)`` for every element — an
+    ``reader_owner`` maps the index's ``reader`` ids to processors where
+    they are not element ids (``proc_of_unit`` for a unit read index).
+    Every owner must lie in ``[0, nprocs)`` — an
     :class:`~repro.core.assignment.Assignment` guarantees it, raw arrays
     are checked by :func:`repro.machine.batched.batched_traffic` — since
     an out-of-range owner would alias a neighbouring source's slots.
     """
     owner = np.asarray(owner, dtype=np.int32)
+    reader_owner = (
+        owner if reader_owner is None else np.asarray(reader_owner, dtype=np.int32)
+    )
     nprocs = int(nprocs)  # a numpy integer here would widen every key
     slots = _chunk_reads_setting(chunk_reads)
     span = max(1, slots // nprocs)
@@ -233,7 +214,7 @@ def distinct_fetches(
     table = np.empty(min(span, len(owner)) * nprocs, dtype=np.int32)
     for lo, hi in zip(bounds, bounds[1:]):
         s = src[lo:hi]
-        p = owner[reader[lo:hi]]
+        p = reader_owner[reader[lo:hi]]
         keep = p != owner[s]
         keep[1:] &= (p[1:] != p[:-1]) | (s[1:] != s[:-1])
         p, s = p[keep], s[keep]
@@ -244,29 +225,85 @@ def distinct_fetches(
         yield p[first], s[first]
 
 
+def column_fetch_counts(
+    pattern: LowerPattern, proc_of_col: np.ndarray, nprocs: int
+) -> np.ndarray:
+    """Distinct non-local fetches per processor when processor
+    ``proc_of_col[j]`` owns all of column j: the prefix formula of the
+    module docstring, one sort of nnz(L) (column, processor) keys."""
+    proc_of_col = np.asarray(proc_of_col)
+    col = pattern.element_cols()
+    eid = np.flatnonzero(pattern.rowidx != col)  # the off-diagonal elements
+    col = col[eid]
+    proc = proc_of_col[pattern.rowidx[eid]]
+    # The first row of every processor in every column ...
+    _, at = np.unique(linear_index(col, proc, nprocs), return_index=True)
+    at = at[proc[at] != proc_of_col[col[at]]]
+    # ... from where it fetches the rest of the column.
+    reach = pattern.indptr[col[at] + 1] - eid[at]
+    return np.bincount(proc[at], weights=reach, minlength=nprocs).astype(np.int64)
+
+
+def element_read_index(
+    updates: UpdateSet, include_scale: bool, read_index: ReadIndex | None = None
+) -> ReadIndex:
+    """``read_index`` if it was built for this flag, by default the one
+    memoised on ``updates``."""
+    if read_index is None:
+        return read_index_of(updates, include_scale)
+    if read_index.include_scale != include_scale:
+        raise ValueError(
+            "read index was built with include_scale="
+            f"{read_index.include_scale}, requested {include_scale}"
+        )
+    return read_index
+
+
+def kernel_inputs(
+    assignment: Assignment,
+    updates: UpdateSet,
+    include_scale: bool = True,
+    read_index: ReadIndex | None = None,
+) -> tuple:
+    """The arguments ``(owner, nprocs, read_index, reader_owner)`` of
+    the stamp kernel for one assignment: over its partition's unit read
+    index if it has one, else over the element read list."""
+    owner = assignment.owner_of_element
+    if assignment.partition is not None and assignment.proc_of_unit is not None:
+        index = unit_read_index(assignment.partition, updates, include_scale)
+        return owner, assignment.nprocs, index, assignment.proc_of_unit
+    index = element_read_index(updates, include_scale, read_index)
+    return owner, assignment.nprocs, index, None
+
+
 def fetch_counts(
     owner: np.ndarray,
     nprocs: int,
-    read_index: ReadIndex,
+    read_index: ReadIndex | UnitReadIndex,
+    reader_owner: np.ndarray | None = None,
     chunk_reads: int | None = None,
 ) -> np.ndarray:
     """Distinct non-local fetches per processor for one owner array."""
     counts = np.zeros(nprocs, dtype=np.int64)
-    for proc, _src in distinct_fetches(owner, nprocs, read_index, chunk_reads):
+    for proc, _src in distinct_fetches(owner, nprocs, read_index, reader_owner, chunk_reads):
         counts += np.bincount(proc, minlength=nprocs)
     return counts
 
 
 def fetch_pairs(
-    owner: np.ndarray, nprocs: int, read_index: ReadIndex
+    owner: np.ndarray,
+    nprocs: int,
+    read_index: ReadIndex | UnitReadIndex,
+    reader_owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct non-local fetch of one owner array as parallel
     int64 arrays ``(proc, src)``, sources ascending — what
-    :func:`communication_matrix`, the simulated message ledger and the
-    unit DAG of :func:`repro.machine.simulate.unit_graph` (owner = the
+    :func:`communication_matrix`, the simulated message ledger (both
+    through :func:`kernel_inputs`) and the unit DAG of
+    :func:`repro.machine.simulate.unit_graph` (owner = an arbitrary
     element→unit map) aggregate, so all of them bit-match
     :func:`data_traffic`."""
-    chunks = list(distinct_fetches(owner, nprocs, read_index))
+    chunks = list(distinct_fetches(owner, nprocs, read_index, reader_owner))
     if not chunks:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     proc, src = (np.concatenate(part).astype(np.int64) for part in zip(*chunks))
@@ -274,20 +311,28 @@ def fetch_pairs(
 
 
 def data_traffic(
-    assignment: Assignment, updates: UpdateSet, include_scale: bool = True
+    assignment: Assignment,
+    updates: UpdateSet,
+    include_scale: bool = True,
+    read_index: ReadIndex | None = None,
+    chunk_reads: int | None = None,
 ) -> TrafficResult:
-    """Distinct non-local element fetches per processor.
+    """Distinct non-local element fetches per processor, by the path the
+    assignment's unit-level view selects (module docstring).
 
     ``include_scale`` counts the read of the column diagonal during the
     scale update; the pair-update reads are always counted.
+    ``read_index`` and ``chunk_reads`` are the stamp kernel's element
+    read list (default: the one memoised on ``updates``) and chunk bound.
     """
-    return TrafficResult(
-        fetch_counts(
-            assignment.owner_of_element,
-            assignment.nprocs,
-            read_index_of(updates, include_scale),
+    if assignment.partition is None and assignment.proc_of_unit is not None:
+        counts = column_fetch_counts(
+            assignment.pattern, assignment.proc_of_unit, assignment.nprocs
         )
-    )
+    else:
+        inputs = kernel_inputs(assignment, updates, include_scale, read_index)
+        counts = fetch_counts(*inputs, chunk_reads=chunk_reads)
+    return TrafficResult(counts)
 
 
 def communication_matrix(
@@ -300,8 +345,6 @@ def communication_matrix(
     block mappings confine traffic to small processor groups.
     """
     n = assignment.nprocs
-    proc, src = fetch_pairs(
-        assignment.owner_of_element, n, read_index_of(updates, include_scale)
-    )
+    proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
     link = proc * n + assignment.owner_of_element[src]
     return np.bincount(link, minlength=n * n).reshape(n, n)

@@ -16,10 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
+from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype, linear_index
 from ..sparse.pattern import LowerPattern
 
-__all__ = ["UpdateSet", "enumerate_updates", "enumerate_updates_reference"]
+__all__ = ["UpdateSet", "ReadIndex", "build_read_index", "read_index_of",
+           "enumerate_updates", "enumerate_updates_reference"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,66 @@ class UpdateSet:
     def total_work(self) -> int:
         """W_tot = 2 * (number of pair updates) + nnz(L)."""
         return 2 * self.num_pair_updates + self.pattern.nnz
+
+
+@dataclass(frozen=True)
+class ReadIndex:
+    """The assignment-invariant read list of a factorization, sorted by
+    source element.
+
+    ``src[r]`` is the element id read by the r-th access and
+    ``reader[r]`` the element id whose owner performs it (the update's
+    target, or the element itself for diagonal/scale reads).  ``src`` is
+    ascending, and the reads of one source keep the order row role
+    (``source_i``), column role (``source_j``), scale — what lets the
+    traffic kernel stream it in slices that never split a source, and
+    the unit read index drop duplicates by comparing neighbours.
+    """
+
+    include_scale: bool
+    src: np.ndarray
+    reader: np.ndarray
+
+    @property
+    def num_reads(self) -> int:
+        return len(self.src)
+
+
+def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
+    """Materialize and source-sort the read list of ``updates``.
+
+    Every pair update reads two off-diagonal sources on behalf of its
+    target; ``include_scale`` adds one diagonal read per element,
+    matching the flag of :func:`repro.machine.traffic.data_traffic`.
+    """
+    edt = index_dtype(updates.pattern.nnz)
+    srcs = [updates.source_i, updates.source_j]
+    readers = [updates.target, updates.target]
+    if include_scale:
+        srcs.append(updates.scale_source)
+        readers.append(np.arange(updates.pattern.nnz, dtype=edt))
+    src = np.concatenate(srcs).astype(edt, copy=False)
+    reader = np.concatenate(readers).astype(edt, copy=False)
+    order = np.argsort(src, kind="stable")
+    return ReadIndex(
+        include_scale=include_scale,
+        src=np.ascontiguousarray(src[order]),
+        reader=np.ascontiguousarray(reader[order]),
+    )
+
+
+def read_index_of(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
+    """The read index of ``updates``, built on first use and kept on the
+    instance beside its cached properties — one per ``include_scale``,
+    shared by the dependency analysis and every traffic measurement of
+    the structure."""
+    memo = vars(updates).setdefault("_read_indexes", {})
+    index = memo.get(include_scale)
+    if index is None:
+        with obs.span("pipeline.read_index", include_scale=include_scale):
+            index = memo[include_scale] = build_read_index(updates, include_scale)
+        obs.counter("pipeline.stage.read_index")
+    return index
 
 
 #: Above this order the dense (n x n) element-id lookup (8 n² bytes)

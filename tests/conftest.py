@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -111,6 +113,20 @@ def traffic_oracle(owner, nprocs: int, updates, include_scale: bool = True) -> n
         fetched[owner, updates.scale_source] = True
     fetched[owner, np.arange(nnz)] = False
     return fetched.sum(axis=1)
+
+
+def volume_oracle(uoe, updates, include_scale: bool) -> Counter:
+    """{(source unit, target unit): distinct source elements read across
+    the unit boundary}, by collecting the (target unit, source element)
+    pairs of every read into a Python set."""
+    uoe = uoe.tolist()
+    target = updates.target.tolist()
+    reads = list(zip(updates.source_i.tolist(), target))
+    reads += zip(updates.source_j.tolist(), target)
+    if include_scale:
+        reads += zip(updates.scale_source.tolist(), range(len(uoe)))
+    pairs = {(uoe[r], s) for s, r in reads if uoe[s] != uoe[r]}
+    return Counter((uoe[s], t) for t, s in pairs)
 
 
 def schedule_oracle(partition, deps, nprocs: int, unit_work=None,

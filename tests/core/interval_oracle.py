@@ -1,18 +1,20 @@
-"""Static interval tree for block-extent queries.
+"""The paper's geometric unit lookup (§3.3), kept as a test oracle.
 
 The paper computes inter-block dependencies "using this classification
-and the interval tree structure".  This is a classic centered interval
-tree over closed integer intervals, supporting stabbing queries (all
-intervals containing a point) and overlap queries (all intervals
-intersecting a range).  It is used to find the blocks whose row extents
-intersect a target extent.
+and the interval tree structure".  :class:`IntervalTree` is a classic
+centered interval tree over closed integer intervals, supporting
+stabbing queries (all intervals containing a point) and overlap queries
+(all intervals intersecting a range); :class:`UnitLocator` holds one per
+column over the row extents of the units covering it.  Production code
+reads unit ownership off ``Partition.unit_of_element``;
+``test_dependencies.py`` checks those arrays against this mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Interval", "IntervalTree"]
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -125,3 +127,54 @@ class IntervalTree:
                     break
                 out.append(iv)
             IntervalTree._collect_overlaps(node.right, lo, hi, out)
+
+
+class UnitLocator:
+    """Geometric (row, col) -> unit lookup via interval trees (§3.3).
+
+    One interval tree per column holds the row extents of the units
+    covering that column; locating an element is a stabbing query.  This
+    is the paper-faithful mechanism; the vectorized ownership arrays are
+    validated against it in the test suite.
+    """
+
+    def __init__(self, partition):
+        self.partition = partition
+        n = partition.pattern.n
+        n_units = partition.num_units
+        # Expand every unit's column extent with repeat/cumsum, then group
+        # the (column, unit) incidences by column — no per-(unit, column)
+        # Python append.
+        col_lo = partition.col_lo
+        widths = partition.col_hi - col_lo + 1
+        unit_of_inc = np.repeat(np.arange(n_units, dtype=np.int64), widths)
+        cum = np.cumsum(widths)
+        cols = np.arange(int(cum[-1]) if n_units else 0, dtype=np.int64)
+        cols += (col_lo - (cum - widths))[unit_of_inc]
+        order = np.argsort(cols, kind="stable")  # keeps unit order per column
+        sorted_units = unit_of_inc[order]
+        bounds = np.searchsorted(cols[order], np.arange(n + 1, dtype=np.int64))
+        intervals = [
+            Interval(lo, hi, u)
+            for u, (lo, hi) in enumerate(zip(partition.row_lo.tolist(), partition.row_hi.tolist()))
+        ]
+        self._trees = [
+            IntervalTree([intervals[k] for k in sorted_units[bounds[c] : bounds[c + 1]]])
+            for c in range(n)
+        ]
+
+    def locate(self, row: int, col: int) -> int:
+        """Unit id owning position (row, col); -1 if no unit covers it.
+
+        For triangle units, positions above the diagonal are rejected.
+        """
+        if row < col:
+            raise ValueError("position above the diagonal")
+        # Triangle units only own the lower-triangular part of their
+        # bounding square, which (row >= col) guarantees.
+        hits = self._trees[col].stab(row)
+        return hits[0].data if hits else -1
+
+    def units_overlapping_rows(self, col: int, row_lo: int, row_hi: int) -> list[int]:
+        """Units covering ``col`` whose row extents intersect [row_lo, row_hi]."""
+        return sorted({iv.data for iv in self._trees[col].overlapping(row_lo, row_hi)})

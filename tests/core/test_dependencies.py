@@ -1,5 +1,9 @@
 """Inter-block dependency identification and the ten categories (§3.3)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +11,17 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CATEGORY_NAMES,
-    UnitLocator,
     analyze_dependencies,
     classify_pair_updates,
     partition_factor,
+    prepare,
 )
 from repro.core.blocks import BlockKind
+from repro.sparse import harwell_boeing as hb
 from repro.symbolic import enumerate_updates, symbolic_cholesky
 
 from ..conftest import random_connected_graph
+from .interval_oracle import UnitLocator
 
 
 def _setup(n=36, extra=60, seed=11, grain=4, min_width=2):
@@ -195,6 +201,43 @@ class TestDependencyInfo:
         _, partition, updates = _setup()
         deps = analyze_dependencies(partition, updates)
         assert sum(deps.category_counts.values()) == updates.num_pair_updates
+
+
+#: Edges, per-edge volumes and all eleven category counts of the five
+#: bundled matrices, taken at the last commit that derived them from the
+#: element-level read list (sort of the (unit, unit) keys, the stamp
+#: kernel with the unit map as owner, a ten-pass where-chain).
+GOLDEN = json.loads((Path(__file__).parent / "golden_dependencies.json").read_text())
+
+
+def _sha(a) -> str:
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64))
+    h = hashlib.sha256()
+    h.update(str(a.shape).encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module", params=hb.names())
+def bundled(request):
+    return prepare(hb.load(request.param), name=request.param)
+
+
+class TestGoldenDependencies:
+    @pytest.mark.parametrize("grain", [4, 25])
+    @pytest.mark.parametrize("include_scale", [True, False])
+    def test_edges_volumes_and_categories_unchanged(self, bundled, grain, include_scale):
+        partition = partition_factor(bundled.pattern, grain=grain, min_width=4)
+        deps = analyze_dependencies(partition, bundled.updates, include_scale)
+        want = GOLDEN[f"{bundled.name}/g{grain}/{'scale' if include_scale else 'noscale'}"]
+        assert deps.num_edges() == want["n_edges"]
+        assert _sha(deps.edges) == want["edges"]
+        assert int(deps.volumes.sum()) == want["total_volume"]
+        assert _sha(deps.volumes) == want["volumes"]
+        counts = [deps.category_counts.get(cat, 0) for cat in range(11)]
+        assert counts == want["category_counts"]
+        cats = classify_pair_updates(partition, bundled.updates)
+        assert np.bincount(cats, minlength=11).tolist() == counts
 
 
 class TestUnitLocator:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Interval, IntervalTree
+from .interval_oracle import Interval, IntervalTree
 
 
 def _brute_stab(intervals, point):

@@ -14,9 +14,11 @@ import pytest
 from repro.core import (
     Assignment,
     adaptive_block_mapping,
+    block_mapping,
     partition_prepared,
     prepare,
     schedule_blocks,
+    two_d_cyclic,
     wrap_assignment,
 )
 from repro.machine import (
@@ -201,16 +203,19 @@ class TestReadIndex:
     def test_memoised_per_update_set_and_flag(self):
         """Per-cell, batched and ``PreparedMatrix.read_index`` callers
         share one index per (UpdateSet, include_scale): each flag value
-        is built exactly once however the structure is measured."""
+        is built exactly once however the structure is measured — on
+        the element kernel (2-D cyclic) or, through the unit read index
+        built from it, on a block assignment."""
         prep = prepare(hb.load("LAP30"), name="LAP30")
         updates = prep.updates
-        a = wrap_assignment(prep.pattern, 4)
+        a = two_d_cyclic(prep.pattern, 2, 2)
         with obs.enabled() as rec:
+            b = block_mapping(prep, 4, grain=25).assignment
             for _ in range(2):
                 data_traffic(a, updates)
-                batched_metrics(updates, [a, a])
+                batched_metrics(updates, [a, b, a])
                 data_traffic(a, updates, include_scale=False)
-                batched_metrics(updates, [a], include_scale=False)
+                batched_metrics(updates, [a, b], include_scale=False)
             assert prep.read_index is read_index_of(updates)
         assert rec.counters["pipeline.stage.read_index"] == 2
         assert read_index_of(updates).include_scale

@@ -11,8 +11,6 @@ default, the CI kernel-identity step selects ``--hypothesis-profile=full``
 (registered in ``tests/conftest.py``).
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,23 +28,9 @@ from repro.obs import trace as obs
 from repro.obs.simtime import MessageLedger, MessageTable, SimMessage
 from repro.sparse.pattern import SymmetricGraph
 
-from ..conftest import generated_graphs, traffic_oracle
+from ..conftest import generated_graphs, traffic_oracle, volume_oracle
 
 PROCS = (1, 3, 16)
-
-
-def volume_oracle(uoe, updates, include_scale: bool) -> Counter:
-    """{(source unit, target unit): distinct source elements read across
-    the unit boundary}, by collecting the (target unit, source element)
-    pairs of every read into a Python set."""
-    uoe = uoe.tolist()
-    target = updates.target.tolist()
-    reads = list(zip(updates.source_i.tolist(), target))
-    reads += zip(updates.source_j.tolist(), target)
-    if include_scale:
-        reads += zip(updates.scale_source.tolist(), range(len(uoe)))
-    pairs = {(uoe[r], s) for s, r in reads if uoe[s] != uoe[r]}
-    return Counter((uoe[s], t) for t, s in pairs)
 
 
 @st.composite
