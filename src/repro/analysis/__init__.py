@@ -21,7 +21,6 @@ from .figures import figure1_ascii, figure2_ascii, figure3_ascii, figure4_report
 from .gantt import render_gantt, render_gantt_reference
 from .report import generate_report
 from .stats import partition_statistics, render_partition_stats
-from .sweep import SweepRecord, records_to_csv, sweep
 from .tables import format_number, render_table
 
 __all__ = [
@@ -55,9 +54,6 @@ __all__ = [
     "render_gantt_reference",
     "partition_statistics",
     "render_partition_stats",
-    "SweepRecord",
-    "records_to_csv",
-    "sweep",
     "format_number",
     "render_table",
 ]

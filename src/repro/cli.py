@@ -33,7 +33,7 @@ from .analysis import (
 _TARGETS = ["table1", "table2", "table3", "table4", "table5",
             "figure1", "figure2", "figure3", "figure4"]
 _EXTRA_TARGETS = ["stats", "report", "claims", "sweep", "scorecard", "compare",
-                  "bench", "bench-sweep", "explain"]
+                  "bench", "explain"]
 
 #: Every invocable target with a one-line description, in the stable
 #: order ``--help`` lists them.  Keep this in sync with ``_emit`` /
@@ -61,7 +61,6 @@ _TARGET_HELP: dict[str, str] = {
     "profile": "run any target under the sampling profiler (--hz)",
     "sweep": "parallel (matrix, scheme, P, g) grid sweep",
     "bench": "per-stage pipeline benchmark -> BENCH_pipeline.json",
-    "bench-sweep": "staged-reuse sweep benchmark -> BENCH_sweep.json",
     "runs": "run registry: runs list | show REF | compare OLD NEW",
     "cache": "disk-cache tools: cache stats | prune --max-bytes N",
 }
@@ -127,13 +126,12 @@ def _emit(target: str, args: argparse.Namespace) -> str:
         import json
         import time
 
-        from .analysis import records_to_csv
         from .obs import runs as obs_runs
         from .obs import trace as obs_trace
         from .obs.export import write_chrome_trace, write_jsonl
         from .obs.memory import monitored
         from .obs.report import downsample
-        from .perf import sweep as perf_sweep
+        from .perf import records_to_csv, sweep as perf_sweep
         from .perf.bench import STAGES
 
         matrices = [m.strip() for m in args.matrix.split(",") if m.strip()]
@@ -146,7 +144,6 @@ def _emit(target: str, args: argparse.Namespace) -> str:
             min_widths=args.min_widths,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            reuse=not args.no_reuse,
         )
         # The sweep always runs under a recorder: workers then ship
         # their trace shards home, --trace-out has something to export,
@@ -180,7 +177,6 @@ def _emit(target: str, args: argparse.Namespace) -> str:
                 "grains": list(args.grains),
                 "min_widths": list(args.min_widths),
                 "jobs": args.jobs,
-                "reuse": not args.no_reuse,
             },
             matrices={
                 ",".join(matrices): {
@@ -271,46 +267,6 @@ def _emit(target: str, args: argparse.Namespace) -> str:
                         + " (stage >25% slower than baseline):\n  "
                         + "\n  ".join(regressions)
                     )
-        return text
-    if target == "bench-sweep":
-        import json
-
-        from .perf import bench_sweep, render_sweep_bench, render_sweep_delta
-
-        out = args.bench_out or (
-            "BENCH_sweep_big.json" if args.tier == "big"
-            else "BENCH_sweep.json"
-        )
-        baseline = None
-        baseline_path = args.bench_baseline or out
-        try:
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError):
-            baseline = None
-        report = bench_sweep(
-            matrices=args.bench_matrices,
-            smoke=args.smoke,
-            out=out,
-            repeats=args.bench_repeats,
-            tier=args.tier,
-        )
-        from .obs import runs as obs_runs
-
-        obs_runs.record_run(
-            "bench-sweep",
-            config={k: report[k]
-                    for k in ("smoke", "tier", "grid", "repeats")
-                    if k in report},
-            matrices=report.get("matrices", {}),
-            wall_s=sum(m.get("wall_noreuse", 0.0) + m.get("wall_reuse", 0.0)
-                       for m in report.get("matrices", {}).values()),
-            extra={"report": out},
-        )
-        text = render_sweep_bench(report) + f"\nreport written to {out}"
-        if baseline is not None:
-            text += "\n\ndelta vs baseline " + str(baseline_path) + ":\n"
-            text += render_sweep_delta(report, baseline)
         return text
     if target == "explain":
         import time
@@ -483,7 +439,7 @@ def _runs_main(argv: list[str]) -> int:
     p_list = sub.add_parser("list", help="list recorded runs, oldest first")
     p_list.add_argument("--kind", default=None,
                         help="only runs of this kind (trace, profile, bench, "
-                             "bench-sweep, sweep, explain)")
+                             "sweep, explain)")
     p_show = sub.add_parser("show", help="print one run manifest as JSON")
     p_show.add_argument("ref", help="run id (or unique prefix), 'latest', "
                                     "'<kind>:latest', or a JSON report file")
@@ -665,8 +621,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="P1,P2,...",
                         help="with 'sweep': processor counts of the grid "
                              "(the paper sweeps 16-1024, e.g. "
-                             "--procs 16,64,256,1024; staged reuse measures "
-                             "all of them from one partition)")
+                             "--procs 16,64,256,1024; all of them are "
+                             "measured from one partition)")
     parser.add_argument("--grains", type=_int_list, default=(4, 25),
                         metavar="G1,G2,...",
                         help="with 'sweep': grain sizes of the grid")
@@ -675,26 +631,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="with 'sweep': minimum cluster widths of the grid")
     parser.add_argument("--json", action="store_true",
                         help="with 'sweep': emit JSON records instead of CSV")
-    parser.add_argument("--no-reuse", action="store_true",
-                        help="with 'sweep': disable staged reuse and run one "
-                             "full pipeline per grid cell (the reference "
-                             "decomposition; values are identical either way)")
     parser.add_argument("--smoke", action="store_true",
-                        help="with 'bench'/'bench-sweep': tiny problems (CI mode)")
+                        help="with 'bench': tiny problems (CI mode)")
     parser.add_argument("--tier", choices=("paper", "big"), default="paper",
-                        help="with 'bench'/'bench-sweep': 'big' benches the "
+                        help="with 'bench': 'big' benches the "
                              "10^5-unknown generated instances and writes "
-                             "BENCH_*_big.json by default (--smoke then runs "
-                             "the single smallest big instance)")
+                             "BENCH_pipeline_big.json by default (--smoke then "
+                             "runs the single smallest big instance)")
     parser.add_argument("--stretch", action="store_true",
                         help="with 'bench --tier big': also bench the "
                              "10^6-unknown stretch instances (GRIDA1M, "
                              "SOC1M); off by default — expect minutes per "
                              "matrix and multi-GB RSS")
     parser.add_argument("--bench-out", default=None, metavar="FILE",
-                        help="with 'bench'/'bench-sweep': where to write the "
-                             "JSON report (default BENCH_pipeline.json / "
-                             "BENCH_sweep.json)")
+                        help="with 'bench': where to write the "
+                             "JSON report (default BENCH_pipeline.json)")
     parser.add_argument("--bench-baseline", default=None, metavar="FILE",
                         help="with 'bench': baseline report for the delta "
                              "table (default: the pre-existing --bench-out "

@@ -18,7 +18,6 @@ from .pipeline import (
     PartitionedMatrix,
     PreparedMatrix,
     adaptive_block_mapping,
-    adaptive_block_mappings,
     block_mapping,
     block_mappings,
     partition_prepared,
@@ -58,7 +57,6 @@ __all__ = [
     "PartitionedMatrix",
     "PreparedMatrix",
     "adaptive_block_mapping",
-    "adaptive_block_mappings",
     "adaptive_schedule",
     "block_mapping",
     "block_mappings",

@@ -69,6 +69,8 @@ def adaptive_schedule(
     """
     if nprocs < 1:
         raise ValueError("nprocs must be positive")
+    if grain < 1:
+        raise ValueError("grain must be at least 1")
     options = options or SchedulerOptions()
     clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
     index = _UpdateIndex(updates)

@@ -33,9 +33,9 @@ class Assignment:
     def __post_init__(self) -> None:
         if self.nprocs < 1:
             raise ValueError("nprocs must be positive")
-        if len(self.owner_of_element) != self.pattern.nnz:
-            raise ValueError("owner_of_element must have one entry per element")
         owners = self.owner_of_element
+        if np.shape(owners) != (self.pattern.nnz,):
+            raise ValueError("owner_of_element must have one entry per element")
         if len(owners) and (owners.min() < 0 or owners.max() >= self.nprocs):
             raise ValueError("element owner out of processor range")
         if self.proc_of_unit is not None:

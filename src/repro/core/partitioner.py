@@ -335,6 +335,8 @@ def partition_clusters(
     """
     if grain_rectangle is None:
         grain_rectangle = grain_triangle
+    if grain_triangle < 1 or grain_rectangle < 1:
+        raise ValueError("grain must be at least 1")
     ecol = pattern.element_cols()
     n_clusters = len(clusters)
     strips = np.flatnonzero(~clusters.is_column)

@@ -36,7 +36,6 @@ __all__ = [
     "block_mapping",
     "block_mappings",
     "adaptive_block_mapping",
-    "adaptive_block_mappings",
     "wrap_mapping",
     "wrap_mappings",
 ]
@@ -68,7 +67,7 @@ class PreparedMatrix:
     def read_index(self):
         """Source-sorted read list of the factorization (assignment
         invariant): the one memoised on :attr:`updates`, which every
-        per-cell and batched traffic measurement shares."""
+        traffic measurement shares."""
         return read_index_of(self.updates)
 
     @property
@@ -190,6 +189,67 @@ class MappingResult:
         }
 
 
+def _measured(
+    prepared: PreparedMatrix,
+    assignment: Assignment,
+    include_scale_traffic: bool,
+    partition: Partition | None = None,
+    dependencies: DependencyInfo | None = None,
+) -> MappingResult:
+    """The metrics stage every driver ends in: one assignment in, the
+    paper's two quantities (distinct non-local fetches, work) out."""
+    updates = prepared.updates
+    with obs.span("pipeline.metrics", matrix=prepared.name):
+        traffic = data_traffic(assignment, updates, include_scale=include_scale_traffic)
+        balance = load_balance(processor_work(assignment, updates))
+    obs.counter("pipeline.stage.metrics")
+    return MappingResult(prepared, assignment, traffic, balance, partition, dependencies)
+
+
+def block_mappings(
+    partitioned: PartitionedMatrix,
+    procs,
+    options: SchedulerOptions | None = None,
+    include_scale_traffic: bool = True,
+) -> list[MappingResult]:
+    """Measure the block mapping at every processor count in ``procs``.
+
+    The nprocs-invariant stages (partition, dependencies, unit work)
+    come precomputed on ``partitioned``; only the scheduler and the
+    metrics run per processor count, and a cell's result does not
+    depend on which other counts share the call.
+    """
+    procs = tuple(procs)
+    prepared = partitioned.prepared
+    results = []
+    with obs.span(
+        "pipeline.block_mappings",
+        matrix=prepared.name,
+        grain=partitioned.grain,
+        cells=len(procs),
+    ):
+        for nprocs in procs:
+            with obs.span("pipeline.schedule", matrix=prepared.name, nprocs=nprocs):
+                assignment = schedule_blocks(
+                    partitioned.partition,
+                    partitioned.dependencies,
+                    nprocs,
+                    unit_work=partitioned.unit_work,
+                    options=options,
+                )
+            obs.counter("pipeline.stage.schedule")
+            results.append(
+                _measured(
+                    prepared,
+                    assignment,
+                    include_scale_traffic,
+                    partitioned.partition,
+                    partitioned.dependencies,
+                )
+            )
+    return results
+
+
 def block_mapping(
     prepared: PreparedMatrix,
     nprocs: int,
@@ -200,30 +260,13 @@ def block_mapping(
     options: SchedulerOptions | None = None,
     include_scale_traffic: bool = True,
 ) -> MappingResult:
-    """Run the paper's block-based partitioner + scheduler and measure it."""
+    """Run the paper's block-based partitioner + scheduler and measure
+    it: the :func:`block_mappings` group of one processor count."""
     with obs.span("pipeline.block_mapping", matrix=prepared.name, nprocs=nprocs, grain=grain):
-        with obs.span("pipeline.partition", matrix=prepared.name, grain=grain):
-            partition = partition_factor(
-                prepared.pattern,
-                grain=grain,
-                min_width=min_width,
-                zero_tolerance=zero_tolerance,
-                grain_rectangle=grain_rectangle,
-            )
-        obs.counter("pipeline.stage.partition")
-        updates = prepared.updates
-        with obs.span("pipeline.dependencies", matrix=prepared.name):
-            deps = analyze_dependencies(partition, updates)
-        obs.counter("pipeline.stage.dependencies")
-        with obs.span("pipeline.schedule", matrix=prepared.name, nprocs=nprocs):
-            uw = unit_work(partition, updates)
-            assignment = schedule_blocks(partition, deps, nprocs, unit_work=uw, options=options)
-        obs.counter("pipeline.stage.schedule")
-        with obs.span("pipeline.metrics", matrix=prepared.name):
-            traffic = data_traffic(assignment, updates, include_scale=include_scale_traffic)
-            balance = load_balance(processor_work(assignment, updates))
-        obs.counter("pipeline.stage.metrics")
-    return MappingResult(prepared, assignment, traffic, balance, partition, deps)
+        partitioned = partition_prepared(
+            prepared, grain, min_width, zero_tolerance, grain_rectangle
+        )
+        return block_mappings(partitioned, (nprocs,), options, include_scale_traffic)[0]
 
 
 def adaptive_block_mapping(
@@ -237,7 +280,8 @@ def adaptive_block_mapping(
 ) -> MappingResult:
     """Run the interleaved adaptive partitioner/scheduler (§3.2 parameter
     (a)): triangle partition counts limited by predecessor-processor
-    counts."""
+    counts.  The partition itself depends on the processor count, so
+    there is no invariant prefix to share between cells."""
     from .adaptive import adaptive_schedule
 
     with obs.span("pipeline.adaptive_block_mapping", matrix=prepared.name, nprocs=nprocs, grain=grain):
@@ -257,112 +301,7 @@ def adaptive_block_mapping(
         with obs.span("pipeline.dependencies", matrix=prepared.name):
             deps = analyze_dependencies(partition, updates)
         obs.counter("pipeline.stage.dependencies")
-        with obs.span("pipeline.metrics", matrix=prepared.name):
-            traffic = data_traffic(assignment, updates, include_scale=include_scale_traffic)
-            balance = load_balance(processor_work(assignment, updates))
-        obs.counter("pipeline.stage.metrics")
-    return MappingResult(prepared, assignment, traffic, balance, partition, deps)
-
-
-def wrap_mapping(
-    prepared: PreparedMatrix,
-    nprocs: int,
-    include_scale_traffic: bool = True,
-) -> MappingResult:
-    """Run the wrap-mapped column baseline and measure it."""
-    with obs.span("pipeline.wrap_mapping", matrix=prepared.name, nprocs=nprocs):
-        assignment = wrap_assignment(prepared.pattern, nprocs)
-        obs.counter("pipeline.stage.schedule")
-        updates = prepared.updates
-        with obs.span("pipeline.metrics", matrix=prepared.name):
-            traffic = data_traffic(assignment, updates, include_scale=include_scale_traffic)
-            balance = load_balance(processor_work(assignment, updates))
-        obs.counter("pipeline.stage.metrics")
-    return MappingResult(prepared, assignment, traffic, balance)
-
-
-# ----------------------------------------------------------------------
-# multi-P entry points: one invariant prefix, K processor counts
-# ----------------------------------------------------------------------
-
-
-def _batched_results(
-    prepared: PreparedMatrix,
-    assignments: list[Assignment],
-    include_scale_traffic: bool,
-    partition: Partition | None = None,
-    dependencies: DependencyInfo | None = None,
-    partitions: list[Partition] | None = None,
-) -> list[MappingResult]:
-    """Measure K assignments with the batched kernel and wrap them as
-    :class:`MappingResult` rows (value-identical to the per-cell path)."""
-    from ..machine.batched import batched_metrics
-
-    measured = assignments
-    if partitions is not None:
-        # One partition per cell: a unit read index costs an element-kernel
-        # pass to build and would serve one cell, so these go in bare.
-        measured = [
-            Assignment(a.scheme, a.nprocs, a.pattern, a.owner_of_element)
-            for a in assignments
-        ]
-    with obs.span(
-        "pipeline.metrics", matrix=prepared.name, cells=len(assignments)
-    ):
-        metrics = batched_metrics(
-            prepared.updates, measured, include_scale=include_scale_traffic
-        )
-    obs.counter("pipeline.stage.metrics", len(assignments))
-    out = []
-    for k, (assignment, (traffic, balance)) in enumerate(zip(assignments, metrics)):
-        part = partitions[k] if partitions is not None else partition
-        out.append(
-            MappingResult(prepared, assignment, traffic, balance, part, dependencies)
-        )
-    return out
-
-
-def block_mappings(
-    partitioned: PartitionedMatrix,
-    procs,
-    options: SchedulerOptions | None = None,
-    include_scale_traffic: bool = True,
-) -> list[MappingResult]:
-    """Measure the block mapping at every processor count in ``procs``.
-
-    The nprocs-invariant stages (partition, dependencies, unit work)
-    come precomputed on ``partitioned``; only the scheduler runs per
-    processor count, and all cells share one batched metrics pass.
-    Each result is value-identical to :func:`block_mapping` at the same
-    parameters.
-    """
-    prepared = partitioned.prepared
-    assignments = []
-    with obs.span(
-        "pipeline.block_mappings",
-        matrix=prepared.name,
-        grain=partitioned.grain,
-        cells=len(tuple(procs)),
-    ):
-        for nprocs in procs:
-            with obs.span("pipeline.schedule", matrix=prepared.name, nprocs=nprocs):
-                assignments.append(
-                    schedule_blocks(
-                        partitioned.partition,
-                        partitioned.dependencies,
-                        nprocs,
-                        unit_work=partitioned.unit_work,
-                        options=options,
-                    )
-                )
-            obs.counter("pipeline.stage.schedule")
-        return _batched_results(
-            prepared,
-            assignments,
-            include_scale_traffic,
-            partition=partitioned.partition,
-            dependencies=partitioned.dependencies,
-        )
+        return _measured(prepared, assignment, include_scale_traffic, partition, deps)
 
 
 def wrap_mappings(
@@ -370,69 +309,24 @@ def wrap_mappings(
     procs,
     include_scale_traffic: bool = True,
 ) -> list[MappingResult]:
-    """Measure the wrap-mapped baseline at every processor count in
-    ``procs`` with one batched metrics pass (value-identical to
-    :func:`wrap_mapping` per cell)."""
-    assignments = []
-    with obs.span(
-        "pipeline.wrap_mappings", matrix=prepared.name, cells=len(tuple(procs))
-    ):
+    """Measure the wrap-mapped column baseline at every processor count
+    in ``procs``."""
+    procs = tuple(procs)
+    results = []
+    with obs.span("pipeline.wrap_mappings", matrix=prepared.name, cells=len(procs)):
         for nprocs in procs:
-            assignments.append(wrap_assignment(prepared.pattern, nprocs))
+            assignment = wrap_assignment(prepared.pattern, nprocs)
             obs.counter("pipeline.stage.schedule")
-        return _batched_results(prepared, assignments, include_scale_traffic)
+            results.append(_measured(prepared, assignment, include_scale_traffic))
+    return results
 
 
-def adaptive_block_mappings(
+def wrap_mapping(
     prepared: PreparedMatrix,
-    procs,
-    grain: int = 4,
-    min_width: int = 4,
-    zero_tolerance: float = 0.0,
-    options: SchedulerOptions | None = None,
+    nprocs: int,
     include_scale_traffic: bool = True,
-) -> list[MappingResult]:
-    """Measure the adaptive (interleaved) mapping at every processor
-    count in ``procs``.
-
-    The adaptive partition itself depends on the processor count
-    (parameter (a)), so only the metrics pass is shared; each cell's
-    traffic/balance is value-identical to :func:`adaptive_block_mapping`.
-    Dependency analysis is skipped here (``MappingResult.dependencies``
-    is ``None``) — it is not needed for the sweep metrics and can be
-    re-derived with :func:`analyze_dependencies` when wanted.
-    """
-    from .adaptive import adaptive_schedule
-
-    updates = prepared.updates
-    assignments = []
-    partitions = []
-    with obs.span(
-        "pipeline.adaptive_block_mappings",
-        matrix=prepared.name,
-        grain=grain,
-        cells=len(tuple(procs)),
-    ):
-        for nprocs in procs:
-            with obs.span(
-                "pipeline.adaptive_schedule", matrix=prepared.name, nprocs=nprocs
-            ):
-                partition, assignment = adaptive_schedule(
-                    prepared.pattern,
-                    updates,
-                    nprocs,
-                    grain=grain,
-                    min_width=min_width,
-                    zero_tolerance=zero_tolerance,
-                    options=options,
-                )
-            obs.counter("pipeline.stage.partition")
-            obs.counter("pipeline.stage.schedule")
-            assignments.append(assignment)
-            partitions.append(partition)
-        return _batched_results(
-            prepared,
-            assignments,
-            include_scale_traffic,
-            partitions=partitions,
-        )
+) -> MappingResult:
+    """Run the wrap-mapped column baseline and measure it: the
+    :func:`wrap_mappings` group of one processor count."""
+    with obs.span("pipeline.wrap_mapping", matrix=prepared.name, nprocs=nprocs):
+        return wrap_mappings(prepared, (nprocs,), include_scale_traffic)[0]

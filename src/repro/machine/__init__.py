@@ -1,6 +1,6 @@
 """Distributed-memory machine model: work, traffic, balance, timing."""
 
-from .batched import batched_load_balance, batched_metrics, batched_traffic
+from .batched import batched_metrics
 from .hotspot import HotspotProfile, hotspot_profile
 from .metrics import LoadBalance, imbalance_factor, load_balance
 from .simulate import (
@@ -25,13 +25,11 @@ from .traffic import (
     read_chunk_bounds,
     read_index_of,
 )
-from .work import processor_work, processor_work_reference, total_work, unit_work
+from .work import processor_work, total_work, unit_work
 
 __all__ = [
     "ReadIndex",
-    "batched_load_balance",
     "batched_metrics",
-    "batched_traffic",
     "read_chunk_bounds",
     "DEFAULT_CHUNK_READS",
     "build_read_index",
@@ -58,7 +56,6 @@ __all__ = [
     "communication_matrix",
     "data_traffic",
     "processor_work",
-    "processor_work_reference",
     "total_work",
     "unit_work",
 ]

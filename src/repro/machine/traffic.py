@@ -44,8 +44,7 @@ prefix; the diagonal is read only inside its own column.  Hence
 first_k(q) the first t with pc[r_t] = q: one pass over the nonzeros of
 L and no read list at all (:func:`column_fetch_counts`).
 
-**Element kernel** (neither: 2-D cyclic, arbitrary owners, and raw
-arrays through :func:`repro.machine.batched.batched_traffic`).
+**Element kernel** (neither: 2-D cyclic, arbitrary owners).
 :func:`distinct_fetches` finds the distinct (processor, source element)
 pairs in O(reads) without a sort; the unit index path runs it too, and
 it hands :func:`communication_matrix`, the message ledger of
@@ -64,13 +63,12 @@ per pair survives.  The table is bounded by streaming the list in
 source-aligned chunks (:func:`read_chunk_bounds`): ``src`` ascends, so a
 chunk is a slice, no pair spans two chunks and the per-chunk results
 accumulate, bit-identical at every chunk size.  ``chunk_reads`` (default
-:data:`DEFAULT_CHUNK_READS`, ``$REPRO_BATCH_CHUNK_READS``) bounds both
-the reads and the table slots of a chunk.
+:data:`DEFAULT_CHUNK_READS`) bounds both the reads and the table slots
+of a chunk.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -103,22 +101,7 @@ __all__ = [
 #: default the table is 4 MB and the per-read temporaries ~15 MB
 #: whatever the problem size, which also measured fastest (larger
 #: chunks fall out of cache: 4M is 10-15% slower at 1.4M and 11M reads).
-#: Override per call or with ``$REPRO_BATCH_CHUNK_READS``.
 DEFAULT_CHUNK_READS = 1_000_000
-
-
-def _chunk_reads_setting(chunk_reads: int | None) -> int:
-    """The chunk bound in force: the argument, else the environment,
-    else the default.  The stamp table has to be bounded (and its slots
-    indexable by int32), so a non-positive value means the default."""
-    if chunk_reads is None:
-        try:
-            chunk_reads = int(os.environ.get("REPRO_BATCH_CHUNK_READS", ""))
-        except ValueError:
-            chunk_reads = 0
-    if chunk_reads <= 0:
-        chunk_reads = DEFAULT_CHUNK_READS
-    return min(int(chunk_reads), int(np.iinfo(np.int32).max))
 
 
 @dataclass(frozen=True)
@@ -196,17 +179,21 @@ def distinct_fetches(
     once over the whole iteration (sources ascend from chunk to chunk).
     ``reader_owner`` maps the index's ``reader`` ids to processors where
     they are not element ids (``proc_of_unit`` for a unit read index).
-    Every owner must lie in ``[0, nprocs)`` — an
-    :class:`~repro.core.assignment.Assignment` guarantees it, raw arrays
-    are checked by :func:`repro.machine.batched.batched_traffic` — since
-    an out-of-range owner would alias a neighbouring source's slots.
+    Every owner must lie in ``[0, nprocs)`` — the
+    :class:`~repro.core.assignment.Assignment` constructor checks it,
+    before the ids are narrowed here — since an out-of-range owner would
+    alias a neighbouring source's slots.
     """
     owner = np.asarray(owner, dtype=np.int32)
     reader_owner = (
         owner if reader_owner is None else np.asarray(reader_owner, dtype=np.int32)
     )
     nprocs = int(nprocs)  # a numpy integer here would widen every key
-    slots = _chunk_reads_setting(chunk_reads)
+    # The stamp table has to be bounded (and its slots indexable by
+    # int32), so a missing or non-positive value means the default.
+    if chunk_reads is None or chunk_reads <= 0:
+        chunk_reads = DEFAULT_CHUNK_READS
+    slots = min(int(chunk_reads), int(np.iinfo(np.int32).max))
     span = max(1, slots // nprocs)
     src, reader = read_index.src, read_index.reader
     bounds = read_chunk_bounds(src, slots, span)
@@ -315,23 +302,23 @@ def data_traffic(
     updates: UpdateSet,
     include_scale: bool = True,
     read_index: ReadIndex | None = None,
-    chunk_reads: int | None = None,
 ) -> TrafficResult:
     """Distinct non-local element fetches per processor, by the path the
     assignment's unit-level view selects (module docstring).
 
     ``include_scale`` counts the read of the column diagonal during the
     scale update; the pair-update reads are always counted.
-    ``read_index`` and ``chunk_reads`` are the stamp kernel's element
-    read list (default: the one memoised on ``updates``) and chunk bound.
+    ``read_index`` is the stamp kernel's element read list (default:
+    the one memoised on ``updates``).
     """
     if assignment.partition is None and assignment.proc_of_unit is not None:
         counts = column_fetch_counts(
             assignment.pattern, assignment.proc_of_unit, assignment.nprocs
         )
     else:
-        inputs = kernel_inputs(assignment, updates, include_scale, read_index)
-        counts = fetch_counts(*inputs, chunk_reads=chunk_reads)
+        counts = fetch_counts(
+            *kernel_inputs(assignment, updates, include_scale, read_index)
+        )
     return TrafficResult(counts)
 
 

@@ -14,7 +14,6 @@ from ..symbolic.updates import UpdateSet
 
 __all__ = [
     "processor_work",
-    "processor_work_reference",
     "unit_work",
     "total_work",
 ]
@@ -27,11 +26,6 @@ def processor_work(assignment: Assignment, updates: UpdateSet) -> np.ndarray:
         assignment.owner_of_element, weights=ew, minlength=assignment.nprocs
     )
     return out.astype(np.int64)
-
-
-#: The per-assignment path; :mod:`repro.machine.batched` evaluates K
-#: assignments in one pass and is asserted value-identical to this.
-processor_work_reference = processor_work
 
 
 def unit_work(partition, updates: UpdateSet) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Persistent run registry: one manifest per bench/sweep run.
+"""Persistent run registry: one manifest per bench or sweep run.
 
 ``BENCH_*.json`` files capture a single snapshot; this module keeps the
-*history*.  Every ``python -m repro sweep|bench|bench-sweep`` invocation
+*history*.  Every ``python -m repro sweep|bench|explain`` invocation
 appends one JSON line to ``.repro/runs/<kind>.jsonl`` describing the run:
 
 * identity — a unique ``run_id``, the run ``kind``, creation time and
@@ -109,9 +109,8 @@ def record_run(
     """Append one run manifest to the registry; returns the manifest.
 
     ``matrices`` must follow the bench-report shape (``{name:
-    {"stages": {...}, "wall_total": ...}}`` for pipeline timings, or the
-    sweep-bench ``wall_noreuse``/``wall_reuse`` shape) so two manifests
-    of the same kind are directly comparable.  Returns ``None`` — and
+    {"stages": {...}, "wall_total": ...}}``) so two manifests of the
+    same kind are directly comparable.  Returns ``None`` — and
     writes nothing — when the registry directory is not writable.
     """
     created = time.time()
@@ -213,23 +212,11 @@ def load_run(ref: str, root: str | Path | None = None) -> dict:
     raise ValueError(f"no run or file matches {ref!r}")
 
 
-def _is_sweep_shape(doc: dict) -> bool:
-    sample = next(iter(doc.get("matrices", {}).values()), None)
-    return isinstance(sample, dict) and "wall_reuse" in sample
-
-
 def compare_runs(old: dict, new: dict) -> list[dict]:
-    """Per-stage delta rows (``baseline`` = old, ``current`` = new).
+    """Per-stage delta rows (``baseline`` = old, ``current`` = new), by
+    :func:`repro.perf.bench.compare_reports`."""
+    from ..perf.bench import compare_reports
 
-    Dispatches on the manifests' ``matrices`` shape: pipeline-stage
-    entries go through :func:`repro.perf.bench.compare_reports`,
-    sweep-bench entries through
-    :func:`~repro.perf.bench.compare_sweep_reports`.
-    """
-    from ..perf.bench import compare_reports, compare_sweep_reports
-
-    if _is_sweep_shape(new) or _is_sweep_shape(old):
-        return compare_sweep_reports(new, old)
     return compare_reports(new, old)
 
 
@@ -251,11 +238,9 @@ def find_run_regressions(
 
 
 def render_run_delta(old: dict, new: dict) -> str:
-    """ASCII delta table between two manifests (shape-dispatched)."""
-    from ..perf.bench import render_delta, render_sweep_delta
+    """ASCII delta table between two manifests."""
+    from ..perf.bench import render_delta
 
-    if _is_sweep_shape(new) or _is_sweep_shape(old):
-        return render_sweep_delta(new, old)
     return render_delta(new, old)
 
 

@@ -7,29 +7,23 @@ Three pieces make repeated pipeline evaluations cheap:
   factorization; ``perf.cache.hit``/``perf.cache.miss`` counters) and
   for the partition/dependency stage
   (``perf.cache.partition.*`` counters);
-* :mod:`repro.perf.sweep` — a parameter-grid runner with staged reuse:
-  cells sharing a (matrix, scheme, grain, width) run as one group that
-  partitions once and measures every processor count through the
-  batched metrics kernel, fanned out over a process pool;
+* :mod:`repro.perf.sweep` — the one parameter-grid runner: cells
+  sharing a (matrix, scheme, grain, width) run as one group that
+  partitions once and schedules + measures every processor count,
+  fanned out over a process pool; records export as CSV;
 * :mod:`repro.perf.bench` — the per-stage timing harness behind
-  ``BENCH_pipeline.json``/``BENCH_sweep.json`` and the CI smoke-bench
-  steps.
+  ``BENCH_pipeline.json`` and the CI smoke-bench step.
 
 See ``docs/performance.md``.
 """
 
 from .bench import (
     STAGES,
-    SWEEP_BENCH_GRID,
     bench_pipeline,
-    bench_sweep,
     compare_reports,
-    compare_sweep_reports,
     find_regressions,
     render_bench,
     render_delta,
-    render_sweep_bench,
-    render_sweep_delta,
 )
 from .cache import (
     CACHE_VERSION,
@@ -41,7 +35,15 @@ from .cache import (
     partition_key,
     prepare_key,
 )
-from .sweep import SweepGroup, SweepTask, build_grid, group_grid, sweep
+from .sweep import (
+    SweepGroup,
+    SweepRecord,
+    SweepTask,
+    build_grid,
+    group_grid,
+    records_to_csv,
+    sweep,
+)
 
 __all__ = [
     "CACHE_VERSION",
@@ -53,19 +55,16 @@ __all__ = [
     "partition_key",
     "prepare_key",
     "SweepGroup",
+    "SweepRecord",
     "SweepTask",
     "build_grid",
     "group_grid",
+    "records_to_csv",
     "sweep",
     "STAGES",
-    "SWEEP_BENCH_GRID",
     "bench_pipeline",
-    "bench_sweep",
     "compare_reports",
-    "compare_sweep_reports",
     "find_regressions",
     "render_bench",
     "render_delta",
-    "render_sweep_bench",
-    "render_sweep_delta",
 ]

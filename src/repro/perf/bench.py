@@ -24,38 +24,29 @@ from __future__ import annotations
 
 import gc
 import json
-import tempfile
 import time
 from pathlib import Path
 
 from ..core.pipeline import block_mapping, prepare
 from ..obs import runs as obs_runs
 from ..obs import trace as obs
-from ..obs.memory import MemoryMonitor, memory_enabled, monitored
+from ..obs.memory import monitored
 from ..obs.trace import Recorder
 from ..sparse import grid9
 from ..sparse import harwell_boeing as hb
 from ..sparse import registry
-from .sweep import build_grid, sweep
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BIG_BENCH_MATRICES",
-    "BIG_SWEEP_MATRICES",
     "STRETCH_BENCH_MATRICES",
     "STAGES",
-    "SWEEP_BENCH_GRID",
-    "SWEEP_BENCH_SMOKE_GRID",
     "bench_pipeline",
-    "bench_sweep",
     "compare_reports",
-    "compare_sweep_reports",
     "describe_regression",
     "find_regressions",
     "render_bench",
     "render_delta",
-    "render_sweep_bench",
-    "render_sweep_delta",
 ]
 
 BENCH_SCHEMA_VERSION = 1
@@ -94,11 +85,6 @@ BIG_BENCH_SMOKE_MATRICES = ("SOC100K",)
 #: bench only behind ``--tier big --stretch`` (minutes per matrix,
 #: multi-GB RSS — never part of any default or smoke selection).
 STRETCH_BENCH_MATRICES = ("GRIDA1M", "SOC1M")
-#: Big-tier sweep bench set.  The smoke variant uses the *same grid* as
-#: the full run (only fewer matrices), so the regression gate always
-#: compares like-for-like cells.
-BIG_SWEEP_MATRICES = ("SOC100K", "GRIDA100K")
-BIG_SWEEP_SMOKE_MATRICES = ("SOC100K",)
 BIG_MODE_REPEATS = 1
 
 
@@ -268,158 +254,6 @@ def _stamp_provenance(report: dict) -> None:
     report["host"] = obs_runs.host_info()
 
 
-#: The paper-scale sweep grid timed by :func:`bench_sweep`: every
-#: partition is measured under at least four processor counts spanning
-#: the paper's 16--1024 range, which is exactly the shape staged reuse
-#: is built for.
-SWEEP_BENCH_GRID = {
-    "schemes": ("block", "wrap"),
-    "procs": (16, 64, 256, 1024),
-    "grains": (4, 25),
-    "min_widths": (4,),
-}
-
-#: Miniature grid for the CI smoke run: same code path, small matrix,
-#: small processor counts, well under a second.
-SWEEP_BENCH_SMOKE_GRID = {
-    "schemes": ("block", "wrap"),
-    "procs": (2, 3, 4, 6),
-    "grains": (4,),
-    "min_widths": (4,),
-}
-
-
-def _bench_sweep_one(name: str, grid: dict, cache_dir: str, repeats: int) -> dict:
-    """Best-of-``repeats`` reuse-off vs reuse-on sweep walls for one
-    matrix, plus a value-identity verdict over the full record lists."""
-    wall_off = float("inf")
-    wall_on = float("inf")
-    reference = records = None
-    # A detached monitor (its recorder is never enabled) watches RSS
-    # without adding span-recording overhead to the timed loops.
-    monitor = MemoryMonitor(Recorder(), interval=0.02) if memory_enabled() else None
-    if monitor is not None:
-        monitor.start()
-    try:
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            t0 = time.perf_counter()
-            reference = sweep([name], cache_dir=cache_dir, reuse=False, **grid)
-            wall_off = min(wall_off, time.perf_counter() - t0)
-            gc.collect()
-            t0 = time.perf_counter()
-            records = sweep([name], cache_dir=cache_dir, reuse=True, **grid)
-            wall_on = min(wall_on, time.perf_counter() - t0)
-    finally:
-        if monitor is not None:
-            monitor.stop()
-    entry = {
-        "cells": len(records),
-        "wall_noreuse": wall_off,
-        "wall_reuse": wall_on,
-        "speedup": wall_off / wall_on if wall_on else float("inf"),
-        "records_identical": records == reference,
-        "traffic_fingerprint": int(sum(r.traffic_total for r in records)),
-    }
-    if monitor is not None and monitor.peak_rss:
-        entry["mem_peak_mb"] = round(monitor.peak_rss / (1024.0 * 1024.0), 2)
-    return entry
-
-
-def bench_sweep(
-    matrices=None,
-    smoke: bool = False,
-    out: str | Path | None = "BENCH_sweep.json",
-    repeats: int | None = None,
-    stamp: bool = True,
-    tier: str = "paper",
-) -> dict:
-    """Benchmark staged sweep reuse against the per-cell reference.
-
-    For each matrix the full grid (:data:`SWEEP_BENCH_GRID`, or the
-    smoke variant) is swept twice — ``reuse=False`` (one full pipeline
-    per cell) and ``reuse=True`` (grouped stages + batched metrics) —
-    and the best-of-``repeats`` walls are reported with their ratio.
-    Both modes share a warm prepared-matrix disk cache so the comparison
-    isolates the staged work; the partition disk cache is warm too,
-    which is part of the staged-reuse design being measured, not a
-    handicap for the reference (the per-cell path never reads it).
-    ``records_identical`` asserts the two modes returned the same
-    record lists, so a speedup can never hide a semantics change.
-
-    ``tier="big"`` sweeps the 10^5-unknown generated instances
-    (:data:`BIG_SWEEP_MATRICES`) over the *full* paper-scale grid; big
-    smoke keeps that grid and only drops to the single smallest
-    instance, so smoke and full reports stay cell-for-cell comparable.
-    """
-    tier = _tier_checked(tier)
-    if tier == "big":
-        names = list(matrices) if matrices else list(
-            BIG_SWEEP_SMOKE_MATRICES if smoke else BIG_SWEEP_MATRICES
-        )
-        grid = dict(SWEEP_BENCH_GRID)
-    elif smoke:
-        names = list(matrices) if matrices else ["DWT512"]
-        grid = dict(SWEEP_BENCH_SMOKE_GRID)
-    else:
-        names = list(matrices) if matrices else list(hb.names())
-        grid = dict(SWEEP_BENCH_GRID)
-    if repeats is None:
-        repeats = (
-            BIG_MODE_REPEATS if tier == "big"
-            else 1 if smoke else FULL_MODE_REPEATS
-        )
-    entries = {}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as cache_dir:
-        for name in names:
-            sweep([name], cache_dir=cache_dir, **grid)  # warm both caches
-            entries[name] = _bench_sweep_one(name, grid, cache_dir, repeats)
-    total_off = sum(e["wall_noreuse"] for e in entries.values())
-    total_on = sum(e["wall_reuse"] for e in entries.values())
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "tier": tier,
-        "smoke": bool(smoke),
-        "grid": {k: list(v) for k, v in grid.items()},
-        "cells_per_matrix": len(build_grid(names[:1], **grid)),
-        "repeats": int(max(1, repeats)),
-        "matrices": entries,
-        "wall_noreuse_total": total_off,
-        "wall_reuse_total": total_on,
-        "speedup_overall": total_off / total_on if total_on else float("inf"),
-    }
-    if stamp:
-        _stamp_provenance(report)
-    if out is not None:
-        Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def compare_sweep_reports(current: dict, baseline: dict) -> list[dict]:
-    """Per-matrix sweep-wall delta rows for matrices in both reports."""
-    rows = []
-    base_matrices = baseline.get("matrices", {})
-    for name, cur in current.get("matrices", {}).items():
-        base = base_matrices.get(name)
-        if base is None:
-            continue
-        for field in ("wall_noreuse", "wall_reuse"):
-            b, c = base.get(field), cur.get(field)
-            if b is None or c is None:
-                continue
-            rows.append(
-                {
-                    "matrix": name,
-                    "stage": field,
-                    "baseline_s": float(b),
-                    "current_s": float(c),
-                    "speedup": float(b) / float(c) if c else float("inf"),
-                }
-            )
-        rows.extend(_memory_rows(name, base, cur))
-    return rows
-
-
 def _memory_rows(name: str, base: dict, cur: dict) -> list[dict]:
     """Peak-RSS delta rows (``unit: "mb"``) when both sides carry one.
 
@@ -457,63 +291,6 @@ def _name_width(names, minimum: int) -> int:
 
 def _fit_name(name: str, width: int) -> str:
     return name if len(name) <= width else name[: width - 2] + ".."
-
-
-def render_sweep_bench(report: dict) -> str:
-    """ASCII summary of a sweep bench report."""
-    with_mem = any("mem_peak_mb" in e for e in report["matrices"].values())
-    nw = _name_width(report["matrices"], 12)
-    headers = ["cells", "no-reuse ms", "reuse ms", "speedup", "identical"]
-    if with_mem:
-        headers.append("mem_peak_mb")
-    lines = [
-        "  ".join([f"{'matrix':>{nw}}"] + [f"{h:>12}" for h in headers])
-    ]
-    for name, e in report["matrices"].items():
-        cells = [
-            f"{_fit_name(name, nw):>{nw}}",
-            f"{e['cells']:>12}",
-            f"{e['wall_noreuse'] * 1e3:>12.1f}",
-            f"{e['wall_reuse'] * 1e3:>12.1f}",
-            f"{e['speedup']:>11.2f}x",
-            f"{str(bool(e['records_identical'])):>12}",
-        ]
-        if with_mem:
-            mem = e.get("mem_peak_mb")
-            cells.append(f"{mem:>12.1f}" if mem is not None else f"{'-':>12}")
-        lines.append("  ".join(cells))
-    mode = "smoke" if report.get("smoke") else "full"
-    lines.append(
-        f"(best-of-{report['repeats']} sweep walls, {mode} mode; "
-        f"overall {report['speedup_overall']:.2f}x)"
-    )
-    return "\n".join(lines)
-
-
-def render_sweep_delta(current: dict, baseline: dict) -> str:
-    """ASCII per-matrix delta table of ``current`` vs ``baseline``."""
-    rows = compare_sweep_reports(current, baseline)
-    if not rows:
-        return "(no comparable matrices between current report and baseline)"
-    nw = _name_width([r["matrix"] for r in rows], 12)
-    headers = ["mode", "baseline ms", "current ms", "vs baseline"]
-    lines = [
-        "  ".join([f"{'matrix':>{nw}}"] + [f"{h:>12}" for h in headers])
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(
-                [
-                    f"{_fit_name(row['matrix'], nw):>{nw}}",
-                    f"{row['stage'].removeprefix('wall_'):>12}",
-                    f"{row['baseline_s'] * 1e3:>12.1f}",
-                    f"{row['current_s'] * 1e3:>12.1f}",
-                    f"{row['speedup']:>11.2f}x",
-                ]
-            )
-        )
-    lines.append("(>1x means the current run is faster than the baseline)")
-    return "\n".join(lines)
 
 
 def compare_reports(current: dict, baseline: dict) -> list[dict]:

@@ -7,26 +7,25 @@ along the invariance boundaries:
 
 1. every distinct matrix is prepared **once** (ordering + symbolic) and
    shared through the :mod:`repro.perf.cache` disk cache;
-2. with staged reuse (the default), cells are grouped into one
-   :class:`SweepGroup` per (matrix, scheme, grain, min_width): the
-   partition/dependency/unit-work stage runs once per group (disk-cached
-   via :func:`repro.perf.cache.cached_partition` when a cache directory
-   is in play) and the per-``nprocs`` metrics are evaluated by the
-   batched kernel (:mod:`repro.machine.batched`) in a single pass;
+2. cells are grouped into one :class:`SweepGroup` per (matrix, scheme,
+   grain, min_width): the partition/dependency/unit-work stage runs once
+   per group (disk-cached via :func:`repro.perf.cache.cached_partition`
+   when a cache directory is in play) and only the scheduler and the
+   metrics run per ``nprocs`` — a cell is a group of one;
 3. groups fan out over a :class:`concurrent.futures` process pool
    (``jobs`` workers), each worker loading the shared prepared matrix
    from the cache on its first task;
-4. results come back as the same :class:`~repro.analysis.sweep.SweepRecord`
-   rows the serial harness produces, in deterministic grid order, so
-   ``jobs=8``/``jobs=1`` and ``reuse``/``no-reuse`` are value-identical.
+4. results come back as :class:`SweepRecord` rows in deterministic grid
+   order, so ``jobs=8`` and ``jobs=1`` are value-identical;
+   :func:`records_to_csv` is the CSV output format.
 
-A failed cell is retried once in the parent process; if the retry fails
-too, :func:`sweep` raises with the failing cell's label — results are
+A failed group is retried once in the parent process; if the retry fails
+too, :func:`sweep` raises with the failing group's label — results are
 never silently dropped.
 
 Observability: the fan-out runs under a ``perf.sweep.run`` span and
-every unit of work — serial or in a worker — runs under a real
-``perf.sweep.task`` / ``perf.sweep.group`` span.  When the parent is
+every group — serial or in a worker — runs under a real
+``perf.sweep.group`` span.  When the parent is
 tracing, each worker snapshots its recorder into a
 :class:`repro.obs.shard.RecorderShard` (spilled to a file above a size
 threshold) that the parent merges back: worker spans land on per-pid
@@ -49,6 +48,8 @@ exception before the parent retries.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import pickle
 import tempfile
@@ -58,17 +59,14 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analysis.sweep import SweepRecord, _record
 from ..core.pipeline import (
+    MappingResult,
     PartitionedMatrix,
     PreparedMatrix,
     adaptive_block_mapping,
-    adaptive_block_mappings,
-    block_mapping,
     block_mappings,
     partition_prepared,
     prepare,
-    wrap_mapping,
     wrap_mappings,
 )
 from ..obs import shard as obs_shard
@@ -79,10 +77,12 @@ from .cache import cached_partition, cached_prepare
 
 __all__ = [
     "SweepGroup",
+    "SweepRecord",
     "SweepTask",
     "SweepWorkerError",
     "build_grid",
     "group_grid",
+    "records_to_csv",
     "sweep",
 ]
 
@@ -109,6 +109,62 @@ _SCHEMES = ("block", "block-adaptive", "wrap")
 
 
 @dataclass(frozen=True)
+class SweepRecord:
+    """One measured cell of a sweep."""
+
+    matrix: str
+    scheme: str
+    nprocs: int
+    grain: int | None
+    min_width: int | None
+    traffic_total: int
+    traffic_mean: float
+    work_max: int
+    imbalance: float
+    units: int | None
+
+    @classmethod
+    def fields(cls) -> list[str]:
+        return [
+            "matrix", "scheme", "nprocs", "grain", "min_width",
+            "traffic_total", "traffic_mean", "work_max", "imbalance", "units",
+        ]
+
+
+def _record(prepared, result: MappingResult, nprocs, grain, width) -> SweepRecord:
+    return SweepRecord(
+        matrix=prepared.name,
+        scheme=result.scheme,
+        nprocs=nprocs,
+        grain=grain,
+        min_width=width,
+        traffic_total=result.traffic.total,
+        traffic_mean=result.traffic.mean,
+        work_max=result.balance.max,
+        imbalance=result.balance.imbalance,
+        units=result.partition.num_units if result.partition else None,
+    )
+
+
+def records_to_csv(records: list[SweepRecord], target=None) -> str:
+    """Write records as CSV; returns the text (and writes to ``target``
+    path/handle when given)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(SweepRecord.fields())
+    for r in records:
+        writer.writerow([getattr(r, f) for f in SweepRecord.fields()])
+    text = buf.getvalue()
+    if target is not None:
+        if hasattr(target, "write"):
+            target.write(text)
+        else:
+            with open(target, "w") as fh:
+                fh.write(text)
+    return text
+
+
+@dataclass(frozen=True)
 class SweepTask:
     """One cell of a sweep grid (picklable, resolved inside workers)."""
 
@@ -131,8 +187,8 @@ class SweepGroup:
     """All cells sharing one (matrix, scheme, grain, width) stage chain.
 
     ``procs`` are the group's processor counts in grid order and
-    ``indices`` the matching positions in the flat task list, so grouped
-    execution can scatter its records back into grid order.
+    ``indices`` the matching positions in the flat task list, so a
+    group's records scatter back into grid order.
     """
 
     matrix: str
@@ -159,7 +215,8 @@ def build_grid(
     min_widths=(4,),
     ordering: str = "mmd",
 ) -> list[SweepTask]:
-    """Expand a parameter grid in the serial harness's nesting order."""
+    """Expand a parameter grid, processor counts outermost; wrap ignores
+    grain/min_width."""
     for s in schemes:
         if s not in _SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {_SCHEMES}")
@@ -169,6 +226,11 @@ def build_grid(
                 f"unknown matrix {m!r}; expected one of "
                 f"{registry.matrix_names()}"
             )
+    # Refused here, before any group runs (and before a worker's error
+    # would come back wrapped in the retry's RuntimeError).
+    for what, values in (("procs", procs), ("grains", grains), ("min_widths", min_widths)):
+        if any(v < 1 for v in values):
+            raise ValueError(f"{what} must be at least 1, got {tuple(values)}")
     tasks: list[SweepTask] = []
     for matrix in matrices:
         for nprocs in procs:
@@ -189,7 +251,7 @@ def group_grid(tasks: list[SweepTask]) -> list[SweepGroup]:
 
     Cells differing only in processor count share ordering, symbolic
     factorization, partitioning and dependency analysis; one group is
-    one unit of parallel work under staged reuse.
+    one unit of parallel work.
     """
     order: list[tuple] = []
     members: dict[tuple, list[tuple[int, SweepTask]]] = {}
@@ -261,30 +323,13 @@ def _partitioned(
     return memo[key]
 
 
-def _measure(
-    task: SweepTask,
-    cache_dir: str | None,
-    memo: dict[tuple[str, str], PreparedMatrix],
-) -> SweepRecord:
-    """The reuse-free reference path: one full cell, no stage sharing."""
-    prep = _prepared(task.matrix, task.ordering, cache_dir, memo)
-    if task.scheme == "wrap":
-        result = wrap_mapping(prep, task.nprocs)
-    else:
-        runner = block_mapping if task.scheme == "block" else adaptive_block_mapping
-        result = runner(
-            prep, task.nprocs, grain=task.grain, min_width=task.min_width
-        )
-    return _record(prep, result, task.nprocs, task.grain, task.min_width)
-
-
 def _measure_group(
     group: SweepGroup,
     cache_dir: str | None,
     memo: dict[tuple[str, str], PreparedMatrix],
     part_memo: dict[tuple[str, str, int, int], PartitionedMatrix],
 ) -> list[SweepRecord]:
-    """One staged-reuse group: shared stages once, batched metrics."""
+    """One group: the shared stages once, then every processor count."""
     prep = _prepared(group.matrix, group.ordering, cache_dir, memo)
     if group.scheme == "wrap":
         results = wrap_mappings(prep, group.procs)
@@ -294,9 +339,13 @@ def _measure_group(
         )
         results = block_mappings(partitioned, group.procs)
     else:
-        results = adaptive_block_mappings(
-            prep, group.procs, grain=group.grain, min_width=group.min_width
-        )
+        # The adaptive partition depends on nprocs: nothing to share.
+        results = [
+            adaptive_block_mapping(
+                prep, nprocs, grain=group.grain, min_width=group.min_width
+            )
+            for nprocs in group.procs
+        ]
     if len(group.procs) > 1:
         # Cells beyond the first ride on the group's shared stages.
         obs.counter("perf.sweep.reuse.hit", len(group.procs) - 1)
@@ -331,14 +380,15 @@ def _worker_stats(
     return stats
 
 
-def _run_unit(index: int, unit, cache_dir, collect, spill_dir, grouped: bool):
-    """Worker entry: run one cell/group under a scoped recorder.
+def _run_group(payload) -> tuple[int, list[SweepRecord], dict]:
+    """Worker entry: run one group under a scoped recorder.
 
-    Success returns ``(index, payload, stats)``.  Failure drains any
+    Success returns ``(index, records, stats)``.  Failure drains any
     still-open span onto the recorder (recorded with the exception's
     type, not dropped), snapshots stats/shard anyway, and raises
     :class:`SweepWorkerError` carrying both back to the parent.
     """
+    index, group, cache_dir, collect, spill_dir = payload
     t0 = time.perf_counter()
     t0_unix = time.time()
     with obs.enabled(obs.Recorder()) as rec:
@@ -348,16 +398,12 @@ def _run_unit(index: int, unit, cache_dir, collect, spill_dir, grouped: bool):
         if monitor is not None:
             monitor.start()
         try:
-            if grouped:
-                with obs.span(
-                    "perf.sweep.group", label=unit.label(), cells=len(unit.procs)
-                ):
-                    payload = _measure_group(
-                        unit, cache_dir, _WORKER_PREPARED, _WORKER_PARTITIONED
-                    )
-            if not grouped:
-                with obs.span("perf.sweep.task", label=unit.label()):
-                    payload = _measure(unit, cache_dir, _WORKER_PREPARED)
+            with obs.span(
+                "perf.sweep.group", label=group.label(), cells=len(group.procs)
+            ):
+                records = _measure_group(
+                    group, cache_dir, _WORKER_PREPARED, _WORKER_PARTITIONED
+                )
             if monitor is not None:
                 monitor.stop()
         except Exception as exc:
@@ -366,21 +412,9 @@ def _run_unit(index: int, unit, cache_dir, collect, spill_dir, grouped: bool):
             rec.drain_open_spans(error=type(exc).__name__)
             stats = _worker_stats(rec, t0, t0_unix, collect, spill_dir)
             raise SweepWorkerError(
-                unit.label(), traceback.format_exc(), stats
+                group.label(), traceback.format_exc(), stats
             ) from None
-    return index, payload, _worker_stats(rec, t0, t0_unix, collect, spill_dir)
-
-
-def _run_task(payload) -> tuple[int, SweepRecord, dict]:
-    """Worker entry: one per-cell task (module-level for picklability)."""
-    index, task, cache_dir, collect, spill_dir = payload
-    return _run_unit(index, task, cache_dir, collect, spill_dir, grouped=False)
-
-
-def _run_group(payload) -> tuple[int, list[SweepRecord], dict]:
-    """Worker entry: one staged-reuse group."""
-    gindex, group, cache_dir, collect, spill_dir = payload
-    return _run_unit(gindex, group, cache_dir, collect, spill_dir, grouped=True)
+    return index, records, _worker_stats(rec, t0, t0_unix, collect, spill_dir)
 
 
 # ----------------------------------------------------------------------
@@ -395,47 +429,34 @@ def sweep(
     ordering: str = "mmd",
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    reuse: bool = True,
 ) -> list[SweepRecord]:
     """Measure every grid cell, fanning out over ``jobs`` processes.
 
     ``matrices`` is an iterable of registry names (see
-    :func:`repro.sparse.registry.matrix_names`).  With
-    ``reuse`` (the default) cells are grouped per (matrix, scheme,
-    grain, width): the nprocs-invariant stages run once per group and
-    all of the group's processor counts are measured by the batched
-    metrics kernel; ``reuse=False`` keeps the one-cell-per-task
-    reference decomposition.  With ``jobs <= 1`` everything runs
-    in-process; with ``jobs > 1`` work is distributed over a process
-    pool, sharing one prepared matrix per matrix through the disk cache
-    (an ephemeral cache directory is used when ``cache_dir`` is
-    ``None``).  A failed task is retried once in the parent; a second
-    failure raises :class:`RuntimeError` naming the task.  Records
-    always come back in grid order with values identical to the serial,
-    reuse-free path.
+    :func:`repro.sparse.registry.matrix_names`).  Cells are grouped per
+    (matrix, scheme, grain, width): the nprocs-invariant stages run once
+    per group, the scheduler and the metrics once per processor count.
+    With ``jobs <= 1`` everything runs in-process; with ``jobs > 1``
+    groups are distributed over a process pool, sharing one prepared
+    matrix per matrix through the disk cache (an ephemeral cache
+    directory is used when ``cache_dir`` is ``None``).  A failed group
+    is retried once in the parent; a second failure raises
+    :class:`RuntimeError` naming the group.  Records always come back
+    in grid order, with the values of the singular drivers
+    (:func:`~repro.core.pipeline.block_mapping` and friends) per cell.
     """
     matrices = list(matrices)
     tasks = build_grid(matrices, schemes, procs, grains, min_widths, ordering)
     cache_str = str(cache_dir) if cache_dir is not None else None
     if jobs <= 1:
-        return _sweep_serial(tasks, cache_str, reuse)
-    return _sweep_parallel(matrices, tasks, ordering, jobs, cache_str, reuse)
+        return _sweep_serial(tasks, cache_str)
+    return _sweep_parallel(matrices, tasks, ordering, jobs, cache_str)
 
 
-def _sweep_serial(
-    tasks: list[SweepTask], cache_str: str | None, reuse: bool
-) -> list[SweepRecord]:
+def _sweep_serial(tasks: list[SweepTask], cache_str: str | None) -> list[SweepRecord]:
     memo: dict[tuple[str, str], PreparedMatrix] = {}
+    part_memo: dict[tuple[str, str, int, int], PartitionedMatrix] = {}
     with obs.span("perf.sweep.run", tasks=len(tasks), jobs=1):
-        if not reuse:
-            records = []
-            for task in tasks:
-                t0 = time.perf_counter()
-                with obs.span("perf.sweep.task", label=task.label()):
-                    records.append(_measure(task, cache_str, memo))
-                obs.observe("perf.sweep.unit_ms", 1e3 * (time.perf_counter() - t0))
-            return records
-        part_memo: dict[tuple[str, str, int, int], PartitionedMatrix] = {}
         results: list[SweepRecord | None] = [None] * len(tasks)
         for group in group_grid(tasks):
             t0 = time.perf_counter()
@@ -455,18 +476,12 @@ def _sweep_parallel(
     ordering: str,
     jobs: int,
     cache_str: str | None,
-    reuse: bool,
 ) -> list[SweepRecord]:
     tmp = None
     if cache_str is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
         cache_str = tmp.name
-    if reuse:
-        units = [(g.label(), g) for g in group_grid(tasks)]
-        runner, retry = _run_group, _retry_group
-    else:
-        units = [(t.label(), t) for t in tasks]
-        runner, retry = _run_task, _retry_task
+    groups = group_grid(tasks)
     # Shard collection is decided once, up front: workers only pay the
     # snapshot/pickle cost when the parent is actually tracing.
     collect = obs.is_enabled()
@@ -489,9 +504,9 @@ def _sweep_parallel(
             submit_unix: dict[int, float] = {}
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {}
-                for i, (_, unit) in enumerate(units):
+                for i, group in enumerate(groups):
                     submit_unix[i] = time.time()
-                    futures[pool.submit(runner, (i, unit, cache_str, collect, spill_dir))] = i
+                    futures[pool.submit(_run_group, (i, group, cache_str, collect, spill_dir))] = i
                 for future in as_completed(futures):
                     try:
                         index, payload, stats = future.result()
@@ -503,12 +518,12 @@ def _sweep_parallel(
                         if collect and isinstance(failed_stats, dict):
                             _merge_worker_trace(
                                 rec, failed_stats, submit_unix[index],
-                                units[index][0], index,
+                                groups[index].label(), index,
                             )
                         # ... then the unit is retried once, in-process;
                         # a second failure raises with the unit's label.
                         t0 = time.perf_counter()
-                        payload = retry(units[index], cache_str)
+                        payload = _retry_group(groups[index], cache_str)
                         stats = {
                             "elapsed": time.perf_counter() - t0,
                             "cache_hit": 0,
@@ -520,19 +535,15 @@ def _sweep_parallel(
                         if collect:
                             _merge_worker_trace(
                                 rec, stats, submit_unix[index],
-                                units[index][0], index,
+                                groups[index].label(), index,
                             )
                         pid = stats.get("pid")
                         if pid is not None:
                             busy_by_pid[pid] = (
                                 busy_by_pid.get(pid, 0.0) + stats["elapsed"]
                             )
-                    if reuse:
-                        group = units[index][1]
-                        for slot, record in zip(group.indices, payload):
-                            results[slot] = record
-                    else:
-                        results[index] = payload
+                    for slot, record in zip(groups[index].indices, payload):
+                        results[slot] = record
                     busy += stats["elapsed"]
                     obs.observe("perf.sweep.unit_ms", 1e3 * stats["elapsed"])
                     hits += stats["cache_hit"]
@@ -540,7 +551,7 @@ def _sweep_parallel(
                     reuse_hits += stats["reuse_hit"]
                     done_at = time.perf_counter() - t_epoch
                     obs.timeline_event(
-                        f"sweep {units[index][0]}",
+                        f"sweep {groups[index].label()}",
                         ts=max(0.0, done_at - stats["elapsed"]),
                         dur=stats["elapsed"],
                         lane=index % jobs,
@@ -621,22 +632,11 @@ def _merge_worker_trace(
         obs.observe("perf.sweep.queue_wait_ms", 1e3 * (q1 - q0))
 
 
-def _retry_task(unit: tuple[str, SweepTask], cache_str: str | None) -> SweepRecord:
-    label, task = unit
-    try:
-        return _measure(task, cache_str, {})
-    except Exception as exc:
-        raise RuntimeError(f"sweep task {label!r} failed after retry") from exc
-
-
-def _retry_group(
-    unit: tuple[str, SweepGroup], cache_str: str | None
-) -> list[SweepRecord]:
-    label, group = unit
+def _retry_group(group: SweepGroup, cache_str: str | None) -> list[SweepRecord]:
     try:
         return _measure_group(group, cache_str, {}, {})
     except Exception as exc:
-        raise RuntimeError(f"sweep group {label!r} failed after retry") from exc
+        raise RuntimeError(f"sweep group {group.label()!r} failed after retry") from exc
 
 
 def _collect(

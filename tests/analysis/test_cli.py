@@ -177,6 +177,54 @@ class TestSweepTarget:
         assert json.loads(out.read_text())["traceEvents"]
 
 
+class TestRemovedSurface:
+    """The per-cell sweep path and its harness are gone: asking for
+    them is a usage error, not a silent fallback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench-sweep"],
+        ["bench-sweep", "--smoke"],
+        ["sweep", "--matrix", "DWT512", "--no-reuse"],
+    ])
+    def test_exits_2_with_an_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
+class TestNonPositiveGrain:
+    """A grain below 1 is refused before anything is measured (or
+    cached, or recorded) under that label."""
+
+    @pytest.mark.parametrize("grain", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep(self, grain, jobs, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["sweep", "--matrix", "DWT512", "--schemes", "block",
+                     "--grains", grain, "--jobs", jobs,
+                     "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: grains must be at least 1")
+        assert captured.out == "" and not cache.exists()
+
+    @pytest.mark.parametrize("grain", ["0", "-3"])
+    def test_stats(self, grain, capsys):
+        assert main(["stats", "--matrix", "DWT512", "--grain", grain]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grain must be at least 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("scheme", ["block", "block-adaptive"])
+    def test_explain(self, scheme, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["explain", "DWT512", "--scheme", scheme,
+                     "--grain", "0"]) == 2
+        assert capsys.readouterr().err == "error: grain must be at least 1\n"
+        assert not list(tmp_path.glob("EXPLAIN_*.html"))
+
+
 class TestExplainTarget:
     def test_explain_writes_registry_run_and_report(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -1,17 +1,18 @@
-"""Parameter sweep harness."""
+"""Sweep records and their CSV form: the rows ``python -m repro sweep``
+prints, from the one grid runner (:mod:`repro.perf.sweep`)."""
 
 import csv
 import io
 
 import pytest
 
-from repro.analysis import SweepRecord, records_to_csv, sweep
+from repro.perf import SweepRecord, records_to_csv, sweep
 
 
 @pytest.fixture(scope="module")
-def records(prepared_grid):
+def records():
     return sweep(
-        prepared_grid,
+        ["DWT512"],
         schemes=("block", "block-adaptive", "wrap"),
         procs=(2, 4),
         grains=(4,),
@@ -34,9 +35,9 @@ class TestSweep:
             else:
                 assert r.grain == 4 and r.units is not None
 
-    def test_unknown_scheme_rejected(self, prepared_grid):
+    def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            sweep(prepared_grid, schemes=("cyclic",))
+            sweep(["DWT512"], schemes=("cyclic",))
 
     def test_imbalance_nonnegative(self, records):
         assert all(r.imbalance >= 0 for r in records)

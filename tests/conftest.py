@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from repro.core import prepare
+from repro.core import Assignment, prepare
 from repro.core.blocks import BlockKind
 from repro.sparse import generators, grid5, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
@@ -113,6 +113,14 @@ def traffic_oracle(owner, nprocs: int, updates, include_scale: bool = True) -> n
         fetched[owner, updates.scale_source] = True
     fetched[owner, np.arange(nnz)] = False
     return fetched.sum(axis=1)
+
+
+def bare_owners(assignment):
+    """The same owners with no unit-level view, so the traffic layer
+    takes the element kernel."""
+    return Assignment(
+        "bare", assignment.nprocs, assignment.pattern, assignment.owner_of_element
+    )
 
 
 def volume_oracle(uoe, updates, include_scale: bool) -> Counter:

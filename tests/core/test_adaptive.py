@@ -88,3 +88,8 @@ class TestAdaptiveSchedule:
     def test_bad_nprocs(self, prepared_grid):
         with pytest.raises(ValueError):
             adaptive_block_mapping(prepared_grid, 0)
+
+    @pytest.mark.parametrize("grain", [0, -3])
+    def test_bad_grain(self, prepared_grid, grain):
+        with pytest.raises(ValueError, match="grain must be at least 1"):
+            adaptive_block_mapping(prepared_grid, 4, grain=grain)

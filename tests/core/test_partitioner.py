@@ -123,6 +123,18 @@ class TestPartitionFactor:
             (r.row_lo, r.col_lo) for r in rect
         )
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_grain_refused(self, bad):
+        """A grain below 1 used to partition as grain 1 and keep the
+        label: records (and cache entries) named ``grain=0``."""
+        p = self._pattern()
+        with pytest.raises(ValueError, match="grain must be at least 1"):
+            partition_factor(p, grain=bad)
+        with pytest.raises(ValueError, match="grain must be at least 1"):
+            partition_factor(p, grain=4, grain_rectangle=bad)
+        with pytest.raises(ValueError, match="grain must be at least 1"):
+            partition_factor(p, grain=bad, grain_rectangle=4)
+
     def test_larger_grain_fewer_units(self):
         p = self._pattern(40, 80, 3)
         small = partition_factor(p, grain=4, min_width=2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     block_mapping,
@@ -13,6 +15,8 @@ from repro.core import (
 )
 from repro.obs import trace as obs
 from repro.sparse import grid9
+
+from ..conftest import generated_graphs
 
 
 class TestPrepare:
@@ -93,9 +97,9 @@ class TestWrapMapping:
 class TestMultiP:
     def test_no_scale_read_index_built_once_and_cells_match(self):
         """The multi-P entry points take their read index from the memo
-        on the updates for either value of the flag: two batched calls
+        on the updates for either value of the flag: two group calls
         without scale reads sort the read list once, and each cell
-        equals the per-cell path."""
+        equals the singular driver's."""
         prep = prepare(grid9(8, 8), name="grid9(8,8)")  # fresh: empty memo
         part = partition_prepared(prep, grain=4)
         with obs.enabled() as rec:
@@ -114,3 +118,72 @@ class TestMultiP:
             np.testing.assert_array_equal(
                 got.traffic.per_processor, want.traffic.per_processor
             )
+
+    @pytest.mark.parametrize("lazy", [lambda ps: (p for p in ps), iter])
+    def test_procs_may_be_a_one_shot_iterable(self, prepared_grid, lazy):
+        """Regression: the span's ``cells=len(tuple(procs))`` used to
+        drain a generator before the loop saw it — no cells, no error."""
+        part = partition_prepared(prepared_grid, grain=4)
+        blocks = block_mappings(part, lazy([4, 16]))
+        wraps = wrap_mappings(prepared_grid, lazy([4, 16]))
+        assert [r.nprocs for r in blocks] == [4, 16]
+        assert [r.nprocs for r in wraps] == [4, 16]
+        with obs.enabled() as rec:
+            block_mappings(part, lazy([4, 16]))
+            wrap_mappings(prepared_grid, lazy([4, 16]))
+        (b,), (w,) = (
+            rec.spans_named(f"pipeline.{name}_mappings") for name in ("block", "wrap")
+        )
+        assert b.args["cells"] == w.args["cells"] == 2
+        assert rec.counters["pipeline.stage.metrics"] == 4
+
+
+def _figures(result):
+    """What the paper reports for a cell, plus the vectors behind it."""
+    return (
+        result.nprocs,
+        result.traffic.per_processor.tolist(),
+        result.balance.per_processor.tolist(),
+        result.balance.imbalance,
+    )
+
+
+class TestACellIsAGroupOfOne:
+    """A cell's result does not depend on which other processor counts
+    share its group, on their order, or on repeats — and it is what the
+    singular driver returns."""
+
+    PROCS = (1, 2, 3, 5, 16, 64)
+
+    @given(
+        generated_graphs(),
+        st.lists(st.sampled_from(PROCS), min_size=1, max_size=5),
+        st.sampled_from([1, 4, 25]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(deadline=None)
+    def test_block_and_wrap(self, graph, procs, grain, include_scale, rng):
+        prep = prepare(graph, name="generated")
+        part = partition_prepared(prep, grain=grain)
+        alone = {}
+        for p in set(procs):
+            (block,) = block_mappings(part, (p,), include_scale_traffic=include_scale)
+            (wrap,) = wrap_mappings(prep, (p,), include_scale_traffic=include_scale)
+            alone[p] = _figures(block), _figures(wrap)
+            single = block_mapping(
+                prep, p, grain=grain, include_scale_traffic=include_scale
+            )
+            assert _figures(single) == alone[p][0]
+            assert single.assignment.proc_of_unit.tolist() == (
+                block.assignment.proc_of_unit.tolist()
+            )
+            single = wrap_mapping(prep, p, include_scale_traffic=include_scale)
+            assert _figures(single) == alone[p][1]
+        shuffled = list(procs)
+        rng.shuffle(shuffled)
+        for group in (procs, shuffled, procs + procs[::-1]):
+            blocks = block_mappings(part, group, include_scale_traffic=include_scale)
+            wraps = wrap_mappings(prep, group, include_scale_traffic=include_scale)
+            assert [_figures(r) for r in blocks] == [alone[p][0] for p in group]
+            assert [_figures(r) for r in wraps] == [alone[p][1] for p in group]

@@ -1,11 +1,12 @@
-"""Batched multi-assignment metrics vs the independent traffic oracle
-and the per-assignment work path.
+"""Metrics for K assignments vs independent oracles.
 
-The batched path's contract is array-for-array value identity with
-:func:`tests.conftest.traffic_oracle` (and hence with
-:func:`data_traffic`, pinned to agree here too) and
-:func:`processor_work_reference` — on every bundled matrix, every
-mapping scheme, and mixed processor counts inside one batch.
+``batched_metrics`` is a loop of :func:`data_traffic` +
+:func:`processor_work` calls; its contract is array-for-array value
+identity with :func:`tests.conftest.traffic_oracle` and with the work
+model applied update by update (:func:`work_oracle`) — on every bundled
+matrix, every mapping scheme, and mixed processor counts inside one
+batch.  Hostile owner arrays never reach the kernel: the
+:class:`Assignment` constructor refuses them.
 """
 
 import numpy as np
@@ -22,19 +23,15 @@ from repro.core import (
     wrap_assignment,
 )
 from repro.machine import (
-    batched_load_balance,
     batched_metrics,
-    batched_traffic,
     build_read_index,
     data_traffic,
-    load_balance,
-    processor_work_reference,
     read_index_of,
 )
 from repro.obs import trace as obs
 from repro.sparse import harwell_boeing as hb
 
-from ..conftest import traffic_oracle
+from ..conftest import bare_owners, traffic_oracle
 
 PROCS = (3, 16, 64)
 
@@ -59,21 +56,29 @@ def _assignments(prepped, scheme):
     ]
 
 
+def work_oracle(owner, nprocs: int, updates) -> np.ndarray:
+    """Work per processor straight from the paper's cost model: 2 units
+    to the target's owner per pair update, 1 per element for its scale
+    update (no ``element_work``, no weighted bincount)."""
+    work = np.zeros(nprocs, dtype=np.int64)
+    np.add.at(work, owner[updates.target], 2)
+    np.add.at(work, owner, 1)
+    return work
+
+
 def _assert_identical(updates, assignments, read_index=None):
     batched = batched_metrics(updates, assignments, read_index=read_index)
     assert len(batched) == len(assignments)
     for a, (traffic, balance) in zip(assignments, batched):
         ref_traffic = traffic_oracle(a.owner_of_element, a.nprocs, updates)
-        ref_balance = load_balance(processor_work_reference(a, updates))
+        ref_work = work_oracle(a.owner_of_element, a.nprocs, updates)
         np.testing.assert_array_equal(traffic.per_processor, ref_traffic)
         np.testing.assert_array_equal(
             data_traffic(a, updates).per_processor, ref_traffic
         )
-        np.testing.assert_array_equal(
-            balance.per_processor, ref_balance.per_processor
-        )
+        np.testing.assert_array_equal(balance.per_processor, ref_work)
         assert traffic.total == int(ref_traffic.sum())
-        assert balance.imbalance == ref_balance.imbalance
+        assert balance.imbalance == ref_work.max() / ref_work.mean() - 1.0
 
 
 class TestEveryBundledMatrix:
@@ -105,16 +110,15 @@ class TestBatchShapes:
 
     def test_prepared_read_index_is_equivalent(self, lap30):
         assignments = [wrap_assignment(lap30.pattern, p) for p in PROCS]
+        assignments += [bare_owners(a) for a in assignments]  # the index's consumers
         _assert_identical(lap30.updates, assignments, read_index=lap30.read_index)
 
     def test_exclude_scale_matches_reference(self, lap30):
         updates = lap30.updates
         assignments = [wrap_assignment(lap30.pattern, p) for p in PROCS]
-        owners = [a.owner_of_element for a in assignments]
-        batched = batched_traffic(
-            updates, owners, list(PROCS), include_scale=False
-        )
-        for a, traffic in zip(assignments, batched):
+        assignments += [bare_owners(a) for a in assignments]
+        batched = batched_metrics(updates, assignments, include_scale=False)
+        for a, (traffic, _balance) in zip(assignments, batched):
             ref = traffic_oracle(
                 a.owner_of_element, a.nprocs, updates, include_scale=False
             )
@@ -140,53 +144,41 @@ class TestValidation:
     def test_mismatched_read_index_rejected(self, lap30):
         index = build_read_index(lap30.updates, include_scale=False)
         with pytest.raises(ValueError, match="include_scale"):
-            batched_traffic(
+            batched_metrics(
                 lap30.updates,
-                [wrap_assignment(lap30.pattern, 4).owner_of_element],
-                [4],
+                [bare_owners(wrap_assignment(lap30.pattern, 4))],
                 read_index=index,
                 include_scale=True,
             )
 
     def test_wrong_owner_length_rejected(self, lap30):
-        bad = Assignment(
-            "wrap", 4, lap30.pattern,
-            np.zeros(lap30.pattern.nnz, dtype=np.int64),
-        )
-        object.__setattr__(bad, "owner_of_element", np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError, match="elements"):
-            batched_metrics(lap30.updates, [bad])
-
-    def test_nprocs_count_mismatch_rejected(self, lap30):
-        owners = [wrap_assignment(lap30.pattern, 4).owner_of_element]
-        with pytest.raises(ValueError, match="one processor count"):
-            batched_traffic(lap30.updates, owners, [4, 8])
-        with pytest.raises(ValueError, match="one processor count"):
-            batched_load_balance(lap30.updates, owners, [4, 8])
+        owner = np.zeros(lap30.pattern.nnz, dtype=np.int64)
+        for bad in (owner[:3], owner.reshape(-1, 1), owner.reshape(1, -1)):
+            with pytest.raises(ValueError, match="one entry per element"):
+                Assignment("wrap", 4, lap30.pattern, bad)
 
     @pytest.mark.parametrize("bad", [-1, 4, 2**32, 2**32 + 1])
     def test_owner_out_of_range_rejected(self, lap30, bad):
         """An owner outside [0, nprocs) would alias another source's
         stamp-table slots (and one past 2^31 would wrap into range when
-        narrowed): refused, naming the cell and the value."""
-        good = wrap_assignment(lap30.pattern, 4).owner_of_element
-        hostile = good.astype(np.int64)
+        the kernel narrows it): refused before any kernel sees it."""
+        hostile = wrap_assignment(lap30.pattern, 4).owner_of_element.astype(np.int64)
         hostile[len(hostile) // 2] = bad
-        with pytest.raises(ValueError, match=rf"owner array 1 .* {bad}, outside \[0, 4\)"):
-            batched_traffic(lap30.updates, [good, hostile], [4, 4])
-        with pytest.raises(ValueError, match="owner array 0"):
-            batched_load_balance(lap30.updates, [hostile], [4])
+        with pytest.raises(ValueError, match="out of processor range"):
+            Assignment("raw", 4, lap30.pattern, hostile)
 
     def test_owner_in_range_for_another_cell_rejected(self, lap30):
         """Each array is checked against its own processor count."""
-        owners = [wrap_assignment(lap30.pattern, p).owner_of_element for p in (8, 8)]
-        with pytest.raises(ValueError, match=r"owner array 1 .* 7, outside \[0, 4\)"):
-            batched_traffic(lap30.updates, owners, [8, 4])
+        owner = wrap_assignment(lap30.pattern, 8).owner_of_element
+        Assignment("raw", 8, lap30.pattern, owner)
+        with pytest.raises(ValueError, match="out of processor range"):
+            Assignment("raw", 4, lap30.pattern, owner)
 
     def test_nonpositive_nprocs_rejected(self, lap30):
-        owners = [np.zeros(lap30.pattern.nnz, dtype=np.int64)]
-        with pytest.raises(ValueError, match="nprocs must be positive"):
-            batched_traffic(lap30.updates, owners, [0])
+        owner = np.zeros(lap30.pattern.nnz, dtype=np.int64)
+        for nprocs in (0, -2):
+            with pytest.raises(ValueError, match="nprocs must be positive"):
+                Assignment("raw", nprocs, lap30.pattern, owner)
 
 
 class TestReadIndex:

@@ -19,10 +19,11 @@ from repro.core import (
     schedule_blocks,
     wrap_assignment,
 )
-from repro.machine import batched_traffic, build_read_index, read_chunk_bounds
+from repro.machine import build_read_index, read_chunk_bounds
+from repro.machine.traffic import fetch_counts, kernel_inputs
 from repro.sparse import harwell_boeing as hb
 
-from ..conftest import traffic_oracle
+from ..conftest import bare_owners, traffic_oracle
 
 PROCS = (3, 16, 64)
 
@@ -34,42 +35,35 @@ def prepped(request):
 
 @pytest.fixture(scope="module")
 def mixed_batch(prepped):
-    """Block and wrap owner arrays at three processor counts, with the
-    oracle's answer for each."""
+    """Block and wrap assignments at three processor counts — the block
+    cells both as scheduled (the unit read index) and as bare owners
+    with no unit-level view (the element read list, which wrap cells
+    take through ``kernel_inputs`` anyway) — with the oracle's answer
+    for each."""
     pm = partition_prepared(prepped, grain=25, min_width=4)
     block = [
         schedule_blocks(pm.partition, pm.dependencies, p, unit_work=pm.unit_work)
         for p in PROCS
     ]
     wrap = [wrap_assignment(prepped.pattern, p) for p in PROCS]
-    assignments = block + wrap
-    owners = [a.owner_of_element for a in assignments]
-    nprocs = [a.nprocs for a in assignments]
+    bare = [bare_owners(a) for a in block]
+    assignments = block + bare + wrap
     expected = [
-        traffic_oracle(o, p, prepped.updates) for o, p in zip(owners, nprocs)
+        traffic_oracle(a.owner_of_element, a.nprocs, prepped.updates)
+        for a in assignments
     ]
-    return owners, nprocs, expected
+    return assignments, expected
 
 
 class TestChunkedBitIdentity:
     @pytest.mark.parametrize("chunk_reads", [1, 7, 1000, 10**9, 0])
     def test_every_bundled_matrix(self, prepped, mixed_batch, chunk_reads):
-        owners, nprocs, expected = mixed_batch
+        assignments, expected = mixed_batch
         index = build_read_index(prepped.updates)
-        chunked = batched_traffic(
-            prepped.updates, owners, nprocs, read_index=index,
-            chunk_reads=chunk_reads,
-        )
-        assert len(chunked) == len(expected)
-        for got, want in zip(chunked, expected):
-            np.testing.assert_array_equal(got.per_processor, want)
-
-    def test_env_override(self, prepped, mixed_batch, monkeypatch):
-        owners, nprocs, expected = mixed_batch
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_READS", "13")
-        chunked = batched_traffic(prepped.updates, owners, nprocs)
-        for got, want in zip(chunked, expected):
-            np.testing.assert_array_equal(got.per_processor, want)
+        for a, want in zip(assignments, expected):
+            inputs = kernel_inputs(a, prepped.updates, read_index=index)
+            got = fetch_counts(*inputs, chunk_reads=chunk_reads)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestReadChunkBounds:

@@ -3,7 +3,7 @@ structures.
 
 :func:`tests.conftest.traffic_oracle` is the paper's definition as a
 membership bitmap; the kernel under test is the sort-free stamp-table
-pass behind ``data_traffic``, ``batched_traffic``,
+pass behind ``data_traffic``, ``batched_metrics``,
 ``communication_matrix`` and the simulated message ledger.  Structures
 come from the seeded generator families at n <= 200, owner arrays from
 every mapping family plus arrays with no unit structure at all.
@@ -22,13 +22,14 @@ from repro.core import (
     wrap_mapping,
 )
 from repro.machine import (
-    batched_traffic,
+    batched_metrics,
     communication_matrix,
     data_traffic,
     simulate_assignment,
 )
+from repro.machine.traffic import fetch_counts, kernel_inputs
 
-from ..conftest import generated_graphs, traffic_oracle
+from ..conftest import bare_owners, generated_graphs, traffic_oracle
 
 CHUNKS = (1, 7, 1000, 0)
 
@@ -78,14 +79,15 @@ class TestKernelMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_every_chunk_size(self, mapped, include_scale, chunk_reads):
         prep, a = mapped
-        (got,) = batched_traffic(
-            prep.updates, [a.owner_of_element], [a.nprocs],
-            include_scale=include_scale, chunk_reads=chunk_reads,
-        )
         want = traffic_oracle(
             a.owner_of_element, a.nprocs, prep.updates, include_scale
         )
-        np.testing.assert_array_equal(got.per_processor, want)
+        # Over the assignment's own index (the unit index for a block
+        # cell) and, owners bare, over the element read list.
+        for cell in (a, bare_owners(a)):
+            inputs = kernel_inputs(cell, prep.updates, include_scale)
+            got = fetch_counts(*inputs, chunk_reads=chunk_reads)
+            np.testing.assert_array_equal(got, want)
 
     @given(generated_graphs(), st.integers(0, 2**16), st.sampled_from(CHUNKS))
     @settings(max_examples=30, deadline=None)
@@ -93,22 +95,19 @@ class TestKernelMatchesOracle:
         prep = prepare(graph, name="generated")
         nnz = prep.pattern.nnz
         cells = [
-            wrap_assignment(prep.pattern, 1),
+            bare_owners(wrap_assignment(prep.pattern, 1)),
             _random_assignment(prep.pattern, nnz + 1, seed),
-            wrap_assignment(prep.pattern, 7),
+            bare_owners(wrap_assignment(prep.pattern, 7)),
             _random_assignment(prep.pattern, 3, seed + 1),
         ]
-        got = batched_traffic(
-            prep.updates,
-            [a.owner_of_element for a in cells],
-            [a.nprocs for a in cells],
-            chunk_reads=chunk_reads,
-        )
-        for a, traffic in zip(cells, got):
-            np.testing.assert_array_equal(
-                traffic.per_processor,
-                traffic_oracle(a.owner_of_element, a.nprocs, prep.updates),
+        batch = batched_metrics(prep.updates, cells)
+        for a, (traffic, _balance) in zip(cells, batch):
+            want = traffic_oracle(a.owner_of_element, a.nprocs, prep.updates)
+            np.testing.assert_array_equal(traffic.per_processor, want)
+            got = fetch_counts(
+                *kernel_inputs(a, prep.updates), chunk_reads=chunk_reads
             )
+            np.testing.assert_array_equal(got, want)
 
 
 class TestConsumersAgree:

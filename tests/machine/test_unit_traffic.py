@@ -38,7 +38,12 @@ from repro.core import (
 )
 from repro.core.dependencies import unit_read_index
 from repro.machine import batched_metrics, data_traffic, read_index_of, unit_graph, unit_work
-from repro.machine.traffic import column_fetch_counts, fetch_pairs
+from repro.machine.traffic import (
+    column_fetch_counts,
+    fetch_counts,
+    fetch_pairs,
+    kernel_inputs,
+)
 
 from ..conftest import generated_graphs, traffic_oracle, volume_oracle
 
@@ -166,10 +171,10 @@ class TestUnitIndexTraffic:
         got = data_traffic(a, updates, include_scale=include_scale)
         np.testing.assert_array_equal(got.per_processor, want)
         chunk_reads = data.draw(st.sampled_from([1, 7, 1000, 0]))
-        ((batched, _balance),) = batched_metrics(
-            updates, [a], include_scale=include_scale, chunk_reads=chunk_reads
+        chunked = fetch_counts(
+            *kernel_inputs(a, updates, include_scale), chunk_reads=chunk_reads
         )
-        np.testing.assert_array_equal(batched.per_processor, want)
+        np.testing.assert_array_equal(chunked, want)
 
     def test_a_unit_view_the_owners_do_not_follow_is_refused(self, prepared_grid):
         """The unit paths never look at ``owner_of_element`` on the

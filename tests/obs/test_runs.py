@@ -154,14 +154,6 @@ class TestCompare:
         assert by_stage["order"]["baseline_s"] == pytest.approx(0.010)
         assert by_stage["order"]["current_s"] == pytest.approx(0.020)
 
-    def test_sweep_shape_dispatch(self):
-        def entry(scale):
-            return {"DWT512": {"wall_noreuse": 0.2 * scale,
-                               "wall_reuse": 0.1 * scale}}
-
-        rows = runs.compare_runs({"matrices": entry(1)}, {"matrices": entry(2)})
-        assert {r["stage"] for r in rows} == {"wall_noreuse", "wall_reuse"}
-
     def test_regressions_beyond_threshold_only(self):
         old = {"matrices": _manifest_matrices(1.0)}
         barely = {"matrices": _manifest_matrices(1.20)}  # +20% < 25% gate

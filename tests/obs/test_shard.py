@@ -238,7 +238,7 @@ _PREP_SPANS = {
 
 
 def _is_work_span(s) -> bool:
-    if s.name in ("perf.sweep.group", "perf.sweep.task"):
+    if s.name == "perf.sweep.group":
         return True
     return s.name.startswith("pipeline.") and s.name not in _PREP_SPANS
 

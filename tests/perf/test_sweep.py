@@ -1,16 +1,18 @@
-"""perf.sweep: grid construction, serial/parallel value-identity, cache use."""
+"""perf.sweep: grid construction, serial/parallel value-identity against
+a per-cell loop over the public singular drivers, cache use."""
 
 import dataclasses
+import importlib
 
 import pytest
 
 from repro import obs
-from repro.analysis.sweep import SweepRecord
-from repro.analysis.sweep import sweep as reference_sweep
-import importlib
-
-from repro.perf import build_grid, group_grid, sweep
+from repro.core import adaptive_block_mapping, block_mapping, prepare, wrap_mapping
+from repro.perf import SweepRecord, build_grid, group_grid, sweep
 from repro.perf.sweep import SweepGroup, SweepTask
+from repro.sparse import load
+
+from ..conftest import traffic_oracle
 
 #: The submodule itself (the package re-exports the ``sweep`` *function*
 #: under the same name, so ``import repro.perf.sweep as m`` binds that).
@@ -41,6 +43,14 @@ class TestBuildGrid:
     def test_unknown_matrix_rejected(self):
         with pytest.raises(ValueError, match="unknown matrix"):
             build_grid(["NOPE99"])
+
+    @pytest.mark.parametrize("knob", ["procs", "grains", "min_widths"])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_grid_value_rejected(self, knob, bad):
+        with pytest.raises(ValueError, match=f"{knob} must be at least 1"):
+            build_grid(["LAP30"], **{knob: (4, bad)})
+        with pytest.raises(ValueError, match=f"{knob} must be at least 1"):
+            sweep(["LAP30"], jobs=2, **{knob: (bad,)})
 
     def test_label(self):
         task = SweepTask("LAP30", "block", 16, 25, 4)
@@ -83,6 +93,44 @@ class TestGroupGrid:
 GRID = dict(schemes=("block", "wrap"), procs=(2,), grains=(4,), min_widths=(4,))
 
 
+def per_cell_results(matrix, schemes, procs, grains, min_widths):
+    """The grid measured one public singular driver call per cell, in
+    grid order: ``(scheme, nprocs, grain, min_width, MappingResult)``."""
+    prep = prepare(load(matrix), name=matrix)
+    cells = []
+    for nprocs in procs:
+        for scheme in schemes:
+            if scheme == "wrap":
+                cells.append((scheme, nprocs, None, None, wrap_mapping(prep, nprocs)))
+                continue
+            driver = block_mapping if scheme == "block" else adaptive_block_mapping
+            for grain in grains:
+                for width in min_widths:
+                    result = driver(prep, nprocs, grain=grain, min_width=width)
+                    cells.append((scheme, nprocs, grain, width, result))
+    return cells
+
+
+def per_cell_records(matrix, **grid):
+    """:func:`per_cell_results` as the records the sweep should return,
+    every figure re-derived from the per-processor vectors."""
+    records = []
+    for scheme, nprocs, grain, width, r in per_cell_results(matrix, **grid):
+        traffic, work = r.traffic.per_processor, r.balance.per_processor
+        records.append(
+            SweepRecord(
+                matrix=matrix, scheme=scheme, nprocs=nprocs, grain=grain,
+                min_width=width,
+                traffic_total=int(traffic.sum()),
+                traffic_mean=float(traffic.mean()),
+                work_max=int(work.max()),
+                imbalance=float(work.max() / work.mean() - 1.0),
+                units=None if scheme == "wrap" else r.partition.num_units,
+            )
+        )
+    return records
+
+
 @pytest.fixture(scope="module")
 def serial_records():
     return sweep(["DWT512"], jobs=1, **GRID)
@@ -90,15 +138,8 @@ def serial_records():
 
 class TestSerial:
     def test_matches_analysis_harness(self, serial_records):
-        from repro.core import prepare
-        from repro.sparse import load
-
-        prep = prepare(load("DWT512"), name="DWT512")
-        reference = reference_sweep(
-            prep, schemes=GRID["schemes"], procs=GRID["procs"],
-            grains=GRID["grains"], min_widths=GRID["min_widths"],
-        )
-        assert serial_records == reference
+        """The harness that lived in ``repro.analysis`` was this loop."""
+        assert serial_records == per_cell_records("DWT512", **GRID)
 
     def test_warm_cache_skips_ordering_and_symbolic(self, tmp_path):
         sweep(["DWT512"], jobs=1, cache_dir=tmp_path, **GRID)  # cold: fills cache
@@ -152,26 +193,52 @@ MULTI_P_GRID = dict(
     procs=(2, 4, 8), grains=(4,), min_widths=(4,),
 )
 
+#: Two grains, so two block groups share one prepared matrix.
+REFERENCE_GRID = dict(MULTI_P_GRID, grains=(4, 25))
+
 
 class TestStagedReuse:
+    """Groups share the nprocs-invariant stages; the reference they are
+    held to is a per-cell loop over the singular drivers, itself held to
+    the traffic oracle."""
+
     @pytest.fixture(scope="class")
     def reference(self):
-        return sweep(["DWT512"], jobs=1, reuse=False, **MULTI_P_GRID)
+        return per_cell_records("DWT512", **REFERENCE_GRID)
 
     def test_reuse_matches_reference_serial(self, reference):
-        assert sweep(["DWT512"], jobs=1, reuse=True, **MULTI_P_GRID) == reference
+        assert sweep(["DWT512"], jobs=1, **REFERENCE_GRID) == reference
 
     def test_reuse_matches_reference_parallel(self, reference):
-        assert sweep(["DWT512"], jobs=4, reuse=True, **MULTI_P_GRID) == reference
+        assert sweep(["DWT512"], jobs=2, **REFERENCE_GRID) == reference
 
-    def test_no_reuse_parallel_matches_reference(self, reference):
-        assert sweep(["DWT512"], jobs=4, reuse=False, **MULTI_P_GRID) == reference
+    def test_no_reuse_parallel_matches_reference(self):
+        """One processor count: every group is a single cell, nothing is
+        shared, and the records are still the reference's."""
+        grid = dict(REFERENCE_GRID, procs=(4,))
+        with obs.enabled(obs.Recorder()) as rec:
+            records = sweep(["DWT512"], jobs=2, **grid)
+        assert records == per_cell_records("DWT512", **grid)
+        assert all(len(g.procs) == 1 for g in group_grid(build_grid(["DWT512"], **grid)))
+        assert "perf.sweep.reuse.hit" not in rec.counters
+
+    def test_block_and_wrap_traffic_equal_the_oracle(self):
+        grid = dict(REFERENCE_GRID, schemes=("block", "wrap"))
+        records = sweep(["DWT512"], jobs=1, **grid)
+        cells = per_cell_results("DWT512", **grid)
+        assert len(records) == len(cells) == 3 * (2 + 1)
+        for record, (scheme, nprocs, grain, _width, r) in zip(records, cells):
+            assert (record.scheme, record.nprocs, record.grain) == (scheme, nprocs, grain)
+            want = traffic_oracle(
+                r.assignment.owner_of_element, nprocs, r.prepared.updates
+            )
+            assert record.traffic_total == int(want.sum())
 
     def test_reuse_hit_counter_counts_shared_cells(self):
         tasks = build_grid(["DWT512"], **MULTI_P_GRID)
         groups = group_grid(tasks)
         with obs.enabled(obs.Recorder()) as rec:
-            sweep(["DWT512"], jobs=1, reuse=True, **MULTI_P_GRID)
+            sweep(["DWT512"], jobs=1, **MULTI_P_GRID)
         hits = rec.counters.get("perf.sweep.reuse.hit")
         assert hits == len(tasks) - len(groups)
         assert type(hits) is int
@@ -180,13 +247,13 @@ class TestStagedReuse:
         tasks = build_grid(["DWT512"], **MULTI_P_GRID)
         groups = group_grid(tasks)
         with obs.enabled(obs.Recorder()) as rec:
-            sweep(["DWT512"], jobs=2, reuse=True, **MULTI_P_GRID)
+            sweep(["DWT512"], jobs=2, **MULTI_P_GRID)
         assert rec.counters.get("perf.sweep.reuse.hit") == len(tasks) - len(groups)
         assert rec.counters.get("perf.sweep.tasks") == len(tasks)
 
     def test_serial_reuse_runs_group_spans(self):
         with obs.enabled(obs.Recorder()) as rec:
-            sweep(["DWT512"], jobs=1, reuse=True, **MULTI_P_GRID)
+            sweep(["DWT512"], jobs=1, **MULTI_P_GRID)
         groups = group_grid(build_grid(["DWT512"], **MULTI_P_GRID))
         assert len(rec.spans_named("perf.sweep.group")) == len(groups)
         # The nprocs-invariant stages ran once per *group*, not per cell.
@@ -194,7 +261,7 @@ class TestStagedReuse:
 
     def test_parallel_reuse_one_timeline_event_per_group(self):
         with obs.enabled(obs.Recorder()) as rec:
-            sweep(["DWT512"], jobs=2, reuse=True, **MULTI_P_GRID)
+            sweep(["DWT512"], jobs=2, **MULTI_P_GRID)
         events = [e for e in rec.timeline if e.track == "perf.sweep"]
         groups = group_grid(build_grid(["DWT512"], **MULTI_P_GRID))
         assert len(events) == len(groups)
@@ -207,7 +274,7 @@ class TestStagedReuse:
         assert rec.counters.get("perf.cache.partition.hit") == 1
         assert not rec.spans_named("pipeline.partition")
         assert not rec.spans_named("pipeline.dependencies")
-        assert warm == sweep(["DWT512"], jobs=1, reuse=False, **grid)
+        assert warm == sweep(["DWT512"], jobs=1, **grid)  # uncached
 
 
 class TestFailurePropagation:
@@ -226,11 +293,3 @@ class TestFailurePropagation:
         monkeypatch.setattr(sweep_mod, "_measure_group", boom)
         with pytest.raises(RuntimeError, match="DWT512 (block|wrap)"):
             sweep(["DWT512"], jobs=2, **GRID)
-
-    def test_per_cell_failure_raises_with_label(self, monkeypatch):
-        def boom(task, cache_dir, memo):
-            raise ValueError("cell exploded")
-
-        monkeypatch.setattr(sweep_mod, "_measure", boom)
-        with pytest.raises(RuntimeError, match="DWT512 (block|wrap) P=2"):
-            sweep(["DWT512"], jobs=2, reuse=False, **GRID)
