@@ -50,7 +50,7 @@ def main(nprocs: int = 4) -> None:
 
     # Full distributed solve, verified against the residual.
     b = np.ones(a.n)
-    x = distributed_solve_spd(a, b, pattern, mappings["wrap"], nprocs, timeout=300.0)
+    x = distributed_solve_spd(a, b, pattern, mappings["wrap"], nprocs)
     residual = np.abs(a.matvec(x) - b).max()
     print(f"\ndistributed solve residual: {residual:.2e}")
     assert residual < 1e-8

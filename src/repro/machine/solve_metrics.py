@@ -14,7 +14,8 @@ cost model to the solves so that claim can be quantified:
   owner of the diagonal (j, j)); the accumulator of row i (held by the
   owner of (i, i)) reads one aggregated contribution per remote
   contributing processor.  The backward solve is symmetric with the
-  roles of i and j exchanged.
+  roles of i and j exchanged.  :mod:`repro.mpsim.solve` executes exactly
+  this: one message per fetch counted here.
 """
 
 from __future__ import annotations
@@ -28,20 +29,12 @@ from .traffic import TrafficResult
 __all__ = ["solve_work", "solve_traffic", "solve_balance"]
 
 
-def _offdiag(assignment: Assignment):
-    pattern = assignment.pattern
-    cols = pattern.element_cols()
-    off = pattern.rowidx != cols
-    return pattern, pattern.rowidx[off], cols[off], np.nonzero(off)[0]
-
-
 def solve_work(assignment: Assignment, both_sweeps: bool = True) -> np.ndarray:
     """Work per processor for the triangular solve(s).
 
     One unit per off-diagonal multiply-add, one per diagonal division;
     ``both_sweeps`` charges the forward and the backward solve.
     """
-    pattern = assignment.pattern
     owner = assignment.owner_of_element
     per_proc = np.bincount(owner, minlength=assignment.nprocs).astype(np.int64)
     return 2 * per_proc if both_sweeps else per_proc
@@ -52,21 +45,19 @@ def solve_balance(assignment: Assignment, both_sweeps: bool = True) -> LoadBalan
 
 
 def _sweep_traffic(
-    owner: np.ndarray,
+    elem_owner: np.ndarray,
     diag_owner_of_col: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    eids: np.ndarray,
     n: int,
     nprocs: int,
 ) -> np.ndarray:
     """Distinct non-local fetches for one forward sweep.
 
-    ``rows``/``cols`` are the off-diagonal coordinates; element (i, j)'s
-    owner reads x_j; row i's accumulator owner reads one aggregate per
-    remote contributing processor.
+    ``rows``/``cols`` are the off-diagonal coordinates and ``elem_owner``
+    their owners; element (i, j)'s owner reads x_j; row i's accumulator
+    owner reads one aggregate per remote contributing processor.
     """
-    elem_owner = owner[eids]
     # Reads of solution values: (element owner, source column) pairs.
     key = np.unique(elem_owner.astype(np.int64) * np.int64(n) + cols)
     proc = key // n
@@ -89,18 +80,21 @@ def _sweep_traffic(
 
 def solve_traffic(assignment: Assignment, both_sweeps: bool = True) -> TrafficResult:
     """Distinct-fetch traffic of the triangular solve phase."""
-    pattern, rows, cols, eids = _offdiag(assignment)
+    pattern = assignment.pattern
     owner = assignment.owner_of_element
+    cols = pattern.element_cols()
+    off = pattern.rowidx != cols
+    rows, cols, elem_owner = pattern.rowidx[off], cols[off], owner[off]
     diag_owner = owner[pattern.indptr[:-1]]
     n = pattern.n
     forward = _sweep_traffic(
-        owner, diag_owner, rows, cols, eids, n, assignment.nprocs
+        elem_owner, diag_owner, rows, cols, n, assignment.nprocs
     )
     if not both_sweeps:
         return TrafficResult(forward)
     # Backward sweep (Lᵀ): element (i, j) contributes L[i,j]·x_i to the
     # dot product of column j — swap the roles of rows and columns.
     backward = _sweep_traffic(
-        owner, diag_owner, cols, rows, eids, n, assignment.nprocs
+        elem_owner, diag_owner, cols, rows, n, assignment.nprocs
     )
     return TrafficResult(forward + backward)

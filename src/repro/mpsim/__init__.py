@@ -9,19 +9,16 @@ from .comm import (
     MPSimError,
     Request,
 )
-from .distchol import (
-    distributed_backward_solve,
-    distributed_cholesky,
-    distributed_forward_solve,
-    distributed_solve_spd,
-)
+from .distchol import distributed_cholesky, distributed_solve_spd
 from .distblock import distributed_block_cholesky
-from .distblock_solve import (
-    distributed_block_backward_solve,
-    distributed_block_forward_solve,
-)
 from .fanin import distributed_cholesky_fanin
 from .launcher import run_parallel
+from .solve import (
+    distributed_backward_solve,
+    distributed_block_backward_solve,
+    distributed_block_forward_solve,
+    distributed_forward_solve,
+)
 
 __all__ = [
     "ANY_SOURCE",

@@ -165,5 +165,5 @@ def distributed_block_cholesky(
         stats = comm.stats
         return mine, CommStats(stats.messages_sent, stats.messages_received, stats.bytes_sent)
 
-    values, stats = gather_on_ranks(rank, len(seed), assignment.nprocs, timeout)
+    values, stats = gather_on_ranks(rank, len(seed), assignment.nprocs, timeout, "block")
     return LowerCSC(partition.pattern, values), stats

@@ -1,5 +1,5 @@
-"""Distributed fan-out Cholesky factorization and triangular solves on
-the simulated message-passing runtime.
+"""Distributed fan-out Cholesky factorization on the simulated
+message-passing runtime.
 
 The structure of L is replicated (as after a symbolic-factorization
 broadcast); values are distributed by column according to an arbitrary
@@ -19,7 +19,7 @@ import numpy as np
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
-from .comm import ANY_SOURCE, Comm
+from .comm import Comm
 from .engine import (
     Countdown,
     cdiv,
@@ -30,23 +30,11 @@ from .engine import (
     run_tasks,
     updates_by_source_column,
 )
+from .solve import distributed_backward_solve, distributed_forward_solve
 
-__all__ = [
-    "distributed_cholesky",
-    "distributed_forward_solve",
-    "distributed_backward_solve",
-    "distributed_solve_spd",
-]
+__all__ = ["distributed_cholesky", "distributed_solve_spd"]
 
 _TAG_COLUMN = 1
-_TAG_FSOLVE = 2
-_TAG_BSOLVE = 3
-
-
-def _nmod(pattern: LowerPattern) -> np.ndarray:
-    """nmod[j] = number of columns k < j with L[j, k] != 0."""
-    off = pattern.rowidx != pattern.element_cols()
-    return np.bincount(pattern.rowidx[off], minlength=pattern.n)
 
 
 def _factor_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndarray,
@@ -108,149 +96,9 @@ def distributed_cholesky(
             _factor_rank(comm, seed, updates, owner, off_col, off_row, consumers),
             comm.stats,
         ),
-        pattern.nnz, nprocs, timeout, partial(place_columns, pattern.indptr),
+        pattern.nnz, nprocs, timeout, "fanout", partial(place_columns, pattern.indptr),
     )
     return LowerCSC(pattern, values), stats
-
-
-def distributed_forward_solve(
-    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
-) -> np.ndarray:
-    """Solve L x = b with column fan-out: the owner of column j finalizes
-    x_j, then ships its update contributions grouped by destination."""
-    proc_of_col = np.asarray(proc_of_col, dtype=np.int64)
-    pattern = L.pattern
-    n = pattern.n
-    nmod = _nmod(pattern)
-
-    def rank_fn(comm: Comm):
-        me = comm.rank
-        mine = [j for j in range(n) if proc_of_col[j] == me]
-        mine_set = set(mine)
-        acc = {j: float(b[j]) for j in mine}
-        pending = {j: int(nmod[j]) for j in mine}
-        x: dict[int, float] = {}
-        expected = 0
-        for k in range(n):
-            if proc_of_col[k] == me:
-                continue
-            dests = {int(proc_of_col[i]) for i in pattern.col(k)[1:]}
-            if me in dests:
-                expected += 1
-
-        def finalize(j: int) -> list[int]:
-            lo, hi = pattern.indptr[j], pattern.indptr[j + 1]
-            xj = acc[j] / L.values[lo]
-            x[j] = xj
-            rows = pattern.rowidx[lo + 1 : hi]
-            deltas = L.values[lo + 1 : hi] * xj
-            by_dest: dict[int, list[tuple[int, float]]] = {}
-            newly = []
-            for i, d in zip(rows.tolist(), deltas.tolist()):
-                p = int(proc_of_col[i])
-                if p == me:
-                    acc[i] -= d
-                    pending[i] -= 1
-                    if pending[i] == 0:
-                        newly.append(i)
-                else:
-                    by_dest.setdefault(p, []).append((i, d))
-            for p, items in by_dest.items():
-                comm.send((j, items), p, _TAG_FSOLVE)
-            return newly
-
-        ready = sorted(j for j in mine if pending[j] == 0)
-        received = 0
-        while len(x) < len(mine) or received < expected:
-            while ready:
-                ready.extend(finalize(ready.pop(0)))
-                ready.sort()
-            if received < expected:
-                _k, items = comm.recv(ANY_SOURCE, _TAG_FSOLVE)
-                received += 1
-                for i, d in items:
-                    acc[i] -= d
-                    pending[i] -= 1
-                    if pending[i] == 0:
-                        ready.append(i)
-                ready.sort()
-        return x, None
-
-    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]
-
-
-def distributed_backward_solve(
-    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
-) -> np.ndarray:
-    """Solve Lᵀ x = b: the owner of column j computes the dot product of
-    L[:, j] with already-finalized x entries, which other owners push to
-    it as they finalize."""
-    proc_of_col = np.asarray(proc_of_col, dtype=np.int64)
-    pattern = L.pattern
-    n = pattern.n
-
-    # needers[i] = processors owning a column j < i with L[i, j] != 0
-    # (they need x_i to finish their dot products).
-    needers: list[set[int]] = [set() for _ in range(n)]
-    for j in range(n):
-        for i in pattern.col(j)[1:]:
-            needers[int(i)].add(int(proc_of_col[j]))
-
-    def rank_fn(comm: Comm):
-        me = comm.rank
-        mine = [j for j in range(n) if proc_of_col[j] == me]
-        acc = {j: float(b[j]) for j in mine}
-        pending = {j: int(pattern.col_count(j)) - 1 for j in mine}
-        x: dict[int, float] = {}
-        expected = 0
-        for i in range(n):
-            if proc_of_col[i] != me and me in needers[i]:
-                expected += 1
-
-        def finalize(j: int) -> list[int]:
-            lo = pattern.indptr[j]
-            xj = acc[j] / L.values[lo]
-            x[j] = xj
-            newly = []
-            # x_j participates in the dot products of columns j' < j with
-            # L[j, j'] != 0; push it to their owners (and apply locally).
-            for p in sorted(needers[j] - {me}):
-                comm.send((j, xj), p, _TAG_BSOLVE)
-            if me in needers[j]:
-                newly.extend(_apply(j, xj))
-            return newly
-
-        def _apply(i: int, xi: float) -> list[int]:
-            newly = []
-            for j in mine:
-                if j in x or j >= i:
-                    continue
-                lo, hi = pattern.indptr[j], pattern.indptr[j + 1]
-                rows = pattern.rowidx[lo:hi]
-                pos = int(np.searchsorted(rows, i))
-                if pos < len(rows) and rows[pos] == i:
-                    acc[j] -= L.values[lo + pos] * xi
-                    pending[j] -= 1
-                    if pending[j] == 0:
-                        newly.append(j)
-            return newly
-
-        ready = sorted((j for j in mine if pending[j] == 0), reverse=True)
-        received = 0
-        while len(x) < len(mine) or received < expected:
-            while ready:
-                ready.extend(finalize(ready.pop(0)))
-                ready.sort(reverse=True)
-            if received < expected:
-                i, xi = comm.recv(ANY_SOURCE, _TAG_BSOLVE)
-                received += 1
-                ready.extend(_apply(i, xi))
-                ready.sort(reverse=True)
-        return x, None
-
-    return gather_on_ranks(rank_fn, n, nprocs, timeout)[0]
 
 
 def distributed_solve_spd(

@@ -1,16 +1,18 @@
-"""What the three numeric executors share.
+"""What the numeric executors share.
 
-Fan-out (:mod:`.distchol`), fan-in (:mod:`.fanin`) and block
-(:mod:`.distblock`) differ only in what a task is (a column or a unit
-block) and in what travels when one finishes.  The rest is here: the
-checked seeding of the accumulators from A, the counters that turn a
-finished task into newly ready ones, the ready/receive loop of a rank,
-and the gather that assembles the result on rank 0.
+Fan-out (:mod:`.distchol`), fan-in (:mod:`.fanin`), block
+(:mod:`.distblock`) and the triangular-solve sweep (:mod:`.solve`)
+differ only in what a task is (a column, a unit block or an unknown) and
+in what travels when one finishes.  The rest is here: the checked
+seeding of the accumulators from A, the counters that turn a finished
+task into newly ready ones, the ready/receive loop of a rank, and the
+gather that assembles the result on rank 0.
 
-Every rank keeps two vectors over the factor's element ids: ``acc``
-(A minus the pair updates applied so far) and ``vals`` (final values,
-NaN until computed or received, so that a value used before it arrived
-poisons what is computed from it instead of passing for a number).
+Every factorization rank keeps two vectors over the factor's element
+ids: ``acc`` (A minus the pair updates applied so far) and ``vals``
+(final values, NaN until computed or received, so that a value used
+before it arrived poisons what is computed from it instead of passing
+for a number).
 """
 
 from __future__ import annotations
@@ -168,16 +170,18 @@ def place_columns(indptr: np.ndarray, values: np.ndarray, part: dict) -> None:
         values[indptr[j] : indptr[j + 1]] = column
 
 
-def gather_on_ranks(rank, size: int, nprocs: int, timeout: float | None,
+def gather_on_ranks(rank, size: int, nprocs: int, timeout: float | None, name: str,
                     place=place_entries) -> tuple[np.ndarray, list]:
     """Run ``rank(comm) -> (payload, extra)`` on every rank, gather the
     payloads on rank 0 and let ``place(values, payload)`` write each into
-    a vector of ``size`` zeros.  Returns (values, per-rank extras)."""
+    a vector of ``size`` zeros.  Returns (values, per-rank extras); a
+    traced run is recorded as the ``SimRun`` called ``name``."""
 
     def rank_fn(comm: Comm):
         mine, extra = rank(comm)
         return comm.gather(mine, root=0), extra
 
+    rank_fn.__name__ = name  # what run_parallel names the run after
     results = run_parallel(rank_fn, nprocs, timeout=timeout)
     values = np.zeros(size, dtype=np.float64)
     for part in results[0][0]:

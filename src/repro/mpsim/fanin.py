@@ -112,6 +112,6 @@ def distributed_cholesky_fanin(
             _fanin_rank(comm, seed, updates, owner, off_col, off_row, n_remote),
             comm.stats,
         ),
-        pattern.nnz, nprocs, timeout, partial(place_columns, pattern.indptr),
+        pattern.nnz, nprocs, timeout, "fanin", partial(place_columns, pattern.indptr),
     )
     return LowerCSC(pattern, values), stats

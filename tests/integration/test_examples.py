@@ -44,5 +44,5 @@ class TestExamples:
         assert "winner" in out
 
     def test_distributed_solve(self):
-        out = _run("distributed_solve.py", "2", timeout=480)
+        out = _run("distributed_solve.py", "2")
         assert "residual" in out

@@ -1,12 +1,17 @@
-"""The three numeric executors on generated structures and on abuse.
+"""The numeric executors on generated structures and on abuse.
 
 Properties, over ``tests.conftest.generated_graphs`` (n <= 200) x block
 grain in {1, 4, 25} x P in {1, 3, 16} x random column owners: every
 executor returns the sequential factor to 1e-10; the block executor
 sends exactly one message per (source unit, consumer processor) pair of
-the dependency graph, and every one of them carries the whole unit.
+the dependency graph, and every one of them carries the whole unit; the
+triangular-solve sweep, under random element owners, random column
+owners and the block mapping's, returns the sequential solutions to
+1e-10 and each rank receives exactly the messages ``solve_traffic``
+charges it, in each direction.
 Then the degenerate inputs of ROADMAP item 4: n = 1, a diagonal matrix,
-more processors than units or columns, partitions with empty units.
+more processors than units or columns, partitions with empty units,
+everything on one rank.
 The example count is the active Hypothesis profile's (the CI
 kernel-identity step runs this module under ``--hypothesis-profile=full``).
 """
@@ -21,21 +26,31 @@ from hypothesis import strategies as st
 from repro.core import analyze_dependencies, block_mapping, prepare
 from repro.core.assignment import Assignment
 from repro.core.partitioner import Partition
+from repro.machine import solve_traffic
 from repro.mpsim import (
     Comm,
+    distributed_backward_solve,
+    distributed_block_backward_solve,
     distributed_block_cholesky,
+    distributed_block_forward_solve,
     distributed_cholesky,
     distributed_cholesky_fanin,
+    distributed_forward_solve,
 )
 from repro.mpsim.distblock import _TAG_UNIT
-from repro.numeric import sparse_cholesky
-from repro.sparse import spd_from_graph
+from repro.mpsim.solve import _TAG_SOLVE
+from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.obs import trace as obs
+from repro.sparse import LowerCSC, spd_from_graph
 from repro.sparse.pattern import SymmetricGraph
 
 from ..conftest import generated_graphs
 
 PROCS = (1, 3, 16)
 GRAINS = (1, 4, 25)
+#: Who owns the factor during a solve: random element owners, random
+#: column owners, or the block mapping at a grain.
+OWNERSHIPS = ("element", "column", *GRAINS)
 
 
 def system(graph, seed):
@@ -53,6 +68,44 @@ def run_block(prep, a, result, **kwargs):
 
 def close(values, want):
     return np.allclose(values, want, rtol=0.0, atol=1e-10)
+
+
+def solve_owners(prep, nprocs, how, seed):
+    """One of ``OWNERSHIPS`` as (the forward and backward solve taking
+    it, their owner argument, the element owners it stands for)."""
+    pattern = prep.pattern
+    rng = np.random.default_rng(seed)
+    if how == "column":
+        proc_of_col = rng.integers(0, nprocs, size=pattern.n)
+        solves = distributed_forward_solve, distributed_backward_solve
+        return solves, proc_of_col, proc_of_col[pattern.element_cols()]
+    if how == "element":
+        owner = rng.integers(0, nprocs, size=pattern.nnz)
+    else:
+        owner = block_mapping(prep, nprocs, grain=how).assignment.owner_of_element
+    return (distributed_block_forward_solve, distributed_block_backward_solve), owner, owner
+
+
+def traced_solves(prep, values, solves, owners, nprocs, seed=5):
+    """Both solves under a recorder, each checked against the sequential
+    solve; returns the sweep's messages every rank received (all of them
+    delivered), forward then backward."""
+    L = LowerCSC(prep.pattern, values)
+    b = np.random.default_rng(seed).random(L.n) + 1.0
+    out = []
+    for solve, sequential in zip(solves, (solve_lower, solve_lower_transpose)):
+        with obs.enabled() as rec:
+            x = solve(L, b, owners, nprocs, timeout=30.0)
+        assert close(x, sequential(L, b)), solve.__name__
+        received = np.zeros(nprocs, dtype=np.int64)
+        for sim in rec.sim_runs:  # none when no message was sent (one rank)
+            messages = sim.messages
+            assert not np.isnan(messages.recv).any()
+            received += np.bincount(
+                messages.dst[messages.cause == _TAG_SOLVE], minlength=nprocs
+            )
+        out.append(received)
+    return out
 
 
 class TestAgainstTheSequentialFactor:
@@ -100,6 +153,30 @@ class TestAgainstTheSequentialFactor:
             assert len(values) == len(elems) and np.isfinite(values).all()
 
 
+class TestTheSolveSweep:
+    @given(generated_graphs(), st.integers(0, 2**16), st.sampled_from(PROCS),
+           st.sampled_from(OWNERSHIPS))
+    @settings(deadline=None)
+    def test_equals_the_sequential_solves_and_sends_what_solve_traffic_counts(
+        self, graph, seed, nprocs, how
+    ):
+        prep, _, values = system(graph, seed)
+        solves, owners, owner_of_element = solve_owners(prep, nprocs, how, seed)
+        forward, backward = traced_solves(prep, values, solves, owners, nprocs, seed)
+        model = Assignment("bare", nprocs, prep.pattern, owner_of_element)
+        one = solve_traffic(model, both_sweeps=False).per_processor
+        both = solve_traffic(model, both_sweeps=True).per_processor
+        assert forward.tolist() == one.tolist()
+        assert backward.tolist() == (both - one).tolist()
+
+    @pytest.mark.parametrize("how", ["element", "column"])
+    def test_everything_on_one_rank_sends_nothing(self, king_graph, how):
+        prep, _, values = system(king_graph, 2)
+        solves, owners, _ = solve_owners(prep, 1, how, 0)  # all zeros
+        for received in traced_solves(prep, values, solves, owners, 4):
+            assert received.tolist() == [0, 0, 0, 0]
+
+
 def with_empty_units(partition: Partition) -> tuple[Partition, np.ndarray]:
     """The same partition with an empty unit added behind the last unit
     of the first cluster and one at the very end; returns it with the
@@ -136,6 +213,10 @@ class TestDegenerateInputs:
 
     def check_all(self, graph, nprocs, messages=None):
         prep, a, want = system(graph, 5)
+        for how in OWNERSHIPS:
+            solves, owners, _ = solve_owners(prep, nprocs, how, 5)
+            for received in traced_solves(prep, want, solves, owners, nprocs):
+                assert messages is None or received.sum() == messages
         owners = np.arange(a.n) % nprocs
         runs = [
             distributed_cholesky(a, prep.pattern, owners, nprocs, timeout=30.0),

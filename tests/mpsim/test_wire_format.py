@@ -62,6 +62,7 @@ def test_traced_run_has_one_delivered_ledger_row_per_message(layer):
     with obs.enabled() as rec:
         _, stats = run()
     (sim,) = rec.sim_runs
+    assert sim.name == layer.removeprefix("mpsim.")
     assert sim.clock == "lamport" and sim.nprocs == NPROCS
     messages = sim.messages
     # The block executor reports its counters as of before the result
