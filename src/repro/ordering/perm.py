@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.dtypes import as_permutation
+
 __all__ = ["is_permutation", "invert_permutation", "identity_permutation", "random_permutation"]
 
 
 def is_permutation(perm, n: int | None = None) -> bool:
     """True if ``perm`` is a permutation of 0..len(perm)-1 (of 0..n-1 if given)."""
-    perm = np.asarray(perm)
-    m = len(perm) if n is None else n
-    if len(perm) != m:
+    try:
+        perm = np.asarray(perm)
+        as_permutation(perm, perm.size if n is None else n)
+    except ValueError:
         return False
-    seen = np.zeros(m, dtype=bool)
-    for p in perm:
-        if not (0 <= p < m) or seen[p]:
-            return False
-        seen[p] = True
     return True
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtypes import index_dtype
+from .dtypes import as_permutation, index_dtype
 from .pattern import LowerPattern, SymmetricGraph
 
 __all__ = ["SymmetricCSC", "LowerCSC"]
@@ -78,7 +78,7 @@ class SymmetricCSC:
 
     def permute(self, perm) -> "SymmetricCSC":
         """Symmetric permutation: result[k, l] = self[perm[k], perm[l]]."""
-        perm = np.asarray(perm, dtype=index_dtype(self.n))
+        perm = as_permutation(perm, self.n)
         inv = np.empty(self.n, dtype=index_dtype(self.n))
         inv[perm] = np.arange(self.n, dtype=index_dtype(self.n))
         rows = inv[self.pattern.rowidx]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["INDEX_MAX_INT32", "index_dtype", "as_index_array", "linear_index"]
+__all__ = ["INDEX_MAX_INT32", "index_dtype", "as_index_array", "as_permutation", "linear_index"]
 
 #: Largest value an int32 index can address.
 INDEX_MAX_INT32 = int(np.iinfo(np.int32).max)
@@ -61,6 +61,28 @@ def as_index_array(a, limit: int | None = None) -> np.ndarray:
     if arr.dtype in (np.int32, np.int64):
         return arr
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def as_permutation(perm, n: int) -> np.ndarray:
+    """``perm`` as an int64 array if it is a permutation of ``0 .. n-1``.
+
+    Anything else — not 1-D, a bool or float anywhere (no silent
+    ``astype``), the wrong length, an index out of range or repeated —
+    is a ``ValueError``.
+    """
+    arr = np.asarray(perm)
+    if arr.size == 0:
+        arr = arr.astype(np.int64)  # an empty list carries no dtype
+    ok = arr.ndim == 1 and arr.dtype.kind in "iu" and len(arr) == n
+    if ok and not isinstance(perm, np.ndarray):
+        # numpy has already promoted a list mixing bools and ints to int64
+        ok = not any(isinstance(p, (bool, np.bool_)) for p in perm)
+    if ok and n:
+        arr = arr.astype(np.int64, copy=False)
+        ok = arr.min() >= 0 and arr.max() < n and (np.bincount(arr, minlength=n) == 1).all()
+    if not ok:
+        raise ValueError("perm is not a permutation of 0..n-1")
+    return arr
 
 
 def linear_index(major, minor, n: int) -> np.ndarray:

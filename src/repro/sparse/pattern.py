@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtypes import as_index_array as _as_index_array
-from .dtypes import index_dtype, linear_index
+from .dtypes import as_permutation, index_dtype, linear_index
 
 __all__ = ["SymmetricGraph", "LowerPattern"]
 
@@ -135,13 +135,43 @@ class SymmetricGraph:
         ``k`` (i.e. the elimination order).  The result G' satisfies
         G'.has_edge(k, l) == G.has_edge(perm[k], perm[l]).
         """
-        perm = _as_index_array(perm)
-        if sorted(perm.tolist()) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of 0..n-1")
+        perm = as_permutation(perm, self.n)
         inv = np.empty(self.n, dtype=index_dtype(self.n))
         inv[perm] = np.arange(self.n, dtype=index_dtype(self.n))
         u, v = self.edges()
         return SymmetricGraph.from_edges(self.n, inv[u], inv[v])
+
+    def lower_adjacency(self, perm=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Strictly-lower adjacency of P A Pᵀ as a row CSR.
+
+        Returns ``(perm, indptr, cols)``: the validated int64 ordering
+        (the identity for ``perm=None``) and, for row ``i`` of the
+        permuted matrix, its ascending columns ``k < i`` in
+        ``cols[indptr[i]:indptr[i+1]]``.  The stored adjacency is read
+        as an *edge set* — an entry counts whichever triangle it was
+        stored in, rows in any order, duplicates and self loops dropped
+        — so the permuted graph is never symmetrised or materialised.
+        """
+        n, idt = self.n, index_dtype(self.n)
+        src = np.repeat(np.arange(n, dtype=idt), np.diff(self.indptr))
+        dst = np.asarray(self.indices)
+        bad = dst[(dst < 0) | (dst >= n)]
+        if bad.size:
+            raise ValueError(f"neighbour index {int(bad[0])} out of range for n = {n}")
+        if perm is None:
+            perm = np.arange(n, dtype=np.int64)
+        else:
+            perm = as_permutation(perm, n)
+            inv = np.empty(n, dtype=idt)
+            inv[perm] = np.arange(n, dtype=idt)
+            src, dst = inv[src], inv[dst]
+        key = linear_index(np.maximum(src, dst), np.minimum(src, dst), n)[src != dst]
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        rows = key // n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return perm, indptr, (key - rows * n).astype(idt)
 
     def to_dense_bool(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=bool)

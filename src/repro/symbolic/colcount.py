@@ -1,17 +1,12 @@
 """Column and row nonzero counts of the Cholesky factor.
 
-Counts are derivable without forming the full symbolic factor; this
-module provides two implementations plus helpers to compute the paper's
-arithmetic-work figure directly from the counts:
-
-* :func:`column_counts` — Gilbert–Ng–Peyton skeleton counting: only the
-  *leaves* of each row subtree contribute, with over-counts cancelled at
-  least common ancestors found by a path-compressed union-find.  Runs in
-  O(nnz(A) α) instead of O(nnz(L)), so counts are available cheaply
-  before the factor exists — e.g. to pre-size buffers ahead of cluster
-  detection.
-* :func:`column_counts_reference` — the original full row-subtree
-  traversal, kept as the reference the tests assert against.
+Counts are derivable without forming the full symbolic factor:
+:func:`column_counts` is Gilbert–Ng–Peyton skeleton counting — only the
+*leaves* of each row subtree contribute, with over-counts cancelled at
+least common ancestors found by a path-compressed union-find.  It runs
+in O(nnz(A) α) instead of O(nnz(L)), which is what the paper's
+arithmetic-work figure (:func:`sequential_work`) and Table 1's
+nnz(L) (:func:`factor_nnz`) need when the factor itself is not wanted.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from .fill import symbolic_cholesky
 
 __all__ = [
     "column_counts",
-    "column_counts_reference",
     "gnp_column_counts",
     "row_counts",
     "factor_nnz",
@@ -41,17 +35,21 @@ def column_counts(graph: SymmetricGraph, perm=None) -> np.ndarray:
     at their least common ancestor, located with a path-compressed
     union-find keyed by first descendants in a postorder.
     """
-    if perm is not None:
-        work = graph.permute(np.asarray(perm, dtype=np.int64))
-    else:
-        work = graph
-    return gnp_column_counts(work, etree(work))
+    return gnp_column_counts(graph, etree(graph, perm), perm)
 
 
-def gnp_column_counts(work: SymmetricGraph, parent: np.ndarray) -> np.ndarray:
-    """Gilbert–Ng–Peyton counts for an already-permuted graph whose
-    elimination tree ``parent`` is known (see :func:`column_counts`)."""
-    n = work.n
+def gnp_column_counts(graph: SymmetricGraph, parent: np.ndarray, perm=None) -> np.ndarray:
+    """Gilbert–Ng–Peyton counts for P A Pᵀ whose elimination tree
+    ``parent`` is known (see :func:`column_counts`)."""
+    n = graph.n
+    _, adj_ptr, adj = graph.lower_adjacency(perm)
+    # The skeleton is read by column: rows i > j of column j, which is
+    # the row CSR transposed (a stable sort keeps the rows ascending).
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(adj, minlength=n), out=indptr[1:])
+    rows = np.repeat(np.arange(n), np.diff(adj_ptr))
+    indices = rows[np.argsort(adj, kind="stable")].tolist()
+    indptr = indptr.tolist()
     post = postorder(parent)
     parent_l = parent.tolist()
     # first[j] = postorder rank of j's first (deepest-leftmost) descendant;
@@ -67,16 +65,11 @@ def gnp_column_counts(work: SymmetricGraph, parent: np.ndarray) -> np.ndarray:
     maxfirst = [-1] * n
     prevleaf = [-1] * n
     ancestor = list(range(n))
-    indptr = work.indptr.tolist()
-    indices = work.indices.tolist()
     for j in post.tolist():
         p = parent_l[j]
         if p != -1:
             delta[p] -= 1  # j's path is counted within p's subtree
-        for t in range(indptr[j], indptr[j + 1]):
-            i = indices[t]
-            if i <= j:
-                continue
+        for i in indices[indptr[j] : indptr[j + 1]]:
             # j is a leaf of row i's subtree iff no previously processed
             # neighbour of i lies in j's subtree (first-descendant test).
             if maxfirst[i] >= first[j]:
@@ -101,37 +94,6 @@ def gnp_column_counts(work: SymmetricGraph, parent: np.ndarray) -> np.ndarray:
         p = parent_l[j]
         if p != -1:
             counts[p] += counts[j]
-    return counts
-
-
-def column_counts_reference(graph: SymmetricGraph, perm=None) -> np.ndarray:
-    """nnz per column of L (diagonal included).
-
-    Uses row-subtree traversal: entry (i, j) of L exists iff j is on the
-    elimination-tree path from some k ∈ adj_lower(A'_i) up to i.
-    """
-    if perm is not None:
-        work = graph.permute(np.asarray(perm, dtype=np.int64))
-    else:
-        work = graph
-    n = work.n
-    parent = etree(work)
-    counts = np.ones(n, dtype=np.int64)  # diagonals
-    mark = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        mark[i] = i
-        for k in work.neighbors(i):
-            k = int(k)
-            if k >= i:
-                continue
-            # Walk up the tree from k until reaching a column already
-            # marked for row i; every new column gains entry (i, col).
-            while mark[k] != i:
-                mark[k] = i
-                counts[k] += 1
-                k = int(parent[k])
-                if k < 0:  # pragma: no cover - parent path always reaches i
-                    raise AssertionError("row subtree escaped the tree")
     return counts
 
 

@@ -14,8 +14,8 @@ from ..sparse.pattern import SymmetricGraph
 __all__ = ["etree", "postorder", "tree_levels", "children_lists"]
 
 
-def etree(graph: SymmetricGraph) -> np.ndarray:
-    """Elimination tree via Liu's path-compression algorithm.
+def etree(graph: SymmetricGraph, perm=None) -> np.ndarray:
+    """Elimination tree of P A Pᵀ via Liu's path-compression algorithm.
 
     Runs in nearly O(nnz) using a virtual-ancestor (path halving) array.
     """
@@ -24,13 +24,10 @@ def etree(graph: SymmetricGraph) -> np.ndarray:
     # indexing costs several times a list access.
     parent = [-1] * n
     ancestor = [-1] * n
-    gp = graph.indptr.tolist()
-    gi = graph.indices.tolist()
+    _, adj_ptr, adj = graph.lower_adjacency(perm)
+    adj_ptr, adj = adj_ptr.tolist(), adj.tolist()
     for i in range(n):
-        for t in range(gp[i], gp[i + 1]):
-            k = gi[t]
-            if k >= i:  # neighbours are sorted: the lower part is a prefix
-                break
+        for k in adj[adj_ptr[i] : adj_ptr[i + 1]]:
             # Walk from k up to the current root, compressing to i.
             while True:
                 a = ancestor[k]

@@ -4,32 +4,26 @@ This is the input the paper's partitioner starts from ("the partitioning
 starts with the zero-nonzero structure of the filled sparse matrix
 obtained after the symbolic factorization phase").
 
-Two implementations, identical output:
-
-* :func:`symbolic_cholesky` — the default fast path.  Entry (i, j) of L
-  exists iff j lies on the elimination-tree path from some
-  k ∈ adj_lower(A'_i) up to i.  Gilbert–Ng–Peyton column counts
-  (computed in O(nnz(A) α) *before* the factor exists) pre-size the
-  exact CSC buffers, so one O(nnz(L)) row-subtree walk then scatters
-  each entry straight into its final position — no per-column set
-  merges, no sorting, no deduplication.
-* :func:`symbolic_cholesky_reference` — the original per-column merge
-  (``np.unique`` over the children's column structures), kept as the
-  bit-identical reference the tests assert against.
+:func:`symbolic_cholesky` is the classical up-looking pass: entry (i, j)
+of L exists iff j lies on the elimination-tree path from some
+k ∈ adj_lower(A'_i) up to i, and the tree itself grows out of the same
+climbs, so one walk over the rows of the permuted lower adjacency yields
+both — no separate tree, postorder or column pre-count.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype
 from ..sparse.pattern import LowerPattern, SymmetricGraph
-from .etree import children_lists, etree, tree_levels
+from .etree import tree_levels
 
 __all__ = [
     "symbolic_cholesky",
-    "symbolic_cholesky_reference",
     "fill_in",
     "SymbolicFactor",
 ]
@@ -69,92 +63,60 @@ class SymbolicFactor:
         return np.diff(self.pattern.indptr)
 
 
-def _permuted(graph: SymmetricGraph, perm):
-    if perm is not None:
-        perm = np.asarray(perm, dtype=np.int64)
-        work = graph.permute(perm)
-    else:
-        perm = np.arange(graph.n, dtype=np.int64)
-        work = graph
-    return work, perm
-
-
 def symbolic_cholesky(graph: SymmetricGraph, perm=None) -> SymbolicFactor:
     """Compute the structure of the Cholesky factor of P A Pᵀ.
 
-    Gilbert–Ng–Peyton column counts fix every column's extent up front,
-    so the CSC arrays are allocated at their exact final size and a
-    single row-subtree walk (entry (i, j) of L exists iff j is on the
-    tree path from some k ∈ adj_lower(A'_i) up to i) writes each entry
-    directly into its final slot.  Rows are visited in increasing order,
-    so every column's row indices come out sorted with the diagonal
-    first — no sort, no merge, no dedup.
+    One up-looking pass.  For row i, climb ``parent`` from each
+    k ∈ adj_lower(A'_i) until a column already marked for row i: the
+    columns passed are exactly row i of L.  A climb that runs out of
+    tree has found a root of the forest built so far, which becomes a
+    child of i — so the elimination tree needs no pass of its own, and
+    no path compression either, because a climb never re-enters a
+    marked column: the whole walk is O(nnz(L)).
     """
-    from .colcount import gnp_column_counts  # deferred: colcount imports us
-
-    work, perm = _permuted(graph, perm)
-    n = work.n
-    parent = etree(work)
-    counts = gnp_column_counts(work, parent)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[n])
-    # The row buffer is written straight at its final index dtype (int32
-    # below 2^31 rows): a Python-list buffer of boxed ints would cost
-    # ~10x the memory of the factor itself at nnz(L) in the millions.
-    # Pre-place the diagonals; fill[j] is the next free slot of column j.
-    rowbuf = np.empty(total, dtype=index_dtype(n))
-    rowbuf[indptr[:-1]] = np.arange(n, dtype=rowbuf.dtype)
-    fill = (indptr[:-1] + 1).tolist()
-    par = parent.tolist()
+    n = graph.n
+    idt = index_dtype(n)
+    perm, adj_ptr, adj = graph.lower_adjacency(perm)
+    adj_ptr, adj = adj_ptr.tolist(), adj.tolist()
+    parent = [-1] * n
     mark = [-1] * n
-    gp = work.indptr.tolist()
-    gi = work.indices.tolist()
+    # Columns of L's entries, row after row, in one typed buffer: a
+    # Python list of boxed ints would cost ~10x the factor itself.
+    colbuf = array(idt.char)
+    rowlen = []
     for i in range(n):
         mark[i] = i
-        for t in range(gp[i], gp[i + 1]):
-            k = gi[t]
-            if k >= i:  # neighbours are sorted: the lower part is a prefix
-                break
+        row = [i]
+        for k in adj[adj_ptr[i] : adj_ptr[i + 1]]:
             while mark[k] != i:
                 mark[k] = i
-                rowbuf[fill[k]] = i
-                fill[k] += 1
-                k = par[k]
-    rowidx = rowbuf
-    if fill != indptr[1:].tolist():  # pragma: no cover - internal invariant
-        raise AssertionError("row-subtree walk disagrees with GNP column counts")
+                row.append(k)
+                k = parent[k]
+                if k < 0:  # ran out of tree: that root hangs under i
+                    parent[row[-1]] = i
+                    break
+        colbuf.fromlist(row)
+        rowlen.append(len(row))
+    cols = np.frombuffer(colbuf, dtype=idt)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    # Rows arrived ascending, so one sort of the narrow col * n + row
+    # key is the CSC order, every column's diagonal first.
+    key = cols.astype(index_dtype(n * n))
+    key *= n
+    key += np.repeat(np.arange(n, dtype=idt), rowlen)
+    key.sort()
+    key %= n
+    parent = np.asarray(parent, dtype=np.int64)
     if obs.is_enabled():
-        obs.counter("perf.symbolic.factor_nnz", total)
-        obs.counter("perf.symbolic.fill_entries", total - work.nnz_lower)
+        obs.counter("perf.symbolic.factor_nnz", len(cols))
+        obs.counter("perf.symbolic.fill_entries", len(cols) - n - len(adj))
         levels = tree_levels(parent)
         obs.counter(
             "perf.symbolic.postorder_depth",
             int(levels.max()) + 1 if n else 0,
         )
-    return SymbolicFactor(LowerPattern(n, indptr, rowidx), parent, perm)
-
-
-def symbolic_cholesky_reference(graph: SymmetricGraph, perm=None) -> SymbolicFactor:
-    """Reference implementation via the column-merge recurrence
-    ``struct(L_j) = {j} ∪ adj_lower(A'_j) ∪ ⋃_{parent(c)=j} (struct(L_c) − {c})``.
-    """
-    work, perm = _permuted(graph, perm)
-    n = work.n
-    parent = etree(work)
-    children = children_lists(parent)
-    cols: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for j in range(n):
-        nbrs = work.neighbors(j)
-        pieces = [np.array([j], dtype=np.int64), nbrs[nbrs > j]]
-        for c in children[j]:
-            pieces.append(cols[c][1:])  # drop the child's diagonal entry c
-        col = np.unique(np.concatenate(pieces))
-        cols[j] = col
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(c) for c in cols])
-    rowidx = np.concatenate(cols) if n else np.zeros(0, dtype=np.int64)
-    return SymbolicFactor(LowerPattern(n, indptr, rowidx), parent, perm)
+    return SymbolicFactor(LowerPattern(n, indptr, key.astype(idt, copy=False)), parent, perm)
 
 
 def fill_in(graph: SymmetricGraph, perm=None) -> int:

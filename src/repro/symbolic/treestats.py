@@ -42,8 +42,7 @@ class TreeStats:
 
 def tree_stats(graph: SymmetricGraph, perm=None) -> TreeStats:
     """Statistics of the elimination tree of P A Pᵀ."""
-    work = graph.permute(np.asarray(perm, dtype=np.int64)) if perm is not None else graph
-    parent = etree(work)
+    parent = etree(graph, perm)
     n = len(parent)
     if n == 0:
         return TreeStats(0, 0, 0, 0, np.zeros(0, dtype=np.int64))

@@ -29,6 +29,17 @@ class TestIsPermutation:
     def test_empty(self):
         assert is_permutation([])
 
+    @pytest.mark.parametrize(
+        "perm", [[0.0, 1.0], [True, False], [[0, 1]], "10", [0, -1]],
+        ids=["float", "bool", "2d", "str", "negative"],
+    )
+    def test_false_not_an_exception(self, perm):
+        assert is_permutation(perm) is False
+
+    def test_accepts_any_integer_array(self):
+        assert is_permutation(np.array([1, 0, 2], dtype=np.uint8))
+        assert is_permutation(np.arange(100_000)[::-1], n=100_000)
+
 
 class TestInvert:
     def test_identity(self):

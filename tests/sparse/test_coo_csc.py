@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import COOBuilder, LowerCSC, SymmetricCSC
+from repro.sparse import COOBuilder, LowerCSC, SymmetricCSC, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern
 
 
@@ -90,6 +90,18 @@ class TestSymmetricCSC:
         perm = np.array([3, 1, 4, 0, 2])
         pm = m.permute(perm)
         assert np.allclose(pm.to_dense(), a[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 0, 1, 2, 3, 4, 5, 6, 7], np.arange(9) + 0.5, np.arange(8), np.arange(1, 10)],
+        ids=["repeated", "float", "short", "out_of_range"],
+    )
+    def test_permute_rejects_non_permutation(self, perm):
+        """A repeated index used to read an uninitialised inverse and
+        return a matrix with entries missing."""
+        m = spd_from_graph(grid9(3, 3), 0)
+        with pytest.raises(ValueError, match="perm is not a permutation"):
+            m.permute(perm)
 
     def test_values_length_checked(self):
         p = LowerPattern.from_entries(2, [1], [0])

@@ -23,6 +23,7 @@ from repro.sparse import generators as gen
 from repro.sparse.dtypes import (
     INDEX_MAX_INT32,
     as_index_array,
+    as_permutation,
     index_dtype,
     linear_index,
 )
@@ -50,6 +51,26 @@ class TestHelpers:
     def test_as_index_array_rejects_2d(self):
         with pytest.raises(ValueError):
             as_index_array(np.zeros((2, 2), dtype=np.int32))
+
+    def test_as_permutation_returns_int64(self):
+        for perm in ([2, 0, 1], (2, 0, 1), np.array([2, 0, 1], dtype=np.int32),
+                     np.array([2, 0, 1], dtype=np.uint8)):
+            out = as_permutation(perm, 3)
+            assert out.dtype == np.int64 and out.tolist() == [2, 0, 1]
+        a = np.array([1, 0], dtype=np.int64)
+        assert as_permutation(a, 2) is a  # already what is asked for: no copy
+        assert as_permutation([], 0).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[0.0, 1.0, 2.0], np.array([True, False, True]), [True, False, 2], [[0, 1, 2]],
+         [0, 1], [0, 1, 1], [0, 1, 3], [0, 1, -1], [0, 1, 2**40], [0, 1, None]],
+        ids=["float", "bool", "bool_in_list", "2d", "short", "repeated", "too_big",
+             "negative", "huge", "object"],
+    )
+    def test_as_permutation_refuses(self, perm):
+        with pytest.raises(ValueError, match=r"perm is not a permutation of 0\.\.n-1"):
+            as_permutation(perm, 3)
 
     def test_linear_index_is_always_int64(self):
         major = np.array([1, 2], dtype=np.int32)

@@ -90,6 +90,15 @@ class TestSymmetricGraphPermute:
         with pytest.raises(ValueError):
             g.permute([0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "perm", [[0.0, 1.0, 2.0], [True, False, 2], [0, 1], [0, 1, 3]],
+        ids=["float", "bool", "short", "out_of_range"],
+    )
+    def test_permute_validates_not_coerces(self, perm):
+        g = SymmetricGraph.empty(3)
+        with pytest.raises(ValueError, match="perm is not a permutation"):
+            g.permute(perm)
+
     @given(st.integers(2, 12), st.integers(0, 30), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_permute_preserves_edges(self, n, extra, seed):
