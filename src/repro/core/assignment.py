@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from .partitioner import Partition
 
@@ -31,8 +32,7 @@ class Assignment:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        if self.nprocs < 1:
-            raise ValueError("nprocs must be positive")
+        self.nprocs = as_processor_count(self.nprocs)
         owners = self.owner_of_element
         if np.shape(owners) != (self.pattern.nnz,):
             raise ValueError("owner_of_element must have one entry per element")

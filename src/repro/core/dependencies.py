@@ -25,16 +25,17 @@ up):
 Category 0 is internal: all three elements in one unit (no dependency).
 Scale updates (by the column's diagonal element) are tracked separately.
 
-Everything here is read off one assignment-invariant structure, the
-**unit read index** (:func:`unit_read_index`): the distinct cross-unit
-(reader unit, source element) pairs of the factorization, built once per
-partition.  Grouping it by (source unit, reader unit) gives the
-dependency edges *and* the distinct-element volume of each edge
-(:attr:`UnitReadIndex.dag`); :mod:`repro.machine.traffic` runs its
-kernel over the same index for every block-scheme traffic figure.  The
-paper's geometric mechanism (an interval tree per column) lives in
-``tests/core/interval_oracle.py`` as the oracle the ownership arrays are
-checked against.
+The edges are read off one assignment-invariant structure, the **unit
+read index** (:func:`unit_read_index`): the distinct cross-unit (reader
+unit, source element) pairs of the factorization, built once per
+partition from the run-length updates by the convexity lemma of
+:mod:`repro.machine.traffic` — no element read list, no sort.  Grouping
+it by (source unit, reader unit) gives the dependency edges *and* the
+distinct-element volume of each edge (:attr:`UnitReadIndex.dag`);
+:mod:`repro.machine.traffic` runs its kernel over the same index for
+every block-scheme traffic figure.  The category census streams the
+pairs in chunks.  The paper's geometric mechanism (an interval tree per
+column) lives in ``tests/core/interval_oracle.py`` as an oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype
-from ..symbolic.updates import UpdateSet, read_index_of
+from ..symbolic.updates import UpdateSet, ragged_range
 from .partitioner import Partition
 
 __all__ = [
@@ -90,13 +91,16 @@ def _category_of_code() -> np.ndarray:
 _CATEGORY_OF_CODE = _category_of_code()
 
 
-def _update_codes(partition: Partition, updates: UpdateSet) -> np.ndarray:
-    """The code of :func:`_category_of_code` for every pair update."""
-    # Unit id and kind of every element in one word: a single gather per
-    # role, and units are equal iff the words are.
+def _unit_words(partition: Partition) -> np.ndarray:
+    """Unit id and kind of every element in one word: a single gather per
+    role, and units are equal iff the words are."""
     unit = partition.unit_of_element
-    word = (unit * 4 + partition.kind[unit]).astype(index_dtype(4 * partition.num_units))
-    wj, wi, wt = word[updates.source_j], word[updates.source_i], word[updates.target]
+    return (unit * 4 + partition.kind[unit]).astype(index_dtype(4 * partition.num_units))
+
+
+def _update_codes(wt: np.ndarray, wi: np.ndarray, wj: np.ndarray) -> np.ndarray:
+    """The code of :func:`_category_of_code` for every pair update, given
+    the words of its target and its two sources."""
     code = (wj & 3).astype(np.uint8)
     code += (wt & 3).astype(np.uint8) * np.uint8(3)
     for weight, same in ((9, wi == wt), (18, wi == wj), (36, wj == wt)):
@@ -106,7 +110,10 @@ def _update_codes(partition: Partition, updates: UpdateSet) -> np.ndarray:
 
 def classify_pair_updates(partition: Partition, updates: UpdateSet) -> np.ndarray:
     """Category code (0..10) for every pair update."""
-    return _CATEGORY_OF_CODE[_update_codes(partition, updates)]
+    word = _unit_words(partition)
+    return _CATEGORY_OF_CODE[_update_codes(
+        word[updates.target], word[updates.source_i], word[updates.source_j]
+    )]
 
 
 @dataclass(frozen=True)
@@ -137,24 +144,40 @@ def unit_read_index(
     partition: Partition, updates: UpdateSet, include_scale: bool = True
 ) -> UnitReadIndex:
     """The unit read index of ``partition``, built on first use and kept
-    on the instance, one per ``include_scale``: the source-sorted read
-    list minus own-unit reads and repeats of the predecessor.  That this
-    removes *every* duplicate — no table, no sort — is the convexity
-    lemma proved in :mod:`repro.machine.traffic`.
+    on the instance, one per ``include_scale``, straight from the runs of
+    ``updates``: no read list, no sort.
+
+    Element e is read, in order, by its slice of
+    :attr:`~repro.symbolic.updates.UpdateSet.reader_sequences`.  By the
+    convexity lemma proved in :mod:`repro.machine.traffic` the units
+    reading it are those of the slice with repeats of the predecessor
+    dropped, minus its own unit — which can only come first.  So one
+    comparison per sequence entry marks where the unit changes, and each
+    element takes one slice of the changes.
     """
     memo = vars(partition).setdefault("_unit_read_indexes", {})
-    index = memo.get(include_scale)
-    if index is None:
-        reads = read_index_of(updates, include_scale)
-        uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
-        src, reader = reads.src, uoe[reads.reader]
-        keep = reader != uoe[src]
-        keep[1:] &= (reader[1:] != reader[:-1]) | (src[1:] != src[:-1])
-        kept = np.flatnonzero(keep)
-        index = memo[include_scale] = UnitReadIndex(
-            include_scale, src[kept], reader[kept], uoe, partition.num_units
-        )
-    return index
+    if include_scale in memo:
+        return memo[include_scale]
+    targets, starts, first, end = updates.reader_sequences
+    nnz = updates.pattern.nnz
+    uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
+    unit = uoe[targets]
+    new = np.empty(len(unit), dtype=bool)
+    np.not_equal(unit[1:], unit[:-1], out=new[1:])
+    new |= starts
+    readers = unit[np.flatnonzero(new)]
+    count = np.cumsum(new, dtype=index_dtype(len(new)))
+    # An element's slice of the changes starts at the reader its own
+    # slice begins in, dropped if that is the element's own unit.
+    lo = count[first] - 1
+    lo += readers[lo] == uoe
+    length = count[end - 1] - lo
+    if not include_scale:
+        length[updates.pattern.indptr[:-1]] = 0
+    reader = readers[ragged_range(lo, length, index_dtype(len(readers)))]
+    src = np.repeat(np.arange(nnz, dtype=index_dtype(nnz)), length)
+    memo[include_scale] = UnitReadIndex(include_scale, src, reader, uoe, partition.num_units)
+    return memo[include_scale]
 
 
 def group_unit_edges(
@@ -235,17 +258,18 @@ class DependencyInfo:
 def analyze_dependencies(
     partition: Partition, updates: UpdateSet, include_scale: bool = True
 ) -> DependencyInfo:
-    """Build the unit dependency graph from the element-level updates.
+    """Build the unit dependency graph from the run-length updates.
 
     ``include_scale`` adds the dependencies induced by diagonal/scale
     updates (an element's unit depends on the unit owning its column's
     diagonal element).
     """
     edges, volumes = unit_read_index(partition, updates, include_scale).dag
+    per_code = np.zeros(72, dtype=np.int64)
+    for words in updates.pair_chunks(_unit_words(partition)):
+        per_code += np.bincount(_update_codes(*words), minlength=72)
     counts = np.bincount(
-        _CATEGORY_OF_CODE,
-        weights=np.bincount(_update_codes(partition, updates), minlength=72),
-        minlength=len(CATEGORY_NAMES),
+        _CATEGORY_OF_CODE, weights=per_code, minlength=len(CATEGORY_NAMES)
     ).astype(np.int64).tolist()
     category_counts = {cat: n for cat, n in enumerate(counts) if n}
     if obs.is_enabled():

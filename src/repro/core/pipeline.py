@@ -60,7 +60,7 @@ class PreparedMatrix:
         with obs.span("pipeline.enumerate_updates", matrix=self.name):
             out = enumerate_updates(self.pattern)
         obs.counter("pipeline.stage.enumerate_updates")
-        obs.counter("pipeline.pair_updates", len(out.target))
+        obs.counter("pipeline.pair_updates", out.num_pair_updates)
         return out
 
     @property

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import trace as obs
+from ..sparse.dtypes import as_processor_count
 from .assignment import Assignment
 from .blocks import KIND_CODE, BlockKind
 from .dependencies import DependencyInfo
@@ -73,8 +74,7 @@ def schedule_blocks(
     its triangle the leading run of ``block == 0`` and each dense
     rectangle below a run of one ``block`` index — nothing is sorted.
     """
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
+    nprocs = as_processor_count(nprocs)
     policy = (options or SchedulerOptions()).dependent_column_policy
     n_units = partition.num_units
     if unit_work is None:

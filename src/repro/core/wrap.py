@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from .assignment import Assignment
 
@@ -17,8 +18,7 @@ __all__ = ["wrap_assignment", "block_cyclic_columns", "two_d_cyclic"]
 
 def wrap_assignment(pattern: LowerPattern, nprocs: int) -> Assignment:
     """Wrap-around (cyclic) column mapping."""
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
+    nprocs = as_processor_count(nprocs)
     cols = pattern.element_cols()
     return Assignment(
         scheme="wrap",
@@ -32,8 +32,8 @@ def wrap_assignment(pattern: LowerPattern, nprocs: int) -> Assignment:
 def block_cyclic_columns(pattern: LowerPattern, nprocs: int, block: int) -> Assignment:
     """Block-cyclic column mapping (ablation variant): columns are dealt
     to processors in contiguous blocks of ``block`` columns."""
-    if block < 1:
-        raise ValueError("block must be positive")
+    nprocs = as_processor_count(nprocs)
+    block = as_processor_count(block, "block")
     cols = pattern.element_cols()
     proc_of_col = (np.arange(pattern.n, dtype=np.int64) // block) % nprocs
     return Assignment(
@@ -55,8 +55,8 @@ def two_d_cyclic(pattern: LowerPattern, proc_rows: int, proc_cols: int) -> Assig
     the mapping-family ablation.  There is no unit-level view: ownership
     cuts across columns.
     """
-    if proc_rows < 1 or proc_cols < 1:
-        raise ValueError("processor grid dimensions must be positive")
+    proc_rows = as_processor_count(proc_rows, "proc_rows")
+    proc_cols = as_processor_count(proc_cols, "proc_cols")
     rows = pattern.rowidx
     cols = pattern.element_cols()
     owner = (rows % proc_rows) * np.int64(proc_cols) + (cols % proc_cols)

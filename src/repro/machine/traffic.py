@@ -19,20 +19,20 @@ fetches an element iff one of its units reads it, so the stamp kernel
 below runs over the partition's
 :class:`~repro.core.dependencies.UnitReadIndex` — the distinct
 cross-unit (reader unit, source element) pairs — with ``proc_of_unit``
-as the reader's owner: the same (processor, source) set from 2-4x fewer
-entries than the element read list.  *Lemma:* in the source-sorted read
-list, the reads of one source by one unit are adjacent, so the index is
-the read list minus own-unit reads and repeats of the predecessor.
-*Proof:* element (r, k) is read in its row role by the targets (r, j),
-j running up the rows of column k to r; then in its column role by the
-targets (i, r), i running from r down the rest of column k; then, if it
-is a diagonal, by every element of column k.  A unit block is the part
-of the factor inside a rectangle of consecutive rows and columns (or,
-for a triangle, that rectangle's lower half), so it meets a row, and a
-column, in one run of consecutive entries; and a unit holding targets
-of both the row and the column run holds (r, r), where the first ends
-and the second begins.  Scale reads belong to diagonal sources, which
-no pair update reads.
+as the reader's owner.  *Lemma:* in a source's read order the reads by
+one unit are adjacent and its own unit's come first, so its readers are
+the units of that order minus repeats of the predecessor and minus the
+first if it is its own.  *Proof:* element (r, k) is read in its row role
+by the targets (r, j), j running up the rows of column k to r; then in
+its column role by the targets (i, r), i running from r down the rest of
+column k; then, if it is a diagonal, by every element of column k,
+itself first.  A unit block is the part of the factor inside a rectangle
+of consecutive rows and columns (or, for a triangle, that rectangle's
+lower half), so it meets a row, and a column, in one run of consecutive
+entries — the source's own unit in the run that starts at the source —
+and a unit holding targets of both the row and the column run holds
+(r, r), where the first ends and the second begins.  The index is built
+by the lemma from the runs, with no read list and no sort.
 
 **Column prefix** (``proc_of_unit`` over columns, no partition: wrap
 and block-cyclic).  Let column k have off-diagonal rows r_1 < ... < r_m
@@ -50,8 +50,8 @@ pairs in O(reads) without a sort; the unit index path runs it too, and
 it hands :func:`communication_matrix`, the message ledger of
 :func:`repro.machine.simulate.simulation_messages` and (units in the
 place of processors) :func:`repro.machine.simulate.unit_graph` the pairs
-themselves.  The read list (source, reading element) is assignment
-invariant, so it is **sorted by source** once per ``UpdateSet``
+themselves.  The element read list is assignment invariant, so it is
+expanded from the runs and **sorted by source** once per ``UpdateSet``
 (:func:`~repro.symbolic.updates.read_index_of`).  Per assignment,
 ``proc = owner[reader]`` is one gather; reads of elements the reader
 owns, and repeats of the predecessor's (source, processor), go in two
@@ -81,20 +81,10 @@ from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index, read_index_of
 
 __all__ = [
-    "DEFAULT_CHUNK_READS",
-    "TrafficResult",
-    "ReadIndex",
-    "build_read_index",
-    "read_index_of",
-    "read_chunk_bounds",
-    "distinct_fetches",
-    "column_fetch_counts",
-    "fetch_counts",
-    "fetch_pairs",
-    "element_read_index",
-    "kernel_inputs",
-    "data_traffic",
-    "communication_matrix",
+    "DEFAULT_CHUNK_READS", "TrafficResult", "ReadIndex", "build_read_index",
+    "read_index_of", "read_chunk_bounds", "distinct_fetches", "column_fetch_counts",
+    "fetch_counts", "fetch_pairs", "element_read_index", "kernel_inputs",
+    "data_traffic", "communication_matrix",
 ]
 
 #: Reads — and stamp-table slots — per chunk of the kernel.  At the

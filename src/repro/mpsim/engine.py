@@ -74,6 +74,9 @@ def column_setup(a: SymmetricCSC, pattern: LowerPattern, proc_of_col, nprocs: in
         raise ValueError("column owner out of range")
     seed = seed_accumulators(a, pattern)
     updates = enumerate_updates(pattern)
+    # The ranks share the per-pair arrays: expand them here, once, not in
+    # whichever rank thread (and its allocator arena) reads them first.
+    updates.target, updates.source_i, updates.source_j, updates.source_col  # noqa: B018
     off = pattern.rowidx != updates.element_cols
     return owner, seed, updates, updates.element_cols[off], pattern.rowidx[off]
 

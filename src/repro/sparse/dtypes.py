@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["INDEX_MAX_INT32", "index_dtype", "as_index_array", "as_permutation", "linear_index"]
+__all__ = [
+    "INDEX_MAX_INT32", "index_dtype", "as_index_array", "as_permutation",
+    "as_processor_count", "linear_index",
+]
 
 #: Largest value an int32 index can address.
 INDEX_MAX_INT32 = int(np.iinfo(np.int32).max)
@@ -83,6 +86,21 @@ def as_permutation(perm, n: int) -> np.ndarray:
     if not ok:
         raise ValueError("perm is not a permutation of 0..n-1")
     return arr
+
+
+def as_processor_count(value, name: str = "nprocs") -> int:
+    """``value`` as a Python int if it is an integer in 1 ..
+    :data:`INDEX_MAX_INT32` — the traffic kernel narrows owners to int32.
+
+    A bool, a float (even an integral one), a string or anything out of
+    range is a ``ValueError`` naming the value.
+    """
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    if not (ok and 1 <= value <= INDEX_MAX_INT32):
+        raise ValueError(
+            f"{name} must be positive: an integer in 1..{INDEX_MAX_INT32}, got {value!r}"
+        )
+    return int(value)
 
 
 def linear_index(major, minor, n: int) -> np.ndarray:

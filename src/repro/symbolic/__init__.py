@@ -3,16 +3,15 @@
 from .colcount import column_counts, factor_nnz, row_counts, sequential_work
 from .etree import children_lists, etree, postorder, tree_levels
 from .fill import SymbolicFactor, fill_in, symbolic_cholesky
-from .supernodes import fundamental_supernodes, supernode_of_column
+from .supernodes import fundamental_supernodes, supernode_bounds, supernode_of_column
 from .treestats import TreeStats, tree_stats
-from .updates import UpdateSet, enumerate_updates, enumerate_updates_reference
+from .updates import UpdateSet, enumerate_updates
 
 __all__ = [
     "TreeStats",
     "tree_stats",
     "UpdateSet",
     "enumerate_updates",
-    "enumerate_updates_reference",
     "column_counts",
     "factor_nnz",
     "row_counts",
@@ -25,5 +24,6 @@ __all__ = [
     "fill_in",
     "symbolic_cholesky",
     "fundamental_supernodes",
+    "supernode_bounds",
     "supernode_of_column",
 ]

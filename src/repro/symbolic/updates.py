@@ -1,27 +1,55 @@
-"""Element-level update enumeration for Cholesky factorization.
+"""Pair updates of a Cholesky factorization, enumerated as runs.
 
-This materializes the paper's Figure 1 dependency structure: the update
-``L[i,j] -= L[i,k] * L[j,k]`` exists for every column k and every pair of
-its off-diagonal nonzero rows i >= j (> k), and every element finally
-receives one diagonal/scale update.  Elements are identified by their
-position in the factor's :class:`~repro.sparse.pattern.LowerPattern`
-(element ids), so the arrays here drive work accounting, traffic
-accounting and block-dependency extraction with pure numpy.
+The update ``L[i,j] -= L[i,k] * L[j,k]`` exists for every column k and
+every pair of its off-diagonal rows i >= j (> k) — the paper's Figure 1
+— and every element finally receives one diagonal/scale update.
+Elements are identified by their position in the factor's
+:class:`~repro.sparse.pattern.LowerPattern` (element ids).
+
+The pairs are stored as *runs* over the fundamental supernodes of
+:mod:`repro.symbolic.supernodes`.  If a supernode spans the columns f ..
+f + w - 1 and column f has the off-diagonal rows r_0 < ... < r_{m-1},
+column f + t has the rows r_t .. r_{m-1}; so run (a, b), a >= b, stands
+for the pairs with target L[r_a, r_b] and sources L[r_a, k], L[r_b, k],
+k = f .. f + min(b + 1, w) - 1, and column f + t's pairs are the runs
+with b >= t, in the same order.  A run is stored as its target's element
+id, supernode by supernode in ``np.tril_indices`` order.  The runs
+(c, 0..c) are the *row* of line c — one line per off-diagonal entry of
+a first column — and the runs (c..m-1, c) its *column*.
+
+The element-level arrays ``target``, ``source_i``, ``source_j`` and
+``source_col`` (column-major, then ``np.tril_indices`` order within a
+column) are expansions of the runs, each computed on first use and on
+its own; the mapping path never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype, linear_index
 from ..sparse.pattern import LowerPattern
+from .supernodes import supernode_bounds
 
 __all__ = ["UpdateSet", "ReadIndex", "build_read_index", "read_index_of",
-           "enumerate_updates", "enumerate_updates_reference"]
+           "enumerate_updates", "ragged_range"]
+
+
+def ragged_range(starts, lengths, dtype) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``
+    as one array of ``dtype``: each segment's offset repeated, plus one
+    arange (in a dtype that also counts to the total)."""
+    lengths = np.asarray(lengths)
+    offsets = np.cumsum(lengths) - lengths
+    work = np.promote_types(dtype, index_dtype(int(offsets[-1] + lengths[-1]) if len(lengths) else 0))
+    out = np.repeat((np.asarray(starts) - offsets).astype(work), lengths)
+    out += np.arange(len(out), dtype=work)
+    return out.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -31,18 +59,19 @@ class UpdateSet:
     For pair update t: ``target[t]`` is the element id of L[i, j],
     ``source_i[t]`` of L[i, k], ``source_j[t]`` of L[j, k], and
     ``source_col[t]`` = k.  Scale updates are one per element, sourced
-    from the diagonal element of the element's column.
+    from the diagonal element of the element's column.  What is stored
+    is ``run_target`` over the supernode ``supernodes`` bounds (module
+    docstring); the four arrays are expansions of it.
     """
 
     pattern: LowerPattern
-    target: np.ndarray
-    source_i: np.ndarray
-    source_j: np.ndarray
-    source_col: np.ndarray
+    supernodes: np.ndarray
+    run_target: np.ndarray
 
     @property
     def num_pair_updates(self) -> int:
-        return len(self.target)
+        m = np.diff(self.pattern.indptr) - 1
+        return int((m * (m + 1) // 2).sum())
 
     @cached_property
     def element_cols(self) -> np.ndarray:
@@ -58,8 +87,12 @@ class UpdateSet:
 
     @cached_property
     def update_counts(self) -> np.ndarray:
-        """Number of pair updates targeting each element id."""
-        return np.bincount(self.target, minlength=self.pattern.nnz)
+        """Number of pair updates targeting each element id: every run
+        counts its multiplicity min(b + 1, w)."""
+        _, row_len, width = _lines(self.pattern, self.supernodes)
+        b = ragged_range(np.zeros_like(row_len), row_len, row_len.dtype)
+        length = np.minimum(b + 1, np.repeat(width, row_len))
+        return np.bincount(self.run_target, length, self.pattern.nnz).astype(np.int64)
 
     def element_work(self) -> np.ndarray:
         """Work per element in the paper's model: 2 per pair update + 1."""
@@ -68,6 +101,115 @@ class UpdateSet:
     def total_work(self) -> int:
         """W_tot = 2 * (number of pair updates) + nnz(L)."""
         return 2 * self.num_pair_updates + self.pattern.nnz
+
+    @cached_property
+    def _supernode_tables(self) -> tuple[np.ndarray, ...]:
+        """Per column its supernode and its offset t there; per supernode
+        its m, and the runs and line-sequence entries (m² per supernode)
+        of all earlier supernodes."""
+        first = self.supernodes[:-1]
+        m = np.diff(self.pattern.indptr)[first] - 1
+        sn = np.repeat(np.arange(len(first)), np.diff(self.supernodes))
+        runs, seq = m * (m + 1) // 2, m * m
+        return sn, np.arange(self.pattern.n) - first[sn], m, np.cumsum(runs) - runs, np.cumsum(seq) - seq
+
+    @cached_property
+    def _row_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per off-diagonal element, ascending: its id, its position in
+        its column (1 for the first) — the number of pairs it is the row
+        source of — and the run of the first of them, (c, t) with
+        c = pos - 1 + t."""
+        sn, t, _, runs, _ = self._supernode_tables
+        col = self.element_cols
+        pos = np.arange(self.pattern.nnz) - self.pattern.indptr[col]
+        off = np.flatnonzero(pos)
+        col, pos = col[off], pos[off]
+        c = pos - 1 + t[col]
+        head = runs[sn[col]] + c * (c + 1) // 2 + t[col]
+        edt = index_dtype(self.pattern.nnz)
+        return off.astype(edt), pos.astype(edt), head.astype(index_dtype(len(self.run_target)))
+
+    @cached_property
+    def reader_sequences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Who reads what, in read order and independent of any
+        partition: ``(targets, starts, first, end)``.
+
+        Element e is read by the elements ``targets[first[e]:end[e]]``.
+        ``targets`` holds, line by line, the m run targets of line c's
+        row and then of its column below the run (c, c) — so the reads of
+        element (r_c, f + t) are line c's from position t on — followed
+        by every element id, so that a diagonal's slice is its column.
+        ``starts`` marks the positions where a line or a column begins.
+        """
+        pattern, nnz = self.pattern, self.pattern.nnz
+        off, pos, _ = self._row_sources
+        sn, t, m, runs, seq = self._supernode_tables
+        span = int((m * m).sum())
+        idt = index_dtype(span + nnz)
+        targets = np.empty(span + nnz, dtype=self.run_target.dtype)
+        # A supernode's lines are the rows of the symmetric m x m matrix
+        # of its runs' indices in tril order: one pattern per m.
+        order = np.argsort(m, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(m[order])) + 1):
+            x = np.arange(m[group[0]] if len(group) else 0)
+            hi, lo = np.maximum.outer(x, x), np.minimum.outer(x, x)
+            square = (hi * (hi + 1) // 2 + lo).ravel()
+            at = seq[group, None] + np.arange(len(square))
+            targets[at.ravel()] = self.run_target[(runs[group, None] + square).ravel()]
+        targets[span:] = np.arange(nnz)
+        col = self.element_cols[off]
+        s, t = sn[col], t[col]
+        at = seq[s] + (pos - 1 + t) * m[s] + t  # where each element's reads begin
+        lead = np.flatnonzero(t == 0)  # one element per line
+        starts = np.zeros(span + nnz, dtype=bool)
+        starts[at[lead]] = starts[span + pattern.indptr[:-1]] = True
+        first = np.arange(span, span + nnz, dtype=idt)
+        end = (span + pattern.indptr[1:][self.element_cols]).astype(idt)
+        first[off], end[off] = at, at - t + m[s]
+        return targets, starts, first, end
+
+    def _expand(self, name: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Array ``name`` of the pairs whose row sources are off-diagonal
+        elements ``lo .. hi - 1`` (a column-major slice of the pairs)."""
+        off, pos, head = (a[lo:hi] for a in self._row_sources)
+        if name == "source_i":
+            return np.repeat(off, pos)
+        if name == "source_col":
+            return np.repeat(self.element_cols[off], pos)
+        if name == "source_j":
+            return ragged_range(off - pos + 1, pos, off.dtype)
+        return self.run_target[ragged_range(head, pos, head.dtype)]
+
+    target = cached_property(lambda self: self._expand("target"))
+    source_i = cached_property(lambda self: self._expand("source_i"))
+    source_j = cached_property(lambda self: self._expand("source_j"))
+    source_col = cached_property(lambda self: self._expand("source_col"))
+
+    def pair_chunks(self, values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """``(values[target], values[source_i], values[source_j])`` for
+        consecutive column-major slices of the pairs, about nnz(L) pairs
+        each, so a per-pair pass never holds more than O(nnz(L)) of them.
+        ``values`` has one entry per element id."""
+        off, pos, head = self._row_sources
+        at_run = values[self.run_target]
+        step = max(self.pattern.nnz, 1)
+        cuts = np.searchsorted(np.cumsum(pos), np.arange(step, self.num_pair_updates, step))
+        bounds = np.unique(np.concatenate([[0], cuts, [len(pos)]])).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            o, p, h = off[lo:hi], pos[lo:hi], head[lo:hi]
+            yield (at_run[ragged_range(h, p, h.dtype)], np.repeat(values[o], p),
+                   values[ragged_range(o - p + 1, p, o.dtype)])
+
+
+def _lines(pattern: LowerPattern, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per line: its element in its supernode's first column, the number
+    of runs in its row (its index there plus one), its supernode's width."""
+    first, width = bounds[:-1], np.diff(bounds)
+    m = np.diff(pattern.indptr)[first] - 1
+    start = pattern.indptr[first] + 1
+    line_eid = ragged_range(start, m, index_dtype(pattern.nnz))
+    row_len = (line_eid - np.repeat(start, m) + 1).astype(line_eid.dtype)
+    return line_eid, row_len, np.repeat(width, m)
 
 
 @dataclass(frozen=True)
@@ -80,8 +222,7 @@ class ReadIndex:
     target, or the element itself for diagonal/scale reads).  ``src`` is
     ascending, and the reads of one source keep the order row role
     (``source_i``), column role (``source_j``), scale — what lets the
-    traffic kernel stream it in slices that never split a source, and
-    the unit read index drop duplicates by comparing neighbours.
+    traffic kernel stream it in slices that never split a source.
     """
 
     include_scale: bool
@@ -119,8 +260,8 @@ def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadInde
 def read_index_of(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
     """The read index of ``updates``, built on first use and kept on the
     instance beside its cached properties — one per ``include_scale``,
-    shared by the dependency analysis and every traffic measurement of
-    the structure."""
+    shared by every element-kernel traffic measurement of the
+    structure."""
     memo = vars(updates).setdefault("_read_indexes", {})
     index = memo.get(include_scale)
     if index is None:
@@ -130,93 +271,31 @@ def read_index_of(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
     return index
 
 
-#: Above this order the dense (n x n) element-id lookup (8 n² bytes)
-#: is replaced by per-column binary searches.
+#: Above this order the dense (n x n) element-id lookup (4 n² bytes)
+#: is replaced by one global binary search.
 _DENSE_LOOKUP_LIMIT = 4096
 
 
-def _make_eid_lookup(pattern: LowerPattern):
-    """(rows, cols) -> element ids, dense-matrix or searchsorted-backed."""
-    n = pattern.n
-    nnz = pattern.nnz
-    if n <= _DENSE_LOOKUP_LIMIT:
-        dense = np.full((n, n), -1, dtype=np.int64)
-        dense[pattern.rowidx, pattern.element_cols()] = np.arange(
-            nnz, dtype=np.int64
-        )
-        return lambda i, j: dense[i, j]
-
-    def lookup(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # Group queries by column; binary-search each column's row list.
-        out = np.full(len(i), -1, dtype=np.int64)
-        order = np.argsort(j, kind="stable")
-        js = j[order]
-        starts = np.searchsorted(js, np.arange(n))
-        ends = np.searchsorted(js, np.arange(n), side="right")
-        for col in np.unique(js).tolist():
-            sel = order[starts[col] : ends[col]]
-            lo, hi = pattern.indptr[col], pattern.indptr[col + 1]
-            rows = pattern.rowidx[lo:hi]
-            pos = np.searchsorted(rows, i[sel])
-            ok = (pos < len(rows)) & (rows[np.minimum(pos, len(rows) - 1)] == i[sel])
-            out[sel[ok]] = lo + pos[ok]
-        return out
-
-    return lookup
-
-
 def enumerate_updates(pattern: LowerPattern) -> UpdateSet:
-    """Enumerate every pair update of the factorization of ``pattern``.
+    """Every pair update of the factorization of ``pattern``, as runs.
 
     ``pattern`` must be closed under factorization fill (i.e. be the
-    structure of L); a missing target element raises ``ValueError``.
-
-    Single-pass numpy enumeration: per-column pair counts are expanded
-    with repeat/cumsum (no per-column Python loop) and every target is
-    resolved in one vectorized lookup — a dense (row, col) -> element-id
-    gather up to ``_DENSE_LOOKUP_LIMIT`` unknowns (the same memory
-    envelope the reference path always used), and one global
-    ``searchsorted`` against the pattern's (col, row) key order beyond
-    that, so no n x n table is ever built at scale.  The update order is
-    identical to :func:`enumerate_updates_reference` (column-major, then
-    row-major over each column's lower-triangular index pairs), which the
-    test suite asserts array-for-array.
+    structure of L); a missing target raises ``ValueError`` naming the
+    first column with such an update.  Only the supernodes' first
+    columns are enumerated, and every run target is resolved in one
+    vectorized lookup: a dense (row, col) -> element-id gather up to
+    ``_DENSE_LOOKUP_LIMIT`` unknowns, one global ``searchsorted`` against
+    the pattern's (col, row) key order beyond that.
     """
-    indptr = pattern.indptr
-    rowidx = pattern.rowidx
-    n = pattern.n
-    edt = index_dtype(pattern.nnz)  # element-id storage dtype
-    empty = np.zeros(0, dtype=edt)
-    m = np.diff(indptr) - 1  # off-diagonal count per column
-    nnz_off = int(m.sum())
-    if nnz_off == 0:
-        return UpdateSet(pattern, empty, empty, empty, empty)
-
-    # One incidence per (column k, off-diagonal index a); incidence
-    # (k, a) expands into the a+1 pairs (a, b) for b = 0..a, which is
-    # exactly np.tril_indices order when one column's incidences are
-    # taken consecutively.  Everything below is sized nnz_off until the
-    # np.repeat calls fan out to one entry per pair.  Indices stay at
-    # the narrow element-id dtype; the pair total is accumulated in
-    # int64 unconditionally — it is the one count here that genuinely
-    # overflows 32 bits on large problems.
-    col_of_off = np.repeat(np.arange(n, dtype=edt), m)
-    off_eid = np.arange(nnz_off, dtype=edt) + col_of_off + 1
-    first_off_eid = (indptr[col_of_off] + 1).astype(edt)
-    a_within = off_eid - first_off_eid
-    reps = a_within + 1
-    pair_cum = np.cumsum(reps, dtype=np.int64)
-    total = int(pair_cum[-1])
-    pdt = index_dtype(total)  # pair-index dtype (within-incidence offsets)
-
-    b = np.arange(total, dtype=pdt)
-    b -= np.repeat((pair_cum - reps).astype(pdt), reps)  # pair index within its incidence
-    source_j = (np.repeat(first_off_eid, reps) + b).astype(edt, copy=False)
-    source_i = np.repeat(off_eid, reps)
-    k = np.repeat(col_of_off, reps)
-    i = np.repeat(rowidx[off_eid], reps)
-    j = rowidx[source_j]
-
+    indptr, rowidx, n = pattern.indptr, pattern.rowidx, pattern.n
+    edt = index_dtype(pattern.nnz)
+    bounds = supernode_bounds(pattern)
+    line_eid, row_len, _ = _lines(pattern, bounds)
+    # Run (a, b) of a line: i = r_a, the line's row; j = r_b, the b-th
+    # off-diagonal row of the first column (its eid counts up from the
+    # first off-diagonal one, line_eid - row_len + 1).
+    i = np.repeat(rowidx[line_eid], row_len)
+    j = rowidx[ragged_range(line_eid - row_len + 1, row_len, edt)]
     if n <= _DENSE_LOOKUP_LIMIT:
         dense = np.full((n, n), -1, dtype=edt)
         dense[rowidx, pattern.element_cols()] = np.arange(pattern.nnz, dtype=edt)
@@ -234,61 +313,12 @@ def enumerate_updates(pattern: LowerPattern) -> UpdateSet:
         )
         target = target.astype(edt, copy=False)
     if bad.any():
-        bad_col = int(k[np.flatnonzero(bad)[0]])
+        # Every run's pair is in its supernode's first column, and the
+        # runs ascend by supernode.
+        line = np.searchsorted(np.cumsum(row_len), np.flatnonzero(bad)[0], side="right")
+        bad_col = int(np.searchsorted(indptr, line_eid[line], side="right") - 1)
         raise ValueError(
             f"pattern is not closed under fill: column {bad_col} updates a "
             "structurally-zero target"
         )
-    return UpdateSet(
-        pattern=pattern,
-        target=target,
-        source_i=source_i,
-        source_j=source_j,
-        source_col=k,
-    )
-
-
-def enumerate_updates_reference(pattern: LowerPattern) -> UpdateSet:
-    """Per-column reference enumeration, kept for cross-validation.
-
-    Semantically identical to :func:`enumerate_updates` but loops over
-    columns in Python.  For paper-scale problems a dense
-    (row, col) -> element-id table makes the target lookup one
-    fancy-indexing call; beyond ``_DENSE_LOOKUP_LIMIT`` unknowns a
-    searchsorted path avoids the n² memory.
-    """
-    n = pattern.n
-    eid = _make_eid_lookup(pattern)
-
-    tgt_parts: list[np.ndarray] = []
-    si_parts: list[np.ndarray] = []
-    sj_parts: list[np.ndarray] = []
-    k_parts: list[np.ndarray] = []
-    for k in range(n):
-        lo, hi = pattern.indptr[k], pattern.indptr[k + 1]
-        off = pattern.rowidx[lo + 1 : hi]  # off-diagonal rows of column k
-        m = len(off)
-        if m == 0:
-            continue
-        a, b = np.tril_indices(m)  # i-index >= j-index
-        i = off[a]
-        j = off[b]
-        t = eid(i, j)
-        if (t < 0).any():  # pragma: no cover - violated only by bad input
-            raise ValueError(
-                f"pattern is not closed under fill: column {k} updates a "
-                "structurally-zero target"
-            )
-        tgt_parts.append(t)
-        si_parts.append(lo + 1 + a)
-        sj_parts.append(lo + 1 + b)
-        k_parts.append(np.full(m * (m + 1) // 2, k, dtype=np.int64))
-
-    empty = np.zeros(0, dtype=np.int64)
-    return UpdateSet(
-        pattern=pattern,
-        target=np.concatenate(tgt_parts) if tgt_parts else empty,
-        source_i=np.concatenate(si_parts) if si_parts else empty,
-        source_j=np.concatenate(sj_parts) if sj_parts else empty,
-        source_col=np.concatenate(k_parts) if k_parts else empty,
-    )
+    return UpdateSet(pattern=pattern, supernodes=bounds, run_target=target)

@@ -14,6 +14,8 @@ doubles the big-tier working set, so this file pins the dtypes end to
 end on a problem large enough to be representative but fast to build.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.sparse.dtypes import (
     INDEX_MAX_INT32,
     as_index_array,
     as_permutation,
+    as_processor_count,
     index_dtype,
     linear_index,
 )
@@ -71,6 +74,21 @@ class TestHelpers:
     def test_as_permutation_refuses(self, perm):
         with pytest.raises(ValueError, match=r"perm is not a permutation of 0\.\.n-1"):
             as_permutation(perm, 3)
+
+    def test_as_processor_count_returns_int(self):
+        for value in (1, 7, np.int32(7), np.uint16(7), np.int64(INDEX_MAX_INT32)):
+            out = as_processor_count(value)
+            assert type(out) is int and out == int(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -3, INDEX_MAX_INT32 + 1, 2**40, True, np.bool_(True), 4.0, np.float64(4),
+         "4", None, [4]],
+    )
+    def test_as_processor_count_refuses(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"block must be positive: an integer "
+                                                       f"in 1..{INDEX_MAX_INT32}, got {value!r}")):
+            as_processor_count(value, "block")
 
     def test_linear_index_is_always_int64(self):
         major = np.array([1, 2], dtype=np.int32)
@@ -139,12 +157,12 @@ class TestPipelineDtypes:
 
     def test_enumeration_matches_reference_dtypeless(self):
         # Narrowing must never change values: compare against the int64
-        # reference enumerator elementwise.
-        from repro.symbolic.updates import enumerate_updates_reference
+        # oracle enumerator elementwise.
+        from ..symbolic.oracles import enumerate_updates_oracle
 
         pattern = prepare(gen.grid9(16, 16), name="G16").pattern
         fast = enumerate_updates(pattern)
-        ref = enumerate_updates_reference(pattern)
+        ref = enumerate_updates_oracle(pattern)
         np.testing.assert_array_equal(fast.target, ref.target)
         np.testing.assert_array_equal(fast.source_i, ref.source_i)
         np.testing.assert_array_equal(fast.source_j, ref.source_j)

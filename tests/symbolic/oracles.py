@@ -1,5 +1,5 @@
-"""Symbolic-factorization oracles: the two ``*_reference`` bodies that
-used to live in ``src/``, kept for the tests to compare against.
+"""Symbolic-factorization oracles: the ``*_reference`` bodies that used
+to live in ``src/``, kept for the tests to compare against.
 
 Neither reads the lower adjacency through
 ``SymmetricGraph.lower_adjacency`` or climbs a tree the way
@@ -15,12 +15,28 @@ and read ``neighbors()``.
 * :func:`row_walk_counts_oracle` — column counts by the full row-subtree
   traversal, the O(nnz(L)) definition the Gilbert–Ng–Peyton skeleton
   count short-cuts.
+
+The run-length update model of ``repro.symbolic.updates`` is checked
+against three more, none of which knows about runs:
+
+* :func:`enumerate_updates_oracle` — every pair update, one column at a
+  time through ``np.tril_indices``, in the element-level layout the
+  runs expand to;
+* :func:`supernodes_oracle` — fundamental supernodes by comparing
+  neighbouring columns in a loop;
+* :func:`unit_read_index_oracle` — the unit read index the way it was
+  built before the runs: the source-sorted element read list minus
+  own-unit reads and repeats of the predecessor.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.core.dependencies import UnitReadIndex
+from repro.sparse.dtypes import index_dtype
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
 from repro.symbolic.etree import etree
 from repro.symbolic.fill import SymbolicFactor
@@ -79,3 +95,132 @@ def row_walk_counts_oracle(graph: SymmetricGraph, perm=None) -> np.ndarray:
                 k = int(parent[k])
                 assert k >= 0, "row subtree escaped the tree"
     return counts
+
+
+@dataclass(frozen=True)
+class PairUpdates:
+    """The four element-level arrays of every pair update."""
+
+    target: np.ndarray
+    source_i: np.ndarray
+    source_j: np.ndarray
+    source_col: np.ndarray
+
+    @property
+    def num_pair_updates(self) -> int:
+        return len(self.target)
+
+
+#: Above this order the dense (n x n) element-id lookup is replaced by
+#: per-column binary searches.
+_DENSE_LOOKUP_LIMIT = 4096
+
+
+def _make_eid_lookup(pattern: LowerPattern):
+    """(rows, cols) -> element ids, dense-matrix or searchsorted-backed."""
+    n = pattern.n
+    nnz = pattern.nnz
+    if n <= _DENSE_LOOKUP_LIMIT:
+        dense = np.full((n, n), -1, dtype=np.int64)
+        dense[pattern.rowidx, pattern.element_cols()] = np.arange(
+            nnz, dtype=np.int64
+        )
+        return lambda i, j: dense[i, j]
+
+    def lookup(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # Group queries by column; binary-search each column's row list.
+        out = np.full(len(i), -1, dtype=np.int64)
+        order = np.argsort(j, kind="stable")
+        js = j[order]
+        starts = np.searchsorted(js, np.arange(n))
+        ends = np.searchsorted(js, np.arange(n), side="right")
+        for col in np.unique(js).tolist():
+            sel = order[starts[col] : ends[col]]
+            lo, hi = pattern.indptr[col], pattern.indptr[col + 1]
+            rows = pattern.rowidx[lo:hi]
+            pos = np.searchsorted(rows, i[sel])
+            ok = (pos < len(rows)) & (rows[np.minimum(pos, len(rows) - 1)] == i[sel])
+            out[sel[ok]] = lo + pos[ok]
+        return out
+
+    return lookup
+
+
+def enumerate_updates_oracle(pattern: LowerPattern) -> PairUpdates:
+    """Every pair update, column by column in Python: column-major, then
+    ``np.tril_indices`` order over each column's off-diagonal rows."""
+    n = pattern.n
+    eid = _make_eid_lookup(pattern)
+
+    tgt_parts: list[np.ndarray] = []
+    si_parts: list[np.ndarray] = []
+    sj_parts: list[np.ndarray] = []
+    k_parts: list[np.ndarray] = []
+    for k in range(n):
+        lo, hi = pattern.indptr[k], pattern.indptr[k + 1]
+        off = pattern.rowidx[lo + 1 : hi]  # off-diagonal rows of column k
+        m = len(off)
+        if m == 0:
+            continue
+        a, b = np.tril_indices(m)  # i-index >= j-index
+        i = off[a]
+        j = off[b]
+        t = eid(i, j)
+        if (t < 0).any():
+            raise ValueError(
+                f"pattern is not closed under fill: column {k} updates a "
+                "structurally-zero target"
+            )
+        tgt_parts.append(t)
+        si_parts.append(lo + 1 + a)
+        sj_parts.append(lo + 1 + b)
+        k_parts.append(np.full(m * (m + 1) // 2, k, dtype=np.int64))
+
+    empty = np.zeros(0, dtype=np.int64)
+    return PairUpdates(
+        target=np.concatenate(tgt_parts) if tgt_parts else empty,
+        source_i=np.concatenate(si_parts) if si_parts else empty,
+        source_j=np.concatenate(sj_parts) if sj_parts else empty,
+        source_col=np.concatenate(k_parts) if k_parts else empty,
+    )
+
+
+def supernodes_oracle(pattern: LowerPattern) -> list[tuple[int, int]]:
+    """Columns c and c + 1 share a supernode iff
+    ``struct(col c) == {c} ∪ struct(col c + 1)``."""
+    n = pattern.n
+    out: list[tuple[int, int]] = []
+    if n == 0:
+        return out
+    start = 0
+    for c in range(n - 1):
+        cur = pattern.col(c)
+        nxt = pattern.col(c + 1)
+        same = len(cur) == len(nxt) + 1 and np.array_equal(cur[1:], nxt)
+        if not same:
+            out.append((start, c))
+            start = c + 1
+    out.append((start, n - 1))
+    return out
+
+
+def unit_read_index_oracle(
+    partition, pattern: LowerPattern, pairs: PairUpdates, include_scale: bool = True
+) -> UnitReadIndex:
+    """The element read list of ``pairs`` — row-role, column-role, then
+    scale reads, stably sorted by source — minus own-unit reads and
+    repeats of the predecessor (same unit, same source)."""
+    nnz = pattern.nnz
+    srcs = [pairs.source_i, pairs.source_j]
+    readers = [pairs.target, pairs.target]
+    if include_scale:
+        srcs.append(pattern.indptr[:-1][pattern.element_cols()])
+        readers.append(np.arange(nnz))
+    src, reader = np.concatenate(srcs), np.concatenate(readers)
+    order = np.argsort(src, kind="stable")
+    uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
+    src, reader = src[order].astype(index_dtype(nnz)), uoe[reader[order]]
+    keep = reader != uoe[src]
+    keep[1:] &= (reader[1:] != reader[:-1]) | (src[1:] != src[:-1])
+    kept = np.flatnonzero(keep)
+    return UnitReadIndex(include_scale, src[kept], reader[kept], uoe, partition.num_units)

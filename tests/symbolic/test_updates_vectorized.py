@@ -1,8 +1,8 @@
-"""Vectorized enumerate_updates vs the per-column reference.
+"""Vectorized enumerate_updates vs the per-column oracle.
 
-The vectorized kernel promises *array-for-array* identity with
-:func:`repro.symbolic.updates.enumerate_updates_reference` — not just the
-same multiset of updates but the same order (column-major, then
+The run enumeration promises that its expansion is *array-for-array*
+the oracle's (``tests/symbolic/oracles.py``) — not just the same
+multiset of updates but the same order (column-major, then
 np.tril_indices order within a column) — so these tests assert exact
 equality on every output array, across random generator matrices, the
 paper's HB sample, and both lookup branches (dense table and global
@@ -16,19 +16,16 @@ from hypothesis import strategies as st
 
 from repro.sparse import band_graph, band_lower_pattern, grid5, grid9
 from repro.sparse.pattern import LowerPattern
-from repro.symbolic import (
-    enumerate_updates,
-    enumerate_updates_reference,
-    symbolic_cholesky,
-)
+from repro.symbolic import enumerate_updates, symbolic_cholesky
 from repro.symbolic import updates as updates_mod
 
 from ..conftest import random_connected_graph
+from .oracles import enumerate_updates_oracle
 
 
 def assert_identical(pattern: LowerPattern) -> None:
     fast = enumerate_updates(pattern)
-    ref = enumerate_updates_reference(pattern)
+    ref = enumerate_updates_oracle(pattern)
     np.testing.assert_array_equal(fast.target, ref.target)
     np.testing.assert_array_equal(fast.source_i, ref.source_i)
     np.testing.assert_array_equal(fast.source_j, ref.source_j)
