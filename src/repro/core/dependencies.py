@@ -40,6 +40,7 @@ column) lives in ``tests/core/interval_oracle.py`` as an oracle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +57,7 @@ __all__ = [
     "UnitReadIndex",
     "unit_read_index",
     "group_unit_edges",
+    "topological_order",
     "unit_edge_volumes",
     "require_same_edges",
     "classify_pair_updates",
@@ -192,6 +194,36 @@ def group_unit_edges(
     key, volumes = np.unique(key, return_counts=True)
     key = key.astype(np.int64)
     return np.stack([key // n_units, key % n_units], axis=1), volumes
+
+
+def topological_order(n_units: int, edges: np.ndarray) -> np.ndarray:
+    """Kahn topological sort of the unit DAG, ties broken by uid.
+
+    Unit ids are *not* a topological order: inside a cluster triangle,
+    unit rectangles (emitted after the diagonal unit triangles) update
+    later diagonal triangles.  Raises if a cycle is found.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    indeg = np.bincount(edges[:, 1], minlength=n_units)
+    # CSR-style adjacency: sort edges by source, slice per unit.
+    order = np.argsort(edges[:, 0], kind="stable")
+    dst_sorted = np.ascontiguousarray(edges[order, 1])
+    bounds = np.searchsorted(edges[order, 0], np.arange(n_units + 1, dtype=np.int64))
+    heap = np.flatnonzero(indeg == 0).tolist()
+    heapq.heapify(heap)
+    out = np.empty(n_units, dtype=np.int64)
+    k = 0
+    while heap:
+        u = heapq.heappop(heap)
+        out[k] = u
+        k += 1
+        for v in dst_sorted[bounds[u] : bounds[u + 1]].tolist():
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, v)
+    if k != n_units:
+        raise ValueError("unit dependency graph has a cycle")
+    return out
 
 
 @dataclass

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine.simulate import topological_order
 from .assignment import Assignment
-from .dependencies import DependencyInfo
+from .dependencies import DependencyInfo, topological_order
 
 __all__ = ["execution_order", "critical_path_priority"]
 

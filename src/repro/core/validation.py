@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import Assignment
-from .dependencies import DependencyInfo
+from .dependencies import DependencyInfo, topological_order
 from .partitioner import Partition
 
 __all__ = ["ValidationError", "validate_partition", "validate_assignment",
@@ -69,8 +69,6 @@ def validate_dependencies(deps: DependencyInfo) -> None:
     keys = edges[:, 0] * np.int64(n_units) + edges[:, 1]
     if len(np.unique(keys)) != len(keys):
         raise ValidationError("duplicate dependency edges")
-    from ..machine.simulate import topological_order
-
     try:
         topological_order(n_units, edges)
     except ValueError as exc:

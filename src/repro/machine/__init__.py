@@ -1,5 +1,6 @@
 """Distributed-memory machine model: work, traffic, balance, timing."""
 
+from ..core.dependencies import topological_order
 from .batched import batched_metrics
 from .hotspot import HotspotProfile, hotspot_profile
 from .metrics import LoadBalance, imbalance_factor, load_balance
@@ -10,7 +11,6 @@ from .simulate import (
     simulate_assignment,
     simulate_schedule,
     simulation_messages,
-    topological_order,
     unit_graph,
 )
 from .scorecard import scorecard, sim_scorecard

@@ -15,22 +15,33 @@ Every simulation also emits into the sim-clock telemetry layer
 :class:`~repro.obs.simtime.SimRun` carrying per-unit records, start
 reasons (for critical-path extraction) and the message ledger, whose
 total bytes bit-match :func:`repro.machine.traffic.data_traffic` for
-the same assignment (both aggregate the distinct non-local (processor,
-source element) fetches of :func:`repro.machine.traffic.fetch_pairs`).
-The unit DAG — sorted edges with an aligned volume array, from which
-the event loop's per-edge delays are one pass — is the one memoised on a
-block partition's :class:`~repro.core.dependencies.UnitReadIndex`; for
-any other element→unit map it comes from the traffic kernel with the
-map as the owner array (:func:`unit_graph`).
-Block assignments simulate at unit-block granularity; wrap/column
-assignments (no partition, but a per-column processor map) simulate at
-column granularity over the column dependency DAG.
+the same assignment.
+
+The unit DAG — edges in lexicographic order with an aligned volume
+array, from which the event loop's per-edge delays are one pass — and
+the ledger come from the structure the traffic is counted at.  Block
+assignments simulate at unit-block granularity over the DAG memoised on
+the partition's :class:`~repro.core.dependencies.UnitReadIndex`.  Wrap
+and block-cyclic column assignments simulate at column granularity by
+the column-prefix lemma of :mod:`repro.machine.traffic`: column r_s of
+column k's rows r_1 < ... < r_m reads (r_t, k) for t >= s, so the edges
+are L's off-diagonal elements (k, r_s) in CSC order with volume
+m - s + 1, and the ledger is the (column, processor, reach) triples
+:func:`~repro.machine.traffic.column_fetch_counts` sums — O(nnz(L)), no
+read list, and the same for either ``include_scale`` (scale reads stay
+inside a column).  :func:`unit_graph` serves any other element→unit map.
+
+The event loop is greedy list scheduling: a free processor starts,
+among its own units whose predecessors have all finished, the one that
+can begin earliest, ties broken by uid.  Two heaps per processor make a
+run O((units + edges) log units).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -41,8 +52,10 @@ from ..core.dependencies import (
 )
 from ..obs import simtime
 from ..obs import trace as obs
+from ..sparse.dtypes import linear_index
+from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet, read_index_of
-from .traffic import fetch_pairs, kernel_inputs
+from .traffic import _column_fetches, _column_reads, fetch_pairs, kernel_inputs
 
 __all__ = [
     "MachineModel",
@@ -53,7 +66,6 @@ __all__ = [
     "edge_volumes",
     "unit_edge_volumes",
     "unit_graph",
-    "topological_order",
 ]
 
 #: Kind name of each unit-table kind code.
@@ -69,35 +81,15 @@ class MachineModel:
     alpha: float = 10.0
     beta: float = 1.0
 
-
-def topological_order(n_units: int, edges: np.ndarray) -> np.ndarray:
-    """Kahn topological sort of the unit DAG, ties broken by uid.
-
-    Unit ids are *not* a topological order: inside a cluster triangle,
-    unit rectangles (emitted after the diagonal unit triangles) update
-    later diagonal triangles.  Raises if a cycle is found.
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    indeg = np.bincount(edges[:, 1], minlength=n_units)
-    # CSR-style adjacency: sort edges by source, slice per unit.
-    order = np.argsort(edges[:, 0], kind="stable")
-    dst_sorted = np.ascontiguousarray(edges[order, 1])
-    bounds = np.searchsorted(edges[order, 0], np.arange(n_units + 1, dtype=np.int64))
-    heap = np.flatnonzero(indeg == 0).tolist()
-    heapq.heapify(heap)
-    out = np.empty(n_units, dtype=np.int64)
-    k = 0
-    while heap:
-        u = heapq.heappop(heap)
-        out[k] = u
-        k += 1
-        for v in dst_sorted[bounds[u] : bounds[u + 1]].tolist():
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if k != n_units:
-        raise ValueError("unit dependency graph has a cycle")
-    return out
+    def __post_init__(self) -> None:
+        # A negative, infinite or NaN time breaks the loop silently: NaN
+        # never compares greater, so its delays would vanish.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"MachineModel.{field.name} must be finite and >= 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -140,6 +132,14 @@ def unit_graph(
     return group_unit_edges(uoe[src], target, n_units)
 
 
+def _column_graph(pattern: LowerPattern) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unit_graph` of the column map (unit = column), for either
+    ``include_scale``, by the column-prefix lemma: one edge per
+    off-diagonal element, already in lexicographic order."""
+    col, reader, volume = _column_reads(pattern)
+    return np.stack([col, reader], axis=1).astype(np.int64), volume.astype(np.int64)
+
+
 def edge_volumes(
     assignment: Assignment, deps: DependencyInfo, updates: UpdateSet
 ) -> dict[tuple[int, int], int]:
@@ -158,7 +158,7 @@ def _simulate_units(
     model: MachineModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The event loop: greedy list scheduling with message delays over
-    the unit DAG of :func:`unit_graph`.
+    a unit DAG laid out as :func:`unit_graph` lays it out.
 
     Besides start/finish/busy it records *why* each unit started when it
     did (``reason``: the releasing unit, ``reason_kind``: a
@@ -195,42 +195,56 @@ def _simulate_units(
     arrival_from = [-1] * n_units
     arrival_msg = [False] * n_units
     last_on_proc = [-1] * nprocs
-    ready: list[set[int]] = [set() for _ in range(nprocs)]
+    # A processor's ready units sit in two heaps: ``avail`` by uid, those
+    # whose data arrived by a time the processor was free, and ``waiting``
+    # by (arrival, uid).  Free times only grow and a ready unit's arrival
+    # is final, so the earliest start (ties by uid) is the top of
+    # ``avail`` at the free time, else the top of ``waiting`` at its
+    # arrival.  The units ready at time 0, in uid order, are a heap.
+    avail: list[list[int]] = [[] for _ in range(nprocs)]
+    waiting: list[list[tuple[float, int]]] = [[] for _ in range(nprocs)]
     for u in range(n_units):
         if indeg[u] == 0:
-            ready[proc[u]].add(u)
+            avail[proc[u]].append(u)
     running = [False] * nprocs
     done = 0
     events: list[tuple[float, int, int]] = []  # (finish time, unit, proc)
 
     def try_start(p: int) -> None:
-        if running[p] or not ready[p]:
+        if running[p]:
             return
         free = proc_free[p]
-        t0, best = min((max(arrival[u], free), u) for u in ready[p])
-        ready[p].remove(best)
-        if arrival[best] > free:
+        ready, wait = avail[p], waiting[p]
+        while wait and wait[0][0] <= free:
+            heappush(ready, heappop(wait)[1])
+        if ready:
+            t0 = free
+            best = heappop(ready)
+            if free > 0:
+                # Processor-bound: it started the instant the previous
+                # unit on this processor finished.
+                reason[best] = last_on_proc[p]
+                reason_kind[best] = simtime.REASON_PROC
+        elif wait:
             # Data-bound: the unit started the instant its slowest
             # predecessor's data arrived.
+            t0, best = heappop(wait)
             reason[best] = arrival_from[best]
             reason_kind[best] = (
                 simtime.REASON_MSG if arrival_msg[best] else simtime.REASON_DEP
             )
-        elif free > 0:
-            # Processor-bound: it started the instant the previous unit
-            # on this processor finished.
-            reason[best] = last_on_proc[p]
-            reason_kind[best] = simtime.REASON_PROC
+        else:
+            return
         start[best] = t0
         finish[best] = t0 + duration[best]
         proc_busy[p] += duration[best]
         running[p] = True
-        heapq.heappush(events, (finish[best], best, p))
+        heappush(events, (finish[best], best, p))
 
     for p in range(nprocs):
         try_start(p)
     while events:
-        t, u, p = heapq.heappop(events)
+        t, u, p = heappop(events)
         proc_free[p] = t
         running[p] = False
         last_on_proc[p] = u
@@ -244,8 +258,12 @@ def _simulate_units(
                 arrival_msg[v] = is_msg[e]
             indeg[v] -= 1
             if indeg[v] == 0:
-                ready[proc[v]].add(v)
-                try_start(proc[v])
+                q = proc[v]
+                if arrival[v] <= proc_free[q]:
+                    heappush(avail[q], v)
+                else:
+                    heappush(waiting[q], (arrival[v], v))
+                try_start(q)
         try_start(p)
 
     if done != n_units:
@@ -271,19 +289,26 @@ def simulation_messages(
     bytes bit-match the paper's traffic figure, per-destination sums
     match ``per_processor`` and the P×P aggregation matches
     ``communication_matrix``.  The send time is the cause unit's finish;
-    the receive time adds the α + β·bytes message delay.
+    the receive time adds the α + β·bytes message delay.  On a column
+    map the units are the columns and the entries are the column-prefix
+    fetches, which are already one per (column, destination).
     """
     nprocs = assignment.nprocs
-    proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
-    uoe = np.asarray(unit_of_element, dtype=np.int64)
-    # Group the (already distinct) fetches into one message per (cause
-    # unit, destination), ordered by that key.
-    gkey, counts = np.unique(uoe[src] * np.int64(nprocs) + proc, return_counts=True)
-    cause_unit = gkey // nprocs
+    if assignment.partition is None and assignment.proc_of_unit is not None:
+        cause_unit, dst, counts = _column_fetches(
+            assignment.pattern, assignment.proc_of_unit, nprocs
+        )
+    else:
+        proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
+        uoe = np.asarray(unit_of_element, dtype=np.int64)
+        # Group the (already distinct) fetches into one message per (cause
+        # unit, destination), ordered by that key.
+        gkey, counts = np.unique(linear_index(uoe[src], proc, nprocs), return_counts=True)
+        cause_unit, dst = gkey // nprocs, gkey % nprocs
     send = finish[cause_unit]
     return simtime.MessageTable(
         src=np.asarray(assignment.proc_of_unit, dtype=np.int64)[cause_unit],
-        dst=gkey % nprocs,
+        dst=dst,
         nbytes=counts,
         cause=cause_unit,
         send=send,
@@ -306,7 +331,8 @@ def simulate_assignment(
     Block assignments run at unit-block granularity (a supplied ``deps``
     sets ``include_scale`` and must describe the same unit DAG); wrap
     and block-cyclic column assignments run at column granularity over
-    the column dependency DAG, with elimination stages defined as
+    the column dependency DAG (the same for either ``include_scale``:
+    scale reads stay inside a column), with elimination stages defined as
     up-to-32 equal column strips.  ``with_messages=False`` skips the
     ledger (timeline values are unaffected).
     """
@@ -325,7 +351,7 @@ def simulate_assignment(
     elif assignment.proc_of_unit is not None:
         n_units = assignment.pattern.n
         uoe = np.asarray(updates.element_cols, dtype=np.int64)
-        edges, volume = unit_graph(uoe, updates, n_units, include_scale)
+        edges, volume = _column_graph(assignment.pattern)
         n_stages = min(32, n_units) if n_units else 1
         stage = (np.arange(n_units, dtype=np.int64) * n_stages) // max(n_units, 1)
         kinds = ("column",) * n_units

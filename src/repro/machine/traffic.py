@@ -42,15 +42,19 @@ so processor q fetches it iff q != pc[k] and q is among pc[r_1..r_t], a
 prefix; the diagonal is read only inside its own column.  Hence
 ``fetches[q] = sum over k with pc[k] != q of (m_k - first_k(q) + 1)``,
 first_k(q) the first t with pc[r_t] = q: one pass over the nonzeros of
-L and no read list at all (:func:`column_fetch_counts`).
+L and no read list at all (:func:`column_fetch_counts`).  The (column,
+processor, reach) triples themselves are the P×P matrix of
+:func:`communication_matrix` and the wrap message ledger of
+:func:`repro.machine.simulate.simulation_messages`; with one processor
+per column the same lemma is the column unit DAG of the simulator.
 
 **Element kernel** (neither: 2-D cyclic, arbitrary owners).
 :func:`distinct_fetches` finds the distinct (processor, source element)
 pairs in O(reads) without a sort; the unit index path runs it too, and
-it hands :func:`communication_matrix`, the message ledger of
-:func:`repro.machine.simulate.simulation_messages` and (units in the
-place of processors) :func:`repro.machine.simulate.unit_graph` the pairs
-themselves.  The element read list is assignment invariant, so it is
+it hands :func:`communication_matrix`, the block message ledger and
+(units in the place of processors, for an arbitrary element→unit map)
+:func:`repro.machine.simulate.unit_graph` the pairs themselves.  The
+element read list is assignment invariant, so it is
 expanded from the runs and **sorted by source** once per ``UpdateSet``
 (:func:`~repro.symbolic.updates.read_index_of`).  Per assignment,
 ``proc = owner[reader]`` is one gather; reads of elements the reader
@@ -202,23 +206,41 @@ def distinct_fetches(
         yield p[first], s[first]
 
 
+def _column_reads(pattern: LowerPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-prefix lemma, one entry per off-diagonal element in
+    CSC order: column ``reader[e]`` reads the last ``reach[e]`` elements
+    of column ``col[e]`` (those from row ``reader[e]`` down)."""
+    col = pattern.element_cols()
+    eid = np.flatnonzero(pattern.rowidx != col)
+    col = col[eid]
+    return col, pattern.rowidx[eid], pattern.indptr[col + 1] - eid
+
+
+def _column_fetches(
+    pattern: LowerPattern, proc_of_col: np.ndarray, nprocs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct non-local fetches of a column map, one sort of
+    nnz(L) (column, processor) keys: processor ``proc[f]`` fetches the
+    last ``reach[f]`` elements of column ``col[f]``, a column it does
+    not own, in (column, processor) order."""
+    proc_of_col = np.asarray(proc_of_col)
+    col, reader, reach = _column_reads(pattern)
+    proc = proc_of_col[reader]
+    # The first reader on every processor in every column fetches the
+    # most; the other readers on that processor read a suffix of it.
+    _, at = np.unique(linear_index(col, proc, nprocs), return_index=True)
+    at = at[proc[at] != proc_of_col[col[at]]]
+    return col[at], proc[at], reach[at]
+
+
 def column_fetch_counts(
     pattern: LowerPattern, proc_of_col: np.ndarray, nprocs: int
 ) -> np.ndarray:
     """Distinct non-local fetches per processor when processor
     ``proc_of_col[j]`` owns all of column j: the prefix formula of the
-    module docstring, one sort of nnz(L) (column, processor) keys."""
-    proc_of_col = np.asarray(proc_of_col)
-    col = pattern.element_cols()
-    eid = np.flatnonzero(pattern.rowidx != col)  # the off-diagonal elements
-    col = col[eid]
-    proc = proc_of_col[pattern.rowidx[eid]]
-    # The first row of every processor in every column ...
-    _, at = np.unique(linear_index(col, proc, nprocs), return_index=True)
-    at = at[proc[at] != proc_of_col[col[at]]]
-    # ... from where it fetches the rest of the column.
-    reach = pattern.indptr[col[at] + 1] - eid[at]
-    return np.bincount(proc[at], weights=reach, minlength=nprocs).astype(np.int64)
+    module docstring."""
+    _col, proc, reach = _column_fetches(pattern, proc_of_col, nprocs)
+    return np.bincount(proc, weights=reach, minlength=nprocs).astype(np.int64)
 
 
 def element_read_index(
@@ -275,8 +297,8 @@ def fetch_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct non-local fetch of one owner array as parallel
     int64 arrays ``(proc, src)``, sources ascending — what
-    :func:`communication_matrix`, the simulated message ledger (both
-    through :func:`kernel_inputs`) and the unit DAG of
+    :func:`communication_matrix`, the block message ledger (both through
+    :func:`kernel_inputs`) and the unit DAG of
     :func:`repro.machine.simulate.unit_graph` (owner = an arbitrary
     element→unit map) aggregate, so all of them bit-match
     :func:`data_traffic`."""
@@ -322,6 +344,11 @@ def communication_matrix(
     block mappings confine traffic to small processor groups.
     """
     n = assignment.nprocs
-    proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
-    link = proc * n + assignment.owner_of_element[src]
-    return np.bincount(link, minlength=n * n).reshape(n, n)
+    if assignment.partition is None and assignment.proc_of_unit is not None:
+        col, proc, reach = _column_fetches(assignment.pattern, assignment.proc_of_unit, n)
+        owner = np.asarray(assignment.proc_of_unit)[col]
+    else:
+        proc, src = fetch_pairs(*kernel_inputs(assignment, updates, include_scale))
+        owner, reach = assignment.owner_of_element[src], None
+    link = linear_index(proc, owner, n)
+    return np.bincount(link, weights=reach, minlength=n * n).astype(np.int64).reshape(n, n)

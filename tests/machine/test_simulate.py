@@ -1,5 +1,7 @@
 """Event-driven schedule simulation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,21 @@ class TestTopologicalOrder:
         edges = np.array([[3, 0]])
         order = topological_order(4, edges).tolist()
         assert order.index(3) < order.index(0)
+
+
+class TestMachineModel:
+    @pytest.mark.parametrize(
+        "field, value", [("compute", -1.0), ("beta", float("nan")), ("alpha", float("inf"))]
+    )
+    def test_negative_and_non_finite_times_are_refused(self, field, value):
+        """-1 compute gave makespan -4 on a 6x6 grid, NaN β dropped every
+        message delay and ∞ α broke busy + wait + idle == makespan."""
+        message = re.escape(f"MachineModel.{field} must be finite and >= 0, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            MachineModel(**{field: value})
+
+    def test_zero_times_are_allowed(self):
+        assert MachineModel(compute=0.0, alpha=0.0, beta=0.0).compute == 0.0
 
 
 class TestEdgeVolumes:
