@@ -31,7 +31,7 @@ unit, source element) pairs of the factorization, built once per
 partition from the run-length updates by the convexity lemma of
 :mod:`repro.machine.traffic` — no element read list, no sort.  Grouping
 it by (source unit, reader unit) gives the dependency edges *and* the
-distinct-element volume of each edge (:attr:`UnitReadIndex.dag`);
+distinct-element volume of each edge (:func:`unit_dag`);
 :mod:`repro.machine.traffic` runs its kernel over the same index for
 every block-scheme traffic figure.  The category census streams the
 pairs in chunks.  The paper's geometric mechanism (an interval tree per
@@ -48,14 +48,14 @@ import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype
-from ..symbolic.updates import UpdateSet, ragged_range
+from ..symbolic.updates import ReadIndex, UpdateSet, ragged_range
 from .partitioner import Partition
 
 __all__ = [
     "CATEGORY_NAMES",
     "DependencyInfo",
-    "UnitReadIndex",
     "unit_read_index",
+    "unit_dag",
     "group_unit_edges",
     "topological_order",
     "unit_edge_volumes",
@@ -118,36 +118,16 @@ def classify_pair_updates(partition: Partition, updates: UpdateSet) -> np.ndarra
     )]
 
 
-@dataclass(frozen=True)
-class UnitReadIndex:
-    """The distinct cross-unit reads of a partition, source-ascending:
-    unit ``reader[r]`` reads element ``src[r]`` of another unit, and every
-    such (unit, element) pair appears exactly once.  It stands in for the
-    element-level :class:`~repro.symbolic.updates.ReadIndex` wherever
-    ownership is per unit: a processor fetches what its units do.
-    """
-
-    include_scale: bool
-    src: np.ndarray
-    reader: np.ndarray
-    unit_of_element: np.ndarray
-    num_units: int
-
-    @cached_property
-    def dag(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(edges, volumes)`` of the unit DAG, as
-        :func:`group_unit_edges` lays them out."""
-        return group_unit_edges(
-            self.unit_of_element[self.src], self.reader, self.num_units
-        )
-
-
 def unit_read_index(
     partition: Partition, updates: UpdateSet, include_scale: bool = True
-) -> UnitReadIndex:
-    """The unit read index of ``partition``, built on first use and kept
-    on the instance, one per ``include_scale``, straight from the runs of
-    ``updates``: no read list, no sort.
+) -> ReadIndex:
+    """The distinct cross-unit reads of ``partition``: element e is read
+    by the other units ``reader[first[e]:end[e]]``, each once, the
+    slices consecutive.  Built on first use and kept on the instance,
+    one per ``include_scale``, straight from the runs of ``updates``: no
+    read list, no sort.  It stands in for the element read index
+    wherever ownership is per unit: a processor fetches what its units
+    do.
 
     Element e is read, in order, by its slice of
     :attr:`~repro.symbolic.updates.UpdateSet.reader_sequences`.  By the
@@ -161,7 +141,6 @@ def unit_read_index(
     if include_scale in memo:
         return memo[include_scale]
     targets, starts, first, end = updates.reader_sequences
-    nnz = updates.pattern.nnz
     uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
     unit = uoe[targets]
     new = np.empty(len(unit), dtype=bool)
@@ -177,8 +156,23 @@ def unit_read_index(
     if not include_scale:
         length[updates.pattern.indptr[:-1]] = 0
     reader = readers[ragged_range(lo, length, index_dtype(len(readers)))]
-    src = np.repeat(np.arange(nnz, dtype=index_dtype(nnz)), length)
-    memo[include_scale] = UnitReadIndex(include_scale, src, reader, uoe, partition.num_units)
+    src = np.repeat(np.arange(len(length), dtype=index_dtype(len(length))), length)
+    end = np.cumsum(length, dtype=index_dtype(len(reader)))
+    memo[include_scale] = ReadIndex(include_scale, reader, end - length, end, src)
+    return memo[include_scale]
+
+
+def unit_dag(
+    partition: Partition, updates: UpdateSet, include_scale: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(edges, volumes)`` of the unit DAG of ``partition``, as
+    :func:`group_unit_edges` lays them out: its unit read index grouped
+    by (source unit, reader unit), memoised beside it."""
+    memo = vars(partition).setdefault("_unit_dags", {})
+    if include_scale not in memo:
+        index = unit_read_index(partition, updates, include_scale)
+        uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
+        memo[include_scale] = group_unit_edges(uoe[index.src], index.reader, partition.num_units)
     return memo[include_scale]
 
 
@@ -296,7 +290,7 @@ def analyze_dependencies(
     updates (an element's unit depends on the unit owning its column's
     diagonal element).
     """
-    edges, volumes = unit_read_index(partition, updates, include_scale).dag
+    edges, volumes = unit_dag(partition, updates, include_scale)
     per_code = np.zeros(72, dtype=np.int64)
     for words in updates.pair_chunks(_unit_words(partition)):
         per_code += np.bincount(_update_codes(*words), minlength=72)
@@ -330,6 +324,6 @@ def unit_edge_volumes(
     volume of edge (s, t) = number of distinct elements owned by unit s
     that updates targeting unit t read.
     """
-    edges, volumes = unit_read_index(partition, updates, deps.include_scale).dag
+    edges, volumes = unit_dag(partition, updates, deps.include_scale)
     require_same_edges(edges, deps)
     return dict(zip(map(tuple, edges.tolist()), volumes.tolist()))

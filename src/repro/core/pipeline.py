@@ -20,7 +20,7 @@ from ..machine.work import processor_work, unit_work
 from ..ordering import order as order_graph
 from ..sparse.pattern import LowerPattern, SymmetricGraph
 from ..symbolic.fill import SymbolicFactor, symbolic_cholesky
-from ..symbolic.updates import UpdateSet, enumerate_updates, read_index_of
+from ..symbolic.updates import UpdateSet, enumerate_updates
 from .assignment import Assignment
 from .dependencies import DependencyInfo, analyze_dependencies
 from .partitioner import Partition, partition_factor
@@ -62,13 +62,6 @@ class PreparedMatrix:
         obs.counter("pipeline.stage.enumerate_updates")
         obs.counter("pipeline.pair_updates", out.num_pair_updates)
         return out
-
-    @property
-    def read_index(self):
-        """Source-sorted read list of the factorization (assignment
-        invariant): the one memoised on :attr:`updates`, which every
-        traffic measurement shares."""
-        return read_index_of(self.updates)
 
     @property
     def factor_nnz(self) -> int:

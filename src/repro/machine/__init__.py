@@ -22,18 +22,14 @@ from .traffic import (
     build_read_index,
     communication_matrix,
     data_traffic,
-    read_chunk_bounds,
-    read_index_of,
 )
 from .work import processor_work, total_work, unit_work
 
 __all__ = [
     "ReadIndex",
     "batched_metrics",
-    "read_chunk_bounds",
     "DEFAULT_CHUNK_READS",
     "build_read_index",
-    "read_index_of",
     "HotspotProfile",
     "hotspot_profile",
     "LoadBalance",

@@ -21,7 +21,8 @@ The unit DAG — edges in lexicographic order with an aligned volume
 array, from which the event loop's per-edge delays are one pass — and
 the ledger come from the structure the traffic is counted at.  Block
 assignments simulate at unit-block granularity over the DAG memoised on
-the partition's :class:`~repro.core.dependencies.UnitReadIndex`.  Wrap
+the partition beside its unit read index
+(:func:`~repro.core.dependencies.unit_dag`).  Wrap
 and block-cyclic column assignments simulate at column granularity by
 the column-prefix lemma of :mod:`repro.machine.traffic`: column r_s of
 column k's rows r_1 < ... < r_m reads (r_t, k) for t >= s, so the edges
@@ -48,13 +49,13 @@ import numpy as np
 from ..core.assignment import Assignment
 from ..core.blocks import KINDS
 from ..core.dependencies import (
-    DependencyInfo, group_unit_edges, require_same_edges, unit_edge_volumes, unit_read_index,
+    DependencyInfo, group_unit_edges, require_same_edges, unit_dag, unit_edge_volumes,
 )
 from ..obs import simtime
 from ..obs import trace as obs
 from ..sparse.dtypes import linear_index
 from ..sparse.pattern import LowerPattern
-from ..symbolic.updates import UpdateSet, read_index_of
+from ..symbolic.updates import UpdateSet, build_read_index
 from .traffic import _column_fetches, _column_reads, fetch_pairs, kernel_inputs
 
 __all__ = [
@@ -128,7 +129,7 @@ def unit_graph(
     if n_units == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     uoe = np.asarray(unit_of_element, dtype=np.int64)
-    target, src = fetch_pairs(uoe, n_units, read_index_of(updates, include_scale))
+    target, src = fetch_pairs(uoe, n_units, build_read_index(updates, include_scale))
     return group_unit_edges(uoe[src], target, n_units)
 
 
@@ -343,7 +344,7 @@ def simulate_assignment(
             include_scale = deps.include_scale
         n_units = partition.num_units
         uoe = partition.unit_of_element
-        edges, volume = unit_read_index(partition, updates, include_scale).dag
+        edges, volume = unit_dag(partition, updates, include_scale)
         if deps is not None:
             require_same_edges(edges, deps)
         stage = partition.cluster_of_unit

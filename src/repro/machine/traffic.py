@@ -16,8 +16,8 @@ carries — there is no switch:
 
 **Unit index** (``partition`` set: every block scheme).  A processor
 fetches an element iff one of its units reads it, so the stamp kernel
-below runs over the partition's
-:class:`~repro.core.dependencies.UnitReadIndex` — the distinct
+below runs over the partition's unit read index
+(:func:`~repro.core.dependencies.unit_read_index`) — the distinct
 cross-unit (reader unit, source element) pairs — with ``proc_of_unit``
 as the reader's owner.  *Lemma:* in a source's read order the reads by
 one unit are adjacent and its own unit's come first, so its readers are
@@ -53,19 +53,19 @@ per column the same lemma is the column unit DAG of the simulator.
 pairs in O(reads) without a sort; the unit index path runs it too, and
 it hands :func:`communication_matrix`, the block message ledger and
 (units in the place of processors, for an arbitrary element→unit map)
-:func:`repro.machine.simulate.unit_graph` the pairs themselves.  The
-element read list is assignment invariant, so it is
-expanded from the runs and **sorted by source** once per ``UpdateSet``
-(:func:`~repro.symbolic.updates.read_index_of`).  Per assignment,
-``proc = owner[reader]`` is one gather; reads of elements the reader
-owns, and repeats of the predecessor's (source, processor), go in two
-comparisons; the rest is deduplicated through a *stamp table*: read
-``r`` writes ``r`` into slot ``(source - base) * nprocs + proc`` of an
-uninitialised int32 array and represents its pair iff it reads its own
-stamp back — whichever duplicate's write lands last, exactly one read
-per pair survives.  The table is bounded by streaming the list in
-source-aligned chunks (:func:`read_chunk_bounds`): ``src`` ascends, so a
-chunk is a slice, no pair spans two chunks and the per-chunk results
+:func:`repro.machine.simulate.unit_graph` the pairs themselves.  Both
+indexes are one :class:`~repro.symbolic.updates.ReadIndex`, a slice of
+readers per source element; the element one
+(:func:`~repro.symbolic.updates.build_read_index`) is a view of the
+updates' reader sequences.  Per chunk of consecutive sources the slices
+are expanded and ``proc = reader_owner[reader]`` is one gather; reads
+of elements the reader owns, and repeats of the predecessor's (source,
+processor), go in two comparisons; the rest is deduplicated through a
+*stamp table*: read ``r`` writes ``r`` into slot ``(source - base) *
+nprocs + proc`` of an uninitialised int32 array and represents its pair
+iff it reads its own stamp back — whichever duplicate's write lands
+last, exactly one read per pair survives.  A source is one slice, so no
+pair spans two chunks (:func:`source_chunks`) and the per-chunk results
 accumulate, bit-identical at every chunk size.  ``chunk_reads`` (default
 :data:`DEFAULT_CHUNK_READS`) bounds both the reads and the table slots
 of a chunk.
@@ -79,16 +79,15 @@ from typing import Iterator
 import numpy as np
 
 from ..core.assignment import Assignment
-from ..core.dependencies import UnitReadIndex, unit_read_index
+from ..core.dependencies import unit_read_index
 from ..sparse.dtypes import linear_index
 from ..sparse.pattern import LowerPattern
-from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index, read_index_of
+from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index
 
 __all__ = [
     "DEFAULT_CHUNK_READS", "TrafficResult", "ReadIndex", "build_read_index",
-    "read_index_of", "read_chunk_bounds", "distinct_fetches", "column_fetch_counts",
-    "fetch_counts", "fetch_pairs", "element_read_index", "kernel_inputs",
-    "data_traffic", "communication_matrix",
+    "source_chunks", "distinct_fetches", "column_fetch_counts", "fetch_counts",
+    "fetch_pairs", "kernel_inputs", "data_traffic", "communication_matrix",
 ]
 
 #: Reads — and stamp-table slots — per chunk of the kernel.  At the
@@ -117,52 +116,25 @@ class TrafficResult:
         return int(self.per_processor.max())
 
 
-def read_chunk_bounds(
-    src: np.ndarray, chunk_reads: int, max_span: int = 0
-) -> list[int]:
-    """Chunk boundaries over a source-sorted read list.
-
-    Returns ascending offsets ``[0, ..., len(src)]`` where every chunk
-    is at most ``chunk_reads`` long and, when ``max_span`` is positive,
-    covers source ids less than ``max_span`` apart — *except* when a
-    single source's run of reads is itself longer than ``chunk_reads``:
-    runs are never split, because the per-chunk dedup is only correct
-    while all reads of one source stay in one chunk.  ``chunk_reads <=
-    0`` puts no bound on the length.
-    """
-    reads = len(src)
-    if reads == 0:
-        return [0]
-    if chunk_reads <= 0:
-        chunk_reads = reads
-    bounds = [0]
-    while bounds[-1] < reads:
+def source_chunks(offsets: np.ndarray, chunk_reads: int, max_span: int) -> list[int]:
+    """Source boundaries of the kernel's chunks over an index's
+    :attr:`~ReadIndex.offsets`: at most ``max_span`` consecutive sources
+    with at most ``chunk_reads`` reads between them, or one source with
+    more — whose reads, one slice, never straddle two chunks."""
+    bounds, total = [0], int(offsets[-1])
+    while bounds[-1] < len(offsets) - 1:
         lo = bounds[-1]
-        cut = min(lo + chunk_reads, reads)
-        if max_span > 0 and int(src[cut - 1]) - int(src[lo]) >= max_span:
-            # First read of the first source out of span: a run start,
-            # and past ``lo`` because the run at ``lo`` is within span.
-            # (The key is given src's dtype, or numpy would convert the
-            # whole of src to the key's on every call.)
-            limit = src.dtype.type(int(src[lo]) + max_span)
-            cut = int(np.searchsorted(src, limit, side="left"))
-        if cut < reads:
-            # Snap back to the start of the source run straddling the
-            # cut; if that run began at (or before) the chunk start,
-            # the run is longer than the budget — take it whole.
-            run_start = int(np.searchsorted(src, src[cut], side="left"))
-            if run_start > lo:
-                cut = run_start
-            else:
-                cut = int(np.searchsorted(src, src[lo], side="right"))
-        bounds.append(cut)
+        # A key of the offsets' own dtype: any other would convert them all.
+        reach = offsets.dtype.type(min(int(offsets[lo]) + chunk_reads, total))
+        fit = int(np.searchsorted(offsets, reach, side="right")) - 1
+        bounds.append(max(lo + 1, min(lo + max_span, fit)))
     return bounds
 
 
 def distinct_fetches(
     owner: np.ndarray,
     nprocs: int,
-    read_index: ReadIndex | UnitReadIndex,
+    read_index: ReadIndex,
     reader_owner: np.ndarray | None = None,
     chunk_reads: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -189,17 +161,16 @@ def distinct_fetches(
         chunk_reads = DEFAULT_CHUNK_READS
     slots = min(int(chunk_reads), int(np.iinfo(np.int32).max))
     span = max(1, slots // nprocs)
-    src, reader = read_index.src, read_index.reader
-    bounds = read_chunk_bounds(src, slots, span)
+    bounds = source_chunks(read_index.offsets, slots, span)
     # Never initialised: only slots written in a chunk are read back.
     table = np.empty(min(span, len(owner)) * nprocs, dtype=np.int32)
     for lo, hi in zip(bounds, bounds[1:]):
-        s = src[lo:hi]
-        p = reader_owner[reader[lo:hi]]
+        s, r = read_index.reads(lo, hi)
+        p = reader_owner[r]
         keep = p != owner[s]
         keep[1:] &= (p[1:] != p[:-1]) | (s[1:] != s[:-1])
         p, s = p[keep], s[keep]
-        key = (s - src[lo]) * nprocs + p
+        key = (s - lo) * nprocs + p
         stamp = np.arange(len(key), dtype=np.int32)
         table[key] = stamp
         first = table[key] == stamp
@@ -243,42 +214,23 @@ def column_fetch_counts(
     return np.bincount(proc, weights=reach, minlength=nprocs).astype(np.int64)
 
 
-def element_read_index(
-    updates: UpdateSet, include_scale: bool, read_index: ReadIndex | None = None
-) -> ReadIndex:
-    """``read_index`` if it was built for this flag, by default the one
-    memoised on ``updates``."""
-    if read_index is None:
-        return read_index_of(updates, include_scale)
-    if read_index.include_scale != include_scale:
-        raise ValueError(
-            "read index was built with include_scale="
-            f"{read_index.include_scale}, requested {include_scale}"
-        )
-    return read_index
-
-
 def kernel_inputs(
-    assignment: Assignment,
-    updates: UpdateSet,
-    include_scale: bool = True,
-    read_index: ReadIndex | None = None,
+    assignment: Assignment, updates: UpdateSet, include_scale: bool = True
 ) -> tuple:
     """The arguments ``(owner, nprocs, read_index, reader_owner)`` of
     the stamp kernel for one assignment: over its partition's unit read
-    index if it has one, else over the element read list."""
+    index if it has one, else over the element read index."""
     owner = assignment.owner_of_element
     if assignment.partition is not None and assignment.proc_of_unit is not None:
         index = unit_read_index(assignment.partition, updates, include_scale)
         return owner, assignment.nprocs, index, assignment.proc_of_unit
-    index = element_read_index(updates, include_scale, read_index)
-    return owner, assignment.nprocs, index, None
+    return owner, assignment.nprocs, build_read_index(updates, include_scale), None
 
 
 def fetch_counts(
     owner: np.ndarray,
     nprocs: int,
-    read_index: ReadIndex | UnitReadIndex,
+    read_index: ReadIndex,
     reader_owner: np.ndarray | None = None,
     chunk_reads: int | None = None,
 ) -> np.ndarray:
@@ -292,7 +244,7 @@ def fetch_counts(
 def fetch_pairs(
     owner: np.ndarray,
     nprocs: int,
-    read_index: ReadIndex | UnitReadIndex,
+    read_index: ReadIndex,
     reader_owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct non-local fetch of one owner array as parallel
@@ -310,27 +262,20 @@ def fetch_pairs(
 
 
 def data_traffic(
-    assignment: Assignment,
-    updates: UpdateSet,
-    include_scale: bool = True,
-    read_index: ReadIndex | None = None,
+    assignment: Assignment, updates: UpdateSet, include_scale: bool = True
 ) -> TrafficResult:
     """Distinct non-local element fetches per processor, by the path the
     assignment's unit-level view selects (module docstring).
 
     ``include_scale`` counts the read of the column diagonal during the
     scale update; the pair-update reads are always counted.
-    ``read_index`` is the stamp kernel's element read list (default:
-    the one memoised on ``updates``).
     """
     if assignment.partition is None and assignment.proc_of_unit is not None:
         counts = column_fetch_counts(
             assignment.pattern, assignment.proc_of_unit, assignment.nprocs
         )
     else:
-        counts = fetch_counts(
-            *kernel_inputs(assignment, updates, include_scale, read_index)
-        )
+        counts = fetch_counts(*kernel_inputs(assignment, updates, include_scale))
     return TrafficResult(counts)
 
 

@@ -2,13 +2,13 @@
 
 The library's own structures are deliberately minimal; these adapters
 let users bring matrices from the scipy ecosystem (and push factors back
-into it) without touching internals.
+into it) without touching internals.  scipy is imported by the
+adapters themselves, so importing :mod:`repro` does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .csc import LowerCSC, SymmetricCSC
 from .pattern import SymmetricGraph
@@ -27,6 +27,7 @@ def symmetric_from_scipy(matrix, tol: float = 0.0) -> SymmetricCSC:
     The matrix must be numerically symmetric (checked to ``tol`` + a
     small relative slack); only the lower triangle is stored.
     """
+    import scipy.sparse as sp
     m = sp.coo_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -42,6 +43,7 @@ def symmetric_from_scipy(matrix, tol: float = 0.0) -> SymmetricCSC:
 def graph_from_scipy(matrix) -> SymmetricGraph:
     """Adjacency structure of a scipy sparse matrix's symmetric pattern
     (the pattern is symmetrized; values are ignored)."""
+    import scipy.sparse as sp
     m = sp.coo_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -49,8 +51,9 @@ def graph_from_scipy(matrix) -> SymmetricGraph:
     return SymmetricGraph.from_edges(m.shape[0], m.row[off], m.col[off])
 
 
-def symmetric_to_scipy(a: SymmetricCSC) -> sp.csc_matrix:
+def symmetric_to_scipy(a: SymmetricCSC):
     """Expand a :class:`SymmetricCSC` to a full (both-triangles) scipy CSC."""
+    import scipy.sparse as sp
     rows = a.pattern.rowidx
     cols = a.pattern.element_cols()
     offd = rows != cols
@@ -60,8 +63,9 @@ def symmetric_to_scipy(a: SymmetricCSC) -> sp.csc_matrix:
     return sp.coo_matrix((v, (r, c)), shape=(a.n, a.n)).tocsc()
 
 
-def lower_to_scipy(L: LowerCSC) -> sp.csc_matrix:
+def lower_to_scipy(L: LowerCSC):
     """A :class:`LowerCSC` factor as a scipy lower-triangular CSC."""
+    import scipy.sparse as sp
     rows = L.pattern.rowidx
     cols = L.pattern.element_cols()
     return sp.coo_matrix((L.values, (rows, cols)), shape=(L.n, L.n)).tocsc()

@@ -31,13 +31,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype, linear_index
 from ..sparse.pattern import LowerPattern
 from .supernodes import supernode_bounds
 
-__all__ = ["UpdateSet", "ReadIndex", "build_read_index", "read_index_of",
-           "enumerate_updates", "ragged_range"]
+__all__ = ["UpdateSet", "ReadIndex", "build_read_index", "enumerate_updates", "ragged_range"]
 
 
 def ragged_range(starts, lengths, dtype) -> np.ndarray:
@@ -214,61 +212,64 @@ def _lines(pattern: LowerPattern, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class ReadIndex:
-    """The assignment-invariant read list of a factorization, sorted by
-    source element.
+    """Who reads each element, as one slice per source element: element
+    e is read by ``reader[first[e]:end[e]]``, each reader once.
 
-    ``src[r]`` is the element id read by the r-th access and
-    ``reader[r]`` the element id whose owner performs it (the update's
-    target, or the element itself for diagonal/scale reads).  ``src`` is
-    ascending, and the reads of one source keep the order row role
-    (``source_i``), column role (``source_j``), scale — what lets the
-    traffic kernel stream it in slices that never split a source.
+    At element level (:func:`build_read_index`) the readers are element
+    ids and the slices overlap: the sources of one line read nested
+    suffixes of it.  At unit level
+    (:func:`repro.core.dependencies.unit_read_index`) they are unit ids
+    and the slices are consecutive, so every entry of ``reader`` is one
+    read, whose source ``src`` holds.  ``include_scale`` says whether a
+    diagonal's slice holds the scale reads of its column or is empty.
     """
 
     include_scale: bool
-    src: np.ndarray
     reader: np.ndarray
+    first: np.ndarray
+    end: np.ndarray
+    src: np.ndarray | None = None
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each source's reads begin among all reads, sources
+        ascending, and their number last."""
+        length = self.end - self.first
+        out = np.zeros(len(length) + 1, dtype=index_dtype(int(length.sum(dtype=np.int64))))
+        np.cumsum(length, out=out[1:])
+        return out
 
     @property
     def num_reads(self) -> int:
-        return len(self.src)
+        return int(self.offsets[-1])
+
+    def reads(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, reader)`` of every read of the sources ``lo .. hi - 1``,
+        sources ascending."""
+        first, end = self.first[lo:hi], self.end[lo:hi]
+        if self.src is not None:
+            at = slice(first[0], end[-1]) if len(first) else slice(0, 0)
+            return self.src[at], self.reader[at]
+        src = np.repeat(np.arange(lo, lo + len(first), dtype=index_dtype(len(self.first))), end - first)
+        return src, self.reader[ragged_range(first, end - first, first.dtype)]
 
 
 def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
-    """Materialize and source-sort the read list of ``updates``.
+    """The element read index of ``updates``: a view of its
+    :attr:`~UpdateSet.reader_sequences` in O(nnz), with no sort and no
+    per-pair array.
 
     Every pair update reads two off-diagonal sources on behalf of its
-    target; ``include_scale`` adds one diagonal read per element,
-    matching the flag of :func:`repro.machine.traffic.data_traffic`.
+    target (once if they coincide); ``include_scale`` adds one diagonal
+    read per element, matching the flag of
+    :func:`repro.machine.traffic.data_traffic`.
     """
-    edt = index_dtype(updates.pattern.nnz)
-    srcs = [updates.source_i, updates.source_j]
-    readers = [updates.target, updates.target]
-    if include_scale:
-        srcs.append(updates.scale_source)
-        readers.append(np.arange(updates.pattern.nnz, dtype=edt))
-    src = np.concatenate(srcs).astype(edt, copy=False)
-    reader = np.concatenate(readers).astype(edt, copy=False)
-    order = np.argsort(src, kind="stable")
-    return ReadIndex(
-        include_scale=include_scale,
-        src=np.ascontiguousarray(src[order]),
-        reader=np.ascontiguousarray(reader[order]),
-    )
-
-
-def read_index_of(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
-    """The read index of ``updates``, built on first use and kept on the
-    instance beside its cached properties — one per ``include_scale``,
-    shared by every element-kernel traffic measurement of the
-    structure."""
-    memo = vars(updates).setdefault("_read_indexes", {})
-    index = memo.get(include_scale)
-    if index is None:
-        with obs.span("pipeline.read_index", include_scale=include_scale):
-            index = memo[include_scale] = build_read_index(updates, include_scale)
-        obs.counter("pipeline.stage.read_index")
-    return index
+    targets, _starts, first, end = updates.reader_sequences
+    if not include_scale:
+        diagonal = updates.pattern.indptr[:-1]
+        end = end.copy()
+        end[diagonal] = first[diagonal]
+    return ReadIndex(include_scale, targets, first, end)
 
 
 #: Above this order the dense (n x n) element-id lookup (4 n² bytes)

@@ -13,10 +13,15 @@ from repro.core import (
     wrap_mapping,
     wrap_mappings,
 )
+from repro.machine import traffic
 from repro.obs import trace as obs
 from repro.sparse import grid9
 
 from ..conftest import generated_graphs
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("not on the mapping path")
 
 
 class TestPrepare:
@@ -95,17 +100,17 @@ class TestWrapMapping:
 
 
 class TestMultiP:
-    def test_no_scale_read_index_built_once_and_cells_match(self):
-        """The multi-P entry points never build the element read list,
+    def test_no_scale_read_index_built_once_and_cells_match(self, monkeypatch):
+        """The multi-P entry points never build the element read index,
         for either value of the flag (block cells count over the unit read
-        index, wrap cells by column prefix), and each cell equals the
-        singular driver's."""
-        prep = prepare(grid9(8, 8), name="grid9(8,8)")  # fresh: empty memo
+        index, built once per partition, wrap cells by column prefix), and
+        each cell equals the one-cell call's."""
+        prep = prepare(grid9(8, 8), name="grid9(8,8)")
         part = partition_prepared(prep, grain=4)
-        with obs.enabled() as rec:
+        with monkeypatch.context() as patch:
+            patch.setattr(traffic, "build_read_index", _forbidden)
             blocks = block_mappings(part, (2, 4), include_scale_traffic=False)
             wraps = wrap_mappings(prep, (2, 4), include_scale_traffic=False)
-        assert rec.counters.get("pipeline.stage.read_index", 0) == 0
         for got in blocks:
             want = block_mapping(
                 prep, got.nprocs, grain=4, include_scale_traffic=False

@@ -26,9 +26,8 @@ from repro.machine import (
     batched_metrics,
     build_read_index,
     data_traffic,
-    read_index_of,
 )
-from repro.obs import trace as obs
+from repro.sparse import grid9
 from repro.sparse import harwell_boeing as hb
 
 from ..conftest import bare_owners, traffic_oracle
@@ -111,7 +110,8 @@ class TestBatchShapes:
     def test_prepared_read_index_is_equivalent(self, lap30):
         assignments = [wrap_assignment(lap30.pattern, p) for p in PROCS]
         assignments += [bare_owners(a) for a in assignments]  # the index's consumers
-        _assert_identical(lap30.updates, assignments, read_index=lap30.read_index)
+        index = build_read_index(lap30.updates)
+        _assert_identical(lap30.updates, assignments, read_index=index)
 
     def test_exclude_scale_matches_reference(self, lap30):
         updates = lap30.updates
@@ -151,6 +151,22 @@ class TestValidation:
                 include_scale=True,
             )
 
+    def test_read_index_of_another_structure_rejected(self, lap30):
+        """Regression: an index built from another structure used to be
+        read as this one's, giving some other traffic and no error."""
+        other = build_read_index(prepare(grid9(20, 20)).updates)
+        cell = two_d_cyclic(lap30.pattern, 2, 2)
+        np.testing.assert_array_equal(
+            batched_metrics(lap30.updates, [cell])[0][0].per_processor,
+            [4247, 12040, 12259, 4150],
+        )
+        with pytest.raises(ValueError, match="not built from these updates"):
+            batched_metrics(lap30.updates, [cell], read_index=other)
+        # A second enumeration of the same structure is another UpdateSet.
+        again = build_read_index(prepare(hb.load("LAP30")).updates)
+        with pytest.raises(ValueError, match="not built from these updates"):
+            batched_metrics(lap30.updates, [cell], read_index=again)
+
     def test_wrong_owner_length_rejected(self, lap30):
         owner = np.zeros(lap30.pattern.nnz, dtype=np.int64)
         for bad in (owner[:3], owner.reshape(-1, 1), owner.reshape(1, -1)):
@@ -184,35 +200,23 @@ class TestValidation:
 class TestReadIndex:
     def test_sorted_by_source_and_complete(self):
         prep = prepare(hb.load("DWT512"), name="DWT512")
-        updates = prep.updates
+        updates, pattern = prep.updates, prep.pattern
         index = build_read_index(updates)
-        assert np.all(np.diff(index.src) >= 0)
-        # Two pair-update reads per update plus one scale read per element.
-        assert index.num_reads == 2 * updates.num_pair_updates + prep.pattern.nnz
+        src, _reader = index.reads()
+        assert np.all(np.diff(src) >= 0)
+        # Two reads per pair update — one where its two sources coincide,
+        # once per off-diagonal element — plus one scale read per element.
+        pairs, repeats = updates.num_pair_updates, pattern.nnz - pattern.n
+        assert index.num_reads == len(src) == 2 * pairs - repeats + pattern.nnz
         no_scale = build_read_index(updates, include_scale=False)
-        assert no_scale.num_reads == 2 * updates.num_pair_updates
+        assert no_scale.num_reads == 2 * pairs - repeats
 
-    def test_memoised_per_update_set_and_flag(self):
-        """Per-cell, batched and ``PreparedMatrix.read_index`` callers
-        share one index per (UpdateSet, include_scale): each flag value
-        is built exactly once however the structure is measured — on
-        the element kernel (2-D cyclic) or, through the unit read index
-        built from it, on a block assignment."""
-        prep = prepare(hb.load("LAP30"), name="LAP30")
-        updates = prep.updates
-        a = two_d_cyclic(prep.pattern, 2, 2)
-        with obs.enabled() as rec:
-            b = block_mapping(prep, 4, grain=25).assignment
-            for _ in range(2):
-                data_traffic(a, updates)
-                batched_metrics(updates, [a, b, a])
-                data_traffic(a, updates, include_scale=False)
-                batched_metrics(updates, [a, b], include_scale=False)
-            assert prep.read_index is read_index_of(updates)
-        assert rec.counters["pipeline.stage.read_index"] == 2
-        assert read_index_of(updates).include_scale
-        assert not read_index_of(updates, include_scale=False).include_scale
-        assert read_index_of(updates) is not read_index_of(updates, False)
-        # A fresh UpdateSet starts a fresh memo.
-        other = prepare(hb.load("LAP30"), name="LAP30").updates
-        assert read_index_of(other) is not read_index_of(updates)
+    def test_a_view_of_the_cached_sequences(self):
+        """The element read index sorts and expands nothing: both flags
+        view the one set of sequences cached on the ``UpdateSet``."""
+        updates = prepare(hb.load("LAP30"), name="LAP30").updates
+        with_scale, without = build_read_index(updates), build_read_index(updates, False)
+        assert with_scale.include_scale and not without.include_scale
+        assert with_scale.reader is without.reader is updates.reader_sequences[0]
+        assert with_scale.first is without.first is updates.reader_sequences[2]
+        assert "target" not in vars(updates) and "source_i" not in vars(updates)

@@ -1,13 +1,13 @@
 """Traffic counted at the granularity ownership is defined at.
 
 The unit read index (block schemes) and the column-prefix count (wrap,
-block-cyclic) replace the element read list on the hot paths; both rest
+block-cyclic) replace the element read index on the hot paths; both rest
 on a structural fact, and both are pinned here against oracles that
 share no code with them — ``traffic_oracle`` (a membership bitmap) and
 ``volume_oracle`` (a Python set of pairs), on generated structures:
 
 * the convexity lemma: dropping own-unit reads and repeats of the
-  predecessor from the source-sorted read list leaves every cross-unit
+  predecessor from each source's readers in order leaves every cross-unit
   (reader unit, source element) pair exactly once, for every partition
   the partitioner or the adaptive scheduler can emit;
 * the prefix formula, for *arbitrary* column owners;
@@ -36,8 +36,8 @@ from repro.core import (
     two_d_cyclic,
     wrap_assignment,
 )
-from repro.core.dependencies import unit_read_index
-from repro.machine import batched_metrics, data_traffic, read_index_of, unit_graph, unit_work
+from repro.core.dependencies import unit_dag, unit_read_index
+from repro.machine import batched_metrics, build_read_index, data_traffic, unit_graph, unit_work
 from repro.machine.traffic import (
     column_fetch_counts,
     fetch_counts,
@@ -85,13 +85,14 @@ class TestConvexityLemma:
         prep, partition = drawn
         index = unit_read_index(partition, prep.updates, include_scale)
         assert index is unit_read_index(partition, prep.updates, include_scale)
-        assert np.all(np.diff(index.src) >= 0)
+        src, reader = index.reads()
+        assert np.all(np.diff(src) >= 0)
         uoe, n_units = partition.unit_of_element, partition.num_units
-        stamped = fetch_pairs(uoe, n_units, read_index_of(prep.updates, include_scale))
-        assert _sorted_pairs(index.reader, index.src) == _sorted_pairs(*stamped)
+        stamped = fetch_pairs(uoe, n_units, build_read_index(prep.updates, include_scale))
+        assert _sorted_pairs(reader, src) == _sorted_pairs(*stamped)
 
         want = volume_oracle(uoe, prep.updates, include_scale)
-        edges, volumes = index.dag
+        edges, volumes = unit_dag(partition, prep.updates, include_scale)
         assert edges.tolist() == sorted(map(list, want))
         assert volumes.tolist() == [want[u, v] for u, v in edges.tolist()]
         deps = analyze_dependencies(partition, prep.updates, include_scale)

@@ -232,7 +232,7 @@ GRID = dict(schemes=("block", "block-adaptive", "wrap"),
 #: pool worker re-loads it from the disk cache, so their count varies
 #: with scheduling.  The parity invariant covers the measured stages.
 _PREP_SPANS = {
-    "pipeline.read_index", "pipeline.prepare", "pipeline.order",
+    "pipeline.prepare", "pipeline.order",
     "pipeline.symbolic", "pipeline.enumerate_updates",
 }
 

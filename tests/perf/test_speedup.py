@@ -90,9 +90,6 @@ def test_sweep_staged_reuse_runs_shared_stages_once_per_group():
         assert len(rec.spans_named(f"pipeline.{name}")) == block_groups
     assert stage("schedule") == cells
     assert stage("metrics") == cells
-    # Block cells count over the unit read index, built from the runs,
-    # and wrap cells by column prefix: no element read list at all.
-    assert stage("read_index") == 0
     groups = block_groups + 1  # one per block grain, one for wrap
     assert rec.counters["perf.sweep.reuse.hit"] == cells - groups
 

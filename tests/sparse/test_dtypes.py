@@ -152,8 +152,8 @@ class TestPipelineDtypes:
 
     def test_read_index_narrow(self, prepped):
         index = build_read_index(prepped.updates)
-        assert index.src.dtype == np.int32
-        assert index.reader.dtype == np.int32
+        for array in (*index.reads(), index.reader, index.first, index.end):
+            assert array.dtype == np.int32
 
     def test_enumeration_matches_reference_dtypeless(self):
         # Narrowing must never change values: compare against the int64

@@ -1,5 +1,10 @@
 """scipy.sparse interop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,3 +77,15 @@ class TestToScipy:
         b = rng.random(30)
         x = solve_spd(a, b)
         assert np.allclose(a_dense @ x, b, atol=1e-7)
+
+
+def test_importing_the_pipeline_does_not_load_scipy():
+    """No pipeline stage uses scipy: only the adapters import it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = "import sys, repro, repro.core, repro.machine; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -24,9 +24,12 @@ against three more, none of which knows about runs:
   runs expand to;
 * :func:`supernodes_oracle` — fundamental supernodes by comparing
   neighbouring columns in a loop;
+* :func:`read_list_oracle` — the element read list the way it was built
+  before the reader sequences: every read concatenated and stably
+  sorted by source;
 * :func:`unit_read_index_oracle` — the unit read index the way it was
-  built before the runs: the source-sorted element read list minus
-  own-unit reads and repeats of the predecessor.
+  built before the runs: that read list minus own-unit reads and
+  repeats of the predecessor.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dependencies import UnitReadIndex
 from repro.sparse.dtypes import index_dtype
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
 from repro.symbolic.etree import etree
@@ -204,23 +206,30 @@ def supernodes_oracle(pattern: LowerPattern) -> list[tuple[int, int]]:
     return out
 
 
-def unit_read_index_oracle(
-    partition, pattern: LowerPattern, pairs: PairUpdates, include_scale: bool = True
-) -> UnitReadIndex:
-    """The element read list of ``pairs`` — row-role, column-role, then
-    scale reads, stably sorted by source — minus own-unit reads and
-    repeats of the predecessor (same unit, same source)."""
-    nnz = pattern.nnz
+def read_list_oracle(
+    pattern: LowerPattern, pairs: PairUpdates, include_scale: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, reader)`` of every read of ``pairs``: row-role, column-role,
+    then scale reads, stably sorted by source."""
     srcs = [pairs.source_i, pairs.source_j]
     readers = [pairs.target, pairs.target]
     if include_scale:
         srcs.append(pattern.indptr[:-1][pattern.element_cols()])
-        readers.append(np.arange(nnz))
+        readers.append(np.arange(pattern.nnz))
     src, reader = np.concatenate(srcs), np.concatenate(readers)
     order = np.argsort(src, kind="stable")
+    return src[order].astype(index_dtype(pattern.nnz)), reader[order]
+
+
+def unit_read_index_oracle(
+    partition, pattern: LowerPattern, pairs: PairUpdates, include_scale: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, reader unit)`` of the read list of ``pairs`` minus own-unit
+    reads and repeats of the predecessor (same unit, same source)."""
+    src, reader = read_list_oracle(pattern, pairs, include_scale)
     uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
-    src, reader = src[order].astype(index_dtype(nnz)), uoe[reader[order]]
+    reader = uoe[reader]
     keep = reader != uoe[src]
     keep[1:] &= (reader[1:] != reader[:-1]) | (src[1:] != src[:-1])
     kept = np.flatnonzero(keep)
-    return UnitReadIndex(include_scale, src[kept], reader[kept], uoe, partition.num_units)
+    return src[kept], reader[kept]

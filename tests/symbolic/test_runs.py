@@ -3,8 +3,8 @@
 ``enumerate_updates`` stores one target per run — a pair of rows of a
 fundamental supernode's first column — and everything the mapping path
 reads comes from the runs: the expansion into the four element-level
-arrays, the update counts, the pair total, the unit read index and the
-category census.  Each must be what the per-column oracles of
+arrays, the update counts, the pair total, the element and unit read
+indexes and the category census.  Each must be what the per-column oracles of
 ``tests/symbolic/oracles.py`` give, on generated structures under natural
 and MMD order and on the shapes a run layout gets wrong first; the pair
 total is also checked against Gilbert–Ng–Peyton column counts, with no
@@ -31,11 +31,17 @@ from repro.sparse import band_graph, grid9, path_graph, star_graph
 from repro.sparse import harwell_boeing as hb
 from repro.sparse.pattern import LowerPattern
 from repro.symbolic import enumerate_updates, fundamental_supernodes, symbolic_cholesky
+from repro.symbolic.updates import build_read_index
 from repro.symbolic.colcount import gnp_column_counts
 from repro.symbolic.etree import etree
 
 from ..conftest import generated_graphs
-from .oracles import enumerate_updates_oracle, supernodes_oracle, unit_read_index_oracle
+from .oracles import (
+    enumerate_updates_oracle,
+    read_list_oracle,
+    supernodes_oracle,
+    unit_read_index_oracle,
+)
 
 ARRAYS = ("target", "source_i", "source_j", "source_col")
 
@@ -58,11 +64,11 @@ def assert_runs_are_the_updates(pattern: LowerPattern):
 def assert_partition_reads(partition, pattern, updates, oracle, include_scale):
     """The unit read index, array for array and dtype for dtype, and the
     category census equal the oracles'."""
-    got = unit_read_index(partition, updates, include_scale)
+    got = unit_read_index(partition, updates, include_scale).reads()
     want = unit_read_index_oracle(partition, pattern, oracle, include_scale)
-    for name in ("src", "reader"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
-        assert getattr(got, name).dtype == getattr(want, name).dtype
+    for name, g, w in zip(("src", "reader"), got, want):
+        np.testing.assert_array_equal(g, w, name)
+        assert g.dtype == w.dtype
     census = np.bincount(classify_pair_updates(partition, oracle), minlength=len(CATEGORY_NAMES))
     deps = analyze_dependencies(partition, updates, include_scale)
     assert deps.category_counts == {c: int(n) for c, n in enumerate(census) if n}
@@ -88,6 +94,25 @@ class TestGeneratedGraphs:
         else:
             partition = partition_factor(pattern, **knobs)
         assert_partition_reads(partition, pattern, updates, oracle, include_scale)
+
+    @given(generated_graphs(), st.sampled_from(["natural", "mmd"]), st.booleans())
+    @settings(deadline=None)
+    def test_element_read_index_is_the_read_list(self, graph, order, include_scale):
+        """Each element's slice of the reader sequences holds the readers
+        the sorted read list gives it — once each: a pair whose two
+        sources coincide reads its source once, not twice."""
+        perm = None if order == "natural" else multiple_minimum_degree(graph)
+        pattern = symbolic_cholesky(graph, perm).pattern
+        updates = enumerate_updates(pattern)
+        index = build_read_index(updates, include_scale)
+        src, reader = index.reads()
+        assert np.all(np.diff(src) >= 0)
+        got = list(zip(src.tolist(), reader.tolist()))
+        want = read_list_oracle(pattern, enumerate_updates_oracle(pattern), include_scale)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(zip(*(a.tolist() for a in want)))
+        repeats = pattern.nnz - pattern.n  # one pair per off-diagonal source
+        assert index.num_reads == len(want[0]) - repeats
 
     @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))))
     @settings(deadline=None)
