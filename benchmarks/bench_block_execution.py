@@ -33,8 +33,7 @@ def test_report_block_execution(benchmark, lap, write_result):
         for grain in (4, 25, 100):
             r = block_mapping(prep, 4, grain=grain)
             L, stats = distributed_block_cholesky(
-                a, r.partition, r.assignment, prep.updates, r.dependencies,
-                timeout=180.0,
+                a, r.partition, r.assignment, prep.updates, r.dependencies
             )
             assert np.allclose(L.values, Lref.values, atol=1e-10)
             rows.append(
@@ -69,8 +68,7 @@ def test_bench_block_execution(benchmark, lap):
 
     def run():
         L, _ = distributed_block_cholesky(
-            a, r.partition, r.assignment, prep.updates, r.dependencies,
-            timeout=180.0,
+            a, r.partition, r.assignment, prep.updates, r.dependencies
         )
         return L
 

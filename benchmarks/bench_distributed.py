@@ -35,10 +35,10 @@ def test_report_message_counts(benchmark, dwt_system, write_result):
         for p in (2, 4, 8):
             proc_of_col = np.arange(a.n) % p
             _, stats = distributed_cholesky(
-                a, sym.pattern, proc_of_col, p, timeout=120.0
+                a, sym.pattern, proc_of_col, p
             )
             _, stats_in = distributed_cholesky_fanin(
-                a, sym.pattern, proc_of_col, p, timeout=120.0
+                a, sym.pattern, proc_of_col, p
             )
             msgs = sum(s.messages_sent for s in stats)
             msgs_in = sum(s.messages_sent for s in stats_in)
@@ -73,7 +73,7 @@ def test_bench_distributed_cholesky(benchmark, dwt_system, nprocs):
     proc_of_col = np.arange(a.n) % nprocs
 
     def run():
-        L, _ = distributed_cholesky(a, sym.pattern, proc_of_col, nprocs, timeout=120.0)
+        L, _ = distributed_cholesky(a, sym.pattern, proc_of_col, nprocs)
         return L
 
     L = benchmark.pedantic(run, rounds=2, iterations=1)

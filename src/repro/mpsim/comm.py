@@ -13,7 +13,7 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs import trace as obs
 
@@ -32,7 +32,8 @@ ANY_TAG = -1
 
 
 class MPSimError(RuntimeError):
-    """Raised for communicator misuse or timeouts (likely deadlock)."""
+    """Raised for communicator misuse, a failed rank, or a deadlock (a
+    timeout here, an immediate stall on the executors' stepper)."""
 
 
 class _Aborted(MPSimError):
@@ -41,24 +42,22 @@ class _Aborted(MPSimError):
 
 @dataclass
 class CommStats:
-    """Per-rank communication counters."""
+    """Per-rank communication counters, written only by their own rank
+    (a send counts on the sender, a receive on the receiver)."""
 
     messages_sent: int = 0
     messages_received: int = 0
     bytes_sent: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_send(self, nbytes: int) -> None:
-        with self.lock:
-            self.messages_sent += 1
-            self.bytes_sent += nbytes
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
         if obs.is_enabled():
             obs.counter("mpsim.messages_sent")
             obs.counter("mpsim.bytes_sent", nbytes)
 
     def record_recv(self) -> None:
-        with self.lock:
-            self.messages_received += 1
+        self.messages_received += 1
         if obs.is_enabled():
             obs.counter("mpsim.messages_received")
 

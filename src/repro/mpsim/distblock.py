@@ -25,6 +25,8 @@ The resulting factor must equal the sequential one to rounding for
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -33,8 +35,7 @@ from ..core.dependencies import DependencyInfo
 from ..core.partitioner import Partition
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..symbolic.updates import UpdateSet
-from .comm import Comm, CommStats
-from .engine import Countdown, gather_on_ranks, remote_peers, run_tasks, seed_accumulators
+from .engine import Countdown, Endpoint, gather_on_ranks, remote_peers, run_tasks, seed_accumulators
 
 __all__ = ["distributed_block_cholesky"]
 
@@ -81,8 +82,8 @@ class _Segments:
         self.has_diag = (self.ids[start] == diag).tolist()
 
 
-def _block_rank(comm: Comm, seed: np.ndarray, seg: _Segments, assignment: Assignment,
-                edges: np.ndarray, consumers) -> dict[int, float]:
+def _block_rank(seed: np.ndarray, seg: _Segments, assignment: Assignment, edges: np.ndarray,
+                consumers, comm: Endpoint):
     me = comm.rank
     proc_of_unit = assignment.proc_of_unit
     acc = seed.copy()
@@ -124,12 +125,14 @@ def _block_rank(comm: Comm, seed: np.ndarray, seg: _Segments, assignment: Assign
         vals[elems] = values
         return indeg.fire(u)
 
-    run_tasks(
-        comm, _TAG_UNIT, mine[indeg.count[mine] == 0].tolist(), len(mine),
+    yield from run_tasks(
+        mine[indeg.count[mine] == 0].tolist(), len(mine),
         int(np.count_nonzero(cons_proc == me)), finish, receive,
     )
     owned = np.flatnonzero(assignment.owner_of_element == me)
-    return dict(zip(owned.tolist(), vals[owned].tolist()))
+    # The counters as of before the result gather: the reported stats
+    # cover exactly the factorization's dataflow messages.
+    return dict(zip(owned.tolist(), vals[owned].tolist())), replace(comm.stats)
 
 
 def distributed_block_cholesky(
@@ -138,7 +141,6 @@ def distributed_block_cholesky(
     assignment: Assignment,
     updates: UpdateSet,
     deps: DependencyInfo,
-    timeout: float | None = 120.0,
 ) -> tuple[LowerCSC, list]:
     """Execute a block schedule numerically on the message-passing
     runtime.  ``a`` must already be permuted to match the partitioned
@@ -157,13 +159,8 @@ def distributed_block_cholesky(
     edges = deps.edges
     # consumers of unit u: the other processors owning a successor unit.
     consumers = remote_peers(edges[:, 0], proc_of_unit[edges[:, 1]], proc_of_unit, assignment.nprocs)
-
-    def rank(comm: Comm):
-        mine = _block_rank(comm, seed, seg, assignment, edges, consumers)
-        # Snapshot the counters before the result gather so the reported
-        # stats cover exactly the factorization's dataflow messages.
-        stats = comm.stats
-        return mine, CommStats(stats.messages_sent, stats.messages_received, stats.bytes_sent)
-
-    values, stats = gather_on_ranks(rank, len(seed), assignment.nprocs, timeout, "block")
+    values, stats = gather_on_ranks(
+        partial(_block_rank, seed, seg, assignment, edges, consumers),
+        len(seed), assignment.nprocs, "block",
+    )
     return LowerCSC(partition.pattern, values), stats

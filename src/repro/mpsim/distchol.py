@@ -19,9 +19,9 @@ import numpy as np
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
-from .comm import Comm
 from .engine import (
     Countdown,
+    Endpoint,
     cdiv,
     column_setup,
     gather_on_ranks,
@@ -37,9 +37,10 @@ __all__ = ["distributed_cholesky", "distributed_solve_spd"]
 _TAG_COLUMN = 1
 
 
-def _factor_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndarray,
-                 off_col: np.ndarray, off_row: np.ndarray, consumers) -> dict[int, np.ndarray]:
-    """One rank of the fan-out factorization; returns its column values."""
+def _factor_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_col: np.ndarray,
+                 off_row: np.ndarray, consumers, comm: Endpoint):
+    """One rank of the fan-out factorization; returns its column values
+    and its counters."""
     me = comm.rank
     pattern = updates.pattern
     indptr = pattern.indptr.tolist()
@@ -72,11 +73,11 @@ def _factor_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.nda
         vals[indptr[k] : indptr[k + 1]] = column
         return cmod(k)
 
-    run_tasks(
-        comm, _TAG_COLUMN, mine[pending.count[mine] == 0].tolist(), len(mine),
+    yield from run_tasks(
+        mine[pending.count[mine] == 0].tolist(), len(mine),
         int(np.count_nonzero(cons_proc == me)), finish, receive,
     )
-    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}, comm.stats
 
 
 def distributed_cholesky(
@@ -84,7 +85,6 @@ def distributed_cholesky(
     pattern: LowerPattern,
     proc_of_col: np.ndarray,
     nprocs: int,
-    timeout: float | None = 60.0,
 ) -> tuple[LowerCSC, list]:
     """Factor ``a`` (already permuted; ``pattern`` is its symbolic factor)
     with ``nprocs`` simulated ranks.  Returns (L, per-rank CommStats)."""
@@ -92,11 +92,8 @@ def distributed_cholesky(
     # consumers of column k: the other owners of a column k modifies.
     consumers = remote_peers(off_col, owner[off_row], owner, nprocs)
     values, stats = gather_on_ranks(
-        lambda comm: (
-            _factor_rank(comm, seed, updates, owner, off_col, off_row, consumers),
-            comm.stats,
-        ),
-        pattern.nnz, nprocs, timeout, "fanout", partial(place_columns, pattern.indptr),
+        partial(_factor_rank, seed, updates, owner, off_col, off_row, consumers),
+        pattern.nnz, nprocs, "fanout", partial(place_columns, pattern.indptr),
     )
     return LowerCSC(pattern, values), stats
 
@@ -107,10 +104,9 @@ def distributed_solve_spd(
     pattern: LowerPattern,
     proc_of_col: np.ndarray,
     nprocs: int,
-    timeout: float | None = 60.0,
 ) -> np.ndarray:
     """Full distributed pipeline on an already-permuted system:
     factorization, forward solve, backward solve."""
-    L, _ = distributed_cholesky(a, pattern, proc_of_col, nprocs, timeout=timeout)
-    u = distributed_forward_solve(L, b, proc_of_col, nprocs, timeout=timeout)
-    return distributed_backward_solve(L, u, proc_of_col, nprocs, timeout=timeout)
+    L, _ = distributed_cholesky(a, pattern, proc_of_col, nprocs)
+    u = distributed_forward_solve(L, b, proc_of_col, nprocs)
+    return distributed_backward_solve(L, u, proc_of_col, nprocs)

@@ -6,7 +6,26 @@ differ only in what a task is (a column, a unit block or an unknown) and
 in what travels when one finishes.  The rest is here: the checked
 seeding of the accumulators from A, the counters that turn a finished
 task into newly ready ones, the ready/receive loop of a rank, and the
-gather that assembles the result on rank 0.
+stepper that runs every rank and gathers the result on rank 0.
+
+A rank is a coroutine: :func:`run_tasks` finishes its ready tasks and,
+when it needs a message, yields the number it still expects and is
+resumed with the payload.  Nothing blocks, so no rank needs a thread:
+:func:`gather_on_ranks` drives all of them from one loop in the calling
+thread, in a fixed order, and a run replays exactly (same messages,
+same ledger, bit-identical values).  The order:
+
+1. ranks 0, 1, ..., P - 1 start in turn, each running until it needs a
+   message or is done;
+2. then sweeps, in rank order: a waiting rank is handed its queued
+   messages one at a time, oldest first, until its mailbox is empty or
+   it is done;
+3. a sweep that delivers nothing while a rank still waits is a stall,
+   raised at once as an :class:`MPSimError` naming every waiting rank
+   and the messages it still expects.
+
+A rank that raises fails the run at once as ``MPSimError("rank r
+failed: ...")``.
 
 Every factorization rank keeps two vectors over the factor's element
 ids: ``acc`` (A minus the pair updates applied so far) and ``vals``
@@ -19,18 +38,22 @@ from __future__ import annotations
 
 import heapq
 import math
+import pickle
+from collections import deque
 
 import numpy as np
 
+from ..obs import simtime
+from ..obs import trace as obs
 from ..sparse.csc import SymmetricCSC
 from ..sparse.dtypes import linear_index
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet, enumerate_updates
-from .comm import ANY_SOURCE, Comm
-from .launcher import run_parallel
+from .comm import CommStats, MPSimError
 
 __all__ = [
     "Countdown",
+    "Endpoint",
     "cdiv",
     "column_setup",
     "gather_on_ranks",
@@ -74,9 +97,6 @@ def column_setup(a: SymmetricCSC, pattern: LowerPattern, proc_of_col, nprocs: in
         raise ValueError("column owner out of range")
     seed = seed_accumulators(a, pattern)
     updates = enumerate_updates(pattern)
-    # The ranks share the per-pair arrays: expand them here, once, not in
-    # whichever rank thread (and its allocator arena) reads them first.
-    updates.target, updates.source_i, updates.source_j, updates.source_col  # noqa: B018
     off = pattern.rowidx != updates.element_cols
     return owner, seed, updates, updates.element_cols[off], pattern.rowidx[off]
 
@@ -133,31 +153,122 @@ def cdiv(acc: np.ndarray, vals: np.ndarray, lo: int, hi: int, j: int) -> None:
     vals[lo + 1 : hi] = acc[lo + 1 : hi] / d
 
 
-def run_tasks(comm: Comm, tag: int, ready: list[int], n_tasks: int, expected: int,
-              finish, receive) -> None:
-    """One rank's ready/receive loop, lowest ready task first.
+def run_tasks(ready: list[int], n_tasks: int, expected: int, finish, receive):
+    """One rank's ready/receive loop, lowest ready task first; a
+    coroutine, run with ``yield from``.
 
     ``finish(task)`` completes a ready local task (sending whatever the
     policy sends) and ``receive(*payload)`` absorbs one message; both
-    return the local tasks they made ready.  Ends when ``n_tasks`` are
-    finished and ``expected`` messages have been received.
+    return the local tasks they made ready.  With nothing ready, it
+    yields the number of messages still expected and is resumed with
+    the next payload.  Ends when ``n_tasks`` are finished and
+    ``expected`` messages have been received.
     """
     heapq.heapify(ready)
-    finished = received = 0
-    while finished < n_tasks or received < expected:
+    finished = 0
+    while True:
         while ready:
             for task in finish(heapq.heappop(ready)):
                 heapq.heappush(ready, task)
             finished += 1
-        if received < expected:
-            for task in receive(*comm.recv(ANY_SOURCE, tag)):
-                heapq.heappush(ready, task)
-            received += 1
-        elif finished < n_tasks:
-            raise ValueError(
-                f"{n_tasks - finished} tasks never became ready: "
-                "the dependencies are cyclic or incomplete"
-            )
+        if not expected:
+            break
+        for task in receive(*(yield expected)):
+            heapq.heappush(ready, task)
+        expected -= 1
+    if finished < n_tasks:
+        raise ValueError(
+            f"{n_tasks - finished} tasks never became ready: "
+            "the dependencies are cyclic or incomplete"
+        )
+
+
+#: The tag of the result gather (``Comm.gather``'s).
+_TAG_GATHER = (1 << 20) + 2
+
+
+def _detached(payload):
+    """``payload`` (a tuple, or a dict for a column gather) with its
+    array fields copied: what unpickling the sent bytes would give,
+    without parsing them."""
+    if isinstance(payload, dict):
+        return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    return tuple([x.copy() if isinstance(x, np.ndarray) else x for x in payload])
+
+
+class Endpoint:
+    """One rank's handle on the stepper: its number, its counters and a
+    buffered :meth:`send`."""
+
+    def __init__(self, rank: int, mailboxes: list[deque], ledger):
+        self.rank = rank
+        self.stats = CommStats()
+        self.mailbox = mailboxes[rank]
+        self._mailboxes = mailboxes
+        self._ledger = ledger
+
+    def send(self, obj, dest: int, tag: int) -> None:
+        """Queue ``obj`` for rank ``dest``.  The byte count is its pickled
+        size, as on a wire; the receiver gets it with its arrays copied,
+        so the sender may overwrite them at once."""
+        nbytes = len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        self.stats.record_send(nbytes)
+        ledger = self._ledger
+        mid = None if ledger is None else ledger.on_send(self.rank, dest, nbytes, cause=tag)
+        self._mailboxes[dest].append((_detached(obj), mid))
+
+    def receive(self):
+        """Take the next message (:func:`_next_message`) off this rank's
+        mailbox and return its payload."""
+        payload, mid = _next_message(self.mailbox)
+        self.stats.record_recv()
+        if mid is not None:
+            self._ledger.on_recv(mid)
+        return payload
+
+
+# The stepper's pick rule: sweeps visit the ranks in rank order, and a
+# rank's mailbox is delivered oldest first.  Any rule gives the same
+# messages and, to rounding, the same values.
+def _sweep_order(nprocs: int):
+    return range(nprocs)
+
+
+def _next_message(mailbox: deque):
+    return mailbox.popleft()
+
+
+def _step(ranks: list, ends: list[Endpoint]) -> list:
+    """Drive the rank coroutines to the end in the order of the module
+    docstring; returns what each returned."""
+    waiting = [0] * len(ranks)  # messages each rank still expects; 0 once done
+    results = [None] * len(ranks)
+
+    def advance(r: int, payload) -> None:
+        try:
+            waiting[r] = ranks[r].send(payload)
+        except StopIteration as done:
+            waiting[r], results[r] = 0, done.value
+        except Exception as exc:
+            raise MPSimError(f"rank {r} failed: {exc!r}") from exc
+
+    for r in _sweep_order(len(ranks)):
+        advance(r, None)
+    while any(waiting):
+        delivered = False
+        for r in _sweep_order(len(ranks)):
+            while waiting[r] and ends[r].mailbox:
+                advance(r, ends[r].receive())
+                delivered = True
+        if not delivered:
+            raise MPSimError("stalled, no message queued: " + ", ".join(
+                f"rank {r} still expects {w} message(s)" for r, w in enumerate(waiting) if w
+            ))
+    # The result gather reads rank 0's mailbox: nothing may be left in any.
+    for end in ends:
+        if end.mailbox:
+            raise MPSimError(f"rank {end.rank} finished with {len(end.mailbox)} message(s) unread")
+    return results
 
 
 def place_entries(values: np.ndarray, part: dict) -> None:
@@ -173,20 +284,24 @@ def place_columns(indptr: np.ndarray, values: np.ndarray, part: dict) -> None:
         values[indptr[j] : indptr[j + 1]] = column
 
 
-def gather_on_ranks(rank, size: int, nprocs: int, timeout: float | None, name: str,
+def gather_on_ranks(rank, size: int, nprocs: int, name: str,
                     place=place_entries) -> tuple[np.ndarray, list]:
-    """Run ``rank(comm) -> (payload, extra)`` on every rank, gather the
-    payloads on rank 0 and let ``place(values, payload)`` write each into
-    a vector of ``size`` zeros.  Returns (values, per-rank extras); a
-    traced run is recorded as the ``SimRun`` called ``name``."""
-
-    def rank_fn(comm: Comm):
-        mine, extra = rank(comm)
-        return comm.gather(mine, root=0), extra
-
-    rank_fn.__name__ = name  # what run_parallel names the run after
-    results = run_parallel(rank_fn, nprocs, timeout=timeout)
+    """Run the coroutine ``rank(endpoint)``, which returns ``(payload,
+    extra)``, for every rank on one stepper; then send each non-root
+    payload to rank 0, in rank order and through the same send path, and
+    let ``place(values, payload)`` write every payload into a vector of
+    ``size`` zeros.  Returns (values, per-rank extras); a traced run is
+    recorded as the ``SimRun`` called ``name``."""
+    ledger = simtime.MessageLedger(nprocs) if obs.is_enabled() else None
+    mailboxes = [deque() for _ in range(nprocs)]
+    ends = [Endpoint(r, mailboxes, ledger) for r in range(nprocs)]
+    results = _step([rank(end) for end in ends], ends)
     values = np.zeros(size, dtype=np.float64)
-    for part in results[0][0]:
-        place(values, part)
+    for end, (payload, _) in zip(ends, results):
+        if end.rank:
+            end.send(payload, 0, _TAG_GATHER)
+            payload = ends[0].receive()
+        place(values, payload)
+    if ledger is not None and ledger.messages:
+        simtime.record_sim_run(ledger.to_sim_run(name=name))
     return values, [extra for _, extra in results]

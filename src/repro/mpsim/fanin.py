@@ -26,9 +26,9 @@ import numpy as np
 from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
-from .comm import Comm
 from .engine import (
     Countdown,
+    Endpoint,
     cdiv,
     column_setup,
     gather_on_ranks,
@@ -43,8 +43,8 @@ __all__ = ["distributed_cholesky_fanin"]
 _TAG_AGG = 4
 
 
-def _fanin_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndarray,
-                off_col: np.ndarray, off_row: np.ndarray, n_remote: np.ndarray) -> dict[int, np.ndarray]:
+def _fanin_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_col: np.ndarray,
+                off_row: np.ndarray, n_remote: np.ndarray, comm: Endpoint):
     me = comm.rank
     pattern = updates.pattern
     indptr = pattern.indptr.tolist()
@@ -85,11 +85,11 @@ def _fanin_rank(comm: Comm, seed: np.ndarray, updates: UpdateSet, owner: np.ndar
         waiting.count[j] -= 1
         return [] if waiting.count[j] else [j]
 
-    run_tasks(
-        comm, _TAG_AGG, mine[waiting.count[mine] == 0].tolist(), len(mine),
+    yield from run_tasks(
+        mine[waiting.count[mine] == 0].tolist(), len(mine),
         int(n_remote[mine].sum()), finish, receive,
     )
-    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}, comm.stats
 
 
 def distributed_cholesky_fanin(
@@ -97,7 +97,6 @@ def distributed_cholesky_fanin(
     pattern: LowerPattern,
     proc_of_col: np.ndarray,
     nprocs: int,
-    timeout: float | None = 60.0,
 ) -> tuple[LowerCSC, list]:
     """Fan-in factorization of an already-permuted SPD matrix.
 
@@ -108,10 +107,7 @@ def distributed_cholesky_fanin(
     # n_remote[j] = other processors owning a column that updates column j.
     n_remote = np.diff(remote_peers(off_row, owner[off_col], owner, nprocs)[0])
     values, stats = gather_on_ranks(
-        lambda comm: (
-            _fanin_rank(comm, seed, updates, owner, off_col, off_row, n_remote),
-            comm.stats,
-        ),
-        pattern.nnz, nprocs, timeout, "fanin", partial(place_columns, pattern.indptr),
+        partial(_fanin_rank, seed, updates, owner, off_col, off_row, n_remote),
+        pattern.nnz, nprocs, "fanin", partial(place_columns, pattern.indptr),
     )
     return LowerCSC(pattern, values), stats

@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import LowerCSC
-from .comm import Comm
-from .engine import Countdown, gather_on_ranks, remote_peers, run_tasks
+from .engine import Countdown, Endpoint, gather_on_ranks, remote_peers, run_tasks
 
 __all__ = [
     "distributed_forward_solve",
@@ -40,7 +39,7 @@ _TAG_SOLVE = 6
 
 
 def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int,
-           timeout: float | None, backward: bool) -> np.ndarray:
+           backward: bool) -> np.ndarray:
     """Solve L x = b, or Lᵀ x = b if ``backward``, by the sweep of the
     module docstring.  Bad input is refused before any rank starts."""
     pattern = L.pattern
@@ -70,7 +69,7 @@ def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
     n_remote = np.diff(remote_peers(dst, reader, home, nprocs)[0])
     home_of = home.tolist()
 
-    def rank(comm: Comm):
+    def rank(comm: Endpoint):
         me = comm.rank
         mine = np.flatnonzero(home == me)
         held = np.flatnonzero(reader == me)
@@ -110,32 +109,30 @@ def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
             waiting.count[t] -= 1
             return [] if waiting.count[t] else [t]
 
-        run_tasks(
-            comm, _TAG_SOLVE, mine[waiting.count[mine] == 0].tolist(), len(mine),
+        yield from run_tasks(
+            mine[waiting.count[mine] == 0].tolist(), len(mine),
             int(np.count_nonzero(read_proc == me) + n_remote[mine].sum()),
             finish, receive,
         )
         return dict(zip(mine.tolist(), acc[mine].tolist())), None
 
     name = "backward_solve" if backward else "forward_solve"
-    x = gather_on_ranks(rank, n, nprocs, timeout, name)[0]
+    x = gather_on_ranks(rank, n, nprocs, name)[0]
     return x[::-1].copy() if backward else x
 
 
 def distributed_block_forward_solve(
-    L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
+    L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
 ) -> np.ndarray:
     """Solve L x = b with element-granular owner-computes."""
-    return _sweep(L, b, owner_of_element, nprocs, timeout, backward=False)
+    return _sweep(L, b, owner_of_element, nprocs, backward=False)
 
 
 def distributed_block_backward_solve(
-    L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
+    L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
 ) -> np.ndarray:
     """Solve Lᵀ x = b with element-granular owner-computes."""
-    return _sweep(L, b, owner_of_element, nprocs, timeout, backward=True)
+    return _sweep(L, b, owner_of_element, nprocs, backward=True)
 
 
 def _column_owners(L: LowerCSC, proc_of_col: np.ndarray) -> np.ndarray:
@@ -147,16 +144,14 @@ def _column_owners(L: LowerCSC, proc_of_col: np.ndarray) -> np.ndarray:
 
 
 def distributed_forward_solve(
-    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
+    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int
 ) -> np.ndarray:
     """Solve L x = b with the columns of L owned by ``proc_of_col``."""
-    return _sweep(L, b, _column_owners(L, proc_of_col), nprocs, timeout, backward=False)
+    return _sweep(L, b, _column_owners(L, proc_of_col), nprocs, backward=False)
 
 
 def distributed_backward_solve(
-    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int,
-    timeout: float | None = 60.0,
+    L: LowerCSC, b: np.ndarray, proc_of_col: np.ndarray, nprocs: int
 ) -> np.ndarray:
     """Solve Lᵀ x = b with the columns of L owned by ``proc_of_col``."""
-    return _sweep(L, b, _column_owners(L, proc_of_col), nprocs, timeout, backward=True)
+    return _sweep(L, b, _column_owners(L, proc_of_col), nprocs, backward=True)

@@ -19,9 +19,12 @@ domain, in abstract machine time units:
 
 Emitters live next to the things they observe:
 :func:`repro.machine.simulate.simulate_assignment` builds a
-machine-model :class:`SimRun`; :func:`repro.mpsim.launcher.run_parallel`
-attaches a :class:`MessageLedger` to the communicator.  Recorded runs
-land on :class:`repro.obs.trace.Recorder.sim_runs` via
+machine-model :class:`SimRun`; the numeric executors' stepper,
+:func:`repro.mpsim.engine.gather_on_ranks`, attaches a
+:class:`MessageLedger` to its ranks' endpoints, and
+:func:`repro.mpsim.launcher.run_parallel` one to its threaded
+communicator.  Recorded runs land on
+:class:`repro.obs.trace.Recorder.sim_runs` via
 :func:`record_sim_run` and are exported by :mod:`repro.obs.export`
 (JSONL lines, Perfetto flow events on the simulated-machine clock
 track) and rendered by :mod:`repro.obs.report` (comm heatmap, critical

@@ -114,7 +114,6 @@ class TestDistributedBlockCholesky:
         Lref = sparse_cholesky(a, prep.symbolic)
         r = block_mapping(prep, 4, grain=25)
         L, _ = distributed_block_cholesky(
-            a, r.partition, r.assignment, prep.updates, r.dependencies,
-            timeout=180.0,
+            a, r.partition, r.assignment, prep.updates, r.dependencies
         )
         assert np.allclose(L.values, Lref.values, atol=1e-10)

@@ -20,15 +20,14 @@ COLUMN_EXECUTORS = [distributed_cholesky, distributed_cholesky_fanin]
 
 def _rank1_pivot_fails_at_once(factor):
     """A non-positive pivot on rank 1 fails the whole run at once and
-    under its own name: rank 0, blocked in a receive, is woken by the
-    abort instead of running into the timeout."""
+    under its own name; rank 0, waiting for a message, is not resumed."""
     a = SymmetricCSC.from_entries(
         3, [0, 1, 1, 2], [0, 0, 1, 1], [1.0, 2.0, 1.0, 0.3]
     )
     sym = symbolic_cholesky(a.graph())
     start = time.perf_counter()
     with pytest.raises(MPSimError, match="rank 1 failed.*pivot"):
-        factor(a, sym.pattern, np.arange(3) % 2, 2, timeout=30.0)
+        factor(a, sym.pattern, np.arange(3) % 2, 2)
     assert time.perf_counter() - start < 1.0
 
 
@@ -38,7 +37,7 @@ class TestFanOutErrors:
         sym = symbolic_cholesky(a.graph())
         with pytest.raises(MPSimError, match="pivot"):
             distributed_cholesky(
-                a, sym.pattern, np.zeros(2, dtype=int), 1, timeout=2.0
+                a, sym.pattern, np.zeros(2, dtype=int), 1
             )
 
     def test_indefinite_detected_multirank(self):
@@ -52,7 +51,7 @@ class TestFanOutErrors:
         sym = symbolic_cholesky(spd_from_graph(grid5(2, 2), seed=1).graph())
         with pytest.raises(ValueError, match="order"):
             distributed_cholesky(
-                a, sym.pattern, np.zeros(a.n, dtype=int), 1, timeout=2.0
+                a, sym.pattern, np.zeros(a.n, dtype=int), 1
             )
 
     @pytest.mark.parametrize("factor", COLUMN_EXECUTORS)
@@ -65,7 +64,7 @@ class TestFanOutErrors:
         )
         assert sym.pattern.to_dense_bool()[4, 1] and not sym.pattern.to_dense_bool()[8, 0]
         with pytest.raises(ValueError, match=r"A\[8, 0\] is not in the factor pattern"):
-            factor(a, sym.pattern, np.arange(9) % 2, 2, timeout=2.0)
+            factor(a, sym.pattern, np.arange(9) % 2, 2)
 
 
 class TestBlockErrors:
@@ -87,7 +86,7 @@ class TestBlockErrors:
         with pytest.raises(MPSimError, match=f"rank {rank} failed.*pivot"):
             distributed_block_cholesky(
                 SymmetricCSC(a.pattern, values), r.partition, r.assignment,
-                prep.updates, r.dependencies, timeout=30.0,
+                prep.updates, r.dependencies
             )
         assert time.perf_counter() - start < 1.0
 
@@ -121,5 +120,5 @@ class TestBlockErrors:
         broken = DependencyInfo(r.partition, deps.edges[~drop], deps.category_counts, True)
         with pytest.raises(MPSimError, match="never arrived"):
             distributed_block_cholesky(
-                a, r.partition, r.assignment, prep.updates, broken, timeout=30.0
+                a, r.partition, r.assignment, prep.updates, broken
             )

@@ -39,8 +39,7 @@ class TestFanOutProperty:
         Lref = sparse_cholesky(a, sym)
         rng = np.random.default_rng(seed)
         proc_of_col = rng.integers(0, nprocs, size=n)
-        L, _ = distributed_cholesky(a, sym.pattern, proc_of_col, nprocs,
-                                    timeout=30.0)
+        L, _ = distributed_cholesky(a, sym.pattern, proc_of_col, nprocs)
         assert np.allclose(L.values, Lref.values, atol=1e-10)
 
 
@@ -56,8 +55,7 @@ class TestFanInProperty:
         Lref = sparse_cholesky(a, sym)
         rng = np.random.default_rng(seed + 1)
         proc_of_col = rng.integers(0, nprocs, size=n)
-        L, _ = distributed_cholesky_fanin(a, sym.pattern, proc_of_col, nprocs,
-                                          timeout=30.0)
+        L, _ = distributed_cholesky_fanin(a, sym.pattern, proc_of_col, nprocs)
         assert np.allclose(L.values, Lref.values, atol=1e-10)
 
 
@@ -72,7 +70,6 @@ class TestBlockProperty:
         Lref = sparse_cholesky(a, prep.symbolic)
         r = block_mapping(prep, nprocs, grain=grain, min_width=2)
         L, _ = distributed_block_cholesky(
-            a, r.partition, r.assignment, prep.updates, r.dependencies,
-            timeout=30.0,
+            a, r.partition, r.assignment, prep.updates, r.dependencies
         )
         assert np.allclose(L.values, Lref.values, atol=1e-10)

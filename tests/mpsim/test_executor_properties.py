@@ -28,7 +28,6 @@ from repro.core.assignment import Assignment
 from repro.core.partitioner import Partition
 from repro.machine import solve_traffic
 from repro.mpsim import (
-    Comm,
     distributed_backward_solve,
     distributed_block_backward_solve,
     distributed_block_cholesky,
@@ -38,6 +37,7 @@ from repro.mpsim import (
     distributed_forward_solve,
 )
 from repro.mpsim.distblock import _TAG_UNIT
+from repro.mpsim.engine import Endpoint
 from repro.mpsim.solve import _TAG_SOLVE
 from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
 from repro.obs import trace as obs
@@ -59,10 +59,9 @@ def system(graph, seed):
     return prep, a, sparse_cholesky(a, prep.symbolic).values
 
 
-def run_block(prep, a, result, **kwargs):
+def run_block(prep, a, result):
     return distributed_block_cholesky(
-        a, result.partition, result.assignment, prep.updates, result.dependencies,
-        timeout=30.0, **kwargs,
+        a, result.partition, result.assignment, prep.updates, result.dependencies
     )
 
 
@@ -95,7 +94,7 @@ def traced_solves(prep, values, solves, owners, nprocs, seed=5):
     out = []
     for solve, sequential in zip(solves, (solve_lower, solve_lower_transpose)):
         with obs.enabled() as rec:
-            x = solve(L, b, owners, nprocs, timeout=30.0)
+            x = solve(L, b, owners, nprocs)
         assert close(x, sequential(L, b)), solve.__name__
         received = np.zeros(nprocs, dtype=np.int64)
         for sim in rec.sim_runs:  # none when no message was sent (one rank)
@@ -116,7 +115,7 @@ class TestAgainstTheSequentialFactor:
         prep, a, want = system(graph, seed)
         owners = np.random.default_rng(seed).integers(0, nprocs, size=a.n)
         for factor in (distributed_cholesky, distributed_cholesky_fanin):
-            got, stats = factor(a, prep.pattern, owners, nprocs, timeout=30.0)
+            got, stats = factor(a, prep.pattern, owners, nprocs)
             assert close(got.values, want), factor.__name__
             assert len(stats) == nprocs
         got, _ = run_block(prep, a, block_mapping(prep, nprocs, grain=grain))
@@ -131,14 +130,14 @@ class TestAgainstTheSequentialFactor:
         prep, a, _ = system(graph, seed)
         result = block_mapping(prep, nprocs, grain=grain)
         sent = []
-        send = Comm.send
+        send = Endpoint.send
 
-        def spy(comm, obj, dest, tag=0):
+        def spy(comm, obj, dest, tag):
             if tag == _TAG_UNIT:
                 sent.append((comm.rank, dest, obj))
             send(comm, obj, dest, tag)
 
-        with mock.patch.object(Comm, "send", spy):
+        with mock.patch.object(Endpoint, "send", spy):
             _, stats = run_block(prep, a, result)
         proc = result.assignment.proc_of_unit
         edges = result.dependencies.edges
@@ -219,8 +218,8 @@ class TestDegenerateInputs:
                 assert messages is None or received.sum() == messages
         owners = np.arange(a.n) % nprocs
         runs = [
-            distributed_cholesky(a, prep.pattern, owners, nprocs, timeout=30.0),
-            distributed_cholesky_fanin(a, prep.pattern, owners, nprocs, timeout=30.0),
+            distributed_cholesky(a, prep.pattern, owners, nprocs),
+            distributed_cholesky_fanin(a, prep.pattern, owners, nprocs),
         ]
         for grain in GRAINS:
             result = block_mapping(prep, nprocs, grain=grain)
@@ -244,7 +243,7 @@ class TestDegenerateInputs:
         )
         deps = analyze_dependencies(partition, prep.updates)
         got, stats = distributed_block_cholesky(
-            a, partition, assignment, prep.updates, deps, timeout=30.0
+            a, partition, assignment, prep.updates, deps
         )
         assert close(got.values, want)
         _, reference = run_block(prep, a, result)

@@ -79,5 +79,5 @@ class TestFanIn:
         sym = symbolic_cholesky(a.graph())
         with pytest.raises(MPSimError, match="pivot"):
             distributed_cholesky_fanin(
-                a, sym.pattern, np.zeros(2, dtype=int), 1, timeout=2.0
+                a, sym.pattern, np.zeros(2, dtype=int), 1
             )
