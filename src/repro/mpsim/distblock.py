@@ -9,14 +9,14 @@ edges included): a unit is ready when every predecessor unit has been
 computed here or has arrived, and a finished unit is shipped whole, one
 message per consumer processor.
 
-Nothing is tracked per element.  The pair updates are sorted once by
-target (unit by unit, and inside a unit column by column), so a ready
-unit is computed one column segment at a time with a handful of array
-operations: subtract the segment's updates from ``acc``, then take the
-square root of the diagonal or divide by it.  The sources are final by
-then — they lie in predecessor units or in earlier columns of the same
-unit.  A unit computed from a value that never arrived (dependencies
-that do not cover the updates) comes out NaN and raises.
+Nothing is tracked per element.  The supernode runs are sorted once by
+target (unit by unit, and inside a unit column by column) and expanded to
+pairs, so a ready unit is computed one column segment at a time with a
+handful of array operations: subtract the segment's updates from ``acc``,
+then take the square root of the diagonal or divide by it.  The sources
+are final by then — they lie in predecessor units or in earlier columns of
+the same unit.  A unit computed from a value that never arrived
+(dependencies that do not cover the updates) comes out NaN and raises.
 
 The resulting factor must equal the sequential one to rounding for
 *any* valid partition/assignment — this is asserted in the tests.
@@ -34,7 +34,8 @@ from ..core.assignment import Assignment
 from ..core.dependencies import DependencyInfo
 from ..core.partitioner import Partition
 from ..sparse.csc import LowerCSC, SymmetricCSC
-from ..symbolic.updates import UpdateSet
+from ..sparse.dtypes import index_dtype
+from ..symbolic.updates import UpdateSet, ragged_range
 from .engine import Countdown, Endpoint, gather_on_ranks, remote_peers, run_tasks, seed_accumulators
 
 __all__ = ["distributed_block_cholesky"]
@@ -62,19 +63,27 @@ class _Segments:
         cut[1:] = col[1:] != col[:-1]
         cut[ptr[ptr < nnz]] = True
         start = np.flatnonzero(cut)
-        position = np.empty(nnz, dtype=np.int64)
-        position[self.ids] = np.arange(nnz)
-        target = position[updates.target]
+        edt = index_dtype(nnz)
+        position = np.empty(nnz, dtype=edt)
+        position[self.ids] = np.arange(nnz, dtype=edt)
+        # Run (a, b) is the pairs of min(b + 1, w) columns (UpdateSet.column_runs).
+        # A target has at most one run per supernode, so a stable sort of
+        # the runs by target keeps its source columns ascending.
+        run, sn, a, b, _, _, base = updates.column_runs
+        first, width = updates.supernodes[:-1], np.diff(updates.supernodes)
+        target = position[updates.run_target[run]]
         order = np.argsort(target, kind="stable")
-        target = target[order]
+        target, sn, a, b = target[order], sn[order], a[order], b[order]
+        length = np.minimum(b + 1, width[sn]).astype(edt)
         upd = np.searchsorted(target, np.append(start, nnz))
-        self.rel = target - np.repeat(start, np.diff(upd))
-        self.si = updates.source_i[order].astype(np.intp)
-        self.sj = updates.source_j[order].astype(np.intp)
+        self.upd = np.concatenate([[0], np.cumsum(length)])[upd].tolist()
+        self.rel = np.repeat((target - np.repeat(start, np.diff(upd))).astype(edt), length)
+        self.si = base.astype(edt)[ragged_range(first[sn], length, edt)]
+        self.sj = self.si + np.repeat(b, length)
+        self.si += np.repeat(a, length)
         self.ptr = ptr.tolist()
         self.of_unit = np.searchsorted(start, ptr).tolist()
         self.bounds = start.tolist() + [nnz]
-        self.upd = upd.tolist()
         #: element id of the diagonal of each segment's column, and
         #: whether the segment starts with it
         diag = pattern.indptr[col[start]]
@@ -94,7 +103,7 @@ def _block_rank(seed: np.ndarray, seg: _Segments, assignment: Assignment, edges:
     local = proc_of_unit[edges[:, 1]] == me
     indeg = Countdown(edges[local, 0], edges[local, 1], len(proc_of_unit))
     cons_ptr, cons_proc = consumers
-    mine = np.flatnonzero(proc_of_unit == me)
+    mine = np.flatnonzero(proc_of_unit == me).tolist()
 
     def finish(u: int) -> list[int]:
         for s in range(seg.of_unit[u], seg.of_unit[u + 1]):
@@ -126,7 +135,7 @@ def _block_rank(seed: np.ndarray, seg: _Segments, assignment: Assignment, edges:
         return indeg.fire(u)
 
     yield from run_tasks(
-        mine[indeg.count[mine] == 0].tolist(), len(mine),
+        [u for u in mine if not indeg.count[u]], len(mine),
         int(np.count_nonzero(cons_proc == me)), finish, receive,
     )
     owned = np.flatnonzero(assignment.owner_of_element == me)
@@ -145,9 +154,15 @@ def distributed_block_cholesky(
     """Execute a block schedule numerically on the message-passing
     runtime.  ``a`` must already be permuted to match the partitioned
     pattern.  Returns (factor gathered on rank 0, per-rank CommStats).
+    Inputs that do not belong together raise ``ValueError`` before any
+    rank starts.
     """
     if assignment.partition is not partition:
         raise ValueError("assignment does not belong to this partition")
+    if updates.pattern != partition.pattern:
+        raise ValueError("updates were enumerated for another factor structure")
+    if deps.partition is not partition:
+        raise ValueError("dependencies were analysed for another partition")
     if not deps.include_scale:
         raise ValueError(
             "dependencies must include scale edges (include_scale=True): "

@@ -23,12 +23,12 @@ from .engine import (
     Countdown,
     Endpoint,
     cdiv,
+    column_pairs,
     column_setup,
     gather_on_ranks,
     place_columns,
     remote_peers,
     run_tasks,
-    updates_by_source_column,
 )
 from .solve import distributed_backward_solve, distributed_forward_solve
 
@@ -46,20 +46,17 @@ def _factor_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_co
     indptr = pattern.indptr.tolist()
     acc = seed.copy()
     vals = np.full(pattern.nnz, np.nan)
-    # My slice of the UpdateSet: the updates into my columns, applied
-    # source column by source column as each is finished or received.
-    tgt, si, sj, uptr = updates_by_source_column(
-        updates, owner[updates.element_cols[updates.target]] == me
-    )
+    # My slice of the updates: those into my columns, applied source
+    # column by source column as each is finished or received.
+    apply = column_pairs(updates, owner == me)
     # pending.count[j] = columns still to be applied to my column j.
     local = owner[off_row] == me
     pending = Countdown(off_col[local], off_row[local], pattern.n)
     cons_ptr, cons_proc = consumers
-    mine = np.flatnonzero(owner == me)
+    mine = np.flatnonzero(owner == me).tolist()
 
     def cmod(k: int) -> list[int]:
-        lo, hi = uptr[k], uptr[k + 1]
-        acc[tgt[lo:hi]] -= vals[si[lo:hi]] * vals[sj[lo:hi]]
+        apply(acc, vals, k)
         return pending.fire(k)
 
     def finish(j: int) -> list[int]:
@@ -74,10 +71,10 @@ def _factor_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_co
         return cmod(k)
 
     yield from run_tasks(
-        mine[pending.count[mine] == 0].tolist(), len(mine),
+        [j for j in mine if not pending.count[j]], len(mine),
         int(np.count_nonzero(cons_proc == me)), finish, receive,
     )
-    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}, comm.stats
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine}, comm.stats
 
 
 def distributed_cholesky(

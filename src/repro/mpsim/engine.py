@@ -4,9 +4,10 @@ Fan-out (:mod:`.distchol`), fan-in (:mod:`.fanin`), block
 (:mod:`.distblock`) and the triangular-solve sweep (:mod:`.solve`)
 differ only in what a task is (a column, a unit block or an unknown) and
 in what travels when one finishes.  The rest is here: the checked
-seeding of the accumulators from A, the counters that turn a finished
-task into newly ready ones, the ready/receive loop of a rank, and the
-stepper that runs every rank and gathers the result on rank 0.
+seeding of the accumulators from A, the pair updates of a source column
+read off the supernode runs, the counters that turn a finished task into
+newly ready ones, the ready/receive loop of a rank, and the stepper that
+runs every rank and gathers the result on rank 0.
 
 A rank is a coroutine: :func:`run_tasks` finishes its ready tasks and,
 when it needs a message, yields the number it still expects and is
@@ -55,13 +56,13 @@ __all__ = [
     "Countdown",
     "Endpoint",
     "cdiv",
+    "column_pairs",
     "column_setup",
     "gather_on_ranks",
     "place_columns",
     "remote_peers",
     "run_tasks",
     "seed_accumulators",
-    "updates_by_source_column",
 ]
 
 
@@ -113,35 +114,48 @@ def remote_peers(
     return ptr, key % nprocs
 
 
-def updates_by_source_column(updates: UpdateSet, mask: np.ndarray):
-    """``(target, source_i, source_j, ptr)`` of the masked pair updates;
-    those of source column ``k`` are ``ptr[k]:ptr[k + 1]`` (the UpdateSet
-    is enumerated column by column) and hit each target at most once."""
-    sel = np.flatnonzero(mask)
-    ptr = np.searchsorted(updates.source_col[sel], np.arange(updates.pattern.n + 1))
-    # intp: the three arrays are used as indices once per finished column.
-    target, source_i, source_j = (
-        x[sel].astype(np.intp) for x in (updates.target, updates.source_i, updates.source_j)
-    )
-    return target, source_i, source_j, ptr.tolist()
+def column_pairs(updates: UpdateSet, rows: np.ndarray | None = None):
+    """``apply(acc, vals, k)``: subtract source column ``k``'s pair
+    updates (runs ``lo[k]:hi[k]`` of ``UpdateSet.column_runs``) from
+    ``acc``, their sources read in ``vals``.  ``rows``, a mask over the
+    columns, keeps only the runs (a, b) whose target column r_b it selects."""
+    run, sn, a, b, lo, hi, base = updates.column_runs
+    if rows is not None:
+        pattern = updates.pattern
+        keep = rows[pattern.rowidx[pattern.indptr[updates.supernodes[sn]] + 1 + b]]
+        run, a, b = run[keep], a[keep], b[keep]
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        lo, hi = kept[lo], kept[hi]
+    target, a, b = updates.run_target[run].astype(np.intp), a.astype(np.intp), b.astype(np.intp)
+    lo, hi, base = lo.tolist(), hi.tolist(), base.tolist()
+
+    def apply(acc: np.ndarray, vals: np.ndarray, k: int) -> None:
+        i, j, src = lo[k], hi[k], vals[base[k]:]
+        acc[target[i:j]] -= src[a[i:j]] * src[b[i:j]]
+
+    return apply
 
 
 class Countdown:
     """In-degree counters: ``count[t]`` is the number of events that list
-    task ``t``; :meth:`fire` takes one event off each task it lists."""
+    task ``t`` (plus ``extra[t]``); :meth:`fire` takes one event off each
+    task it lists.  Plain lists: an event lists a handful of tasks."""
 
-    def __init__(self, event: np.ndarray, task: np.ndarray, n: int):
+    def __init__(self, event: np.ndarray, task: np.ndarray, n: int, extra=0):
         # Events and tasks are both numbered 0..n-1 (columns, or units);
         # ``event`` ascending; the tasks of one event distinct.
         self.ptr = np.searchsorted(event, np.arange(n + 1)).tolist()
-        self.task = task
-        self.count = np.bincount(task, minlength=n)
+        self.task = task.tolist()
+        self.count = (np.bincount(task, minlength=n) + extra).tolist()
 
     def fire(self, event: int) -> list[int]:
         """The tasks whose count this event brought to zero."""
-        tasks = self.task[self.ptr[event] : self.ptr[event + 1]]
-        self.count[tasks] -= 1
-        return tasks[self.count[tasks] == 0].tolist()
+        count, done = self.count, []
+        for t in self.task[self.ptr[event] : self.ptr[event + 1]]:
+            count[t] -= 1
+            if not count[t]:
+                done.append(t)
+        return done
 
 
 def cdiv(acc: np.ndarray, vals: np.ndarray, lo: int, hi: int, j: int) -> None:
@@ -196,22 +210,68 @@ def _detached(payload):
     return tuple([x.copy() if isinstance(x, np.ndarray) else x for x in payload])
 
 
+#: Numeric dtypes, and the ``flags.num`` bits (C- and Fortran-contiguous,
+#: writeable) that change an array's pickle.
+_PLAIN, _LAYOUT = frozenset(np.dtype(c) for c in "?bhilqpBHILQPefdgFDG"), 0x403
+
+
+def _shape(obj) -> tuple | None:
+    """The key the pickled size of a tuple of bools, floats, None, int32
+    ints and numeric arrays (none twice) is a function of: per field its
+    type, an int's size class (pickle spends 1, 2 or 4 bytes), an array's
+    dtype, shape, layout and the first field sharing its dtype *object*
+    (pickle references a repeated object).  None for any other payload."""
+    if type(obj) is not tuple:
+        return None
+    key, seen = [], {}  # ids of the arrays so far, and of their dtypes
+    for x in obj:
+        kind = type(x)
+        if kind is np.ndarray:
+            d = x.dtype
+            if d not in _PLAIN or d.metadata is not None or id(x) in seen:
+                return None
+            seen[id(x)] = None
+            key.append((d, seen.setdefault(id(d), len(key)), x.shape, x.flags.num & _LAYOUT))
+        elif kind is int and -(1 << 31) <= x < (1 << 31):
+            key.append(1 if 0 <= x < 256 else 2 if 0 <= x < 65536 else 4)
+        elif kind is float or kind is bool or x is None:
+            key.append(kind)
+        else:
+            return None
+    return tuple(key)
+
+
+def pickled_size(obj, sizes: dict) -> int:
+    """``len(pickle.dumps(obj, HIGHEST_PROTOCOL))``, pickled once per
+    payload shape (:func:`_shape`), whose size ``sizes`` keeps, and every
+    time for a payload with none."""
+    key = _shape(obj)
+    size = sizes.get(key)
+    if size is None:
+        size = len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        if key is not None:
+            sizes[key] = size
+    return size
+
+
 class Endpoint:
     """One rank's handle on the stepper: its number, its counters and a
-    buffered :meth:`send`."""
+    buffered :meth:`send`.  The ranks of one run share ``sizes``, the
+    pickled size of each payload shape sent so far."""
 
-    def __init__(self, rank: int, mailboxes: list[deque], ledger):
+    def __init__(self, rank: int, mailboxes: list[deque], ledger, sizes: dict):
         self.rank = rank
         self.stats = CommStats()
         self.mailbox = mailboxes[rank]
         self._mailboxes = mailboxes
         self._ledger = ledger
+        self._sizes = sizes
 
     def send(self, obj, dest: int, tag: int) -> None:
         """Queue ``obj`` for rank ``dest``.  The byte count is its pickled
-        size, as on a wire; the receiver gets it with its arrays copied,
-        so the sender may overwrite them at once."""
-        nbytes = len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        size (:func:`pickled_size`), as on a wire; the receiver gets it
+        with its arrays copied, so the sender may overwrite them at once."""
+        nbytes = pickled_size(obj, self._sizes)
         self.stats.record_send(nbytes)
         ledger = self._ledger
         mid = None if ledger is None else ledger.on_send(self.rank, dest, nbytes, cause=tag)
@@ -294,7 +354,8 @@ def gather_on_ranks(rank, size: int, nprocs: int, name: str,
     recorded as the ``SimRun`` called ``name``."""
     ledger = simtime.MessageLedger(nprocs) if obs.is_enabled() else None
     mailboxes = [deque() for _ in range(nprocs)]
-    ends = [Endpoint(r, mailboxes, ledger) for r in range(nprocs)]
+    sizes = {}  # at most one entry per message of this run
+    ends = [Endpoint(r, mailboxes, ledger, sizes) for r in range(nprocs)]
     results = _step([rank(end) for end in ends], ends)
     values = np.zeros(size, dtype=np.float64)
     for end, (payload, _) in zip(ends, results):

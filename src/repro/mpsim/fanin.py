@@ -11,10 +11,10 @@ locality-versus-volume trade the paper studies at the mapping level.
 
 The update for target column j from source column k (both restricted to
 rows >= j) is  u_j += L[j,k] * L[j:,k];  the owner of k computes it as
-soon as k is complete — one array operation over the rank's slice of
-the UpdateSet (:mod:`.engine`) — and the aggregate for j is shipped,
-reduced to its nonzero rows, once every local contribution to it has
-been folded in.
+soon as k is complete — one array operation over column k's slice of
+the run table (:func:`.engine.column_pairs`) — and the aggregate for j
+is shipped, reduced to its nonzero rows, once every local contribution
+to it has been folded in.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .engine import (
     Countdown,
     Endpoint,
     cdiv,
+    column_pairs,
     column_setup,
     gather_on_ranks,
     place_columns,
     remote_peers,
     run_tasks,
-    updates_by_source_column,
 )
 
 __all__ = ["distributed_cholesky_fanin"]
@@ -43,8 +43,8 @@ __all__ = ["distributed_cholesky_fanin"]
 _TAG_AGG = 4
 
 
-def _fanin_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_col: np.ndarray,
-                off_row: np.ndarray, n_remote: np.ndarray, comm: Endpoint):
+def _fanin_rank(seed: np.ndarray, updates: UpdateSet, apply, owner: np.ndarray,
+                off_col: np.ndarray, off_row: np.ndarray, n_remote: np.ndarray, comm: Endpoint):
     me = comm.rank
     pattern = updates.pattern
     indptr = pattern.indptr.tolist()
@@ -55,19 +55,15 @@ def _fanin_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_col
     # zero there), so one subtraction serves both kinds of target.
     acc = np.where(owner[updates.element_cols] == me, seed, 0.0)
     vals = np.full(pattern.nnz, np.nan)
-    # My slice of the UpdateSet: the updates out of my columns.
-    tgt, si, sj, uptr = updates_by_source_column(updates, owner[updates.source_col] == me)
     # waiting.count[j] = my columns still to be folded into column j,
     # plus, for a column of mine, the aggregates still to arrive.
     local = owner[off_col] == me
-    waiting = Countdown(off_col[local], off_row[local], pattern.n)
-    mine = np.flatnonzero(owner == me)
-    waiting.count[mine] += n_remote[mine]
+    waiting = Countdown(off_col[local], off_row[local], pattern.n, np.where(owner == me, n_remote, 0))
+    mine = np.flatnonzero(owner == me).tolist()
 
     def finish(k: int) -> list[int]:
         cdiv(acc, vals, indptr[k], indptr[k + 1], k)
-        lo, hi = uptr[k], uptr[k + 1]
-        acc[tgt[lo:hi]] -= vals[si[lo:hi]] * vals[sj[lo:hi]]
+        apply(acc, vals, k)  # all of my column's updates
         ready = []
         for j in waiting.fire(k):
             if owner_of[j] == me:
@@ -86,10 +82,10 @@ def _fanin_rank(seed: np.ndarray, updates: UpdateSet, owner: np.ndarray, off_col
         return [] if waiting.count[j] else [j]
 
     yield from run_tasks(
-        mine[waiting.count[mine] == 0].tolist(), len(mine),
-        int(n_remote[mine].sum()), finish, receive,
+        [j for j in mine if not waiting.count[j]], len(mine),
+        int(n_remote[owner == me].sum()), finish, receive,
     )
-    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine.tolist()}, comm.stats
+    return {j: vals[indptr[j] : indptr[j + 1]] for j in mine}, comm.stats
 
 
 def distributed_cholesky_fanin(
@@ -106,8 +102,9 @@ def distributed_cholesky_fanin(
     owner, seed, updates, off_col, off_row = column_setup(a, pattern, proc_of_col, nprocs)
     # n_remote[j] = other processors owning a column that updates column j.
     n_remote = np.diff(remote_peers(off_row, owner[off_col], owner, nprocs)[0])
+    apply = column_pairs(updates)  # one table: a rank applies all its columns' updates
     values, stats = gather_on_ranks(
-        partial(_fanin_rank, seed, updates, owner, off_col, off_row, n_remote),
+        partial(_fanin_rank, seed, updates, apply, owner, off_col, off_row, n_remote),
         pattern.nnz, nprocs, "fanin", partial(place_columns, pattern.indptr),
     )
     return LowerCSC(pattern, values), stats

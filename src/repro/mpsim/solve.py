@@ -74,7 +74,7 @@ def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
         mine = np.flatnonzero(home == me)
         held = np.flatnonzero(reader == me)
         held = held[np.argsort(src[held], kind="stable")]
-        weight = coef[held]
+        weight, into = coef[held], dst[held]
         # acc[t] is b[t] minus what has reached me of t's sum on my
         # unknowns (x_t once finished) and, elsewhere, minus the partial
         # sum I owe t's owner.
@@ -82,12 +82,11 @@ def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
         acc[mine] = b[mine]
         # waiting.count[t] = my elements still to fold into t, plus, for
         # an unknown of mine, the partial sums still to arrive.
-        waiting = Countdown(src[held], dst[held], n)
-        waiting.count[mine] += n_remote[mine]
+        waiting = Countdown(src[held], into, n, np.where(home == me, n_remote, 0))
 
         def fold(t: int, xt: float) -> list[int]:
             lo, hi = waiting.ptr[t], waiting.ptr[t + 1]
-            acc[waiting.task[lo:hi]] -= weight[lo:hi] * xt
+            acc[into[lo:hi]] -= weight[lo:hi] * xt
             ready = []
             for d in waiting.fire(t):
                 if home_of[d] == me:
@@ -110,7 +109,7 @@ def _sweep(L: LowerCSC, b: np.ndarray, owner_of_element: np.ndarray, nprocs: int
             return [] if waiting.count[t] else [t]
 
         yield from run_tasks(
-            mine[waiting.count[mine] == 0].tolist(), len(mine),
+            [t for t in mine.tolist() if not waiting.count[t]], len(mine),
             int(np.count_nonzero(read_proc == me) + n_remote[mine].sum()),
             finish, receive,
         )

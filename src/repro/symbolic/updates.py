@@ -112,6 +112,26 @@ class UpdateSet:
         return sn, np.arange(self.pattern.n) - first[sn], m, np.cumsum(runs) - runs, np.cumsum(seq) - seq
 
     @cached_property
+    def column_runs(self) -> tuple[np.ndarray, ...]:
+        """The runs line by line: per supernode, for b = 0 .. m - 1, the
+        runs (b .. m - 1, b).  Column f + t's pairs are then the lines
+        t .. m - 1, and its pair of run (a, b) reads the elements base + a
+        and base + b, base = indptr[f + t] + 1 - t.  Returns per run, in
+        that order, ``(run, sn, a, b)`` (``run`` indexes ``run_target``)
+        and per column ``(lo, hi, base)``: its pairs are runs ``lo:hi``."""
+        col_sn, t, m, runs, _ = self._supernode_tables
+        line_sn = np.repeat(np.arange(len(m), dtype=index_dtype(len(m))), m)
+        b = np.arange(len(line_sn)) - (np.cumsum(m) - m)[line_sn]
+        length = m[line_sn] - b
+        sn = np.repeat(line_sn, length)
+        a = ragged_range(b, length, index_dtype(int(m.max(initial=0)) ** 2))  # a (a + 1) fits
+        b = np.repeat(b.astype(a.dtype), length)
+        run = (runs[sn] + a * (a + 1) // 2 + b).astype(index_dtype(len(self.run_target)))
+        lo = runs[col_sn] + t * m[col_sn] - t * (t - 1) // 2
+        hi = (runs + m * (m + 1) // 2)[col_sn]
+        return run, sn, a, b, lo, hi, self.pattern.indptr[:-1] + 1 - t
+
+    @cached_property
     def _row_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per off-diagonal element, ascending: its id, its position in
         its column (1 for the first) — the number of pairs it is the row

@@ -122,3 +122,20 @@ class TestBlockErrors:
             distributed_block_cholesky(
                 a, r.partition, r.assignment, prep.updates, broken
             )
+
+    def test_updates_of_another_structure_are_refused(self, system):
+        prep, a, r = system
+        other = prepare(grid9(6, 6), name="grid9(6,6)").updates
+        with pytest.raises(ValueError, match="updates were enumerated for another factor"):
+            distributed_block_cholesky(a, r.partition, r.assignment, other, r.dependencies)
+
+    def test_dependencies_of_another_partition_are_refused(self, system):
+        """Same matrix, another grain: the units differ, so the edges name
+        units this partition does not have."""
+        prep, a, r = system
+        other = block_mapping(prep, 3, grain=25)
+        assert other.partition.num_units != r.partition.num_units
+        with pytest.raises(ValueError, match="dependencies were analysed for another partition"):
+            distributed_block_cholesky(
+                a, r.partition, r.assignment, prep.updates, other.dependencies
+            )

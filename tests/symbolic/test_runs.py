@@ -31,7 +31,7 @@ from repro.sparse import band_graph, grid9, path_graph, star_graph
 from repro.sparse import harwell_boeing as hb
 from repro.sparse.pattern import LowerPattern
 from repro.symbolic import enumerate_updates, fundamental_supernodes, symbolic_cholesky
-from repro.symbolic.updates import build_read_index
+from repro.symbolic.updates import build_read_index, ragged_range
 from repro.symbolic.colcount import gnp_column_counts
 from repro.symbolic.etree import etree
 
@@ -58,6 +58,15 @@ def assert_runs_are_the_updates(pattern: LowerPattern):
     )
     assert updates.num_pair_updates == oracle.num_pair_updates
     assert fundamental_supernodes(pattern) == supernodes_oracle(pattern)
+    # column_runs, read column by column, is every column's pairs.
+    run, _, a, b, lo, hi, base = updates.column_runs
+    at = ragged_range(lo, hi - lo, np.int64)
+    col = np.repeat(np.arange(pattern.n), hi - lo)
+    got = np.stack([col, updates.run_target[run[at]], base[col] + a[at], base[col] + b[at]])
+    want = np.stack([oracle.source_col, oracle.target, oracle.source_i, oracle.source_j])
+    np.testing.assert_array_equal(
+        got[:, np.lexsort(got[::-1])], want[:, np.lexsort(want[::-1])], "column_runs"
+    )
     return updates, oracle
 
 
