@@ -1,18 +1,10 @@
-"""Simulated message-passing runtime and distributed sparse Cholesky."""
+"""Distributed sparse Cholesky and triangular solves on a simulated
+message-passing machine: every rank a coroutine on one stepper."""
 
-from .comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Comm,
-    CommStats,
-    CommWorld,
-    MPSimError,
-    Request,
-)
 from .distchol import distributed_cholesky, distributed_solve_spd
 from .distblock import distributed_block_cholesky
+from .engine import CommStats, MPSimError
 from .fanin import distributed_cholesky_fanin
-from .launcher import run_parallel
 from .solve import (
     distributed_backward_solve,
     distributed_block_backward_solve,
@@ -21,13 +13,8 @@ from .solve import (
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Comm",
     "CommStats",
-    "CommWorld",
     "MPSimError",
-    "Request",
     "distributed_backward_solve",
     "distributed_cholesky",
     "distributed_block_cholesky",
@@ -36,5 +23,4 @@ __all__ = [
     "distributed_cholesky_fanin",
     "distributed_forward_solve",
     "distributed_solve_spd",
-    "run_parallel",
 ]

@@ -41,6 +41,7 @@ import heapq
 import math
 import pickle
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +51,12 @@ from ..sparse.csc import SymmetricCSC
 from ..sparse.dtypes import linear_index
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet, enumerate_updates
-from .comm import CommStats, MPSimError
 
 __all__ = [
+    "CommStats",
     "Countdown",
     "Endpoint",
+    "MPSimError",
     "cdiv",
     "column_pairs",
     "column_setup",
@@ -64,6 +66,33 @@ __all__ = [
     "run_tasks",
     "seed_accumulators",
 ]
+
+
+class MPSimError(RuntimeError):
+    """Raised for a failed rank, a deadlock (an immediate stall on the
+    executors' stepper) or a message left unread."""
+
+
+@dataclass
+class CommStats:
+    """Per-rank communication counters, written only by their own rank
+    (a send counts on the sender, a receive on the receiver)."""
+
+    messages_sent: int = 0
+    messages_received: int = 0
+    bytes_sent: int = 0
+
+    def record_send(self, nbytes: int) -> None:
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        if obs.is_enabled():
+            obs.counter("mpsim.messages_sent")
+            obs.counter("mpsim.bytes_sent", nbytes)
+
+    def record_recv(self) -> None:
+        self.messages_received += 1
+        if obs.is_enabled():
+            obs.counter("mpsim.messages_received")
 
 
 def seed_accumulators(a: SymmetricCSC, pattern: LowerPattern) -> np.ndarray:
@@ -197,7 +226,7 @@ def run_tasks(ready: list[int], n_tasks: int, expected: int, finish, receive):
         )
 
 
-#: The tag of the result gather (``Comm.gather``'s).
+#: The tag of the result gather.
 _TAG_GATHER = (1 << 20) + 2
 
 
@@ -351,18 +380,21 @@ def gather_on_ranks(rank, size: int, nprocs: int, name: str,
     payload to rank 0, in rank order and through the same send path, and
     let ``place(values, payload)`` write every payload into a vector of
     ``size`` zeros.  Returns (values, per-rank extras); a traced run is
-    recorded as the ``SimRun`` called ``name``."""
+    recorded as the ``SimRun`` called ``name``, a failed one too (its
+    undelivered messages with ``recv`` NaN)."""
     ledger = simtime.MessageLedger(nprocs) if obs.is_enabled() else None
     mailboxes = [deque() for _ in range(nprocs)]
     sizes = {}  # at most one entry per message of this run
     ends = [Endpoint(r, mailboxes, ledger, sizes) for r in range(nprocs)]
-    results = _step([rank(end) for end in ends], ends)
-    values = np.zeros(size, dtype=np.float64)
-    for end, (payload, _) in zip(ends, results):
-        if end.rank:
-            end.send(payload, 0, _TAG_GATHER)
-            payload = ends[0].receive()
-        place(values, payload)
-    if ledger is not None and ledger.messages:
-        simtime.record_sim_run(ledger.to_sim_run(name=name))
+    try:
+        results = _step([rank(end) for end in ends], ends)
+        values = np.zeros(size, dtype=np.float64)
+        for end, (payload, _) in zip(ends, results):
+            if end.rank:
+                end.send(payload, 0, _TAG_GATHER)
+                payload = ends[0].receive()
+            place(values, payload)
+    finally:
+        if ledger is not None and ledger.messages:
+            simtime.record_sim_run(ledger.to_sim_run(name=name))
     return values, [extra for _, extra in results]

@@ -21,9 +21,7 @@ Emitters live next to the things they observe:
 :func:`repro.machine.simulate.simulate_assignment` builds a
 machine-model :class:`SimRun`; the numeric executors' stepper,
 :func:`repro.mpsim.engine.gather_on_ranks`, attaches a
-:class:`MessageLedger` to its ranks' endpoints, and
-:func:`repro.mpsim.launcher.run_parallel` one to its threaded
-communicator.  Recorded runs land on
+:class:`MessageLedger` to its ranks' endpoints.  Recorded runs land on
 :class:`repro.obs.trace.Recorder.sim_runs` via
 :func:`record_sim_run` and are exported by :mod:`repro.obs.export`
 (JSONL lines, Perfetto flow events on the simulated-machine clock
@@ -34,7 +32,6 @@ path, imbalance waterfall).  See ``docs/observability.md``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -450,7 +447,8 @@ class MessageLedger:
     stamps the message; a delivery advances the receiver's clock to
     ``max(local, send) + 1``.  The resulting ledger orders every message
     causally — a second clock domain ("lamport") distinct from both the
-    wall clock and the machine model's α/β time."""
+    wall clock and the machine model's α/β time.  Not locked: the
+    stepper's one thread stamps every message."""
 
     def __init__(self, nprocs: int, channel: str = "mpsim"):
         self.nprocs = nprocs
@@ -458,37 +456,31 @@ class MessageLedger:
         self.clock = [0] * nprocs
         # [src, dst, nbytes, cause, send, recv]; recv is NaN until delivered.
         self._msgs: list[list] = []
-        self._lock = threading.Lock()
 
     def on_send(self, src: int, dst: int, nbytes: int, cause: int = -1) -> int:
         """Record a send; returns the message id to pass to ``on_recv``."""
-        with self._lock:
-            self.clock[src] += 1
-            mid = len(self._msgs)
-            self._msgs.append([src, dst, nbytes, cause, self.clock[src], math.nan])
-            return mid
+        self.clock[src] += 1
+        mid = len(self._msgs)
+        self._msgs.append([src, dst, nbytes, cause, self.clock[src], math.nan])
+        return mid
 
     def on_recv(self, mid: int) -> None:
         """Record delivery of message ``mid`` at the destination rank."""
-        with self._lock:
-            m = self._msgs[mid]
-            t = max(self.clock[m[1]], m[4]) + 1
-            self.clock[m[1]] = t
-            m[5] = t
+        m = self._msgs[mid]
+        t = max(self.clock[m[1]], m[4]) + 1
+        self.clock[m[1]] = t
+        m[5] = t
 
     @property
     def messages(self) -> MessageTable:
-        with self._lock:
-            return MessageTable(*zip(*self._msgs), channel=self.channel)
+        return MessageTable(*zip(*self._msgs), channel=self.channel)
 
     def undelivered(self) -> int:
         """Messages sent but never received (dropped or still in flight)."""
-        with self._lock:
-            return sum(math.isnan(m[5]) for m in self._msgs)
+        return sum(math.isnan(m[5]) for m in self._msgs)
 
     def to_sim_run(self, name: str, scheme: str = "mpsim") -> SimRun:
-        with self._lock:
-            makespan = float(max(self.clock, default=0))
+        makespan = float(max(self.clock, default=0))
         return ledger_run(name, scheme, self.nprocs, makespan,
                           self.messages, clock="lamport")
 

@@ -194,17 +194,21 @@ class TestRowView:
         assert run.link_volumes() == [(0, 1, 100), (1, 2, 50)]
 
     def test_mpsim_ledger_lands_as_a_table(self):
-        from repro.mpsim import run_parallel
+        from repro.mpsim.engine import gather_on_ranks, run_tasks
 
-        def ring(comm):
-            comm.send(comm.rank, (comm.rank + 1) % comm.size, tag=5)
-            return comm.recv((comm.rank - 1) % comm.size, 5)
+        def ring(end):
+            end.send((end.rank,), (end.rank + 1) % 3, 5)
+            yield from run_tasks([], 0, 1, None, lambda src: [])
+            return {end.rank: 1.0}, None
 
         with obs.enabled() as rec:
-            run_parallel(ring, 3)
+            gather_on_ranks(ring, 3, 3, "ring")
         (run,) = rec.sim_runs
         assert isinstance(run.messages, MessageTable)
-        assert sorted((m.src, m.dst) for m in run.messages) == [(0, 1), (1, 2), (2, 0)]
+        rows = self._check_rows(run.messages)
+        # The ring, then the result gather of ranks 1 and 2 to rank 0.
+        assert [(m.src, m.dst) for m in rows] == [(0, 1), (1, 2), (2, 0), (1, 0), (2, 0)]
+        assert all(m.channel == "mpsim" and m.recv is not None for m in rows)
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="differ in length"):

@@ -75,3 +75,4 @@ def test_traced_run_has_one_delivered_ledger_row_per_message(layer):
     assert (messages.recv > messages.send).all()
     assert rec.counters["mpsim.messages_sent"] == len(messages)
     assert rec.counters["mpsim.messages_received"] == len(messages)
+    assert rec.counters["mpsim.bytes_sent"] == int(sim.messages.nbytes.sum())

@@ -179,13 +179,19 @@ class TestSimulatorTimeline:
 
 class TestCommCounters:
     def test_messages_counted_when_enabled(self):
-        from repro.mpsim.comm import CommWorld
+        from repro.mpsim.engine import gather_on_ranks, run_tasks
+
+        def pair(end):
+            end.send(("x", end.rank), 1 - end.rank, 3)
+            got = []
+            yield from run_tasks([], 0, 1, None, lambda *p: got.append(p) or [])
+            assert got == [("x", 1 - end.rank)]
+            return {end.rank: 1.0}, end.stats
 
         with trace.enabled() as rec:
-            world = CommWorld(2)
-            c0, c1 = world.comm(0), world.comm(1)
-            c0.send({"x": 1}, dest=1, tag=3)
-            assert c1.recv(source=0, tag=3) == {"x": 1}
-        assert rec.counters["mpsim.messages_sent"] == 1
-        assert rec.counters["mpsim.messages_received"] == 1
-        assert rec.counters["mpsim.bytes_sent"] == world.stats[0].bytes_sent
+            _, stats = gather_on_ranks(pair, 2, 2, "pair")
+        # One message each way, then rank 1's result to rank 0.
+        assert rec.counters["mpsim.messages_sent"] == 3
+        assert rec.counters["mpsim.messages_received"] == 3
+        assert rec.counters["mpsim.bytes_sent"] == sum(s.bytes_sent for s in stats)
+        assert rec.counters["mpsim.bytes_sent"] == int(rec.sim_runs[0].messages.nbytes.sum())

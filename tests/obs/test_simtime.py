@@ -7,6 +7,8 @@ times, so conservation laws hold bit-for-bit, not approximately.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.obs.simtime import (
     REASON_MSG,
     REASON_NONE,
     MessageLedger,
+    MessageTable,
     SimRun,
     ledger_run,
 )
@@ -156,42 +159,52 @@ def test_message_ledger_lamport_clock():
 
 
 def test_mpsim_run_parallel_ledger():
-    from repro.mpsim import run_parallel
+    """A 4-rank ring run in parallel on the stepper records one Lamport
+    ledger: the ring's messages, then the result gather's."""
+    from repro.mpsim.engine import gather_on_ranks, run_tasks
 
-    def ring(comm, n):
-        nxt = (comm.rank + 1) % comm.size
-        prv = (comm.rank - 1) % comm.size
-        comm.send(list(range(n)), nxt, tag=5)
-        return len(comm.recv(prv, 5))
+    def ring(end):
+        end.send((end.rank,), (end.rank + 1) % 4, 5)
+        got = []
+        yield from run_tasks([], 0, 1, None, lambda src: got.append(src) or [])
+        return {end.rank: float(got[0])}, None
 
     with obs.enabled() as rec:
-        out = run_parallel(ring, 4, 8)
-    assert out == [8, 8, 8, 8]
-    assert len(rec.sim_runs) == 1
-    run = rec.sim_runs[0]
+        values, _ = gather_on_ranks(ring, 4, 4, "ring")
+    assert values.tolist() == [3.0, 0.0, 1.0, 2.0]
+    (run,) = rec.sim_runs
     assert run.clock == "lamport"
     assert run.name == "ring"
-    assert len(run.messages) == 4
-    assert all(m.recv is not None for m in run.messages)
-    # Each rank talks only to its successor.
-    mat = run.comm_matrix()
-    assert np.count_nonzero(mat) == 4
+    assert isinstance(run.messages, MessageTable)
+    # Each rank talks to its successor, then the result gather to rank 0.
+    assert [(m.src, m.dst) for m in run.messages] == [
+        (0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (2, 0), (3, 0)
+    ]
+    assert (run.messages.recv > run.messages.send).all()
 
 
-def test_mpsim_dropped_message_stays_undelivered():
-    from repro.mpsim import MPSimError, run_parallel
+def test_a_failed_mpsim_run_still_records_its_ledger():
+    from repro.core import prepare
+    from repro.mpsim import MPSimError, distributed_cholesky
+    from repro.mpsim.engine import Endpoint
+    from repro.sparse import grid9, spd_from_graph
 
-    def one_shot(comm):
-        if comm.rank == 0:
-            comm.send("x", 1, tag=3)
-        return None
+    g = grid9(6, 6)
+    prep = prepare(g, name="grid9(6,6)")
+    a = spd_from_graph(g, seed=1).permute(prep.perm)
+    send, lost = Endpoint.send, []
 
-    with obs.enabled() as rec:
-        run_parallel(one_shot, 2, drop_filter=lambda s, d, t: True, timeout=2.0)
+    def lossy(end, obj, dest, tag):
+        send(end, obj, dest, tag)  # stamped in the ledger, then lost
+        if not lost:
+            lost.append(end._mailboxes[dest].pop())
+
+    with obs.enabled() as rec, mock.patch.object(Endpoint, "send", lossy):
+        with pytest.raises(MPSimError, match="stalled"):
+            distributed_cholesky(a, prep.pattern, np.arange(a.n) % 2, 2)
     (run,) = rec.sim_runs
-    assert len(run.messages) == 1
-    assert run.messages[0].recv is None
-    del MPSimError
+    assert run.name == "fanout" and run.clock == "lamport"
+    assert np.isnan(run.messages.recv).sum() == 1
 
 
 def test_explain_run_end_to_end():
