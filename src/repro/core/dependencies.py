@@ -48,7 +48,7 @@ import numpy as np
 
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype
-from ..symbolic.updates import ReadIndex, UpdateSet, ragged_range
+from ..symbolic.updates import ReadIndex, UpdateSet
 from .partitioner import Partition
 
 __all__ = [
@@ -122,20 +122,22 @@ def unit_read_index(
     partition: Partition, updates: UpdateSet, include_scale: bool = True
 ) -> ReadIndex:
     """The distinct cross-unit reads of ``partition``: element e is read
-    by the other units ``reader[first[e]:end[e]]``, each once, the
-    slices consecutive.  Built on first use and kept on the instance,
-    one per ``include_scale``, straight from the runs of ``updates``: no
-    read list, no sort.  It stands in for the element read index
-    wherever ownership is per unit: a processor fetches what its units
-    do.
+    by the other units ``reader[first[e]:end[e]]``, each once, a suffix
+    of one segment.  Built on first use and kept on the instance, one
+    per ``include_scale``, straight from the runs of ``updates``: no
+    read list, no sort, no expansion.  It stands in for the element read
+    index wherever ownership is per unit: a processor fetches what its
+    units do.
 
     Element e is read, in order, by its slice of
     :attr:`~repro.symbolic.updates.UpdateSet.reader_sequences`.  By the
     convexity lemma proved in :mod:`repro.machine.traffic` the units
     reading it are those of the slice with repeats of the predecessor
     dropped, minus its own unit — which can only come first.  So one
-    comparison per sequence entry marks where the unit changes, and each
-    element takes one slice of the changes.
+    comparison per sequence entry marks where the unit changes; the
+    changes are the index's ``reader``, cut where the sequences' lines
+    and columns begin, and each element's slice is a suffix of the
+    changes of its line.
     """
     memo = vars(partition).setdefault("_unit_read_indexes", {})
     if include_scale in memo:
@@ -152,13 +154,12 @@ def unit_read_index(
     # slice begins in, dropped if that is the element's own unit.
     lo = count[first] - 1
     lo += readers[lo] == uoe
-    length = count[end - 1] - lo
+    end = count[end - 1]
     if not include_scale:
-        length[updates.pattern.indptr[:-1]] = 0
-    reader = readers[ragged_range(lo, length, index_dtype(len(readers)))]
-    src = np.repeat(np.arange(len(length), dtype=index_dtype(len(length))), length)
-    end = np.cumsum(length, dtype=index_dtype(len(reader)))
-    memo[include_scale] = ReadIndex(include_scale, reader, end - length, end, src)
+        diagonal = updates.pattern.indptr[:-1]
+        end[diagonal] = lo[diagonal]
+    bounds = np.append(count[np.flatnonzero(starts)] - 1, len(readers)).astype(count.dtype)
+    memo[include_scale] = ReadIndex(include_scale, readers, bounds, lo, end)
     return memo[include_scale]
 
 
@@ -166,13 +167,14 @@ def unit_dag(
     partition: Partition, updates: UpdateSet, include_scale: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(edges, volumes)`` of the unit DAG of ``partition``, as
-    :func:`group_unit_edges` lays them out: its unit read index grouped
-    by (source unit, reader unit), memoised beside it."""
+    :func:`group_unit_edges` lays them out: its unit read index expanded
+    to (source, reader unit) reads and grouped by (source unit, reader
+    unit), memoised beside it."""
     memo = vars(partition).setdefault("_unit_dags", {})
     if include_scale not in memo:
-        index = unit_read_index(partition, updates, include_scale)
+        src, reader = unit_read_index(partition, updates, include_scale).reads()
         uoe = partition.unit_of_element.astype(index_dtype(partition.num_units))
-        memo[include_scale] = group_unit_edges(uoe[index.src], index.reader, partition.num_units)
+        memo[include_scale] = group_unit_edges(uoe[src], reader, partition.num_units)
     return memo[include_scale]
 
 

@@ -38,8 +38,8 @@ def batched_metrics(
     """
     if read_index is not None and read_index.reader is not updates.reader_sequences[0]:
         raise ValueError(
-            f"read_index was not built from these updates: it indexes {len(read_index.first)} "
-            f"elements, their structure has {updates.pattern.nnz}"
+            "read_index was not built from these updates: it is not a view of their "
+            "reader sequences (a unit read index, or the element index of another UpdateSet)"
         )
     if read_index is not None and read_index.include_scale != include_scale:
         raise ValueError(

@@ -15,10 +15,10 @@ paths, selected by what the :class:`~repro.core.assignment.Assignment`
 carries — there is no switch:
 
 **Unit index** (``partition`` set: every block scheme).  A processor
-fetches an element iff one of its units reads it, so the stamp kernel
+fetches an element iff one of its units reads it, so the per-line pass
 below runs over the partition's unit read index
-(:func:`~repro.core.dependencies.unit_read_index`) — the distinct
-cross-unit (reader unit, source element) pairs — with ``proc_of_unit``
+(:func:`~repro.core.dependencies.unit_read_index`) — who reads each
+element, consecutive repeats of a unit dropped — with ``proc_of_unit``
 as the reader's owner.  *Lemma:* in a source's read order the reads by
 one unit are adjacent and its own unit's come first, so its readers are
 the units of that order minus repeats of the predecessor and minus the
@@ -48,27 +48,30 @@ processor, reach) triples themselves are the P×P matrix of
 :func:`repro.machine.simulate.simulation_messages`; with one processor
 per column the same lemma is the column unit DAG of the simulator.
 
-**Element kernel** (neither: 2-D cyclic, arbitrary owners).
-:func:`distinct_fetches` finds the distinct (processor, source element)
-pairs in O(reads) without a sort; the unit index path runs it too, and
-it hands :func:`communication_matrix`, the block message ledger and
-(units in the place of processors, for an arbitrary element→unit map)
-:func:`repro.machine.simulate.unit_graph` the pairs themselves.  Both
-indexes are one :class:`~repro.symbolic.updates.ReadIndex`, a slice of
-readers per source element; the element one
-(:func:`~repro.symbolic.updates.build_read_index`) is a view of the
-updates' reader sequences.  Per chunk of consecutive sources the slices
-are expanded and ``proc = reader_owner[reader]`` is one gather; reads
-of elements the reader owns, and repeats of the predecessor's (source,
-processor), go in two comparisons; the rest is deduplicated through a
-*stamp table*: read ``r`` writes ``r`` into slot ``(source - base) *
-nprocs + proc`` of an uninitialised int32 array and represents its pair
-iff it reads its own stamp back — whichever duplicate's write lands
-last, exactly one read per pair survives.  A source is one slice, so no
-pair spans two chunks (:func:`source_chunks`) and the per-chunk results
-accumulate, bit-identical at every chunk size.  ``chunk_reads`` (default
-:data:`DEFAULT_CHUNK_READS`) bounds both the reads and the table slots
-of a chunk.
+**Element kernel** (neither: 2-D cyclic, arbitrary owners).  The same
+pass over the element read index
+(:func:`~repro.symbolic.updates.build_read_index`), which also hands
+:func:`communication_matrix`, the block message ledger and (units in
+the place of processors, for an arbitrary element→unit map)
+:func:`repro.machine.simulate.unit_graph` the pairs themselves.
+
+**The suffix lemma.**  Both indexes are one
+:class:`~repro.symbolic.updates.ReadIndex`: every source reads a suffix
+of one segment of ``reader`` (a line of its supernode, a diagonal its
+column; at unit level the same lines with repeats of a unit dropped).
+*Processor q reads source s, whose slice starts at ``first[s]`` in
+segment g, iff q's last occurrence in g lies at or after ``first[s]``*
+— the slice runs to the end of g.  So with ``cover[i]`` the number of
+sources whose slice holds entry i (those of its segment with ``first <=
+i``; memoised with the index as its ``sources``), ``fetches[q]`` is the
+sum of ``cover`` over q's last occurrences, less one per source its own
+processor reads, and the pairs are each last occurrence crossed with
+the sources covering it: O(entries + sources) per cell, no sort, no
+read expanded.  A segment never straddles two chunks
+(:func:`segment_chunks`), so the per-chunk results accumulate,
+bit-identical at every chunk size; ``chunk_reads`` (default
+:data:`DEFAULT_CHUNK_READS`) bounds both the entries and the table
+slots of a chunk.
 """
 
 from __future__ import annotations
@@ -80,20 +83,20 @@ import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.dependencies import unit_read_index
-from ..sparse.dtypes import linear_index
+from ..sparse.dtypes import index_dtype, linear_index
 from ..sparse.pattern import LowerPattern
-from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index
+from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index, ragged_range
 
 __all__ = [
     "DEFAULT_CHUNK_READS", "TrafficResult", "ReadIndex", "build_read_index",
-    "source_chunks", "distinct_fetches", "column_fetch_counts", "fetch_counts",
+    "segment_chunks", "distinct_fetches", "column_fetch_counts", "fetch_counts",
     "fetch_pairs", "kernel_inputs", "data_traffic", "communication_matrix",
 ]
 
-#: Reads — and stamp-table slots — per chunk of the kernel.  At the
-#: default the table is 4 MB and the per-read temporaries ~15 MB
-#: whatever the problem size, which also measured fastest (larger
-#: chunks fall out of cache: 4M is 10-15% slower at 1.4M and 11M reads).
+#: Index entries — and table slots — per chunk of the kernel.  At the
+#: default the table is at most 4 MB whatever the problem size, which
+#: also measured fastest (larger chunks fell out of cache: 4M was
+#: 10-15% slower at 1.4M and 11M reads).
 DEFAULT_CHUNK_READS = 1_000_000
 
 
@@ -116,19 +119,83 @@ class TrafficResult:
         return int(self.per_processor.max())
 
 
-def source_chunks(offsets: np.ndarray, chunk_reads: int, max_span: int) -> list[int]:
-    """Source boundaries of the kernel's chunks over an index's
-    :attr:`~ReadIndex.offsets`: at most ``max_span`` consecutive sources
-    with at most ``chunk_reads`` reads between them, or one source with
-    more — whose reads, one slice, never straddle two chunks."""
-    bounds, total = [0], int(offsets[-1])
-    while bounds[-1] < len(offsets) - 1:
-        lo = bounds[-1]
-        # A key of the offsets' own dtype: any other would convert them all.
-        reach = offsets.dtype.type(min(int(offsets[lo]) + chunk_reads, total))
-        fit = int(np.searchsorted(offsets, reach, side="right")) - 1
-        bounds.append(max(lo + 1, min(lo + max_span, fit)))
-    return bounds
+def segment_chunks(bounds: np.ndarray, chunk_reads: int | None, nprocs: int) -> list[int]:
+    """The kernel's chunks as segment ids over an index's ``bounds``:
+    whole segments, at most ``chunk_reads`` entries and table slots
+    (segments x ``nprocs``) a chunk, or one segment with more; the slot
+    limit spread evenly over as few chunks as it allows, so the table is
+    no larger than they need.  A missing or non-positive ``chunk_reads``
+    means :data:`DEFAULT_CHUNK_READS`: the table has to be bounded (and
+    its slots indexable by int32)."""
+    if chunk_reads is None or chunk_reads <= 0:
+        chunk_reads = DEFAULT_CHUNK_READS
+    slots = min(int(chunk_reads), int(np.iinfo(np.int32).max))
+    segments, total = len(bounds) - 1, int(bounds[-1])
+    span = max(1, slots // int(nprocs))
+    span = -(-segments // max(1, -(-segments // span)))
+    chunks = [0]
+    while chunks[-1] < segments:
+        lo = chunks[-1]
+        # A key of the bounds' own dtype: any other would convert them all.
+        reach = bounds.dtype.type(min(int(bounds[lo]) + slots, total))
+        fit = int(np.searchsorted(bounds, reach, side="right")) - 1
+        chunks.append(max(lo + 1, min(lo + span, fit)))
+    return chunks
+
+
+def _last_reads(
+    owner: np.ndarray,
+    nprocs: int,
+    read_index: ReadIndex,
+    reader_owner: np.ndarray | None,
+    chunk_reads: int | None,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The suffix lemma, chunk by chunk of segments: ``(lo, hi, key,
+    count, owned)`` — the chunk's segments ``lo .. hi - 1``; for every
+    last read of a processor in one of them, its slot ``(segment - lo) *
+    nprocs + proc`` and the ``count`` sources whose slice holds it, the
+    first of the segment's run of the ``by_first`` of
+    :attr:`ReadIndex.sources`; and the owners of the chunk's sources
+    that their own processor reads."""
+    owner = np.asarray(owner)
+    reader_owner = np.asarray(owner if reader_owner is None else reader_owner, dtype=np.int32)
+    nprocs = int(nprocs)  # a numpy integer here would widen every key
+    bounds = read_index.bounds
+    by_first, cover = read_index.sources
+    chunks = segment_chunks(bounds, chunk_reads, nprocs)
+    span = int(np.diff(chunks).max(initial=0))
+    steps = np.arange(0, span * nprocs, nprocs, dtype=np.int32)
+    # A slot holds 1 + the position of the last entry written to it, so
+    # what an earlier chunk left there lies before this chunk's entries.
+    table = np.zeros(span * nprocs, dtype=index_dtype(len(read_index.reader) + 1))
+    base = 0  # the sources of the segments before the chunk
+    for lo, hi in zip(chunks, chunks[1:]):
+        chunk = slice(int(bounds[lo]), int(bounds[hi]))
+        key = np.repeat(steps[:hi - lo], np.diff(bounds[lo:hi + 1]))
+        key += np.take(reader_owner, read_index.reader[chunk])
+        # Each slot has to end up holding its last entry, whatever order
+        # NumPy lands duplicate writes in: rewrite the entries still
+        # ahead of their slot until none is.
+        pos = np.arange(chunk.start + 1, chunk.stop + 1, dtype=table.dtype)
+        table[key] = pos
+        stored = np.take(table, key)
+        while (ahead := np.flatnonzero(stored < pos)).size:
+            table[key[ahead]] = pos[ahead]
+            stored = np.take(table, key)
+        last = np.flatnonzero(stored == pos)
+        del pos, stored
+        # Every source of a segment reads its last entry.
+        width = np.take(cover, bounds[lo + 1:hi + 1] - 1)
+        own = np.repeat(steps[:hi - lo], width)
+        src = by_first[base:base + len(own)]
+        base += len(own)
+        own += np.take(owner, src)
+        owned = np.take(owner, src[np.take(table, own) > read_index.first[src]])
+        # Only what is yielded stays alive while the caller works on it.
+        del own
+        key, count = np.take(key, last), np.take(cover[chunk], last)
+        del last
+        yield lo, hi, key, count, owned
 
 
 def distinct_fetches(
@@ -142,39 +209,30 @@ def distinct_fetches(
     owner array, chunk by chunk.
 
     Yields parallel arrays ``(proc, src)`` holding every pair exactly
-    once over the whole iteration (sources ascend from chunk to chunk).
-    ``reader_owner`` maps the index's ``reader`` ids to processors where
-    they are not element ids (``proc_of_unit`` for a unit read index).
-    Every owner must lie in ``[0, nprocs)`` — the
+    once over the whole iteration: each last read of a processor in a
+    segment, crossed with the sources whose slice holds it, less the
+    sources it owns.  ``reader_owner`` maps the index's ``reader`` ids
+    to processors where they are not element ids (``proc_of_unit`` for
+    a unit read index).  Every owner must lie in ``[0, nprocs)`` — the
     :class:`~repro.core.assignment.Assignment` constructor checks it,
     before the ids are narrowed here — since an out-of-range owner would
-    alias a neighbouring source's slots.
+    alias a neighbouring segment's slots.
     """
-    owner = np.asarray(owner, dtype=np.int32)
-    reader_owner = (
-        owner if reader_owner is None else np.asarray(reader_owner, dtype=np.int32)
-    )
-    nprocs = int(nprocs)  # a numpy integer here would widen every key
-    # The stamp table has to be bounded (and its slots indexable by
-    # int32), so a missing or non-positive value means the default.
-    if chunk_reads is None or chunk_reads <= 0:
-        chunk_reads = DEFAULT_CHUNK_READS
-    slots = min(int(chunk_reads), int(np.iinfo(np.int32).max))
-    span = max(1, slots // nprocs)
-    bounds = source_chunks(read_index.offsets, slots, span)
-    # Never initialised: only slots written in a chunk are read back.
-    table = np.empty(min(span, len(owner)) * nprocs, dtype=np.int32)
-    for lo, hi in zip(bounds, bounds[1:]):
-        s, r = read_index.reads(lo, hi)
-        p = reader_owner[r]
-        keep = p != owner[s]
-        keep[1:] &= (p[1:] != p[:-1]) | (s[1:] != s[:-1])
-        p, s = p[keep], s[keep]
-        key = (s - lo) * nprocs + p
-        stamp = np.arange(len(key), dtype=np.int32)
-        table[key] = stamp
-        first = table[key] == stamp
-        yield p[first], s[first]
+    by_first, cover = read_index.sources
+    bounds, owner = read_index.bounds, np.asarray(owner)
+    base = 0  # the sources of the segments before the chunk
+    for lo, hi, key, count, _owned in _last_reads(owner, nprocs, read_index, reader_owner, chunk_reads):
+        width = np.take(cover, bounds[lo + 1:hi + 1] - 1)
+        line_lo = np.cumsum(width, dtype=by_first.dtype)
+        line_lo += base - width
+        base += int(width.sum())
+        # Floor division by a scalar is several times cheaper than %.
+        segment = key // nprocs
+        proc = key - segment * nprocs
+        src = by_first[ragged_range(line_lo[segment], count, by_first.dtype)]
+        proc = np.repeat(proc, count)
+        keep = proc != owner[src]
+        yield proc[keep], src[keep]
 
 
 def _column_reads(pattern: LowerPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,7 +276,7 @@ def kernel_inputs(
     assignment: Assignment, updates: UpdateSet, include_scale: bool = True
 ) -> tuple:
     """The arguments ``(owner, nprocs, read_index, reader_owner)`` of
-    the stamp kernel for one assignment: over its partition's unit read
+    the per-line pass for one assignment: over its partition's unit read
     index if it has one, else over the element read index."""
     owner = assignment.owner_of_element
     if assignment.partition is not None and assignment.proc_of_unit is not None:
@@ -234,10 +292,14 @@ def fetch_counts(
     reader_owner: np.ndarray | None = None,
     chunk_reads: int | None = None,
 ) -> np.ndarray:
-    """Distinct non-local fetches per processor for one owner array."""
+    """Distinct non-local fetches per processor for one owner array: the
+    suffix lemma's count of the sources reading each processor's last
+    reads, less one per source its own processor reads."""
     counts = np.zeros(nprocs, dtype=np.int64)
-    for proc, _src in distinct_fetches(owner, nprocs, read_index, reader_owner, chunk_reads):
-        counts += np.bincount(proc, minlength=nprocs)
+    for _lo, _hi, key, count, owned in _last_reads(owner, nprocs, read_index, reader_owner, chunk_reads):
+        proc = key - key // nprocs * nprocs  # key % nprocs, without the slow modulo
+        counts += np.bincount(proc, weights=count, minlength=nprocs).astype(np.int64)
+        counts -= np.bincount(owned, minlength=nprocs)
     return counts
 
 
@@ -248,12 +310,12 @@ def fetch_pairs(
     reader_owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct non-local fetch of one owner array as parallel
-    int64 arrays ``(proc, src)``, sources ascending — what
+    int64 arrays ``(proc, src)`` — what
     :func:`communication_matrix`, the block message ledger (both through
     :func:`kernel_inputs`) and the unit DAG of
     :func:`repro.machine.simulate.unit_graph` (owner = an arbitrary
     element→unit map) aggregate, so all of them bit-match
-    :func:`data_traffic`."""
+    :func:`data_traffic`.  The order of the pairs is unspecified."""
     chunks = list(distinct_fetches(owner, nprocs, read_index, reader_owner))
     if not chunks:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)

@@ -232,64 +232,76 @@ def _lines(pattern: LowerPattern, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class ReadIndex:
-    """Who reads each element, as one slice per source element: element
-    e is read by ``reader[first[e]:end[e]]``, each reader once.
+    """Who reads each element, as one suffix of a segment per source
+    element: element e is read by ``reader[first[e]:end[e]]``, each
+    reader once, where ``end[e]`` ends the segment of ``reader`` (cut at
+    ``bounds``) that ``first[e]`` lies in — or is ``first[e]`` itself if
+    nothing reads e.
 
     At element level (:func:`build_read_index`) the readers are element
-    ids and the slices overlap: the sources of one line read nested
-    suffixes of it.  At unit level
-    (:func:`repro.core.dependencies.unit_read_index`) they are unit ids
-    and the slices are consecutive, so every entry of ``reader`` is one
-    read, whose source ``src`` holds.  ``include_scale`` says whether a
-    diagonal's slice holds the scale reads of its column or is empty.
+    ids and a segment is a line of the reader sequences (or a column,
+    read by its diagonal).  At unit level
+    (:func:`repro.core.dependencies.unit_read_index`) they are unit ids:
+    the same lines with consecutive repeats of a unit dropped.
+    ``include_scale`` says whether a diagonal's slice holds the scale
+    reads of its column or is empty.
     """
 
     include_scale: bool
     reader: np.ndarray
+    bounds: np.ndarray
     first: np.ndarray
     end: np.ndarray
-    src: np.ndarray | None = None
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Where each source's reads begin among all reads, sources
-        ascending, and their number last."""
-        length = self.end - self.first
-        out = np.zeros(len(length) + 1, dtype=index_dtype(int(length.sum(dtype=np.int64))))
-        np.cumsum(length, out=out[1:])
-        return out
 
     @property
     def num_reads(self) -> int:
-        return int(self.offsets[-1])
+        return int((self.end - self.first).sum(dtype=np.int64))
 
-    def reads(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, reader)`` of every read of the sources ``lo .. hi - 1``,
-        sources ascending."""
-        first, end = self.first[lo:hi], self.end[lo:hi]
-        if self.src is not None:
-            at = slice(first[0], end[-1]) if len(first) else slice(0, 0)
-            return self.src[at], self.reader[at]
-        src = np.repeat(np.arange(lo, lo + len(first), dtype=index_dtype(len(self.first))), end - first)
-        return src, self.reader[ragged_range(first, end - first, first.dtype)]
+    @cached_property
+    def sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(by_first, cover)``, neither depending on who owns what: the
+        sources with a non-empty slice in ascending ``first``, and
+        ``cover[i]``, how many of them read entry i.  A slice runs to its
+        segment's end, so every source of a segment reads its last entry,
+        and the sources reading entry i are the first ``cover[i]`` of its
+        segment's run of ``by_first``."""
+        read = np.flatnonzero(self.end > self.first)
+        at = self.first[read]
+        by_first = read[np.argsort(at, kind="stable")].astype(index_dtype(len(self.first)))
+        # The slices begun at or before entry i, less those of earlier segments.
+        cover = np.cumsum(np.bincount(at, minlength=len(self.reader)), dtype=index_dtype(len(read)))
+        earlier = cover[self.bounds[:-1] - 1]
+        earlier[:1] = 0  # the first segment begins at entry 0
+        cover -= np.repeat(earlier, np.diff(self.bounds))
+        return by_first, cover
+
+    def reads(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, reader)`` of every read, sources ascending."""
+        length = self.end - self.first
+        src = np.repeat(np.arange(len(length), dtype=index_dtype(len(length))), length)
+        return src, self.reader[ragged_range(self.first, length, self.first.dtype)]
 
 
 def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadIndex:
     """The element read index of ``updates``: a view of its
     :attr:`~UpdateSet.reader_sequences` in O(nnz), with no sort and no
-    per-pair array.
+    per-pair array, kept on ``updates`` (one per ``include_scale``).
 
     Every pair update reads two off-diagonal sources on behalf of its
     target (once if they coincide); ``include_scale`` adds one diagonal
     read per element, matching the flag of
     :func:`repro.machine.traffic.data_traffic`.
     """
-    targets, _starts, first, end = updates.reader_sequences
-    if not include_scale:
-        diagonal = updates.pattern.indptr[:-1]
-        end = end.copy()
-        end[diagonal] = first[diagonal]
-    return ReadIndex(include_scale, targets, first, end)
+    memo = vars(updates).setdefault("_read_indexes", {})
+    if include_scale not in memo:
+        targets, starts, first, end = updates.reader_sequences
+        if not include_scale:
+            diagonal = updates.pattern.indptr[:-1]
+            end = end.copy()
+            end[diagonal] = first[diagonal]
+        bounds = np.append(np.flatnonzero(starts), len(targets)).astype(first.dtype)
+        memo[include_scale] = ReadIndex(include_scale, targets, bounds, first, end)
+    return memo[include_scale]
 
 
 #: Above this order the dense (n x n) element-id lookup (4 n² bytes)

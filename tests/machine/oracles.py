@@ -1,5 +1,5 @@
-"""Simulated-machine oracle: the event loop as it was before the ready
-queue, kept for the tests to compare against.
+"""Simulated-machine and traffic oracles, kept for the tests to compare
+against.
 
 * :func:`simulate_units_oracle` — greedy list scheduling with message
   delays that, whenever a processor is free, scans *every* ready unit
@@ -7,6 +7,10 @@ queue, kept for the tests to compare against.
   quadratic in the ready set, which is the point: it states the pick
   rule directly, where ``repro.machine.simulate`` keeps two heaps that
   have to agree with it.
+* :func:`stamp_fetches_oracle` — the distinct non-local fetches by the
+  per-read stamp loop: every read of the index expanded and
+  deduplicated through a stamp table, where ``repro.machine.traffic``
+  counts each segment once by its last reads.
 """
 
 from __future__ import annotations
@@ -96,3 +100,46 @@ def simulate_units_oracle(nprocs, proc_of_unit, work, edges, volume, model):
         raise ValueError("unit dependency graph has a cycle")
     times = [np.asarray(x, dtype=np.float64) for x in (start, finish, proc_busy)]
     return *times, *(np.asarray(x, dtype=np.int64) for x in (reason, reason_kind))
+
+
+def stamp_fetches_oracle(owner, nprocs, read_index, reader_owner=None, chunk_reads=1_000_000):
+    """The distinct non-local (processor, source element) fetches as
+    parallel int64 arrays ``(proc, src)``, sources ascending, by the
+    per-read stamp loop the traffic kernel ran before the suffix lemma.
+
+    Every read of the index is expanded; then, chunk by chunk of
+    consecutive sources (at most ``chunk_reads`` reads and table slots,
+    or one source with more), ``proc = reader_owner[reader]`` is
+    gathered; reads of
+    elements the reader owns, and repeats of the predecessor's (source,
+    processor), go in two comparisons, and the rest are deduplicated
+    through a stamp table: read r writes r into slot ``(source - lo) *
+    nprocs + proc`` of an uninitialised array and represents its pair
+    iff it reads its own stamp back.
+    """
+    owner = np.asarray(owner, dtype=np.int64)
+    reader_owner = owner if reader_owner is None else np.asarray(reader_owner, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(read_index.end - read_index.first)])
+    reads = read_index.reads()
+    span = max(1, chunk_reads // nprocs)
+    table = np.empty(min(span, len(owner)) * nprocs, dtype=np.int64)
+    procs, srcs, lo = [], [], 0
+    while lo < len(owner):
+        fit = int(np.searchsorted(offsets, offsets[lo] + chunk_reads, side="right")) - 1
+        hi = max(lo + 1, min(lo + span, fit))
+        s, r = (x[offsets[lo]:offsets[hi]] for x in reads)
+        s = s.astype(np.int64)
+        p = reader_owner[r]
+        keep = p != owner[s]
+        keep[1:] &= (p[1:] != p[:-1]) | (s[1:] != s[:-1])
+        p, s = p[keep], s[keep]
+        key = (s - lo) * nprocs + p
+        stamp = np.arange(len(key))
+        table[key] = stamp
+        first = table[key] == stamp
+        procs.append(p[first])
+        srcs.append(s[first])
+        lo = hi
+    if not procs:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(procs), np.concatenate(srcs)

@@ -27,6 +27,7 @@ from repro.machine import (
     build_read_index,
     data_traffic,
 )
+from repro.core.dependencies import unit_read_index
 from repro.sparse import grid9
 from repro.sparse import harwell_boeing as hb
 
@@ -167,6 +168,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="not built from these updates"):
             batched_metrics(lap30.updates, [cell], read_index=again)
 
+    def test_unit_read_index_rejected_by_the_view_check(self, lap30):
+        """Regression: a unit read index has one slice per element too, so
+        the refusal quoted two equal element counts; it names the view
+        check now."""
+        pm = partition_prepared(lap30, grain=4)
+        index = unit_read_index(pm.partition, lap30.updates)
+        cell = two_d_cyclic(lap30.pattern, 2, 2)
+        with pytest.raises(ValueError, match="not a view of their reader sequences") as err:
+            batched_metrics(lap30.updates, [cell], read_index=index)
+        assert f"{lap30.pattern.nnz} elements" not in str(err.value)
+
+    def test_same_structure_other_updates_rejected_by_the_view_check(self, lap30):
+        """Regression: the element index of a second enumeration of the
+        same structure indexes as many elements, and the refusal said so
+        twice; it names the view check now."""
+        again = build_read_index(prepare(hb.load("LAP30")).updates)
+        assert len(again.first) == lap30.pattern.nnz
+        cell = two_d_cyclic(lap30.pattern, 2, 2)
+        with pytest.raises(ValueError, match="not a view of their reader sequences") as err:
+            batched_metrics(lap30.updates, [cell], read_index=again)
+        assert f"{lap30.pattern.nnz} elements" not in str(err.value)
+
     def test_wrong_owner_length_rejected(self, lap30):
         owner = np.zeros(lap30.pattern.nnz, dtype=np.int64)
         for bad in (owner[:3], owner.reshape(-1, 1), owner.reshape(1, -1)):
@@ -175,8 +198,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [-1, 4, 2**32, 2**32 + 1])
     def test_owner_out_of_range_rejected(self, lap30, bad):
-        """An owner outside [0, nprocs) would alias another source's
-        stamp-table slots (and one past 2^31 would wrap into range when
+        """An owner outside [0, nprocs) would alias another segment's
+        table slots (and one past 2^31 would wrap into range when
         the kernel narrows it): refused before any kernel sees it."""
         hostile = wrap_assignment(lap30.pattern, 4).owner_of_element.astype(np.int64)
         hostile[len(hostile) // 2] = bad

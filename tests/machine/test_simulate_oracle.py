@@ -6,7 +6,7 @@
   {block, wrap} x P in {1, 3, 16} x drawn α, β — zero included, so data
   arrivals tie exactly with processor free times.
 * The column DAG of a column map (the column-prefix lemma) equals the
-  stamp kernel's ``unit_graph`` with the columns as units, scale reads
+  element pass's ``unit_graph`` with the columns as units, scale reads
   on and off.
 * Timeline, start reasons and the full message table hash to what the
   scan-all-ready loop and the element-kernel ledger produced on the five

@@ -2,8 +2,9 @@
 structures.
 
 :func:`tests.conftest.traffic_oracle` is the paper's definition as a
-membership bitmap; the kernel under test is the sort-free stamp-table
-pass behind ``data_traffic``, ``batched_metrics``,
+membership bitmap, and :func:`tests.machine.oracles.stamp_fetches_oracle`
+the per-read stamp loop; the kernel under test is the per-line pass of
+the suffix lemma behind ``data_traffic``, ``batched_metrics``,
 ``communication_matrix`` and the simulated message ledger.  Structures
 come from the seeded generator families at n <= 200, owner arrays from
 every mapping family plus arrays with no unit structure at all.
@@ -27,9 +28,10 @@ from repro.machine import (
     data_traffic,
     simulate_assignment,
 )
-from repro.machine.traffic import fetch_counts, kernel_inputs
+from repro.machine.traffic import distinct_fetches, fetch_counts, fetch_pairs, kernel_inputs
 
 from ..conftest import bare_owners, generated_graphs, traffic_oracle
+from .oracles import stamp_fetches_oracle
 
 CHUNKS = (1, 7, 1000, 0)
 
@@ -108,6 +110,46 @@ class TestKernelMatchesOracle:
                 *kernel_inputs(a, prep.updates), chunk_reads=chunk_reads
             )
             np.testing.assert_array_equal(got, want)
+
+
+class TestSuffixLemmaMatchesStampLoop:
+    @given(
+        generated_graphs(),
+        st.sampled_from(["block", "bare-block", "wrap", "2d", "random"]),
+        st.sampled_from([1, 2, 3, 16, 64]),
+        st.booleans(),
+        st.sampled_from(CHUNKS),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_and_counts(self, graph, scheme, nprocs, include_scale, chunk_reads, data):
+        """The per-line pass gives the per-read stamp loop's pairs, as a
+        set, at every chunk size, and the oracle's counts."""
+        prep = prepare(graph, name="generated")
+        if scheme in ("block", "bare-block"):
+            grain = data.draw(st.sampled_from([1, 4, 25]))
+            a = block_mapping(prep, nprocs, grain=grain).assignment
+            a = bare_owners(a) if scheme == "bare-block" else a
+        elif scheme == "wrap":
+            a = wrap_assignment(prep.pattern, nprocs)
+        elif scheme == "2d":
+            a = two_d_cyclic(prep.pattern, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+        else:
+            a = _random_assignment(prep.pattern, nprocs, data.draw(st.integers(0, 2**16)))
+        inputs = kernel_inputs(a, prep.updates, include_scale)
+        want = set(zip(*(x.tolist() for x in stamp_fetches_oracle(*inputs))))
+        proc, src = fetch_pairs(*inputs)
+        assert len(proc) == len(want)
+        assert set(zip(proc.tolist(), src.tolist())) == want
+        chunked = [
+            pair for p, s in distinct_fetches(*inputs, chunk_reads=chunk_reads)
+            for pair in zip(p.tolist(), s.tolist())
+        ]
+        assert len(chunked) == len(want) and set(chunked) == want
+        np.testing.assert_array_equal(
+            fetch_counts(*inputs, chunk_reads=chunk_reads),
+            traffic_oracle(a.owner_of_element, a.nprocs, prep.updates, include_scale),
+        )
 
 
 class TestConsumersAgree:

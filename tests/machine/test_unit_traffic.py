@@ -12,7 +12,7 @@ share no code with them — ``traffic_oracle`` (a membership bitmap) and
   the partitioner or the adaptive scheduler can emit;
 * the prefix formula, for *arbitrary* column owners;
 * every scheduler's assignment measured over the unit index;
-* a map that is not unit-convex keeps the stamp kernel.
+* a map that is not unit-convex keeps the element pass.
 
 Tier-1 runs Hypothesis' default example count, the CI kernel-identity
 step ``--hypothesis-profile=full``.

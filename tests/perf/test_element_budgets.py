@@ -1,7 +1,7 @@
 """What the element kernel reads of the updates, pinned without a clock.
 
 Owner arrays with no unit-level view (2-D cyclic, random owners) and the
-unit DAG of an arbitrary element→unit map run the stamp kernel over the
+unit DAG of an arbitrary element→unit map run the per-line pass over the
 element read index, which is a view of the updates' reader sequences:
 no per-pair array and no sort.  Pinned by patching the four per-pair
 expansions to raise while the user-facing calls run, and the bytes by a

@@ -2,7 +2,7 @@
 
 A column assignment (wrap) simulates over the column-prefix lemma: its
 unit DAG, its message ledger and its communication matrix come from L's
-columns, with no element read list and no stamp kernel.  A block
+columns, with no element read list and no per-line pass.  A block
 assignment simulates over its partition's unit read index, with no
 element read list.  Both are pinned by patching what they must not call
 to raise while the user-facing calls run.
