@@ -2,13 +2,15 @@
 scheduled -> measured.
 
 :class:`PreparedMatrix` caches the expensive, sweep-invariant stages
-(ordering, symbolic factorization, update enumeration) so parameter
-sweeps over grain size / processor count / cluster width re-use them.
+(ordering, symbolic factorization, update enumeration) and, per
+partition parameter tuple, the processor-count-invariant partition
+stage, so parameter sweeps over grain size / processor count / cluster
+width re-use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,12 +46,20 @@ __all__ = [
 @dataclass
 class PreparedMatrix:
     """A structure ordered and symbolically factored, ready for mapping
-    experiments."""
+    experiments.
+
+    The update set and every partition stage built from it are cached on
+    the instance: :func:`partition_prepared` keeps one
+    :class:`PartitionedMatrix` per ``(grain, min_width, zero_tolerance,
+    grain_rectangle)`` it was called with, for as long as this object
+    lives: that memory is the price of partitioning each tuple once.
+    """
 
     name: str
     graph: SymmetricGraph
     perm: np.ndarray
     symbolic: SymbolicFactor
+    _partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pattern(self) -> LowerPattern:
@@ -123,7 +133,12 @@ def partition_prepared(
 ) -> PartitionedMatrix:
     """Run the nprocs-invariant stages once: partition + dependencies +
     unit work.  The result feeds :func:`block_mappings` for any number
-    of processor counts."""
+    of processor counts, and is memoised on ``prepared``: a repeat call
+    with the same parameters returns the same object and builds (and
+    traces) nothing."""
+    key = (grain, min_width, zero_tolerance, grain_rectangle)
+    if key in prepared._partitions:
+        return prepared._partitions[key]
     with obs.span("pipeline.partition", matrix=prepared.name, grain=grain):
         partition = partition_factor(
             prepared.pattern,
@@ -137,7 +152,7 @@ def partition_prepared(
     with obs.span("pipeline.dependencies", matrix=prepared.name):
         deps = analyze_dependencies(partition, updates)
     obs.counter("pipeline.stage.dependencies")
-    return PartitionedMatrix(
+    prepared._partitions[key] = PartitionedMatrix(
         prepared=prepared,
         partition=partition,
         dependencies=deps,
@@ -147,6 +162,7 @@ def partition_prepared(
         zero_tolerance=zero_tolerance,
         grain_rectangle=grain_rectangle,
     )
+    return prepared._partitions[key]
 
 
 @dataclass

@@ -82,6 +82,11 @@ def schedule_blocks(
     unit_work = np.asarray(unit_work, dtype=np.float64)
     if len(unit_work) != n_units:
         raise ValueError("unit_work must have one entry per unit")
+    bad = np.flatnonzero(~np.isfinite(unit_work) | (unit_work < 0))
+    if len(bad):
+        raise ValueError(
+            f"unit_work must be finite and >= 0; unit {bad[0]} has {unit_work[bad[0]]}"
+        )
 
     # --- step 1: independent columns, wrap-around ---------------------
     is_column = partition.kind == KIND_CODE[BlockKind.COLUMN]
@@ -143,7 +148,8 @@ def schedule_blocks(
         p_a: set[int] = set()
         u = lo
         while u < hi and block[u] == 0:
-            for p in pred_src[ptr[u] : ptr[u + 1]].tolist():
+            # Once P_a holds every processor no predecessor can qualify.
+            for p in pred_src[ptr[u] : ptr[u + 1]].tolist() if len(p_a) < nprocs else ():
                 chosen = proc[p]
                 if chosen >= 0 and chosen not in p_a:
                     break

@@ -283,11 +283,9 @@ def group_grid(tasks: list[SweepTask]) -> list[SweepGroup]:
 # task execution (runs in workers; module-level for picklability)
 # ----------------------------------------------------------------------
 
-#: Per-process memo so one worker prepares/loads each matrix only once.
+#: Per-process memo so one worker prepares/loads each matrix only once
+#: (the partition stage is memoised on the prepared matrix itself).
 _WORKER_PREPARED: dict[tuple[str, str], PreparedMatrix] = {}
-
-#: Per-process memo for the partition/dependency stage (block scheme).
-_WORKER_PARTITIONED: dict[tuple[str, str, int, int], PartitionedMatrix] = {}
 
 
 def _prepared(
@@ -307,27 +305,17 @@ def _prepared(
 
 
 def _partitioned(
-    prep: PreparedMatrix,
-    ordering: str,
-    grain: int,
-    min_width: int,
-    cache_dir: str | None,
-    memo: dict[tuple[str, str, int, int], PartitionedMatrix],
+    prep: PreparedMatrix, ordering: str, grain: int, min_width: int, cache_dir: str | None
 ) -> PartitionedMatrix:
-    key = (prep.name, ordering, grain, min_width)
-    if key not in memo:
-        if cache_dir is None:
-            memo[key] = partition_prepared(prep, grain=grain, min_width=min_width)
-        else:
-            memo[key] = cached_partition(prep, grain, min_width, ordering, cache_dir)
-    return memo[key]
+    if cache_dir is None:
+        return partition_prepared(prep, grain=grain, min_width=min_width)
+    return cached_partition(prep, grain, min_width, ordering, cache_dir)
 
 
 def _measure_group(
     group: SweepGroup,
     cache_dir: str | None,
     memo: dict[tuple[str, str], PreparedMatrix],
-    part_memo: dict[tuple[str, str, int, int], PartitionedMatrix],
 ) -> list[SweepRecord]:
     """One group: the shared stages once, then every processor count."""
     prep = _prepared(group.matrix, group.ordering, cache_dir, memo)
@@ -335,7 +323,7 @@ def _measure_group(
         results = wrap_mappings(prep, group.procs)
     elif group.scheme == "block":
         partitioned = _partitioned(
-            prep, group.ordering, group.grain, group.min_width, cache_dir, part_memo
+            prep, group.ordering, group.grain, group.min_width, cache_dir
         )
         results = block_mappings(partitioned, group.procs)
     else:
@@ -401,9 +389,7 @@ def _run_group(payload) -> tuple[int, list[SweepRecord], dict]:
             with obs.span(
                 "perf.sweep.group", label=group.label(), cells=len(group.procs)
             ):
-                records = _measure_group(
-                    group, cache_dir, _WORKER_PREPARED, _WORKER_PARTITIONED
-                )
+                records = _measure_group(group, cache_dir, _WORKER_PREPARED)
             if monitor is not None:
                 monitor.stop()
         except Exception as exc:
@@ -455,7 +441,6 @@ def sweep(
 
 def _sweep_serial(tasks: list[SweepTask], cache_str: str | None) -> list[SweepRecord]:
     memo: dict[tuple[str, str], PreparedMatrix] = {}
-    part_memo: dict[tuple[str, str, int, int], PartitionedMatrix] = {}
     with obs.span("perf.sweep.run", tasks=len(tasks), jobs=1):
         results: list[SweepRecord | None] = [None] * len(tasks)
         for group in group_grid(tasks):
@@ -463,7 +448,7 @@ def _sweep_serial(tasks: list[SweepTask], cache_str: str | None) -> list[SweepRe
             with obs.span(
                 "perf.sweep.group", label=group.label(), cells=len(group.procs)
             ):
-                group_records = _measure_group(group, cache_str, memo, part_memo)
+                group_records = _measure_group(group, cache_str, memo)
             obs.observe("perf.sweep.unit_ms", 1e3 * (time.perf_counter() - t0))
             for index, record in zip(group.indices, group_records):
                 results[index] = record
@@ -634,7 +619,7 @@ def _merge_worker_trace(
 
 def _retry_group(group: SweepGroup, cache_str: str | None) -> list[SweepRecord]:
     try:
-        return _measure_group(group, cache_str, {}, {})
+        return _measure_group(group, cache_str, {})
     except Exception as exc:
         raise RuntimeError(f"sweep group {group.label()!r} failed after retry") from exc
 

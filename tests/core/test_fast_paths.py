@@ -89,9 +89,15 @@ def assert_schedule_identical(pattern, nprocs, policy, grain=4):
 
 class TestSchedulerIdentity:
     @pytest.mark.parametrize("policy", ["first", "least_loaded", "round_robin"])
-    @pytest.mark.parametrize("nprocs", [1, 4, 16])
-    def test_paper_matrix_policies(self, nprocs, policy):
-        pattern = pattern_of(hb.load("DWT512"))
+    @pytest.mark.parametrize(
+        "matrix, nprocs",
+        # LAP30 has 552 triangle units at g=4: at small P most of them
+        # meet a P_a that already holds every processor.
+        [pytest.param("DWT512", p, id=str(p)) for p in (1, 4, 16)]
+        + [pytest.param("LAP30", p, id=f"LAP30-{p}") for p in (1, 2, 4)],
+    )
+    def test_paper_matrix_policies(self, matrix, nprocs, policy):
+        pattern = pattern_of(hb.load(matrix))
         assert_schedule_identical(pattern, nprocs, policy)
 
     def test_band_pattern(self):

@@ -192,3 +192,60 @@ class TestACellIsAGroupOfOne:
             wraps = wrap_mappings(prep, group, include_scale_traffic=include_scale)
             assert [_figures(r) for r in blocks] == [alone[p][0] for p in group]
             assert [_figures(r) for r in wraps] == [alone[p][1] for p in group]
+
+
+class TestPartitionMemo:
+    """The partition stage is memoised on the prepared matrix, one entry
+    per (grain, min_width, zero_tolerance, grain_rectangle)."""
+
+    BASE = {"grain": 4, "min_width": 4, "zero_tolerance": 0.0, "grain_rectangle": None}
+
+    def test_one_stage_for_every_processor_count(self):
+        prep = prepare(grid9(8, 8), name="grid9(8,8)")
+        with obs.enabled(obs.Recorder()) as rec:
+            results = [block_mapping(prep, p, grain=4) for p in (4, 16, 32)]
+        assert rec.counters["pipeline.stage.partition"] == 1
+        assert rec.counters["pipeline.stage.dependencies"] == 1
+        assert len(rec.spans_named("pipeline.partition")) == 1
+        assert len(rec.spans_named("pipeline.dependencies")) == 1
+        assert all(r.partition is results[0].partition for r in results)
+        assert partition_prepared(prep, grain=4).partition is results[0].partition
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("grain", 25), ("min_width", 2), ("zero_tolerance", 0.5), ("grain_rectangle", 9)],
+    )
+    def test_each_parameter_builds_a_new_stage(self, name, value):
+        prep = prepare(grid9(8, 8), name="grid9(8,8)")
+        first = partition_prepared(prep, **self.BASE)
+        with obs.enabled(obs.Recorder()) as rec:
+            other = partition_prepared(prep, **{**self.BASE, name: value})
+            again = partition_prepared(prep, **{**self.BASE, name: value})
+        assert rec.counters["pipeline.stage.partition"] == 1
+        assert rec.counters["pipeline.stage.dependencies"] == 1
+        assert other is again and other is not first
+        assert getattr(other, name) == value
+        assert partition_prepared(prep, **self.BASE) is first
+
+    @given(generated_graphs(), st.sampled_from([1, 4, 25]), st.sampled_from([1, 2, 4]))
+    @settings(deadline=None)
+    def test_a_hit_equals_a_fresh_build(self, graph, grain, min_width):
+        prep = prepare(graph, name="generated")
+        partition_prepared(prep, grain=grain, min_width=min_width)
+        hit = partition_prepared(prep, grain=grain, min_width=min_width)
+        fresh = partition_prepared(
+            prepare(graph, name="generated"), grain=grain, min_width=min_width
+        )
+        np.testing.assert_array_equal(hit.partition.table, fresh.partition.table)
+        np.testing.assert_array_equal(hit.dependencies.edges, fresh.dependencies.edges)
+        assert hit.dependencies.category_counts == fresh.dependencies.category_counts
+        np.testing.assert_array_equal(hit.unit_work, fresh.unit_work)
+        for p in (1, 3, 16):
+            memoised = block_mapping(prep, p, grain=grain, min_width=min_width)
+            alone = block_mapping(
+                prepare(graph, name="generated"), p, grain=grain, min_width=min_width
+            )
+            assert _figures(memoised) == _figures(alone)
+            assert memoised.assignment.proc_of_unit.tolist() == (
+                alone.assignment.proc_of_unit.tolist()
+            )

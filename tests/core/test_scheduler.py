@@ -131,6 +131,21 @@ class TestScheduleBlocks:
         with pytest.raises(ValueError):
             schedule_blocks(partition, deps, 2, unit_work=np.ones(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_broken_unit_work_refused(self, value):
+        """A non-finite or negative weight would silently reorder P_t
+        (step 4 sorts it by accumulated work): refused, naming the unit."""
+        partition, updates, deps = _setup()
+        uw = unit_work(partition, updates).astype(np.float64)
+        uw[[3, 5]] = value
+        with pytest.raises(ValueError, match="unit 3 "):
+            schedule_blocks(partition, deps, 2, unit_work=uw)
+
+    def test_zero_unit_work_accepted(self):
+        partition, updates, deps = _setup()
+        uw = np.zeros(partition.num_units)
+        assert (schedule_blocks(partition, deps, 2, unit_work=uw).proc_of_unit >= 0).all()
+
     def test_deterministic(self):
         partition, updates, deps = _setup()
         uw = unit_work(partition, updates)

@@ -348,10 +348,10 @@ class TestWorkerFailureTrace:
         parent_pid = os.getpid()
         real = sweep_mod._measure_group
 
-        def worker_only_boom(group, cache_dir, memo, part_memo):
+        def worker_only_boom(group, cache_dir, memo):
             if os.getpid() != parent_pid:  # forked workers inherit this
                 raise ValueError("worker-only crash")
-            return real(group, cache_dir, memo, part_memo)
+            return real(group, cache_dir, memo)
 
         monkeypatch.setattr(sweep_mod, "_measure_group", worker_only_boom)
         with obs.enabled(obs.Recorder()) as rec:
@@ -367,7 +367,7 @@ class TestWorkerFailureTrace:
     def test_worker_error_carries_label_traceback_and_stats(self, monkeypatch):
         from repro.perf import build_grid, group_grid
 
-        def boom(group, cache_dir, memo, part_memo):
+        def boom(group, cache_dir, memo):
             raise ValueError("stage exploded")
 
         monkeypatch.setattr(sweep_mod, "_measure_group", boom)
@@ -383,7 +383,7 @@ class TestWorkerFailureTrace:
         assert isinstance(err.stats, dict) and err.stats["pid"] == os.getpid()
 
     def test_terminal_failure_names_the_unit(self, monkeypatch):
-        def boom(group, cache_dir, memo, part_memo):
+        def boom(group, cache_dir, memo):
             raise ValueError("stage exploded")
 
         monkeypatch.setattr(sweep_mod, "_measure_group", boom)

@@ -235,9 +235,12 @@ class TestPartitionCache:
             np.testing.assert_array_equal(a.owner_of_element, b.owner_of_element)
             np.testing.assert_array_equal(a.proc_of_unit, b.proc_of_unit)
 
-    def test_cached_partition_counters(self, tmp_path, prepared):
+    def test_cached_partition_counters(self, tmp_path, graph, prepared):
+        # A fresh prepared matrix: the shared fixture's partition stage
+        # may already be memoised, and a memo hit builds nothing.
+        fresh = prepare(graph, name="grid9(7,7)")
         with obs.enabled(obs.Recorder()) as rec:
-            cached_partition(prepared, 4, 4, cache_dir=tmp_path)
+            cached_partition(fresh, 4, 4, cache_dir=tmp_path)
         assert rec.counters.get("perf.cache.partition.miss") == 1
         assert rec.counters.get("perf.cache.partition.store") == 1
         assert rec.counters.get("pipeline.stage.partition") == 1  # recomputed

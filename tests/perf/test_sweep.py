@@ -287,7 +287,7 @@ class TestFailurePropagation:
         assert records == sweep(["DWT512"], jobs=1, **GRID)
 
     def test_group_failure_raises_with_label(self, monkeypatch):
-        def boom(group, cache_dir, memo, part_memo):
+        def boom(group, cache_dir, memo):
             raise ValueError("stage exploded")
 
         monkeypatch.setattr(sweep_mod, "_measure_group", boom)
