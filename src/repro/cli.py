@@ -16,13 +16,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from dataclasses import dataclass
+from typing import Callable
 
 from .analysis import (
+    figure1_ascii,
     figure2_ascii,
     figure3_ascii,
     figure4_report,
     generate_report,
+    render_claims,
+    render_comparison,
     render_partition_stats,
+    render_table,
     render_table1,
     render_table2,
     render_table3,
@@ -30,146 +37,162 @@ from .analysis import (
     render_table5,
 )
 
-_TARGETS = ["table1", "table2", "table3", "table4", "table5",
-            "figure1", "figure2", "figure3", "figure4"]
-_EXTRA_TARGETS = ["stats", "report", "claims", "sweep", "scorecard", "compare",
-                  "bench", "explain"]
-
-#: Every invocable target with a one-line description, in the stable
-#: order ``--help`` lists them.  Keep this in sync with ``_emit`` /
-#: ``main`` — ``tests/analysis/test_cli.py`` asserts the help output
-#: names each of them.
-_TARGET_HELP: dict[str, str] = {
-    "table1": "the Harwell-Boeing test matrices (n, nnz, fill)",
-    "table2": "block-mapping communication volume",
-    "table3": "block-mapping work distribution (lambda)",
-    "table4": "cluster-width sensitivity for LAP30",
-    "table5": "wrap-mapping traffic and imbalance",
-    "figure1": "element-level dependencies of one update",
-    "figure2": "filled matrix of an MMD-ordered grid",
-    "figure3": "partitioned-cluster diagram",
-    "figure4": "dependency-category breakdown",
-    "all": "every table and figure above, in order",
-    "stats": "partition statistics for one matrix",
-    "report": "paper-vs-measured report; --latest/--run: HTML run report",
-    "claims": "per-claim verification verdicts",
-    "compare": "side-by-side paper/measured tables",
-    "scorecard": "block-vs-wrap metric scorecard",
-    "explain": "simulate one (matrix, scheme, P) cell and attribute "
-               "its communication and imbalance (HTML + registry run)",
-    "trace": "run any target under tracing (see --trace-out)",
-    "profile": "run any target under the sampling profiler (--hz)",
-    "sweep": "parallel (matrix, scheme, P, g) grid sweep",
-    "bench": "per-stage pipeline benchmark -> BENCH_pipeline.json",
-    "runs": "run registry: runs list | show REF | compare OLD NEW",
-    "cache": "disk-cache tools: cache stats | prune --max-bytes N",
-}
+#: Handler kinds.  A plain handler takes the parsed options and returns
+#: the text to print; a wrapper does the same but runs the plain target
+#: named by the second positional under a recorder; an own-grammar
+#: handler takes the raw argv after its name and returns the exit code.
+PLAIN, WRAPPER, OWN_GRAMMAR = "plain", "wrapper", "own-grammar"
 
 
-def _targets_epilog() -> str:
-    lines = ["targets:"]
-    lines += [f"  {name:<12} {desc}" for name, desc in _TARGET_HELP.items()]
-    lines.append("")
-    lines.append("environment: REPRO_TRACE_OUT sets the default --trace-out; "
-                 "REPRO_RUNS_DIR relocates the run registry (.repro/runs); "
-                 "REPRO_CACHE_DIR relocates the prepared-matrix cache.")
-    return "\n".join(lines)
+@dataclass(frozen=True)
+class Target:
+    """One ``python -m repro`` target."""
+
+    name: str
+    help: str
+    run: Callable
+    kind: str = PLAIN
+    #: One of the paper's tables and figures: ``all`` runs these, in order.
+    paper: bool = False
+    #: Option a second positional argument sets (``explain LAP30``).
+    positional: str | None = None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one int, got {text!r}")
+    return values
 
 
-def _emit(target: str, args: argparse.Namespace) -> str:
-    if target == "table1":
-        return render_table1()
-    if target == "table2":
-        return render_table2()
-    if target == "table3":
-        return render_table3()
-    if target == "table4":
-        return render_table4()
-    if target == "table5":
-        return render_table5()
-    if target == "figure1":
-        from .analysis import figure1_ascii
+def _stats(args: argparse.Namespace) -> str:
+    from .analysis.experiments import prepared_matrix
+    from .core import partition_factor
 
-        return figure1_ascii()
-    if target == "figure2":
-        return figure2_ascii(args.nx, args.ny)
-    if target == "figure3":
-        return figure3_ascii()
-    if target == "figure4":
-        return figure4_report(args.matrix, args.grain)
-    if target == "stats":
-        from .analysis.experiments import prepared_matrix
-        from .core import partition_factor
+    prep = prepared_matrix(args.matrix)
+    partition = partition_factor(prep.pattern, grain=args.grain)
+    return render_partition_stats(
+        partition, f"Partition statistics: {args.matrix}, g={args.grain}"
+    )
 
-        prep = prepared_matrix(args.matrix)
-        partition = partition_factor(prep.pattern, grain=args.grain)
-        return render_partition_stats(
-            partition, f"Partition statistics: {args.matrix}, g={args.grain}"
+
+def _report(args: argparse.Namespace) -> str:
+    if args.latest or args.run_ref:
+        from .obs.report import render_report
+
+        out = render_report(args.run_ref, out=args.output or "REPORT.html")
+        return f"HTML run report written to {out}"
+    report = generate_report()
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(report)
+        return f"report written to {args.output}"
+    return report
+
+
+def _scorecard(args: argparse.Namespace) -> str:
+    from .analysis.experiments import prepared_matrix
+    from .core import block_mapping, wrap_mapping
+    from .machine import scorecard
+
+    prep = prepared_matrix(args.matrix)
+    cards = [
+        scorecard(r.assignment, prep.updates)
+        for r in (
+            block_mapping(prep, 16, grain=args.grain),
+            wrap_mapping(prep, 16),
         )
-    if target == "claims":
-        from .analysis import render_claims
+    ]
+    headers = ["metric"] + [c["scheme"] for c in cards]
+    rows = [
+        [key] + [c[key] for c in cards]
+        for key in cards[0]
+        if key != "scheme"
+    ]
+    return render_table(
+        headers, rows,
+        f"Scorecard: {args.matrix} at P=16 (block g={args.grain} vs wrap)",
+    )
 
-        return render_claims(args.matrix)
-    if target == "compare":
-        from .analysis import render_comparison
 
-        return render_comparison()
-    if target == "sweep":
-        import dataclasses
-        import json
-        import time
+def _explain(args: argparse.Namespace) -> str:
+    from .analysis.explain import (
+        explain_manifest,
+        explain_run,
+        render_explain,
+    )
+    from .obs import runs as obs_runs
+    from .obs.report import build_report
 
-        from .obs import runs as obs_runs
-        from .obs import trace as obs_trace
-        from .obs.export import write_chrome_trace, write_jsonl
-        from .obs.memory import monitored
-        from .obs.report import downsample
-        from .perf import records_to_csv, sweep as perf_sweep
-        from .perf.bench import STAGES
+    t0 = time.perf_counter()
+    result = explain_run(args.matrix, scheme=args.scheme,
+                         nprocs=args.nprocs, grain=args.grain)
+    wall = time.perf_counter() - t0
+    doc = explain_manifest(result)
+    manifest = obs_runs.record_run(
+        "explain",
+        config={"matrix": args.matrix, "scheme": args.scheme,
+                "nprocs": args.nprocs, "grain": args.grain},
+        counters={"explain.messages": doc["n_messages"],
+                  "explain.message_bytes": doc["message_bytes"]},
+        wall_s=wall,
+        extra={"explain": doc},
+    )
+    if manifest is None:  # read-only registry: still render the page
+        manifest = {"run_id": "(unrecorded)", "kind": "explain",
+                    "explain": doc}
+    out = (args.output
+           or f"EXPLAIN_{args.matrix}_{args.scheme}_p{args.nprocs}.html")
+    with open(out, "w") as fh:
+        fh.write(build_report(manifest))
+    return (render_explain(result)
+            + f"\n\nregistry run {manifest.get('run_id', '?')} "
+              "(kind explain)"
+            + f"\nHTML report written to {out}")
 
-        matrices = [m.strip() for m in args.matrix.split(",") if m.strip()]
-        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        run = lambda: perf_sweep(  # noqa: E731
-            matrices,
-            schemes=schemes,
-            procs=args.procs,
-            grains=args.grains,
-            min_widths=args.min_widths,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-        # The sweep always runs under a recorder: workers then ship
-        # their trace shards home, --trace-out has something to export,
-        # and the run manifest carries stage timings and cache traffic.
-        # An outer recorder (-v, or `trace sweep`) is reused as is.
-        t0 = time.perf_counter()
-        if obs_trace.is_enabled():
-            rec = obs_trace.get_recorder()
-            with monitored(rec):
-                records = run()
-        else:
-            with obs_trace.enabled(obs_trace.Recorder()) as rec:
-                with monitored(rec):
-                    records = run()
-        wall = time.perf_counter() - t0
-        if args.trace_out:
-            write_chrome_trace(rec, args.trace_out)
-            print(f"Chrome trace written to {args.trace_out} "
-                  "(open in chrome://tracing or https://ui.perfetto.dev)",
-                  file=sys.stderr)
-        if args.trace_jsonl:
-            write_jsonl(rec, args.trace_jsonl)
-            print(f"JSONL event stream written to {args.trace_jsonl}",
-                  file=sys.stderr)
-        obs_runs.record_run(
-            "sweep",
+
+def _recorded(args: argparse.Namespace, kind: str, body: Callable,
+              manifest: Callable):
+    """Run ``body()`` under a recorder (an enabled one, from ``-v`` or
+    ``trace sweep``, is reused), write --trace-out / --trace-jsonl and
+    record a ``kind`` run with ``manifest(result, recorder, wall_s)`` as
+    its fields.  Returns (result, recorder, the "written to" notes)."""
+    from . import obs
+
+    rec = obs.get_recorder() if obs.is_enabled() else obs.Recorder()
+    t0 = time.perf_counter()
+    with obs.enabled(rec):
+        result = body()
+    wall = time.perf_counter() - t0
+    notes = []
+    if args.trace_out:
+        obs.write_chrome_trace(rec, args.trace_out)
+        notes.append(f"Chrome trace written to {args.trace_out} "
+                     "(open in chrome://tracing or https://ui.perfetto.dev)")
+    if args.trace_jsonl:
+        obs.write_jsonl(rec, args.trace_jsonl)
+        notes.append(f"JSONL event stream written to {args.trace_jsonl}")
+    obs.runs.record_run(kind, **manifest(result, rec, wall))
+    return result, rec, notes
+
+
+def _sweep(args: argparse.Namespace) -> str:
+    import dataclasses
+    import json
+
+    from .obs.memory import monitored
+    from .obs.report import downsample
+    from .perf import records_to_csv, sweep as perf_sweep
+    from .perf.bench import STAGES
+
+    matrices = [m.strip() for m in args.matrix.split(",") if m.strip()]
+    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+
+    def manifest(records, rec, wall):
+        return dict(
             config={
                 "matrices": matrices,
                 "schemes": list(schemes),
@@ -207,223 +230,167 @@ def _emit(target: str, args: argparse.Namespace) -> str:
                 ],
             },
         )
-        if args.json:
-            text = json.dumps([dataclasses.asdict(r) for r in records], indent=2)
-        else:
-            text = records_to_csv(records)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-            return f"{len(records)} records written to {args.output}"
-        return text.rstrip("\n")
-    if target == "bench":
-        import json
 
-        from .perf import bench_pipeline, find_regressions, render_bench, render_delta
-
-        out = args.bench_out or (
-            "BENCH_pipeline_big.json" if args.tier == "big"
-            else "BENCH_pipeline.json"
-        )
-        baseline = None
-        baseline_path = args.bench_baseline or out
-        try:
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError):
-            baseline = None
-        report = bench_pipeline(
-            matrices=args.bench_matrices,
-            nprocs=args.nprocs,
-            grain=args.grain,
-            smoke=args.smoke,
-            out=out,
-            repeats=args.bench_repeats,
-            tier=args.tier,
-            stretch=args.stretch,
-        )
-        from .obs import runs as obs_runs
-
-        obs_runs.record_run(
-            "bench",
-            config={k: report[k]
-                    for k in ("smoke", "tier", "nprocs", "grain", "repeats")
-                    if k in report},
-            matrices=report.get("matrices", {}),
-            wall_s=sum(m.get("wall_total", 0.0)
-                       for m in report.get("matrices", {}).values()),
-            extra={"report": out},
-        )
-        text = render_bench(report) + f"\nreport written to {out}"
-        if baseline is not None:
-            text += "\n\ndelta vs baseline " + str(baseline_path) + ":\n"
-            text += render_delta(report, baseline)
-            if not args.smoke:
-                regressions = find_regressions(report, baseline)
-                if regressions:
-                    raise SystemExit(
-                        "bench regression vs "
-                        + str(baseline_path)
-                        + " (stage >25% slower than baseline):\n  "
-                        + "\n  ".join(regressions)
-                    )
-        return text
-    if target == "explain":
-        import time
-
-        from .analysis.explain import (
-            explain_manifest,
-            explain_run,
-            render_explain,
-        )
-        from .obs import runs as obs_runs
-        from .obs.report import build_report
-
-        t0 = time.perf_counter()
-        result = explain_run(args.matrix, scheme=args.scheme,
-                             nprocs=args.nprocs, grain=args.grain)
-        wall = time.perf_counter() - t0
-        doc = explain_manifest(result)
-        manifest = obs_runs.record_run(
-            "explain",
-            config={"matrix": args.matrix, "scheme": args.scheme,
-                    "nprocs": args.nprocs, "grain": args.grain},
-            counters={"explain.messages": doc["n_messages"],
-                      "explain.message_bytes": doc["message_bytes"]},
-            wall_s=wall,
-            extra={"explain": doc},
-        )
-        if manifest is None:  # read-only registry: still render the page
-            manifest = {"run_id": "(unrecorded)", "kind": "explain",
-                        "explain": doc}
-        out = (args.output
-               or f"EXPLAIN_{args.matrix}_{args.scheme}_p{args.nprocs}.html")
-        with open(out, "w") as fh:
-            fh.write(build_report(manifest))
-        return (render_explain(result)
-                + f"\n\nregistry run {manifest.get('run_id', '?')} "
-                  "(kind explain)"
-                + f"\nHTML report written to {out}")
-    if target == "scorecard":
-        from .analysis import render_table
-        from .analysis.experiments import prepared_matrix
-        from .core import block_mapping, wrap_mapping
-        from .machine import scorecard
-
-        prep = prepared_matrix(args.matrix)
-        cards = [
-            scorecard(r.assignment, prep.updates)
-            for r in (
-                block_mapping(prep, 16, grain=args.grain),
-                wrap_mapping(prep, 16),
+    def run():
+        with monitored():
+            return perf_sweep(
+                matrices,
+                schemes=schemes,
+                procs=args.procs,
+                grains=args.grains,
+                min_widths=args.min_widths,
+                jobs=args.jobs,
+                cache_dir=args.cache_dir,
             )
-        ]
-        headers = ["metric"] + [c["scheme"] for c in cards]
-        rows = [
-            [key] + [c[key] for c in cards]
-            for key in cards[0]
-            if key != "scheme"
-        ]
-        return render_table(
-            headers, rows,
-            f"Scorecard: {args.matrix} at P=16 (block g={args.grain} vs wrap)",
-        )
-    if target == "report":
-        if args.latest or args.run_ref:
-            from .obs.report import render_report
 
-            out = render_report(args.run_ref, out=args.output or "REPORT.html")
-            return f"HTML run report written to {out}"
-        report = generate_report()
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(report)
-            return f"report written to {args.output}"
-        return report
-    raise ValueError(
-        f"unknown target {target!r}; expected one of: "
-        + ", ".join(_TARGETS + _EXTRA_TARGETS + ["all"])
+    # The sweep always runs under a recorder: workers then ship their
+    # trace shards home, --trace-out has something to export, and the
+    # run manifest carries stage timings and cache traffic.
+    records, _, notes = _recorded(args, "sweep", run, manifest)
+    for note in notes:
+        print(note, file=sys.stderr)
+    if args.json:
+        text = json.dumps([dataclasses.asdict(r) for r in records], indent=2)
+    else:
+        text = records_to_csv(records)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+        return f"{len(records)} records written to {args.output}"
+    return text.rstrip("\n")
+
+
+def _bench(args: argparse.Namespace) -> str:
+    import json
+
+    from .perf import bench_pipeline, find_regressions, render_bench, render_delta
+
+    out = args.bench_out or (
+        "BENCH_pipeline_big.json" if args.tier == "big"
+        else "BENCH_pipeline.json"
     )
+    baseline = None
+    baseline_path = args.bench_baseline or out
+    try:
+        with open(baseline_path) as fh:
+            baseline = json.load(fh)
+    except (OSError, ValueError):
+        baseline = None
+    report = bench_pipeline(
+        matrices=args.bench_matrices,
+        nprocs=args.nprocs,
+        grain=args.grain,
+        smoke=args.smoke,
+        out=out,
+        repeats=args.bench_repeats,
+        tier=args.tier,
+        stretch=args.stretch,
+    )
+    from .obs import runs as obs_runs
+
+    obs_runs.record_run(
+        "bench",
+        config={k: report[k]
+                for k in ("smoke", "tier", "nprocs", "grain", "repeats")
+                if k in report},
+        matrices=report.get("matrices", {}),
+        wall_s=sum(m.get("wall_total", 0.0)
+                   for m in report.get("matrices", {}).values()),
+        extra={"report": out},
+    )
+    text = render_bench(report) + f"\nreport written to {out}"
+    if baseline is not None:
+        text += "\n\ndelta vs baseline " + str(baseline_path) + ":\n"
+        text += render_delta(report, baseline)
+        if not args.smoke:
+            regressions = find_regressions(report, baseline)
+            if regressions:
+                raise SystemExit(
+                    "bench regression vs "
+                    + str(baseline_path)
+                    + " (stage >25% slower than baseline):\n  "
+                    + "\n  ".join(regressions)
+                )
+    return text
 
 
-def _simulate_for_trace(args: argparse.Namespace) -> None:
-    """Run the schedule simulator under tracing so the trace carries a
-    per-unit Gantt timeline (one Perfetto lane per processor)."""
+def _wrapped(args: argparse.Namespace, example: str) -> Target:
+    """The plain target a wrapper runs: ``args.subtarget``, checked."""
+    if args.subtarget is None:
+        raise ValueError(f"'{args.target}' needs a target to {args.target}, "
+                         f"e.g. `python -m repro {args.target} {example}`")
+    target = _BY_NAME.get(args.subtarget)
+    if target is None or target.kind != PLAIN:
+        raise ValueError(
+            f"unknown target {args.subtarget!r}; expected one of: "
+            + ", ".join(t.name for t in TARGETS if t.kind == PLAIN)
+        )
+    return target
+
+
+def _trace(args: argparse.Namespace) -> str:
+    """Run a target under a fresh recorder, then simulate one block
+    mapping so the trace carries a per-unit Gantt timeline (one Perfetto
+    lane per processor)."""
+    from . import obs
     from .analysis.experiments import prepared_matrix
     from .core import block_mapping
     from .machine.simulate import simulate_schedule
-    from .obs import trace as obs
 
-    with obs.span("cli.simulate", matrix=args.matrix, nprocs=args.nprocs,
-                  grain=args.grain):
-        result = block_mapping(prepared_matrix(args.matrix), args.nprocs,
-                               grain=args.grain)
-        simulate_schedule(result.assignment, result.dependencies,
-                          result.prepared.updates)
+    target = _wrapped(args, "table2")
 
+    def body():
+        with obs.span("cli.target", target=target.name):
+            text = target.run(args)
+        with obs.span("cli.simulate", matrix=args.matrix, nprocs=args.nprocs,
+                      grain=args.grain):
+            result = block_mapping(prepared_matrix(args.matrix), args.nprocs,
+                                   grain=args.grain)
+            simulate_schedule(result.assignment, result.dependencies,
+                              result.prepared.updates)
+        return text
 
-def _run_traced(target: str, args: argparse.Namespace) -> tuple[str, str]:
-    """Emit ``target`` under a fresh recorder; returns (output, summary)."""
-    import time
-
-    from . import obs
-    from .obs import runs as obs_runs
-
-    t0 = time.perf_counter()
-    with obs.enabled(obs.Recorder()) as rec:
-        with obs.span("cli.target", target=target):
-            text = _emit(target, args)
-        _simulate_for_trace(args)
-    wall = time.perf_counter() - t0
-    if args.trace_out:
-        obs.write_chrome_trace(rec, args.trace_out)
-    if args.trace_jsonl:
-        obs.write_jsonl(rec, args.trace_jsonl)
-    obs_runs.record_run(
-        "trace",
-        config={"target": target, "matrix": args.matrix, "grain": args.grain,
-                "nprocs": args.nprocs},
+    text, rec, notes = _recorded(args, "trace", body, lambda _, rec, wall: dict(
+        config={"target": target.name, "matrix": args.matrix,
+                "grain": args.grain, "nprocs": args.nprocs},
         counters=dict(rec.counters),
         wall_s=wall,
         extra={"gauges": {k: v for k, v in rec.gauges.items()
                           if isinstance(v, (int, float, str))}},
-    )
-    return text, obs.summary_table(rec)
+    ))
+    return "\n\n".join([text, obs.summary_table(rec)]
+                       + (["\n".join(notes)] if notes else []))
 
 
-def _run_profiled(target: str, args: argparse.Namespace) -> tuple[str, str]:
-    """Emit ``target`` under tracing + the sampling profiler + memory
-    watermarks; returns (output, profile/summary text)."""
+def _profile(args: argparse.Namespace) -> str:
+    """Run a target under a fresh recorder, the sampling profiler and
+    memory watermarks."""
     from . import obs
-    from .obs import runs as obs_runs
-    from .obs.memory import monitored
-    from .obs.profile import SamplingProfiler
 
-    with obs.enabled(obs.Recorder()) as rec:
-        prof = SamplingProfiler(hz=args.hz, recorder=rec)
-        with monitored(rec):
-            with prof:
-                with obs.span("cli.target", target=target):
-                    text = _emit(target, args)
-    if args.trace_out:
-        obs.write_chrome_trace(rec, args.trace_out)
-    if args.trace_jsonl:
-        obs.write_jsonl(rec, args.trace_jsonl)
-    if args.profile_out:
-        with open(args.profile_out, "w") as fh:
-            fh.write(prof.collapsed())
-    obs_runs.record_run(
-        "profile",
-        config={"target": target, "hz": args.hz, "matrix": args.matrix,
+    target = _wrapped(args, "table2 --hz 200")
+    prof = obs.SamplingProfiler(hz=args.hz)
+
+    def body():
+        with obs.monitored(), prof, obs.span("cli.target", target=target.name):
+            return target.run(args)
+
+    text, rec, notes = _recorded(args, "profile", body, lambda _, rec, wall: dict(
+        config={"target": target.name, "hz": args.hz, "matrix": args.matrix,
                 "grain": args.grain},
         counters=dict(rec.counters),
         wall_s=prof.duration,
         extra={"profile": prof.to_dict(top=args.profile_top),
                "gauges": {k: v for k, v in rec.gauges.items()
                           if isinstance(v, (int, float, str))}},
-    )
+    ))
+    if args.profile_out:
+        with open(args.profile_out, "w") as fh:
+            fh.write(prof.collapsed())
+        notes.append(f"collapsed stacks written to {args.profile_out} "
+                     "(feed to flamegraph.pl or drop on "
+                     "https://www.speedscope.app)")
     summary = prof.table(args.profile_top) + "\n\n" + obs.summary_table(rec)
-    return text, summary
+    return "\n\n".join([text, summary] + (["\n".join(notes)] if notes else []))
 
 
 def _runs_main(argv: list[str]) -> int:
@@ -558,16 +525,73 @@ def _cache_main(argv: list[str]) -> int:
     return 0
 
 
+#: Every target, in the order ``--help`` lists them; the parser's choices,
+#: ``all`` and the error messages are read off this table.
+TARGETS: tuple[Target, ...] = (
+    Target("table1", "the Harwell-Boeing test matrices (n, nnz, fill)",
+           lambda args: render_table1(), paper=True),
+    Target("table2", "block-mapping communication volume",
+           lambda args: render_table2(), paper=True),
+    Target("table3", "block-mapping work distribution (lambda)",
+           lambda args: render_table3(), paper=True),
+    Target("table4", "cluster-width sensitivity for LAP30",
+           lambda args: render_table4(), paper=True),
+    Target("table5", "wrap-mapping traffic and imbalance",
+           lambda args: render_table5(), paper=True),
+    Target("figure1", "element-level dependencies of one update",
+           lambda args: figure1_ascii(), paper=True),
+    Target("figure2", "filled matrix of an MMD-ordered grid",
+           lambda args: figure2_ascii(args.nx, args.ny), paper=True),
+    Target("figure3", "partitioned-cluster diagram",
+           lambda args: figure3_ascii(), paper=True),
+    Target("figure4", "dependency-category breakdown",
+           lambda args: figure4_report(args.matrix, args.grain), paper=True),
+    Target("all", "every table and figure above, in order",
+           lambda args: "\n\n".join(t.run(args) for t in TARGETS if t.paper)),
+    Target("stats", "partition statistics for one matrix", _stats),
+    Target("report", "paper-vs-measured report; --latest/--run: HTML run report",
+           _report),
+    Target("claims", "per-claim verification verdicts",
+           lambda args: render_claims(args.matrix)),
+    Target("compare", "side-by-side paper/measured tables",
+           lambda args: render_comparison()),
+    Target("scorecard", "block-vs-wrap metric scorecard", _scorecard),
+    Target("explain", "simulate one (matrix, scheme, P) cell and attribute "
+                      "its communication and imbalance (HTML + registry run)",
+           _explain, positional="matrix"),
+    Target("trace", "run any target under tracing (see --trace-out)",
+           _trace, kind=WRAPPER),
+    Target("profile", "run any target under the sampling profiler (--hz)",
+           _profile, kind=WRAPPER),
+    Target("sweep", "parallel (matrix, scheme, P, g) grid sweep", _sweep),
+    Target("bench", "per-stage pipeline benchmark -> BENCH_pipeline.json",
+           _bench),
+    Target("runs", "run registry: runs list | show REF | compare OLD NEW",
+           _runs_main, kind=OWN_GRAMMAR),
+    Target("cache", "disk-cache tools: cache stats | prune --max-bytes N",
+           _cache_main, kind=OWN_GRAMMAR),
+)
+_BY_NAME = {t.name: t for t in TARGETS}
+
+
+def _targets_epilog() -> str:
+    lines = ["targets:"]
+    lines += [f"  {t.name:<12} {t.help}" for t in TARGETS]
+    lines.append("")
+    lines.append("environment: REPRO_TRACE_OUT sets the default --trace-out; "
+                 "REPRO_RUNS_DIR relocates the run registry (.repro/runs); "
+                 "REPRO_CACHE_DIR relocates the prepared-matrix cache.")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # 'runs' and 'cache' have their own positional grammars (subcommand +
-    # refs/flags), so they are dispatched before the single-target parser
-    # below ever sees them.
-    if argv and argv[0] == "runs":
-        return _runs_main(list(argv[1:]))
-    if argv and argv[0] == "cache":
-        return _cache_main(list(argv[1:]))
+    # 'runs' and 'cache' have their own grammars (subcommand + refs and
+    # flags), so they take the raw argv before the parser below sees it.
+    own = _BY_NAME.get(argv[0]) if argv else None
+    if own is not None and own.kind == OWN_GRAMMAR:
+        return own.run(list(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the tables/figures of Venugopal & Naik (SC 1991).",
@@ -577,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "target",
         metavar="target",
-        choices=_TARGETS + _EXTRA_TARGETS + ["all", "trace", "profile"],
+        choices=[t.name for t in TARGETS if t.kind != OWN_GRAMMAR],
         help="which table/figure to regenerate (or 'trace'/'profile'/'all')",
     )
     parser.add_argument(
@@ -694,64 +718,31 @@ def main(argv: list[str] | None = None) -> int:
     if args.matrix is None:
         args.matrix = "LAP30"
 
-    try:
-        if args.target == "trace":
-            if args.subtarget is None:
-                print("error: 'trace' needs a target to trace, e.g. "
-                      "`python -m repro trace table2`", file=sys.stderr)
-                return 2
-            text, summary = _run_traced(args.subtarget, args)
-            if not args.quiet:
-                print(text)
-                print()
-                print(summary)
-                if args.trace_out:
-                    print(f"\nChrome trace written to {args.trace_out} "
-                          "(open in chrome://tracing or https://ui.perfetto.dev)")
-                if args.trace_jsonl:
-                    print(f"JSONL event stream written to {args.trace_jsonl}")
-            return 0
-
-        if args.target == "profile":
-            if args.subtarget is None:
-                print("error: 'profile' needs a target to profile, e.g. "
-                      "`python -m repro profile table2 --hz 200`",
-                      file=sys.stderr)
-                return 2
-            text, summary = _run_profiled(args.subtarget, args)
-            if not args.quiet:
-                print(text)
-                print()
-                print(summary)
-                if args.profile_out:
-                    print(f"\ncollapsed stacks written to {args.profile_out} "
-                          "(feed to flamegraph.pl or drop on "
-                          "https://www.speedscope.app)")
-            return 0
-
-        if args.target == "explain" and args.subtarget is not None:
-            # `explain CANN1072` reads more naturally than --matrix.
-            args.matrix = args.subtarget
-            args.subtarget = None
-
-        if args.subtarget is not None:
+    target = _BY_NAME[args.target]
+    if args.subtarget is not None and target.kind != WRAPPER:
+        if target.positional is None:
+            takers = ([t.name for t in TARGETS if t.kind == WRAPPER]
+                      + [t.name for t in TARGETS if t.positional])
             print(f"error: unexpected argument {args.subtarget!r} "
-                  f"(only 'trace', 'profile' and 'explain' take a "
-                  "second argument)",
+                  f"(only {', '.join(map(repr, takers[:-1]))} and "
+                  f"{takers[-1]!r} take a second argument)",
                   file=sys.stderr)
             return 2
+        # `explain CANN1072` reads more naturally than --matrix.
+        setattr(args, target.positional, args.subtarget)
 
-        targets = _TARGETS if args.target == "all" else [args.target]
-        if args.verbose:
+    try:
+        # A wrapper prints its own summary; -v adds one to a plain target.
+        if args.verbose and target.kind == PLAIN:
             from . import obs
 
             with obs.enabled(obs.Recorder()) as rec:
-                chunks = [_emit(t, args) for t in targets]
+                text = target.run(args)
             print(obs.summary_table(rec), file=sys.stderr)
         else:
-            chunks = [_emit(t, args) for t in targets]
+            text = target.run(args)
         if not args.quiet:
-            print("\n\n".join(chunks))
+            print(text)
         return 0
     except (KeyError, ValueError) as exc:
         # KeyError (unknown matrix name) carries its message as args[0];

@@ -231,6 +231,9 @@ def build_grid(
     for what, values in (("procs", procs), ("grains", grains), ("min_widths", min_widths)):
         if any(v < 1 for v in values):
             raise ValueError(f"{what} must be at least 1, got {tuple(values)}")
+        # An empty axis drops its cells silently (grains, min_widths: block cells only).
+        if not values and (what == "procs" or any(s != "wrap" for s in schemes)):
+            raise ValueError(f"{what} must not be empty")
     tasks: list[SweepTask] = []
     for matrix in matrices:
         for nprocs in procs:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro import analysis
+from repro.cli import PLAIN, TARGETS, main
 
 
 @pytest.fixture
@@ -103,6 +104,22 @@ class TestTraceTarget:
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert {"span", "timeline", "counter", "gauge"} <= {r["type"] for r in records}
 
+    def test_trace_all_runs_the_nine_paper_targets(self, capsys):
+        assert main(["trace", "all"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(_paper_text() + "\n\n")
+        assert "Stage timings" in out and "Simulated timeline" in out
+
+    @pytest.mark.parametrize("wrapper", ["trace", "profile"])
+    @pytest.mark.parametrize("sub", ["runs", "cache", "trace", "profile"])
+    def test_only_plain_targets_can_be_wrapped(self, wrapper, sub, capsys):
+        assert main([wrapper, sub]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown target {sub!r}; expected one of: ")
+        offered = err.split("expected one of: ")[1].strip().split(", ")
+        assert offered == [t.name for t in TARGETS if t.kind == PLAIN]
+        assert sub not in offered
+
     def test_trace_leaves_tracing_disabled(self, tmp_path):
         from repro.obs import trace as obs_trace
 
@@ -112,27 +129,22 @@ class TestTraceTarget:
 
 class TestHelp:
     def test_help_lists_every_target(self, capsys):
-        from repro.cli import _TARGET_HELP
-
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "targets:" in out
-        for name, desc in _TARGET_HELP.items():
-            assert f"{name} " in out or f"{name}\n" in out, name
-            assert desc in out, name
+        for target in TARGETS:
+            assert f"{target.name} " in out or f"{target.name}\n" in out, target.name
+            assert target.help in out, target.name
         assert "REPRO_TRACE_OUT" in out and "REPRO_RUNS_DIR" in out
 
     def test_help_order_is_stable(self, capsys):
-        from repro.cli import _TARGET_HELP
-
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
         epilog = out[out.index("targets:"):]
-        positions = [epilog.index(f"  {name} ".rstrip() + " ")
-                     for name in _TARGET_HELP]
+        positions = [epilog.index(f"  {target.name} ") for target in TARGETS]
         assert positions == sorted(positions)
 
 
@@ -175,6 +187,118 @@ class TestSweepTarget:
                      "--grains", "4", "-q",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert json.loads(out.read_text())["traceEvents"]
+
+
+class TestEmptyGridAxis:
+    @pytest.mark.parametrize("flag", ["--procs", "--grains", "--min-widths"])
+    def test_sweep_refuses_an_empty_list(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--matrix", "DWT512", flag, ",",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "expected at least one int, got ','" in captured.err
+        assert captured.out == "" and not (tmp_path / "cache").exists()
+
+
+def _paper_text() -> str:
+    return "\n\n".join([
+        analysis.render_table1(), analysis.render_table2(),
+        analysis.render_table3(), analysis.render_table4(),
+        analysis.render_table5(), analysis.figure1_ascii(),
+        analysis.figure2_ascii(5, 5), analysis.figure3_ascii(),
+        analysis.figure4_report("LAP30", 25),
+    ])
+
+
+def _stats_text(tmp_path) -> str:
+    from repro.analysis.experiments import prepared_matrix
+    from repro.core import partition_factor
+
+    partition = partition_factor(prepared_matrix("DWT512").pattern, grain=8)
+    return analysis.render_partition_stats(partition, "Partition statistics: DWT512, g=8")
+
+
+def _scorecard_text(tmp_path) -> str:
+    from repro.analysis.experiments import prepared_matrix
+    from repro.core import block_mapping, wrap_mapping
+    from repro.machine import scorecard
+
+    prep = prepared_matrix("DWT512")
+    cards = [scorecard(r.assignment, prep.updates)
+             for r in (block_mapping(prep, 16, grain=8), wrap_mapping(prep, 16))]
+    rows = [[key] + [c[key] for c in cards] for key in cards[0] if key != "scheme"]
+    return analysis.render_table(["metric"] + [c["scheme"] for c in cards], rows,
+                                 "Scorecard: DWT512 at P=16 (block g=8 vs wrap)")
+
+
+def _explain_text(tmp_path) -> str:
+    from repro.analysis.explain import explain_run, render_explain
+    from repro.obs import runs as obs_runs
+
+    (manifest,) = obs_runs.list_runs(kind="explain")
+    return (render_explain(explain_run("DWT512", scheme="block", nprocs=16, grain=25))
+            + f"\n\nregistry run {manifest['run_id']} (kind explain)"
+            + f"\nHTML report written to {tmp_path / 'explain.html'}")
+
+
+def _sweep_text(tmp_path) -> str:
+    from repro.perf import records_to_csv, sweep
+
+    return records_to_csv(sweep(["DWT512"], procs=(2, 4), grains=(4,))).rstrip("\n")
+
+
+def _bench_text(tmp_path) -> str:
+    from repro.perf import render_bench
+    from repro.perf.bench import SMOKE_MATRICES
+
+    out = tmp_path / "bench.json"
+    report = json.loads(out.read_text())
+    # The file is written with sorted keys; the run lists matrices in bench order.
+    report["matrices"] = {name: report["matrices"][name] for name in SMOKE_MATRICES}
+    return render_bench(report) + f"\nreport written to {out}"
+
+
+#: Per plain target: its extra argv ({tmp} is the test's directory) and
+#: its renderer's text, computed after the run (bench and explain render
+#: what the run wrote).
+_PLAIN_CASES = {
+    "table1": ([], lambda tmp: analysis.render_table1()),
+    "table2": ([], lambda tmp: analysis.render_table2()),
+    "table3": ([], lambda tmp: analysis.render_table3()),
+    "table4": ([], lambda tmp: analysis.render_table4()),
+    "table5": ([], lambda tmp: analysis.render_table5()),
+    "figure1": ([], lambda tmp: analysis.figure1_ascii()),
+    "figure2": (["--nx", "4", "--ny", "3"], lambda tmp: analysis.figure2_ascii(4, 3)),
+    "figure3": ([], lambda tmp: analysis.figure3_ascii()),
+    "figure4": (["--matrix", "DWT512", "--grain", "8"],
+                lambda tmp: analysis.figure4_report("DWT512", 8)),
+    "all": ([], lambda tmp: _paper_text()),
+    "stats": (["--matrix", "DWT512", "--grain", "8"], _stats_text),
+    "report": ([], lambda tmp: analysis.generate_report()),
+    "claims": (["--matrix", "DWT512"], lambda tmp: analysis.render_claims("DWT512")),
+    "compare": ([], lambda tmp: analysis.render_comparison()),
+    "scorecard": (["--matrix", "DWT512", "--grain", "8"], _scorecard_text),
+    "explain": (["DWT512", "--output", "{tmp}/explain.html"], _explain_text),
+    "sweep": (["--matrix", "DWT512", "--procs", "2,4", "--grains", "4",
+               "--cache-dir", "{tmp}/cache"], _sweep_text),
+    "bench": (["--smoke", "--bench-out", "{tmp}/bench.json"], _bench_text),
+}
+
+
+class TestDispatch:
+    """Each table entry prints exactly what its renderer returns."""
+
+    def test_every_plain_target_has_a_case(self):
+        assert set(_PLAIN_CASES) == {t.name for t in TARGETS if t.kind == PLAIN}
+
+    @pytest.mark.parametrize("name", sorted(_PLAIN_CASES))
+    def test_stdout_is_the_renderer_text(self, name, tmp_path, capsys):
+        extra, expected = _PLAIN_CASES[name]
+        argv = [name] + [a.format(tmp=tmp_path) for a in extra]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected(tmp_path) + "\n"
 
 
 class TestRemovedSurface:

@@ -52,6 +52,20 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match=f"{knob} must be at least 1"):
             sweep(["LAP30"], jobs=2, **{knob: (bad,)})
 
+    @pytest.mark.parametrize("knob", ["procs", "grains", "min_widths"])
+    def test_empty_axis_rejected(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must not be empty"):
+            build_grid(["LAP30"], schemes=("block", "wrap"), **{knob: ()})
+
+    def test_empty_procs_rejected_for_wrap(self):
+        with pytest.raises(ValueError, match="procs must not be empty"):
+            build_grid(["LAP30"], schemes=("wrap",), procs=())
+
+    def test_wrap_only_grid_ignores_empty_block_axes(self):
+        tasks = build_grid(["LAP30"], schemes=("wrap",), procs=(4, 16),
+                           grains=(), min_widths=())
+        assert [t.nprocs for t in tasks] == [4, 16]
+
     def test_label(self):
         task = SweepTask("LAP30", "block", 16, 25, 4)
         assert task.label() == "LAP30 block P=16 g=25"
