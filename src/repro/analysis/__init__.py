@@ -1,6 +1,7 @@
 """Experiment harness: regenerate the paper's tables and figures."""
 
 from . import paper_data
+from .ablations import ABLATIONS
 from .experiments import (
     prepared_matrix,
     render_table1,
@@ -13,17 +14,19 @@ from .experiments import (
     table3_rows,
     table4_rows,
     table5_rows,
+    tradeoff_rows,
 )
 from .claims import ClaimResult, check_claims, render_claims
 from .compare import comparison_rows, render_comparison
 from .explain import ExplainResult, explain_manifest, explain_run, render_explain
 from .figures import figure1_ascii, figure2_ascii, figure3_ascii, figure4_report
 from .gantt import render_gantt, render_gantt_reference
-from .report import generate_report
+from .report import SECTIONS, generate_report, update_document
 from .stats import partition_statistics, render_partition_stats
 from .tables import format_number, render_table
 
 __all__ = [
+    "ABLATIONS",
     "ClaimResult",
     "check_claims",
     "render_claims",
@@ -39,6 +42,7 @@ __all__ = [
     "table3_rows",
     "table4_rows",
     "table5_rows",
+    "tradeoff_rows",
     "comparison_rows",
     "render_comparison",
     "ExplainResult",
@@ -49,7 +53,9 @@ __all__ = [
     "figure2_ascii",
     "figure3_ascii",
     "figure4_report",
+    "SECTIONS",
     "generate_report",
+    "update_document",
     "render_gantt",
     "render_gantt_reference",
     "partition_statistics",

@@ -14,7 +14,7 @@ import statistics
 from .experiments import table2_rows, table3_rows, table5_rows
 from .tables import render_table
 
-__all__ = ["comparison_rows", "render_comparison"]
+__all__ = ["comparison_headline", "comparison_rows", "render_comparison"]
 
 
 def comparison_rows() -> list[dict]:
@@ -70,6 +70,19 @@ def comparison_rows() -> list[dict]:
     return out
 
 
+def comparison_headline(rows: list[dict] | None = None) -> str:
+    """The count of published cells and the median measured/paper ratios."""
+    if rows is None:
+        rows = comparison_rows()
+    ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
+    traffic = [r["ratio"] for r in rows if "traffic" in r["quantity"] and r["ratio"]]
+    return (
+        f"{len(ratios)} published cells compared; median measured/paper "
+        f"ratio {statistics.median(ratios):.2f} "
+        f"(traffic-only median {statistics.median(traffic):.2f})"
+    )
+
+
 def render_comparison() -> str:
     rows = comparison_rows()
     table_rows = [
@@ -78,18 +91,12 @@ def render_comparison() -> str:
          round(r["ratio"], 2) if r["ratio"] is not None else None]
         for r in rows
     ]
-    ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
-    summary = (
-        f"\n{len(ratios)} published cells compared; median measured/paper "
-        f"ratio {statistics.median(ratios):.2f} "
-        f"(traffic-only median "
-        f"{statistics.median([x['ratio'] for x in rows if 'traffic' in x['quantity'] and x['ratio']]):.2f})"
-    )
     return (
         render_table(
             ["table", "matrix", "P", "quantity", "measured", "paper", "ratio"],
             table_rows,
             "Measured vs published, cell by cell",
         )
-        + summary
+        + "\n"
+        + comparison_headline(rows)
     )

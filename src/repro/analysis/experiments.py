@@ -27,6 +27,8 @@ __all__ = [
     "render_table3",
     "render_table4",
     "render_table5",
+    "render_tradeoff",
+    "tradeoff_rows",
 ]
 
 DEFAULT_PROCS = (4, 16, 32)
@@ -246,3 +248,42 @@ def render_table5() -> str:
             r["work_mean"], r["imbalance"], paper[0], paper[3],
         ])
     return render_table(headers, rows, "Table 5: wrap mapping")
+
+
+# ----------------------------------------------------------------------
+# The paper's trade-off: block mapping against wrap
+# ----------------------------------------------------------------------
+def tradeoff_rows() -> list[dict]:
+    """Block mapping (g=25) against wrap at P=32: the share of wrap's
+    traffic the block scheme saves and both λ, measured next to the same
+    quantities computed from the paper's Tables 2, 3 and 5."""
+    procs = (32,)
+    return [
+        {
+            "matrix": w["matrix"],
+            "saving": 1 - b["total_g25"] / w["total"],
+            "paper_saving": 1 - b["paper"][1] / w["paper"][0],
+            "imbalance_block": lam["imbalance_g25"],
+            "imbalance_wrap": w["imbalance"],
+            "paper_imbalance_block": lam["paper"][2],
+            "paper_imbalance_wrap": w["paper"][3],
+        }
+        for b, lam, w in zip(table2_rows(procs=procs), table3_rows(procs=procs),
+                             table5_rows(procs=procs))
+    ]
+
+
+def render_tradeoff() -> str:
+    headers = ["matrix", "saving", "paper saving", "lambda block",
+               "lambda wrap", "paper lambda block", "paper lambda wrap"]
+    rows = [
+        [r["matrix"], f"{100 * r['saving']:.1f}%",
+         f"{100 * r['paper_saving']:.1f}%", r["imbalance_block"],
+         r["imbalance_wrap"], r["paper_imbalance_block"],
+         r["paper_imbalance_wrap"]]
+        for r in tradeoff_rows()
+    ]
+    return render_table(
+        headers, rows,
+        "Block mapping (g=25) vs wrap at P=32: traffic saved and lambda",
+    )

@@ -35,6 +35,7 @@ from .analysis import (
     render_table3,
     render_table4,
     render_table5,
+    update_document,
 )
 
 #: Handler kinds.  A plain handler takes the parsed options and returns
@@ -85,12 +86,13 @@ def _report(args: argparse.Namespace) -> str:
 
         out = render_report(args.run_ref, out=args.output or "REPORT.html")
         return f"HTML run report written to {out}"
-    report = generate_report()
     if args.output:
+        with open(args.output) as fh:
+            text = update_document(fh.read())
         with open(args.output, "w") as fh:
-            fh.write(report)
-        return f"report written to {args.output}"
-    return report
+            fh.write(text)
+        return f"generated blocks rewritten in {args.output}"
+    return generate_report()
 
 
 def _scorecard(args: argparse.Namespace) -> str:
@@ -549,7 +551,8 @@ TARGETS: tuple[Target, ...] = (
     Target("all", "every table and figure above, in order",
            lambda args: "\n\n".join(t.run(args) for t in TARGETS if t.paper)),
     Target("stats", "partition statistics for one matrix", _stats),
-    Target("report", "paper-vs-measured report; --latest/--run: HTML run report",
+    Target("report", "EXPERIMENTS.md's generated blocks (--output PATH "
+                     "rewrites PATH's blocks); --latest/--run: HTML run report",
            _report),
     Target("claims", "per-claim verification verdicts",
            lambda args: render_claims(args.matrix)),
@@ -629,7 +632,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="with 'explain': the mapping scheme to simulate "
                              "and attribute (default block)")
     parser.add_argument("--output", default=None,
-                        help="write the report target to a file")
+                        help="with 'report': rewrite this document's "
+                             "generated blocks in place (EXPERIMENTS.md); "
+                             "with --latest/--run, explain and sweep: "
+                             "write the output here")
     parser.add_argument("--jobs", type=int, default=1,
                         help="with 'sweep': worker processes for the grid "
                              "(1 = serial in-process)")

@@ -1,4 +1,5 @@
-"""Experiment harness (light checks; full tables run in benchmarks)."""
+"""Experiment harness (light checks; the full tables and their findings
+are asserted in test_findings.py)."""
 
 import pytest
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    SchedulerOptions,
     analyze_dependencies,
     block_mapping,
     partition_factor,
@@ -28,8 +29,15 @@ class TestProcessorWork:
 
     def test_sums_to_total_block(self, prepared_grid):
         ups = prepared_grid.updates
-        for grain in (2, 10, 40):
+        for grain in (1, 2, 10, 40, 100):
             r = block_mapping(prepared_grid, 6, grain=grain)
+            assert r.balance.total == total_work(ups)
+        for policy in ("first", "least_loaded", "round_robin"):
+            r = block_mapping(prepared_grid, 6, grain=4,
+                              options=SchedulerOptions(policy))
+            assert r.balance.total == total_work(ups)
+        for tol in (0.0, 0.3):
+            r = block_mapping(prepared_grid, 6, grain=4, zero_tolerance=tol)
             assert r.balance.total == total_work(ups)
 
     def test_matches_sequential_work_formula(self, prepared_grid):

@@ -63,7 +63,7 @@ class TestAMD:
     @settings(max_examples=25, deadline=None)
     def test_always_a_permutation(self, n, extra, seed):
         g = random_connected_graph(n, extra, seed)
-        assert is_permutation(approximate_minimum_degree(g))
+        assert is_permutation(approximate_minimum_degree(g), g.n)
 
     @given(st.integers(3, 18), st.integers(0, 20), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)

@@ -49,7 +49,7 @@ class TestMinimumDegree:
     @settings(max_examples=20, deadline=None)
     def test_always_a_permutation(self, n, extra, seed):
         g = random_connected_graph(n, extra, seed)
-        assert is_permutation(minimum_degree(g))
+        assert is_permutation(minimum_degree(g), g.n)
 
 
 class TestMultipleMinimumDegree:
@@ -101,7 +101,7 @@ class TestMultipleMinimumDegree:
     @settings(max_examples=20, deadline=None)
     def test_always_a_permutation(self, n, extra, seed):
         g = random_connected_graph(n, extra, seed)
-        assert is_permutation(multiple_minimum_degree(g))
+        assert is_permutation(multiple_minimum_degree(g), g.n)
 
     @given(st.integers(3, 15), st.integers(0, 10), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)

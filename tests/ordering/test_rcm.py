@@ -70,4 +70,4 @@ class TestRCM:
     @settings(max_examples=20, deadline=None)
     def test_always_a_permutation(self, n, extra, seed):
         g = random_connected_graph(n, extra, seed)
-        assert is_permutation(reverse_cuthill_mckee(g))
+        assert is_permutation(reverse_cuthill_mckee(g), g.n)

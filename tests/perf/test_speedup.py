@@ -21,7 +21,7 @@ from repro.symbolic import enumerate_updates
 
 from ..symbolic.oracles import enumerate_updates_oracle
 
-#: Keep in sync with benchmarks/bench_updates_vectorized.py.
+#: The largest generator problem the suite enumerates.
 BENCH_BAND_N, BENCH_BAND_W = 4500, 32
 
 
