@@ -42,16 +42,18 @@ ORDERINGS = {
 
 ORDERING_IMPL_VERSION = {
     "natural": 1,
-    "mmd": 2,  # 2: bitset/arena quotient-graph rewrite of the set-based MMD
+    # 2: bitset/arena quotient-graph rewrite of the set-based MMD.  The
+    # whole-pass arena returns the identical permutation, so it stays 2.
+    "mmd": 2,
     "md": 1,
     "amd": 1,
     "rcm": 1,
     "nd": 1,
 }
 """Per-ordering implementation version, part of the ``prepare()`` disk
-cache key: bump an entry whenever that ordering's implementation changes,
-so warm caches written by the old code are invalidated instead of
-silently reused."""
+cache key: bump an entry whenever that ordering's implementation can
+return a different permutation, so warm caches written by the old code
+are invalidated instead of silently reused."""
 
 
 def order(graph, method: str = "mmd"):

@@ -15,11 +15,13 @@ Three variants are provided:
   reach computation, and indistinguishable-node detection are single
   C-level bit operations, dead nodes are masked lazily by a global
   alive bitmask, and merges key an exact closure-bitset dictionary.
-  Beyond that, a GENMMD-style quotient graph in flat numpy arrays takes
-  over: one elbow-room store for variable/element adjacency, element
-  absorption instead of explicit fill, batched reach/degree computation
-  per elimination pass, and supervariable (mass) elimination via
-  indistinguishable-node hashing.  Both return the **identical
+  Beyond that, the elimination graph lives as sorted CSR rows in one
+  elbow-room numpy arena, and each elimination pass is a few whole-pass
+  array operations: one gather of every candidate's row selects the
+  independent set and yields the pivots' reaches, one batched rebuild
+  absorbs the new elements into the touched rows, and a closure hash
+  screen finds the classes of rows with equal closed neighbourhoods,
+  the only rows that can merge.  Both return the **identical
   permutation** to the reference — the pass structure, tie-breaking,
   and merge order are reproduced exactly, only the data structure
   differs.
@@ -57,6 +59,13 @@ def _init_adjacency(graph: SymmetricGraph) -> list[set[int]]:
     return [set(graph.neighbors(i).tolist()) for i in range(graph.n)]
 
 
+def _check_delta(delta: int) -> None:
+    # A negative tolerance puts the threshold below the minimum degree:
+    # no node would ever be selected and the pass loop would never end.
+    if delta < 0:
+        raise ValueError(f"MMD needs delta >= 0, got {delta}")
+
+
 def minimum_degree(graph: SymmetricGraph) -> np.ndarray:
     """Single-elimination minimum degree.  Ties break to the lowest index."""
     n = graph.n
@@ -88,8 +97,10 @@ def multiple_minimum_degree_reference(
 
     ``delta`` is the multiple-elimination tolerance: nodes whose external
     degree is within ``delta`` of the minimum are eligible in the same
-    elimination pass (delta = 0 reproduces strict MMD).
+    elimination pass (delta = 0 reproduces strict MMD); it must not be
+    negative.
     """
+    _check_delta(delta)
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -162,12 +173,11 @@ def multiple_minimum_degree_reference(
 
 def _ragged_take(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenate ``data[starts[i] : starts[i] + lens[i]]`` for all ``i``."""
-    total = int(lens.sum())
+    ends = lens.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    idx = np.repeat(starts - (ends - lens), lens) + np.arange(total, dtype=np.int64)
-    return data[idx]
+    return data[(starts - (ends - lens)).repeat(lens) + np.arange(total, dtype=np.int64)]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -182,11 +192,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 class _Store:
     """Append-only int64 arena with elbow room.
 
-    All adjacency segments (variable lists, element-id lists, element
-    member lists) live in one flat array.  Rewritten segments are appended
-    at ``free``; stale copies are reclaimed by a mark/sweep compaction when
-    a reservation does not fit, and the arena doubles if compaction alone
-    is not enough.
+    Every adjacency row lives in one flat array.  Rewritten rows are
+    appended at ``free``; stale copies are reclaimed by a mark/sweep
+    compaction when a reservation does not fit, and the arena doubles if
+    compaction alone is not enough.
     """
 
     __slots__ = ("data", "free")
@@ -213,8 +222,31 @@ class _Store:
 #: per row operation.
 _BITSET_MAX_N = 8192
 
-_PACK_SHIFT = 25
-_PACK_MASK = (1 << _PACK_SHIFT) - 1
+
+def _bit_rows(graph: SymmetricGraph) -> list[int]:
+    """Each adjacency row as a Python int, bit ``c`` set for neighbour ``c``:
+    packed over the bytes from its first to its last neighbour, then
+    shifted into place, so work and memory scale with the spans, not n²."""
+    ptr = graph.indptr
+    idx = graph.indices.astype(np.int64)
+    lens = np.diff(ptr)
+    nz = lens > 0
+    lo = np.zeros(graph.n, dtype=np.int64)
+    lo[nz] = idx[ptr[:-1][nz]] >> 3
+    width = np.zeros(graph.n, dtype=np.int64)
+    width[nz] = (idx[ptr[1:][nz] - 1] >> 3) - lo[nz] + 1
+    end = width.cumsum()
+    # Columns are sorted in each row, so the byte keys are sorted and one
+    # byte's bits are a run: a sum of distinct bits is their union.
+    key = (end - width - lo).repeat(lens) + (idx >> 3)
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    packed = np.zeros(int(end[-1]), dtype=np.uint8)
+    packed[key[first]] = np.add.reduceat(1 << (idx & 7), first)
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[e - w : e], "little") << s
+        for e, w, s in zip(end.tolist(), width.tolist(), (lo << 3).tolist())
+    ]
 
 
 def _mmd_bitset(graph: SymmetricGraph, delta: int = 0) -> np.ndarray:
@@ -241,17 +273,9 @@ def _mmd_bitset(graph: SymmetricGraph, delta: int = 0) -> np.ndarray:
     flags reps with weight > 1), taken at visit time; a later merge
     only changes the rep's own degree, which is patched in place.
     """
+    _check_delta(delta)
     n = graph.n
-    idx = graph.indices
-    ptr = graph.indptr.tolist()
-    rowbits = np.zeros(n * n, dtype=bool)
-    rowbits[np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(graph.indptr)) + idx] = True
-    packed = np.packbits(rowbits.reshape(n, n), axis=1, bitorder="little")
-    del rowbits
-    nb = packed.shape[1]
-    buf = packed.tobytes()
-    adj = [int.from_bytes(buf[i * nb : (i + 1) * nb], "little") for i in range(n)]
-    del packed, buf
+    adj = _bit_rows(graph)
 
     extnp = np.diff(graph.indptr).astype(np.int64)
     weight = [1] * n
@@ -379,35 +403,113 @@ def _mmd_bitset(graph: SymmetricGraph, delta: int = 0) -> np.ndarray:
     return np.asarray(perm, dtype=np.int64)
 
 
-def multiple_minimum_degree(graph: SymmetricGraph, delta: int = 0) -> np.ndarray:
-    """Array MMD on an elbow-room CSR store; permutation-identical to the
-    reference.
+def _dedup_sorted(a: np.ndarray) -> np.ndarray:
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) > 1 else a
 
-    Every live variable keeps its current elimination-graph adjacency as a
-    sorted CSR row inside one flat int64 arena (:class:`_Store`).  Each
-    elimination pass forms one *element* per pivot (the pivot's reach) and
-    absorbs it eagerly: the rows of all touched variables are rebuilt by a
-    single batched gather / key-sort / dedup over the old rows plus the
-    new elements, then appended to the arena (stale copies are reclaimed
-    by mark/sweep compaction when space runs out).  Rows of untouched
-    variables are never rewritten — dead entries (eliminated pivots and
-    merged supervariables) are filtered lazily on read, which is exact
-    because an untouched variable's reach can only ever lose members.
 
-    External degrees and closure content-hashes are maintained together in
-    one numpy array of packed per-node codes (supervariable weight in the
-    low 25 bits, a 39-bit splitmix64 content code above), so one cumulative
-    sum per pass yields both the exact external degree of every touched
-    variable and the hash of its closed neighbourhood.  Supervariable
-    (mass) elimination uses that hash as an indistinguishability screen:
-    only when two closure hashes collide does an exact sequential replay
-    of the reference's merge loop run, verifying candidate pairs against
-    the frozen closures their dict entries were created with.
+def _within(lens: np.ndarray) -> np.ndarray:
+    """``0 .. lens[i] - 1`` for every ``i``, concatenated."""
+    ends = lens.cumsum()
+    return np.arange(int(ends[-1]) if len(ends) else 0) - (ends - lens).repeat(lens)
 
-    The selection order, tie-breaking, pass structure and merge order of
-    :func:`multiple_minimum_degree_reference` are reproduced exactly; the
-    test suite asserts identical permutations on every bundled matrix.
+
+def _closure_classes(ckey, touched, vals, starts, sizes, n1):
+    """Classes of touched rows with equal closed neighbourhoods.
+
+    Row ``i``'s closure is ``vals[starts[i] : starts[i] + sizes[i]]``
+    plus ``touched[i]``; ``ckey`` is its hash screen.  Rows sharing a key
+    are compared exactly with the first row of their hash group, all at
+    once; a group holding a true hash collision is split exactly, in
+    Python.  Returns ``None`` when no two closures are equal, else the
+    rows of the classes of two or more as ascending ``nodes``, their
+    ``classes``, and per node the classes whose closure holds it (CSR).
     """
+    order = np.argsort(ckey, kind="stable")
+    sk = ckey[order]
+    same = sk[1:] == sk[:-1]
+    if not same.any():
+        return None
+    screened = np.concatenate(([False], same)) | np.concatenate((same, [False]))
+    cls = np.cumsum(np.concatenate(([True], ~same)))[screened]
+    rows = order[screened]  # grouped by key, ascending within a group
+    own = np.arange(len(rows), dtype=np.int64)
+    lens = sizes[rows]
+    key = np.concatenate(
+        [np.repeat(own, lens) * n1 + _ragged_take(vals, starts[rows], lens),
+         own * n1 + touched[rows]]
+    )
+    key.sort()
+    cl = key % n1
+    clen = lens + 1
+    co = np.cumsum(clen) - clen
+    first = cls.searchsorted(cls)  # each row's hash group's first row
+    bad = clen != clen[first]
+    eq = np.flatnonzero(~bad)
+    lq = clen[eq]
+    wq = _within(lq)
+    diff = cl[np.repeat(co[eq], lq) + wq] != cl[np.repeat(co[first[eq]], lq) + wq]
+    bad[eq[np.repeat(np.arange(len(eq)), lq)[diff]]] = True
+    if bad.any():
+        next_id = int(cls[-1]) + 1
+        for g in np.unique(cls[bad]).tolist():
+            split: dict[tuple, int] = {}
+            for i in np.flatnonzero(cls == g).tolist():
+                c = tuple(cl[co[i] : co[i] + clen[i]].tolist())
+                cls[i] = split.setdefault(c, next_id + len(split))
+            next_id += len(split)
+    _, cls, counts = np.unique(cls, return_inverse=True, return_counts=True)
+    multi = np.flatnonzero(counts[cls] > 1)
+    if not len(multi):
+        return None
+    _, one, cls = np.unique(cls[multi], return_index=True, return_inverse=True)
+    by_node = np.argsort(rows[multi])
+    nodes = touched[rows[multi][by_node]]
+    # Each class's closure, read off one member, restricted to the nodes
+    # that can merge (the rows of the classes of two or more).
+    src = multi[one]
+    ce = cl[np.repeat(co[src], clen[src]) + _within(clen[src])]
+    cid = np.repeat(np.arange(len(src)), clen[src])
+    pos = np.minimum(np.searchsorted(nodes, ce), len(nodes) - 1)
+    hit = nodes[pos] == ce
+    by_pos = np.argsort(pos[hit], kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pos[hit], minlength=len(nodes)))))
+    return nodes.tolist(), cls[by_node].tolist(), ptr.tolist(), cid[hit][by_pos].tolist()
+
+
+def multiple_minimum_degree(graph: SymmetricGraph, delta: int = 0) -> np.ndarray:
+    """Array MMD; permutation-identical to the reference.
+
+    Up to :data:`_BITSET_MAX_N` unknowns this is :func:`_mmd_bitset`.
+    Beyond, every live variable's adjacency is a sorted CSR row in one
+    flat arena (:class:`_Store`), and each elimination pass is a few
+    whole-pass array operations:
+
+    - **Selection.** One gather of every candidate's row.  Live adjacency
+      is symmetric (a row not rewritten only loses entries, and dead
+      entries are never candidates), so a candidate with no lower-indexed
+      candidate neighbour is selected outright; only the conflicting
+      pairs run the reference's greedy, in plain Python.
+    - **Reaches.** The pivots' part of that gather, filtered by
+      ``alive``, is every reach.  One batched gather / key-sort / dedup
+      rebuilds the touched rows from their old rows plus each reach
+      crossed with itself (eager element absorption).
+    - **Merges by closure class.** One cumulative sum of packed per-node
+      codes (weight in the low 25 bits, a 39-bit splitmix64 content code
+      above) gives every touched row's external degree and closure hash.
+      Only rows whose closed neighbourhood ``C`` equals another's can
+      merge or be merged into: a merge of ``m`` into ``r`` has ``C_m =
+      C_r`` with ``r`` live, so ``m`` is in a closure exactly when ``r``
+      is, and removing merged nodes never makes two closures equal.  In
+      ascending order a row of a class (:func:`_closure_classes`) merges
+      into the class's latest representative unless a node of the class
+      closure merged since that one was visited; otherwise it becomes
+      the representative.  That is the reference's frozen-dictionary
+      rule: on K5, after node 0 goes, the four twins merge in pairs.
+
+    The test suite asserts identical permutations and ``perf.order.*``
+    counters against the reference and the bitset tier.
+    """
+    _check_delta(delta)
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -428,13 +530,10 @@ def multiple_minimum_degree(graph: SymmetricGraph, delta: int = 0) -> np.ndarray
     weight = np.ones(n, dtype=np.int64)
     extdeg = row_len.copy()
 
-    # Supervariable member chains: merged nodes are emitted with their rep.
-    head = list(range(n))
+    # Supervariable member chains: merged nodes are emitted after their rep.
     tail = list(range(n))
     nxt = [-1] * n
 
-    blocked = np.zeros(n, dtype=np.int64)  # pass-stamped independence mask
-    death_rank = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     f39 = _splitmix64(np.arange(1, n + 1, dtype=np.int64)) >> np.uint64(25)
     # Packed per-node code: 39-bit content hash above a 25-bit weight
     # field.  Segment sums of ccode give Σweight exactly in the low bits
@@ -443,22 +542,16 @@ def multiple_minimum_degree(graph: SymmetricGraph, delta: int = 0) -> np.ndarray
     ccode = (f39 << np.uint64(25)).view(np.int64) + weight
     _MASK25 = np.int64((1 << 25) - 1)
     _SALT = np.uint64(0x9E3779B97F4A7C15)
-    _salt_int = 0x9E3779B97F4A7C15
     _MASK39U = np.uint64((1 << 39) - 1)
-    _mask39 = (1 << 39) - 1
-    _mask64 = (1 << 64) - 1
 
     perm = np.empty(n, dtype=np.int64)
-    arange_n = np.arange(n + 1, dtype=np.int64)
-    z1 = np.zeros(1, dtype=np.int64)
-    n_plus_1 = np.int64(n + 1)
+    n1 = np.int64(n + 1)
     n_eliminated = 0
     n_passes = 0
     n_merged = 0
     n_absorbed = 0
     n_mass = 0
     n_compactions = 0
-    any_merged_ever = False
 
     def compact() -> None:
         nonlocal n_compactions
@@ -470,217 +563,122 @@ def multiple_minimum_degree(graph: SymmetricGraph, delta: int = 0) -> np.ndarray
         store.data[: len(packed)] = packed
         store.free = len(packed)
 
-    def replay_merges(touched, vals, starts, ends, keys, h39sums, sizes) -> bool:
-        """Exact sequential merge replay, run only on closure-hash collisions.
-
-        Visits touched nodes in index order like the reference.  Clean
-        nodes reuse the vectorized closure keys; a merge marks every
-        segment containing the dead node dirty (those are exactly the
-        touched nodes in its reach, by symmetry) and dirty keys are
-        recomputed incrementally.  Hash-matched pairs are verified against
-        the exact frozen closure the dict entry was created with.
-        """
-        nonlocal n_merged, any_merged_ever
-        touched_list = touched.tolist()
-        keys_l = keys.tolist()
-        starts_l = starts.tolist()
-        ends_l = ends.tolist()
-        hs = sz = fown = None  # materialized lazily on the first merge
-        dirty: set[int] = set()
-
-        def closure(seg: np.ndarray, self_id: int) -> np.ndarray:
-            out = np.empty(len(seg) + 1, dtype=np.int64)
-            pos = int(np.searchsorted(seg, self_id))
-            out[:pos] = seg[:pos]
-            out[pos] = self_id
-            out[pos + 1 :] = seg[pos:]
-            return out
-
-        buckets: dict[int, list[int]] = {}
-        merged_any = False
-        for rank, u in enumerate(touched_list):
-            if not alive[u]:
-                continue
-            if rank in dirty:
-                key = (
-                    ((hs[rank] + fown[rank]) & _mask39)
-                    + sz[rank] * _salt_int
-                ) & _mask64
-            else:
-                key = keys_l[rank]
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [rank]
-                continue
-            seg_u = vals[starts_l[rank] : ends_l[rank]]
-            cur_u = seg_u[alive[seg_u]]
-            cl_u = closure(cur_u, u)
-            rep = -1
-            for cand in bucket:
-                seg_r = vals[starts_l[cand] : ends_l[cand]]
-                frozen = seg_r[death_rank[seg_r] >= cand]
-                if np.array_equal(cl_u, closure(frozen, touched_list[cand])):
-                    rep = touched_list[cand]
-                    break
-            if rep < 0:
-                bucket.append(rank)
-                continue
-            # u is indistinguishable from rep: merge u into rep.
-            merged_any = True
-            any_merged_ever = True
-            n_merged += 1
-            weight[rep] += weight[u]
-            ccode[rep] += weight[u]
-            nxt[tail[rep]] = head[u]
-            tail[rep] = tail[u]
-            alive[u] = False
-            extdeg[u] = _DEAD
-            death_rank[u] = rank
-            if hs is None:
-                hs = h39sums.tolist()
-                sz = sizes.tolist()
-                fown = f39[touched].tolist()
-            fu = int(f39[u])
-            # Segments containing u are exactly the touched nodes in u's
-            # reach (adjacency snapshots are symmetric).
-            pos = np.searchsorted(touched, cur_u)
-            pos[pos == len(touched_list)] = 0
-            hit = touched[pos] == cur_u
-            for i in pos[hit].tolist():
-                hs[i] = (hs[i] - fu) & _mask39
-                sz[i] -= 1
-                dirty.add(i)
-        return merged_any
-
     while n_eliminated < n:
         n_passes += 1
         threshold = extdeg.min() + delta
-        candidates = np.flatnonzero(extdeg <= threshold)
+        cand = np.flatnonzero(extdeg <= threshold)
         # Independent-set selection in index order, exactly as the
-        # reference: a candidate adjacent to an earlier pivot is blocked.
-        # Raw rows are stamped unfiltered — stale entries are dead nodes,
-        # which are never candidates, so over-stamping them is harmless.
-        rs = row_start[candidates].tolist()
-        rl = row_len[candidates].tolist()
+        # reference.  Stale entries are dead, never candidates.
         data = store.data
-        sel: list[int] = []
-        sel_raw: list[np.ndarray] = []
-        for ci, v in enumerate(candidates.tolist()):
-            if blocked[v] == n_passes:
-                continue
-            raw = data[rs[ci] : rs[ci] + rl[ci]]
-            blocked[raw] = n_passes
-            sel.append(v)
-            sel_raw.append(raw)
-        for v in sel:
-            node = head[v]
+        clens = row_len[cand]
+        crow = _ragged_take(data, row_start[cand], clens)
+        cpos = np.arange(len(cand)).repeat(clens)
+        lower = ((extdeg[crow] <= threshold) & (crow < cand[cpos])).nonzero()[0]
+        keep = np.ones(len(cand), dtype=bool)
+        if len(lower):
+            # (v, w): candidate w < v is v's neighbour.  Pairs come in
+            # ascending v, so w's fate is settled when v reads it.
+            rejected = [False] * len(cand)
+            for v, w in zip(cpos[lower].tolist(), cand.searchsorted(crow[lower]).tolist()):
+                if not rejected[w]:
+                    rejected[v] = True
+            keep = ~np.array(rejected)
+        sel = cand[keep]
+        # Each pivot is emitted with its supervariable's member chain.
+        wsel = weight[sel]
+        ends = n_eliminated + wsel.cumsum()
+        at = ends - wsel
+        perm[at] = sel
+        heavy = (wsel > 1).nonzero()[0]
+        n_mass += len(heavy)
+        for v, p in zip(sel[heavy].tolist(), at[heavy].tolist()):
+            node = nxt[v]
             while node >= 0:
-                perm[n_eliminated] = node
-                n_eliminated += 1
+                p += 1
+                perm[p] = node
                 node = nxt[node]
-        sel_arr = np.asarray(sel, dtype=np.int64)
-        if any_merged_ever:
-            n_mass += int((weight[sel_arr] > 1).sum())
-        alive[sel_arr] = False
-        extdeg[sel_arr] = _DEAD
-        # Exact reach of each pivot: its row minus dead entries.  Same-pass
-        # pivots are mutually non-adjacent, so the snapshot taken here is
-        # still each pivot's exact adjacency at elimination time.
-        pieces = []
-        for raw in sel_raw:
-            r = raw[alive[raw]]
-            if len(r):
-                pieces.append(r)
-        if not pieces:
+        n_eliminated = int(ends[-1])
+        alive[sel] = False
+        extdeg[sel] = _DEAD
+        # Every pivot's exact reach: its row minus dead entries.  Same-pass
+        # pivots are mutually non-adjacent, so each row gathered above is
+        # still its pivot's adjacency at elimination time.
+        pk = keep[cpos] & alive[crow]
+        pcat = crow[pk]
+        if not len(pcat):
             continue
-        n_absorbed += len(pieces)
-        if len(pieces) == 1:
-            cat = touched = pieces[0]
-        else:
-            cat = np.concatenate(pieces)
-            cat.sort()
-            dup = np.empty(len(cat), dtype=bool)
-            dup[0] = True
-            np.not_equal(cat[1:], cat[:-1], out=dup[1:])
-            touched = cat[dup]
+        plens = np.bincount(cpos[pk], minlength=len(cand))[keep]
+        n_absorbed += int(np.count_nonzero(plens))
+        touched = _dedup_sorted(np.sort(pcat))
         k = len(touched)
-        ar_k = arange_n[:k]
         # One update stream rebuilds every touched row: the old rows plus
         # each new element crossed with its own members (u gains L_i for
         # every pivot i whose reach contains u).
         tlens = row_len[touched]
-        parts_vals = [_ragged_take(data, row_start[touched], tlens)]
-        parts_owner = [np.repeat(ar_k, tlens)]
-        if len(pieces) == 1:
-            parts_vals.append(np.tile(touched, k))
-            parts_owner.append(np.repeat(ar_k, k))
-        elif len(pieces) <= 3:
-            for r in pieces:
-                parts_vals.append(np.tile(r, len(r)))
-                parts_owner.append(np.repeat(np.searchsorted(touched, r), len(r)))
-        else:
-            plens = np.array([len(r) for r in pieces], dtype=np.int64)
-            sq = plens * plens
-            total = int(sq.sum())
-            pcat = np.concatenate(pieces)
-            base = np.cumsum(plens) - plens
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(sq) - sq, sq
-            )
-            parts_vals.append(
-                pcat[np.repeat(base, sq) + within % np.repeat(plens, sq)]
-            )
-            parts_owner.append(
-                np.repeat(np.searchsorted(touched, pcat), np.repeat(plens, plens))
-            )
-        vals = np.concatenate(parts_vals)
-        owners = np.concatenate(parts_owner)
-        keep = alive[vals] & (vals != touched[owners])
-        key = owners[keep] * n_plus_1 + vals[keep]
-        key.sort()
-        if len(key) > 1:
-            mask = np.empty(len(key), dtype=bool)
-            mask[0] = True
-            np.not_equal(key[1:], key[:-1], out=mask[1:])
-            key = key[mask]
-        vals = key % n_plus_1
-        counts = np.bincount(key // n_plus_1, minlength=k)
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        sq = plens * plens
+        vals = np.concatenate(
+            [_ragged_take(data, row_start[touched], tlens),
+             pcat[(plens.cumsum() - plens).repeat(sq) + _within(sq) % plens.repeat(sq)]]
+        )
+        owners = np.concatenate(
+            [np.arange(k).repeat(tlens), touched.searchsorted(pcat).repeat(plens.repeat(plens))]
+        )
+        live = alive[vals] & (vals != touched[owners])
+        key = _dedup_sorted(np.sort(owners[live] * n1 + vals[live]))
+        vals = key % n1
+        sizes = np.bincount(key // n1, minlength=k)
+        ends = sizes.cumsum()
+        starts = ends - sizes
         # Append the rebuilt rows to the arena (eager element absorption).
         store.reserve(len(vals), compact)
         base = store.free
         store.data[base : base + len(vals)] = vals
         row_start[touched] = base + starts
-        row_len[touched] = counts
+        row_len[touched] = sizes
         store.free = base + len(vals)
         # One cumulative sum of the packed codes yields both the external
         # degrees (low bits) and the closure content hashes (high bits).
-        cumc = np.concatenate([z1, np.cumsum(ccode[vals])])
+        cumc = np.concatenate(([0], ccode[vals].cumsum()))
         csums = cumc[ends] - cumc[starts]
-        wsums = csums & _MASK25
-        h39sums = csums.view(np.uint64) >> np.uint64(25)
-        sizes = ends - starts
-        closure_key = (
-            (h39sums + f39[touched]) & _MASK39U
+        extdeg[touched] = csums & _MASK25
+        ckey = (
+            ((csums.view(np.uint64) >> np.uint64(25)) + f39[touched]) & _MASK39U
         ) + sizes.view(np.uint64) * _SALT
-        ck = np.sort(closure_key)
-        if len(ck) > 1 and bool((ck[1:] == ck[:-1]).any()):
-            if replay_merges(touched, vals, starts, ends, closure_key, h39sums, sizes):
-                # Merges only remove nodes, so the post-merge reaches are
-                # the pre-merge segments filtered to live entries/owners.
-                live_nodes = alive[touched]
-                owners_flat = np.repeat(ar_k, sizes)
-                keep = alive[vals] & live_nodes[owners_flat]
-                vals = vals[keep]
-                counts = np.bincount(owners_flat[keep], minlength=k)[live_nodes]
-                touched = touched[live_nodes]
-                ends = np.cumsum(counts)
-                starts = ends - counts
-                cumc = np.concatenate([z1, np.cumsum(ccode[vals])])
-                csums = cumc[ends] - cumc[starts]
-                wsums = csums & _MASK25
-        extdeg[touched] = wsums
+        classes = _closure_classes(ckey, touched, vals, starts, sizes, n1)
+        if classes is None:
+            continue
+        nodes, cls, ptr, ids = classes
+        rep = [-1] * len(nodes)  # class -> latest representative
+        stale = [False] * len(nodes)  # a node of the closure merged since
+        into = [-1] * len(nodes)
+        for i, u in enumerate(nodes):
+            c = cls[i]
+            r = rep[c]
+            if r < 0 or stale[c]:
+                rep[c] = u
+                stale[c] = False
+                continue
+            into[i] = r
+            nxt[tail[r]] = u
+            tail[r] = tail[u]
+            for j in ids[ptr[i] : ptr[i + 1]]:
+                stale[j] = True
+        into = np.array(into)
+        merged = into >= 0
+        if merged.any():
+            # Each rep takes at most one merge per pass (the merge makes
+            # its class stale).  By the closure lemma a merged node and its
+            # rep are in the same touched rows, so only the rep's own
+            # external degree moves: it loses the merged node's weight.
+            cm = into[merged]
+            um = np.array(nodes)[merged]
+            n_merged += len(um)
+            wm = weight[um]
+            weight[cm] += wm
+            ccode[cm] += wm
+            extdeg[cm] -= wm
+            alive[um] = False
+            extdeg[um] = _DEAD
     obs.counter("perf.order.passes", n_passes)
     obs.counter("perf.order.supernodes_merged", n_merged)
     obs.counter("perf.order.elements_absorbed", n_absorbed)
