@@ -6,8 +6,8 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 * :mod:`repro.sparse`   — structures, I/O, generators, test matrices
 * :mod:`repro.ordering` — MMD / MD / RCM / ND fill-reducing orderings
-* :mod:`repro.symbolic` — elimination tree, symbolic factorization
-* :mod:`repro.numeric`  — numerical Cholesky and triangular solves
+* :mod:`repro.symbolic` — symbolic factorization, supernodes, pair updates
+* :mod:`repro.numeric`  — sequential numerical Cholesky
 * :mod:`repro.core`     — the block partitioner, scheduler, wrap baseline
 * :mod:`repro.machine`  — work / traffic / load-balance accounting
 * :mod:`repro.mpsim`    — simulated message-passing runtime

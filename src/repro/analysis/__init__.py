@@ -20,7 +20,7 @@ from .claims import ClaimResult, check_claims, render_claims
 from .compare import comparison_rows, render_comparison
 from .explain import ExplainResult, explain_manifest, explain_run, render_explain
 from .figures import figure1_ascii, figure2_ascii, figure3_ascii, figure4_report
-from .gantt import render_gantt, render_gantt_reference
+from .gantt import render_gantt
 from .report import SECTIONS, generate_report, update_document
 from .stats import partition_statistics, render_partition_stats
 from .tables import format_number, render_table
@@ -57,7 +57,6 @@ __all__ = [
     "generate_report",
     "update_document",
     "render_gantt",
-    "render_gantt_reference",
     "partition_statistics",
     "render_partition_stats",
     "format_number",

@@ -6,9 +6,7 @@ idle time — a quick visual of where the dependency delays bite.
 
 The raster comes from :func:`repro.obs.simtime.busy_grid`, the single
 quantization shared with the HTML report panels, so the two can never
-disagree; :func:`render_gantt_reference` keeps the original inline loop
-as the reference implementation, pinned identical by tests on the
-bundled matrices.
+disagree.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from ..core.assignment import Assignment
 from ..machine.simulate import ScheduleTimeline
 from ..obs.simtime import busy_grid
 
-__all__ = ["render_gantt", "render_gantt_reference"]
+__all__ = ["render_gantt"]
 
 
 def _render(
@@ -61,28 +59,3 @@ def render_gantt(
     )
     return _render(assignment, timeline, width, busy)
 
-
-def render_gantt_reference(
-    assignment: Assignment,
-    timeline: ScheduleTimeline,
-    width: int = 72,
-) -> str:
-    """The original ad-hoc raster loop, kept as the reference path for
-    the identity test against :func:`render_gantt`."""
-    if assignment.proc_of_unit is None:
-        raise ValueError("gantt chart requires a block assignment")
-    if width < 10:
-        raise ValueError("width must be at least 10 columns")
-    nprocs = assignment.nprocs
-    makespan = timeline.makespan
-    if makespan <= 0:
-        return "(empty schedule)"
-    scale = width / makespan
-
-    busy = np.zeros((nprocs, width), dtype=bool)
-    for u in range(len(timeline.start)):
-        p = int(assignment.proc_of_unit[u])
-        a = int(timeline.start[u] * scale)
-        b = int(np.ceil(timeline.finish[u] * scale))
-        busy[p, a : max(b, a + (timeline.finish[u] > timeline.start[u]))] = True
-    return _render(assignment, timeline, width, busy)

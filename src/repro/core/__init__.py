@@ -3,7 +3,6 @@
 from .assignment import Assignment
 from .blocks import BlockKind, DenseBlock, UnitBlock
 from .clusters import Cluster, ClusterSet, find_clusters
-from .execution import critical_path_priority, execution_order
 from .dependencies import (
     CATEGORY_NAMES,
     DependencyInfo,
@@ -27,12 +26,6 @@ from .pipeline import (
 )
 from .scheduler import SchedulerOptions, schedule_blocks
 from .variants import schedule_affinity, schedule_lpt
-from .validation import (
-    ValidationError,
-    validate_assignment,
-    validate_dependencies,
-    validate_partition,
-)
 from .wrap import block_cyclic_columns, two_d_cyclic, wrap_assignment
 
 __all__ = [
@@ -43,8 +36,6 @@ __all__ = [
     "Cluster",
     "ClusterSet",
     "find_clusters",
-    "critical_path_priority",
-    "execution_order",
     "CATEGORY_NAMES",
     "DependencyInfo",
     "analyze_dependencies",
@@ -69,10 +60,6 @@ __all__ = [
     "schedule_affinity",
     "schedule_lpt",
     "unit_edge_volumes",
-    "ValidationError",
-    "validate_assignment",
-    "validate_dependencies",
-    "validate_partition",
     "block_cyclic_columns",
     "two_d_cyclic",
     "wrap_assignment",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
 from .assignment import Assignment
@@ -67,10 +68,7 @@ def adaptive_schedule(
     Returns the resulting partition and assignment; metrics can then be
     computed exactly as for the static pipeline.
     """
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
-    if grain < 1:
-        raise ValueError("grain must be at least 1")
+    nprocs, grain = as_processor_count(nprocs), as_processor_count(grain, "grain")
     options = options or SchedulerOptions()
     clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
     index = _UpdateIndex(updates)

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from .blocks import BlockKind, DenseBlock
 
@@ -251,8 +252,7 @@ def _rectangles_for_strip(
 
 
 def _check_cluster_params(min_width: int, zero_tolerance: float) -> None:
-    if min_width < 1:
-        raise ValueError("min_width must be at least 1")
+    as_processor_count(min_width, "min_width")
     if not (0.0 <= zero_tolerance < 1.0):
         raise ValueError("zero_tolerance must be in [0, 1)")
 

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from ..obs import trace as obs
+from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from .blocks import KIND_CODE, KINDS, UNIT_COLUMNS, UnitBlock
 from .clusters import ClusterSet, find_clusters
@@ -335,8 +336,8 @@ def partition_clusters(
     """
     if grain_rectangle is None:
         grain_rectangle = grain_triangle
-    if grain_triangle < 1 or grain_rectangle < 1:
-        raise ValueError("grain must be at least 1")
+    grain_triangle = as_processor_count(grain_triangle, "grain")
+    grain_rectangle = as_processor_count(grain_rectangle, "grain")
     ecol = pattern.element_cols()
     n_clusters = len(clusters)
     strips = np.flatnonzero(~clusters.is_column)

@@ -13,7 +13,7 @@ from .simulate import (
     simulation_messages,
     unit_graph,
 )
-from .scorecard import scorecard, sim_scorecard
+from .scorecard import scorecard
 from .solve_metrics import solve_balance, solve_traffic, solve_work
 from .traffic import (
     DEFAULT_CHUNK_READS,
@@ -44,7 +44,6 @@ __all__ = [
     "topological_order",
     "unit_graph",
     "scorecard",
-    "sim_scorecard",
     "solve_balance",
     "solve_traffic",
     "solve_work",

@@ -10,7 +10,7 @@ from .solve_metrics import solve_balance, solve_traffic
 from .traffic import data_traffic
 from .work import processor_work
 
-__all__ = ["scorecard", "sim_scorecard"]
+__all__ = ["scorecard"]
 
 
 def scorecard(assignment: Assignment, updates: UpdateSet) -> dict:
@@ -36,29 +36,3 @@ def scorecard(assignment: Assignment, updates: UpdateSet) -> dict:
         "mean_partners": hot.mean_partners,
         "pairs_for_90pct_traffic": hot.pairs_for_fraction(0.9),
     }
-
-
-def sim_scorecard(assignment: Assignment, updates: UpdateSet) -> dict:
-    """The static scorecard plus the simulated-time view of the same
-    assignment: makespan, busy/wait/idle split, critical-path shape and
-    message-ledger volume from one :class:`~repro.obs.simtime.SimRun`.
-
-    ``sim_message_bytes`` equals ``factor_traffic_total`` by
-    construction (the ledger dedups exactly like the traffic metric) —
-    kept as separate keys so the identity stays visible in output."""
-    from .simulate import simulate_assignment
-
-    out = scorecard(assignment, updates)
-    timeline, run = simulate_assignment(assignment, updates)
-    pt = run.proc_times()
-    cp = run.critical_path()
-    out.update({
-        "sim_makespan": timeline.makespan,
-        "sim_idle_fraction": timeline.idle_fraction,
-        "sim_messages": len(run.messages),
-        "sim_message_bytes": run.total_message_bytes(),
-        "sim_wait_max": float(pt.wait.max()),
-        "sim_cp_units": int(cp.units.size),
-        "sim_cp_wait_fraction": (cp.wait / cp.length) if cp.length > 0 else 0.0,
-    })
-    return out

@@ -1,17 +1,8 @@
-"""Numerical factorization and triangular solves."""
+"""Numerical factorization."""
 
-from .cholesky import NotPositiveDefiniteError, dense_cholesky, sparse_cholesky
-from .solver import SPDSolver, solve_spd
-from .supernodal import supernodal_cholesky
-from .triangular import solve_lower, solve_lower_transpose
+from .cholesky import NotPositiveDefiniteError, sparse_cholesky
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "dense_cholesky",
     "sparse_cholesky",
-    "supernodal_cholesky",
-    "SPDSolver",
-    "solve_spd",
-    "solve_lower",
-    "solve_lower_transpose",
 ]

@@ -1,4 +1,4 @@
-"""Numerical Cholesky factorization (dense reference + sparse left-looking).
+"""Numerical Cholesky factorization (sparse left-looking).
 
 The sparse routine consumes the symbolic structure produced by
 :func:`repro.symbolic.symbolic_cholesky` and fills in the values — the
@@ -13,7 +13,7 @@ from ..sparse.csc import LowerCSC, SymmetricCSC
 from ..sparse.pattern import LowerPattern
 from ..symbolic.fill import SymbolicFactor, symbolic_cholesky
 
-__all__ = ["dense_cholesky", "sparse_cholesky", "NotPositiveDefiniteError"]
+__all__ = ["sparse_cholesky", "NotPositiveDefiniteError"]
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -25,25 +25,6 @@ class NotPositiveDefiniteError(ValueError):
         )
         self.column = column
         self.pivot = pivot
-
-
-def dense_cholesky(a: np.ndarray) -> np.ndarray:
-    """Column-by-column dense Cholesky, A = L Lᵀ, implemented from scratch."""
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    L = np.tril(a)
-    for j in range(n):
-        pivot = L[j, j]
-        if pivot <= 0.0:
-            raise NotPositiveDefiniteError(j, float(pivot))
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] /= L[j, j]
-            col = L[j + 1 :, j]
-            L[j + 1 :, j + 1 :] -= np.tril(np.outer(col, col))
-    return L
 
 
 def sparse_cholesky(

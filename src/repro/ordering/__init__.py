@@ -1,11 +1,7 @@
 """Fill-reducing orderings: MMD (the paper's choice), MD, RCM, ND."""
 
 from .amd import approximate_minimum_degree
-from .mmd import (
-    minimum_degree,
-    multiple_minimum_degree,
-    multiple_minimum_degree_reference,
-)
+from .mmd import minimum_degree, multiple_minimum_degree
 from .nested_dissection import nested_dissection
 from .perm import (
     identity_permutation,
@@ -19,7 +15,6 @@ __all__ = [
     "approximate_minimum_degree",
     "minimum_degree",
     "multiple_minimum_degree",
-    "multiple_minimum_degree_reference",
     "nested_dissection",
     "identity_permutation",
     "invert_permutation",

@@ -1,17 +1,13 @@
 """Minimum degree orderings.
 
-Three variants are provided:
+Two variants are provided:
 
 * :func:`minimum_degree` — the textbook single-elimination algorithm on
   an explicit elimination graph.
-* :func:`multiple_minimum_degree_reference` — Liu's modified multiple
-  minimum degree (MMD, TOMS 1985) on an explicit elimination graph of
-  Python sets.  Easy to audit, and the executable specification the
-  fast path is asserted against.
-* :func:`multiple_minimum_degree` — the same algorithm on two fast
-  representations, dispatched by problem size.  Up to
-  :data:`_BITSET_MAX_N` unknowns, the elimination graph lives as one
-  Python big integer per row (:func:`_mmd_bitset`): clique unions,
+* :func:`multiple_minimum_degree` — Liu's modified multiple minimum
+  degree (MMD, TOMS 1985) on two fast representations, dispatched by
+  problem size.  Up to :data:`_BITSET_MAX_N` unknowns, the elimination
+  graph lives as one Python big integer per row (:func:`_mmd_bitset`): clique unions,
   reach computation, and indistinguishable-node detection are single
   C-level bit operations, dead nodes are masked lazily by a global
   alive bitmask, and merges key an exact closure-bitset dictionary.
@@ -22,11 +18,11 @@ Three variants are provided:
   absorbs the new elements into the touched rows, and a closure hash
   screen finds the classes of rows with equal closed neighbourhoods,
   the only rows that can merge.  Both return the **identical
-  permutation** to the reference — the pass structure, tie-breaking,
-  and merge order are reproduced exactly, only the data structure
-  differs.
+  permutation** to the set-based reference of the tests — the pass
+  structure, tie-breaking, and merge order are reproduced exactly, only
+  the data structure differs.
 
-Both MMD variants implement the three classic refinements:
+Both MMD tiers implement the three classic refinements:
 
 - **multiple elimination**: an independent set of minimum-degree nodes
   is eliminated per pass before degrees are recomputed;
@@ -46,7 +42,6 @@ from ..sparse.pattern import SymmetricGraph
 __all__ = [
     "minimum_degree",
     "multiple_minimum_degree",
-    "multiple_minimum_degree_reference",
 ]
 
 #: External-degree sentinel for nodes no longer alive; larger than any
@@ -88,87 +83,6 @@ def minimum_degree(graph: SymmetricGraph) -> np.ndarray:
             deg[u] = len(adj[u])
         adj[v] = set()
     return perm
-
-
-def multiple_minimum_degree_reference(
-    graph: SymmetricGraph, delta: int = 0
-) -> np.ndarray:
-    """Liu's multiple minimum degree ordering (set-of-sets reference).
-
-    ``delta`` is the multiple-elimination tolerance: nodes whose external
-    degree is within ``delta`` of the minimum are eligible in the same
-    elimination pass (delta = 0 reproduces strict MMD); it must not be
-    negative.
-    """
-    _check_delta(delta)
-    n = graph.n
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    adj = _init_adjacency(graph)
-    weight = np.ones(n, dtype=np.int64)  # supervariable sizes
-    members: list[list[int]] = [[i] for i in range(n)]
-    alive = np.ones(n, dtype=bool)
-
-    def external_degree(v: int) -> int:
-        return int(sum(weight[u] for u in adj[v]))
-
-    extdeg = np.array([external_degree(i) for i in range(n)], dtype=np.int64)
-    perm: list[int] = []
-    n_remaining = n
-
-    while n_remaining > 0:
-        alive_idx = np.nonzero(alive)[0]
-        dmin = int(extdeg[alive_idx].min())
-        # --- multiple elimination: independent set of (near-)min nodes ---
-        threshold = dmin + delta
-        selected: list[int] = []
-        blocked: set[int] = set()
-        for v in alive_idx:
-            v = int(v)
-            if extdeg[v] > threshold or v in blocked:
-                continue
-            selected.append(v)
-            blocked.add(v)
-            blocked.update(adj[v])
-        touched: set[int] = set()
-        for v in selected:
-            perm.extend(members[v])
-            n_remaining -= len(members[v])
-            alive[v] = False
-            nbrs = adj[v]
-            for u in nbrs:
-                au = adj[u]
-                au.discard(v)
-                au |= nbrs
-                au.discard(u)
-            touched.update(nbrs)
-            adj[v] = set()
-        touched = {u for u in touched if alive[u]}
-
-        # --- indistinguishable-node merging among the touched nodes ---
-        by_closure: dict[frozenset[int], int] = {}
-        for u in sorted(touched):
-            closure = frozenset(adj[u] | {u})
-            rep = by_closure.get(closure)
-            if rep is None:
-                by_closure[closure] = u
-            else:
-                # u is indistinguishable from rep: merge u into rep.
-                members[rep].extend(members[u])
-                weight[rep] += weight[u]
-                alive[u] = False
-                for w in adj[u]:
-                    adj[w].discard(u)
-                adj[u] = set()
-        touched = {u for u in touched if alive[u]}
-
-        for u in touched:
-            extdeg[u] = external_degree(u)
-
-    out = np.asarray(perm, dtype=np.int64)
-    if len(out) != n:  # pragma: no cover - internal invariant
-        raise AssertionError("MMD failed to eliminate every variable")
-    return out
 
 
 def _ragged_take(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

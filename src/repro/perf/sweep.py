@@ -73,6 +73,7 @@ from ..obs import shard as obs_shard
 from ..obs import trace as obs
 from ..obs.memory import MemoryMonitor, memory_enabled
 from ..sparse import registry
+from ..sparse.dtypes import as_processor_count
 from .cache import cached_partition, cached_prepare
 
 __all__ = [
@@ -229,8 +230,8 @@ def build_grid(
     # Refused here, before any group runs (and before a worker's error
     # would come back wrapped in the retry's RuntimeError).
     for what, values in (("procs", procs), ("grains", grains), ("min_widths", min_widths)):
-        if any(v < 1 for v in values):
-            raise ValueError(f"{what} must be at least 1, got {tuple(values)}")
+        for value in values:
+            as_processor_count(value, what)
         # An empty axis drops its cells silently (grains, min_widths: block cells only).
         if not values and (what == "procs" or any(s != "wrap" for s in schemes)):
             raise ValueError(f"{what} must not be empty")

@@ -91,6 +91,7 @@ def as_permutation(perm, n: int) -> np.ndarray:
 def as_processor_count(value, name: str = "nprocs") -> int:
     """``value`` as a Python int if it is an integer in 1 ..
     :data:`INDEX_MAX_INT32` — the traffic kernel narrows owners to int32.
+    Grain sizes and cluster widths are checked with it too.
 
     A bool, a float (even an integral one), a string or anything out of
     range is a ``ValueError`` naming the value.

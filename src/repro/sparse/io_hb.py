@@ -138,26 +138,44 @@ def write_harwell_boeing(obj, target, title: str = "", key: str = "REPRO") -> No
             fh.close()
 
 
+def _header_card(fh, number: int) -> str:
+    card = fh.readline()
+    if not card:
+        raise ValueError(f"Harwell-Boeing header card {number} is missing")
+    return card
+
+
+def _int_field(card: str, lo: int, hi: int, number: int, name: str) -> int:
+    text = card[lo:hi]
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"Harwell-Boeing header card {number}: {name} is not an integer: {text!r}"
+        ) from None
+
+
 def read_harwell_boeing(source):
     """Read an assembled symmetric Harwell-Boeing file (PSA or RSA).
 
     Returns :class:`SymmetricGraph` for PSA, :class:`SymmetricCSC` for RSA.
+    A missing or malformed header card is a ``ValueError`` naming it.
     """
     fh, owned = _open_for(source, "r")
     try:
-        fh.readline()  # title line (ignored)
-        card2 = fh.readline()
-        valcrd = int(card2[42:56])
-        card3 = fh.readline()
+        _header_card(fh, 1)  # title line (ignored)
+        card2 = _header_card(fh, 2)
+        valcrd = _int_field(card2, 42, 56, 2, "VALCRD")
+        card3 = _header_card(fh, 3)
         mxtype = card3[:3].upper()
-        if mxtype[1] != "S" or mxtype[2] != "A":
+        if len(mxtype) < 3 or mxtype[1] != "S" or mxtype[2] != "A":
             raise ValueError(f"unsupported matrix type {mxtype!r}")
-        nrow = int(card3[14:28])
-        ncol = int(card3[28:42])
-        nnz = int(card3[42:56])
+        nrow = _int_field(card3, 14, 28, 3, "NROW")
+        ncol = _int_field(card3, 28, 42, 3, "NCOL")
+        nnz = _int_field(card3, 42, 56, 3, "NNZERO")
         if nrow != ncol:
             raise ValueError("matrix is not square")
-        card4 = fh.readline()
+        card4 = _header_card(fh, 4)
         ptrfmt = FortranFormat.parse(card4[0:16])
         indfmt = FortranFormat.parse(card4[16:32])
         valfmt = FortranFormat.parse(card4[32:52]) if valcrd > 0 else None

@@ -56,11 +56,13 @@ def read_matrix_market(source):
     """Read a symmetric Matrix Market coordinate file.
 
     Returns a :class:`SymmetricCSC` for ``real``/``integer`` files and a
-    :class:`SymmetricGraph` for ``pattern`` files.
+    :class:`SymmetricGraph` for ``pattern`` files.  A malformed size or
+    entry line is a ``ValueError`` naming the line.
     """
     fh, owned = _open_for(source, "r")
     try:
-        header = fh.readline()
+        lines = enumerate(fh, start=1)
+        header = next(lines, (1, ""))[1]
         if not header.startswith("%%MatrixMarket"):
             raise ValueError("not a Matrix Market file")
         parts = header.strip().split()
@@ -69,21 +71,35 @@ def read_matrix_market(source):
         field, symmetry = parts[3], parts[4]
         if symmetry != "symmetric":
             raise ValueError("only symmetric matrices are supported")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
+        lineno, line = next(((i, s) for i, s in lines if not s.startswith("%")), (0, ""))
+        size = line.split()
+        if len(size) != 3:
+            raise ValueError(
+                f"Matrix Market line {lineno}: expected 'rows cols entries', "
+                f"got {line.strip()!r}"
+            )
+        nrows, ncols, nnz = (int(t) for t in size)
         if nrows != ncols:
             raise ValueError("matrix is not square")
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.float64) if field in ("real", "integer") else None
+        width = 2 if vals is None else 3
         k = 0
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
+        for lineno, line in lines:
             toks = line.split()
+            if not toks or toks[0].startswith("%"):
+                continue
+            if k == nnz:
+                raise ValueError(
+                    f"Matrix Market line {lineno}: more entries than the {nnz} "
+                    "its size line declares"
+                )
+            if len(toks) < width:
+                raise ValueError(
+                    f"Matrix Market line {lineno}: expected {width} fields, "
+                    f"got {line.strip()!r}"
+                )
             rows[k] = int(toks[0]) - 1
             cols[k] = int(toks[1]) - 1
             if vals is not None:

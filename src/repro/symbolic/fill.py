@@ -20,11 +20,11 @@ import numpy as np
 from ..obs import trace as obs
 from ..sparse.dtypes import index_dtype
 from ..sparse.pattern import LowerPattern, SymmetricGraph
-from .etree import tree_levels
 
 __all__ = [
     "symbolic_cholesky",
     "fill_in",
+    "tree_levels",
     "SymbolicFactor",
 ]
 
@@ -123,3 +123,19 @@ def fill_in(graph: SymmetricGraph, perm=None) -> int:
     """Number of fill entries: nnz(L) − nnz(lower(A'))."""
     factor = symbolic_cholesky(graph, perm)
     return factor.nnz - graph.nnz_lower
+
+
+def tree_levels(parent: np.ndarray) -> np.ndarray:
+    """Depth of each node (roots at level 0)."""
+    n = len(parent)
+    level = np.full(n, -1, dtype=np.int64)
+    for j in range(n):
+        path = []
+        v = j
+        while v >= 0 and level[v] < 0:
+            path.append(v)
+            v = int(parent[v])
+        base = 0 if v < 0 else int(level[v]) + 1
+        for i, node in enumerate(reversed(path)):
+            level[node] = base + i
+    return level

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.analysis import render_gantt, render_gantt_reference
+from repro.analysis import render_gantt
 from repro.core import block_mapping, wrap_mapping
 from repro.machine import MachineModel, simulate_schedule
+
+from .oracles import render_gantt_reference
 
 
 @pytest.fixture(scope="module")

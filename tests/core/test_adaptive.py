@@ -1,5 +1,7 @@
 """Adaptive (interleaved) partitioning and scheduling (§3.2 parameter (a))."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,5 +93,21 @@ class TestAdaptiveSchedule:
 
     @pytest.mark.parametrize("grain", [0, -3])
     def test_bad_grain(self, prepared_grid, grain):
-        with pytest.raises(ValueError, match="grain must be at least 1"):
+        with pytest.raises(ValueError, match=f"grain must be positive.*got {grain}"):
             adaptive_block_mapping(prepared_grid, 4, grain=grain)
+
+    @pytest.mark.parametrize("nprocs", [2**40, True, 2.5], ids=["2**40", "True", "2.5"])
+    def test_nprocs_refused_with_the_value_named(self, prepared_grid, nprocs):
+        """2**40 used to ask for an 8 TiB work array, True and 2.5 to
+        die in numpy with a TypeError; block and wrap refused all three."""
+        with pytest.raises(
+            ValueError, match=f"nprocs must be positive.*got {re.escape(repr(nprocs))}"
+        ):
+            adaptive_block_mapping(prepared_grid, nprocs)
+
+    @pytest.mark.parametrize("knob", ["grain", "min_width"])
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True], ids=["nan", "2.5", "True"])
+    def test_non_integer_grain_and_width_refused(self, prepared_grid, knob, bad):
+        message = f"{knob} must be positive.*got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            adaptive_block_mapping(prepared_grid, 4, **{knob: bad})

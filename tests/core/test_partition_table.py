@@ -26,7 +26,6 @@ from repro.core import (
     partition_prepared,
     prepare,
     schedule_blocks,
-    validate_partition,
 )
 from repro.core.blocks import BlockKind
 from repro.machine import unit_work
@@ -34,6 +33,7 @@ from repro.perf import PartitionCache
 from repro.sparse import harwell_boeing as hb
 
 from ..conftest import generated_graphs, random_connected_graph, schedule_oracle
+from .validators import validate_partition
 
 graphs = st.one_of(
     generated_graphs(),

@@ -1,11 +1,13 @@
 """Unit-block partitioning (paper §3.2, Figure 3)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import chunk_bounds, find_clusters, partition_factor
+from repro.core import block_mapping, chunk_bounds, find_clusters, partition_factor
 from repro.core.blocks import BlockKind
 from repro.core.partitioner import rectangle_grid, triangle_split_count
 from repro.sparse.pattern import LowerPattern
@@ -128,12 +130,29 @@ class TestPartitionFactor:
         """A grain below 1 used to partition as grain 1 and keep the
         label: records (and cache entries) named ``grain=0``."""
         p = self._pattern()
-        with pytest.raises(ValueError, match="grain must be at least 1"):
+        with pytest.raises(ValueError, match=f"grain must be positive.*got {bad}"):
             partition_factor(p, grain=bad)
-        with pytest.raises(ValueError, match="grain must be at least 1"):
+        with pytest.raises(ValueError, match=f"grain must be positive.*got {bad}"):
             partition_factor(p, grain=4, grain_rectangle=bad)
-        with pytest.raises(ValueError, match="grain must be at least 1"):
+        with pytest.raises(ValueError, match=f"grain must be positive.*got {bad}"):
             partition_factor(p, grain=bad, grain_rectangle=4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True], ids=["nan", "2.5", "True"])
+    def test_non_integer_grain_and_width_refused(self, bad, prepared_grid):
+        """NaN passed ``grain < 1`` and partitioned like an unsplittable
+        grain; a fraction or a bool was taken as it came."""
+        p = self._pattern()
+        message = f"must be positive.*got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match="grain " + message):
+            partition_factor(p, grain=bad)
+        with pytest.raises(ValueError, match="grain " + message):
+            partition_factor(p, grain=4, grain_rectangle=bad)
+        with pytest.raises(ValueError, match="min_width " + message):
+            partition_factor(p, grain=4, min_width=bad)
+        with pytest.raises(ValueError, match="grain " + message):
+            block_mapping(prepared_grid, 2, grain=bad)
+        with pytest.raises(ValueError, match="min_width " + message):
+            block_mapping(prepared_grid, 2, min_width=bad)
 
     def test_larger_grain_fewer_units(self):
         p = self._pattern(40, 80, 3)

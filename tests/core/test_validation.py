@@ -5,14 +5,17 @@ import pytest
 
 from repro.core import (
     Partition,
-    ValidationError,
     analyze_dependencies,
     block_mapping,
     partition_factor,
+    wrap_assignment,
+)
+
+from .validators import (
+    ValidationError,
     validate_assignment,
     validate_dependencies,
     validate_partition,
-    wrap_assignment,
 )
 
 

@@ -8,7 +8,6 @@ from repro.core import (
     schedule_affinity,
     schedule_lpt,
     unit_edge_volumes,
-    validate_assignment,
 )
 from repro.machine import (
     data_traffic,
@@ -17,6 +16,8 @@ from repro.machine import (
     processor_work,
     unit_work,
 )
+
+from .validators import validate_assignment
 
 
 @pytest.fixture(scope="module")

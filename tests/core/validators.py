@@ -1,20 +1,17 @@
 """Structural validators for partitions, dependency graphs and schedules.
 
 These raise :class:`ValidationError` with a precise message on the first
-violated invariant; they are cheap enough to run in production pipelines
-and are exercised throughout the test suite.
+violated invariant.  No user path runs them: they moved out of ``src/``
+and validate what the tests build.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assignment import Assignment
-from .dependencies import DependencyInfo, topological_order
-from .partitioner import Partition
-
-__all__ = ["ValidationError", "validate_partition", "validate_assignment",
-           "validate_dependencies"]
+from repro.core.assignment import Assignment
+from repro.core.dependencies import DependencyInfo, topological_order
+from repro.core.partitioner import Partition
 
 
 class ValidationError(AssertionError):

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    block_mapping,
-    prepare,
-    validate_assignment,
-    validate_partition,
-    wrap_mapping,
-)
+from repro.core import block_mapping, prepare, wrap_mapping
 from repro.sparse import SymmetricGraph, grid5, path_graph, star_graph
+
+from ..core.validators import validate_assignment, validate_partition
 
 
 class TestTinyProblems:

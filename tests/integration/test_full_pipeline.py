@@ -1,15 +1,22 @@
 """End-to-end integration: structure -> ordering -> symbolic -> partition
 -> schedule -> numeric execution on the message-passing substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import block_mapping, prepare
 from repro.mpsim import distributed_cholesky, distributed_solve_spd
-from repro.numeric import SPDSolver, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.ordering import multiple_minimum_degree
 from repro.sparse import load, spd_from_graph
 from repro.symbolic import symbolic_cholesky
+
+from ..numeric.oracles import SPDSolver
 
 
 class TestNumericalEndToEnd:
@@ -77,3 +84,23 @@ class TestStructuralConsistency:
         r2 = block_mapping(prep2, 16, grain=25)
         assert r1.traffic.total == r2.traffic.total
         assert r1.balance.imbalance == r2.balance.imbalance
+
+
+def test_importing_the_pipeline_loads_neither_scipy_nor_networkx():
+    """numpy is the one runtime dependency: no module of the package,
+    the CLI included, imports scipy or networkx (tests may use them)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    packages = ["analysis", "core", "machine", "mpsim", "numeric", "obs",
+                "ordering", "perf", "sparse", "symbolic"]
+    code = (
+        "import importlib, sys\n"
+        f"for name in ['repro', 'repro.cli'] + ['repro.' + p for p in {packages!r}]:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

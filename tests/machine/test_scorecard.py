@@ -50,18 +50,3 @@ class TestScorecard:
         out_path = tmp_path / "s.csv"
         assert main(["sweep", "--matrix", "DWT512", "--output", str(out_path)]) == 0
         assert out_path.read_text().startswith("matrix,scheme")
-
-
-class TestSimScorecard:
-    def test_extends_static_card(self, prepared_grid):
-        from repro.machine import sim_scorecard
-
-        r = block_mapping(prepared_grid, 4, grain=4)
-        card = sim_scorecard(r.assignment, prepared_grid.updates)
-        static = scorecard(r.assignment, prepared_grid.updates)
-        for key, value in static.items():
-            assert card[key] == value
-        assert card["sim_makespan"] > 0
-        # The ledger and the traffic metric share one dedup rule.
-        assert card["sim_message_bytes"] == card["factor_traffic_total"]
-        assert 0.0 <= card["sim_cp_wait_fraction"] <= 1.0

@@ -14,9 +14,10 @@ from repro.core import (
     wrap_assignment,
 )
 from repro.machine import processor_work, total_work, unit_work
-from repro.symbolic import enumerate_updates, sequential_work, symbolic_cholesky
+from repro.symbolic import enumerate_updates, symbolic_cholesky
 
 from ..conftest import random_connected_graph
+from ..symbolic.oracles import sequential_work
 
 
 class TestProcessorWork:

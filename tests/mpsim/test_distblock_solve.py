@@ -11,9 +11,11 @@ from repro.mpsim import (
     distributed_block_forward_solve,
     distributed_forward_solve,
 )
-from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.obs import trace as obs
 from repro.sparse import LowerCSC, grid9, spd_from_graph
+
+from ..numeric.oracles import solve_lower, solve_lower_transpose
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,12 @@ from repro.mpsim import (
     distributed_forward_solve,
     distributed_solve_spd,
 )
-from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.ordering import multiple_minimum_degree
 from repro.sparse import grid5, grid9, spd_from_graph
 from repro.symbolic import symbolic_cholesky
+
+from ..numeric.oracles import solve_lower, solve_lower_transpose
 
 
 @pytest.fixture(scope="module")

@@ -39,12 +39,13 @@ from repro.mpsim import (
 from repro.mpsim.distblock import _TAG_UNIT
 from repro.mpsim.engine import Endpoint
 from repro.mpsim.solve import _TAG_SOLVE
-from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.obs import trace as obs
 from repro.sparse import LowerCSC, spd_from_graph
 from repro.sparse.pattern import SymmetricGraph
 
 from ..conftest import generated_graphs
+from ..numeric.oracles import solve_lower, solve_lower_transpose
 
 PROCS = (1, 3, 16)
 GRAINS = (1, 4, 25)

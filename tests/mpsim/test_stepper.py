@@ -38,11 +38,12 @@ from repro.mpsim import (
 from repro.mpsim import engine
 from repro.mpsim.distchol import _TAG_COLUMN
 from repro.mpsim.engine import Endpoint, gather_on_ranks, run_tasks
-from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.obs import trace as obs
 from repro.sparse import grid9, spd_from_graph
 
 from ..conftest import generated_graphs
+from ..numeric.oracles import solve_lower, solve_lower_transpose
 
 PROCS = (1, 3, 16)
 

@@ -1,49 +1,13 @@
-"""Dense and sparse numerical Cholesky."""
+"""Sparse numerical Cholesky."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numeric import NotPositiveDefiniteError, dense_cholesky, sparse_cholesky
+from repro.numeric import NotPositiveDefiniteError, sparse_cholesky
 from repro.sparse import SymmetricCSC, grid5, random_symmetric_graph, spd_from_graph
 from repro.symbolic import symbolic_cholesky
-
-
-def _random_spd_dense(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.random((n, n))
-    return m @ m.T + n * np.eye(n)
-
-
-class TestDenseCholesky:
-    def test_identity(self):
-        assert np.allclose(dense_cholesky(np.eye(4)), np.eye(4))
-
-    def test_matches_numpy(self):
-        a = _random_spd_dense(8, 1)
-        assert np.allclose(dense_cholesky(a), np.linalg.cholesky(a))
-
-    def test_reconstruction(self):
-        a = _random_spd_dense(6, 2)
-        L = dense_cholesky(a)
-        assert np.allclose(L @ L.T, a)
-
-    def test_rejects_indefinite(self):
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(NotPositiveDefiniteError) as ei:
-            dense_cholesky(a)
-        assert ei.value.column == 1
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            dense_cholesky(np.zeros((2, 3)))
-
-    @given(st.integers(1, 10), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_numpy_property(self, n, seed):
-        a = _random_spd_dense(n, seed)
-        assert np.allclose(dense_cholesky(a), np.linalg.cholesky(a))
 
 
 class TestSparseCholesky:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numeric import SPDSolver, solve_spd
 from repro.sparse import grid5, grid9, random_symmetric_graph, spd_from_graph
+
+from .oracles import SPDSolver, solve_spd
 
 
 class TestSolveSPD:

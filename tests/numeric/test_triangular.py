@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numeric import solve_lower, solve_lower_transpose, sparse_cholesky
+from repro.numeric import sparse_cholesky
 from repro.sparse import grid5, random_symmetric_graph, spd_from_graph
+
+from .oracles import solve_lower, solve_lower_transpose
 
 
 def _factor(n_seed):

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import trace as obs
-from repro.ordering import (
-    is_permutation,
-    minimum_degree,
-    multiple_minimum_degree,
-    multiple_minimum_degree_reference,
-)
+from repro.ordering import is_permutation, minimum_degree, multiple_minimum_degree
 from repro.ordering import mmd as mmd_mod
 from repro.sparse import (
     band_graph,
@@ -29,6 +24,7 @@ from repro.sparse.pattern import SymmetricGraph
 from repro.symbolic import fill_in
 
 from ..conftest import random_connected_graph
+from .oracles import multiple_minimum_degree_reference
 
 
 class TestMinimumDegree:
@@ -91,7 +87,7 @@ class TestMultipleMinimumDegree:
         assert f_mmd <= 2 * max(f_md, 1)
 
     def test_lap30_fill_near_paper(self):
-        from repro.symbolic import factor_nnz
+        from ..symbolic.oracles import factor_nnz
 
         g = grid9(30, 30)
         nnzl = factor_nnz(g, multiple_minimum_degree(g))

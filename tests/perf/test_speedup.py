@@ -15,10 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.ordering import multiple_minimum_degree, multiple_minimum_degree_reference
+from repro.ordering import multiple_minimum_degree
 from repro.sparse import band_graph, band_lower_pattern
 from repro.symbolic import enumerate_updates
 
+from ..ordering.oracles import multiple_minimum_degree_reference
 from ..symbolic.oracles import enumerate_updates_oracle
 
 #: The largest generator problem the suite enumerates.

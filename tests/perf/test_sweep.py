@@ -3,6 +3,7 @@ a per-cell loop over the public singular drivers, cache use."""
 
 import dataclasses
 import importlib
+import re
 
 import pytest
 
@@ -47,10 +48,21 @@ class TestBuildGrid:
     @pytest.mark.parametrize("knob", ["procs", "grains", "min_widths"])
     @pytest.mark.parametrize("bad", [0, -3])
     def test_nonpositive_grid_value_rejected(self, knob, bad):
-        with pytest.raises(ValueError, match=f"{knob} must be at least 1"):
+        with pytest.raises(ValueError, match=f"{knob} must be positive.*got {bad}"):
             build_grid(["LAP30"], **{knob: (4, bad)})
-        with pytest.raises(ValueError, match=f"{knob} must be at least 1"):
+        with pytest.raises(ValueError, match=f"{knob} must be positive.*got {bad}"):
             sweep(["LAP30"], jobs=2, **{knob: (bad,)})
+
+    @pytest.mark.parametrize("knob", ["procs", "grains", "min_widths"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), True], ids=["2.5", "nan", "True"])
+    def test_non_integer_grid_value_rejected(self, knob, bad):
+        """``grains=(2.5,)`` used to die in a worker with ``TypeError:
+        'float' object cannot be interpreted as an integer``."""
+        message = f"{knob} must be positive.*got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            build_grid(["LAP30"], **{knob: (4, bad)})
+        with pytest.raises(ValueError, match=message):
+            sweep(["LAP30"], **{knob: (bad,)})
 
     @pytest.mark.parametrize("knob", ["procs", "grains", "min_widths"])
     def test_empty_axis_rejected(self, knob):

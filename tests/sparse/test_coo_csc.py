@@ -1,55 +1,12 @@
-"""Tests for the COO builder and numeric CSC containers."""
+"""Tests for the numeric CSC containers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import COOBuilder, LowerCSC, SymmetricCSC, grid9, spd_from_graph
+from repro.sparse import LowerCSC, SymmetricCSC, grid9, spd_from_graph
 from repro.sparse.pattern import LowerPattern
-
-
-class TestCOOBuilder:
-    def test_build_simple(self):
-        b = COOBuilder(3)
-        b.add(0, 0, 2.0)
-        b.add(1, 0, -1.0)
-        a = b.build()
-        assert a.get(0, 0) == 2.0
-        assert a.get(1, 0) == -1.0
-        assert a.get(0, 1) == -1.0  # symmetry
-
-    def test_duplicates_summed(self):
-        b = COOBuilder(2)
-        b.add(1, 0, 1.0)
-        b.add(0, 1, 2.5)  # mirrored entry folds into the same slot
-        a = b.build()
-        assert a.get(1, 0) == 3.5
-
-    def test_out_of_range_rejected(self):
-        b = COOBuilder(2)
-        with pytest.raises(IndexError):
-            b.add(2, 0, 1.0)
-
-    def test_add_many(self):
-        b = COOBuilder(4)
-        b.add_many([1, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0])
-        assert len(b) == 3
-        a = b.build()
-        assert a.get(2, 1) == 2.0
-
-    def test_add_many_length_mismatch(self):
-        b = COOBuilder(4)
-        with pytest.raises(ValueError):
-            b.add_many([1], [0, 1], [1.0, 2.0])
-
-    def test_build_graph(self):
-        b = COOBuilder(3)
-        b.add(0, 0, 5.0)  # diagonal ignored in the graph
-        b.add(2, 0, 1.0)
-        g = b.build_graph()
-        assert g.num_edges == 1
-        assert g.has_edge(0, 2)
 
 
 class TestSymmetricCSC:

@@ -115,3 +115,17 @@ class TestHBRoundTrip:
         s = harwell_boeing_string(grid5(2, 2)).replace("PSA", "PUA")
         with pytest.raises(ValueError):
             read_harwell_boeing(io.StringIO(s))
+
+    @pytest.mark.parametrize("cards", [0, 1, 2, 3])
+    def test_missing_header_card_is_named(self, cards):
+        """Fewer than three cards used to raise ``IndexError``, an empty
+        file ``invalid literal for int()``."""
+        head = harwell_boeing_string(grid5(2, 2)).splitlines(keepends=True)[:cards]
+        with pytest.raises(ValueError, match=f"header card {cards + 1} is missing"):
+            read_harwell_boeing(io.StringIO("".join(head)))
+
+    def test_garbled_header_field_is_named(self):
+        lines = harwell_boeing_string(grid5(2, 2)).splitlines(keepends=True)
+        lines[2] = lines[2][:14] + "x" * 14 + lines[2][28:]
+        with pytest.raises(ValueError, match="header card 3: NROW is not an integer"):
+            read_harwell_boeing(io.StringIO("".join(lines)))

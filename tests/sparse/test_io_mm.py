@@ -75,6 +75,24 @@ class TestErrors:
         with pytest.raises(ValueError):
             read_matrix_market(io.StringIO(s))
 
+    def test_more_entries_than_declared_names_the_line(self):
+        """Used to be ``IndexError: index 1 is out of bounds``."""
+        s = "%%MatrixMarket matrix coordinate real symmetric\n% c\n2 2 1\n1 1 1.0\n2 2 1.0\n"
+        with pytest.raises(ValueError, match="line 5: more entries than the 1"):
+            read_matrix_market(io.StringIO(s))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("2 2\n", "line 2: expected 'rows cols entries'"),
+         ("2 2 1\n2\n", "line 3: expected 3 fields"),
+         ("", "line 0: expected 'rows cols entries'")],
+        ids=["short_size_line", "short_entry", "no_size_line"],
+    )
+    def test_short_lines_name_the_line(self, body, message):
+        s = "%%MatrixMarket matrix coordinate real symmetric\n" + body
+        with pytest.raises(ValueError, match=message):
+            read_matrix_market(io.StringIO(s))
+
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             write_matrix_market(object(), io.StringIO())

@@ -30,6 +30,20 @@ against three more, none of which knows about runs:
 * :func:`unit_read_index_oracle` — the unit read index the way it was
   built before the runs: that read list minus own-unit reads and
   repeats of the predecessor.
+
+The elimination tree and the factor's counts without the factor, which
+no user path computes (``symbolic_cholesky`` grows the tree in its own
+row walk), moved here from ``src/`` as the checks of each other and of
+``symbolic_cholesky``:
+
+* :func:`etree` — Liu's path-compression elimination tree, with
+  :func:`children_lists` and :func:`postorder`;
+* :func:`column_counts` / :func:`gnp_column_counts` — Gilbert–Ng–Peyton
+  skeleton counting: only the *leaves* of each row subtree contribute,
+  with over-counts cancelled at least common ancestors found by a
+  path-compressed union-find, in O(nnz(A) α);
+* :func:`row_counts`, :func:`factor_nnz`, :func:`sequential_work` — the
+  row counts, nnz(L) (Table 1) and the paper's total work read off them.
 """
 
 from __future__ import annotations
@@ -40,8 +54,7 @@ import numpy as np
 
 from repro.sparse.dtypes import index_dtype
 from repro.sparse.pattern import LowerPattern, SymmetricGraph
-from repro.symbolic.etree import etree
-from repro.symbolic.fill import SymbolicFactor
+from repro.symbolic.fill import SymbolicFactor, symbolic_cholesky
 
 
 def _permuted(graph: SymmetricGraph, perm):
@@ -233,3 +246,163 @@ def unit_read_index_oracle(
     keep[1:] &= (reader[1:] != reader[:-1]) | (src[1:] != src[:-1])
     kept = np.flatnonzero(keep)
     return src[kept], reader[kept]
+
+
+def etree(graph: SymmetricGraph, perm=None) -> np.ndarray:
+    """Elimination tree of P A Pᵀ via Liu's path-compression algorithm.
+
+    Runs in nearly O(nnz) using a virtual-ancestor (path halving) array.
+    """
+    n = graph.n
+    # Plain lists: the walk is pointer-chasing, where per-element numpy
+    # indexing costs several times a list access.
+    parent = [-1] * n
+    ancestor = [-1] * n
+    _, adj_ptr, adj = graph.lower_adjacency(perm)
+    adj_ptr, adj = adj_ptr.tolist(), adj.tolist()
+    for i in range(n):
+        for k in adj[adj_ptr[i] : adj_ptr[i + 1]]:
+            # Walk from k up to the current root, compressing to i.
+            while True:
+                a = ancestor[k]
+                if a == i:
+                    break
+                ancestor[k] = i
+                if a == -1:
+                    parent[k] = i
+                    break
+                k = a
+    return np.asarray(parent, dtype=np.int64)
+
+
+def children_lists(parent: np.ndarray) -> list[list[int]]:
+    """children[j] = sorted list of j's children in the elimination tree."""
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        p = int(parent[j])
+        if p >= 0:
+            children[p].append(j)
+    return children
+
+
+def postorder(parent: np.ndarray) -> np.ndarray:
+    """A postordering of the elimination tree (children before parents).
+
+    Returns ``post`` with ``post[k]`` = the node visited k-th.
+    """
+    n = len(parent)
+    children = children_lists(parent)
+    roots = [j for j in range(n) if parent[j] < 0]
+    out = np.empty(n, dtype=np.int64)
+    k = 0
+    for root in roots:
+        stack = [(root, 0)]
+        while stack:
+            node, ci = stack.pop()
+            if ci < len(children[node]):
+                stack.append((node, ci + 1))
+                stack.append((children[node][ci], 0))
+            else:
+                out[k] = node
+                k += 1
+    if k != n:  # pragma: no cover - would indicate a cycle
+        raise AssertionError("parent array is not a forest")
+    return out
+
+
+def column_counts(graph: SymmetricGraph, perm=None) -> np.ndarray:
+    """nnz per column of L (diagonal included), by Gilbert–Ng–Peyton
+    skeleton counting.
+
+    For each row subtree only its leaves add to a column's count; the
+    double-counted shared path above two consecutive leaves is removed
+    at their least common ancestor, located with a path-compressed
+    union-find keyed by first descendants in a postorder.
+    """
+    return gnp_column_counts(graph, etree(graph, perm), perm)
+
+
+def gnp_column_counts(graph: SymmetricGraph, parent: np.ndarray, perm=None) -> np.ndarray:
+    """Gilbert–Ng–Peyton counts for P A Pᵀ whose elimination tree
+    ``parent`` is known (see :func:`column_counts`)."""
+    n = graph.n
+    _, adj_ptr, adj = graph.lower_adjacency(perm)
+    # The skeleton is read by column: rows i > j of column j, which is
+    # the row CSR transposed (a stable sort keeps the rows ascending).
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(adj, minlength=n), out=indptr[1:])
+    rows = np.repeat(np.arange(n), np.diff(adj_ptr))
+    indices = rows[np.argsort(adj, kind="stable")].tolist()
+    indptr = indptr.tolist()
+    post = postorder(parent)
+    parent_l = parent.tolist()
+    # first[j] = postorder rank of j's first (deepest-leftmost) descendant;
+    # delta starts at 1 for etree leaves (their diagonal) and 0 otherwise.
+    first = [-1] * n
+    delta = [0] * n
+    for k, j in enumerate(post.tolist()):
+        if first[j] == -1:
+            delta[j] = 1  # j is a leaf of the elimination tree
+        while j != -1 and first[j] == -1:
+            first[j] = k
+            j = parent_l[j]
+    maxfirst = [-1] * n
+    prevleaf = [-1] * n
+    ancestor = list(range(n))
+    for j in post.tolist():
+        p = parent_l[j]
+        if p != -1:
+            delta[p] -= 1  # j's path is counted within p's subtree
+        for i in indices[indptr[j] : indptr[j + 1]]:
+            # j is a leaf of row i's subtree iff no previously processed
+            # neighbour of i lies in j's subtree (first-descendant test).
+            if maxfirst[i] >= first[j]:
+                continue
+            maxfirst[i] = first[j]
+            delta[j] += 1  # (i, j) starts a new path of row i's subtree
+            pl = prevleaf[i]
+            if pl != -1:
+                # Cancel the shared path above lca(pl, j).
+                q = pl
+                while ancestor[q] != q:
+                    q = ancestor[q]
+                delta[q] -= 1
+                while ancestor[pl] != pl:
+                    ancestor[pl], pl = q, ancestor[pl]
+            prevleaf[i] = j
+        if p != -1:
+            ancestor[j] = p
+    # Accumulate subtree deltas up the tree (parent[j] > j in an etree).
+    counts = np.asarray(delta, dtype=np.int64)
+    for j in range(n):
+        p = parent_l[j]
+        if p != -1:
+            counts[p] += counts[j]
+    return counts
+
+
+def row_counts(graph: SymmetricGraph, perm=None) -> np.ndarray:
+    """nnz per row of L (diagonal included)."""
+    factor = symbolic_cholesky(graph, perm)
+    out = np.zeros(factor.n, dtype=np.int64)
+    np.add.at(out, factor.pattern.rowidx, 1)
+    return out
+
+
+def factor_nnz(graph: SymmetricGraph, perm=None) -> int:
+    """Total nonzeros of L, diagonal included (Table 1, last column)."""
+    return int(column_counts(graph, perm).sum())
+
+
+def sequential_work(graph: SymmetricGraph, perm=None) -> int:
+    """Total factorization work in the paper's cost model.
+
+    With m_k off-diagonal nonzeros in column k of L, column k generates
+    m_k(m_k+1)/2 pair updates at 2 units each, and every element of L
+    receives one diagonal/scale update at 1 unit:
+    ``W_tot = Σ_k m_k(m_k+1) + nnz(L)``.
+    """
+    counts = column_counts(graph, perm)
+    m = counts - 1
+    return int((m * (m + 1)).sum() + counts.sum())

@@ -5,15 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import grid5, grid9, path_graph
-from repro.symbolic import (
-    column_counts,
-    factor_nnz,
-    row_counts,
-    sequential_work,
-    symbolic_cholesky,
-)
+from repro.symbolic import symbolic_cholesky
 
 from ..conftest import random_connected_graph
+from .oracles import column_counts, factor_nnz, row_counts, sequential_work
 
 
 class TestColumnCounts:

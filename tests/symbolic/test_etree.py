@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import grid5, path_graph, star_graph
-from repro.symbolic import children_lists, etree, postorder, tree_levels
+from repro.symbolic import tree_levels
 
 from ..conftest import brute_force_etree, random_connected_graph
+from .oracles import children_lists, etree, postorder
 
 
 class TestEtree:

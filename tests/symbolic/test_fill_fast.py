@@ -27,8 +27,6 @@ from repro.ordering import multiple_minimum_degree
 from repro.sparse import band_graph, grid9, load, path_graph, social_graph, star_graph
 from repro.sparse import harwell_boeing as hb
 from repro.sparse.pattern import SymmetricGraph
-from repro.symbolic.colcount import column_counts, gnp_column_counts
-from repro.symbolic.etree import etree
 from repro.symbolic.fill import symbolic_cholesky
 
 from ..conftest import (
@@ -37,7 +35,13 @@ from ..conftest import (
     generated_graphs,
     random_connected_graph,
 )
-from .oracles import merge_oracle, row_walk_counts_oracle
+from .oracles import (
+    column_counts,
+    etree,
+    gnp_column_counts,
+    merge_oracle,
+    row_walk_counts_oracle,
+)
 
 
 def assert_factor_identical(graph, perm=None, stored=None):

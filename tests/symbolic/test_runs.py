@@ -32,12 +32,12 @@ from repro.sparse import harwell_boeing as hb
 from repro.sparse.pattern import LowerPattern
 from repro.symbolic import enumerate_updates, fundamental_supernodes, symbolic_cholesky
 from repro.symbolic.updates import build_read_index, ragged_range
-from repro.symbolic.colcount import gnp_column_counts
-from repro.symbolic.etree import etree
 
 from ..conftest import generated_graphs
 from .oracles import (
     enumerate_updates_oracle,
+    etree,
+    gnp_column_counts,
     read_list_oracle,
     supernodes_oracle,
     unit_read_index_oracle,
