@@ -37,7 +37,9 @@ from ..machine import (
     unit_work,
 )
 from ..sparse import grid9, load, spd_from_graph
-from .experiments import prepared_matrix
+from ..sparse import harwell_boeing as hb
+from . import paper_data
+from .experiments import DEFAULT_GRAINS, DEFAULT_PROCS, prepared_matrix
 from .tables import render_table
 
 __all__ = ["ABLATIONS", "render_ablation"]
@@ -150,20 +152,23 @@ def _delay_rows():
 
 
 @_section("ablation_adaptive",
-          "Ablation: static grain-only vs adaptive partitioning (g=4)",
-          "matrix", "P", "units static", "units adaptive", "traffic static",
-          "traffic adaptive", "lambda static", "lambda adaptive")
+          "Ablation: static grain-only vs adaptive partitioning, every Table 2 / 3 cell",
+          "matrix", "P", "g", "units static", "units adaptive", "traffic static",
+          "traffic adaptive", "traffic paper", "lambda static", "lambda adaptive",
+          "lambda paper")
 def _adaptive_rows():
     rows = []
-    for name in ("LAP30", "DWT512"):
+    for name in hb.names():
         prep = prepared_matrix(name)
-        for p in (4, 16, 32):
-            s = block_mapping(prep, p, grain=4)
-            a = adaptive_block_mapping(prep, p, grain=4)
-            rows.append([name, p, s.partition.num_units, a.partition.num_units,
-                         s.traffic.total, a.traffic.total,
-                         round(s.balance.imbalance, 2),
-                         round(a.balance.imbalance, 2)])
+        for p in DEFAULT_PROCS:
+            for k, g in enumerate(DEFAULT_GRAINS):
+                s = block_mapping(prep, p, grain=g)
+                a = adaptive_block_mapping(prep, p, grain=g)
+                rows.append([name, p, g, s.partition.num_units, a.partition.num_units,
+                             s.traffic.total, a.traffic.total,
+                             paper_data.TABLE2[name][p][k],
+                             round(s.balance.imbalance, 2), round(a.balance.imbalance, 2),
+                             paper_data.TABLE3[name][p][1 + k]])
     return rows
 
 

@@ -1,13 +1,25 @@
-"""Adaptive (interleaved) partitioning and scheduling — paper §3.2 (a).
+"""Adaptive partitioning and scheduling — paper §3.2 parameter (a).
 
-The paper states that the number of partitions of a cluster triangle is
-determined by "(a) the number of processors that are assigned to the
-blocks on which the triangle depends" and "(b) a certain minimum work
-requirement" (the grain size).  Parameter (a) requires the predecessors
-to be allocated already, so partitioning and allocation must be
-interleaved cluster by cluster — this module implements that mode.  The
-default pipeline (:func:`repro.core.block_mapping`) applies (b) only, as
-in the paper's reported runs.
+The paper caps a cluster triangle's partition count by "(a) the number
+of processors that are assigned to the blocks on which the triangle
+depends" as well as by "(b) a certain minimum work requirement" (the
+grain size), so partitioning and the §3.4 allocation interleave.  The
+default pipeline (:func:`repro.core.block_mapping`) applies (b) only.
+
+Here the interleaving is the static pipeline run to a fixed point.
+Starting with no caps, each round partitions under the per-strip
+triangle caps, analyzes the dependencies and runs
+:func:`~repro.core.scheduler.schedule_blocks`; then a strip's cap
+becomes the number of distinct processors among the units left of the
+strip that its triangle units depend on.  The loop stops when the caps,
+compared by the triangle units they allow, come back unchanged.
+
+The fixed point is exact.  A strip's cap depends only on the clusters
+to its left; the scheduler allocates left to right, and its step 1,
+which wraps the independent columns, does not depend on the partition.
+So each round settles at least one more strip: the loop ends within
+strips + 1 rounds (one or two on the paper's cells), and its fixed
+point is unique — the interleaved answer.
 """
 
 from __future__ import annotations
@@ -18,39 +30,12 @@ from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet
 from .assignment import Assignment
-from .blocks import UnitBlock
 from .clusters import find_clusters
-from .partitioner import (
-    _COLUMN,
-    Partition,
-    _elements_in_region,
-    _rectangle_rows,
-    _row_elements,
-    _triangle_rows,
-)
-from .scheduler import SchedulerOptions
+from .dependencies import DependencyInfo, analyze_dependencies
+from .partitioner import Partition, partition_clusters
+from .scheduler import SchedulerOptions, schedule_blocks
 
 __all__ = ["adaptive_schedule"]
-
-
-class _UpdateIndex:
-    """Per-element access to the updates targeting it."""
-
-    def __init__(self, updates: UpdateSet):
-        self.updates = updates
-        self.order = np.argsort(updates.target, kind="stable")
-        self.sorted_targets = updates.target[self.order]
-
-    def updates_targeting(self, elements: np.ndarray) -> np.ndarray:
-        """Indices (into the update arrays) of updates whose target is in
-        ``elements``."""
-        elements = np.sort(elements)
-        lo = np.searchsorted(self.sorted_targets, elements, side="left")
-        hi = np.searchsorted(self.sorted_targets, elements, side="right")
-        parts = [self.order[a:b] for a, b in zip(lo, hi) if b > a]
-        return (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        )
 
 
 def adaptive_schedule(
@@ -62,141 +47,42 @@ def adaptive_schedule(
     zero_tolerance: float = 0.0,
     options: SchedulerOptions | None = None,
 ) -> tuple[Partition, Assignment]:
-    """Partition and allocate cluster by cluster, limiting each triangle's
-    partition count by its predecessor-processor count (parameter (a)).
-
-    Returns the resulting partition and assignment; metrics can then be
-    computed exactly as for the static pipeline.
-    """
-    nprocs, grain = as_processor_count(nprocs), as_processor_count(grain, "grain")
-    options = options or SchedulerOptions()
-    clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
-    index = _UpdateIndex(updates)
-
-    ew = updates.element_work()
-    # Ownership so far (-1 = not yet allocated) and the unit rows, which
-    # become the partition through ``Partition.from_rows``.
-    unit_of_element = np.full(pattern.nnz, -1, dtype=np.int64)
-    units: list[UnitBlock] = []
-    proc_of_unit: list[int] = []
-    proc_work = np.zeros(nprocs, dtype=np.float64)
-    marker = 0
-    wrap_counter = 0
-
-    # Row-structure counts for independence: column j receives updates
-    # iff some k < j has L[j, k] != 0.
-    cols = pattern.element_cols()
-    incoming = np.zeros(pattern.n, dtype=np.int64)
-    off = pattern.rowidx != cols
-    np.add.at(incoming, pattern.rowidx[off], 1)
-
-    def take_marker() -> int:
-        nonlocal marker
-        p = marker
-        marker = (marker + 1) % nprocs
-        return p
-
-    def assign(u: UnitBlock, proc: int) -> None:
-        proc_of_unit.append(proc)
-        proc_work[proc] += float(ew[u.elements].sum())
-        unit_of_element[u.elements] = u.uid
-
-    def predecessor_procs(elements: np.ndarray, ordered: bool = True) -> list[int]:
-        """Processors owning source elements of updates targeting the
-        given elements (only already-allocated sources), in update order,
-        deduplicated."""
-        idx = index.updates_targeting(elements)
-        if len(idx) == 0:
-            return []
-        srcs = np.concatenate(
-            [updates.source_j[idx], updates.source_i[idx]]
-        )
-        seen: list[int] = []
-        seen_set: set[int] = set()
-        for s in srcs.tolist():
-            u = int(unit_of_element[s])
-            if u < 0:
-                continue
-            p = int(proc_of_unit[u])
-            if p not in seen_set:
-                seen_set.add(p)
-                seen.append(p)
-        return seen
-
-    def add_units(rows: list[tuple[int, ...]]) -> list[UnitBlock]:
-        new = [
-            UnitBlock.from_row(len(units) + k, row, _row_elements(pattern, row, cols))
-            for k, row in enumerate(rows)
-        ]
-        units.extend(new)
-        return new
-
-    for cluster in clusters:
-        c, s, e = cluster.index, cluster.col_lo, cluster.col_hi
-        if cluster.is_column:
-            (u,) = add_units(
-                [(_COLUMN, _COLUMN, c, s, s, s, cluster.column.row_hi, 0, 0, 0, 0)]
-            )
-            if incoming[s] == 0:
-                assign(u, wrap_counter % nprocs)
-                wrap_counter += 1
-            else:
-                preds = predecessor_procs(u.elements)
-                if not preds:
-                    assign(u, take_marker())
-                elif options.dependent_column_policy == "first":
-                    assign(u, preds[0])
-                elif options.dependent_column_policy == "least_loaded":
-                    assign(u, min(set(preds), key=lambda p: (proc_work[p], p)))
-                else:
-                    assign(u, take_marker())
-            continue
-
-        # --- parameter (a): predecessors of the whole triangle ---------
-        tri_elems = _elements_in_region(pattern, s, e, s, e, True, cols)
-        tri_pred_procs = predecessor_procs(tri_elems)
-        max_parts = max(1, len(tri_pred_procs)) if tri_pred_procs else None
-
-        tri_units = add_units(_triangle_rows(c, s, e, grain, max_parts))
-        rect_units_all = add_units(
-            [
-                row
-                for k, rect in enumerate(cluster.rectangles)
-                for row in _rectangle_rows(c, k, s, e, rect.row_lo, rect.row_hi, grain, None)
-            ]
-        )
-
-        # --- §3.4 allocation for this cluster --------------------------
-        p_a: set[int] = set()
-        for u in tri_units:
-            chosen = -1
-            for p in predecessor_procs(u.elements):
-                if p not in p_a:
-                    chosen = p
-                    break
-            if chosen < 0:
-                chosen = take_marker()
-            p_a.add(chosen)
-            assign(u, chosen)
-
-        p_t = sorted({int(proc_of_unit[u.uid]) for u in tri_units})
-        by_rect: dict[int, list[UnitBlock]] = {}
-        for u in rect_units_all:
-            by_rect.setdefault(u.order_key[1], []).append(u)
-        for rect_index in sorted(by_rect):
-            ordered = sorted(p_t, key=lambda p: (proc_work[p], p))
-            for slot, u in enumerate(
-                sorted(by_rect[rect_index], key=lambda x: x.order_key)
-            ):
-                assign(u, ordered[slot % len(ordered)])
-
-    partition = Partition.from_rows(pattern, clusters, units, grain, grain)
-    assignment = Assignment(
-        scheme="block-adaptive",
-        nprocs=nprocs,
-        pattern=pattern,
-        owner_of_element=np.asarray(proc_of_unit, dtype=np.int64)[partition.unit_of_element],
-        proc_of_unit=np.asarray(proc_of_unit, dtype=np.int64),
-        partition=partition,
+    """The adaptive partition and its assignment, measured as the static
+    pipeline's are."""
+    partition, _, assignment = _fixed_point(
+        pattern, updates, nprocs, grain, min_width, zero_tolerance, options
     )
     return partition, assignment
+
+
+def _fixed_point(
+    pattern, updates, nprocs, grain, min_width, zero_tolerance, options
+) -> tuple[Partition, DependencyInfo, Assignment]:
+    nprocs, grain = as_processor_count(nprocs), as_processor_count(grain, "grain")
+    clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
+    element_work = updates.element_work()
+    triangular = np.cumsum(np.arange(nprocs + 2))  # b(b + 1) / 2 units of b chunks
+    caps = np.zeros(len(clusters), dtype=np.int64)
+    for rounds in range(1, len(clusters) + 2):
+        partition = partition_clusters(pattern, clusters, grain, max_parts=caps)
+        deps = analyze_dependencies(partition, updates)
+        work = np.bincount(partition.unit_of_element, element_work, partition.num_units)
+        assignment = schedule_blocks(partition, deps, nprocs, work, options)
+        if rounds == 1:  # uncapped triangle units per cluster (1 for a column)
+            free = np.bincount(partition.cluster_of_unit[partition.block == 0])
+        # Edges into a triangle from units left of its strip.
+        src, tgt = deps.edges.T
+        cluster = partition.cluster_of_unit[tgt]
+        left = (partition.block[tgt] == 0) & (src < partition.unit_ptr[cluster])
+        pairs = np.unique(cluster[left] * nprocs + assignment.proc_of_unit[src[left]])
+        # A cap is kept as the triangle units it allows; 0 if it does not bind.
+        counts = np.bincount(pairs // nprocs, minlength=len(clusters))
+        allowed = triangular[np.searchsorted(triangular, counts, "right") - 1]
+        new_caps = np.where(allowed < free, allowed, 0)
+        if np.array_equal(new_caps, caps):
+            break
+        caps = new_caps
+    else:  # pragma: no cover - each round settles one more strip
+        raise AssertionError("the triangle caps did not settle")
+    assignment.scheme = "block-adaptive"
+    return partition, deps, assignment

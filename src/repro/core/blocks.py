@@ -146,13 +146,6 @@ class UnitBlock:
             KINDS[parent], (cluster, *order),
         )
 
-    def as_row(self) -> tuple[int, ...]:
-        """This unit's :data:`UNIT_COLUMNS` values."""
-        return (
-            KIND_CODE[self.kind], KIND_CODE[self.parent_kind], self.cluster,
-            self.col_lo, self.col_hi, self.row_lo, self.row_hi, *self.order_key[1:],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"UnitBlock(uid={self.uid}, {self.kind.value}, cluster={self.cluster}, "

@@ -74,15 +74,10 @@ def triangle_split_count(area: int, grain: int, max_parts: int | None = None) ->
     return b
 
 
-def rectangle_grid(
-    height: int, width: int, area: int, grain: int, max_parts: int | None = None
-) -> tuple[int, int]:
+def rectangle_grid(height: int, width: int, area: int, grain: int) -> tuple[int, int]:
     """Grid shape (nr, nc) for a rectangle: maximize nr*nc <= P_d with
     near-square units (ties broken toward squarer aspect)."""
-    pd = max(1, area // max(grain, 1))
-    if max_parts is not None:
-        pd = min(pd, max_parts)
-    pd = min(pd, height * width)
+    pd = min(max(1, area // max(grain, 1)), height * width)
     best = (1, 1)
     best_score = (-1, float("inf"))
     for nc in range(1, min(width, pd) + 1):
@@ -166,31 +161,6 @@ class Partition:
             and (lead > 0).all() and (step[0] <= 1).all()
         ):
             raise ValueError("units are not in cluster and allocation order")
-
-    @classmethod
-    def from_rows(
-        cls,
-        pattern: LowerPattern,
-        clusters: ClusterSet,
-        units: list[UnitBlock],
-        grain_triangle: int,
-        grain_rectangle: int,
-    ) -> "Partition":
-        """The partition whose units are the given row views, in order;
-        their element lists must cover every factor element once."""
-        table = np.array([u.as_row() for u in units], dtype=np.int64)
-        elements = np.concatenate([u.elements for u in units]) if units else np.zeros(0, np.int64)
-        covered = np.bincount(elements, minlength=pattern.nnz)
-        if len(covered) != pattern.nnz or (covered != 1).any():
-            raise ValueError("unit rows do not cover every element exactly once")
-        unit_of_element = np.empty(pattern.nnz, dtype=np.int64)
-        unit_of_element[elements] = np.repeat(
-            np.arange(len(units), dtype=np.int64), [u.nnz for u in units]
-        )
-        return cls(
-            pattern, clusters, table.reshape(-1, len(UNIT_COLUMNS)).T,
-            unit_of_element, grain_triangle, grain_rectangle,
-        )
 
     @property
     def num_units(self) -> int:
@@ -299,14 +269,13 @@ def _triangle_rows(
 
 
 def _rectangle_rows(
-    cluster: int, rect_index: int, s: int, e: int, r_lo: int, r_hi: int,
-    grain: int, max_parts: int | None,
+    cluster: int, rect_index: int, s: int, e: int, r_lo: int, r_hi: int, grain: int
 ) -> list[tuple[int, ...]]:
     """Unit rows of the ``rect_index``-th dense rectangle (rows
     [r_lo, r_hi]) of strip [s, e]: a grid of unit rectangles, row-major
     (top to bottom, left to right)."""
     height, width = r_hi - r_lo + 1, e - s + 1
-    nr, nc = rectangle_grid(height, width, height * width, grain, max_parts)
+    nr, nc = rectangle_grid(height, width, height * width, grain)
     col_chunks = chunk_bounds(s, e, nc)
     return [
         (_RECTANGLE, _RECTANGLE, cluster, c_lo, c_hi, u_lo, u_hi, 1 + rect_index, 0, ri, ci)
@@ -325,14 +294,14 @@ def partition_clusters(
     clusters: ClusterSet,
     grain_triangle: int = 4,
     grain_rectangle: int | None = None,
-    max_parts: int | None = None,
+    max_parts: np.ndarray | None = None,
 ) -> Partition:
     """Partition every cluster's dense blocks into unit blocks.
 
     ``grain_rectangle`` defaults to ``grain_triangle`` (the paper's
-    tables use a single grain size g).  ``max_parts`` optionally caps the
-    number of units per dense block (the paper's adaptive parameter (a);
-    see the scheduler's adaptive mode).
+    tables use a single grain size g).  ``max_parts`` optionally caps,
+    per cluster, the number of units of its triangle (0: no cap); it is
+    the paper's parameter (a), see :mod:`repro.core.adaptive`.
     """
     if grain_rectangle is None:
         grain_rectangle = grain_triangle
@@ -342,19 +311,21 @@ def partition_clusters(
     n_clusters = len(clusters)
     strips = np.flatnonzero(~clusters.is_column)
     rect_rows = clusters.rect_rows.tolist()
+    caps = np.zeros(n_clusters, np.int64) if max_parts is None else max_parts
     rows: list[tuple[int, ...]] = []
     units_per_cluster = np.ones(n_clusters, dtype=np.int64)
-    for c, s, e, a, b in zip(
+    for c, cap, s, e, a, b in zip(
         strips.tolist(),
+        caps[strips].tolist(),
         clusters.col_lo[strips].tolist(),
         clusters.col_hi[strips].tolist(),
         clusters.rect_indptr[strips].tolist(),
         clusters.rect_indptr[strips + 1].tolist(),
     ):
         before = len(rows)
-        rows += _triangle_rows(c, s, e, grain_triangle, max_parts)
+        rows += _triangle_rows(c, s, e, grain_triangle, cap or None)
         for k, (r_lo, r_hi) in enumerate(rect_rows[a:b]):
-            rows += _rectangle_rows(c, k, s, e, r_lo, r_hi, grain_rectangle, max_parts)
+            rows += _rectangle_rows(c, k, s, e, r_lo, r_hi, grain_rectangle)
         units_per_cluster[c] = len(rows) - before
     unit_ptr = np.concatenate([[0], np.cumsum(units_per_cluster)])
     n_units = int(unit_ptr[-1])
@@ -403,14 +374,9 @@ def partition_factor(
     min_width: int = 4,
     zero_tolerance: float = 0.0,
     grain_rectangle: int | None = None,
-    max_parts: int | None = None,
 ) -> Partition:
     """Convenience wrapper: find clusters, then partition them."""
     clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
     return partition_clusters(
-        pattern,
-        clusters,
-        grain_triangle=grain,
-        grain_rectangle=grain_rectangle,
-        max_parts=max_parts,
+        pattern, clusters, grain_triangle=grain, grain_rectangle=grain_rectangle
     )

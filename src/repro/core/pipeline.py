@@ -287,28 +287,21 @@ def adaptive_block_mapping(
     options: SchedulerOptions | None = None,
     include_scale_traffic: bool = True,
 ) -> MappingResult:
-    """Run the interleaved adaptive partitioner/scheduler (§3.2 parameter
-    (a)): triangle partition counts limited by predecessor-processor
-    counts.  The partition itself depends on the processor count, so
-    there is no invariant prefix to share between cells."""
-    from .adaptive import adaptive_schedule
+    """Run the adaptive partitioner/scheduler (§3.2 parameter (a)):
+    triangle partition counts limited by predecessor-processor counts,
+    the static pipeline run to a fixed point.  The partition itself
+    depends on the processor count, so there is no invariant prefix to
+    share between cells."""
+    from .adaptive import _fixed_point
 
     with obs.span("pipeline.adaptive_block_mapping", matrix=prepared.name, nprocs=nprocs, grain=grain):
-        updates = prepared.updates
         with obs.span("pipeline.adaptive_schedule", matrix=prepared.name, nprocs=nprocs):
-            partition, assignment = adaptive_schedule(
-                prepared.pattern,
-                updates,
-                nprocs,
-                grain=grain,
-                min_width=min_width,
-                zero_tolerance=zero_tolerance,
-                options=options,
+            partition, deps, assignment = _fixed_point(
+                prepared.pattern, prepared.updates, nprocs, grain, min_width,
+                zero_tolerance, options,
             )
         obs.counter("pipeline.stage.partition")
         obs.counter("pipeline.stage.schedule")
-        with obs.span("pipeline.dependencies", matrix=prepared.name):
-            deps = analyze_dependencies(partition, updates)
         obs.counter("pipeline.stage.dependencies")
         return _measured(prepared, assignment, include_scale_traffic, partition, deps)
 

@@ -172,16 +172,23 @@ class TestAblations:
         assert falling(gap) and gap[-1] > 1  # narrower at every step, never closed
 
     def test_adaptive_cuts_lap30_traffic_near_the_papers_cell(self, rows):
-        r = by(rows["ablation_adaptive"], 2)
-        for (name, _), x in r.items():
-            assert x[3] <= x[2]  # parameter (a) never adds units
-            if name == "LAP30":
-                assert x[5] < x[4] and x[7] > x[6]
-            else:
-                assert x[3] == x[2] and x[5] <= x[4] and x[7] <= x[6]
-        paper = of(table2_rows(), "LAP30")[1]["paper"][0]
-        static, adaptive = r["LAP30", 16][4:6]
-        assert abs(adaptive - paper) < 0.01 * paper < abs(static - paper)
+        r = by(rows["ablation_adaptive"], 3)
+        assert len(r) == 30  # every Table 2 / 3 cell
+        for x in r.values():
+            assert x[4] <= x[3] and x[6] <= x[5]  # never more units or traffic
+        closer = {key for key, x in r.items() if abs(x[6] - x[7]) < abs(x[5] - x[7])}
+        assert closer == {("BUS1138", 4, 4), ("BUS1138", 16, 4), ("LAP30", 4, 25),
+                          ("LAP30", 16, 4), ("LAP30", 16, 25), ("LAP30", 32, 4),
+                          ("LAP30", 32, 25)}
+        capped = {key for key, x in r.items() if x[4] < x[3]}
+        lower = {key for key in capped if r[key][9] < r[key][8]}
+        assert len(capped) == 17 and all(r[key][9] > r[key][8] for key in capped - lower)
+        assert lower == {("LAP30", 4, 25), ("LSHP1009", 16, 4), ("LSHP1009", 16, 25)}
+        lap = r["LAP30", 16, 4]  # the one cell the paper's traffic nearly equals
+        assert abs(lap[6] - lap[7]) < 0.01 * lap[7] < abs(lap[5] - lap[7])
+        for key, x in r.items():  # no cap binds on DWT512: adaptive is static
+            if key[0] == "DWT512":
+                assert (x[3], x[5], x[8]) == (x[4], x[6], x[9])
 
     def test_solve_phase_is_milder_and_block_still_communicates_less(self, rows):
         r = by(rows["ablation_solve"], 2)

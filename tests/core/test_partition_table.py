@@ -143,10 +143,6 @@ class TestTableProperties:
         pattern = prepare(graph).pattern
         part = partition_factor(pattern, grain=grain, min_width=min_width)
         rows = list(part.units)
-        again = Partition.from_rows(
-            pattern, part.clusters, rows, part.grain_triangle, part.grain_rectangle
-        )
-        assert_same_partition(again, part)
         for u, row in zip(range(part.num_units), rows):
             assert row.uid == u
             np.testing.assert_array_equal(row.elements, part.unit_elements(u))

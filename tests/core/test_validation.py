@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Partition,
     analyze_dependencies,
     block_mapping,
     partition_factor,
@@ -23,16 +22,6 @@ class TestValidatePartition:
     def test_valid_partition_passes(self, prepared_grid):
         part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)
         validate_partition(part)
-
-    def test_detects_double_cover(self, prepared_grid):
-        """The unit table maps every element to one unit, so a double
-        cover can only arrive as rows — and is refused there."""
-        part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)
-        rows = list(part.units)
-        # Corrupt: give unit 1 an element of unit 0.
-        rows[1].elements = np.concatenate([rows[1].elements, rows[0].elements[:1]])
-        with pytest.raises(ValueError, match="exactly once"):
-            Partition.from_rows(part.pattern, part.clusters, rows, 4, 4)
 
     def test_detects_extent_violation(self, prepared_grid):
         part = partition_factor(prepared_grid.pattern, grain=4, min_width=2)

@@ -1,11 +1,12 @@
 """What the mapping path reads of the updates, pinned without a clock.
 
-The mapping path — partition, dependencies, schedule, traffic, work —
-reads the run-length updates and nothing finer: no element read index
-and no per-pair array.  Both are pinned by patching the element-level
-builders to raise while the user-facing calls run (``target`` alone
-stays allowed: the end-to-end benchmark reads ``len(updates.target)``
-once per pass), and the bytes by ``tracemalloc`` peaks per pair update.
+The mapping path — partition, dependencies, schedule (block and
+adaptive), traffic, work — reads the run-length updates and nothing
+finer: no element read index and no per-pair array.  Both are pinned
+by patching the element-level builders to raise while the user-facing
+calls run (``target`` alone stays allowed: the end-to-end benchmark
+reads ``len(updates.target)`` once per pass), and the bytes by
+``tracemalloc`` peaks per pair update.
 A block cell's traffic counts each segment of the unit read index once,
 expanding no read at all.
 """
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    adaptive_block_mapping,
     block_mapping,
     block_mappings,
     partition_prepared,
@@ -48,6 +50,7 @@ def _map_every_way(name):
     block_mappings(partitioned, (4, 64))
     wrap_mappings(prepared, (4, 64))
     sweep([name], procs=(4, 16), grains=(25,))
+    adaptive_block_mapping(prepared, 16, grain=4)
 
 
 @pytest.mark.parametrize("name", MATRICES)
