@@ -8,8 +8,9 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.ordering` — MMD / MD / RCM / ND fill-reducing orderings
 * :mod:`repro.symbolic` — symbolic factorization, supernodes, pair updates
 * :mod:`repro.numeric`  — sequential numerical Cholesky
-* :mod:`repro.core`     — the block partitioner, scheduler, wrap baseline
-* :mod:`repro.machine`  — work / traffic / load-balance accounting
+* :mod:`repro.core`     — the block partitioner, scheduler, wrap baseline,
+  and the §4 cost model: work / traffic / load-balance accounting
+* :mod:`repro.machine`  — the timed simulated machine and its derived views
 * :mod:`repro.mpsim`    — simulated message-passing runtime
 * :mod:`repro.obs`      — tracing/metrics layer (spans, counters, exports)
 * :mod:`repro.analysis` — experiment harness regenerating the paper's tables

@@ -1,5 +1,6 @@
 """Experiment harness: regenerate the paper's tables and figures."""
 
+from ..obs.tables import format_number, render_table
 from . import paper_data
 from .ablations import ABLATIONS
 from .experiments import (
@@ -23,7 +24,6 @@ from .figures import figure1_ascii, figure2_ascii, figure3_ascii, figure4_report
 from .gantt import render_gantt
 from .report import SECTIONS, generate_report, update_document
 from .stats import partition_statistics, render_partition_stats
-from .tables import format_number, render_table
 
 __all__ = [
     "ABLATIONS",

@@ -36,11 +36,11 @@ from ..machine import (
     solve_traffic,
     unit_work,
 )
+from ..obs.tables import render_table
 from ..sparse import grid9, load, spd_from_graph
 from ..sparse import harwell_boeing as hb
 from . import paper_data
 from .experiments import DEFAULT_GRAINS, DEFAULT_PROCS, prepared_matrix
-from .tables import render_table
 
 __all__ = ["ABLATIONS", "render_ablation"]
 

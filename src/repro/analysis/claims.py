@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.pipeline import block_mapping, wrap_mapping
+from ..obs.tables import render_table
 from .experiments import prepared_matrix
-from .tables import render_table
 
 __all__ = ["ClaimResult", "check_claims", "render_claims"]
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import statistics
 
+from ..obs.tables import render_table
 from .experiments import table2_rows, table3_rows, table5_rows
-from .tables import render_table
 
 __all__ = ["comparison_headline", "comparison_rows", "render_comparison"]
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..core.pipeline import PreparedMatrix, block_mapping, prepare, wrap_mapping
+from ..obs.tables import render_table
 from ..sparse import harwell_boeing as hb
 from ..sparse import registry
 from . import paper_data
-from .tables import render_table
 
 __all__ = [
     "prepared_matrix",

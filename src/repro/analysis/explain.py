@@ -28,7 +28,7 @@ import numpy as np
 from ..machine.simulate import MachineModel, ScheduleTimeline, simulate_assignment
 from ..obs import simtime
 from ..obs import trace as obs
-from .tables import render_table
+from ..obs.tables import render_table
 
 __all__ = [
     "ExplainResult",

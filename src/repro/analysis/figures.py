@@ -19,8 +19,8 @@ from ..core.clusters import find_clusters
 from ..core.dependencies import CATEGORY_NAMES, classify_pair_updates
 from ..core.partitioner import partition_factor
 from ..core.pipeline import prepare
+from ..obs.tables import render_table
 from ..sparse.generators import grid5
-from .tables import render_table
 
 __all__ = ["figure1_ascii", "figure2_ascii", "figure3_ascii", "figure4_report"]
 

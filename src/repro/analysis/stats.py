@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core.blocks import KINDS
 from ..core.partitioner import Partition
-from .tables import render_table
+from ..obs.tables import render_table
 
 __all__ = ["partition_statistics", "render_partition_stats"]
 

@@ -187,8 +187,8 @@ def _sweep(args: argparse.Namespace) -> str:
 
     from .obs.memory import monitored
     from .obs.report import downsample
+    from .obs.runs import STAGES
     from .perf import records_to_csv, sweep as perf_sweep
-    from .perf.bench import STAGES
 
     matrices = [m.strip() for m in args.matrix.split(",") if m.strip()]
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
@@ -265,7 +265,8 @@ def _sweep(args: argparse.Namespace) -> str:
 def _bench(args: argparse.Namespace) -> str:
     import json
 
-    from .perf import bench_pipeline, find_regressions, render_bench, render_delta
+    from .obs import runs as obs_runs
+    from .perf import bench_pipeline, render_bench
 
     out = args.bench_out or (
         "BENCH_pipeline_big.json" if args.tier == "big"
@@ -288,8 +289,6 @@ def _bench(args: argparse.Namespace) -> str:
         tier=args.tier,
         stretch=args.stretch,
     )
-    from .obs import runs as obs_runs
-
     obs_runs.record_run(
         "bench",
         config={k: report[k]
@@ -303,9 +302,9 @@ def _bench(args: argparse.Namespace) -> str:
     text = render_bench(report) + f"\nreport written to {out}"
     if baseline is not None:
         text += "\n\ndelta vs baseline " + str(baseline_path) + ":\n"
-        text += render_delta(report, baseline)
+        text += obs_runs.render_run_delta(baseline, report)
         if not args.smoke:
-            regressions = find_regressions(report, baseline)
+            regressions = obs_runs.find_run_regressions(baseline, report)
             if regressions:
                 raise SystemExit(
                     "bench regression vs "
@@ -420,7 +419,8 @@ def _runs_main(argv: list[str]) -> int:
     p_cmp.add_argument("--fail-on-regression", action="store_true",
                        help="exit nonzero when any stage regressed beyond "
                             "the threshold (the CI gate)")
-    p_cmp.add_argument("--threshold", type=float, default=None, metavar="FRAC",
+    p_cmp.add_argument("--threshold", type=float,
+                       default=obs_runs.REGRESSION_THRESHOLD, metavar="FRAC",
                        help="regression threshold as a fraction "
                             "(default 0.25 = 25%% slower)")
     for p in (p_list, p_show, p_cmp):
@@ -446,11 +446,7 @@ def _runs_main(argv: list[str]) -> int:
         print(obs_runs.render_run_delta(old, new))
         regressions = obs_runs.find_run_regressions(old, new, args.threshold)
         if regressions:
-            from .perf.bench import REGRESSION_THRESHOLD
-
-            threshold = (REGRESSION_THRESHOLD if args.threshold is None
-                         else args.threshold)
-            print(f"\nregressions (stage >{100 * threshold:.0f}% slower "
+            print(f"\nregressions (stage >{100 * args.threshold:.0f}% slower "
                   "than baseline):")
             for line in regressions:
                 print(f"  {line}")

@@ -34,6 +34,7 @@ from .clusters import find_clusters
 from .dependencies import DependencyInfo, analyze_dependencies
 from .partitioner import Partition, partition_clusters
 from .scheduler import SchedulerOptions, schedule_blocks
+from .work import unit_work
 
 __all__ = ["adaptive_schedule"]
 
@@ -60,13 +61,12 @@ def _fixed_point(
 ) -> tuple[Partition, DependencyInfo, Assignment]:
     nprocs, grain = as_processor_count(nprocs), as_processor_count(grain, "grain")
     clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
-    element_work = updates.element_work()
     triangular = np.cumsum(np.arange(nprocs + 2))  # b(b + 1) / 2 units of b chunks
     caps = np.zeros(len(clusters), dtype=np.int64)
     for rounds in range(1, len(clusters) + 2):
         partition = partition_clusters(pattern, clusters, grain, max_parts=caps)
         deps = analyze_dependencies(partition, updates)
-        work = np.bincount(partition.unit_of_element, element_work, partition.num_units)
+        work = unit_work(partition, updates)
         assignment = schedule_blocks(partition, deps, nprocs, work, options)
         if rounds == 1:  # uncapped triangle units per cluster (1 for a column)
             free = np.bincount(partition.cluster_of_unit[partition.block == 0])

@@ -29,10 +29,10 @@ The edges are read off one assignment-invariant structure, the **unit
 read index** (:func:`unit_read_index`): the distinct cross-unit (reader
 unit, source element) pairs of the factorization, built once per
 partition from the run-length updates by the convexity lemma of
-:mod:`repro.machine.traffic` — no element read list, no sort.  Grouping
+:mod:`repro.core.traffic` — no element read list, no sort.  Grouping
 it by (source unit, reader unit) gives the dependency edges *and* the
 distinct-element volume of each edge (:func:`unit_dag`);
-:mod:`repro.machine.traffic` runs its kernel over the same index for
+:mod:`repro.core.traffic` runs its kernel over the same index for
 every block-scheme traffic figure.  The category census streams the
 pairs in chunks.  The paper's geometric mechanism (an interval tree per
 column) lives in ``tests/core/interval_oracle.py`` as an oracle.
@@ -131,7 +131,7 @@ def unit_read_index(
 
     Element e is read, in order, by its slice of
     :attr:`~repro.symbolic.updates.UpdateSet.reader_sequences`.  By the
-    convexity lemma proved in :mod:`repro.machine.traffic` the units
+    convexity lemma proved in :mod:`repro.core.traffic` the units
     reading it are those of the slice with repeats of the predecessor
     dropped, minus its own unit — which can only come first.  So one
     comparison per sequence entry marks where the unit changes; the

@@ -15,18 +15,18 @@ from functools import cached_property
 
 import numpy as np
 
-from ..machine.metrics import LoadBalance, load_balance
 from ..obs import trace as obs
-from ..machine.traffic import TrafficResult, data_traffic
-from ..machine.work import processor_work, unit_work
 from ..ordering import order as order_graph
 from ..sparse.pattern import LowerPattern, SymmetricGraph
 from ..symbolic.fill import SymbolicFactor, symbolic_cholesky
 from ..symbolic.updates import UpdateSet, enumerate_updates
 from .assignment import Assignment
 from .dependencies import DependencyInfo, analyze_dependencies
+from .metrics import LoadBalance, load_balance
 from .partitioner import Partition, partition_factor
 from .scheduler import SchedulerOptions, schedule_blocks
+from .traffic import TrafficResult, data_traffic
+from .work import processor_work, unit_work
 from .wrap import wrap_assignment
 
 __all__ = [

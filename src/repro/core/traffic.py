@@ -81,11 +81,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.assignment import Assignment
-from ..core.dependencies import unit_read_index
 from ..sparse.dtypes import index_dtype, linear_index
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import ReadIndex, UpdateSet, build_read_index, ragged_range
+from .assignment import Assignment
+from .dependencies import unit_read_index
 
 __all__ = [
     "DEFAULT_CHUNK_READS", "TrafficResult", "ReadIndex", "build_read_index",

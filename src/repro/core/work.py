@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.assignment import Assignment
 from ..symbolic.updates import UpdateSet
+from .assignment import Assignment
 
 __all__ = [
     "processor_work",

@@ -1,9 +1,24 @@
-"""Distributed-memory machine model: work, traffic, balance, timing."""
+"""The timed simulated machine and the views derived from it.
+
+The paper's cost model — work, distinct-fetch traffic and λ, exact
+counts over an assignment with no clock — lives in :mod:`repro.core`
+(``core.work``, ``core.traffic``, ``core.metrics``); this package
+re-exports it beside the simulator.
+"""
 
 from ..core.dependencies import topological_order
+from ..core.metrics import LoadBalance, imbalance_factor, load_balance
+from ..core.traffic import (
+    DEFAULT_CHUNK_READS,
+    ReadIndex,
+    TrafficResult,
+    build_read_index,
+    communication_matrix,
+    data_traffic,
+)
+from ..core.work import processor_work, total_work, unit_work
 from .batched import batched_metrics
 from .hotspot import HotspotProfile, hotspot_profile
-from .metrics import LoadBalance, imbalance_factor, load_balance
 from .simulate import (
     MachineModel,
     ScheduleTimeline,
@@ -15,15 +30,6 @@ from .simulate import (
 )
 from .scorecard import scorecard
 from .solve_metrics import solve_balance, solve_traffic, solve_work
-from .traffic import (
-    DEFAULT_CHUNK_READS,
-    ReadIndex,
-    TrafficResult,
-    build_read_index,
-    communication_matrix,
-    data_traffic,
-)
-from .work import processor_work, total_work, unit_work
 
 __all__ = [
     "ReadIndex",

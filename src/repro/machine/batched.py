@@ -4,18 +4,18 @@ The paper's experimental grid measures one fixed structure under many
 processor counts and mapping schemes.  What the cells share is memoised
 where it is built — the reader sequences on the ``UpdateSet``, of which
 the element read index is a view, and the unit read index on the
-partition (:mod:`repro.machine.traffic`) — so measuring K assignments
+partition (:mod:`repro.core.traffic`) — so measuring K assignments
 is measuring each of them: :func:`batched_metrics` is that loop, and a
 cell's figures cannot depend on which other cells it is measured with.
 """
 
 from __future__ import annotations
 
+from ..core.metrics import LoadBalance, load_balance
+from ..core.traffic import TrafficResult, data_traffic
+from ..core.work import processor_work
 from ..obs import trace as obs
 from ..symbolic.updates import ReadIndex, UpdateSet
-from .metrics import LoadBalance, load_balance
-from .traffic import TrafficResult, data_traffic
-from .work import processor_work
 
 __all__ = ["batched_metrics"]
 
@@ -30,8 +30,8 @@ def batched_metrics(
 
     All assignments must map the same pattern the updates were
     enumerated on; their processor counts may differ.  Each cell is a
-    :func:`~repro.machine.traffic.data_traffic` call and a
-    :func:`~repro.machine.work.processor_work` call.  A ``read_index``
+    :func:`~repro.core.traffic.data_traffic` call and a
+    :func:`~repro.core.work.processor_work` call.  A ``read_index``
     handed in must be ``build_read_index(updates, include_scale)``: the
     element kernel reads the same sequences, and one built from another
     structure or flag is refused.

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.assignment import Assignment
+from ..core.traffic import communication_matrix
 from ..symbolic.updates import UpdateSet
-from .traffic import communication_matrix
 
 __all__ = ["HotspotProfile", "hotspot_profile"]
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from ..core.assignment import Assignment
+from ..core.metrics import load_balance
+from ..core.traffic import data_traffic
+from ..core.work import processor_work
 from ..symbolic.updates import UpdateSet
 from .hotspot import hotspot_profile
-from .metrics import load_balance
 from .solve_metrics import solve_balance, solve_traffic
-from .traffic import data_traffic
-from .work import processor_work
 
 __all__ = ["scorecard"]
 

@@ -14,7 +14,7 @@ Every simulation also emits into the sim-clock telemetry layer
 (:mod:`repro.obs.simtime`): :func:`simulate_assignment` returns a
 :class:`~repro.obs.simtime.SimRun` carrying per-unit records, start
 reasons (for critical-path extraction) and the message ledger, whose
-total bytes bit-match :func:`repro.machine.traffic.data_traffic` for
+total bytes bit-match :func:`repro.core.traffic.data_traffic` for
 the same assignment.
 
 The unit DAG — edges in lexicographic order with an aligned volume
@@ -24,11 +24,11 @@ assignments simulate at unit-block granularity over the DAG memoised on
 the partition beside its unit read index
 (:func:`~repro.core.dependencies.unit_dag`).  Wrap
 and block-cyclic column assignments simulate at column granularity by
-the column-prefix lemma of :mod:`repro.machine.traffic`: column r_s of
+the column-prefix lemma of :mod:`repro.core.traffic`: column r_s of
 column k's rows r_1 < ... < r_m reads (r_t, k) for t >= s, so the edges
 are L's off-diagonal elements (k, r_s) in CSC order with volume
 m - s + 1, and the ledger is the (column, processor, reach) triples
-:func:`~repro.machine.traffic.column_fetch_counts` sums — O(nnz(L)), no
+:func:`~repro.core.traffic.column_fetch_counts` sums — O(nnz(L)), no
 read list, and the same for either ``include_scale`` (scale reads stay
 inside a column).  :func:`unit_graph` serves any other element→unit map.
 
@@ -51,12 +51,12 @@ from ..core.blocks import KINDS
 from ..core.dependencies import (
     DependencyInfo, group_unit_edges, require_same_edges, unit_dag, unit_edge_volumes,
 )
+from ..core.traffic import _column_fetches, _column_reads, fetch_pairs, kernel_inputs
 from ..obs import simtime
 from ..obs import trace as obs
 from ..sparse.dtypes import linear_index
 from ..sparse.pattern import LowerPattern
 from ..symbolic.updates import UpdateSet, build_read_index
-from .traffic import _column_fetches, _column_reads, fetch_pairs, kernel_inputs
 
 __all__ = [
     "MachineModel",
@@ -286,7 +286,7 @@ def simulation_messages(
     One ledger entry per (cause unit, destination processor): its bytes
     are the *distinct* non-local source elements of that unit the
     destination reads — the very pairs
-    :func:`repro.machine.traffic.data_traffic` counts, so total ledger
+    :func:`repro.core.traffic.data_traffic` counts, so total ledger
     bytes bit-match the paper's traffic figure, per-destination sums
     match ``per_processor`` and the P×P aggregation matches
     ``communication_matrix``.  The send time is the cause unit's finish;

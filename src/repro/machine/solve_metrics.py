@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.assignment import Assignment
-from .metrics import LoadBalance, load_balance
-from .traffic import TrafficResult
+from ..core.metrics import LoadBalance, load_balance
+from ..core.traffic import TrafficResult
 
 __all__ = ["solve_work", "solve_traffic", "solve_balance"]
 

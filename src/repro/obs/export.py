@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
+from .tables import render_table
 from .trace import Recorder
 
 __all__ = [
@@ -227,9 +228,6 @@ def _write(path_or_file, text: str) -> None:
 
 def summary_table(recorder: Recorder) -> str:
     """ASCII per-stage summary: span timings, then counters and gauges."""
-    from ..analysis.tables import render_table  # stdlib-only module; lazy
-    # import keeps repro.obs importable without pulling in repro.analysis.
-
     parts: list[str] = []
     if recorder.spans:
         stats: dict[str, list[float]] = {}

@@ -29,6 +29,7 @@ import threading
 import time
 from collections import Counter
 
+from .tables import render_table
 from .trace import Recorder, get_recorder, is_enabled
 
 __all__ = ["SamplingProfiler", "profiled"]
@@ -173,8 +174,6 @@ class SamplingProfiler:
 
     def table(self, top: int = 20) -> str:
         """ASCII top-``top`` self-time table."""
-        from ..analysis.tables import render_table  # stdlib-only; lazy
-
         rows = [
             [r["func"], r["span"], r["samples"], f"{r['pct']:.1f}%",
              f"{r['est_s'] * 1e3:.1f}"]

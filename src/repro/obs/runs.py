@@ -7,23 +7,24 @@ appends one JSON line to ``.repro/runs/<kind>.jsonl`` describing the run:
 * identity — a unique ``run_id``, the run ``kind``, creation time and
   the git SHA of the working tree (when available);
 * configuration — the grid/matrix/parameter set the run measured;
-* measurements — per-stage timings in the same ``matrices`` shape the
-  bench reports use (so :func:`repro.perf.bench.compare_reports` and
-  :func:`~repro.perf.bench.find_regressions` apply verbatim), plus
-  cache hit/miss counters and the wall clock.
+* measurements — per-stage timings (:data:`STAGES`) in the same
+  ``matrices`` shape the ``BENCH_*.json`` reports use, so a manifest and
+  a report compare alike, plus cache hit/miss counters and the wall
+  clock.
 
 ``python -m repro runs list|show|compare`` reads the registry back;
 ``runs compare OLD NEW --fail-on-regression`` is the CI gate — it exits
-nonzero when any stage regressed beyond the bench threshold (25%).
+nonzero when any stage regressed beyond :data:`REGRESSION_THRESHOLD`
+(25%).  The gate lives here, beside the manifests it compares:
+:func:`compare_runs`, :func:`find_run_regressions` and
+:func:`render_run_delta` each take the baseline first, and the bench
+harness behind ``repro bench`` calls them too.
 
 The registry root defaults to ``.repro/runs`` under the current
 directory and can be redirected with ``$REPRO_RUNS_DIR`` (tests and CI
 do).  Registry writes are advisory: a read-only checkout must never
-break a sweep, so :func:`record_run` swallows ``OSError``.
-
-Top-level imports are standard-library only; the comparison helpers
-import :mod:`repro.perf.bench` lazily to keep ``repro.obs`` importable
-on its own.
+break a sweep, so :func:`record_run` swallows ``OSError``.  Imports are
+standard-library only.
 """
 
 from __future__ import annotations
@@ -44,12 +45,31 @@ __all__ = [
     "record_run",
     "list_runs",
     "load_run",
+    "REGRESSION_THRESHOLD",
+    "STAGES",
     "compare_runs",
+    "describe_regression",
     "find_run_regressions",
     "render_runs_table",
     "render_run",
     "render_run_delta",
 ]
+
+#: A stage (or peak-RSS) regression beyond this fraction of the baseline
+#: fails ``runs compare --fail-on-regression`` and a full-mode
+#: ``repro bench`` run.
+REGRESSION_THRESHOLD = 0.25
+
+#: Stage name in a manifest -> span name recorded by the pipeline.
+STAGES = {
+    "order": "pipeline.order",
+    "symbolic": "pipeline.symbolic",
+    "enumerate_updates": "pipeline.enumerate_updates",
+    "partition": "pipeline.partition",
+    "dependencies": "pipeline.dependencies",
+    "schedule": "pipeline.schedule",
+    "metrics": "pipeline.metrics",
+}
 
 #: v2 added the ``host`` provenance block (hostname/platform/python/cpus)
 #: to every manifest.  Readers treat both versions alike — v1 manifests
@@ -212,36 +232,137 @@ def load_run(ref: str, root: str | Path | None = None) -> dict:
     raise ValueError(f"no run or file matches {ref!r}")
 
 
-def compare_runs(old: dict, new: dict) -> list[dict]:
-    """Per-stage delta rows (``baseline`` = old, ``current`` = new), by
-    :func:`repro.perf.bench.compare_reports`."""
-    from ..perf.bench import compare_reports
+def _memory_rows(name: str, base: dict, cur: dict) -> list[dict]:
+    """Peak-RSS delta rows (``unit: "mb"``) when both sides carry one.
 
-    return compare_reports(new, old)
+    The values travel in the ``baseline_s``/``current_s`` keys every
+    consumer already reads — :func:`find_run_regressions` applies the
+    same 25% threshold to megabytes as to seconds, and the ``unit``
+    field tells renderers which suffix to print.
+    """
+    b, c = base.get("mem_peak_mb"), cur.get("mem_peak_mb")
+    if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
+        return []
+    if b <= 0 or c <= 0:
+        return []
+    return [
+        {
+            "matrix": name,
+            "stage": "mem_peak",
+            "baseline_s": float(b),
+            "current_s": float(c),
+            "speedup": float(b) / float(c),
+            "unit": "mb",
+        }
+    ]
+
+
+#: Matrix-name display columns never grow past this; longer generator
+#: names are truncated with a ".." marker so the tables stay aligned.
+_NAME_WIDTH_MAX = 18
+
+
+def _name_width(names, minimum: int) -> int:
+    """Width of the name column: fits the longest name, bounded."""
+    return min(max([minimum] + [len(n) for n in names]), _NAME_WIDTH_MAX)
+
+
+def _fit_name(name: str, width: int) -> str:
+    return name if len(name) <= width else name[: width - 2] + ".."
+
+
+def compare_runs(old: dict, new: dict) -> list[dict]:
+    """Per-stage delta rows (``baseline`` = old, ``current`` = new) for
+    matrices present in both.
+
+    Volatile metadata (``created_unix``, repeat counts) is ignored; only
+    stage times, wall totals and peak RSS are compared.  ``speedup`` > 1
+    means ``new`` is faster.
+    """
+    rows = []
+    base_matrices = old.get("matrices", {})
+    for name, cur in new.get("matrices", {}).items():
+        base = base_matrices.get(name)
+        if base is None:
+            continue
+        for stage in list(STAGES) + ["wall_total"]:
+            if stage == "wall_total":
+                b, c = base.get("wall_total"), cur.get("wall_total")
+            else:
+                b = base.get("stages", {}).get(stage)
+                c = cur.get("stages", {}).get(stage)
+            if b is None or c is None:
+                continue
+            rows.append(
+                {
+                    "matrix": name,
+                    "stage": stage,
+                    "baseline_s": float(b),
+                    "current_s": float(c),
+                    "speedup": float(b) / float(c) if c else float("inf"),
+                }
+            )
+        rows.extend(_memory_rows(name, base, cur))
+    return rows
+
+
+def describe_regression(row: dict) -> str:
+    """One human-readable line for a regressed delta row (unit-aware:
+    timing rows print milliseconds, memory rows megabytes)."""
+    if row.get("unit") == "mb":
+        cur, base = row["current_s"], row["baseline_s"]
+        return (
+            f"{row['matrix']}/{row['stage']}: "
+            f"{cur:.1f}MB vs baseline {base:.1f}MB "
+            f"({cur / base:.2f}x more memory)"
+        )
+    return (
+        f"{row['matrix']}/{row['stage']}: "
+        f"{row['current_s'] * 1e3:.2f}ms vs baseline "
+        f"{row['baseline_s'] * 1e3:.2f}ms "
+        f"({row['current_s'] / row['baseline_s']:.2f}x slower)"
+    )
 
 
 def find_run_regressions(
-    old: dict, new: dict, threshold: float | None = None
+    old: dict, new: dict, threshold: float = REGRESSION_THRESHOLD
 ) -> list[str]:
     """Stages of ``new`` slower than ``old`` — or, for memory rows
-    (``unit: "mb"``), hungrier — by more than ``threshold`` (default:
-    the bench harness's 25%), as human-readable strings."""
-    from ..perf.bench import REGRESSION_THRESHOLD, describe_regression
-
-    if threshold is None:
-        threshold = REGRESSION_THRESHOLD
-    out = []
-    for row in compare_runs(old, new):
-        if row["current_s"] > row["baseline_s"] * (1.0 + threshold):
-            out.append(describe_regression(row))
-    return out
+    (``unit: "mb"``), hungrier — by more than ``threshold`` (fractional;
+    0.25 = 25%), as human-readable strings."""
+    return [
+        describe_regression(row)
+        for row in compare_runs(old, new)
+        if row["current_s"] > row["baseline_s"] * (1.0 + threshold)
+    ]
 
 
 def render_run_delta(old: dict, new: dict) -> str:
-    """ASCII delta table between two manifests."""
-    from ..perf.bench import render_delta
-
-    return render_delta(new, old)
+    """ASCII per-stage delta table of ``new`` vs the baseline ``old``."""
+    rows = compare_runs(old, new)
+    if not rows:
+        return "(no comparable matrices between current report and baseline)"
+    stage_names = list(STAGES) + ["wall_total"]
+    by_matrix: dict[str, dict[str, dict]] = {}
+    for row in rows:
+        by_matrix.setdefault(row["matrix"], {})[row["stage"]] = row
+    nw = _name_width(by_matrix, 10)
+    lines = [
+        "  ".join([f"{'matrix':>{nw}}"] + [f"{h:>18}" for h in stage_names])
+    ]
+    for name, stages in by_matrix.items():
+        cells = [f"{_fit_name(name, nw):>{nw}}"]
+        for stage in stage_names:
+            row = stages.get(stage)
+            if row is None:
+                cells.append(f"{'-':>18}")
+            else:
+                cells.append(
+                    f"{row['current_s'] * 1e3:>10.2f} {row['speedup']:>5.2f}x"
+                )
+        lines.append("  ".join(cells))
+    lines.append("(current ms and speedup vs baseline; >1x is faster)")
+    return "\n".join(lines)
 
 
 def render_runs_table(manifests: list[dict]) -> str:

@@ -218,12 +218,12 @@ class SimRun:
     # -- message analyses ----------------------------------------------
     def total_message_bytes(self) -> int:
         """Total ledger volume; for a machine-model run this bit-matches
-        ``machine.traffic.data_traffic(...).total`` (same dedup rule)."""
+        ``core.traffic.data_traffic(...).total`` (same dedup rule)."""
         return int(self.messages.nbytes.sum())
 
     def comm_matrix(self) -> np.ndarray:
         """C[p, q] = ledger bytes received by p from q, matching the
-        orientation of :func:`repro.machine.traffic.communication_matrix`."""
+        orientation of :func:`repro.core.traffic.communication_matrix`."""
         out = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
         np.add.at(out, (self.messages.dst, self.messages.src), self.messages.nbytes)
         return out

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for the experiment harness."""
+"""Plain-text table rendering: the experiment tables and the run summaries."""
 
 from __future__ import annotations
 

@@ -12,19 +12,13 @@ Three pieces make repeated pipeline evaluations cheap:
   partitions once and schedules + measures every processor count,
   fanned out over a process pool; records export as CSV;
 * :mod:`repro.perf.bench` — the per-stage timing harness behind
-  ``BENCH_pipeline.json`` and the CI smoke-bench step.
+  ``BENCH_pipeline.json`` and the CI smoke-bench step; its regression
+  gate lives in :mod:`repro.obs.runs`.
 
 See ``docs/performance.md``.
 """
 
-from .bench import (
-    STAGES,
-    bench_pipeline,
-    compare_reports,
-    find_regressions,
-    render_bench,
-    render_delta,
-)
+from .bench import bench_pipeline, render_bench
 from .cache import (
     CACHE_VERSION,
     PartitionCache,
@@ -61,10 +55,6 @@ __all__ = [
     "group_grid",
     "records_to_csv",
     "sweep",
-    "STAGES",
     "bench_pipeline",
-    "compare_reports",
-    "find_regressions",
     "render_bench",
-    "render_delta",
 ]

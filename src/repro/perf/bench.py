@@ -13,9 +13,10 @@ Each matrix entry also carries a result fingerprint (traffic total,
 imbalance, pair-update count) so a timing regression can be told apart
 from a semantics change, and — when RSS is readable — memory
 watermarks: ``mem_peak_mb`` for the run, ``stage_mem_peak_mb`` per
-stage, and a downsampled RSS timeline for the HTML report.  Memory
-rows ride through :func:`compare_reports` with ``unit: "mb"``, so the
-25% regression gate catches a memory blow-up exactly like a slowdown.
+stage, and a downsampled RSS timeline for the HTML report.  A report
+compares like a registry manifest: the regression gate is
+:func:`repro.obs.runs.find_run_regressions`, whose memory rows
+(``unit: "mb"``) catch a memory blow-up exactly like a slowdown.
 Stamped reports (the default) also record provenance: the git SHA and
 the host that measured them.
 """
@@ -31,6 +32,7 @@ from ..core.pipeline import block_mapping, prepare
 from ..obs import runs as obs_runs
 from ..obs import trace as obs
 from ..obs.memory import monitored
+from ..obs.runs import STAGES, _fit_name, _name_width
 from ..obs.trace import Recorder
 from ..sparse import grid9
 from ..sparse import harwell_boeing as hb
@@ -40,34 +42,14 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BIG_BENCH_MATRICES",
     "STRETCH_BENCH_MATRICES",
-    "STAGES",
     "bench_pipeline",
-    "compare_reports",
-    "describe_regression",
-    "find_regressions",
     "render_bench",
-    "render_delta",
 ]
 
 BENCH_SCHEMA_VERSION = 1
 
-#: A stage regression beyond this fraction of the baseline fails a
-#: full-mode ``repro bench`` run.
-REGRESSION_THRESHOLD = 0.25
-
 #: Best-of-N repeats in full mode; smoke mode uses a single run.
 FULL_MODE_REPEATS = 3
-
-#: Stage name in the report -> span name recorded by the pipeline.
-STAGES = {
-    "order": "pipeline.order",
-    "symbolic": "pipeline.symbolic",
-    "enumerate_updates": "pipeline.enumerate_updates",
-    "partition": "pipeline.partition",
-    "dependencies": "pipeline.dependencies",
-    "schedule": "pipeline.schedule",
-    "metrics": "pipeline.metrics",
-}
 
 #: Tiny deterministic problems for smoke mode (CI on every push).
 SMOKE_MATRICES = {
@@ -199,8 +181,8 @@ def bench_pipeline(
     :data:`FULL_MODE_REPEATS` (best-of-N) in full paper mode and 1
     otherwise.  ``stamp=False`` omits the ``created_unix`` timestamp so
     two runs of the same tree produce byte-identical reports;
-    comparisons (:func:`compare_reports`) never look at the timestamp
-    either way.  Returns the report dict; writes it to ``out`` unless
+    comparisons (:func:`repro.obs.runs.compare_runs`) never look at the
+    timestamp either way.  Returns the report dict; writes it to ``out`` unless
     ``out`` is ``None``.
     """
     tier = _tier_checked(tier)
@@ -252,138 +234,6 @@ def _stamp_provenance(report: dict) -> None:
     report["created_unix"] = time.time()
     report["git_sha"] = obs_runs.git_sha()
     report["host"] = obs_runs.host_info()
-
-
-def _memory_rows(name: str, base: dict, cur: dict) -> list[dict]:
-    """Peak-RSS delta rows (``unit: "mb"``) when both sides carry one.
-
-    The values travel in the ``baseline_s``/``current_s`` keys every
-    consumer already reads — :func:`find_regressions` and the runs gate
-    apply the same 25% threshold to megabytes as to seconds, and the
-    ``unit`` field tells renderers which suffix to print.
-    """
-    b, c = base.get("mem_peak_mb"), cur.get("mem_peak_mb")
-    if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
-        return []
-    if b <= 0 or c <= 0:
-        return []
-    return [
-        {
-            "matrix": name,
-            "stage": "mem_peak",
-            "baseline_s": float(b),
-            "current_s": float(c),
-            "speedup": float(b) / float(c),
-            "unit": "mb",
-        }
-    ]
-
-
-#: Matrix-name display columns never grow past this; longer generator
-#: names are truncated with a ".." marker so the tables stay aligned.
-_NAME_WIDTH_MAX = 18
-
-
-def _name_width(names, minimum: int) -> int:
-    """Width of the name column: fits the longest name, bounded."""
-    return min(max([minimum] + [len(n) for n in names]), _NAME_WIDTH_MAX)
-
-
-def _fit_name(name: str, width: int) -> str:
-    return name if len(name) <= width else name[: width - 2] + ".."
-
-
-def compare_reports(current: dict, baseline: dict) -> list[dict]:
-    """Per-stage delta rows for matrices present in both reports.
-
-    Volatile metadata (``created_unix``, repeat counts) is ignored; only
-    stage times and wall totals are compared.  ``speedup`` > 1 means the
-    current report is faster.
-    """
-    rows = []
-    base_matrices = baseline.get("matrices", {})
-    for name, cur in current.get("matrices", {}).items():
-        base = base_matrices.get(name)
-        if base is None:
-            continue
-        for stage in list(STAGES) + ["wall_total"]:
-            if stage == "wall_total":
-                b, c = base.get("wall_total"), cur.get("wall_total")
-            else:
-                b = base.get("stages", {}).get(stage)
-                c = cur.get("stages", {}).get(stage)
-            if b is None or c is None:
-                continue
-            rows.append(
-                {
-                    "matrix": name,
-                    "stage": stage,
-                    "baseline_s": float(b),
-                    "current_s": float(c),
-                    "speedup": float(b) / float(c) if c else float("inf"),
-                }
-            )
-        rows.extend(_memory_rows(name, base, cur))
-    return rows
-
-
-def describe_regression(row: dict) -> str:
-    """One human-readable line for a regressed delta row (unit-aware:
-    timing rows print milliseconds, memory rows megabytes)."""
-    if row.get("unit") == "mb":
-        cur, base = row["current_s"], row["baseline_s"]
-        return (
-            f"{row['matrix']}/{row['stage']}: "
-            f"{cur:.1f}MB vs baseline {base:.1f}MB "
-            f"({cur / base:.2f}x more memory)"
-        )
-    return (
-        f"{row['matrix']}/{row['stage']}: "
-        f"{row['current_s'] * 1e3:.2f}ms vs baseline "
-        f"{row['baseline_s'] * 1e3:.2f}ms "
-        f"({row['current_s'] / row['baseline_s']:.2f}x slower)"
-    )
-
-
-def find_regressions(
-    current: dict, baseline: dict, threshold: float = REGRESSION_THRESHOLD
-) -> list[str]:
-    """Human-readable descriptions of stages slower (or, for ``mb``
-    rows, hungrier) than baseline by more than ``threshold``
-    (fractional; 0.25 = 25%)."""
-    out = []
-    for row in compare_reports(current, baseline):
-        if row["current_s"] > row["baseline_s"] * (1.0 + threshold):
-            out.append(describe_regression(row))
-    return out
-
-
-def render_delta(current: dict, baseline: dict) -> str:
-    """ASCII per-stage delta table of ``current`` vs ``baseline``."""
-    rows = compare_reports(current, baseline)
-    if not rows:
-        return "(no comparable matrices between current report and baseline)"
-    stage_names = list(STAGES) + ["wall_total"]
-    by_matrix: dict[str, dict[str, dict]] = {}
-    for row in rows:
-        by_matrix.setdefault(row["matrix"], {})[row["stage"]] = row
-    nw = _name_width(by_matrix, 10)
-    lines = [
-        "  ".join([f"{'matrix':>{nw}}"] + [f"{h:>18}" for h in stage_names])
-    ]
-    for name, stages in by_matrix.items():
-        cells = [f"{_fit_name(name, nw):>{nw}}"]
-        for stage in stage_names:
-            row = stages.get(stage)
-            if row is None:
-                cells.append(f"{'-':>18}")
-            else:
-                cells.append(
-                    f"{row['current_s'] * 1e3:>10.2f} {row['speedup']:>5.2f}x"
-                )
-        lines.append("  ".join(cells))
-    lines.append("(current ms and speedup vs baseline; >1x is faster)")
-    return "\n".join(lines)
 
 
 def render_bench(report: dict) -> str:

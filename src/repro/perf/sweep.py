@@ -354,14 +354,11 @@ def _worker_stats(
     collect: bool,
     spill_dir: str | None,
 ) -> dict:
-    """Snapshot one worker attempt: timings, cache counters, and — when
-    the parent is tracing — the full recorder shard (inline or spilled).
+    """Snapshot one worker attempt: timings and — when the parent is
+    tracing — the full recorder shard (inline or spilled).
     Every open span must be closed/drained before this runs."""
     stats = {
         "elapsed": time.perf_counter() - t0,
-        "cache_hit": int(rec.counters.get("perf.cache.hit", 0)),
-        "cache_miss": int(rec.counters.get("perf.cache.miss", 0)),
-        "reuse_hit": int(rec.counters.get("perf.sweep.reuse.hit", 0)),
         "pid": os.getpid(),
         "t0_unix": t0_unix,
         "t1_unix": time.time(),
@@ -486,9 +483,6 @@ def _sweep_parallel(
             pool_unix0 = time.time()
             results: list[SweepRecord | None] = [None] * len(tasks)
             busy = 0.0
-            hits = 0
-            misses = 0
-            reuse_hits = 0
             busy_by_pid: dict[int, float] = {}
             submit_unix: dict[int, float] = {}
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -513,12 +507,7 @@ def _sweep_parallel(
                         # a second failure raises with the unit's label.
                         t0 = time.perf_counter()
                         payload = _retry_group(groups[index], cache_str)
-                        stats = {
-                            "elapsed": time.perf_counter() - t0,
-                            "cache_hit": 0,
-                            "cache_miss": 0,
-                            "reuse_hit": 0,
-                        }
+                        stats = {"elapsed": time.perf_counter() - t0}
                         obs.counter("perf.sweep.retries")
                     else:
                         if collect:
@@ -535,9 +524,6 @@ def _sweep_parallel(
                         results[slot] = record
                     busy += stats["elapsed"]
                     obs.observe("perf.sweep.unit_ms", 1e3 * stats["elapsed"])
-                    hits += stats["cache_hit"]
-                    misses += stats["cache_miss"]
-                    reuse_hits += stats["reuse_hit"]
                     done_at = time.perf_counter() - t_epoch
                     obs.timeline_event(
                         f"sweep {groups[index].label()}",
@@ -563,17 +549,6 @@ def _sweep_parallel(
                             "utilization": busy_s / wall if wall > 0 else 0.0,
                         },
                     )
-            else:
-                # Without shards the summary counters aggregated from
-                # worker stats are all that survives.  (With shards the
-                # merge already accumulated the real counters; adding
-                # these again would double-count.)
-                if hits:
-                    obs.counter("perf.cache.hit", hits)
-                if misses:
-                    obs.counter("perf.cache.miss", misses)
-                if reuse_hits:
-                    obs.counter("perf.sweep.reuse.hit", reuse_hits)
             obs.counter("perf.sweep.tasks", len(tasks))
             obs.gauge("perf.sweep.jobs", jobs)
             obs.gauge(

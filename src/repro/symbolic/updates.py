@@ -290,7 +290,7 @@ def build_read_index(updates: UpdateSet, include_scale: bool = True) -> ReadInde
     Every pair update reads two off-diagonal sources on behalf of its
     target (once if they coincide); ``include_scale`` adds one diagonal
     read per element, matching the flag of
-    :func:`repro.machine.traffic.data_traffic`.
+    :func:`repro.core.traffic.data_traffic`.
     """
     memo = vars(updates).setdefault("_read_indexes", {})
     if include_scale not in memo:

@@ -13,7 +13,7 @@ from repro.core import (
     wrap_mapping,
     wrap_mappings,
 )
-from repro.machine import traffic
+from repro.core import traffic
 from repro.obs import trace as obs
 from repro.sparse import grid9
 

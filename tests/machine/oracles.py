@@ -9,7 +9,7 @@ against.
   have to agree with it.
 * :func:`stamp_fetches_oracle` — the distinct non-local fetches by the
   per-read stamp loop: every read of the index expanded and
-  deduplicated through a stamp table, where ``repro.machine.traffic``
+  deduplicated through a stamp table, where ``repro.core.traffic``
   counts each segment once by its last reads.
 """
 

@@ -20,7 +20,7 @@ from repro.core import (
     schedule_blocks,
     wrap_assignment,
 )
-from repro.machine.traffic import DEFAULT_CHUNK_READS, distinct_fetches, fetch_counts, kernel_inputs, segment_chunks
+from repro.core.traffic import DEFAULT_CHUNK_READS, distinct_fetches, fetch_counts, kernel_inputs, segment_chunks
 from repro.sparse import harwell_boeing as hb
 
 from ..conftest import bare_owners, traffic_oracle

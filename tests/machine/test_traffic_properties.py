@@ -28,7 +28,7 @@ from repro.machine import (
     data_traffic,
     simulate_assignment,
 )
-from repro.machine.traffic import distinct_fetches, fetch_counts, fetch_pairs, kernel_inputs
+from repro.core.traffic import distinct_fetches, fetch_counts, fetch_pairs, kernel_inputs
 
 from ..conftest import bare_owners, generated_graphs, traffic_oracle
 from .oracles import stamp_fetches_oracle

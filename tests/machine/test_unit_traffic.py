@@ -38,7 +38,7 @@ from repro.core import (
 )
 from repro.core.dependencies import unit_dag, unit_read_index
 from repro.machine import batched_metrics, build_read_index, data_traffic, unit_graph, unit_work
-from repro.machine.traffic import (
+from repro.core.traffic import (
     column_fetch_counts,
     fetch_counts,
     fetch_pairs,

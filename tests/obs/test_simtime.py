@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.experiments import prepared_matrix
 from repro.core.pipeline import block_mapping, wrap_mapping
 from repro.machine.simulate import simulate_assignment
-from repro.machine.traffic import communication_matrix, data_traffic
+from repro.core.traffic import communication_matrix, data_traffic
 from repro.obs import trace as obs
 from repro.obs.simtime import (
     REASON_MSG,

@@ -5,14 +5,8 @@ import json
 
 import pytest
 
-from repro.perf import (
-    STAGES,
-    bench_pipeline,
-    compare_reports,
-    find_regressions,
-    render_bench,
-    render_delta,
-)
+from repro.obs.runs import STAGES, compare_runs, find_run_regressions, render_run_delta
+from repro.perf import bench_pipeline, render_bench
 from repro.perf.bench import BENCH_SCHEMA_VERSION, SMOKE_MATRICES
 
 
@@ -123,7 +117,7 @@ class TestBaselineComparison:
 
     def test_compare_reports_rows(self, reports):
         current, baseline = reports
-        rows = compare_reports(current, baseline)
+        rows = compare_runs(baseline, current)
         assert rows, "expected comparable matrices"
         stages = {r["stage"] for r in rows}
         # mem_peak rows appear only where both sides measured RSS.
@@ -139,26 +133,26 @@ class TestBaselineComparison:
         current, baseline = reports
         lonely = copy.deepcopy(current)
         lonely["matrices"] = {"ONLY_HERE": next(iter(current["matrices"].values()))}
-        assert compare_reports(lonely, baseline) == []
+        assert compare_runs(baseline, lonely) == []
 
     def test_no_regressions_when_faster(self, reports):
         current, baseline = reports
-        assert find_regressions(current, baseline) == []
+        assert find_run_regressions(baseline, current) == []
 
     def test_regression_detected_beyond_threshold(self, reports):
         current, baseline = reports
         slow = copy.deepcopy(baseline)
         entry = next(iter(slow["matrices"].values()))
         entry["stages"]["order"] *= 10.0
-        found = find_regressions(slow, baseline, threshold=0.25)
+        found = find_run_regressions(baseline, slow, threshold=0.25)
         assert found and any("order" in msg for msg in found)
 
     def test_render_delta(self, reports):
         current, baseline = reports
-        text = render_delta(current, baseline)
+        text = render_run_delta(baseline, current)
         assert "speedup" in text
         assert "wall_total" in text
-        assert render_delta(current, {"matrices": {}}).startswith("(no comparable")
+        assert render_run_delta({"matrices": {}}, current).startswith("(no comparable")
 
 
 class TestStretchSelection:
