@@ -262,59 +262,6 @@ def _sweep(args: argparse.Namespace) -> str:
     return text.rstrip("\n")
 
 
-def _bench(args: argparse.Namespace) -> str:
-    import json
-
-    from .obs import runs as obs_runs
-    from .perf import bench_pipeline, render_bench
-
-    out = args.bench_out or (
-        "BENCH_pipeline_big.json" if args.tier == "big"
-        else "BENCH_pipeline.json"
-    )
-    baseline = None
-    baseline_path = args.bench_baseline or out
-    try:
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError):
-        baseline = None
-    report = bench_pipeline(
-        matrices=args.bench_matrices,
-        nprocs=args.nprocs,
-        grain=args.grain,
-        smoke=args.smoke,
-        out=out,
-        repeats=args.bench_repeats,
-        tier=args.tier,
-        stretch=args.stretch,
-    )
-    obs_runs.record_run(
-        "bench",
-        config={k: report[k]
-                for k in ("smoke", "tier", "nprocs", "grain", "repeats")
-                if k in report},
-        matrices=report.get("matrices", {}),
-        wall_s=sum(m.get("wall_total", 0.0)
-                   for m in report.get("matrices", {}).values()),
-        extra={"report": out},
-    )
-    text = render_bench(report) + f"\nreport written to {out}"
-    if baseline is not None:
-        text += "\n\ndelta vs baseline " + str(baseline_path) + ":\n"
-        text += obs_runs.render_run_delta(baseline, report)
-        if not args.smoke:
-            regressions = obs_runs.find_run_regressions(baseline, report)
-            if regressions:
-                raise SystemExit(
-                    "bench regression vs "
-                    + str(baseline_path)
-                    + " (stage >25% slower than baseline):\n  "
-                    + "\n  ".join(regressions)
-                )
-    return text
-
-
 def _wrapped(args: argparse.Namespace, example: str) -> Target:
     """The plain target a wrapper runs: ``args.subtarget``, checked."""
     if args.subtarget is None:
@@ -406,16 +353,16 @@ def _runs_main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
     p_list = sub.add_parser("list", help="list recorded runs, oldest first")
     p_list.add_argument("--kind", default=None,
-                        help="only runs of this kind (trace, profile, bench, "
+                        help="only runs of this kind (trace, profile, "
                              "sweep, explain)")
     p_show = sub.add_parser("show", help="print one run manifest as JSON")
     p_show.add_argument("ref", help="run id (or unique prefix), 'latest', "
-                                    "'<kind>:latest', or a JSON report file")
+                                    "'<kind>:latest', or a manifest JSON file")
     p_cmp = sub.add_parser(
-        "compare", help="per-stage delta between two runs or report files"
+        "compare", help="per-stage delta between two runs or manifest files"
     )
-    p_cmp.add_argument("old", help="baseline: run ref or BENCH_*.json file")
-    p_cmp.add_argument("new", help="current: run ref or BENCH_*.json file")
+    p_cmp.add_argument("old", help="baseline: run ref or manifest file")
+    p_cmp.add_argument("new", help="current: run ref or manifest file")
     p_cmp.add_argument("--fail-on-regression", action="store_true",
                        help="exit nonzero when any stage regressed beyond "
                             "the threshold (the CI gate)")
@@ -563,8 +510,6 @@ TARGETS: tuple[Target, ...] = (
     Target("profile", "run any target under the sampling profiler (--hz)",
            _profile, kind=WRAPPER),
     Target("sweep", "parallel (matrix, scheme, P, g) grid sweep", _sweep),
-    Target("bench", "per-stage pipeline benchmark -> BENCH_pipeline.json",
-           _bench),
     Target("runs", "run registry: runs list | show REF | compare OLD NEW",
            _runs_main, kind=OWN_GRAMMAR),
     Target("cache", "disk-cache tools: cache stats | prune --max-bytes N",
@@ -613,16 +558,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--nx", type=int, default=5, help="figure2 grid width")
     parser.add_argument("--ny", type=int, default=5, help="figure2 grid height")
-    parser.add_argument("--matrix", default=None,
+    parser.add_argument("--matrix", default="LAP30",
                         help="matrix for figure4/stats/sweep and traced "
-                             "simulation; comma-separated list for "
-                             "sweep/bench (default LAP30; bench defaults "
-                             "to every paper matrix)")
+                             "simulation; comma-separated list for sweep "
+                             "(default LAP30)")
     parser.add_argument("--grain", type=int, default=25,
-                        help="grain size for figure4/stats/trace/bench")
+                        help="grain size for figure4/stats/trace")
     parser.add_argument("-p", "--nprocs", type=int, default=16,
-                        help="processor count for explain, the traced "
-                             "simulation and bench")
+                        help="processor count for explain and the traced "
+                             "simulation")
     parser.add_argument("--scheme", default="block",
                         choices=("block", "block-adaptive", "wrap"),
                         help="with 'explain': the mapping scheme to simulate "
@@ -657,36 +601,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="with 'sweep': minimum cluster widths of the grid")
     parser.add_argument("--json", action="store_true",
                         help="with 'sweep': emit JSON records instead of CSV")
-    parser.add_argument("--smoke", action="store_true",
-                        help="with 'bench': tiny problems (CI mode)")
-    parser.add_argument("--tier", choices=("paper", "big"), default="paper",
-                        help="with 'bench': 'big' benches the "
-                             "10^5-unknown generated instances and writes "
-                             "BENCH_pipeline_big.json by default (--smoke then "
-                             "runs the single smallest big instance)")
-    parser.add_argument("--stretch", action="store_true",
-                        help="with 'bench --tier big': also bench the "
-                             "10^6-unknown stretch instances (GRIDA1M, "
-                             "SOC1M); off by default — expect minutes per "
-                             "matrix and multi-GB RSS")
-    parser.add_argument("--bench-out", default=None, metavar="FILE",
-                        help="with 'bench': where to write the "
-                             "JSON report (default BENCH_pipeline.json)")
-    parser.add_argument("--bench-baseline", default=None, metavar="FILE",
-                        help="with 'bench': baseline report for the delta "
-                             "table (default: the pre-existing --bench-out "
-                             "file); a full-mode stage regression >25%% "
-                             "exits nonzero")
-    parser.add_argument("--bench-repeats", type=int, default=None, metavar="N",
-                        help="with 'bench': best-of-N stage timings "
-                             "(default: 3 in full mode, 1 in smoke mode)")
     parser.add_argument("--latest", action="store_true",
                         help="with 'report': render the most recent "
                              "registry run as a self-contained HTML page "
                              "(--output, default REPORT.html)")
     parser.add_argument("--run", dest="run_ref", default=None, metavar="REF",
                         help="with 'report': render this run (id, prefix, "
-                             "'<kind>:latest', or a BENCH_*.json file) as "
+                             "'<kind>:latest', or a manifest file) as "
                              "HTML instead of the paper report")
     parser.add_argument("--hz", type=float, default=200.0,
                         help="with 'profile': stack sampling rate "
@@ -712,13 +633,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.trace_out is None:
         args.trace_out = os.environ.get("REPRO_TRACE_OUT") or None
-    # 'bench' defaults to every paper matrix; everything else to LAP30.
-    args.bench_matrices = (
-        None if args.matrix is None
-        else [m.strip() for m in args.matrix.split(",") if m.strip()]
-    )
-    if args.matrix is None:
-        args.matrix = "LAP30"
 
     target = _BY_NAME[args.target]
     if args.subtarget is not None and target.kind != WRAPPER:

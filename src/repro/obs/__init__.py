@@ -45,14 +45,11 @@ from .trace import (
     SpanRecord,
     TimelineEvent,
     counter,
-    disable,
-    enable,
     enabled,
     gauge,
     get_recorder,
     is_enabled,
     observe,
-    set_recorder,
     span,
     timeline_event,
 )
@@ -81,14 +78,11 @@ __all__ = [
     "SpanRecord",
     "TimelineEvent",
     "counter",
-    "disable",
-    "enable",
     "enabled",
     "gauge",
     "get_recorder",
     "is_enabled",
     "observe",
-    "set_recorder",
     "span",
     "timeline_event",
     "chrome_trace_json",

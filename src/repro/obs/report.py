@@ -419,17 +419,8 @@ def _panel_stages(manifest: dict) -> str:
         caption = f"stage wall time — {_esc(name)}"
         if isinstance(mem, (int, float)):
             caption += f" (peak RSS {_fmt(mem)} MB)"
-        table_rows = [[stage, f"{v:.2f}"] for stage, v in rows]
-        stage_mem = doc.get("stage_mem_peak_mb") or {}
-        if stage_mem:
-            table_rows = [
-                [stage, f"{v:.2f}",
-                 _fmt(stage_mem[stage]) if stage in stage_mem else "-"]
-                for stage, v in rows
-            ]
-            tbl = _table_view(["stage", "ms", "peak MB"], table_rows, {1, 2})
-        else:
-            tbl = _table_view(["stage", "ms"], table_rows, {1})
+        tbl = _table_view(["stage", "ms"],
+                          [[stage, f"{v:.2f}"] for stage, v in rows], {1})
         blocks.append(f"<figure><figcaption>{caption}</figcaption>"
                       + _bar_chart(rows) + tbl + "</figure>")
     if not blocks:
@@ -438,37 +429,24 @@ def _panel_stages(manifest: dict) -> str:
 
 
 def _panel_memory(manifest: dict) -> str:
-    """RSS timelines: the run-level one plus any per-matrix bench ones
-    (each matrix ran sequentially with its own clock, so each gets its
-    own figure rather than a misleading overlay)."""
-    timelines: list[tuple[str, list]] = []
-    run_level = manifest.get("memory") or []
-    if len(run_level) >= 2:
-        timelines.append(("whole run", run_level))
-    for name, doc in sorted((manifest.get("matrices") or {}).items()):
-        if isinstance(doc, dict) and len(doc.get("memory") or []) >= 2:
-            timelines.append((name, doc["memory"]))
-    if not timelines:
+    """The run's RSS timeline."""
+    samples = manifest.get("memory") or []
+    if len(samples) < 2:
         return ""
-    figures = []
-    for label, samples in timelines:
-        pts = downsample(samples)
-        peak_t, peak_v = max(pts, key=lambda s: s[1])
-        chart = _line_chart(
-            [{"label": "RSS", "slot": "accent", "points": pts}],
-            x_label="seconds since start", y_label="RSS MB", markers=False,
-        )
-        rows = [[f"{t:.3f}", f"{v:.1f}"]
-                for t, v in pts[:: max(1, len(pts) // 50)]]
-        figures.append(
-            f"<figure><figcaption>resident set size — {_esc(label)} — "
+    pts = downsample(samples)
+    peak_t, peak_v = max(pts, key=lambda s: s[1])
+    chart = _line_chart(
+        [{"label": "RSS", "slot": "accent", "points": pts}],
+        x_label="seconds since start", y_label="RSS MB", markers=False,
+    )
+    rows = [[f"{t:.3f}", f"{v:.1f}"]
+            for t, v in pts[:: max(1, len(pts) // 50)]]
+    return ("<section id='memory'><h2>Memory timeline</h2>"
+            "<figure><figcaption>resident set size — whole run — "
             f"peak {_fmt(peak_v)} MB at {peak_t:.2f}s "
             f"({len(samples)} samples)</figcaption>"
             + chart + _table_view(["t (s)", "RSS MB"], rows, {0, 1})
-            + "</figure>"
-        )
-    return ("<section id='memory'><h2>Memory timeline</h2>"
-            + "".join(figures) + "</section>")
+            + "</figure></section>")
 
 
 def _scheme_slot(scheme: str, taken: dict) -> str:

@@ -1,24 +1,22 @@
-"""Persistent run registry: one manifest per bench or sweep run.
+"""Persistent run registry: one manifest per recorded run.
 
-``BENCH_*.json`` files capture a single snapshot; this module keeps the
-*history*.  Every ``python -m repro sweep|bench|explain`` invocation
+Every ``python -m repro sweep|explain|trace|profile`` invocation
 appends one JSON line to ``.repro/runs/<kind>.jsonl`` describing the run:
 
 * identity — a unique ``run_id``, the run ``kind``, creation time and
   the git SHA of the working tree (when available);
 * configuration — the grid/matrix/parameter set the run measured;
-* measurements — per-stage timings (:data:`STAGES`) in the same
-  ``matrices`` shape the ``BENCH_*.json`` reports use, so a manifest and
-  a report compare alike, plus cache hit/miss counters and the wall
-  clock.
+* measurements — per-stage timings (:data:`STAGES`) and peak RSS in a
+  ``matrices`` shape (``{name: {"stages", "wall_total", "mem_peak_mb"}}``),
+  so two manifests compare alike, plus cache hit/miss counters and the
+  wall clock.
 
 ``python -m repro runs list|show|compare`` reads the registry back;
-``runs compare OLD NEW --fail-on-regression`` is the CI gate — it exits
+``runs compare OLD NEW --fail-on-regression`` is the gate — it exits
 nonzero when any stage regressed beyond :data:`REGRESSION_THRESHOLD`
 (25%).  The gate lives here, beside the manifests it compares:
 :func:`compare_runs`, :func:`find_run_regressions` and
-:func:`render_run_delta` each take the baseline first, and the bench
-harness behind ``repro bench`` calls them too.
+:func:`render_run_delta` each take the baseline first.
 
 The registry root defaults to ``.repro/runs`` under the current
 directory and can be redirected with ``$REPRO_RUNS_DIR`` (tests and CI
@@ -56,8 +54,7 @@ __all__ = [
 ]
 
 #: A stage (or peak-RSS) regression beyond this fraction of the baseline
-#: fails ``runs compare --fail-on-regression`` and a full-mode
-#: ``repro bench`` run.
+#: fails ``runs compare --fail-on-regression``.
 REGRESSION_THRESHOLD = 0.25
 
 #: Stage name in a manifest -> span name recorded by the pipeline.
@@ -128,7 +125,7 @@ def record_run(
 ) -> dict | None:
     """Append one run manifest to the registry; returns the manifest.
 
-    ``matrices`` must follow the bench-report shape (``{name:
+    ``matrices`` must follow the per-stage shape (``{name:
     {"stages": {...}, "wall_total": ...}}``) so two manifests of the
     same kind are directly comparable.  Returns ``None`` — and
     writes nothing — when the registry directory is not writable.
@@ -187,9 +184,8 @@ def list_runs(root: str | Path | None = None, kind: str | None = None) -> list[d
 def load_run(ref: str, root: str | Path | None = None) -> dict:
     """Resolve ``ref`` to a manifest-shaped dict.
 
-    ``ref`` may be a file path (a manifest or any ``BENCH_*.json``
-    report — reports are wrapped so they compare like manifests), the
-    literal ``latest`` / ``<kind>:latest``, a full ``run_id``, or a
+    ``ref`` may be the path of a manifest JSON file (loaded as it is),
+    the literal ``latest`` / ``<kind>:latest``, a full ``run_id``, or a
     unique ``run_id`` prefix.  Raises :class:`ValueError` when nothing
     (or more than one run) matches.
     """
@@ -198,19 +194,6 @@ def load_run(ref: str, root: str | Path | None = None) -> dict:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{ref}: not a JSON object")
-        if "run_id" not in doc:  # a bench report; wrap it
-            doc = {
-                "run_id": str(ref),
-                "kind": "bench-report",
-                "matrices": doc.get("matrices", {}),
-                "config": {
-                    k: doc[k]
-                    for k in (
-                        "smoke", "tier", "nprocs", "grain", "grid", "repeats"
-                    )
-                    if k in doc
-                },
-            }
         return doc
     kind = None
     if ref == "latest" or ref.endswith(":latest"):

@@ -26,8 +26,8 @@ the recorder accumulates an RSS sample timeline in ``memory_samples``.
 Everything lands in a :class:`Recorder`.  Tracing is **off by default**
 and every entry point first checks a module-level flag, so the disabled
 cost at an instrumented call site is one function call and one branch —
-the overhead target is <5% on the scaling benchmark.  Enable globally
-with :func:`enable`/:func:`disable`, or scoped with::
+the overhead target is <5% on the scaling benchmark.  Switch it on for
+a scope with::
 
     with enabled() as rec:
         run_pipeline()
@@ -50,12 +50,9 @@ __all__ = [
     "SpanRecord",
     "TimelineEvent",
     "Recorder",
-    "enable",
-    "disable",
     "enabled",
     "is_enabled",
     "get_recorder",
-    "set_recorder",
     "span",
     "counter",
     "gauge",
@@ -331,33 +328,6 @@ def is_enabled() -> bool:
 def get_recorder() -> Recorder:
     """The currently installed recorder (recording only while enabled)."""
     return _recorder
-
-
-def set_recorder(recorder: Recorder) -> None:
-    global _recorder
-    with _state_lock:
-        _recorder = recorder
-
-
-def enable(recorder: Recorder | None = None) -> Recorder:
-    """Turn tracing on and return the active recorder.
-
-    ``recorder`` replaces the installed recorder when given; otherwise
-    the existing one keeps accumulating (pass ``Recorder()`` explicitly
-    to start clean).
-    """
-    global _enabled, _recorder
-    with _state_lock:
-        if recorder is not None:
-            _recorder = recorder
-        _enabled = True
-        return _recorder
-
-
-def disable() -> None:
-    global _enabled
-    with _state_lock:
-        _enabled = False
 
 
 @contextmanager

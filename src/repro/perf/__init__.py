@@ -1,6 +1,6 @@
 """repro.perf — the sweep loop as the unit of optimization.
 
-Three pieces make repeated pipeline evaluations cheap:
+Two pieces make repeated pipeline evaluations cheap:
 
 * :mod:`repro.perf.cache` — content-addressed, versioned disk caches
   for :func:`repro.core.pipeline.prepare` results (ordering + symbolic
@@ -10,15 +10,13 @@ Three pieces make repeated pipeline evaluations cheap:
 * :mod:`repro.perf.sweep` — the one parameter-grid runner: cells
   sharing a (matrix, scheme, grain, width) run as one group that
   partitions once and schedules + measures every processor count,
-  fanned out over a process pool; records export as CSV;
-* :mod:`repro.perf.bench` — the per-stage timing harness behind
-  ``BENCH_pipeline.json`` and the CI smoke-bench step; its regression
-  gate lives in :mod:`repro.obs.runs`.
+  fanned out over a process pool; records export as CSV, and
+  ``python -m repro sweep`` records each run's per-stage timings and
+  peak RSS as a registry manifest that :mod:`repro.obs.runs` compares.
 
 See ``docs/performance.md``.
 """
 
-from .bench import bench_pipeline, render_bench
 from .cache import (
     CACHE_VERSION,
     PartitionCache,
@@ -55,6 +53,4 @@ __all__ = [
     "group_grid",
     "records_to_csv",
     "sweep",
-    "bench_pipeline",
-    "render_bench",
 ]

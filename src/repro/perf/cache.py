@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import zipfile
@@ -85,10 +86,10 @@ def parse_bytes(text: str) -> int:
         if raw.endswith(suffix):
             raw, scale = raw[:-1], mult
             break
-    value = int(float(raw) * scale)
-    if value < 0:
-        raise ValueError("size must be >= 0")
-    return value
+    value = float(raw) * scale
+    if not math.isfinite(value) or value < 0:
+        raise ValueError("size must be finite and >= 0")
+    return int(value)
 
 
 def cache_max_bytes() -> int | None:

@@ -4,7 +4,7 @@
 problems (10²–10³ unknowns).  This module registers the 10⁵–10⁶-unknown
 *generated* instances built from :mod:`repro.sparse.generators` — the
 big tier — and provides the combined name → graph resolution that
-``sweep``/``bench``/``trace``/``profile`` use, so either kind of matrix
+``sweep``/``trace``/``profile``/``explain`` use, so either kind of matrix
 can be named on the command line.
 
 Every instance is fully determined by (family, parameters, seed): the

@@ -248,20 +248,9 @@ def _sweep_text(tmp_path) -> str:
     return records_to_csv(sweep(["DWT512"], procs=(2, 4), grains=(4,))).rstrip("\n")
 
 
-def _bench_text(tmp_path) -> str:
-    from repro.perf import render_bench
-    from repro.perf.bench import SMOKE_MATRICES
-
-    out = tmp_path / "bench.json"
-    report = json.loads(out.read_text())
-    # The file is written with sorted keys; the run lists matrices in bench order.
-    report["matrices"] = {name: report["matrices"][name] for name in SMOKE_MATRICES}
-    return render_bench(report) + f"\nreport written to {out}"
-
-
 #: Per plain target: its extra argv ({tmp} is the test's directory) and
-#: its renderer's text, computed after the run (bench and explain render
-#: what the run wrote).
+#: its renderer's text, computed after the run (explain renders what the
+#: run wrote).
 _PLAIN_CASES = {
     "table1": ([], lambda tmp: analysis.render_table1()),
     "table2": ([], lambda tmp: analysis.render_table2()),
@@ -282,7 +271,6 @@ _PLAIN_CASES = {
     "explain": (["DWT512", "--output", "{tmp}/explain.html"], _explain_text),
     "sweep": (["--matrix", "DWT512", "--procs", "2,4", "--grains", "4",
                "--cache-dir", "{tmp}/cache"], _sweep_text),
-    "bench": (["--smoke", "--bench-out", "{tmp}/bench.json"], _bench_text),
 }
 
 
@@ -302,13 +290,16 @@ class TestDispatch:
 
 
 class TestRemovedSurface:
-    """The per-cell sweep path and its harness are gone: asking for
-    them is a usage error, not a silent fallback."""
+    """The per-cell sweep path, the pipeline bench and their harnesses
+    are gone: asking for them is a usage error, not a silent fallback."""
 
     @pytest.mark.parametrize("argv", [
         ["bench-sweep"],
         ["bench-sweep", "--smoke"],
         ["sweep", "--matrix", "DWT512", "--no-reuse"],
+        ["bench"],
+        ["bench", "--smoke"],
+        ["sweep", "--tier", "big"],
     ])
     def test_exits_2_with_an_error_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

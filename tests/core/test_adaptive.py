@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -149,6 +149,7 @@ class TestFixedPoint:
         st.integers(1, 30),
         st.integers(1, 6),
     )
+    @settings(deadline=None)
     def test_equals_the_interleaved_oracle(
         self, graph, policy, zero_tolerance, nprocs, grain, min_width
     ):

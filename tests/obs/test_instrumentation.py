@@ -15,9 +15,9 @@ from repro.sparse import grid9
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    trace.disable()
+    assert not trace.is_enabled()
     yield
-    trace.disable()
+    assert not trace.is_enabled()
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +82,9 @@ class TestPipelineInstrumentation:
             wrap_mapping(lap10, 4)
         assert "pipeline.wrap_mapping" in {s.name for s in rec.spans}
 
-    def test_pipeline_untraced_by_default(self):
+    def test_pipeline_untraced_by_default(self, monkeypatch):
         rec = trace.Recorder()
-        trace.set_recorder(rec)
+        monkeypatch.setattr(trace, "_recorder", rec)
         prep = prepare(grid9(8, 8), name="LAP8")
         block_mapping(prep, 4, grain=9)
         assert rec.is_empty()

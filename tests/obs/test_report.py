@@ -32,8 +32,6 @@ def _manifest(**over):
                 "stages": {"order": 0.01, "symbolic": 0.02, "schedule": 0.005},
                 "wall_total": 0.04,
                 "mem_peak_mb": 88.5,
-                "stage_mem_peak_mb": {"order": 70.0, "symbolic": 88.5},
-                "memory": [[0.0, 60.0], [0.1, 88.5], [0.2, 80.0]],
             }
         },
         "memory": [[0.0, 55.0], [0.5, 90.0], [1.0, 85.0]],

@@ -135,15 +135,6 @@ class TestLoadRun:
         path.write_text(json.dumps(m))
         assert runs.load_run(str(path)) == m
 
-    def test_bench_report_file_is_wrapped(self, tmp_path):
-        report = {"matrices": _manifest_matrices(), "smoke": True, "repeats": 1}
-        path = tmp_path / "BENCH_pipeline.json"
-        path.write_text(json.dumps(report))
-        doc = runs.load_run(str(path))
-        assert doc["kind"] == "bench-report"
-        assert doc["matrices"] == report["matrices"]
-        assert doc["config"]["smoke"] is True
-
 
 class TestCompare:
     def test_stage_rows(self):
@@ -171,6 +162,20 @@ class TestCompare:
         old = {"matrices": _manifest_matrices(1.0)}
         new = {"matrices": _manifest_matrices(1.5)}
         assert "LAP30" in runs.render_run_delta(old, new)
+
+    def test_compare_ignores_unshared_matrices(self):
+        old = {"matrices": _manifest_matrices(1.0)}
+        lonely = {"matrices": {"ONLY_HERE": _manifest_matrices(0.5)["LAP30"]}}
+        assert runs.compare_runs(old, lonely) == []
+
+    def test_render_delta(self):
+        old = {"matrices": _manifest_matrices(1.0)}
+        new = {"matrices": _manifest_matrices(0.5)}
+        text = runs.render_run_delta(old, new)
+        assert "speedup" in text
+        assert "wall_total" in text
+        assert runs.render_run_delta({"matrices": {}}, new).startswith(
+            "(no comparable")
 
 
 class TestRender:
@@ -292,3 +297,53 @@ class TestRunsCli:
         assert m["cells"] == 2  # block + wrap at P=2
         assert m["wall_s"] > 0
         assert "stages" in m["matrices"]["DWT512"]
+
+
+class TestSweepManifestRow:
+    """A one-cell sweep records the per-stage row ``runs compare``
+    gates: every pipeline stage timed, the wall total, peak RSS and the
+    run's RSS timeline."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("sweep-row")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_RUNS_DIR", str(tmp / "registry"))
+            assert main(["sweep", "--matrix", "LAP30", "--procs", "4",
+                         "--grains", "25", "--schemes", "block", "-q",
+                         "--cache-dir", str(tmp / "cache")]) == 0
+            (m,) = runs.list_runs(kind="sweep")
+        return m
+
+    def test_every_stage_timed(self, manifest):
+        (entry,) = manifest["matrices"].values()
+        assert set(entry["stages"]) == set(runs.STAGES)
+        assert all(t >= 0.0 for t in entry["stages"].values())
+        # order/symbolic/partition actually ran (nonzero spans).
+        assert entry["stages"]["order"] > 0.0
+        assert entry["stages"]["partition"] > 0.0
+        assert entry["wall_total"] > 0.0
+
+    def test_peak_rss_reported(self, manifest):
+        from repro.obs.memory import memory_enabled
+
+        if not memory_enabled():
+            pytest.skip("RSS unreadable on this platform")
+        (entry,) = manifest["matrices"].values()
+        assert entry["mem_peak_mb"] > 0
+
+    def test_memory_timeline_is_downsampled_pairs(self, manifest):
+        from repro.obs.memory import memory_enabled
+
+        if not memory_enabled():
+            pytest.skip("RSS unreadable on this platform")
+        samples = manifest["memory"]
+        assert 2 <= len(samples) <= 302
+        for t, mb in samples:
+            assert t >= 0.0 and mb > 0
+
+    def test_two_runs_compare_stage_by_stage(self, manifest):
+        rows = runs.compare_runs(manifest, manifest)
+        stages = {r["stage"] for r in rows}
+        assert stages - {"mem_peak"} == set(runs.STAGES) | {"wall_total"}
+        assert runs.find_run_regressions(manifest, manifest) == []

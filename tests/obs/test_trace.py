@@ -1,4 +1,4 @@
-"""The recording core: spans, counters, gauges, enable/disable."""
+"""The recording core: spans, counters, gauges, scoped enabling."""
 
 import threading
 
@@ -10,9 +10,9 @@ from repro.obs import trace
 @pytest.fixture(autouse=True)
 def _clean_state():
     """Every test starts and ends with tracing globally disabled."""
-    trace.disable()
+    assert not trace.is_enabled()
     yield
-    trace.disable()
+    assert not trace.is_enabled()
 
 
 class TestSpans:
@@ -75,9 +75,9 @@ class TestSpans:
 
 
 class TestDisabled:
-    def test_disabled_emits_nothing(self):
+    def test_disabled_emits_nothing(self, monkeypatch):
         rec = trace.Recorder()
-        trace.set_recorder(rec)
+        monkeypatch.setattr(trace, "_recorder", rec)
         with trace.span("work"):
             trace.counter("n", 5)
             trace.gauge("g", 1.5)
@@ -89,20 +89,19 @@ class TestDisabled:
 
     def test_enable_disable_roundtrip(self):
         assert not trace.is_enabled()
-        rec = trace.enable()
-        assert trace.is_enabled()
-        assert trace.get_recorder() is rec
-        trace.disable()
+        with trace.enabled() as rec:
+            assert trace.is_enabled()
+            assert trace.get_recorder() is rec
         assert not trace.is_enabled()
 
     def test_enabled_context_restores_prior_state(self):
-        outer = trace.enable(trace.Recorder())
-        with trace.enabled() as inner:
-            assert trace.get_recorder() is inner
-            assert inner is not outer
-        assert trace.is_enabled()
-        assert trace.get_recorder() is outer
-        trace.disable()
+        with trace.enabled(trace.Recorder()) as outer:
+            with trace.enabled() as inner:
+                assert trace.get_recorder() is inner
+                assert inner is not outer
+            assert trace.is_enabled()
+            assert trace.get_recorder() is outer
+        assert not trace.is_enabled()
 
 
 class TestScalars:

@@ -439,3 +439,34 @@ class TestCacheCli:
             main(["cache", "prune", "--max-bytes", "lots",
                   "--cache-dir", str(tmp_path)])
         assert "invalid size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["inf", "1e400", "-0.5"])
+    def test_non_finite_or_negative_size_is_refused(self, size, tmp_path, graph,
+                                                    capsys):
+        from repro.cli import main
+
+        cached_prepare(graph, "mmd", "g", tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "prune", "--max-bytes", size,
+                  "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid size" in err and "Traceback" not in err
+        assert cache_mod.cache_stats(tmp_path)["prepare"]["entries"] == 1
+
+    @pytest.mark.parametrize("budget", ["inf", "1e400", "-0.5"])
+    def test_non_finite_or_negative_env_budget_is_ignored(self, budget,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", budget)
+        assert cache_mod.cache_max_bytes() is None
+
+    def test_sweep_runs_under_an_infinite_env_budget(self, tmp_path, monkeypatch,
+                                                     capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "inf")
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        cache = tmp_path / "cache"
+        assert main(["sweep", "--matrix", "DWT512", "--procs", "4",
+                     "--grains", "4", "-q", "--cache-dir", str(cache)]) == 0
+        assert cache_mod.cache_stats(cache)["prepare"]["entries"] == 1

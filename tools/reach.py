@@ -47,15 +47,15 @@ OUT = ROOT / "docs" / "reach.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 # What a target needs beyond its defaults: the wrappers a target to run,
-# the own-grammar targets a sub-command, `bench` the smoke size CI runs
-# (full size takes minutes).  The profiler wraps a target that runs far
-# longer than its 5 ms sampling period, or whether a sample is taken
-# (and so the table) would depend on the host.
+# the own-grammar targets a sub-command (`runs compare` reads the run
+# the `sweep` target recorded just before it).  The profiler wraps a
+# target that runs far longer than its 5 ms sampling period, or whether
+# a sample is taken (and so the table) would depend on the host.
 TARGET_ARGS = {
     "trace": [["trace", "table2"]],
     "profile": [["profile", "sweep"]],
-    "bench": [["bench", "--smoke"]],
-    "runs": [["runs", "list"], ["runs", "show", "latest"]],
+    "runs": [["runs", "list"], ["runs", "show", "latest"],
+             ["runs", "compare", "sweep:latest", "sweep:latest"]],
     "cache": [["cache", "stats"], ["cache", "prune", "--max-bytes", "1M"]],
 }
 
