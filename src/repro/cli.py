@@ -14,6 +14,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -246,7 +247,7 @@ def _sweep(args: argparse.Namespace) -> str:
             )
 
     # The sweep always runs under a recorder: workers then ship their
-    # trace shards home, --trace-out has something to export, and the
+    # recorders home, --trace-out has something to export, and the
     # run manifest carries stage timings and cache traffic.
     records, _, notes = _recorded(args, "sweep", run, manifest)
     for note in notes:
@@ -375,6 +376,14 @@ def _runs_main(argv: list[str]) -> int:
                        help="registry directory (default .repro/runs, or "
                             "$REPRO_RUNS_DIR)")
     args = parser.parse_args(argv)
+    if args.cmd == "compare" and not (
+        math.isfinite(args.threshold) and args.threshold >= 0
+    ):
+        # A negative threshold flags faster stages as regressions; a
+        # non-finite one passes or fails every stage.
+        parser.error(
+            f"--threshold must be a finite fraction >= 0, got {args.threshold}"
+        )
     try:
         if args.cmd == "list":
             print(obs_runs.render_runs_table(

@@ -5,9 +5,9 @@ counters, gauges, histograms, simulated timelines) that the rest of the
 stack calls into; it is a cheap no-op until enabled.
 :mod:`repro.obs.export` turns a recorded run into JSONL, Chrome-trace
 JSON (``chrome://tracing`` / Perfetto) or an ASCII summary.
-:mod:`repro.obs.shard` ships worker recorders across process boundaries
-and merges them into one multi-process trace; :mod:`repro.obs.runs` is
-the persistent run registry behind ``python -m repro runs``.
+A :class:`Recorder` pickles and merges, so a sweep worker's recorder
+ships home onto one multi-process trace; :mod:`repro.obs.runs` is the
+persistent run registry behind ``python -m repro runs``.
 :mod:`repro.obs.memory` attaches RSS watermarks to spans,
 :mod:`repro.obs.profile` is the span-attributed sampling profiler, and
 :mod:`repro.obs.report` renders a recorded run as one self-contained
@@ -16,7 +16,7 @@ message ledgers, communication matrices, critical-path extraction and
 λ attribution for the simulated machine.  See ``docs/observability.md``.
 """
 
-from . import runs, shard
+from . import runs
 from .histogram import Histogram
 from .memory import MemoryMonitor, memory_enabled, monitored, rss_bytes
 from .profile import SamplingProfiler, profiled
@@ -56,7 +56,6 @@ from .trace import (
 
 __all__ = [
     "runs",
-    "shard",
     "Histogram",
     "MemoryMonitor",
     "memory_enabled",

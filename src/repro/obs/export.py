@@ -8,8 +8,8 @@ Three output shapes:
   Trace Event Format (the ``traceEvents`` JSON object array), loadable
   in ``chrome://tracing`` or https://ui.perfetto.dev.  Wall-clock spans
   appear as one process ("repro pipeline", a thread per python thread);
-  spans merged from worker shards (:mod:`repro.obs.shard`) appear as
-  one further process per worker pid; simulated-machine timeline events
+  spans merged from worker recorders (:meth:`Recorder.merge`) appear
+  as one further process per worker pid; simulated-machine timeline events
   appear as another process with one lane per processor, so a
   :func:`repro.machine.simulate.simulate_schedule` run renders as a
   Gantt chart;
@@ -38,7 +38,7 @@ __all__ = [
 
 # Wall-clock spans and simulated events are separate Chrome-trace
 # processes so their clocks (seconds vs abstract units) never mix.
-# Spans merged from worker shards (SpanRecord.pid set) get one further
+# Spans merged from worker recorders (SpanRecord.pid set) get one further
 # Chrome process per worker, numbered from _PID_WORKER_BASE.
 _PID_PIPELINE = 1
 _PID_SIM = 2
@@ -120,7 +120,7 @@ def to_chrome_trace(recorder: Recorder) -> dict:
          "args": {"name": "simulated machine (abstract time)"}},
     ]
     # One Chrome process per recording process: the parent's spans
-    # (pid None) on _PID_PIPELINE, each merged worker shard on its own
+    # (pid None) on _PID_PIPELINE, each merged worker recorder on its own
     # numbered process, with thread lanes inside each.
     worker_pids = sorted({s.pid for s in recorder.spans if s.pid is not None})
     chrome_pid = {None: _PID_PIPELINE}

@@ -11,9 +11,8 @@ fixed-base logarithmic bucketing:
   (~19% wide), so any percentile estimate is within one bucket width
   (<10% relative error) of the true value — good enough to tell p99
   from p50, which is the whole point;
-* bucket boundaries are *fixed*, never data-dependent, so two
-  histograms recorded in different processes (or different runs) merge
-  by adding bucket counts — :mod:`repro.obs.shard` relies on this;
+* bucket boundaries are *fixed*, never data-dependent, so histograms
+  recorded in different runs compare bucket by bucket;
 * storage is a sparse ``{bucket_index: count}`` dict: observing a value
   is one ``math.log`` and one dict update, cheap enough for per-cell
   sweep timings.
@@ -56,7 +55,7 @@ def bucket_bounds(index: int) -> tuple[float, float]:
 
 
 class Histogram:
-    """A mergeable fixed-log-bucket histogram of one named metric."""
+    """A fixed-log-bucket histogram of one named metric."""
 
     __slots__ = ("count", "total", "min", "max", "buckets")
 
@@ -78,15 +77,6 @@ class Histogram:
             self.max = value
         idx = bucket_index(value)
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate ``other`` into this histogram (fixed buckets add)."""
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for idx, n in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + n
 
     # -- queries --------------------------------------------------------
     @property
@@ -128,37 +118,12 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    # -- (de)serialization ---------------------------------------------
+    # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe payload (bucket keys become strings) for manifests
-        and shards; :meth:`from_dict` round-trips it exactly."""
+        """JSON-safe payload (bucket keys become strings) for manifests."""
         out = self.summary()
         out["buckets"] = {str(k): v for k, v in sorted(self.buckets.items())}
         return out
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Histogram":
-        hist = cls()
-        hist.count = int(doc.get("count", 0))
-        hist.total = float(doc.get("sum", 0.0))
-        if hist.count:
-            hist.min = float(doc.get("min", math.inf))
-            hist.max = float(doc.get("max", -math.inf))
-        hist.buckets = {
-            int(k): int(v) for k, v in (doc.get("buckets") or {}).items()
-        }
-        return hist
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.total == other.total
-            and self.min == other.min
-            and self.max == other.max
-            and self.buckets == other.buckets
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.count:

@@ -10,7 +10,7 @@ that gap with three cooperating pieces:
   seconds and appends ``(t, rss_bytes)`` to the owning recorder's
   ``memory_samples`` timeline — timestamps are relative to the
   recorder's epoch, so the samples line up with spans and survive the
-  shard merge of a parallel sweep;
+  merge of a parallel sweep's worker recorders;
 * **span attribution**: every span closed while a monitor is attached
   picks up ``mem_peak_mb`` (the high-water RSS over the span's window,
   from the samples plus an entry/exit reading) and ``mem_delta_mb``
@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 
-from .trace import Recorder, get_recorder
+from .trace import Recorder, get_recorder, is_enabled
 
 __all__ = [
     "rss_bytes",
@@ -98,8 +98,8 @@ class MemoryMonitor:
     ``recorder.memory`` (so spans pick up watermarks on exit) and spawns
     the sampler thread, :meth:`stop` detaches it, takes a final sample
     and records the run-level ``mem.rss_peak_mb`` gauge.  All sample
-    state lives on the recorder (``memory_samples``), so shards ship it
-    across process boundaries like any other telemetry.
+    state lives on the recorder (``memory_samples``), so a worker's
+    recorder ships it across process boundaries like any other telemetry.
     """
 
     def __init__(
@@ -217,8 +217,10 @@ def monitored(
 ):
     """Attach a :class:`MemoryMonitor` to ``recorder`` (default: the
     active recorder) for the duration of the block; yields the monitor,
-    or ``None`` when memory tracking is disabled or unavailable."""
-    if not memory_enabled():
+    or ``None`` when memory tracking is disabled or unavailable, or when
+    no recorder is given and tracing is off (nothing would read the
+    idle recorder's samples)."""
+    if not memory_enabled() or (recorder is None and not is_enabled()):
         yield None
         return
     rec = recorder if recorder is not None else get_recorder()

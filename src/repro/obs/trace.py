@@ -23,11 +23,13 @@ recorder, every span additionally records ``mem_peak_mb`` /
 ``mem_delta_mb`` (and ``mem_alloc_kb`` in deep mode) in its args, and
 the recorder accumulates an RSS sample timeline in ``memory_samples``.
 
-Everything lands in a :class:`Recorder`.  Tracing is **off by default**
-and every entry point first checks a module-level flag, so the disabled
-cost at an instrumented call site is one function call and one branch —
-the overhead target is <5% on the scaling benchmark.  Switch it on for
-a scope with::
+Everything lands in a :class:`Recorder`.  A recorder pickles, so a
+process-pool worker can record into its own and ship it home, where
+:meth:`Recorder.merge` puts it on the parent's timeline.  Tracing is
+**off by default** and every entry point first checks a module-level
+flag, so the disabled cost at an instrumented call site is one function
+call and one branch — the overhead target is <5% on the scaling
+benchmark.  Switch it on for a scope with::
 
     with enabled() as rec:
         run_pipeline()
@@ -42,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .histogram import Histogram
 
@@ -168,7 +170,7 @@ class Recorder:
         error: str | None = None,
         pid: int | None = None,
     ) -> None:
-        """Record a fully-formed span (merged shards, synthetic spans)."""
+        """Record a fully-formed span (merged workers, synthetic spans)."""
         self._record_span(
             SpanRecord(
                 name=name,
@@ -181,36 +183,6 @@ class Recorder:
                 pid=pid,
             )
         )
-
-    def drain_open_spans(self, error: str | None = None) -> int:
-        """Force-close every span the calling thread still has open.
-
-        Worker exception paths call this before the recorder is
-        snapshotted so an in-flight span (entered but never exited —
-        e.g. via a manual ``__enter__`` without a ``with`` block) is
-        recorded rather than silently dropped.  Each drained span ends
-        now and carries ``error``; returns how many were drained.  Spans
-        closed here are marked done, so a late ``__exit__`` is a no-op.
-        """
-        stack = self._stack()
-        now = time.perf_counter() - self.epoch
-        drained = 0
-        while stack:
-            sp = stack.pop()
-            sp._done = True
-            self._record_span(
-                SpanRecord(
-                    name=sp._name,
-                    start=sp._t0,
-                    end=now,
-                    depth=len(stack),
-                    thread=threading.get_ident(),
-                    args=sp._args,
-                    error=error,
-                )
-            )
-            drained += 1
-        return drained
 
     # -- scalars --------------------------------------------------------
     def add_counter(self, name: str, value: float = 1) -> None:
@@ -256,17 +228,56 @@ class Recorder:
             or self.memory_samples
         )
 
+    # -- across processes -----------------------------------------------
+    def __getstate__(self) -> dict:
+        # The lock, the open-span stacks and the attached monitor belong
+        # to the recording process; what was recorded travels.
+        state = self.__dict__.copy()
+        for name in ("_lock", "_stacks", "memory"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.memory = None
+        self._lock = threading.Lock()
+        self._stacks = {}
+
+    def merge(self, other: "Recorder", pid: int) -> None:
+        """Merge a recorder shipped home from process ``pid``.
+
+        Span times and memory samples are rebased from ``other``'s epoch
+        onto this one's (both carry the wall-clock time of their epoch,
+        so the offset is their difference); spans keep their thread and
+        are tagged with ``pid``, which the Chrome exporter turns into one
+        process lane per worker.  Counters add and gauges are last write
+        wins, as if ``other`` had recorded here.  Histograms, timeline
+        events and sim runs are not merged: a sweep worker records none.
+        """
+        delta = other.epoch_unix - self.epoch_unix
+        for s in other.spans:
+            self._record_span(
+                replace(s, start=s.start + delta, end=s.end + delta, pid=pid)
+            )
+        for name, value in other.counters.items():
+            self.add_counter(name, value)
+        for name, value in other.gauges.items():
+            self.set_gauge(name, value)
+        with self._lock:
+            self.memory_samples.extend(
+                (t + delta, rss) for t, rss in other.memory_samples
+            )
+
 
 class _Span:
     """Context manager recording one span on exit (exceptions included)."""
 
-    __slots__ = ("_rec", "_name", "_args", "_t0", "_depth", "_done", "_mem")
+    __slots__ = ("_rec", "_name", "_args", "_t0", "_depth", "_mem")
 
     def __init__(self, rec: Recorder, name: str, args: dict):
         self._rec = rec
         self._name = name
         self._args = args
-        self._done = False
 
     def __enter__(self) -> "_Span":
         stack = self._rec._stack()
@@ -278,10 +289,7 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._done:  # already force-closed by drain_open_spans()
-            return False
         t1 = time.perf_counter() - self._rec.epoch
-        self._done = True
         stack = self._rec._stack()
         if stack and stack[-1] is self:
             stack.pop()

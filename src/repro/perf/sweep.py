@@ -25,25 +25,20 @@ never silently dropped.
 
 Observability: the fan-out runs under a ``perf.sweep.run`` span and
 every group — serial or in a worker — runs under a real
-``perf.sweep.group`` span.  When the parent is
-tracing, each worker snapshots its recorder into a
-:class:`repro.obs.shard.RecorderShard` (spilled to a file above a size
-threshold) that the parent merges back: worker spans land on per-pid
-lanes with epoch-aligned timestamps, worker counters accumulate into
-the parent's, and the parent synthesizes ``pool.queue_wait`` spans
-(submit -> worker start) per unit plus one ``pool.utilization`` span
-per worker lane.  Each finished unit also lands as a ``perf.sweep``
-timeline event, and pool efficiency is reported via the
-``perf.sweep.pool_utilization`` gauge.  Per-unit wall times and queue
-waits also land in fixed-bucket histograms (``perf.sweep.unit_ms``,
-``perf.sweep.queue_wait_ms``) so their p50/p90/p99 survive aggregation,
-and each worker runs under a :class:`repro.obs.memory.MemoryMonitor`
-when RSS is readable, so worker spans carry ``mem_peak_mb`` and worker
-RSS samples merge onto the parent's timeline.  A worker that fails
-mid-task
-drains its open span stack into the shard (the in-flight span is
-recorded with its error, never dropped) and ships the shard home on the
-exception before the parent retries.
+``perf.sweep.group`` span.  When the parent is tracing, each worker
+measures its group under a scoped :class:`repro.obs.trace.Recorder`
+with a :class:`repro.obs.memory.MemoryMonitor` attached, and returns
+that recorder with the records; the parent merges it with
+:meth:`~repro.obs.trace.Recorder.merge`, so worker spans land on
+per-pid lanes with epoch-aligned timestamps and worker counters add
+into the parent's.  From the merged recorder the parent derives a
+``pool.queue_wait`` span per group (submit -> the worker recorder's
+epoch), the per-group wall time (its ``perf.sweep.group`` span, also
+observed as the ``perf.sweep.unit_ms`` histogram) and, summed per pid,
+one ``pool.utilization`` span per worker and the
+``perf.sweep.pool_utilization`` gauge.  A group that raises in a worker
+comes home as ``records=None`` with its recorder, whose errored
+``perf.sweep.group`` span joins the trace before the parent retries.
 """
 
 from __future__ import annotations
@@ -51,10 +46,8 @@ from __future__ import annotations
 import csv
 import io
 import os
-import pickle
 import tempfile
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,9 +62,8 @@ from ..core.pipeline import (
     prepare,
     wrap_mappings,
 )
-from ..obs import shard as obs_shard
 from ..obs import trace as obs
-from ..obs.memory import MemoryMonitor, memory_enabled
+from ..obs.memory import monitored
 from ..sparse import registry
 from ..sparse.dtypes import as_processor_count
 from .cache import cached_partition, cached_prepare
@@ -80,31 +72,12 @@ __all__ = [
     "SweepGroup",
     "SweepRecord",
     "SweepTask",
-    "SweepWorkerError",
     "build_grid",
     "group_grid",
     "records_to_csv",
     "sweep",
 ]
 
-
-class SweepWorkerError(RuntimeError):
-    """A sweep unit failed inside a worker process.
-
-    Carries the unit's label, the formatted worker traceback, and the
-    worker's stats dict — including its recorder shard, so the failed
-    attempt's spans still reach the merged trace.  All state rides in
-    ``args`` so the exception survives the pool's pickle round-trip.
-    """
-
-    def __init__(self, label: str, worker_traceback: str, stats: dict):
-        super().__init__(label, worker_traceback, stats)
-        self.label = label
-        self.worker_traceback = worker_traceback
-        self.stats = stats
-
-    def __str__(self) -> str:
-        return f"sweep unit {self.label!r} failed in worker:\n{self.worker_traceback}"
 
 _SCHEMES = ("block", "block-adaptive", "wrap")
 
@@ -347,61 +320,28 @@ def _measure_group(
     ]
 
 
-def _worker_stats(
-    rec: obs.Recorder,
-    t0: float,
-    t0_unix: float,
-    collect: bool,
-    spill_dir: str | None,
-) -> dict:
-    """Snapshot one worker attempt: timings and — when the parent is
-    tracing — the full recorder shard (inline or spilled).
-    Every open span must be closed/drained before this runs."""
-    stats = {
-        "elapsed": time.perf_counter() - t0,
-        "pid": os.getpid(),
-        "t0_unix": t0_unix,
-        "t1_unix": time.time(),
-        "shard": None,
-    }
-    if collect:
-        stats["shard"] = obs_shard.pack(obs_shard.snapshot(rec), spill_dir)
-    return stats
+def _run_group(payload) -> tuple[list[SweepRecord] | None, obs.Recorder | None, int]:
+    """Worker entry: measure one group.
 
-
-def _run_group(payload) -> tuple[int, list[SweepRecord], dict]:
-    """Worker entry: run one group under a scoped recorder.
-
-    Success returns ``(index, records, stats)``.  Failure drains any
-    still-open span onto the recorder (recorded with the exception's
-    type, not dropped), snapshots stats/shard anyway, and raises
-    :class:`SweepWorkerError` carrying both back to the parent.
+    Returns ``(records, rec, pid)``.  ``rec`` is the group's own recorder
+    when the parent is tracing and ``None`` otherwise; a group that
+    raises under tracing returns ``records=None``, and ``rec`` then holds
+    its errored ``perf.sweep.group`` span.  The parent retries such a
+    group in process.
     """
-    index, group, cache_dir, collect, spill_dir = payload
-    t0 = time.perf_counter()
-    t0_unix = time.time()
-    with obs.enabled(obs.Recorder()) as rec:
-        # Worker-side memory watermarks: spans pick up mem_peak_mb and
-        # the RSS samples ride home in the shard (rebased on merge).
-        monitor = MemoryMonitor(rec, interval=0.01) if memory_enabled() else None
-        if monitor is not None:
-            monitor.start()
+    group, cache_dir, traced = payload
+    if not traced:
+        return _measure_group(group, cache_dir, _WORKER_PREPARED), None, os.getpid()
+    records = None
+    with obs.enabled(obs.Recorder()) as rec, monitored(rec, interval=0.01):
         try:
             with obs.span(
                 "perf.sweep.group", label=group.label(), cells=len(group.procs)
             ):
                 records = _measure_group(group, cache_dir, _WORKER_PREPARED)
-            if monitor is not None:
-                monitor.stop()
-        except Exception as exc:
-            if monitor is not None and rec.memory is monitor:
-                monitor.stop()
-            rec.drain_open_spans(error=type(exc).__name__)
-            stats = _worker_stats(rec, t0, t0_unix, collect, spill_dir)
-            raise SweepWorkerError(
-                group.label(), traceback.format_exc(), stats
-            ) from None
-    return index, records, _worker_stats(rec, t0, t0_unix, collect, spill_dir)
+        except Exception:
+            pass  # recorded as the span's error; the parent retries
+    return records, rec, os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -468,11 +408,8 @@ def _sweep_parallel(
         tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
         cache_str = tmp.name
     groups = group_grid(tasks)
-    # Shard collection is decided once, up front: workers only pay the
-    # snapshot/pickle cost when the parent is actually tracing.
-    collect = obs.is_enabled()
-    rec = obs.get_recorder() if collect else None
-    spill_dir = os.path.join(cache_str, "shards") if collect else None
+    # Decided once, up front: workers record only when the parent traces.
+    parent = obs.get_recorder() if obs.is_enabled() else None
     try:
         with obs.span("perf.sweep.run", tasks=len(tasks), jobs=jobs):
             # Prepare (or re-load) each matrix once up front so workers
@@ -482,66 +419,39 @@ def _sweep_parallel(
             t_epoch = time.perf_counter()
             pool_unix0 = time.time()
             results: list[SweepRecord | None] = [None] * len(tasks)
-            busy = 0.0
             busy_by_pid: dict[int, float] = {}
-            submit_unix: dict[int, float] = {}
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {}
                 for i, group in enumerate(groups):
-                    submit_unix[i] = time.time()
-                    futures[pool.submit(_run_group, (i, group, cache_str, collect, spill_dir))] = i
+                    payload = (group, cache_str, parent is not None)
+                    futures[pool.submit(_run_group, payload)] = (i, time.time())
                 for future in as_completed(futures):
+                    index, submitted_unix = futures[future]
                     try:
-                        index, payload, stats = future.result()
-                    except Exception as exc:
-                        # The failed attempt's shard (if it got as far
-                        # as snapshotting) still joins the trace ...
-                        index = futures[future]
-                        failed_stats = getattr(exc, "stats", None)
-                        if collect and isinstance(failed_stats, dict):
-                            _merge_worker_trace(
-                                rec, failed_stats, submit_unix[index],
-                                groups[index].label(), index,
-                            )
-                        # ... then the unit is retried once, in-process;
-                        # a second failure raises with the unit's label.
-                        t0 = time.perf_counter()
-                        payload = _retry_group(groups[index], cache_str)
-                        stats = {"elapsed": time.perf_counter() - t0}
+                        records, rec, pid = future.result()
+                    except Exception:
+                        records = rec = None
+                    if rec is not None:
+                        _merge_worker(
+                            parent, rec, pid, submitted_unix,
+                            groups[index].label(), index, busy_by_pid,
+                        )
+                    if records is None:
+                        # Retried once, in-process; a second failure
+                        # raises with the group's label.
+                        records = _retry_group(groups[index], cache_str)
                         obs.counter("perf.sweep.retries")
-                    else:
-                        if collect:
-                            _merge_worker_trace(
-                                rec, stats, submit_unix[index],
-                                groups[index].label(), index,
-                            )
-                        pid = stats.get("pid")
-                        if pid is not None:
-                            busy_by_pid[pid] = (
-                                busy_by_pid.get(pid, 0.0) + stats["elapsed"]
-                            )
-                    for slot, record in zip(groups[index].indices, payload):
+                    for slot, record in zip(groups[index].indices, records):
                         results[slot] = record
-                    busy += stats["elapsed"]
-                    obs.observe("perf.sweep.unit_ms", 1e3 * stats["elapsed"])
-                    done_at = time.perf_counter() - t_epoch
-                    obs.timeline_event(
-                        f"sweep {groups[index].label()}",
-                        ts=max(0.0, done_at - stats["elapsed"]),
-                        dur=stats["elapsed"],
-                        lane=index % jobs,
-                        track="perf.sweep",
-                        index=index,
-                    )
             wall = time.perf_counter() - t_epoch
-            if collect:
+            if parent is not None:
                 # One lane-wide utilization span per worker process.
                 pool_unix1 = time.time()
                 for pid, busy_s in sorted(busy_by_pid.items()):
-                    rec.add_span(
+                    parent.add_span(
                         "pool.utilization",
-                        pool_unix0 - rec.epoch_unix,
-                        pool_unix1 - rec.epoch_unix,
+                        pool_unix0 - parent.epoch_unix,
+                        pool_unix1 - parent.epoch_unix,
                         thread=0,
                         pid=pid,
                         args={
@@ -553,7 +463,7 @@ def _sweep_parallel(
             obs.gauge("perf.sweep.jobs", jobs)
             obs.gauge(
                 "perf.sweep.pool_utilization",
-                busy / (jobs * wall) if wall > 0 else 0.0,
+                sum(busy_by_pid.values()) / (jobs * wall) if wall > 0 else 0.0,
             )
         return _collect(results, tasks)
     finally:
@@ -561,39 +471,34 @@ def _sweep_parallel(
             tmp.cleanup()
 
 
-def _merge_worker_trace(
+def _merge_worker(
+    parent: obs.Recorder,
     rec: obs.Recorder,
-    stats: dict,
+    pid: int,
     submitted_unix: float,
     label: str,
     index: int,
+    busy_by_pid: dict[int, float],
 ) -> None:
-    """Merge one worker attempt's shard into the parent recorder and
-    synthesize its ``pool.queue_wait`` span (submit -> worker start).
-    A shard that fails to unpack is counted and dropped — records are
-    authoritative, traces are best-effort."""
-    payload = stats.get("shard")
-    if payload is None:
-        return
-    try:
-        worker_shard = obs_shard.unpack(payload)
-    except (OSError, ValueError, pickle.UnpicklingError, EOFError):
-        obs.counter("perf.sweep.shard.dropped")
-        return
-    obs_shard.merge_into(rec, worker_shard)
-    lane_thread = worker_shard.spans[0].thread if worker_shard.spans else 0
-    q0 = submitted_unix - rec.epoch_unix
-    q1 = stats["t0_unix"] - rec.epoch_unix
+    """Merge one worker attempt's recorder into ``parent``, add its
+    ``pool.queue_wait`` span (submit -> the worker recorder's epoch) and
+    book its ``perf.sweep.group`` time to ``busy_by_pid``."""
+    parent.merge(rec, pid)
+    q0 = submitted_unix - parent.epoch_unix
+    q1 = rec.epoch_unix - parent.epoch_unix
     if q1 >= q0:
-        rec.add_span(
+        parent.add_span(
             "pool.queue_wait",
             q0,
             q1,
-            thread=lane_thread,
-            pid=worker_shard.pid,
+            thread=rec.spans[0].thread if rec.spans else 0,
+            pid=pid,
             args={"unit": label, "index": index},
         )
         obs.observe("perf.sweep.queue_wait_ms", 1e3 * (q1 - q0))
+    for s in rec.spans_named("perf.sweep.group"):
+        busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + s.duration
+        obs.observe("perf.sweep.unit_ms", 1e3 * s.duration)
 
 
 def _retry_group(group: SweepGroup, cache_str: str | None) -> list[SweepRecord]:

@@ -1,8 +1,5 @@
 """obs.histogram: fixed log-bucket distributions and recorder wiring."""
 
-import json
-import math
-
 import pytest
 
 from repro import obs
@@ -69,27 +66,6 @@ class TestHistogram:
         h = Histogram()
         assert h.mean == 0.0 and h.percentile(50) == 0.0
         assert h.summary()["count"] == 0
-
-    def test_merge_equals_single_stream(self):
-        a, b, both = Histogram(), Histogram(), Histogram()
-        for i, v in enumerate((0.1, 2.0, 5.0, 40.0, 0.5, 7.0)):
-            (a if i % 2 else b).observe(v)
-            both.observe(v)
-        a.merge(b)
-        assert a == both
-
-    def test_dict_roundtrip_is_json_safe(self):
-        h = Histogram()
-        for v in (0.5, 3.0, -1.0):
-            h.observe(v)
-        doc = json.loads(json.dumps(h.to_dict()))
-        clone = Histogram.from_dict(doc)
-        assert clone == h
-        assert clone.percentile(50) == h.percentile(50)
-
-    def test_from_dict_empty(self):
-        h = Histogram.from_dict({})
-        assert h.count == 0 and h.min == math.inf
 
 
 class TestRecorderObserve:

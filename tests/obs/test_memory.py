@@ -97,6 +97,18 @@ class TestMonitor:
             assert monitor is None
         assert rec.memory_samples == []
 
+    def test_monitored_samples_nothing_while_tracing_is_off(self):
+        # No recorder given and tracing off: the idle module recorder
+        # must not collect samples that nothing will ever read.
+        assert not obs.is_enabled()
+        idle = obs.get_recorder()
+        before = len(idle.memory_samples)
+        for _ in range(2):
+            with obs.monitored() as monitor:
+                assert monitor is None
+        assert len(idle.memory_samples) == before
+        assert idle.memory is None
+
     def test_mark_since_window_peak(self):
         rec = Recorder()
         monitor = MemoryMonitor(rec, interval=60.0)

@@ -287,6 +287,27 @@ class TestRunsCli:
         assert main(["runs", "compare", old, new,
                      "--fail-on-regression", "--threshold", "0.10"]) == 1
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_compare_refuses_a_negative_or_non_finite_threshold(
+        self, registry, tmp_path, capsys, value
+    ):
+        # -0.5 would list every stage, faster ones included, as a
+        # regression; nan and inf would pass every stage.
+        old = _report_file(tmp_path, "old.json", 1.0)
+        new = _report_file(tmp_path, "new.json", 0.8)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", "compare", old, new,
+                  "--fail-on-regression", "--threshold", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--threshold must be a finite fraction >= 0, got {value}" in err
+
+    def test_compare_accepts_a_zero_threshold(self, registry, tmp_path):
+        old = _report_file(tmp_path, "old.json", 1.0)
+        new = _report_file(tmp_path, "new.json", 1.0)
+        assert main(["runs", "compare", old, new,
+                     "--fail-on-regression", "--threshold", "0"]) == 0
+
     def test_sweep_records_a_manifest(self, registry, tmp_path, capsys):
         out = main(["sweep", "--matrix", "DWT512", "--procs", "2",
                     "--grains", "4", "-q",

@@ -199,11 +199,22 @@ class TestParallel:
         assert rec.gauges.get("perf.sweep.jobs") == 2
         assert 0.0 < rec.gauges.get("perf.sweep.pool_utilization") <= 1.0
 
-    def test_timeline_events_cover_every_task(self):
+    def test_group_spans_cover_every_task(self):
         with obs.enabled(obs.Recorder()) as rec:
             sweep(["DWT512"], jobs=2, **GRID)
-        events = [e for e in rec.timeline if e.track == "perf.sweep"]
-        assert len(events) == 2
+        spans = rec.spans_named("perf.sweep.group")
+        assert len(spans) == 2
+        assert all(s.pid is not None for s in spans)  # on the worker lanes
+
+    def test_wall_clock_sweep_draws_nothing_on_the_simulated_timeline(self):
+        # Group times are wall-clock seconds: they belong on the worker
+        # lanes as spans, never in the simulated-clock timeline.
+        with obs.enabled(obs.Recorder()) as rec:
+            sweep(["DWT512"], jobs=2, **GRID)
+        assert rec.timeline == []
+        doc = obs.to_chrome_trace(rec)
+        assert not [e for e in doc["traceEvents"]
+                    if e["ph"] == "X" and e.get("cat") == "perf.sweep"]
 
     def test_counters_are_ints(self, tmp_path):
         with obs.enabled(obs.Recorder()) as rec:
@@ -285,12 +296,11 @@ class TestStagedReuse:
         # The nprocs-invariant stages ran once per *group*, not per cell.
         assert len(rec.spans_named("pipeline.partition")) < len(groups)
 
-    def test_parallel_reuse_one_timeline_event_per_group(self):
+    def test_parallel_reuse_one_group_span_per_group(self):
         with obs.enabled(obs.Recorder()) as rec:
             sweep(["DWT512"], jobs=2, **MULTI_P_GRID)
-        events = [e for e in rec.timeline if e.track == "perf.sweep"]
         groups = group_grid(build_grid(["DWT512"], **MULTI_P_GRID))
-        assert len(events) == len(groups)
+        assert len(rec.spans_named("perf.sweep.group")) == len(groups)
 
     def test_warm_partition_cache_skips_partition_stage(self, tmp_path):
         grid = dict(schemes=("block",), procs=(2, 4), grains=(4,), min_widths=(4,))
