@@ -3,10 +3,12 @@
 ``ABLATIONS`` maps each section's key to its title, headers and rows
 function; EXPERIMENTS.md shows the rendered sections, and
 ``tests/analysis/test_findings.py`` asserts its findings on the rows.
-The two sections that execute a factorization check every factor
-against the sequential one (1e-10) before writing a row, and import
-``repro.mpsim`` and ``repro.numeric`` inside the function, so importing
-:mod:`repro.analysis` loads neither.
+The grain, adaptive and block-mapping rows read the tables' sweep
+records; the rest need a mapping object or an input outside the
+registry.  The two sections that execute a factorization check every
+factor against the sequential one (1e-10) before writing a row, and
+import ``repro.mpsim`` and ``repro.numeric`` inside the function, so
+importing :mod:`repro.analysis` loads neither.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from ..core import (
     SchedulerOptions,
-    adaptive_block_mapping,
     block_cyclic_columns,
     block_mapping,
     prepare,
@@ -40,7 +41,7 @@ from ..obs.tables import render_table
 from ..sparse import grid9, load, spd_from_graph
 from ..sparse import harwell_boeing as hb
 from . import paper_data
-from .experiments import DEFAULT_GRAINS, DEFAULT_PROCS, prepared_matrix
+from .experiments import DEFAULT_GRAINS, DEFAULT_PROCS, _cells, block_cells, prepared_matrix
 
 __all__ = ["ABLATIONS", "render_ablation"]
 
@@ -75,12 +76,12 @@ def _check_factor(L, reference, what: str) -> None:
 @_section("ablation_grain", "Ablation: grain-size sweep (LAP30, P=16)",
           "grain", "units", "traffic total", "traffic mean", "lambda")
 def _grain_rows():
-    lap30 = prepared_matrix("LAP30")
+    grains = (1, 2, 4, 8, 16, 25, 50, 100)
+    cells = _cells(("LAP30",), ("block",), (16,), grains, (4,))
     rows = []
-    for g in (1, 2, 4, 8, 16, 25, 50, 100):
-        r = block_mapping(lap30, 16, grain=g)
-        rows.append([g, r.partition.num_units, r.traffic.total,
-                     round(r.traffic.mean), r.balance.imbalance])
+    for g in grains:
+        r = cells["LAP30", "block", 16, g, 4]
+        rows.append([g, r.units, r.traffic_total, round(r.traffic_mean), r.imbalance])
     return rows
 
 
@@ -120,10 +121,10 @@ def _mapping_rows():
     for a in columns + [two_d_cyclic(lap30.pattern, 4, 4)]:
         t, lb = _measured(a, lap30.updates)
         rows.append([a.scheme, t.total, round(t.mean), lb.imbalance])
-    for g in (4, 25):
-        r = block_mapping(lap30, 16, grain=g)
-        rows.append([f"block(g={g})", r.traffic.total, round(r.traffic.mean),
-                     r.balance.imbalance])
+    cells = block_cells()
+    for g in DEFAULT_GRAINS:
+        r = cells["LAP30", "block", 16, g, 4]
+        rows.append([f"block(g={g})", r.traffic_total, round(r.traffic_mean), r.imbalance])
     return rows
 
 
@@ -157,17 +158,19 @@ def _delay_rows():
           "traffic adaptive", "traffic paper", "lambda static", "lambda adaptive",
           "lambda paper")
 def _adaptive_rows():
+    static = block_cells()
+    adaptive = _cells(tuple(hb.names()), ("block-adaptive",), DEFAULT_PROCS,
+                      DEFAULT_GRAINS, (4,))
     rows = []
     for name in hb.names():
-        prep = prepared_matrix(name)
         for p in DEFAULT_PROCS:
             for k, g in enumerate(DEFAULT_GRAINS):
-                s = block_mapping(prep, p, grain=g)
-                a = adaptive_block_mapping(prep, p, grain=g)
-                rows.append([name, p, g, s.partition.num_units, a.partition.num_units,
-                             s.traffic.total, a.traffic.total,
+                s = static[name, "block", p, g, 4]
+                a = adaptive[name, "block-adaptive", p, g, 4]
+                rows.append([name, p, g, s.units, a.units,
+                             s.traffic_total, a.traffic_total,
                              paper_data.TABLE2[name][p][k],
-                             round(s.balance.imbalance, 2), round(a.balance.imbalance, 2),
+                             round(s.imbalance, 2), round(a.imbalance, 2),
                              paper_data.TABLE3[name][p][1 + k]])
     return rows
 

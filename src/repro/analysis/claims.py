@@ -2,7 +2,9 @@
 plus the simulated-time corollary C5).
 
 Each claim is evaluated on freshly measured data and returns a
-:class:`ClaimResult`; the CLI target ``claims`` prints the scoreboard
+:class:`ClaimResult`.  C1-C3 read the sweep's records of the Table 2 /
+Table 5 grid; C4 counts clusters and C5 simulates assignments, so both
+map through the pipeline; the CLI target ``claims`` prints the scoreboard
 and the integration tests assert that every claim holds.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.pipeline import block_mapping, wrap_mapping
 from ..obs.tables import render_table
-from .experiments import prepared_matrix
+from .experiments import DEFAULT_GRAINS, DEFAULT_PROCS, _cells, prepared_matrix
 
 __all__ = ["ClaimResult", "check_claims", "render_claims"]
 
@@ -27,15 +29,14 @@ class ClaimResult:
 
 def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
     """Evaluate C1-C5 on one matrix (default: the exactly-regenerated LAP30)."""
-    prep = prepared_matrix(matrix)
+    cells = _cells((matrix,), ("block", "wrap"), DEFAULT_PROCS, DEFAULT_GRAINS, (4,))
     results: list[ClaimResult] = []
 
+    def block(g, p):
+        return cells[matrix, "block", p, g, 4]
+
     # C1: traffic grows with P; coarse grain cuts it sharply.
-    t = {
-        (g, p): block_mapping(prep, p, grain=g).traffic.total
-        for g in (4, 25)
-        for p in (4, 16, 32)
-    }
+    t = {(g, p): block(g, p).traffic_total for g in (4, 25) for p in (4, 16, 32)}
     grows = t[(4, 4)] < t[(4, 16)] < t[(4, 32)]
     cut = t[(25, 16)] < 0.7 * t[(4, 16)] and t[(25, 32)] < 0.7 * t[(4, 32)]
     results.append(
@@ -49,11 +50,7 @@ def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
     )
 
     # C2: λ grows with grain and with P for the block scheme.
-    lam = {
-        (g, p): block_mapping(prep, p, grain=g).balance.imbalance
-        for g in (4, 25)
-        for p in (4, 32)
-    }
+    lam = {(g, p): block(g, p).imbalance for g in (4, 25) for p in (4, 32)}
     c2 = lam[(25, 32)] > lam[(4, 32)] and lam[(25, 32)] > lam[(25, 4)]
     results.append(
         ClaimResult(
@@ -67,12 +64,12 @@ def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
 
     # C3: wrap balances better but communicates more; block saves >= 35%
     # of traffic at g=25, P=32.
-    blk = block_mapping(prep, 32, grain=25)
-    wrp = wrap_mapping(prep, 32)
-    saving = 1 - blk.traffic.total / wrp.traffic.total
+    blk = block(25, 32)
+    wrp = cells[matrix, "wrap", 32, None, None]
+    saving = 1 - blk.traffic_total / wrp.traffic_total
     c3 = (
-        wrp.balance.imbalance < blk.balance.imbalance
-        and blk.traffic.total < wrp.traffic.total
+        wrp.imbalance < blk.imbalance
+        and blk.traffic_total < wrp.traffic_total
         and saving >= 0.35
     )
     results.append(
@@ -80,13 +77,14 @@ def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
             "C3",
             "the communication / load-balance trade-off (block vs wrap)",
             c3,
-            f"traffic {blk.traffic.total} vs {wrp.traffic.total} "
-            f"({100 * saving:.0f}% saving); λ {blk.balance.imbalance:.2f} "
-            f"vs {wrp.balance.imbalance:.2f}",
+            f"traffic {blk.traffic_total} vs {wrp.traffic_total} "
+            f"({100 * saving:.0f}% saving); λ {blk.imbalance:.2f} "
+            f"vs {wrp.imbalance:.2f}",
         )
     )
 
     # C4: the cluster-width parameter genuinely moves the partitioning.
+    prep = prepared_matrix(matrix)
     widths = {
         w: block_mapping(prep, 16, grain=4, min_width=w) for w in (2, 4, 8)
     }
@@ -111,6 +109,8 @@ def check_claims(matrix: str = "LAP30") -> list[ClaimResult]:
     # than the coarse-grain block schedule.
     from ..machine.simulate import simulate_assignment
 
+    blk = block_mapping(prep, 32, grain=25)
+    wrp = wrap_mapping(prep, 32)
     _, blk_run = simulate_assignment(blk.assignment, prep.updates,
                                      deps=blk.dependencies, name=matrix)
     _, wrp_run = simulate_assignment(wrp.assignment, prep.updates, name=matrix)

@@ -3,14 +3,17 @@
 Each ``tableN_rows`` function returns a list of dicts carrying both the
 measured values and the paper's published values for the same cell, so
 the CLI, the benchmarks and EXPERIMENTS.md all render from one source.
+Tables 2-5 read their cells from the serial :mod:`repro.perf.sweep`,
+the one engine of the (matrix, scheme, P, g, width) grid.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..core.pipeline import PreparedMatrix, block_mapping, prepare, wrap_mapping
+from ..core.pipeline import PreparedMatrix, prepare
 from ..obs.tables import render_table
+from ..perf.sweep import SweepRecord, _sweep_serial, build_grid
 from ..sparse import harwell_boeing as hb
 from ..sparse import registry
 from . import paper_data
@@ -46,15 +49,28 @@ def prepared_matrix(name: str, ordering: str = "mmd") -> PreparedMatrix:
 
 
 @lru_cache(maxsize=None)
-def _block_result(name: str, nprocs: int, grain: int, min_width: int):
-    return block_mapping(
-        prepared_matrix(name), nprocs, grain=grain, min_width=min_width
-    )
+def _cells(matrices, schemes, procs, grains, min_widths) -> dict[tuple, SweepRecord]:
+    """The grid's serial sweep records, keyed ``(matrix, scheme, nprocs,
+    grain, min_width)`` (``None`` partition parameters for wrap), cached
+    per process.  The sweep runs on the :func:`prepared_matrix` objects,
+    so the partitions it builds serve the sections that map through the
+    pipeline too."""
+    tasks = build_grid(matrices, schemes, procs, grains, min_widths)
+    memo = {(m, "mmd"): prepared_matrix(m) for m in matrices}
+    return {
+        (r.matrix, r.scheme, r.nprocs, r.grain, r.min_width): r
+        for r in _sweep_serial(tasks, None, memo)
+    }
 
 
-@lru_cache(maxsize=None)
-def _wrap_result(name: str, nprocs: int):
-    return wrap_mapping(prepared_matrix(name), nprocs)
+def block_cells(procs=DEFAULT_PROCS, grains=DEFAULT_GRAINS, min_width: int = 4):
+    """The block cells of Tables 2 and 3 over the five paper matrices."""
+    return _cells(tuple(hb.names()), ("block",), tuple(procs), tuple(grains), (min_width,))
+
+
+def _work_mean(name: str, nprocs: int) -> int:
+    """The mean work per processor: every scheme maps all of it."""
+    return round(prepared_matrix(name).total_work / nprocs)
 
 
 # ----------------------------------------------------------------------
@@ -97,20 +113,21 @@ def table2_rows(
     procs=DEFAULT_PROCS, grains=DEFAULT_GRAINS, min_width: int = 4
 ) -> list[dict]:
     g_lo, g_hi = grains
+    cells = block_cells(procs, grains, min_width)
     rows = []
     for name in hb.names():
         for p in procs:
-            lo = _block_result(name, p, g_lo, min_width)
-            hi = _block_result(name, p, g_hi, min_width)
+            lo = cells[name, "block", p, g_lo, min_width]
+            hi = cells[name, "block", p, g_hi, min_width]
             paper = paper_data.TABLE2.get(name, {}).get(p)
             rows.append(
                 {
                     "matrix": name,
                     "nprocs": p,
-                    f"total_g{g_lo}": lo.traffic.total,
-                    f"total_g{g_hi}": hi.traffic.total,
-                    f"mean_g{g_lo}": round(lo.traffic.mean),
-                    f"mean_g{g_hi}": round(hi.traffic.mean),
+                    f"total_g{g_lo}": lo.traffic_total,
+                    f"total_g{g_hi}": hi.traffic_total,
+                    f"mean_g{g_lo}": round(lo.traffic_mean),
+                    f"mean_g{g_hi}": round(hi.traffic_mean),
                     "paper": paper,
                 }
             )
@@ -141,19 +158,18 @@ def table3_rows(
     procs=DEFAULT_PROCS, grains=DEFAULT_GRAINS, min_width: int = 4
 ) -> list[dict]:
     g_lo, g_hi = grains
+    cells = block_cells(procs, grains, min_width)
     rows = []
     for name in hb.names():
         for p in procs:
-            lo = _block_result(name, p, g_lo, min_width)
-            hi = _block_result(name, p, g_hi, min_width)
             paper = paper_data.TABLE3.get(name, {}).get(p)
             rows.append(
                 {
                     "matrix": name,
                     "nprocs": p,
-                    "work_mean": round(lo.balance.mean),
-                    f"imbalance_g{g_lo}": lo.balance.imbalance,
-                    f"imbalance_g{g_hi}": hi.balance.imbalance,
+                    "work_mean": _work_mean(name, p),
+                    f"imbalance_g{g_lo}": cells[name, "block", p, g_lo, min_width].imbalance,
+                    f"imbalance_g{g_hi}": cells[name, "block", p, g_hi, min_width].imbalance,
                     "paper": paper,
                 }
             )
@@ -182,72 +198,55 @@ def render_table3() -> str:
 def table4_rows(
     widths=(2, 4, 8), procs=DEFAULT_PROCS, grain: int = 4, matrix: str = "LAP30"
 ) -> list[dict]:
-    rows = []
-    for w in widths:
-        for p in procs:
-            r = _block_result(matrix, p, grain, w)
-            paper = paper_data.TABLE4.get(w, {}).get(p) if matrix == "LAP30" else None
-            rows.append(
-                {
-                    "width": w,
-                    "nprocs": p,
-                    "total": r.traffic.total,
-                    "mean": round(r.traffic.mean),
-                    "work_mean": round(r.balance.mean),
-                    "imbalance": r.balance.imbalance,
-                    "paper": paper,
-                }
-            )
-    return rows
+    cells = _cells((matrix,), ("block",), tuple(procs), (grain,), tuple(widths))
+    return [
+        {"width": w, **_cell_row(
+            cells[matrix, "block", p, grain, w],
+            paper_data.TABLE4.get(w, {}).get(p) if matrix == "LAP30" else None)}
+        for w in widths
+        for p in procs
+    ]
+
+
+def _cell_row(r: SweepRecord, paper) -> dict:
+    """The measured columns Tables 4 and 5 share, beside the paper's."""
+    return {"nprocs": r.nprocs, "total": r.traffic_total, "mean": round(r.traffic_mean),
+            "work_mean": _work_mean(r.matrix, r.nprocs), "imbalance": r.imbalance,
+            "paper": paper}
+
+
+def _render_cells(rows: list[dict], first: str, title: str) -> str:
+    headers = [first, "P", "traffic total", "traffic mean", "work mean", "lambda",
+               "paper total", "paper lambda"]
+    body = []
+    for r in rows:
+        paper = r["paper"] or (None, None, None, None)
+        body.append([
+            r[first], r["nprocs"], r["total"], r["mean"],
+            r["work_mean"], r["imbalance"], paper[0], paper[3],
+        ])
+    return render_table(headers, body, title)
 
 
 def render_table4() -> str:
-    headers = ["width", "P", "traffic total", "traffic mean", "work mean", "lambda",
-               "paper total", "paper lambda"]
-    rows = []
-    for r in table4_rows():
-        paper = r["paper"] or (None, None, None, None)
-        rows.append([
-            r["width"], r["nprocs"], r["total"], r["mean"],
-            r["work_mean"], r["imbalance"], paper[0], paper[3],
-        ])
-    return render_table(headers, rows, "Table 4: variation with width for LAP30, g = 4")
+    return _render_cells(table4_rows(), "width", "Table 4: variation with width for LAP30, g = 4")
 
 
 # ----------------------------------------------------------------------
 # Table 5: wrap mapping
 # ----------------------------------------------------------------------
 def table5_rows(procs=(1, 4, 16, 32)) -> list[dict]:
-    rows = []
-    for name in hb.names():
-        for p in procs:
-            r = _wrap_result(name, p)
-            paper = paper_data.TABLE5.get(name, {}).get(p)
-            rows.append(
-                {
-                    "matrix": name,
-                    "nprocs": p,
-                    "total": r.traffic.total,
-                    "mean": round(r.traffic.mean),
-                    "work_mean": round(r.balance.mean),
-                    "imbalance": r.balance.imbalance,
-                    "paper": paper,
-                }
-            )
-    return rows
+    cells = _cells(tuple(hb.names()), ("wrap",), tuple(procs), (), ())
+    return [
+        {"matrix": name, **_cell_row(cells[name, "wrap", p, None, None],
+                                     paper_data.TABLE5.get(name, {}).get(p))}
+        for name in hb.names()
+        for p in procs
+    ]
 
 
 def render_table5() -> str:
-    headers = ["matrix", "P", "traffic total", "traffic mean", "work mean", "lambda",
-               "paper total", "paper lambda"]
-    rows = []
-    for r in table5_rows():
-        paper = r["paper"] or (None, None, None, None)
-        rows.append([
-            r["matrix"], r["nprocs"], r["total"], r["mean"],
-            r["work_mean"], r["imbalance"], paper[0], paper[3],
-        ])
-    return render_table(headers, rows, "Table 5: wrap mapping")
+    return _render_cells(table5_rows(), "matrix", "Table 5: wrap mapping")
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +255,11 @@ def render_table5() -> str:
 def tradeoff_rows() -> list[dict]:
     """Block mapping (g=25) against wrap at P=32: the share of wrap's
     traffic the block scheme saves and both λ, measured next to the same
-    quantities computed from the paper's Tables 2, 3 and 5."""
-    procs = (32,)
+    quantities computed from the paper's Tables 2, 3 and 5, read off
+    the P=32 rows of those tables."""
+    def at32(rows):
+        return [r for r in rows if r["nprocs"] == 32]
+
     return [
         {
             "matrix": w["matrix"],
@@ -268,8 +270,8 @@ def tradeoff_rows() -> list[dict]:
             "paper_imbalance_block": lam["paper"][2],
             "paper_imbalance_wrap": w["paper"][3],
         }
-        for b, lam, w in zip(table2_rows(procs=procs), table3_rows(procs=procs),
-                             table5_rows(procs=procs))
+        for b, lam, w in zip(at32(table2_rows()), at32(table3_rows()),
+                             at32(table5_rows()))
     ]
 
 

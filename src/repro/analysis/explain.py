@@ -29,17 +29,14 @@ from ..machine.simulate import MachineModel, ScheduleTimeline, simulate_assignme
 from ..obs import simtime
 from ..obs import trace as obs
 from ..obs.tables import render_table
+from ..perf.sweep import SCHEMES
 
 __all__ = [
     "ExplainResult",
     "explain_run",
     "explain_manifest",
     "render_explain",
-    "EXPLAIN_SCHEMES",
 ]
-
-#: Schemes the explain target accepts (mapping constructors below).
-EXPLAIN_SCHEMES = ("block", "block-adaptive", "wrap")
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def _mapping(matrix: str, scheme: str, nprocs: int, grain: int):
     if scheme == "wrap":
         return prep, wrap_mapping(prep, nprocs)
     raise ValueError(
-        f"unknown scheme {scheme!r}; expected one of {', '.join(EXPLAIN_SCHEMES)}"
+        f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}"
     )
 
 

@@ -38,6 +38,7 @@ from .analysis import (
     render_table5,
     update_document,
 )
+from .perf.sweep import SCHEMES
 
 #: Handler kinds.  A plain handler takes the parsed options and returns
 #: the text to print; a wrapper does the same but runs the plain target
@@ -278,26 +279,16 @@ def _wrapped(args: argparse.Namespace, example: str) -> Target:
 
 
 def _trace(args: argparse.Namespace) -> str:
-    """Run a target under a fresh recorder, then simulate one block
-    mapping so the trace carries a per-unit Gantt timeline (one Perfetto
-    lane per processor)."""
+    """Run a target under a fresh recorder.  A target that simulates
+    (``explain``) leaves a per-unit Gantt timeline in the trace, one
+    Perfetto lane per processor."""
     from . import obs
-    from .analysis.experiments import prepared_matrix
-    from .core import block_mapping
-    from .machine.simulate import simulate_schedule
 
     target = _wrapped(args, "table2")
 
     def body():
         with obs.span("cli.target", target=target.name):
-            text = target.run(args)
-        with obs.span("cli.simulate", matrix=args.matrix, nprocs=args.nprocs,
-                      grain=args.grain):
-            result = block_mapping(prepared_matrix(args.matrix), args.nprocs,
-                                   grain=args.grain)
-            simulate_schedule(result.assignment, result.dependencies,
-                              result.prepared.updates)
-        return text
+            return target.run(args)
 
     text, rec, notes = _recorded(args, "trace", body, lambda _, rec, wall: dict(
         config={"target": target.name, "matrix": args.matrix,
@@ -568,16 +559,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nx", type=int, default=5, help="figure2 grid width")
     parser.add_argument("--ny", type=int, default=5, help="figure2 grid height")
     parser.add_argument("--matrix", default="LAP30",
-                        help="matrix for figure4/stats/sweep and traced "
-                             "simulation; comma-separated list for sweep "
+                        help="matrix for figure4/stats/claims/scorecard/"
+                             "sweep; comma-separated list for sweep "
                              "(default LAP30)")
     parser.add_argument("--grain", type=int, default=25,
-                        help="grain size for figure4/stats/trace")
+                        help="grain size for figure4/stats/scorecard/"
+                             "explain")
     parser.add_argument("-p", "--nprocs", type=int, default=16,
-                        help="processor count for explain and the traced "
-                             "simulation")
+                        help="processor count for explain")
     parser.add_argument("--scheme", default="block",
-                        choices=("block", "block-adaptive", "wrap"),
+                        choices=SCHEMES,
                         help="with 'explain': the mapping scheme to simulate "
                              "and attribute (default block)")
     parser.add_argument("--output", default=None,

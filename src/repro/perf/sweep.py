@@ -69,6 +69,7 @@ from ..sparse.dtypes import as_processor_count
 from .cache import cached_partition, cached_prepare
 
 __all__ = [
+    "SCHEMES",
     "SweepGroup",
     "SweepRecord",
     "SweepTask",
@@ -79,7 +80,8 @@ __all__ = [
 ]
 
 
-_SCHEMES = ("block", "block-adaptive", "wrap")
+#: The mapping schemes a sweep cell (and ``explain``) can measure.
+SCHEMES = ("block", "block-adaptive", "wrap")
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,8 @@ def build_grid(
     """Expand a parameter grid, processor counts outermost; wrap ignores
     grain/min_width."""
     for s in schemes:
-        if s not in _SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}; expected one of {_SCHEMES}")
+        if s not in SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     for m in matrices:
         if m not in registry.matrix_names():
             raise ValueError(
@@ -376,12 +378,14 @@ def sweep(
     tasks = build_grid(matrices, schemes, procs, grains, min_widths, ordering)
     cache_str = str(cache_dir) if cache_dir is not None else None
     if jobs <= 1:
-        return _sweep_serial(tasks, cache_str)
+        return _sweep_serial(tasks, cache_str, {})
     return _sweep_parallel(matrices, tasks, ordering, jobs, cache_str)
 
 
-def _sweep_serial(tasks: list[SweepTask], cache_str: str | None) -> list[SweepRecord]:
-    memo: dict[tuple[str, str], PreparedMatrix] = {}
+def _sweep_serial(
+    tasks: list[SweepTask], cache_str: str | None, memo: dict[tuple[str, str], PreparedMatrix]
+) -> list[SweepRecord]:
+    """The grid in process; a matrix not in ``memo`` is prepared into it."""
     with obs.span("perf.sweep.run", tasks=len(tasks), jobs=1):
         results: list[SweepRecord | None] = [None] * len(tasks)
         for group in group_grid(tasks):

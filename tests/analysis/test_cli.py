@@ -1,5 +1,7 @@
 """CLI entry point."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -10,17 +12,16 @@ from repro.cli import PLAIN, TARGETS, main
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the experiment harness' per-process lru caches so a traced
-    run exercises every pipeline stage (prepare included)."""
+    """Clear the experiment harness' per-process memos (the prepared
+    matrices and the swept table cells) so a traced run exercises every
+    pipeline stage (prepare included)."""
     from repro.analysis import experiments
 
     experiments.prepared_matrix.cache_clear()
-    experiments._block_result.cache_clear()
-    experiments._wrap_result.cache_clear()
+    experiments._cells.cache_clear()
     yield
     experiments.prepared_matrix.cache_clear()
-    experiments._block_result.cache_clear()
-    experiments._wrap_result.cache_clear()
+    experiments._cells.cache_clear()
 
 
 class TestCLI:
@@ -75,8 +76,8 @@ class TestTraceTarget:
         out = tmp_path / "run.json"
         jsonl = tmp_path / "run.jsonl"
         assert main([
-            "trace", "stats", "--matrix", "LAP30", "--grain", "25",
-            "--nprocs", "8",
+            "trace", "explain", "--matrix", "LAP30", "--grain", "25",
+            "--nprocs", "8", "--output", str(tmp_path / "explain.html"),
             "--trace-out", str(out), "--trace-jsonl", str(jsonl),
         ]) == 0
         captured = capsys.readouterr().out
@@ -92,8 +93,10 @@ class TestTraceTarget:
         for stage in ("pipeline.order", "pipeline.symbolic",
                       "pipeline.enumerate_updates", "pipeline.partition",
                       "pipeline.dependencies", "pipeline.schedule",
-                      "pipeline.metrics", "cli.target", "cli.simulate"):
+                      "pipeline.metrics", "cli.target"):
             assert stage in spans
+        # The trace measures its target and nothing appended to it.
+        assert "cli.simulate" not in spans
         unit_events = [
             e for e in doc["traceEvents"]
             if e.get("ph") == "X" and e.get("pid") == 2
@@ -104,11 +107,21 @@ class TestTraceTarget:
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert {"span", "timeline", "counter", "gauge"} <= {r["type"] for r in records}
 
+    def test_trace_sweep_of_several_matrices_prints_the_csv(self, capsys):
+        from repro.perf import records_to_csv, sweep
+
+        assert main(["trace", "sweep", "--matrix", "LAP30,DWT512",
+                     "--procs", "4", "--grains", "25"]) == 0
+        captured = capsys.readouterr()
+        expected = records_to_csv(sweep(["LAP30", "DWT512"], procs=(4,), grains=(25,)))
+        assert captured.out.startswith(expected + "\n")
+        assert "error" not in captured.err
+
     def test_trace_all_runs_the_nine_paper_targets(self, capsys):
         assert main(["trace", "all"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(_paper_text() + "\n\n")
-        assert "Stage timings" in out and "Simulated timeline" in out
+        assert "Stage timings" in out
 
     @pytest.mark.parametrize("wrapper", ["trace", "profile"])
     @pytest.mark.parametrize("sub", ["runs", "cache", "trace", "profile"])
@@ -187,6 +200,29 @@ class TestSweepTarget:
                      "--grains", "4", "-q",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert json.loads(out.read_text())["traceEvents"]
+
+    def test_paper_sweep_csv_is_the_tables(self, tmp_path, capsys):
+        """Every block and wrap cell of the default paper sweep is the
+        cell Tables 2, 3 and 5 render."""
+        assert main(["sweep", "--matrix", "BUS1138,CANN1072,DWT512,LAP30,LSHP1009",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        t2 = {(r["matrix"], r["nprocs"]): r for r in analysis.table2_rows()}
+        t3 = {(r["matrix"], r["nprocs"]): r for r in analysis.table3_rows()}
+        t5 = {(r["matrix"], r["nprocs"]): r for r in analysis.table5_rows()}
+        assert len(rows) == 5 * 3 * 3
+        for row in rows:
+            key = (row["matrix"], int(row["nprocs"]))
+            total, mean = int(row["traffic_total"]), round(float(row["traffic_mean"]))
+            lam = float(row["imbalance"])
+            if row["scheme"] == "wrap":
+                assert (total, mean, lam) == (
+                    t5[key]["total"], t5[key]["mean"], t5[key]["imbalance"]), row
+            else:
+                g = row["grain"]
+                assert (total, mean, lam) == (
+                    t2[key][f"total_g{g}"], t2[key][f"mean_g{g}"],
+                    t3[key][f"imbalance_g{g}"]), row
 
 
 class TestEmptyGridAxis:

@@ -33,15 +33,15 @@ PROCS = (16, 64)
 
 @pytest.fixture(scope="module", autouse=True)
 def _release_experiment_caches():
-    """This module fills the unbounded experiment lru caches with every
-    bundled matrix × P∈{16, 64}; drop them afterwards so later
-    timing-sensitive tests (profiler overhead) run on a normal heap."""
+    """This module fills the experiment harness' prepared-matrix memo
+    with every bundled matrix; drop it (and the swept table cells)
+    afterwards so later timing-sensitive tests (profiler overhead) run
+    on a normal heap."""
     from repro.analysis import experiments
 
     yield
     experiments.prepared_matrix.cache_clear()
-    experiments._block_result.cache_clear()
-    experiments._wrap_result.cache_clear()
+    experiments._cells.cache_clear()
 
 
 def _mapping(prep, scheme: str, nprocs: int):

@@ -12,12 +12,16 @@ from repro.core import adaptive_block_mapping, block_mapping, prepare, wrap_mapp
 from repro.perf import SweepRecord, build_grid, group_grid, sweep
 from repro.perf.sweep import SweepGroup, SweepTask
 from repro.sparse import load
+from repro.sparse.harwell_boeing import names
 
 from ..conftest import traffic_oracle
 
 #: The submodule itself (the package re-exports the ``sweep`` *function*
 #: under the same name, so ``import repro.perf.sweep as m`` binds that).
 sweep_mod = importlib.import_module("repro.perf.sweep")
+
+#: The five paper matrices of Tables 1-5.
+PAPER = tuple(names())
 
 
 class TestBuildGrid:
@@ -162,10 +166,22 @@ def serial_records():
     return sweep(["DWT512"], jobs=1, **GRID)
 
 
+#: The paper's evaluation grid, as the tables read it: Tables 2 / 3
+#: (block), Table 5 (wrap) and Table 4's two widths beside the default.
+PAPER_GRIDS = (
+    (PAPER, dict(schemes=("block",), procs=(4, 16, 32), grains=(4, 25), min_widths=(4,))),
+    (PAPER, dict(schemes=("wrap",), procs=(1, 4, 16, 32), grains=(), min_widths=())),
+    (("LAP30",), dict(schemes=("block",), procs=(4, 16, 32), grains=(4,), min_widths=(2, 8))),
+)
+
+
 class TestSerial:
     def test_matches_analysis_harness(self, serial_records):
-        """The harness that lived in ``repro.analysis`` was this loop."""
+        """The per-cell loop the tables once ran, over the paper grid."""
         assert serial_records == per_cell_records("DWT512", **GRID)
+        for matrices, grid in PAPER_GRIDS:
+            expected = [r for m in matrices for r in per_cell_records(m, **grid)]
+            assert sweep(matrices, **grid) == expected, grid
 
     def test_warm_cache_skips_ordering_and_symbolic(self, tmp_path):
         sweep(["DWT512"], jobs=1, cache_dir=tmp_path, **GRID)  # cold: fills cache

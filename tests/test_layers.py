@@ -23,8 +23,8 @@ LAYERS = (
     "machine",
     "numeric",
     "mpsim",
-    "analysis",
     "perf",
+    "analysis",
     "cli",
 )
 

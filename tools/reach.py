@@ -46,13 +46,14 @@ PACKAGE = SRC / "repro"
 OUT = ROOT / "docs" / "reach.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
-# What a target needs beyond its defaults: the wrappers a target to run,
+# What a target needs beyond its defaults: the wrappers a target to run
+# (`trace explain` is the traced run that draws a simulated timeline),
 # the own-grammar targets a sub-command (`runs compare` reads the run
 # the `sweep` target recorded just before it).  The profiler wraps a
 # target that runs far longer than its 5 ms sampling period, or whether
 # a sample is taken (and so the table) would depend on the host.
 TARGET_ARGS = {
-    "trace": [["trace", "table2"]],
+    "trace": [["trace", "table2"], ["trace", "explain", "--matrix", "DWT512", "-p", "4"]],
     "profile": [["profile", "sweep"]],
     "runs": [["runs", "list"], ["runs", "show", "latest"],
              ["runs", "compare", "sweep:latest", "sweep:latest"]],
