@@ -50,17 +50,15 @@ def adaptive_schedule(
 ) -> tuple[Partition, Assignment]:
     """The adaptive partition and its assignment, measured as the static
     pipeline's are."""
-    partition, _, assignment = _fixed_point(
-        pattern, updates, nprocs, grain, min_width, zero_tolerance, options
-    )
+    clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
+    partition, _, assignment = _fixed_point(pattern, updates, nprocs, grain, clusters, options)
     return partition, assignment
 
 
 def _fixed_point(
-    pattern, updates, nprocs, grain, min_width, zero_tolerance, options
+    pattern, updates, nprocs, grain, clusters, options
 ) -> tuple[Partition, DependencyInfo, Assignment]:
     nprocs, grain = as_processor_count(nprocs), as_processor_count(grain, "grain")
-    clusters = find_clusters(pattern, min_width=min_width, zero_tolerance=zero_tolerance)
     triangular = np.cumsum(np.arange(nprocs + 2))  # b(b + 1) / 2 units of b chunks
     caps = np.zeros(len(clusters), dtype=np.int64)
     for rounds in range(1, len(clusters) + 2):

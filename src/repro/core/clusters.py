@@ -16,10 +16,11 @@ they accept — every other column is a single-column cluster — and
 ``zero_tolerance == 0`` case: each column's leading run of consecutive
 rows is measured once with ``np.diff`` over the whole pattern, and a
 strip [s, e] has a dense triangle iff every column c in it reaches row e
-consecutively — a running-minimum test over those run lengths.  Any
-nonzero tolerance falls back to :func:`find_clusters_reference`, the
-original per-entry probing scan, which is also kept as the identity
-reference for tests.
+consecutively — a running-minimum test over those run lengths — and the
+rectangles below every accepted strip come out of one ``np.unique`` over
+(strip, row) keys.  Any nonzero tolerance falls back to
+:func:`find_clusters_reference`, the original per-entry probing scan,
+which is also kept as the identity reference for tests.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
+from ..symbolic.updates import ragged_range
 from .blocks import BlockKind, DenseBlock
 
 __all__ = ["Cluster", "ClusterSet", "find_clusters", "find_clusters_reference"]
@@ -179,14 +181,15 @@ class ClusterSet:
 
 
 def _cluster_set(
-    pattern: LowerPattern, strips: list[tuple], min_width: int, zero_tolerance: float
+    pattern: LowerPattern, s, e, tri_pad, rect_rows, rect_count, rect_pad,
+    min_width: int, zero_tolerance: float,
 ) -> ClusterSet:
-    """The cluster columns of a scan.  ``strips`` lists the accepted
-    multi-column strips left to right as ``(s, e, triangle padding,
-    rectangle [row_lo, row_hi] rows, rectangle padding)``; every column
-    outside them is a single-column cluster."""
+    """The cluster columns of a scan, given the accepted multi-column
+    strips left to right as columns: first and last column, triangle
+    padding, the rectangles' ``[row_lo, row_hi]`` rows strip after strip
+    with each strip's count, and rectangle padding.  Every column outside
+    the strips is a single-column cluster."""
     n = pattern.n
-    s, e, tri_pad, rects, rect_pad = zip(*strips) if strips else ((),) * 5
     s = np.asarray(s, dtype=np.int64)
     e = np.asarray(e, dtype=np.int64)
     # Columns s+1..e of a strip start no cluster; all others start one.
@@ -198,12 +201,10 @@ def _cluster_set(
     which = np.searchsorted(col_lo, s)  # cluster index of each strip
     # Per cluster: triangle padding, rectangle padding, rectangle count.
     columns = np.zeros((3, len(col_lo)), dtype=np.int64)
-    columns[:, which] = tri_pad, rect_pad, [len(r) for r in rects]
+    columns[:, which] = tri_pad, rect_pad, rect_count
     return ClusterSet(
         pattern, col_lo, col_hi, columns[0], columns[1],
-        np.concatenate([[0], np.cumsum(columns[2])]),
-        np.concatenate([np.reshape(r, (-1, 2)) for r in rects]) if rects else (),
-        min_width, zero_tolerance,
+        np.concatenate([[0], np.cumsum(columns[2])]), rect_rows, min_width, zero_tolerance,
     )
 
 
@@ -257,24 +258,33 @@ def _check_cluster_params(min_width: int, zero_tolerance: float) -> None:
         raise ValueError("zero_tolerance must be in [0, 1)")
 
 
-def _rectangles_for_strip_fast(
-    pattern: LowerPattern, s: int, e: int
-) -> tuple[np.ndarray, int]:
-    """Vectorized :func:`_rectangles_for_strip`: one slice over the whole
-    strip, runs found via ``np.diff`` on the unique below-triangle rows,
-    padding from cumulative per-row presence counts."""
-    lo, hi = int(pattern.indptr[s]), int(pattern.indptr[e + 1])
-    strip_rows = pattern.rowidx[lo:hi]
-    rows, present = np.unique(strip_rows[strip_rows > e], return_counts=True)
-    if rows.size == 0:
-        return np.zeros((0, 2), dtype=np.int64), 0
-    breaks = np.flatnonzero(np.diff(rows) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [len(rows) - 1]])
+def _strip_rectangles(
+    pattern: LowerPattern, s: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`_rectangles_for_strip` over every strip [s, e]
+    at once: ``(rows, count, padding)``, the rectangles' ``[row_lo,
+    row_hi]`` rows strip after strip, the rectangles and the padding
+    zeros per strip.  One slice per strip, the below-triangle rows made
+    unique per (strip, row) with their presence counts, runs cut where
+    the strip changes or a row is skipped."""
+    n, k = pattern.n, len(s)
+    lo = pattern.indptr[s]
+    length = pattern.indptr[e + 1] - lo
+    strip = np.repeat(np.arange(k), length)
+    rows = pattern.rowidx[ragged_range(lo, length, np.int64)]
+    below = rows > e[strip]
+    key, present = np.unique(strip[below] * n + rows[below], return_counts=True)
+    strip, rows = np.divmod(key, n)
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (np.diff(rows) != 1) | (np.diff(strip) != 0)
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(key))[: len(starts)] - 1
     csum = np.concatenate([[0], np.cumsum(present)])
-    r_lo, r_hi = rows[starts], rows[ends]
-    padding = (e - s + 1) * (r_hi - r_lo + 1) - (csum[ends + 1] - csum[starts])
-    return np.stack([r_lo, r_hi], axis=1), int(padding.sum())
+    r_lo, r_hi, owner = rows[starts], rows[ends], strip[starts]
+    pad = (e - s + 1)[owner] * (r_hi - r_lo + 1) - (csum[ends + 1] - csum[starts])
+    padding = np.zeros(k, dtype=np.int64)
+    np.add.at(padding, owner, pad)
+    return np.stack([r_lo, r_hi], axis=1), np.bincount(owner, minlength=k), padding
 
 
 def _find_clusters_dense(pattern: LowerPattern, min_width: int) -> ClusterSet:
@@ -298,7 +308,7 @@ def _find_clusters_dense(pattern: LowerPattern, min_width: int) -> ClusterSet:
     else:
         runlen = np.zeros(0, dtype=np.int64)
     reach = (np.arange(n, dtype=np.int64) + runlen).tolist()
-    strips = []
+    strips = []  # (s, e) of the accepted strips
     scanned = 0  # columns below this sit in an accepted strip
     # A column whose run is its diagonal alone can neither start a strip
     # nor sit inside one before its last column, so the scan need only
@@ -313,9 +323,11 @@ def _find_clusters_dense(pattern: LowerPattern, min_width: int) -> ClusterSet:
             if reach[e] < m:
                 m = reach[e]
         if e - s + 1 >= min_width:
-            strips.append((s, e, 0, *_rectangles_for_strip_fast(pattern, s, e)))
+            strips.append((s, e))
             scanned = e + 1
-    return _cluster_set(pattern, strips, min_width, 0.0)
+    s, e = np.array(strips, dtype=np.int64).reshape(-1, 2).T
+    rows, count, padding = _strip_rectangles(pattern, s, e)
+    return _cluster_set(pattern, s, e, np.zeros_like(s), rows, count, padding, min_width, 0.0)
 
 
 def find_clusters(
@@ -370,4 +382,7 @@ def find_clusters_reference(
             s = e + 1
         else:
             s += 1
-    return _cluster_set(pattern, strips, min_width, zero_tolerance)
+    s, e, tri_pad, rects, rect_pad = zip(*strips) if strips else ((),) * 5
+    rows = np.concatenate([np.reshape(r, (-1, 2)) for r in rects]) if rects else ()
+    return _cluster_set(pattern, s, e, tri_pad, rows, [len(r) for r in rects], rect_pad,
+                        min_width, zero_tolerance)

@@ -33,8 +33,10 @@ partition from the run-length updates by the convexity lemma of
 it by (source unit, reader unit) gives the dependency edges *and* the
 distinct-element volume of each edge (:func:`unit_dag`);
 :mod:`repro.core.traffic` runs its kernel over the same index for
-every block-scheme traffic figure.  The category census streams the
-pairs in chunks.  The paper's geometric mechanism (an interval tree per
+every block-scheme traffic figure.  The ten-category census
+(:attr:`DependencyInfo.category_counts`) streams the pairs in chunks, on
+first read only: no mapping path reads it, so an untraced analysis never
+counts it.  The paper's geometric mechanism (an interval tree per
 column) lives in ``tests/core/interval_oracle.py`` as an oracle.
 """
 
@@ -233,11 +235,25 @@ class DependencyInfo:
 
     partition: Partition
     edges: np.ndarray  # (m, 2) int64, unique, lexicographically sorted
-    category_counts: dict[int, int]
+    #: The updates the edges were read off; the category census reads them.
+    updates: UpdateSet
     include_scale: bool
     #: Distinct elements read along each edge; ``None`` when rebuilt from
     #: edges alone (partition cache) — :func:`unit_edge_volumes` serves both.
     volumes: np.ndarray | None = None
+
+    @cached_property
+    def category_counts(self) -> dict[int, int]:
+        """Pair updates per dependency category (absent: none), counted on
+        first read: no mapping path reads them, so only a traced
+        analysis or a caller who asks streams the pairs."""
+        per_code = np.zeros(72, dtype=np.int64)
+        for words in self.updates.pair_chunks(_unit_words(self.partition)):
+            per_code += np.bincount(_update_codes(*words), minlength=72)
+        counts = np.bincount(
+            _CATEGORY_OF_CODE, weights=per_code, minlength=len(CATEGORY_NAMES)
+        ).astype(np.int64).tolist()
+        return {cat: n for cat, n in enumerate(counts) if n}
 
     @cached_property
     def predecessor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,18 +309,12 @@ def analyze_dependencies(
     diagonal element).
     """
     edges, volumes = unit_dag(partition, updates, include_scale)
-    per_code = np.zeros(72, dtype=np.int64)
-    for words in updates.pair_chunks(_unit_words(partition)):
-        per_code += np.bincount(_update_codes(*words), minlength=72)
-    counts = np.bincount(
-        _CATEGORY_OF_CODE, weights=per_code, minlength=len(CATEGORY_NAMES)
-    ).astype(np.int64).tolist()
-    category_counts = {cat: n for cat, n in enumerate(counts) if n}
+    deps = DependencyInfo(partition, edges, updates, include_scale, volumes)
     if obs.is_enabled():
         obs.counter("deps.edges", len(edges))
-        for cat, count in category_counts.items():
+        for cat, count in deps.category_counts.items():
             obs.counter(f"deps.category.{cat:02d}", count)
-    return DependencyInfo(partition, edges, category_counts, include_scale, volumes)
+    return deps
 
 
 def require_same_edges(edges: np.ndarray, deps: DependencyInfo) -> None:

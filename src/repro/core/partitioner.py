@@ -15,7 +15,10 @@ roughly equal units:
 A :class:`Partition` stores its units as one int64 table — a row per
 :data:`~repro.core.blocks.UNIT_COLUMNS` name, a column per unit, units in
 allocation order — and :class:`~repro.core.blocks.UnitBlock` is the row
-view of one unit.
+view of one unit.  Each kind of unit is emitted for every cluster at once
+(split counts, grids and chunk bounds are array kernels), and every unit
+claims its elements with two searches per column it spans: no Python
+loop runs per cluster or per unit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from ..obs import trace as obs
 from ..sparse.dtypes import as_processor_count
 from ..sparse.pattern import LowerPattern
+from ..symbolic.updates import ragged_range
 from .blocks import KIND_CODE, KINDS, UNIT_COLUMNS, UnitBlock
 from .clusters import ClusterSet, find_clusters
 
@@ -46,51 +50,58 @@ __all__ = [
 PARTITION_IMPL_VERSION = 1
 
 
-def chunk_bounds(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split the inclusive range [lo, hi] into ``parts`` near-equal
-    contiguous chunks (larger chunks first)."""
+def chunk_bounds(lo, hi, parts) -> np.ndarray:
+    """Split every inclusive range [lo, hi] into ``parts`` near-equal
+    contiguous chunks (larger chunks first): an ``(sum(parts), 2)`` array
+    of [start, end] rows, range after range (scalars give one range)."""
+    lo, hi, parts = (np.ravel(a).astype(np.int64) for a in np.broadcast_arrays(lo, hi, parts))
     length = hi - lo + 1
-    if not (1 <= parts <= length):
-        raise ValueError(f"cannot split {length} indices into {parts} chunks")
-    base, extra = divmod(length, parts)
-    out = []
-    start = lo
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        out.append((start, start + size - 1))
-        start += size
-    return out
+    bad = (parts < 1) | (parts > length)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"cannot split {length[i]} indices into {parts[i]} chunks")
+    base, extra = (np.repeat(a, parts) for a in np.divmod(length, parts))
+    k = ragged_range(np.zeros_like(parts), parts, np.int64)  # chunk index in its range
+    start = np.repeat(lo, parts) + k * base + np.minimum(k, extra)
+    return np.stack([start, start + base - (k >= extra)], axis=1)
 
 
-def triangle_split_count(area: int, grain: int, max_parts: int | None = None) -> int:
+def triangle_split_count(area, grain: int, max_parts=None):
     """Number of column chunks b for a triangle: largest b with
-    b(b+1)/2 unit blocks allowed by the grain (and ``max_parts``)."""
-    pd = max(1, area // max(grain, 1))
+    b(b+1)/2 unit blocks allowed by the grain (and ``max_parts``, where
+    0 is no cap).  Elementwise over arrays."""
+    pd = np.maximum(1, np.asarray(area, dtype=np.int64) // max(grain, 1))
     if max_parts is not None:
-        pd = min(pd, max_parts)
-    b = 1
-    while (b + 1) * (b + 2) // 2 <= pd:
-        b += 1
-    return b
+        pd = np.where(np.asarray(max_parts) > 0, np.minimum(pd, max_parts), pd)
+    # b(b+1)/2 <= P_d is (2b + 1)**2 <= 8 P_d + 1.  A root that is not an
+    # integer is at least 4 / (2b + 1) from one, so the rounded float root
+    # floors right while P_d < 2**51.
+    return ((np.sqrt(8.0 * pd + 1.0) - 1.0) // 2).astype(np.int64)
 
 
-def rectangle_grid(height: int, width: int, area: int, grain: int) -> tuple[int, int]:
+def rectangle_grid(height, width, area, grain: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid shape (nr, nc) for a rectangle: maximize nr*nc <= P_d with
-    near-square units (ties broken toward squarer aspect)."""
-    pd = min(max(1, area // max(grain, 1)), height * width)
-    best = (1, 1)
-    best_score = (-1, float("inf"))
-    for nc in range(1, min(width, pd) + 1):
-        nr = min(height, pd // nc)
-        if nr < 1:
-            continue
-        count = nr * nc
-        aspect = abs((height / nr) - (width / nc))
-        score = (count, -aspect)
-        if score > (best_score[0], -best_score[1]):
-            best = (nr, nc)
-            best_score = (count, aspect)
-    return best
+    near-square units (ties broken toward squarer aspect, then fewer
+    columns).  Elementwise over arrays: every rectangle's candidate
+    column counts 1..min(width, P_d) are scored at once."""
+    shape = np.broadcast(height, width, area).shape
+    height, width, area = (
+        np.ravel(a).astype(np.int64) for a in np.broadcast_arrays(height, width, area)
+    )
+    pd = np.minimum(np.maximum(1, area // max(grain, 1)), height * width)
+    tries = np.minimum(width, pd)
+    if not len(tries):
+        return tries, tries
+    which = np.repeat(np.arange(len(tries)), tries)
+    nc = ragged_range(np.ones_like(tries), tries, np.int64)
+    nr = np.minimum(height[which], pd[which] // nc)
+    count = nr * nc
+    aspect = np.abs(height[which] / nr - width[which] / nc)
+    starts = np.cumsum(tries) - tries
+    aspect[count < np.maximum.reduceat(count, starts)[which]] = np.inf
+    best = np.flatnonzero(aspect == np.minimum.reduceat(aspect, starts)[which])
+    best = best[np.searchsorted(which[best], np.arange(len(tries)))]  # first per rectangle
+    return nr[best].reshape(shape), nc[best].reshape(shape)
 
 
 _COLUMN, _TRIANGLE, _RECTANGLE = (KIND_CODE[kind] for kind in KINDS)
@@ -223,70 +234,89 @@ class Partition:
             raise AssertionError(f"{int(outside.sum())} elements outside their unit's extent")
 
 
-def _elements_in_region(
-    pattern: LowerPattern,
-    col_lo: int,
-    col_hi: int,
-    row_lo: int,
-    row_hi: int,
-    triangular: bool,
-    ecol: np.ndarray,
+def _unit_table(
+    clusters: ClusterSet, grain_triangle: int, grain_rectangle: int, caps: np.ndarray
 ) -> np.ndarray:
-    """Element ids of pattern entries inside an inclusive region.
+    """The unit table of every cluster, in the paper's allocation order:
+    a column cluster is one COLUMN unit; a strip's triangle gives its
+    diagonal unit triangles top to bottom (order group 0), then its unit
+    rectangles row-major over the chunk grid (group 1); each of its dense
+    rectangles (block 1, 2, ...) gives a grid of unit rectangles,
+    row-major.  Each kind of unit is emitted for all clusters at once and
+    scattered to its slot."""
+    n_clusters = len(clusters)
+    lo, hi = clusters.col_lo, clusters.col_hi
+    width = hi - lo + 1
+    strips = np.flatnonzero(~clusters.is_column)
+    b = np.zeros(n_clusters, dtype=np.int64)  # column chunks of each triangle
+    b[strips] = np.minimum(triangle_split_count(
+        width[strips] * (width[strips] + 1) // 2, grain_triangle, caps[strips]
+    ), width[strips])
+    rect_of = np.repeat(np.arange(n_clusters), np.diff(clusters.rect_indptr))
+    r_lo, r_hi = clusters.rect_rows.T
+    height = r_hi - r_lo + 1
+    nr, nc = rectangle_grid(height, width[rect_of], height * width[rect_of], grain_rectangle)
+    rect_ptr = np.concatenate([[0], np.cumsum(nr * nc)])  # rectangle units before each rectangle
+    tri_units = np.where(clusters.is_column, 1, b * (b + 1) // 2)
+    unit_ptr = np.concatenate([[0], np.cumsum(tri_units + np.diff(rect_ptr[clusters.rect_indptr]))])
+    table = np.zeros((len(UNIT_COLUMNS), unit_ptr[-1]), dtype=np.int64)
 
-    Element ids of a column range are contiguous in CSC order, so the
-    region is one slice plus one boolean row filter; ``ecol`` (column of
-    every element id) gives the triangular lower bound ``row >= column``.
-    """
-    lo = int(pattern.indptr[col_lo])
-    hi = int(pattern.indptr[col_hi + 1])
-    rows = pattern.rowidx[lo:hi]
-    floor = np.int64(row_lo)
-    if triangular:
-        floor = np.maximum(floor, ecol[lo:hi])
-    return lo + np.flatnonzero((rows >= floor) & (rows <= row_hi))
+    def put(at, kind, parent_kind, cluster, cols, rows, block, group, ri, ci):
+        values = (kind, parent_kind, cluster, *cols.T, *rows.T, block, group, ri, ci)
+        for name, value in enumerate(values):
+            table[name, at] = value
+
+    single = np.flatnonzero(clusters.is_column)
+    put(unit_ptr[single], _COLUMN, _COLUMN, single, lo[single, None].repeat(2, 1),
+        np.stack([lo[single], clusters.column_row_hi[single]], axis=1), 0, 0, 0, 0)
+    # Triangles: chunk k of a strip is its k-th diagonal unit triangle.
+    chunks = chunk_bounds(lo[strips], hi[strips], b[strips])
+    chunk_ptr = np.zeros(n_clusters, dtype=np.int64)
+    chunk_ptr[strips] = np.cumsum(b[strips]) - b[strips]
+    cluster = np.repeat(strips, b[strips])
+    k = ragged_range(np.zeros_like(strips), b[strips], np.int64)
+    put(unit_ptr[cluster] + k, _TRIANGLE, _TRIANGLE, cluster, chunks, chunks, 0, 0, k, 0)
+    # The triangle's unit rectangles: chunk rows ri > chunk columns ci.
+    ri = ragged_range(np.ones_like(strips), b[strips] - 1, np.int64)
+    cluster = np.repeat(np.repeat(strips, b[strips] - 1), ri)
+    ri, ci = np.repeat(ri, ri), ragged_range(np.zeros_like(ri), ri, np.int64)
+    first = chunk_ptr[cluster]
+    put(unit_ptr[cluster] + b[cluster] + ri * (ri - 1) // 2 + ci, _RECTANGLE, _TRIANGLE,
+        cluster, chunks[first + ci], chunks[first + ri], 0, 1, ri, ci)
+    # Dense rectangles: an nr x nc grid each.
+    rect = np.repeat(np.arange(len(height)), nr * nc)
+    t = ragged_range(np.zeros_like(rect_ptr[:-1]), nr * nc, np.int64)
+    ri, ci = t // nc[rect], t % nc[rect]
+    cluster = rect_of[rect]
+    col_chunks = chunk_bounds(lo[rect_of], hi[rect_of], nc)
+    row_chunks = chunk_bounds(r_lo, r_hi, nr)
+    in_cluster = rect_ptr[rect] - rect_ptr[clusters.rect_indptr[cluster]]
+    put(unit_ptr[cluster] + tri_units[cluster] + in_cluster + t, _RECTANGLE, _RECTANGLE,
+        cluster, col_chunks[(np.cumsum(nc) - nc)[rect] + ci],
+        row_chunks[(np.cumsum(nr) - nr)[rect] + ri],
+        1 + rect - clusters.rect_indptr[cluster], 0, ri, ci)
+    return table
 
 
-def _triangle_rows(
-    cluster: int, s: int, e: int, grain: int, max_parts: int | None
-) -> list[tuple[int, ...]]:
-    """Unit rows of the diagonal triangle of strip [s, e], in the paper's
-    allocation order: diagonal unit triangles top to bottom (order group
-    0), then unit rectangles row-major over the chunk grid (group 1)."""
-    width = e - s + 1
-    b = min(triangle_split_count(width * (width + 1) // 2, grain, max_parts), width)
-    chunks = chunk_bounds(s, e, b)
-    rows = [
-        (_TRIANGLE, _TRIANGLE, cluster, lo, hi, lo, hi, 0, 0, ci, 0)
-        for ci, (lo, hi) in enumerate(chunks)
-    ]
-    rows += [
-        (_RECTANGLE, _TRIANGLE, cluster, *chunks[ci], *chunks[ri], 0, 1, ri, ci)
-        for ri in range(1, b)
-        for ci in range(ri)
-    ]
-    return rows
-
-
-def _rectangle_rows(
-    cluster: int, rect_index: int, s: int, e: int, r_lo: int, r_hi: int, grain: int
-) -> list[tuple[int, ...]]:
-    """Unit rows of the ``rect_index``-th dense rectangle (rows
-    [r_lo, r_hi]) of strip [s, e]: a grid of unit rectangles, row-major
-    (top to bottom, left to right)."""
-    height, width = r_hi - r_lo + 1, e - s + 1
-    nr, nc = rectangle_grid(height, width, height * width, grain)
-    col_chunks = chunk_bounds(s, e, nc)
-    return [
-        (_RECTANGLE, _RECTANGLE, cluster, c_lo, c_hi, u_lo, u_hi, 1 + rect_index, 0, ri, ci)
-        for ri, (u_lo, u_hi) in enumerate(chunk_bounds(r_lo, r_hi, nr))
-        for ci, (c_lo, c_hi) in enumerate(col_chunks)
-    ]
-
-
-def _row_elements(pattern: LowerPattern, row: tuple[int, ...], ecol: np.ndarray) -> np.ndarray:
-    """Element ids inside the extents of one unit row."""
-    return _elements_in_region(pattern, *row[3:7], row[0] == _TRIANGLE, ecol)
+def _claim_elements(pattern: LowerPattern, table: np.ndarray) -> np.ndarray:
+    """``unit_of_element`` of a unit table: every unit claims the
+    elements inside its extents (an element left at -1 fails the
+    :class:`Partition`'s checks).  A unit's elements in one of its
+    columns are one run in CSC order, found by two searches on the
+    element key ``col * n + row``: rows ``row_lo`` to ``row_hi``.  A
+    triangle needs no floor at its diagonal, since a column of a lower
+    pattern holds no row above it."""
+    col_lo, col_hi, row_lo, row_hi = table[3:7]
+    width = col_hi - col_lo + 1
+    unit = np.repeat(np.arange(len(width)), width)
+    col = ragged_range(col_lo, width, np.int64)
+    n = pattern.n
+    key = pattern.element_cols().astype(np.int64) * n + pattern.rowidx
+    lo = np.searchsorted(key, col * n + row_lo[unit])
+    count = np.searchsorted(key, col * n + row_hi[unit], side="right") - lo
+    owner = np.full(pattern.nnz, -1, dtype=np.int64)
+    owner[ragged_range(lo, count, np.int64)] = np.repeat(unit, count)
+    return owner
 
 
 def partition_clusters(
@@ -307,48 +337,11 @@ def partition_clusters(
         grain_rectangle = grain_triangle
     grain_triangle = as_processor_count(grain_triangle, "grain")
     grain_rectangle = as_processor_count(grain_rectangle, "grain")
-    ecol = pattern.element_cols()
     n_clusters = len(clusters)
-    strips = np.flatnonzero(~clusters.is_column)
-    rect_rows = clusters.rect_rows.tolist()
     caps = np.zeros(n_clusters, np.int64) if max_parts is None else max_parts
-    rows: list[tuple[int, ...]] = []
-    units_per_cluster = np.ones(n_clusters, dtype=np.int64)
-    for c, cap, s, e, a, b in zip(
-        strips.tolist(),
-        caps[strips].tolist(),
-        clusters.col_lo[strips].tolist(),
-        clusters.col_hi[strips].tolist(),
-        clusters.rect_indptr[strips].tolist(),
-        clusters.rect_indptr[strips + 1].tolist(),
-    ):
-        before = len(rows)
-        rows += _triangle_rows(c, s, e, grain_triangle, cap or None)
-        for k, (r_lo, r_hi) in enumerate(rect_rows[a:b]):
-            rows += _rectangle_rows(c, k, s, e, r_lo, r_hi, grain_rectangle)
-        units_per_cluster[c] = len(rows) - before
-    unit_ptr = np.concatenate([[0], np.cumsum(units_per_cluster)])
-    n_units = int(unit_ptr[-1])
-
-    # Single-column clusters, all at once: one COLUMN unit each (kind
-    # codes and order fields 0), owning its whole column.
-    table = np.zeros((len(UNIT_COLUMNS), n_units), dtype=np.int64)
-    single = np.flatnonzero(clusters.is_column)
-    at = unit_ptr[single]
-    table[2, at] = single  # cluster
-    table[3:6, at] = clusters.col_lo[single]  # col_lo = col_hi = row_lo
-    table[6, at] = clusters.column_row_hi[single]  # row_hi
-    cluster_of_element = clusters.cluster_of_column[ecol]
-    unit_of_element = np.where(
-        clusters.is_column[cluster_of_element], unit_ptr[cluster_of_element], -1
-    )
-    # Strip units: the emitted rows, each claiming the elements inside
-    # its extents (an element left at -1 fails the Partition's checks).
-    in_strip = np.ones(n_units, dtype=bool)
-    in_strip[at] = False
-    table[:, in_strip] = np.array(rows, dtype=np.int64).reshape(-1, len(UNIT_COLUMNS)).T
-    for uid, row in zip(np.flatnonzero(in_strip).tolist(), rows):
-        unit_of_element[_row_elements(pattern, row, ecol)] = uid
+    table = _unit_table(clusters, grain_triangle, grain_rectangle, caps)
+    unit_of_element = _claim_elements(pattern, table)
+    n_units = table.shape[1]
 
     partition = Partition(
         pattern, clusters, table, unit_of_element, grain_triangle, grain_rectangle

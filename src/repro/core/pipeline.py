@@ -21,9 +21,10 @@ from ..sparse.pattern import LowerPattern, SymmetricGraph
 from ..symbolic.fill import SymbolicFactor, symbolic_cholesky
 from ..symbolic.updates import UpdateSet, enumerate_updates
 from .assignment import Assignment
+from .clusters import ClusterSet, find_clusters
 from .dependencies import DependencyInfo, analyze_dependencies
 from .metrics import LoadBalance, load_balance
-from .partitioner import Partition, partition_factor
+from .partitioner import Partition, partition_clusters
 from .scheduler import SchedulerOptions, schedule_blocks
 from .traffic import TrafficResult, data_traffic
 from .work import processor_work, unit_work
@@ -53,6 +54,9 @@ class PreparedMatrix:
     :class:`PartitionedMatrix` per ``(grain, min_width, zero_tolerance,
     grain_rectangle)`` it was called with, for as long as this object
     lives: that memory is the price of partitioning each tuple once.
+    The clusters do not depend on the grain, so :meth:`clusters` keeps
+    one :class:`ClusterSet` per ``(min_width, zero_tolerance)`` for every
+    grain, block-adaptive included.
     """
 
     name: str
@@ -60,6 +64,13 @@ class PreparedMatrix:
     perm: np.ndarray
     symbolic: SymbolicFactor
     _partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _clusters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def clusters(self, min_width: int = 4, zero_tolerance: float = 0.0) -> ClusterSet:
+        key = (min_width, zero_tolerance)
+        if key not in self._clusters:
+            self._clusters[key] = find_clusters(self.pattern, min_width, zero_tolerance)
+        return self._clusters[key]
 
     @property
     def pattern(self) -> LowerPattern:
@@ -140,11 +151,10 @@ def partition_prepared(
     if key in prepared._partitions:
         return prepared._partitions[key]
     with obs.span("pipeline.partition", matrix=prepared.name, grain=grain):
-        partition = partition_factor(
+        partition = partition_clusters(
             prepared.pattern,
-            grain=grain,
-            min_width=min_width,
-            zero_tolerance=zero_tolerance,
+            prepared.clusters(min_width, zero_tolerance),
+            grain_triangle=grain,
             grain_rectangle=grain_rectangle,
         )
     obs.counter("pipeline.stage.partition")
@@ -297,8 +307,8 @@ def adaptive_block_mapping(
     with obs.span("pipeline.adaptive_block_mapping", matrix=prepared.name, nprocs=nprocs, grain=grain):
         with obs.span("pipeline.adaptive_schedule", matrix=prepared.name, nprocs=nprocs):
             partition, deps, assignment = _fixed_point(
-                prepared.pattern, prepared.updates, nprocs, grain, min_width,
-                zero_tolerance, options,
+                prepared.pattern, prepared.updates, nprocs, grain,
+                prepared.clusters(min_width, zero_tolerance), options,
             )
         obs.counter("pipeline.stage.partition")
         obs.counter("pipeline.stage.schedule")

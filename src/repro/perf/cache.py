@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.blocks import UNIT_COLUMNS
 from ..core.clusters import ClusterSet
 from ..core.dependencies import DependencyInfo
 from ..core.partitioner import PARTITION_IMPL_VERSION, Partition
@@ -75,7 +76,9 @@ __all__ = [
 #: cached stage change; old entries then miss on both key and payload.
 #: v2: index arrays stored at their narrow (int32-capable) dtypes.
 #: v3: partition entries hold the unit table and the cluster columns.
-CACHE_VERSION = 3
+#: v4: a partition entry is five members (:func:`_pack_partition`) and
+#: holds no category census.
+CACHE_VERSION = 4
 
 
 def parse_bytes(text: str) -> int:
@@ -122,8 +125,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-prepare"
 
 
-def _bump_stats(root: Path, field: str) -> None:
-    """Advisory lifetime counter bump in ``<root>/stats.json``.
+def _bump_stats(root: Path, *fields: str) -> None:
+    """Advisory lifetime counter bumps in ``<root>/stats.json``: one
+    read and one write, however many ``fields`` (a miss and the store
+    that follows it are one write).
 
     Best-effort by design: racing writers may lose an increment and a
     read-only root is silently skipped — the counters inform ``cache
@@ -137,7 +142,8 @@ def _bump_stats(root: Path, field: str) -> None:
                 doc = {}
         except (OSError, ValueError):
             doc = {}
-        doc[field] = int(doc.get(field, 0)) + 1
+        for field in fields:
+            doc[field] = int(doc.get(field, 0)) + 1
         root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=root, suffix=".json.tmp")
         with os.fdopen(fd, "w") as fh:
@@ -145,6 +151,20 @@ def _bump_stats(root: Path, field: str) -> None:
         os.replace(tmp, path)
     except OSError:
         pass
+
+
+def _write_npz(path: Path, **arrays: np.ndarray) -> None:
+    """Write an entry atomically: a temp file beside it, then a rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _touch(path: Path) -> None:
@@ -195,7 +215,13 @@ class PrepareCache:
         Corrupted, truncated, incomplete or version-mismatched entries
         are treated as misses — the caller recomputes and overwrites.
         """
-        key = prepare_key(graph, ordering)
+        hit = self._load(prepare_key(graph, ordering), graph, name)
+        if hit is None:
+            _bump_stats(self.root, "prepare.miss")
+        return hit
+
+    def _load(self, key: str, graph: SymmetricGraph, name: str) -> PreparedMatrix | None:
+        """:meth:`load` under a known key, counting a miss in the trace only."""
         path = self.path_for(key, graph.n)
         with obs.span("perf.cache.load", key=key[:12], matrix=name or "matrix"):
             try:
@@ -219,7 +245,6 @@ class PrepareCache:
                 if not isinstance(exc, FileNotFoundError):
                     obs.counter("perf.cache.invalid")
                 obs.counter("perf.cache.miss")
-                _bump_stats(self.root, "prepare.miss")
                 return None
         obs.counter("perf.cache.hit")
         _bump_stats(self.root, "prepare.hit")
@@ -235,29 +260,24 @@ class PrepareCache:
         self, graph: SymmetricGraph, ordering: str, prepared: PreparedMatrix
     ) -> Path:
         """Persist a prepare result atomically (write-temp + rename)."""
-        key = prepare_key(graph, ordering)
-        path = self.path_for(key, graph.n)
-        with obs.span("perf.cache.store", key=key[:12], matrix=prepared.name):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        version=np.int64(CACHE_VERSION),
-                        perm=prepared.perm,
-                        parent=prepared.symbolic.parent,
-                        indptr=prepared.pattern.indptr,
-                        rowidx=prepared.pattern.rowidx,
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        obs.counter("perf.cache.store")
+        path = self._store(prepare_key(graph, ordering), graph, prepared)
         _bump_stats(self.root, "prepare.store")
         _auto_prune(self.root)
+        return path
+
+    def _store(self, key: str, graph: SymmetricGraph, prepared: PreparedMatrix) -> Path:
+        """:meth:`store` under a known key, leaving ``stats.json`` alone."""
+        path = self.path_for(key, graph.n)
+        with obs.span("perf.cache.store", key=key[:12], matrix=prepared.name):
+            _write_npz(
+                path,
+                version=np.int64(CACHE_VERSION),
+                perm=prepared.perm,
+                parent=prepared.symbolic.parent,
+                indptr=prepared.pattern.indptr,
+                rowidx=prepared.pattern.rowidx,
+            )
+        obs.counter("perf.cache.store")
         return path
 
 
@@ -284,6 +304,44 @@ def partition_key(
 _CLUSTER_COLUMNS = (
     "col_lo", "col_hi", "triangle_padding", "rectangle_padding", "rect_indptr", "rect_rows",
 )
+#: The scalars of a partition entry's header, in order.
+_HEADER = (
+    "version", "impl", "grain", "min_width", "grain_rectangle", "include_scale",
+    "n_units", "n_clusters",
+)
+
+
+def _pack_partition(columns: dict) -> dict[str, np.ndarray]:
+    """A partition entry's five members from its named columns: the
+    ``header`` scalars (:data:`_HEADER`, the sizes taken from ``units``
+    and ``col_lo``), ``units`` (the unit table, then ``unit_work``, end
+    to end), ``clusters`` (the :data:`_CLUSTER_COLUMNS` end to end),
+    ``edges`` and ``unit_of_element``."""
+    sizes = {"n_units": columns["units"].shape[1], "n_clusters": len(columns["col_lo"])}
+    return {
+        "header": np.array([{**columns, **sizes}[name] for name in _HEADER], dtype=np.int64),
+        "units": np.concatenate([columns["units"].ravel(), columns["unit_work"]]),
+        "clusters": np.concatenate([np.ravel(columns[name]) for name in _CLUSTER_COLUMNS]),
+        "edges": columns["edges"],
+        "unit_of_element": columns["unit_of_element"],
+    }
+
+
+def _unpack_partition(members) -> dict[str, np.ndarray]:
+    """The named columns of a partition entry (:func:`_pack_partition`
+    inverted).  Raises ``KeyError`` or ``ValueError`` on an entry of
+    another layout or whose members disagree with its header's sizes."""
+    columns = dict(zip(_HEADER, members["header"].tolist(), strict=True))
+    units = members["units"].reshape(len(UNIT_COLUMNS) + 1, columns["n_units"])
+    columns["units"], columns["unit_work"] = units[:-1], units[-1]
+    block, k = members["clusters"], columns["n_clusters"]
+    (columns["col_lo"], columns["col_hi"], columns["triangle_padding"],
+     columns["rectangle_padding"]) = block[: 4 * k].reshape(4, k)
+    columns["rect_indptr"] = block[4 * k : 5 * k + 1]
+    columns["rect_rows"] = block[5 * k + 1 :].reshape(-1, 2)
+    columns["edges"] = members["edges"]
+    columns["unit_of_element"] = members["unit_of_element"]
+    return columns
 
 
 class PartitionCache:
@@ -292,8 +350,10 @@ class PartitionCache:
     Maps (structure, ordering, grain, min_width) to the
     :class:`~repro.core.pipeline.PartitionedMatrix` payload: the unit
     table and cluster columns exactly as :class:`Partition` and
-    :class:`ClusterSet` hold them, dependency edges and per-unit work.
-    Only the default
+    :class:`ClusterSet` hold them, dependency edges and per-unit work,
+    as the five members of :func:`_pack_partition`.  The category census
+    is not stored: a loaded :class:`DependencyInfo` counts it from the
+    prepared matrix's updates if it is ever read.  Only the default
     ``zero_tolerance == 0`` / ``grain_rectangle is None`` configuration
     is cacheable; anything else bypasses this cache.
     """
@@ -316,23 +376,31 @@ class PartitionCache:
     ) -> PartitionedMatrix | None:
         """Return the cached partition stage, or ``None`` on any miss."""
         key = partition_key(prepared.graph, ordering, grain, min_width)
+        hit = self._load(key, prepared, grain, min_width)
+        if hit is None:
+            _bump_stats(self.root, "partition.miss")
+        return hit
+
+    def _load(
+        self, key: str, prepared: PreparedMatrix, grain: int, min_width: int
+    ) -> PartitionedMatrix | None:
+        """:meth:`load` under a known key, counting a miss in the trace only."""
         path = self.path_for(key, prepared.graph.n)
         with obs.span(
             "perf.cache.partition.load", key=key[:12], matrix=prepared.name
         ):
             try:
                 with np.load(path) as data:
-                    if int(data["version"]) != CACHE_VERSION:
-                        raise ValueError("cache version mismatch")
-                    if int(data["impl"]) != PARTITION_IMPL_VERSION:
-                        raise ValueError("partition impl version mismatch")
-                    payload = {name: np.asarray(data[name]) for name in data.files}
-                partitioned = self._rebuild(prepared, grain, min_width, payload)
+                    columns = _unpack_partition(data)
+                if columns["version"] != CACHE_VERSION:
+                    raise ValueError("cache version mismatch")
+                if columns["impl"] != PARTITION_IMPL_VERSION:
+                    raise ValueError("partition impl version mismatch")
+                partitioned = self._rebuild(prepared, grain, min_width, columns)
             except (OSError, KeyError, ValueError, IndexError, zipfile.BadZipFile) as exc:
                 if not isinstance(exc, FileNotFoundError):
                     obs.counter("perf.cache.partition.invalid")
                 obs.counter("perf.cache.partition.miss")
-                _bump_stats(self.root, "partition.miss")
                 return None
         obs.counter("perf.cache.partition.hit")
         _bump_stats(self.root, "partition.hit")
@@ -344,49 +412,41 @@ class PartitionCache:
         prepared: PreparedMatrix,
         grain: int,
         min_width: int,
-        data: dict,
+        columns: dict,
     ) -> PartitionedMatrix:
-        """The payload as a partition stage.  The :class:`ClusterSet` and
-        :class:`Partition` constructors validate their columns; what
-        only this layer knows (edges, unit work) is checked here."""
+        """The columns as a partition stage.  The :class:`ClusterSet` and
+        :class:`Partition` constructors validate their columns,
+        :func:`_unpack_partition` the sizes; what only this layer knows
+        (the edges) is checked here."""
         pattern = prepared.pattern
         cluster_set = ClusterSet(
             pattern,
-            *(data[name] for name in _CLUSTER_COLUMNS),
+            *(columns[name] for name in _CLUSTER_COLUMNS),
             min_width,
             0.0,
         )
         partition = Partition(
             pattern,
             cluster_set,
-            data["units"],
-            data["unit_of_element"].astype(np.int64),
+            columns["units"],
+            columns["unit_of_element"].astype(np.int64),
             grain,
-            int(data["grain_rectangle"]),
+            columns["grain_rectangle"],
         )
         n_units = partition.num_units
-        edges = data["edges"].astype(np.int64).reshape(-1, 2)
+        edges = columns["edges"].astype(np.int64).reshape(-1, 2)
         if edges.size and (
             edges.min() < 0 or edges.max() >= n_units or (edges[:, 0] == edges[:, 1]).any()
         ):
             raise ValueError("cache payload has a malformed dependency edge")
-        unit_work = data["unit_work"].astype(np.int64)
-        if unit_work.shape != (n_units,):
-            raise ValueError("cache payload has the wrong unit_work length")
-        category_counts = dict(
-            zip(
-                data["cat_keys"].astype(np.int64).tolist(),
-                data["cat_vals"].astype(np.int64).tolist(),
-            )
-        )
         dependencies = DependencyInfo(
-            partition, edges, category_counts, bool(data["dep_include_scale"])
+            partition, edges, prepared.updates, bool(columns["include_scale"])
         )
         return PartitionedMatrix(
             prepared=prepared,
             partition=partition,
             dependencies=dependencies,
-            unit_work=unit_work,
+            unit_work=np.ascontiguousarray(columns["unit_work"]),
             grain=grain,
             min_width=min_width,
         )
@@ -401,53 +461,39 @@ class PartitionCache:
         key = partition_key(
             prepared.graph, ordering, partitioned.grain, partitioned.min_width
         )
+        path = self._store(key, prepared, partitioned)
+        _bump_stats(self.root, "partition.store")
+        _auto_prune(self.root)
+        return path
+
+    def _store(
+        self, key: str, prepared: PreparedMatrix, partitioned: PartitionedMatrix
+    ) -> Path:
+        """:meth:`store` under a known key, leaving ``stats.json`` alone."""
         path = self.path_for(key, prepared.graph.n)
         partition = partitioned.partition
         clusters = partition.clusters
         with obs.span(
             "perf.cache.partition.store", key=key[:12], matrix=prepared.name
         ):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        version=np.int64(CACHE_VERSION),
-                        impl=np.int64(PARTITION_IMPL_VERSION),
-                        grain=np.int64(partitioned.grain),
-                        min_width=np.int64(partitioned.min_width),
-                        grain_rectangle=np.int64(partition.grain_rectangle),
-                        # Stored narrow (unit ids fit int32 far before
-                        # nnz does); loads widen back to the partition
-                        # stage's native int64.
-                        unit_of_element=partition.unit_of_element.astype(
-                            index_dtype(max(partition.num_units, 1)), copy=False
-                        ),
-                        units=partition.table,
-                        **{name: getattr(clusters, name) for name in _CLUSTER_COLUMNS},
-                        edges=partitioned.dependencies.edges,
-                        cat_keys=np.asarray(
-                            list(partitioned.dependencies.category_counts),
-                            dtype=np.int64,
-                        ),
-                        cat_vals=np.asarray(
-                            list(partitioned.dependencies.category_counts.values()),
-                            dtype=np.int64,
-                        ),
-                        dep_include_scale=np.bool_(
-                            partitioned.dependencies.include_scale
-                        ),
-                        unit_work=np.asarray(partitioned.unit_work, dtype=np.int64),
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _write_npz(path, **_pack_partition({
+                "version": CACHE_VERSION,
+                "impl": PARTITION_IMPL_VERSION,
+                "grain": partitioned.grain,
+                "min_width": partitioned.min_width,
+                "grain_rectangle": partition.grain_rectangle,
+                "include_scale": partitioned.dependencies.include_scale,
+                "units": partition.table,
+                "unit_work": partitioned.unit_work,
+                **{name: getattr(clusters, name) for name in _CLUSTER_COLUMNS},
+                "edges": partitioned.dependencies.edges,
+                # Stored narrow (unit ids fit int32 far before nnz does);
+                # loads widen back to the partition stage's native int64.
+                "unit_of_element": partition.unit_of_element.astype(
+                    index_dtype(max(partition.num_units, 1)), copy=False
+                ),
+            }))
         obs.counter("perf.cache.partition.store")
-        _bump_stats(self.root, "partition.store")
-        _auto_prune(self.root)
         return path
 
 
@@ -465,11 +511,14 @@ def cached_partition(
     miss runs them and stores the result for the next caller.
     """
     cache = PartitionCache(cache_dir)
-    hit = cache.load(prepared, grain, min_width, ordering)
+    key = partition_key(prepared.graph, ordering, grain, min_width)
+    hit = cache._load(key, prepared, grain, min_width)
     if hit is not None:
         return hit
     partitioned = partition_prepared(prepared, grain=grain, min_width=min_width)
-    cache.store(prepared, partitioned, ordering)
+    cache._store(key, prepared, partitioned)
+    _bump_stats(cache.root, "partition.miss", "partition.store")
+    _auto_prune(cache.root)
     return partitioned
 
 
@@ -485,11 +534,14 @@ def cached_prepare(
     them and stores the result for the next caller.
     """
     cache = PrepareCache(cache_dir)
-    hit = cache.load(graph, ordering, name)
+    key = prepare_key(graph, ordering)
+    hit = cache._load(key, graph, name)
     if hit is not None:
         return hit
     prepared = prepare(graph, ordering=ordering, name=name)
-    cache.store(graph, ordering, prepared)
+    cache._store(key, graph, prepared)
+    _bump_stats(cache.root, "prepare.miss", "prepare.store")
+    _auto_prune(cache.root)
     return prepared
 
 

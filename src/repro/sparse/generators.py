@@ -219,7 +219,14 @@ def knn_mesh(
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
     else:
         raise ValueError(f"unknown layout {layout!r}")
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    # Squared distances one coordinate at a time, in place: an (n, n, 2)
+    # difference array was the peak of memory of every paper-tier sweep.
+    d2 = pts[:, None, 0] - pts[None, :, 0]
+    d2 *= d2
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    dy *= dy
+    d2 += dy
+    del dy
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1)
 

@@ -18,13 +18,13 @@ from ..conftest import random_connected_graph
 
 class TestChunkBounds:
     def test_even_split(self):
-        assert chunk_bounds(0, 5, 3) == [(0, 1), (2, 3), (4, 5)]
+        assert chunk_bounds(0, 5, 3).tolist() == [[0, 1], [2, 3], [4, 5]]
 
     def test_remainder_goes_first(self):
-        assert chunk_bounds(0, 6, 3) == [(0, 2), (3, 4), (5, 6)]
+        assert chunk_bounds(0, 6, 3).tolist() == [[0, 2], [3, 4], [5, 6]]
 
     def test_single_chunk(self):
-        assert chunk_bounds(3, 9, 1) == [(3, 9)]
+        assert chunk_bounds(3, 9, 1).tolist() == [[3, 9]]
 
     def test_rejects_too_many(self):
         with pytest.raises(ValueError):

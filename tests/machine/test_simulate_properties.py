@@ -74,7 +74,9 @@ class TestUnitGraph:
         r = block_mapping(prepared_grid, 4, grain=4)
         deps = r.dependencies
         u, v = deps.edges[0].tolist()
-        short = DependencyInfo(deps.partition, deps.edges[1:], {}, deps.include_scale)
+        short = DependencyInfo(
+            deps.partition, deps.edges[1:], prepared_grid.updates, deps.include_scale
+        )
         with pytest.raises(ValueError, match=rf"unit edges \[\({u}, {v}\)\]"):
             simulate_assignment(r.assignment, prepared_grid.updates, deps=short)
         with pytest.raises(ValueError, match=rf"unit edges \[\({u}, {v}\)\]"):
@@ -82,7 +84,7 @@ class TestUnitGraph:
         extra = DependencyInfo(
             deps.partition,
             np.vstack([[0, 0], deps.edges]),
-            {},
+            prepared_grid.updates,
             deps.include_scale,
         )
         with pytest.raises(ValueError, match=r"unit edges \[\(0, 0\)\]"):

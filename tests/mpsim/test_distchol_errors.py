@@ -117,7 +117,7 @@ class TestBlockErrors:
         # unit is not shipped there at all.
         s, t = deps.edges[crossing[0]]
         drop = (deps.edges[:, 0] == s) & (proc[deps.edges[:, 1]] == proc[t])
-        broken = DependencyInfo(r.partition, deps.edges[~drop], deps.category_counts, True)
+        broken = DependencyInfo(r.partition, deps.edges[~drop], prep.updates, True)
         with pytest.raises(MPSimError, match="never arrived"):
             distributed_block_cholesky(
                 a, r.partition, r.assignment, prep.updates, broken

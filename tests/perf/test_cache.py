@@ -268,10 +268,10 @@ class TestPartitionCache:
         cache.store(prepared, self._fresh(prepared))
         path = cache.path_for(partition_key(graph, "mmd", 4, 4))
         with np.load(path) as data:
-            payload = dict(data)
-        payload["impl"] = np.int64(cache_mod.PARTITION_IMPL_VERSION + 1)
+            columns = cache_mod._unpack_partition(data)
+        columns["impl"] = cache_mod.PARTITION_IMPL_VERSION + 1
         with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+            np.savez(fh, **cache_mod._pack_partition(columns))
         with obs.enabled(obs.Recorder()) as rec:
             assert cache.load(prepared, 4, 4) is None
         assert rec.counters.get("perf.cache.partition.invalid") == 1
@@ -291,17 +291,58 @@ class TestPartitionCache:
             np.savez(fh, **payload)
         assert cache.load(prepared, 4, 4) is None
 
+    def _v3_entry(self, partitioned):
+        """The members a version-3 writer stored: every column its own
+        member, the category census as ``cat_keys`` / ``cat_vals``."""
+        part, deps = partitioned.partition, partitioned.dependencies
+        return {
+            "version": np.int64(3), "impl": np.int64(cache_mod.PARTITION_IMPL_VERSION),
+            "grain": np.int64(4), "min_width": np.int64(4),
+            "grain_rectangle": np.int64(part.grain_rectangle),
+            "unit_of_element": part.unit_of_element.astype(np.int32), "units": part.table,
+            **{name: getattr(part.clusters, name) for name in cache_mod._CLUSTER_COLUMNS},
+            "edges": deps.edges,
+            "cat_keys": np.array(list(deps.category_counts), dtype=np.int64),
+            "cat_vals": np.array(list(deps.category_counts.values()), dtype=np.int64),
+            "dep_include_scale": np.bool_(True), "unit_work": partitioned.unit_work,
+        }
+
+    @pytest.mark.parametrize("skew", ["version 3 layout", "truncated"])
+    def test_version_skewed_entry_is_a_clean_miss(self, tmp_path, graph, prepared, skew):
+        """An entry of the previous layout under this version's path, or
+        a five-member entry cut short, is refused and then overwritten."""
+        cache = PartitionCache(tmp_path)
+        direct = self._fresh(prepared)
+        path = cache.store(prepared, direct)
+        if skew == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size * 2 // 3])
+        else:
+            with open(path, "wb") as fh:
+                np.savez(fh, **self._v3_entry(direct))
+        with obs.enabled(obs.Recorder()) as rec:
+            assert cache.load(prepared, 4, 4) is None
+        assert rec.counters.get("perf.cache.partition.invalid") == 1
+        assert rec.counters.get("perf.cache.partition.miss") == 1
+        fresh = cached_partition(prepared, 4, 4, cache_dir=tmp_path)
+        np.testing.assert_array_equal(fresh.partition.table, direct.partition.table)
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "clusters", "edges", "header", "unit_of_element", "units"
+            ]
+        hit = cache.load(prepared, 4, 4)
+        assert hit.dependencies.category_counts == direct.dependencies.category_counts
+
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_corrupt_column_is_a_miss(self, tmp_path, graph, prepared, case):
         cache = PartitionCache(tmp_path)
         cache.store(prepared, self._fresh(prepared))
         path = cache.path_for(partition_key(graph, "mmd", 4, 4))
         with np.load(path) as data:
-            payload = dict(data)
+            payload = cache_mod._unpack_partition(data)
         assert len(payload["rect_rows"]) and len(payload["edges"])
         CORRUPTIONS[case](payload)
         with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+            np.savez(fh, **cache_mod._pack_partition(payload))
         with obs.enabled(obs.Recorder()) as rec:
             assert cache.load(prepared, 4, 4) is None
         assert rec.counters.get("perf.cache.partition.invalid") == 1
@@ -350,6 +391,23 @@ class TestStatsAndPrune:
         assert counters["partition.hit"] == 1
         assert counters["partition.miss"] == 1
         assert counters["partition.store"] == 1
+
+    def test_one_stats_write_per_call(self, tmp_path, graph, prepared, monkeypatch):
+        """A miss and its store are one ``stats.json`` write, a hit one."""
+        writes = []
+        bump = cache_mod._bump_stats
+
+        def counted(root, *fields):
+            writes.append(fields)
+            bump(root, *fields)
+
+        monkeypatch.setattr(cache_mod, "_bump_stats", counted)
+        self._warm(tmp_path, graph, prepared)
+        assert writes == [
+            ("prepare.miss", "prepare.store"), ("prepare.hit",),
+            ("partition.miss", "partition.store"), ("partition.hit",),
+            ("prepare.miss", "prepare.store"),
+        ]
 
     def test_stats_on_empty_or_missing_root(self, tmp_path):
         stats = cache_mod.cache_stats(tmp_path / "never-created")

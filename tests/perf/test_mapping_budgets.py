@@ -8,7 +8,11 @@ calls run (``target`` alone stays allowed: the end-to-end benchmark
 reads ``len(updates.target)`` once per pass), and the bytes by
 ``tracemalloc`` peaks per pair update.
 A block cell's traffic counts each segment of the unit read index once,
-expanding no read at all.
+expanding no read at all.  The ten-category census streams the pairs,
+so no mapping path runs it; the partitioner claims every unit's
+elements at once, so its Python-level call count does not grow with the
+units; and a sweep scans each matrix for clusters once, whatever its
+grains and schemes.
 """
 
 import dataclasses
@@ -20,6 +24,7 @@ import pytest
 
 from repro.core import (
     adaptive_block_mapping,
+    partition_factor,
     block_mapping,
     block_mappings,
     partition_prepared,
@@ -28,6 +33,7 @@ from repro.core import (
     wrap_mapping,
     wrap_mappings,
 )
+from repro.core import pipeline
 from repro.core.partitioner import Partition
 from repro.machine import data_traffic
 from repro.perf import sweep
@@ -66,6 +72,53 @@ def test_no_per_pair_arrays(name, monkeypatch):
     for attr in ("source_i", "source_j", "source_col"):
         monkeypatch.setattr(UpdateSet, attr, property(_forbidden))
     _map_every_way(name)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_no_pair_census(name, monkeypatch):
+    monkeypatch.setattr(UpdateSet, "pair_chunks", _forbidden)
+    _map_every_way(name)
+
+
+def _profiled_calls(fn) -> int:
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_partition_calls_do_not_grow_with_the_units():
+    """``partition_factor`` on LAP30: 2 965 units at g = 4, 1 005 at
+    g = 25, and the same Python-level calls for both: 1 018 with numpy
+    2.4.6, the call itself included (1 038 for CANN1072's 50 strips,
+    991 for DWT512's 3).  The claim by per-unit region scans and the
+    per-strip rectangle scan made 39 513 and 10 453."""
+    pattern = prepare(load("LAP30")).pattern
+    calls = {g: _profiled_calls(lambda: partition_factor(pattern, grain=g)) for g in (4, 25)}
+    assert partition_factor(pattern, grain=4).num_units == 2965
+    assert calls[4] == calls[25] <= 1018
+
+
+def test_one_cluster_scan_per_matrix(monkeypatch):
+    scans = []
+    scan = pipeline.find_clusters
+
+    def counted(pattern, *args):
+        scans.append(pattern.n)
+        return scan(pattern, *args)
+
+    monkeypatch.setattr(pipeline, "find_clusters", counted)
+    sweep(["LAP30", "DWT512"], schemes=("block", "block-adaptive", "wrap"),
+          procs=(4, 16), grains=(4, 25))
+    assert sorted(scans) == [512, 900]
 
 
 def _mapping_peak_per_pair(graph) -> float:

@@ -143,6 +143,14 @@ TOMBSTONES: tuple[Tombstone, ...] = (
     Tombstone("replay_merges|death_rank", EVERY_FILE,
               "One gather per MMD pass",
               "tests/ordering/test_mmd.py"),
+    # The partitioner claims every unit's elements with two searches: the
+    # per-unit region scan is the oracle, and the cache stores no census.
+    Tombstone("_elements_in_region|_row_elements", PY,
+              "A cold sweep group costs what it builds",
+              "tests/core/test_unit_claim.py"),
+    Tombstone("cat_keys|cat_vals", PY,
+              "A cold sweep group costs what it builds",
+              "tests/perf/test_cache.py"),
     # One regression gate, obs.runs' (baseline first).
     Tombstone(r"def (find_regressions|compare_reports|render_delta)\b", EVERY_FILE,
               "One layer order, checked in CI",
