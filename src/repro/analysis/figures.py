@@ -20,7 +20,7 @@ from ..core.dependencies import CATEGORY_NAMES, classify_pair_updates
 from ..core.partitioner import partition_factor
 from ..core.pipeline import prepare
 from ..obs.tables import render_table
-from ..sparse.generators import grid5
+from ..sparse import grid5, load
 
 __all__ = ["figure1_ascii", "figure2_ascii", "figure3_ascii", "figure4_report"]
 
@@ -186,9 +186,7 @@ def figure3_ascii(width: int = 9, depth: int = 16, grain: int = 4) -> str:
 def figure4_report(matrix: str = "LAP30", grain: int = 25, min_width: int = 4) -> str:
     """Occurrence counts of the ten dependency categories in a real
     partitioned factor (plus category 0, the internal updates)."""
-    from ..sparse import harwell_boeing as hb
-
-    prep = prepare(hb.load(matrix), name=matrix)
+    prep = prepare(load(matrix), name=matrix)
     partition = partition_factor(prep.pattern, grain=grain, min_width=min_width)
     cats = classify_pair_updates(partition, prep.updates)
     vals, counts = np.unique(cats, return_counts=True)

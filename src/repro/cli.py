@@ -161,9 +161,9 @@ def _explain(args: argparse.Namespace) -> str:
 def _recorded(args: argparse.Namespace, kind: str, body: Callable,
               manifest: Callable):
     """Run ``body()`` under a recorder (an enabled one, from ``-v`` or
-    ``trace sweep``, is reused), write --trace-out / --trace-jsonl and
-    record a ``kind`` run with ``manifest(result, recorder, wall_s)`` as
-    its fields.  Returns (result, recorder, the "written to" notes)."""
+    ``trace sweep``, is reused), write --trace-out and record a ``kind``
+    run with ``manifest(result, recorder, wall_s)`` as its fields.
+    Returns (result, recorder, the "written to" notes)."""
     from . import obs
 
     rec = obs.get_recorder() if obs.is_enabled() else obs.Recorder()
@@ -176,9 +176,6 @@ def _recorded(args: argparse.Namespace, kind: str, body: Callable,
         obs.write_chrome_trace(rec, args.trace_out)
         notes.append(f"Chrome trace written to {args.trace_out} "
                      "(open in chrome://tracing or https://ui.perfetto.dev)")
-    if args.trace_jsonl:
-        obs.write_jsonl(rec, args.trace_jsonl)
-        notes.append(f"JSONL event stream written to {args.trace_jsonl}")
     obs.runs.record_run(kind, **manifest(result, rec, wall))
     return result, rec, notes
 
@@ -622,9 +619,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with 'trace'/'sweep': write Chrome-trace JSON "
                              "here (load in chrome://tracing or Perfetto; "
                              "defaults to $REPRO_TRACE_OUT when set)")
-    parser.add_argument("--trace-jsonl", default=None, metavar="FILE",
-                        help="with 'trace'/'sweep': write the raw event "
-                             "stream as JSONL")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true",
                            help="trace the run and print stage timings to stderr")

@@ -393,17 +393,6 @@ def simulate_assignment(
         },
     )
     if obs.is_enabled():
-        for u in range(n_units):
-            obs.timeline_event(
-                f"unit {u} ({kinds[u]})",
-                ts=float(start[u]),
-                dur=float(finish[u] - start[u]),
-                lane=int(assignment.proc_of_unit[u]),
-                track="simulate_schedule",
-                uid=u,
-                cluster=int(stage[u]),
-                work=float(work[u]),
-            )
         obs.counter("sim.units", n_units)
         obs.counter("sim.events", n_units)
         obs.gauge("sim.makespan", makespan)

@@ -1,10 +1,10 @@
 """repro.obs — pipeline-wide tracing and metrics.
 
 :mod:`repro.obs.trace` is the zero-dependency recording core (spans,
-counters, gauges, histograms, simulated timelines) that the rest of the
+counters, gauges, histograms, simulated runs) that the rest of the
 stack calls into; it is a cheap no-op until enabled.
-:mod:`repro.obs.export` turns a recorded run into JSONL, Chrome-trace
-JSON (``chrome://tracing`` / Perfetto) or an ASCII summary.
+:mod:`repro.obs.export` turns a recorded run into Chrome-trace JSON
+(``chrome://tracing`` / Perfetto) or an ASCII summary.
 A :class:`Recorder` pickles and merges, so a sweep worker's recorder
 ships home onto one multi-process trace; :mod:`repro.obs.runs` is the
 persistent run registry behind ``python -m repro runs``.
@@ -26,7 +26,6 @@ from .simtime import (
     MessageLedger,
     MessageTable,
     ProcTimes,
-    SimMessage,
     SimRun,
     busy_grid,
     ledger_run,
@@ -36,14 +35,11 @@ from .export import (
     chrome_trace_json,
     summary_table,
     to_chrome_trace,
-    to_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from .trace import (
     Recorder,
     SpanRecord,
-    TimelineEvent,
     counter,
     enabled,
     gauge,
@@ -51,7 +47,6 @@ from .trace import (
     is_enabled,
     observe,
     span,
-    timeline_event,
 )
 
 __all__ = [
@@ -68,14 +63,12 @@ __all__ = [
     "MessageLedger",
     "MessageTable",
     "ProcTimes",
-    "SimMessage",
     "SimRun",
     "busy_grid",
     "ledger_run",
     "record_sim_run",
     "Recorder",
     "SpanRecord",
-    "TimelineEvent",
     "counter",
     "enabled",
     "gauge",
@@ -83,11 +76,8 @@ __all__ = [
     "is_enabled",
     "observe",
     "span",
-    "timeline_event",
     "chrome_trace_json",
     "summary_table",
     "to_chrome_trace",
-    "to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 ]

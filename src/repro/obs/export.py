@@ -1,35 +1,33 @@
 """Exporters for :class:`repro.obs.trace.Recorder` runs.
 
-Three output shapes:
+Two output shapes:
 
-* :func:`to_jsonl` — one JSON object per line (spans, timeline events,
-  counters, gauges), the archival/greppable form;
 * :func:`to_chrome_trace` / :func:`chrome_trace_json` — the Chrome
   Trace Event Format (the ``traceEvents`` JSON object array), loadable
-  in ``chrome://tracing`` or https://ui.perfetto.dev.  Wall-clock spans
-  appear as one process ("repro pipeline", a thread per python thread);
-  spans merged from worker recorders (:meth:`Recorder.merge`) appear
-  as one further process per worker pid; simulated-machine timeline events
+  in ``chrome://tracing`` or https://ui.perfetto.dev, and the one file
+  export.  Wall-clock spans appear as one process ("repro pipeline", a
+  thread per python thread); spans merged from worker recorders
+  (:meth:`Recorder.merge`) appear as one further process per worker
+  pid; the units of every recorded :class:`repro.obs.simtime.SimRun`
   appear as another process with one lane per processor, so a
   :func:`repro.machine.simulate.simulate_schedule` run renders as a
-  Gantt chart;
+  Gantt chart, and its heaviest messages as flow arrows;
 * :func:`summary_table` — the ASCII per-stage timing/counter summary
   printed by ``python -m repro trace <target>``.
-
-Only the standard library is used.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import TextIO
+
+import numpy as np
 
 from .tables import render_table
 from .trace import Recorder
 
 __all__ = [
-    "to_jsonl",
-    "write_jsonl",
     "to_chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
@@ -61,49 +59,47 @@ def _jsonable(value):
     return str(value)
 
 
-def to_jsonl(recorder: Recorder) -> str:
-    """Serialize a run as JSON Lines (one record per line)."""
-    lines = []
-    for s in recorder.spans:
-        lines.append(json.dumps({
-            "type": "span", "name": s.name, "start": s.start, "end": s.end,
-            "depth": s.depth, "thread": s.thread, "pid": s.pid,
-            "error": s.error, "args": _jsonable(s.args),
-        }, sort_keys=True))
-    for e in recorder.timeline:
-        lines.append(json.dumps({
-            "type": "timeline", "name": e.name, "ts": e.ts, "dur": e.dur,
-            "lane": e.lane, "track": e.track, "args": _jsonable(e.args),
-        }, sort_keys=True))
-    for name, value in sorted(recorder.counters.items()):
-        lines.append(json.dumps({"type": "counter", "name": name, "value": value}))
-    for name, value in sorted(recorder.gauges.items()):
-        lines.append(json.dumps(
-            {"type": "gauge", "name": name, "value": _jsonable(value)}, sort_keys=True
-        ))
-    for name, hist in sorted(recorder.histograms.items()):
-        lines.append(json.dumps(
-            {"type": "histogram", "name": name, **hist.to_dict()}, sort_keys=True
-        ))
-    for run in recorder.sim_runs:
-        lines.append(json.dumps(
-            {"type": "sim_run", **run.to_manifest()}, sort_keys=True
-        ))
-        for m in run.messages:
-            lines.append(json.dumps({
-                "type": "sim_message", "run": run.name, "clock": run.clock,
-                "src": m.src, "dst": m.dst, "bytes": m.nbytes,
-                "cause": m.cause, "send": m.send, "recv": m.recv,
-            }, sort_keys=True))
-    for t, rss in sorted(recorder.memory_samples):
-        lines.append(json.dumps(
-            {"type": "memory", "t": t, "rss_bytes": int(rss)}, sort_keys=True
-        ))
-    return "\n".join(lines) + ("\n" if lines else "")
+def _unit_runs(recorder: Recorder) -> list:
+    """The recorded sim runs that carry per-unit records (a ledger-only
+    run, an mpsim execution, has no units to draw)."""
+    return [run for run in recorder.sim_runs if run.n_units]
 
 
-def write_jsonl(recorder: Recorder, path_or_file) -> None:
-    _write(path_or_file, to_jsonl(recorder))
+def _unit_events(run) -> list[dict]:
+    """One complete event per unit of ``run`` on its processor's lane."""
+    columns = zip(run.proc.tolist(), run.kind, run.start.tolist(),
+                  (run.finish - run.start).tolist(), run.stage.tolist(),
+                  run.work.tolist())
+    return [{
+        "ph": "X", "pid": _PID_SIM, "tid": proc,
+        "name": f"unit {u} ({kind})", "cat": "simulate_schedule",
+        "ts": ts, "dur": dur, "args": {"uid": u, "cluster": stage, "work": work},
+    } for u, (proc, kind, ts, dur, stage, work) in enumerate(columns)]
+
+
+def _flow_events(run, flow_ids) -> list[dict]:
+    """Flow arrows for the heaviest delivered messages of ``run`` (by
+    bytes descending, then send time, source and destination), numbered
+    from the iterator ``flow_ids``."""
+    m = run.messages
+    d = np.flatnonzero(~np.isnan(m.recv))
+    heaviest = d[np.lexsort((m.dst[d], m.src[d], m.send[d], -m.nbytes[d]))][:_MAX_FLOWS]
+    columns = (col[heaviest].tolist()
+               for col in (m.src, m.dst, m.nbytes, m.cause, m.send, m.recv))
+    events = []
+    for (src, dst, nbytes, cause, send, recv), flow_id in zip(zip(*columns), flow_ids):
+        name = f"msg {src}->{dst} ({nbytes} el)"
+        events.append({
+            "ph": "s", "pid": _PID_SIM, "tid": src, "id": flow_id,
+            "name": name, "cat": f"sim-msg-{run.clock}", "ts": send,
+            "args": {"bytes": nbytes, "cause": cause, "run": run.name},
+        })
+        events.append({
+            "ph": "f", "pid": _PID_SIM, "tid": dst, "id": flow_id,
+            "name": name, "cat": f"sim-msg-{run.clock}", "ts": recv,
+            "bp": "e", "args": {"bytes": nbytes},
+        })
+    return events
 
 
 def to_chrome_trace(recorder: Recorder) -> dict:
@@ -146,16 +142,13 @@ def to_chrome_trace(recorder: Recorder) -> dict:
             "name": s.name, "cat": "pipeline",
             "ts": s.start * 1e6, "dur": s.duration * 1e6, "args": args,
         })
-    lanes = sorted({e.lane for e in recorder.timeline})
+    unit_runs = _unit_runs(recorder)
+    lanes = sorted({p for run in unit_runs for p in run.proc.tolist()})
     for lane in lanes:
         events.append({"ph": "M", "pid": _PID_SIM, "tid": lane,
                        "name": "thread_name", "args": {"name": f"proc {lane}"}})
-    for e in recorder.timeline:
-        events.append({
-            "ph": "X", "pid": _PID_SIM, "tid": e.lane,
-            "name": e.name, "cat": e.track,
-            "ts": e.ts, "dur": e.dur, "args": dict(_jsonable(e.args)),
-        })
+    for run in unit_runs:
+        events.extend(_unit_events(run))
     # RSS samples render as a Perfetto counter track on the pipeline
     # process; histogram percentiles as one counter sample per metric.
     for t, rss in sorted(recorder.memory_samples):
@@ -173,27 +166,13 @@ def to_chrome_trace(recorder: Recorder) -> dict:
             },
         })
     # Messages from the sim-clock ledger become Perfetto flow arrows on
-    # the simulated-machine process (same second clock domain as the
-    # timeline lanes above).  Capped at the heaviest _MAX_FLOWS so a
-    # 10⁴-message ledger does not drown the trace; the full ledger is
-    # always in the JSONL export.
-    flow_id = 0
+    # the simulated-machine process (the clock of the unit lanes above).
+    # Capped at the heaviest _MAX_FLOWS per run so a 10⁴-message ledger
+    # does not drown the trace; the uncapped ledger reaches no file, and
+    # ``otherData.sim_runs`` keeps its totals, links and P×P matrix.
+    flow_ids = itertools.count(1)
     for run in recorder.sim_runs:
-        delivered = [m for m in run.messages if m.recv is not None]
-        delivered.sort(key=lambda m: (-m.nbytes, m.send, m.src, m.dst))
-        for m in delivered[:_MAX_FLOWS]:
-            flow_id += 1
-            name = f"msg {m.src}->{m.dst} ({m.nbytes} el)"
-            events.append({
-                "ph": "s", "pid": _PID_SIM, "tid": m.src, "id": flow_id,
-                "name": name, "cat": f"sim-msg-{run.clock}", "ts": m.send,
-                "args": {"bytes": m.nbytes, "cause": m.cause, "run": run.name},
-            })
-            events.append({
-                "ph": "f", "pid": _PID_SIM, "tid": m.dst, "id": flow_id,
-                "name": name, "cat": f"sim-msg-{run.clock}", "ts": m.recv,
-                "bp": "e", "args": {"bytes": m.nbytes},
-            })
+        events.extend(_flow_events(run, flow_ids))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -281,23 +260,25 @@ def summary_table(recorder: Recorder) -> str:
             ["samples", "first MB", "peak MB", "peak at s", "last MB"],
             rows, "Memory (RSS)",
         ))
-    if recorder.timeline:
-        lanes = sorted({e.lane for e in recorder.timeline})
-        t_end = max((e.ts + e.dur) for e in recorder.timeline)
-        busy = {lane: 0.0 for lane in lanes}
-        for e in recorder.timeline:
-            busy[e.lane] += e.dur
+    unit_runs = _unit_runs(recorder)
+    if unit_runs:
+        # Every unit of every run, in recording order: bincount adds in
+        # array order, so each lane's busy time is a sequential sum.
+        proc = np.concatenate([run.proc for run in unit_runs])
+        start = np.concatenate([run.start for run in unit_runs])
+        dur = np.concatenate([run.finish - run.start for run in unit_runs])
+        t_end = float((start + dur).max())
+        busy = np.bincount(proc, weights=dur).tolist()
+        events = np.bincount(proc).tolist()
         rows = [
-            [lane,
-             sum(1 for e in recorder.timeline if e.lane == lane),
-             f"{busy[lane]:.0f}",
+            [lane, events[lane], f"{busy[lane]:.0f}",
              f"{100 * busy[lane] / t_end:.1f}%" if t_end else "-"]
-            for lane in lanes
+            for lane in np.unique(proc).tolist()
         ]
         parts.append(render_table(
             ["lane", "events", "busy", "busy %"],
             rows,
-            f"Simulated timeline ({len(recorder.timeline)} events, span {t_end:.0f} units)",
+            f"Simulated timeline ({len(proc)} events, span {t_end:.0f} units)",
         ))
     if recorder.sim_runs:
         rows = []

@@ -11,8 +11,7 @@ domain, in abstract machine time units:
   volumes, busy/wait/idle decomposition, critical-path extraction, λ
   attribution to stage × processor with top-k culprit blocks);
 * :class:`MessageTable` — the message ledger as one struct-of-arrays
-  table (src, dst, bytes, cause-block, send/recv sim-time), whose rows
-  read back as :class:`SimMessage`;
+  table (src, dst, bytes, cause-block, send/recv sim-time);
 * :class:`MessageLedger` — a Lamport-clock ledger for the executable
   :mod:`repro.mpsim` ranks, whose "simulated time" is logical (event
   counting) rather than the machine model's α/β cost model.
@@ -23,10 +22,11 @@ machine-model :class:`SimRun`; the numeric executors' stepper,
 :func:`repro.mpsim.engine.gather_on_ranks`, attaches a
 :class:`MessageLedger` to its ranks' endpoints.  Recorded runs land on
 :class:`repro.obs.trace.Recorder.sim_runs` via
-:func:`record_sim_run` and are exported by :mod:`repro.obs.export`
-(JSONL lines, Perfetto flow events on the simulated-machine clock
-track) and rendered by :mod:`repro.obs.report` (comm heatmap, critical
-path, imbalance waterfall).  See ``docs/observability.md``.
+:func:`record_sim_run`, the one record of the simulated schedule:
+:mod:`repro.obs.export` draws its units as Perfetto lanes and its
+heaviest messages as flow arrows, and :mod:`repro.obs.report` renders
+its manifest (comm heatmap, critical path, imbalance waterfall).
+See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from . import trace as obs_trace
 
 __all__ = [
-    "SimMessage",
     "MessageTable",
     "SimRun",
     "ProcTimes",
@@ -72,65 +71,30 @@ _REASON_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SimMessage:
-    """One message ledger entry, in simulated time.
-
-    ``nbytes`` counts distinct elements carried (the paper's word-count
-    traffic unit); ``cause`` is the unit block whose data the message
-    carries (or a tag id for mpsim ledgers); ``recv`` is ``None`` for a
-    message that was never delivered (fault injection)."""
-
-    src: int
-    dst: int
-    nbytes: int
-    cause: int
-    send: float
-    recv: float | None
-    channel: str = "machine"
-
-
 class MessageTable:
     """A message ledger as parallel columns, one entry per message:
     int64 ``src``, ``dst``, ``nbytes``, ``cause`` and float64 ``send``,
-    ``recv`` (NaN = never delivered), which :class:`SimRun` reduces
-    directly.  ``len()``, indexing and iteration read rows back as
-    :class:`SimMessage` (``recv=None`` when undelivered)."""
+    ``recv``, which :class:`SimRun` reduces directly.
 
-    def __init__(self, src=(), dst=(), nbytes=(), cause=(), send=(), recv=(),
-                 channel: str = "machine"):
-        self.channel = channel
+    ``nbytes`` counts distinct elements carried (the paper's word-count
+    traffic unit); ``cause`` is the unit block whose data the message
+    carries (or a tag id for mpsim ledgers); ``recv`` is NaN for a
+    message that was never delivered (fault injection).  The clock the
+    times are on is the owning run's ``clock``."""
+
+    def __init__(self, src=(), dst=(), nbytes=(), cause=(), send=(), recv=()):
         self.src, self.dst, self.nbytes, self.cause = (
             np.asarray(col, dtype=np.int64) for col in (src, dst, nbytes, cause)
         )
         self.send, self.recv = (
             np.asarray(col, dtype=np.float64) for col in (send, recv)
         )
-        if len({len(col) for col in self._columns()}) != 1:
+        columns = (self.src, self.dst, self.nbytes, self.cause, self.send, self.recv)
+        if len({len(col) for col in columns}) != 1:
             raise ValueError("message table columns differ in length")
-
-    @classmethod
-    def from_rows(cls, rows) -> "MessageTable":
-        """The table of a sequence of :class:`SimMessage` of one channel."""
-        columns = zip(*((m.src, m.dst, m.nbytes, m.cause, m.send,
-                         math.nan if m.recv is None else m.recv) for m in rows))
-        return cls(*columns, channel=rows[0].channel if rows else "machine")
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.src, self.dst, self.nbytes, self.cause, self.send, self.recv)
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def _row(self, src, dst, nbytes, cause, send, recv) -> SimMessage:
-        return SimMessage(src, dst, nbytes, cause, send,
-                          None if math.isnan(recv) else recv, self.channel)
-
-    def __getitem__(self, i: int) -> SimMessage:
-        return self._row(*(col[i].item() for col in self._columns()))
-
-    def __iter__(self):
-        return map(self._row, *(col.tolist() for col in self._columns()))
 
 
 @dataclass(frozen=True)
@@ -332,8 +296,9 @@ class SimRun:
         """JSON-safe summary for the run registry / HTML report.
 
         The full P×P matrix is included up to ``matrix_cap`` processors
-        (beyond that only the top links are kept); the critical path is
-        truncated to ``path_cap`` units (summary figures stay exact)."""
+        (beyond that only the top links are kept); the critical path
+        keeps its last ``path_cap`` units, each with the edge that
+        released it (summary figures stay exact)."""
         doc: dict = {
             "name": self.name,
             "scheme": self.scheme,
@@ -359,6 +324,7 @@ class SimRun:
             }
             cp = self.critical_path()
             cp_units = cp.units.tolist()
+            first = max(len(cp_units) - path_cap, 0)
             doc["critical_path"] = {
                 "length": cp.length,
                 "compute": cp.compute,
@@ -373,7 +339,7 @@ class SimRun:
                     "start": float(self.start[u]),
                     "finish": float(self.finish[u]),
                     "edge": ("start" if i == 0 else cp.edges[i - 1]),
-                } for i, u in enumerate(cp_units[:path_cap])],
+                } for i, u in enumerate(cp_units[first:], first)],
             }
             att = self.imbalance()
             doc["imbalance"] = {
@@ -424,19 +390,16 @@ def busy_grid(start, finish, proc, nprocs: int, width: int,
 
 
 def ledger_run(name: str, scheme: str, nprocs: int, makespan: float,
-               messages, clock: str = "lamport",
+               messages: MessageTable, clock: str = "lamport",
                meta: dict | None = None) -> SimRun:
-    """A :class:`SimRun` carrying only a message ledger (no unit records),
-    given as a :class:`MessageTable` or a sequence of :class:`SimMessage`."""
+    """A :class:`SimRun` carrying only a message ledger (no unit records)."""
     empty_f = np.zeros(0, dtype=np.float64)
     empty_i = np.zeros(0, dtype=np.int64)
     return SimRun(
         name=name, scheme=scheme, nprocs=nprocs, makespan=float(makespan),
         clock=clock, proc=empty_i, stage=empty_i, start=empty_f,
         finish=empty_f, work=empty_f, kind=(), reason=empty_i,
-        reason_kind=empty_i, meta=dict(meta or {}),
-        messages=(messages if isinstance(messages, MessageTable)
-                  else MessageTable.from_rows(messages)),
+        reason_kind=empty_i, meta=dict(meta or {}), messages=messages,
     )
 
 
@@ -450,9 +413,8 @@ class MessageLedger:
     wall clock and the machine model's α/β time.  Not locked: the
     stepper's one thread stamps every message."""
 
-    def __init__(self, nprocs: int, channel: str = "mpsim"):
+    def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.channel = channel
         self.clock = [0] * nprocs
         # [src, dst, nbytes, cause, send, recv]; recv is NaN until delivered.
         self._msgs: list[list] = []
@@ -473,7 +435,7 @@ class MessageLedger:
 
     @property
     def messages(self) -> MessageTable:
-        return MessageTable(*zip(*self._msgs), channel=self.channel)
+        return MessageTable(*zip(*self._msgs))
 
     def undelivered(self) -> int:
         """Messages sent but never received (dropped or still in flight)."""

@@ -1,4 +1,4 @@
-"""Zero-dependency structured tracing: spans, counters, gauges, timelines.
+"""Zero-dependency structured tracing: spans, counters, gauges, histograms.
 
 The paper's whole contribution is measurement, so the reproduction's own
 pipeline should be measurable too.  This module provides the recording
@@ -13,10 +13,11 @@ core used throughout the stack:
 * :func:`observe` — one sample of a named distribution, accumulated
   into a fixed log-bucket :class:`~repro.obs.histogram.Histogram`
   (``observe("perf.sweep.unit_ms", 12.5)``), so p50/p90/p99 survive
-  where a mean would average the skew away;
-* :func:`timeline_event` — an event with *caller-supplied* timestamps on
-  a numbered lane, for simulated clocks (the schedule simulator emits
-  one per unit block, so a run renders as a Gantt chart in Perfetto).
+  where a mean would average the skew away.
+
+The simulated clock has its own record: a traced simulation appends one
+:class:`repro.obs.simtime.SimRun` to ``Recorder.sim_runs``, and every
+exporter reads its unit and message columns.
 
 When a :class:`repro.obs.memory.MemoryMonitor` is attached to the
 recorder, every span additionally records ``mem_peak_mb`` /
@@ -50,7 +51,6 @@ from .histogram import Histogram
 
 __all__ = [
     "SpanRecord",
-    "TimelineEvent",
     "Recorder",
     "enabled",
     "is_enabled",
@@ -59,7 +59,6 @@ __all__ = [
     "counter",
     "gauge",
     "observe",
-    "timeline_event",
 ]
 
 
@@ -81,24 +80,13 @@ class SpanRecord:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """An event on a simulated clock: ``lane`` is e.g. a processor id."""
-
-    name: str
-    ts: float  # simulated time, abstract units
-    dur: float
-    lane: int
-    track: str = "sim"
-    args: dict = field(default_factory=dict)
-
-
 class Recorder:
-    """Accumulates spans, counters, gauges and timeline events for one run.
+    """Accumulates the spans, counters, gauges, histograms, simulated
+    runs and RSS samples of one run.
 
-    Appends are guarded by a lock (the mpsim runtime records from many
-    threads); the per-thread span stack lives in thread-local storage so
-    concurrent spans nest independently.
+    Appends are guarded by a lock, because the memory monitor's and the
+    sampling profiler's threads record beside the main one; each thread
+    keeps its own open-span stack, so concurrent spans nest independently.
     """
 
     def __init__(self) -> None:
@@ -111,7 +99,6 @@ class Recorder:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, object] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.timeline: list[TimelineEvent] = []
         #: Simulated-machine executions (:class:`repro.obs.simtime.SimRun`)
         #: appended by :func:`repro.obs.simtime.record_sim_run` — the
         #: sim-clock domain, distinct from wall-clock spans.
@@ -201,13 +188,7 @@ class Recorder:
                 hist = self.histograms[name] = Histogram()
             hist.observe(value)
 
-    # -- timelines ------------------------------------------------------
-    def add_timeline_event(
-        self, name: str, ts: float, dur: float, lane: int, track: str = "sim", **args
-    ) -> None:
-        with self._lock:
-            self.timeline.append(TimelineEvent(name, float(ts), float(dur), int(lane), track, args))
-
+    # -- simulated runs -------------------------------------------------
     def add_sim_run(self, run) -> None:
         """Record one simulated-machine execution (a ``simtime.SimRun``)."""
         with self._lock:
@@ -223,7 +204,6 @@ class Recorder:
             or self.counters
             or self.gauges
             or self.histograms
-            or self.timeline
             or self.sim_runs
             or self.memory_samples
         )
@@ -251,8 +231,8 @@ class Recorder:
         so the offset is their difference); spans keep their thread and
         are tagged with ``pid``, which the Chrome exporter turns into one
         process lane per worker.  Counters add and gauges are last write
-        wins, as if ``other`` had recorded here.  Histograms, timeline
-        events and sim runs are not merged: a sweep worker records none.
+        wins, as if ``other`` had recorded here.  Histograms and sim runs
+        are not merged: a sweep worker records neither.
         """
         delta = other.epoch_unix - self.epoch_unix
         for s in other.spans:
@@ -382,9 +362,3 @@ def observe(name: str, value: float) -> None:
         return
     _recorder.observe(name, value)
 
-
-def timeline_event(name: str, ts: float, dur: float, lane: int, track: str = "sim", **args) -> None:
-    """Record a simulated-clock event (no-op when disabled)."""
-    if not _enabled:
-        return
-    _recorder.add_timeline_event(name, ts, dur, lane, track, **args)

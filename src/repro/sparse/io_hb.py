@@ -67,22 +67,46 @@ class FortranFormat:
                 )
             fh.write("\n")
 
-    def read(self, fh, n_items: int) -> np.ndarray:
+    def read(self, cards, n_items: int, section: str) -> np.ndarray:
+        """Read ``n_items`` fields from ``cards``, an iterator of
+        ``(card line number, text)``.  A field that does not parse is a
+        ``ValueError`` naming ``section`` and the card line."""
         out = []
+        parse = int if self.decimals is None else float
         while len(out) < n_items:
-            line = fh.readline()
-            if not line:
+            lineno, line = next(cards, (None, ""))
+            if lineno is None:
                 raise ValueError("unexpected end of Harwell-Boeing data")
             line = line.rstrip("\n")
             for k in range(self.count):
                 field = line[k * self.width : (k + 1) * self.width]
                 if not field.strip():
                     continue
-                out.append(int(field) if self.decimals is None else float(field))
+                try:
+                    out.append(parse(field))
+                except ValueError:
+                    raise ValueError(
+                        f"Harwell-Boeing {section}, card line {lineno}: field "
+                        f"{k + 1} {field!r} of format {self.render()}: "
+                        + self._misfit(field)
+                    ) from None
                 if len(out) == n_items:
                     break
         dtype = np.int64 if self.decimals is None else np.float64
         return np.asarray(out, dtype=dtype)
+
+    def _misfit(self, field: str) -> str:
+        """Why ``field`` did not parse: several numbers in one field mean
+        the declared width is not the width the data was written with."""
+        parse, kind = (int, "an integer") if self.decimals is None else (float, "a number")
+        tokens = field.split()
+        try:
+            for token in tokens:
+                parse(token)
+        except ValueError:
+            return f"not {kind}"
+        return (f"{len(tokens)} numbers in one field, so the data was not "
+                f"written {self.width} wide")
 
 
 _PTR_FMT = FortranFormat(8, 10)
@@ -159,7 +183,8 @@ def read_harwell_boeing(source):
     """Read an assembled symmetric Harwell-Boeing file (PSA or RSA).
 
     Returns :class:`SymmetricGraph` for PSA, :class:`SymmetricCSC` for RSA.
-    A missing or malformed header card is a ``ValueError`` naming it.
+    A missing or malformed header card is a ``ValueError`` naming it, and
+    a data field that does not parse one naming its section and card line.
     """
     fh, owned = _open_for(source, "r")
     try:
@@ -180,11 +205,17 @@ def read_harwell_boeing(source):
         indfmt = FortranFormat.parse(card4[16:32])
         valfmt = FortranFormat.parse(card4[32:52]) if valcrd > 0 else None
 
-        indptr = ptrfmt.read(fh, ncol + 1) - 1
-        rowidx = indfmt.read(fh, nnz) - 1
+        cards = enumerate(fh, start=5)  # the data follows the four header cards
+        indptr = ptrfmt.read(cards, ncol + 1, "pointers") - 1
+        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+            raise ValueError(
+                f"Harwell-Boeing pointers do not rise from 1 to NNZERO + 1 = "
+                f"{nnz + 1}; is {ptrfmt.render()} the format they were written in?"
+            )
+        rowidx = indfmt.read(cards, nnz, "row indices") - 1
         cols = np.repeat(np.arange(ncol, dtype=np.int64), np.diff(indptr))
         if mxtype[0] == "R" and valfmt is not None:
-            values = valfmt.read(fh, nnz)
+            values = valfmt.read(cards, nnz, "values")
             return SymmetricCSC.from_entries(ncol, rowidx, cols, values)
         off = rowidx != cols
         return SymmetricGraph.from_edges(ncol, rowidx[off], cols[off])

@@ -168,7 +168,7 @@ def load(name: str) -> SymmetricGraph:
     if name in BIG_MATRICES:
         return BIG_MATRICES[name].build()
     raise KeyError(
-        f"unknown matrix {name!r}; expected one of {matrix_names()}"
+        f"unknown matrix {name!r}; available: {', '.join(matrix_names())}"
     )
 
 

@@ -74,11 +74,10 @@ class TestTraceTarget:
 
     def test_trace_writes_chrome_trace_and_summary(self, fresh_caches, tmp_path, capsys):
         out = tmp_path / "run.json"
-        jsonl = tmp_path / "run.jsonl"
         assert main([
             "trace", "explain", "--matrix", "LAP30", "--grain", "25",
             "--nprocs", "8", "--output", str(tmp_path / "explain.html"),
-            "--trace-out", str(out), "--trace-jsonl", str(jsonl),
+            "--trace-out", str(out),
         ]) == 0
         captured = capsys.readouterr().out
         assert "Stage timings" in captured
@@ -103,9 +102,13 @@ class TestTraceTarget:
         ]
         assert unit_events and all(e["dur"] >= 0 for e in unit_events)
         assert doc["otherData"]["counters"]["sim.units"] == len(unit_events)
+        assert doc["otherData"]["gauges"] and doc["otherData"]["sim_runs"]
 
-        records = [json.loads(line) for line in jsonl.read_text().splitlines()]
-        assert {"span", "timeline", "counter", "gauge"} <= {r["type"] for r in records}
+    def test_trace_jsonl_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "figure3", "--trace-jsonl", "run.jsonl"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --trace-jsonl" in capsys.readouterr().err
 
     def test_trace_sweep_of_several_matrices_prints_the_csv(self, capsys):
         from repro.perf import records_to_csv, sweep

@@ -25,7 +25,7 @@ from repro.machine import (
     unit_graph,
 )
 from repro.obs import trace as obs
-from repro.obs.simtime import MessageLedger, MessageTable, SimMessage
+from repro.obs.simtime import MessageLedger, MessageTable
 from repro.sparse.pattern import SymmetricGraph
 
 from ..conftest import generated_graphs, traffic_oracle, volume_oracle
@@ -146,28 +146,21 @@ class TestDegenerate:
             result.assignment, prep.updates, include_scale=include_scale
         )
         assert run.n_units == n and len(run.messages) == 0
-        assert list(run.messages) == [] and run.total_message_bytes() == 0
+        assert run.total_message_bytes() == 0
         assert not run.comm_matrix().any() and run.link_volumes() == []
         assert timeline.makespan == (2.0 if n else 0.0)
         assert run.to_manifest()["n_messages"] == 0
 
 
 class TestRowView:
-    """The columnar table still reads as a sequence of SimMessage."""
+    """Message ``i`` is entry ``i`` of every column of the table."""
 
     def _check_rows(self, table: MessageTable):
-        rows = list(table)
-        assert len(rows) == len(table) > 0
-        assert all(isinstance(m, SimMessage) for m in rows)
-        assert [table[i] for i in range(len(table))] == rows
-        assert table[-1] == rows[-1]
-        with pytest.raises(IndexError):
-            table[len(table)]
-        m = rows[0]
-        assert type(m.src) is int and type(m.nbytes) is int
-        assert type(m.send) is float
-        assert list(MessageTable.from_rows(rows)) == rows
-        return rows
+        columns = (table.src, table.dst, table.nbytes, table.cause,
+                   table.send, table.recv)
+        assert len(table) > 0 and {len(col) for col in columns} == {len(table)}
+        assert [col.dtype for col in columns] == [np.int64] * 4 + [np.float64] * 2
+        return list(zip(*(col.tolist() for col in columns)))
 
     def test_machine_clock(self, prepared_grid):
         r = block_mapping(prepared_grid, 4, grain=4)
@@ -175,9 +168,9 @@ class TestRowView:
             r.assignment, prepared_grid.updates, deps=r.dependencies
         )
         rows = self._check_rows(run.messages)
-        assert all(m.recv == m.send + 10.0 + m.nbytes for m in rows)
-        assert all(m.channel == "machine" for m in rows)
-        assert [m.cause for m in rows] == sorted(m.cause for m in rows)
+        assert all(recv == send + 10.0 + nbytes
+                   for _, _, nbytes, _, send, recv in rows)
+        assert [m[3] for m in rows] == sorted(m[3] for m in rows)
 
     def test_lamport_clock_with_an_undelivered_message(self):
         led = MessageLedger(3)
@@ -186,8 +179,8 @@ class TestRowView:
         led.on_recv(first)
         table = led.messages
         rows = self._check_rows(table)
-        assert rows[0] == SimMessage(0, 1, 100, 7, 1.0, 2.0, "mpsim")
-        assert rows[1].recv is None and table[1].recv is None
+        assert rows[0] == (0, 1, 100, 7, 1.0, 2.0)
+        assert rows[1][:5] == (1, 2, 50, 8, 1.0)
         assert np.isnan(table.recv).tolist() == [False, True]
         assert led.undelivered() == 1
         run = led.to_sim_run(name="t")
@@ -209,8 +202,8 @@ class TestRowView:
         assert isinstance(run.messages, MessageTable)
         rows = self._check_rows(run.messages)
         # The ring, then the result gather of ranks 1 and 2 to rank 0.
-        assert [(m.src, m.dst) for m in rows] == [(0, 1), (1, 2), (2, 0), (1, 0), (2, 0)]
-        assert all(m.channel == "mpsim" and m.recv is not None for m in rows)
+        assert [m[:2] for m in rows] == [(0, 1), (1, 2), (2, 0), (1, 0), (2, 0)]
+        assert not np.isnan(run.messages.recv).any()
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="differ in length"):

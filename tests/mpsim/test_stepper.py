@@ -186,7 +186,10 @@ def delivered(order: str):
 
 def message_multiset(tables) -> list[tuple]:
     return sorted(
-        (m.src, m.dst, m.cause, m.nbytes) for table in tables for m in table
+        message
+        for t in tables
+        for message in zip(t.src.tolist(), t.dst.tolist(), t.cause.tolist(),
+                           t.nbytes.tolist())
     )
 
 

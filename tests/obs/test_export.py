@@ -1,19 +1,42 @@
-"""Exporters: JSONL, Chrome-trace JSON, ASCII summary."""
+"""Exporters: Chrome-trace JSON, ASCII summary."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
+    MessageTable,
     Recorder,
+    SimRun,
     chrome_trace_json,
+    ledger_run,
+    record_sim_run,
     summary_table,
     to_chrome_trace,
-    to_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs import trace
+from repro.obs.simtime import REASON_NONE, REASON_PROC
+
+
+def unit_run(start, finish, proc, kind, stage=None, work=None, reason=None,
+             reason_kind=None, name="sim") -> SimRun:
+    """A machine-clock run of the given unit columns, no messages."""
+    n = len(start)
+    start, finish = np.asarray(start, float), np.asarray(finish, float)
+    return SimRun(
+        name=name, scheme="block", nprocs=int(max(proc)) + 1,
+        makespan=float(finish.max()), clock="machine",
+        proc=np.asarray(proc, np.int64),
+        stage=np.asarray(stage if stage is not None else range(n), np.int64),
+        start=start, finish=finish,
+        work=np.asarray(work if work is not None else finish - start, float),
+        kind=tuple(kind),
+        reason=np.asarray(reason if reason is not None else [-1] * n, np.int64),
+        reason_kind=np.asarray(
+            reason_kind if reason_kind is not None else [REASON_NONE] * n, np.int64),
+    )
 
 
 @pytest.fixture
@@ -24,8 +47,10 @@ def recorded():
                 pass
         trace.counter("partition.units", 7)
         trace.gauge("scheduler.proc_work", [1.0, 2.0])
-        trace.timeline_event("unit 0 (column)", ts=0.0, dur=4.0, lane=0, uid=0)
-        trace.timeline_event("unit 1 (triangle)", ts=4.0, dur=2.0, lane=1, uid=1)
+        record_sim_run(unit_run(
+            [0.0, 4.0], [4.0, 6.0], [0, 1], ["column", "triangle"],
+            reason=[-1, 0], reason_kind=[REASON_NONE, REASON_PROC],
+        ))
     return rec
 
 
@@ -47,7 +72,14 @@ class TestChromeTrace:
     def test_timeline_events_land_on_processor_lanes(self, recorded):
         doc = to_chrome_trace(recorded)
         sims = [e for e in doc["traceEvents"] if e["ph"] == "X" and e["pid"] == 2]
-        assert {(e["tid"], e["ts"], e["dur"]) for e in sims} == {(0, 0.0, 4.0), (1, 4.0, 2.0)}
+        assert sims == [
+            {"ph": "X", "pid": 2, "tid": 0, "name": "unit 0 (column)",
+             "cat": "simulate_schedule", "ts": 0.0, "dur": 4.0,
+             "args": {"uid": 0, "cluster": 0, "work": 4.0}},
+            {"ph": "X", "pid": 2, "tid": 1, "name": "unit 1 (triangle)",
+             "cat": "simulate_schedule", "ts": 4.0, "dur": 2.0,
+             "args": {"uid": 1, "cluster": 1, "work": 2.0}},
+        ]
         lane_names = [
             e for e in doc["traceEvents"]
             if e["ph"] == "M" and e["pid"] == 2 and e["name"] == "thread_name"
@@ -101,7 +133,7 @@ class TestChromeTraceEdgeCases:
 
     def test_zero_duration_timeline_events(self):
         with trace.enabled() as rec:
-            trace.timeline_event("idle", ts=0.0, dur=0.0, lane=0)
+            record_sim_run(unit_run([0.0], [0.0], [0], ["column"]))
         doc = to_chrome_trace(rec)
         (e,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert e["dur"] == 0.0
@@ -140,35 +172,6 @@ class TestChromeTraceEdgeCases:
         assert len(worker_pids) == 2 and 1 not in worker_pids
 
 
-class TestJsonl:
-    def test_every_line_is_json(self, recorded):
-        lines = to_jsonl(recorded).splitlines()
-        records = [json.loads(line) for line in lines]
-        types = {r["type"] for r in records}
-        assert types == {"span", "timeline", "counter", "gauge"}
-        assert len(records) == 2 + 2 + 1 + 1
-
-    def test_write_to_path(self, recorded, tmp_path):
-        out = tmp_path / "run.jsonl"
-        write_jsonl(recorded, out)
-        assert len(out.read_text().splitlines()) == 6
-
-    def test_empty_recorder(self):
-        assert to_jsonl(Recorder()) == ""
-
-    def test_span_lines_carry_the_worker_pid(self):
-        rec = Recorder()
-        rec.add_span("worker.stage", 0.0, 1.0, pid=123)
-        (line,) = to_jsonl(rec).splitlines()
-        assert json.loads(line)["pid"] == 123
-
-    def test_non_ascii_args_round_trip(self):
-        rec = Recorder()
-        rec.add_span("étape", 0.0, 1.0, args={"matrice": "Δ-行列"})
-        (line,) = to_jsonl(rec).splitlines()
-        assert json.loads(line)["args"] == {"matrice": "Δ-行列"}
-
-
 class TestSummaryTable:
     def test_sections_present(self, recorded):
         text = summary_table(recorded)
@@ -176,7 +179,7 @@ class TestSummaryTable:
         assert "pipeline.prepare" in text
         assert "Counters" in text and "partition.units" in text
         assert "Gauges" in text and "scheduler.proc_work" in text
-        assert "Simulated timeline" in text
+        assert "Simulated timeline (2 events, span 6 units)" in text
 
     def test_empty_recorder(self):
         assert summary_table(Recorder()) == "(empty trace)"
@@ -190,27 +193,12 @@ class TestSummaryTable:
 class TestSimRunExport:
     @pytest.fixture
     def recorded_sim(self):
-        from repro.obs.simtime import SimMessage, ledger_run, record_sim_run
-
-        msgs = [
-            SimMessage(src=0, dst=1, nbytes=40, cause=3, send=1.0, recv=2.0),
-            SimMessage(src=1, dst=0, nbytes=10, cause=4, send=2.0, recv=3.0),
-            SimMessage(src=0, dst=1, nbytes=5, cause=5, send=3.0, recv=None),
-        ]
+        msgs = MessageTable(src=[0, 1, 0], dst=[1, 0, 1], nbytes=[40, 10, 5],
+                            cause=[3, 4, 5], send=[1.0, 2.0, 3.0],
+                            recv=[2.0, 3.0, np.nan])
         with trace.enabled() as rec:
             record_sim_run(ledger_run("demo", "wrap", 2, 3.0, msgs))
         return rec
-
-    def test_jsonl_carries_sim_run_and_messages(self, recorded_sim):
-        records = [json.loads(line) for line in
-                   to_jsonl(recorded_sim).splitlines()]
-        (run,) = [r for r in records if r["type"] == "sim_run"]
-        assert run["name"] == "demo" and run["message_bytes"] == 55
-        msgs = [r for r in records if r["type"] == "sim_message"]
-        assert len(msgs) == 3
-        assert {m["src"] for m in msgs} == {0, 1}
-        undelivered = [m for m in msgs if m["recv"] is None]
-        assert len(undelivered) == 1
 
     def test_chrome_trace_flow_events(self, recorded_sim):
         doc = to_chrome_trace(recorded_sim)
@@ -220,7 +208,38 @@ class TestSimRunExport:
         assert len(starts) == len(ends) == 2
         assert all(e["bp"] == "e" for e in ends)
         assert {e["id"] for e in starts} == {e["id"] for e in ends}
-        assert doc["otherData"]["sim_runs"][0]["name"] == "demo"
+        (run,) = doc["otherData"]["sim_runs"]
+        assert run["name"] == "demo" and run["message_bytes"] == 55
+        assert run["n_messages"] == 3
+        # A ledger-only run has no units, so no lanes.
+        assert not [e for e in doc["traceEvents"] if e.get("pid") == 2
+                    and e["ph"] in ("X", "M") and e["name"] != "process_name"]
+
+    def test_flows_are_the_heaviest_delivered_messages_in_a_stable_order(
+            self, monkeypatch):
+        from repro.obs import export
+
+        rng = np.random.default_rng(3)
+        n = 60
+        msgs = MessageTable(
+            src=rng.integers(0, 3, n), dst=rng.integers(0, 3, n),
+            nbytes=rng.integers(1, 4, n), cause=np.arange(n),
+            send=rng.integers(0, 4, n).astype(float),
+            recv=np.where(rng.random(n) < 0.2, np.nan, 9.0),
+        )
+        monkeypatch.setattr(export, "_MAX_FLOWS", 25)
+        with trace.enabled() as rec:
+            record_sim_run(ledger_run("a", "wrap", 3, 9.0, msgs))
+            record_sim_run(ledger_run("b", "wrap", 3, 9.0, msgs))
+        starts = [e for e in to_chrome_trace(rec)["traceEvents"] if e["ph"] == "s"]
+        # Python's stable sort on (-bytes, send, src, dst) is the order.
+        delivered = [i for i in range(n) if not np.isnan(msgs.recv[i])]
+        delivered.sort(key=lambda i: (-msgs.nbytes[i], msgs.send[i],
+                                      msgs.src[i], msgs.dst[i]))
+        want = delivered[:25]
+        assert [e["args"]["cause"] for e in starts] == want + want
+        assert [e["args"]["run"] for e in starts] == ["a"] * 25 + ["b"] * 25
+        assert [e["id"] for e in starts] == list(range(1, 51))
 
     def test_summary_mentions_sim_clock(self, recorded_sim):
         text = summary_table(recorded_sim)

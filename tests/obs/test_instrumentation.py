@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import SchedulerOptions, block_mapping, prepare, wrap_mapping
 from repro.machine.simulate import simulate_schedule
-from repro.obs import trace
+from repro.obs import to_chrome_trace, trace
 from repro.sparse import grid9
 
 
@@ -146,20 +146,26 @@ class TestCachedStagesComputedOnce:
         assert c["pipeline.stage.metrics"] == len(grains)
 
 
+def lane_events(rec) -> list[dict]:
+    """The simulated-machine unit events of the recorder's Chrome trace."""
+    return [e for e in to_chrome_trace(rec)["traceEvents"]
+            if e["ph"] == "X" and e["pid"] == 2]
+
+
 class TestSimulatorTimeline:
     def test_events_consistent_with_idle_fraction(self, lap10):
         r = block_mapping(lap10, 8, grain=9)
         with trace.enabled() as rec:
             tl = simulate_schedule(r.assignment, r.dependencies, r.prepared.updates)
-        events = rec.timeline
+        events = lane_events(rec)
         assert len(events) == r.partition.num_units
         # Per-lane busy time re-derived from the events must equal the
         # simulator's own proc_busy, and hence its idle_fraction.
         busy = np.zeros(r.nprocs)
         for e in events:
-            busy[e.lane] += e.dur
+            busy[e["tid"]] += e["dur"]
         np.testing.assert_allclose(busy, tl.proc_busy)
-        makespan = max(e.ts + e.dur for e in events)
+        makespan = max(e["ts"] + e["dur"] for e in events)
         assert makespan == tl.makespan
         idle = 1.0 - busy.sum() / (r.nprocs * makespan)
         assert idle == pytest.approx(tl.idle_fraction)
@@ -170,11 +176,13 @@ class TestSimulatorTimeline:
         r = block_mapping(lap10, 8, grain=9)
         with trace.enabled() as rec:
             tl = simulate_schedule(r.assignment, r.dependencies, r.prepared.updates)
-        for e in rec.timeline:
-            uid = e.args["uid"]
-            assert e.ts == tl.start[uid]
-            assert e.ts + e.dur == pytest.approx(tl.finish[uid])
-            assert e.lane == int(r.assignment.proc_of_unit[uid])
+        events = lane_events(rec)
+        assert [e["args"]["uid"] for e in events] == list(range(len(events)))
+        for e in events:
+            uid = e["args"]["uid"]
+            assert e["ts"] == tl.start[uid]
+            assert e["ts"] + e["dur"] == pytest.approx(tl.finish[uid])
+            assert e["tid"] == int(r.assignment.proc_of_unit[uid])
 
 
 class TestCommCounters:

@@ -70,11 +70,10 @@ def test_simtime_invariants(matrix, scheme, nprocs):
     # and the ledger total bit-matches the paper's data-traffic metric
     # (same dedup rule: distinct non-local (processor, element) pairs).
     traffic = data_traffic(res.assignment, prep.updates)
-    assert all(m.recv is not None for m in run.messages)
+    assert not np.isnan(run.messages.recv).any()
     assert run.total_message_bytes() == traffic.total
-    per_dst = np.zeros(nprocs, dtype=np.int64)
-    for m in run.messages:
-        per_dst[m.dst] += m.nbytes
+    per_dst = np.bincount(run.messages.dst, weights=run.messages.nbytes,
+                          minlength=nprocs)
     assert np.array_equal(per_dst, np.asarray(traffic.per_processor))
     assert np.array_equal(
         run.comm_matrix(), communication_matrix(res.assignment, prep.updates)
@@ -143,9 +142,9 @@ def test_message_ledger_lamport_clock():
     led.on_recv(a)
     led.on_recv(b)
     msgs = led.messages
-    assert [m.nbytes for m in msgs] == [100, 50]
+    assert msgs.nbytes.tolist() == [100, 50]
     # Delivery happens strictly after the send on the lamport clock.
-    assert all(m.recv > m.send for m in msgs)
+    assert (msgs.recv > msgs.send).all()
     assert led.undelivered() == 0
     c = led.on_send(2, 0, 9)
     assert led.undelivered() == 1
@@ -177,7 +176,7 @@ def test_mpsim_run_parallel_ledger():
     assert run.name == "ring"
     assert isinstance(run.messages, MessageTable)
     # Each rank talks to its successor, then the result gather to rank 0.
-    assert [(m.src, m.dst) for m in run.messages] == [
+    assert list(zip(run.messages.src.tolist(), run.messages.dst.tolist())) == [
         (0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (2, 0), (3, 0)
     ]
     assert (run.messages.recv > run.messages.send).all()
@@ -219,6 +218,28 @@ def test_explain_run_end_to_end():
     assert "LAP30" in text
 
 
+def test_a_long_critical_path_keeps_its_tail():
+    """The manifest keeps the *last* path_cap units of a longer path,
+    each with the edge that released it, so the HTML report's tail is
+    the end of the path.  DWT512 wrap P=4 has a 230-unit path."""
+    import re
+
+    from repro.analysis.explain import explain_manifest, explain_run
+    from repro.obs.report import build_report
+
+    result = explain_run("DWT512", scheme="wrap", nprocs=4, grain=25)
+    cp = result.run.critical_path()
+    doc = explain_manifest(result)["critical_path"]
+    assert doc["n_units"] == len(cp.units) == 230 and doc["truncated"]
+    assert [u["uid"] for u in doc["units"]] == cp.units[-200:].tolist()
+    assert [u["edge"] for u in doc["units"]] == cp.edges[-200:]
+    html = build_report({"explain": explain_manifest(result)})
+    section = html[html.index("<section id='critical-path'>"):]
+    section = section[:section.index("</section>")]
+    shown = re.findall(r"<tr><td class=num>(\d+)</td>", section)
+    assert [int(uid) for uid in shown] == cp.units[-40:].tolist()
+
+
 def test_critical_path_message_edges_are_cross_processor():
     _, res, _, run = _sim("LAP30", "block", 16)
     cp = run.critical_path()
@@ -232,7 +253,7 @@ def test_critical_path_message_edges_are_cross_processor():
 
 
 def test_ledger_run_empty_units():
-    run = ledger_run("x", "mpsim", 2, 5.0, [])
+    run = ledger_run("x", "mpsim", 2, 5.0, MessageTable())
     assert isinstance(run, SimRun)
     assert run.n_units == 0
     assert run.total_message_bytes() == 0

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import trace
+from repro.obs import MessageTable, ledger_run, record_sim_run, trace
 
 
 @pytest.fixture(autouse=True)
@@ -81,7 +81,8 @@ class TestDisabled:
         with trace.span("work"):
             trace.counter("n", 5)
             trace.gauge("g", 1.5)
-            trace.timeline_event("u", ts=0, dur=1, lane=0)
+            trace.observe("h", 2.0)
+            record_sim_run(ledger_run("r", "mpsim", 2, 0.0, MessageTable()))
         assert rec.is_empty()
 
     def test_disabled_span_is_shared_noop(self):
@@ -119,11 +120,21 @@ class TestScalars:
         assert rec.gauges == {"marker": 7}
 
     def test_timeline_events(self):
+        """The simulated clock's timeline is the recorded sim runs, in
+        recording order; the exporters draw their lanes from them."""
+        runs = [ledger_run(name, "mpsim", 2, 0.0, MessageTable()) for name in "ab"]
         with trace.enabled() as rec:
-            trace.timeline_event("unit 0", ts=2.0, dur=3.0, lane=1, uid=0)
-        (e,) = rec.timeline
-        assert (e.name, e.ts, e.dur, e.lane) == ("unit 0", 2.0, 3.0, 1)
-        assert e.args == {"uid": 0}
+            for run in runs:
+                record_sim_run(run)
+        assert rec.sim_runs == runs and not rec.is_empty()
+
+    def test_recorder_keeps_six_stores(self):
+        rec = trace.Recorder()
+        stores = ("spans", "counters", "gauges", "histograms", "sim_runs",
+                  "memory_samples")
+        assert [name for name, value in vars(rec).items()
+                if isinstance(value, (list, dict)) and not name.startswith("_")
+                ] == list(stores)
 
     def test_counters_are_thread_safe(self):
         with trace.enabled() as rec:

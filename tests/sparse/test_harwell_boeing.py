@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sparse import PAPER_MATRICES, load, names
+from repro.sparse import PAPER_MATRICES, big_names, load, names
 
 
 class TestRegistry:
@@ -12,6 +12,19 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="available"):
             load("NOSUCH")
+
+    def test_the_package_loader_is_the_registry_loader(self):
+        import repro
+        from repro.sparse import registry
+
+        assert load is registry.load and repro.load is registry.load
+
+    def test_an_unknown_name_lists_both_tiers(self):
+        with pytest.raises(KeyError) as info:
+            load("NOSUCH")
+        offered = info.value.args[0].split("available: ")[1].split(", ")
+        assert offered == names() + list(big_names())
+        assert "SOC100K" in offered
 
     def test_lap30_is_exact(self):
         tm = PAPER_MATRICES["LAP30"]

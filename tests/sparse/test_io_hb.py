@@ -8,6 +8,7 @@ import pytest
 from repro.sparse import (
     SymmetricCSC,
     grid5,
+    grid9,
     read_harwell_boeing,
     spd_from_graph,
     write_harwell_boeing,
@@ -47,7 +48,7 @@ class TestFortranFormat:
         buf = io.StringIO()
         f.write(buf, list(range(12)))
         buf.seek(0)
-        out = f.read(buf, 12)
+        out = f.read(enumerate(buf, 1), 12, "row indices")
         assert out.tolist() == list(range(12))
 
     def test_write_read_reals(self):
@@ -56,7 +57,7 @@ class TestFortranFormat:
         buf = io.StringIO()
         f.write(buf, vals)
         buf.seek(0)
-        out = f.read(buf, 3)
+        out = f.read(enumerate(buf, 1), 3, "values")
         assert np.allclose(out, vals, rtol=1e-11)
 
     def test_lines_for(self):
@@ -67,7 +68,7 @@ class TestFortranFormat:
     def test_read_truncated_raises(self):
         f = FortranFormat(5, 4)
         with pytest.raises(ValueError):
-            f.read(io.StringIO("   1   2\n"), 5)
+            f.read(enumerate(io.StringIO("   1   2\n"), 1), 5, "pointers")
 
 
 class TestHBRoundTrip:
@@ -128,4 +129,40 @@ class TestHBRoundTrip:
         lines = harwell_boeing_string(grid5(2, 2)).splitlines(keepends=True)
         lines[2] = lines[2][:14] + "x" * 14 + lines[2][28:]
         with pytest.raises(ValueError, match="header card 3: NROW is not an integer"):
+            read_harwell_boeing(io.StringIO("".join(lines)))
+
+    def test_a_field_that_is_not_an_integer_names_section_and_line(self):
+        lines = harwell_boeing_string(grid9(3, 3)).splitlines(keepends=True)
+        lines[6] = lines[6][:3] + "x" + lines[6][4:]  # the first row-index card
+        with pytest.raises(ValueError, match=(
+                r"row indices, card line 7: field 1 '   x 1' of format "
+                r"\(12I6\): not an integer$")):
+            read_harwell_boeing(io.StringIO("".join(lines)))
+
+    def test_a_declared_width_that_misfits_the_data_is_named(self):
+        """A grid9(3, 3) file whose pointer format says (8I12) over (8I10)
+        data used to fail with ``invalid literal for int()``."""
+        text = harwell_boeing_string(grid9(3, 3))
+        assert "(8I10)" in text
+        with pytest.raises(ValueError, match=(
+                r"pointers, card line 5: field 5 '17        22' of format "
+                r"\(8I12\): 2 numbers in one field, so the data was not "
+                r"written 12 wide")):
+            read_harwell_boeing(io.StringIO(text.replace("(8I10)  ", "(8I12)  ")))
+
+    def test_pointers_read_at_a_wrong_width_that_parse_are_refused(self):
+        """(8I9) over (8I10) data parses into pointers that fall, which
+        ``np.repeat`` used to reject as "repeats may not contain negative
+        values"."""
+        text = harwell_boeing_string(grid9(3, 3)).replace("(8I10)  ", "(8I9)   ")
+        with pytest.raises(ValueError, match=(
+                r"pointers do not rise from 1 to NNZERO \+ 1 = 30; "
+                r"is \(8I9\) the format")):
+            read_harwell_boeing(io.StringIO(text))
+
+    def test_a_value_that_is_not_a_number_is_named(self):
+        lines = harwell_boeing_string(
+            spd_from_graph(grid5(2, 2), seed=0)).splitlines(keepends=True)
+        lines[-1] = "Q" + lines[-1][1:]
+        with pytest.raises(ValueError, match=r"values, card line \d+: field 1 "):
             read_harwell_boeing(io.StringIO("".join(lines)))

@@ -151,6 +151,16 @@ TOMBSTONES: tuple[Tombstone, ...] = (
     Tombstone("cat_keys|cat_vals", PY,
               "A cold sweep group costs what it builds",
               "tests/perf/test_cache.py"),
+    # A traced simulation lives only in its SimRun, the Chrome trace is
+    # the one file export, and a message table is columns only.
+    Tombstone("TimelineEvent|timeline_event|add_timeline_event", PY,
+              "One record per clock", "tests/obs/test_instrumentation.py"),
+    Tombstone("to_jsonl|write_jsonl", PY,
+              "One record per clock", "tests/obs/test_export.py"),
+    Tombstone("trace_jsonl|--trace-jsonl", EVERY_FILE,
+              "One record per clock", "tests/analysis/test_cli.py"),
+    Tombstone("SimMessage|from_rows", PY,
+              "One record per clock", "tests/machine/test_simulate_properties.py"),
     # One regression gate, obs.runs' (baseline first).
     Tombstone(r"def (find_regressions|compare_reports|render_delta)\b", EVERY_FILE,
               "One layer order, checked in CI",

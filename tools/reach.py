@@ -20,7 +20,9 @@ calls counts.  Everything a path writes lands in a temporary directory.
     python tools/reach.py
 
 Exits 1 when a module of ``src/repro`` that defines functions has none
-called.  The table holds no timing, so two runs write the same bytes.
+called, or when the unreached-line count exceeds the one in the header
+of the ``docs/reach.md`` it replaces: dead code may shrink, not grow.
+The table holds no timing, so two runs write the same bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import importlib
 import io
 import os
 import pickle
+import re
 import runpy
 import shlex
 import shutil
@@ -47,13 +50,16 @@ OUT = ROOT / "docs" / "reach.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 # What a target needs beyond its defaults: the wrappers a target to run
-# (`trace explain` is the traced run that draws a simulated timeline),
-# the own-grammar targets a sub-command (`runs compare` reads the run
-# the `sweep` target recorded just before it).  The profiler wraps a
+# (`trace explain` is the traced run that draws a simulated timeline, in
+# the Chrome trace it writes), the own-grammar targets a sub-command
+# (`runs compare` reads the run the `sweep` target recorded just before
+# it).  The profiler wraps a
 # target that runs far longer than its 5 ms sampling period, or whether
 # a sample is taken (and so the table) would depend on the host.
 TARGET_ARGS = {
-    "trace": [["trace", "table2"], ["trace", "explain", "--matrix", "DWT512", "-p", "4"]],
+    "trace": [["trace", "table2"],
+              ["trace", "explain", "--matrix", "DWT512", "-p", "4",
+               "--trace-out", "explain-trace.json"]],
     "profile": [["profile", "sweep"]],
     "runs": [["runs", "list"], ["runs", "show", "latest"],
              ["runs", "compare", "sweep:latest", "sweep:latest"]],
@@ -268,6 +274,12 @@ def reach_table(called: set) -> tuple[str, list[str]]:
     return "\n".join(head + rows) + "\n", dead
 
 
+def unreached_lines(table: str) -> int | None:
+    """The unreached-line count in the header of a reach table."""
+    found = re.search(r"(\d+) lines inside unreached functions", table)
+    return int(found.group(1)) if found else None
+
+
 def main() -> int:
     threading.setprofile(_profile)
     sys.setprofile(_profile)
@@ -286,10 +298,16 @@ def main() -> int:
             threading.setprofile(None)
             os.chdir(cwd)
     table, dead = reach_table(_called)
+    before = unreached_lines(OUT.read_text()) if OUT.exists() else None
+    after = unreached_lines(table)
     OUT.write_text(table)
     for module in dead:
         print(f"error: no function of src/repro/{module} is reached", file=sys.stderr)
-    return 1 if dead else 0
+    grew = before is not None and after > before
+    if grew:
+        print(f"error: {after} lines inside unreached functions, up from the "
+              f"{before} of the table it replaced", file=sys.stderr)
+    return 1 if dead or grew else 0
 
 
 if __name__ == "__main__":
